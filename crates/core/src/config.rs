@@ -1,5 +1,7 @@
 //! Session configuration shared by every coordination protocol.
 
+use std::sync::Arc;
+
 use mss_media::parity::Coding;
 use mss_media::ContentDesc;
 use mss_sim::time::SimDuration;
@@ -178,8 +180,9 @@ pub struct SessionConfig {
     /// bandwidth per contents peer (length `n`). When set, the leaf's
     /// initial division is bandwidth-proportional via the §2 time-slot
     /// allocator; when `None`, peers are assumed homogeneous (the paper's
-    /// §3 simplification) and the division is uniform.
-    pub bandwidths: Option<Vec<u64>>,
+    /// §3 simplification) and the division is uniform. Shared, not
+    /// owned: every peer holds a clone of the config.
+    pub bandwidths: Option<Arc<[u64]>>,
     /// RNG seed for the whole session.
     pub seed: u64,
 }

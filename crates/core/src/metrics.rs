@@ -45,35 +45,45 @@ pub const COORD_FIXED_ROUNDS: &str = "coord.fixed_rounds";
 /// Data packets sent by contents peers.
 pub const DATA_MSGS: &str = "data.msgs";
 
+/// NACKs served by contents peers.
+pub const REPAIR_REQUESTS: &str = "repair.requests";
+/// Data packets retransmitted in answer to NACKs.
+pub const REPAIR_PACKETS: &str = "repair.packets";
+
 /// Control packets whose kind the receiving protocol does not handle
 /// (e.g. an `Announce` reaching a DCoP peer). Such packets are dropped —
 /// this counter makes the drop observable instead of silently treating
 /// the packet as whatever kind the handler expected.
 pub const COORD_UNEXPECTED_KIND: &str = "coord.unexpected_kind";
 
-/// Interned slot id for [`COORD_MSGS`] (bumped on every coordination
-/// send — worth skipping the by-name lookup).
-pub fn coord_msgs_id() -> MetricId {
-    static ID: OnceLock<MetricId> = OnceLock::new();
-    *ID.get_or_init(|| mss_sim::metrics::register(COORD_MSGS))
+/// Defines `fn $f() -> MetricId`: the interned slot of metric `$name`,
+/// registered on first use. Everything recorded on a handler path goes
+/// through one of these — the by-name calls hash the string per call.
+macro_rules! metric_ids {
+    ($($f:ident => $name:ident;)*) => {$(
+        #[doc = concat!("Interned slot id for [`", stringify!($name), "`].")]
+        pub fn $f() -> MetricId {
+            static ID: OnceLock<MetricId> = OnceLock::new();
+            *ID.get_or_init(|| mss_sim::metrics::register($name))
+        }
+    )*};
 }
 
-/// Interned slot id for [`COORD_BYTES`].
-pub fn coord_bytes_id() -> MetricId {
-    static ID: OnceLock<MetricId> = OnceLock::new();
-    *ID.get_or_init(|| mss_sim::metrics::register(COORD_BYTES))
-}
-
-/// Interned slot id for [`COORD_BYTES_TX`].
-pub fn coord_bytes_tx_id() -> MetricId {
-    static ID: OnceLock<MetricId> = OnceLock::new();
-    *ID.get_or_init(|| mss_sim::metrics::register(COORD_BYTES_TX))
-}
-
-/// Interned slot id for [`COORD_BYTES_FULL`].
-pub fn coord_bytes_full_id() -> MetricId {
-    static ID: OnceLock<MetricId> = OnceLock::new();
-    *ID.get_or_init(|| mss_sim::metrics::register(COORD_BYTES_FULL))
+metric_ids! {
+    coord_msgs_id => COORD_MSGS;
+    coord_bytes_id => COORD_BYTES;
+    coord_bytes_tx_id => COORD_BYTES_TX;
+    coord_bytes_full_id => COORD_BYTES_FULL;
+    coord_msgs_at_activation_id => COORD_MSGS_AT_ACTIVATION;
+    coord_activations_id => COORD_ACTIVATIONS;
+    coord_max_wave_id => COORD_MAX_WAVE;
+    coord_probe_waves_id => COORD_PROBE_WAVES;
+    coord_probe_waves_at_activation_id => COORD_PROBE_WAVES_AT_ACTIVATION;
+    coord_last_activation_nanos_id => COORD_LAST_ACTIVATION_NANOS;
+    coord_unexpected_kind_id => COORD_UNEXPECTED_KIND;
+    data_msgs_id => DATA_MSGS;
+    repair_requests_id => REPAIR_REQUESTS;
+    repair_packets_id => REPAIR_PACKETS;
 }
 
 /// Per-kind breakdown of [`COORD_BYTES_TX`]: which message kinds carry
@@ -119,19 +129,6 @@ pub fn coord_bytes_tx_kind_id(msg: &crate::msg::Msg) -> MetricId {
     static IDS: OnceLock<[MetricId; 9]> = OnceLock::new();
     let ids = IDS.get_or_init(|| COORD_BYTES_TX_KINDS.map(mss_sim::metrics::register));
     ids[coord_kind_index(msg)]
-}
-
-/// Interned slot id for [`DATA_MSGS`] (bumped on every data-packet
-/// transmission).
-pub fn data_msgs_id() -> MetricId {
-    static ID: OnceLock<MetricId> = OnceLock::new();
-    *ID.get_or_init(|| mss_sim::metrics::register(DATA_MSGS))
-}
-
-/// Interned slot id for [`COORD_UNEXPECTED_KIND`].
-pub fn coord_unexpected_kind_id() -> MetricId {
-    static ID: OnceLock<MetricId> = OnceLock::new();
-    *ID.get_or_init(|| mss_sim::metrics::register(COORD_UNEXPECTED_KIND))
 }
 
 /// Consolidated result of one session run.

@@ -14,6 +14,8 @@
 //! different sessions interleave freely on the shared substrate, so
 //! per-peer aggregate load is measured faithfully.
 
+use std::sync::Arc;
+
 use mss_overlay::{Directory, PeerId};
 use mss_sim::event::{ActorId, TimerId};
 use mss_sim::link::{JitterLatency, LinkModel};
@@ -104,26 +106,36 @@ pub struct MultiPeer {
     protocol: Protocol,
 }
 
+/// One directory per concurrent session over the same `n` contents
+/// peers: session `s`'s leaf lives at actor id `n + s`.
+pub fn session_directories(n: usize, sessions: usize) -> Vec<Arc<Directory>> {
+    (0..sessions)
+        .map(|s| {
+            Arc::new(Directory::new(
+                (0..n as u32).map(ActorId).collect(),
+                ActorId((n + s) as u32),
+            ))
+        })
+        .collect()
+}
+
 impl MultiPeer {
-    /// Peer `me` serving `sessions` concurrent leaves. Session `s`'s leaf
-    /// lives at actor id `n + s`.
+    /// Peer `me` serving one leaf per entry of `dirs`: session `s` uses
+    /// `dirs[s]` (see [`session_directories`]), shared by all peers.
     pub fn new(
         me: PeerId,
-        n: usize,
-        sessions: usize,
+        dirs: &[Arc<Directory>],
         protocol: Protocol,
         cfg: &SessionConfig,
     ) -> MultiPeer {
-        let instances = (0..sessions)
-            .map(|s| {
-                let dir = Directory::new(
-                    (0..n as u32).map(ActorId).collect(),
-                    ActorId((n + s) as u32),
-                );
+        let instances = dirs
+            .iter()
+            .enumerate()
+            .map(|(s, dir)| {
                 let mut cfg = cfg.clone();
                 // Independent randomness per (peer, session).
                 cfg.seed = cfg.seed.wrapping_add(1 + s as u64 * 7919);
-                make_peer(protocol, me, dir, cfg)
+                make_peer(protocol, me, Arc::clone(dir), cfg)
             })
             .collect();
         MultiPeer {
@@ -356,23 +368,19 @@ impl MultiSession {
         } = self;
         let n = cfg.n;
         let mut world: World<MultiMsg> = World::new(link, cfg.seed);
+        let dirs = session_directories(n, leaves);
         for i in 0..n {
             world.add_actor(Box::new(MultiPeer::new(
                 PeerId(i as u32),
-                n,
-                leaves,
+                &dirs,
                 protocol,
                 &cfg,
             )));
         }
-        for s in 0..leaves {
-            let dir = Directory::new(
-                (0..n as u32).map(ActorId).collect(),
-                ActorId((n + s) as u32),
-            );
+        for (s, dir) in dirs.iter().enumerate() {
             let mut leaf_cfg = cfg.clone();
             leaf_cfg.seed = cfg.seed.wrapping_add(0xF00 + s as u64 * 104_729);
-            let inner = LeafActor::new(leaf_cfg, protocol, dir, None);
+            let inner = LeafActor::new(leaf_cfg, protocol, Arc::clone(dir), None);
             world.add_actor(Box::new(MultiLeaf::new(
                 s as u32,
                 stagger.saturating_mul(s as u64),

@@ -231,15 +231,15 @@ impl Core {
         self.active = true;
         self.wave = wave;
         self.activated_nanos = ctx.now().as_nanos();
-        let msgs = ctx.metrics().counter(mnames::COORD_MSGS);
-        let probe_waves = ctx.metrics().counter(mnames::COORD_PROBE_WAVES);
         let now = ctx.now().as_nanos();
         let m = ctx.metrics();
-        m.incr(mnames::COORD_ACTIVATIONS);
-        m.set_max(mnames::COORD_MAX_WAVE, u64::from(wave));
-        m.set(mnames::COORD_MSGS_AT_ACTIVATION, msgs);
-        m.set(mnames::COORD_PROBE_WAVES_AT_ACTIVATION, probe_waves);
-        m.set(mnames::COORD_LAST_ACTIVATION_NANOS, now);
+        let msgs = m.counter_id(mnames::coord_msgs_id());
+        let probe_waves = m.counter_id(mnames::coord_probe_waves_id());
+        m.incr_id(mnames::coord_activations_id());
+        m.set_max_id(mnames::coord_max_wave_id(), u64::from(wave));
+        m.set_id(mnames::coord_msgs_at_activation_id(), msgs);
+        m.set_id(mnames::coord_probe_waves_at_activation_id(), probe_waves);
+        m.set_id(mnames::coord_last_activation_nanos_id(), now);
     }
 
     /// Install (or DCoP-merge) an assignment and start streaming.
@@ -370,7 +370,7 @@ impl Core {
         if !self.cfg.data_plane {
             return;
         }
-        ctx.metrics().incr("repair.requests");
+        ctx.metrics().incr_id(mnames::repair_requests_id());
         let leaf = self.dir.leaf();
         for &seq in nack.seqs.iter() {
             if seq.0 == 0 || seq.0 > self.cfg.content.packets {
@@ -380,7 +380,7 @@ impl Core {
                 .cfg
                 .content
                 .materialize(&mss_media::PacketId::Data(seq));
-            ctx.metrics().incr("repair.packets");
+            ctx.metrics().incr_id(mnames::repair_packets_id());
             ctx.metrics().incr_id(mnames::data_msgs_id());
             self.sent += 1;
             ctx.send(leaf, Msg::data(self.me, packet));

@@ -103,7 +103,7 @@ impl TcopPeer {
         }
         // One probe round = 3 protocol rounds; track the deepest round.
         ctx.metrics()
-            .set_max(mnames::COORD_PROBE_WAVES, u64::from(child_wave - 1));
+            .set_max_id(mnames::coord_probe_waves_id(), u64::from(child_wave - 1));
         let view = Arc::new(self.core.piggyback_view(&candidates));
         let empty_sched = mss_media::SeqView::empty();
         debug_assert!(shared.outbox.is_empty());

@@ -92,7 +92,7 @@ pub fn streaming_sweep(spreads: &[u64], opts: &RunOpts) -> Vec<StreamRow> {
             .map(|i| 1 + i * (spread - 1) / (n as u64 - 1))
             .collect();
         if weighted {
-            cfg.bandwidths = Some(weights.clone());
+            cfg.bandwidths = Some(weights.as_slice().into());
         }
         // Absolute uplink caps: aggregate capacity = 2× the content byte
         // rate (comfortable in aggregate; tight for overloaded slow peers

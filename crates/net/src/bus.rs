@@ -135,7 +135,11 @@ impl ThreadedSession {
             loss,
         } = self;
         let n = cfg.n;
-        let dir = Directory::new((0..n as u32).map(ActorId).collect(), ActorId(n as u32));
+        // One shared table: a plain `Directory` would be deep-copied per peer.
+        let dir = Arc::new(Directory::new(
+            (0..n as u32).map(ActorId).collect(),
+            ActorId(n as u32),
+        ));
         let total = n + 1;
         let mut senders = Vec::with_capacity(total);
         let mut receivers = Vec::with_capacity(total);

@@ -145,7 +145,11 @@ impl LiveSession {
         }
 
         // --- actors + scheduler -------------------------------------
-        let dir = Directory::new((0..n as u32).map(ActorId).collect(), ActorId(n as u32));
+        // One shared table: a plain `Directory` would be deep-copied per peer.
+        let dir = Arc::new(Directory::new(
+            (0..n as u32).map(ActorId).collect(),
+            ActorId(n as u32),
+        ));
         let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(total);
         for i in 0..n {
             actors.push(make_peer(

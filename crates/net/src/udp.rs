@@ -118,7 +118,11 @@ pub fn run_udp_session(
             .map(|s| s.local_addr())
             .collect::<std::io::Result<_>>()?,
     );
-    let dir = Directory::new((0..n as u32).map(ActorId).collect(), ActorId(n as u32));
+    // One shared table: a plain `Directory` would be deep-copied per peer.
+    let dir = Arc::new(Directory::new(
+        (0..n as u32).map(ActorId).collect(),
+        ActorId(n as u32),
+    ));
     let ctl = Arc::new(SessionControl::new());
     let epoch = Instant::now();
 

@@ -61,6 +61,81 @@ fn view_and_model(n: usize, ids: &[u32]) -> (View, SeedBitmap) {
     (v, m)
 }
 
+/// `a ∪ b` through one `union_with` call against inserting `b`'s
+/// members one at a time, on everything a caller can observe. Both
+/// views are built by per-id insertion, so above the dense-start
+/// population they are sparse until they outgrow the sparse cap.
+fn assert_union_matches_inserts(n: usize, a_ids: &[u32], b_ids: &[u32]) {
+    let build = |ids: &[u32]| {
+        let mut v = View::empty(n);
+        for &i in ids {
+            v.insert(PeerId(i));
+        }
+        v
+    };
+    let (a, b) = (build(a_ids), build(b_ids));
+    let mut merged = a.clone();
+    let added = merged.union_with(&b);
+    let mut reference = a.clone();
+    let inserted = b.iter().filter(|&p| reference.insert(p)).count();
+
+    assert_eq!(added, inserted, "return value");
+    assert_eq!(merged.count(), reference.count(), "count");
+    assert_eq!(merged, reference, "set equality");
+    assert!(merged.iter().eq(reference.iter()), "members");
+    assert!(merged.runs().eq(reference.runs()), "runs");
+    assert_eq!(
+        wire::encoded_len(&merged),
+        wire::encoded_len(&reference),
+        "wire size"
+    );
+    let absent = merged.absent_count();
+    assert_eq!(absent, reference.absent_count());
+    for k in (0..absent).step_by(997).chain(absent.checked_sub(1)) {
+        assert_eq!(
+            merged.nth_absent(k),
+            reference.nth_absent(k),
+            "nth_absent({k})"
+        );
+    }
+    assert_eq!(merged.union_with(&b), 0, "idempotent");
+    assert_eq!(merged, reference);
+}
+
+/// Sparse ∪ sparse at n = 10⁵ (sparse cap 3125 ids), including single
+/// unions that carry the view over the cap into each promoted form.
+#[test]
+fn sparse_union_equals_per_id_inserts() {
+    let n = 100_000;
+    let step =
+        |from: u32, by: u32, len: u32| -> Vec<u32> { (0..len).map(|i| from + i * by).collect() };
+    let cases: [(&str, Vec<u32>, Vec<u32>); 9] = [
+        ("full overlap", step(0, 7, 2000), step(0, 21, 600)),
+        ("disjoint, interleaved", step(0, 7, 2000), step(3, 7, 1000)),
+        ("partial overlap", step(0, 5, 2000), step(0, 3, 1000)),
+        ("incoming all above", step(0, 2, 500), step(50_000, 9, 500)),
+        ("incoming all below", step(50_000, 9, 500), step(0, 2, 500)),
+        ("into the empty view", vec![], step(10, 11, 300)),
+        ("of the empty view", step(10, 11, 300), vec![]),
+        // 3000 + 200 ids in one run: over the cap, contiguous → runs.
+        (
+            "over the cap, one run",
+            step(0, 1, 3000),
+            step(3000, 1, 200),
+        ),
+        // 3000 + 400 isolated ids: over the cap, fragmented → bitmap.
+        (
+            "over the cap, fragmented",
+            step(0, 4, 3000),
+            step(2, 4, 400),
+        ),
+    ];
+    for (name, a, b) in &cases {
+        println!("case: {name}");
+        assert_union_matches_inserts(n, a, b);
+    }
+}
+
 proptest! {
     /// The adaptive view is observably identical to the seed bitmap:
     /// same insert novelty, count, membership, ascending iteration and
@@ -93,6 +168,20 @@ proptest! {
         for (k, &c) in mu.complement().iter().enumerate() {
             prop_assert_eq!(vu.nth_absent(k).0, c);
         }
+    }
+
+    /// The merged sparse union is the per-id insert result for random
+    /// id sets at populations above the dense-start bound, where views
+    /// begin sparse (the bitmap-model property above never leaves the
+    /// dense form).
+    #[test]
+    fn sparse_union_matches_inserts(
+        n in 4097usize..60_000,
+        xs in proptest::collection::vec(any::<u32>(), 0..400),
+        ys in proptest::collection::vec(any::<u32>(), 0..400),
+    ) {
+        let fold = |zs: &[u32]| zs.iter().map(|&z| z % n as u32).collect::<Vec<_>>();
+        assert_union_matches_inserts(n, &fold(&xs), &fold(&ys));
     }
 
     /// Every wire encoding of a view round-trips to the same set, the

@@ -26,13 +26,31 @@
 //! Storage is a pair of parallel slabs indexed by `u32` slots — a hot
 //! slab of 24-byte scheduling keys (`time`, `seq`, intrusive `next`
 //! link) and a cold slab of payloads; a bucket is an intrusive
-//! singly-linked list (head/tail slot) threaded through the key slab
-//! and kept sorted by `(time, seq)`. Slots never move once allocated —
-//! inserts relink a few `u32`s — and every bucket walk, cursor scan,
-//! and rebuild streams through key cells only, so their cost is
-//! independent of the payload size and an insert touches the payload
-//! slab exactly once. An empty bucket costs 8 bytes, not an
-//! allocation. The overflow heap holds 24-byte keys only.
+//! singly-linked list (head/tail slot) threaded through the key slab.
+//! Slots never move once allocated — inserts relink a few `u32`s — and
+//! every bucket walk, sort, cursor scan, and rebuild reads key cells
+//! only, so their cost is independent of the payload size and an
+//! insert touches the payload slab exactly once. An empty bucket costs
+//! 8 bytes, not an allocation. The overflow heap holds 24-byte keys
+//! only.
+//!
+//! ## Sort on arrival
+//!
+//! Only the cursor bucket — the one being popped from — has to be in
+//! `(time, seq)` order. A push into any other bucket links at the tail
+//! in O(1); one that lands out of order marks the bucket *unsorted*
+//! (one bit per bucket), and the list is sorted once, when the cursor
+//! arrives on it: the keys are streamed into a contiguous scratch
+//! buffer, sorted there, and relinked. That is O(log k) amortised per
+//! event for a k-key bucket however badly the width fits the workload
+//! — a burst of 10⁴ random-order arrivals into one bucket would
+//! otherwise cost a pointer-chasing O(k) walk each. Pushes into the
+//! cursor bucket itself (the slice being dispatched, and stale pushes
+//! clamped into it) keep a sorted insert, so it stays sorted while it
+//! drains; and while a sorted bucket's insertion point is within a
+//! few cells of its head the key is linked in place rather than
+//! marked, which keeps the short lists of a small, well-tuned
+//! calendar away from the sort altogether.
 //!
 //! The bucket width is auto-tuned (power-of-two widths, so indexing is
 //! a shift) from the observed inter-pop gap and the density of the
@@ -47,13 +65,15 @@
 //! Pop always returns the globally least `(time, seq)` entry. The
 //! window spans at most `nb` consecutive slices, so each bucket holds
 //! at most one slice's worth of in-window events and the circular scan
-//! from the cursor visits slices in increasing time order; entries that
-//! land behind the window's start are clamped into the cursor bucket,
-//! where the sorted list still ranks them first; the overflow heap
-//! holds only times at or beyond the window end; and within a bucket
-//! the sorted list yields `(time, seq)` order — which for equal times
-//! is exactly FIFO insertion order. The total order is therefore
-//! identical to the reference heap's, bit for bit (property-tested in
+//! from the cursor visits slices in increasing time order, whatever
+//! the order inside a bucket; the cursor bucket is sorted before its
+//! first key is popped and kept sorted while it drains, and since
+//! `seq` is unique the sort has a single outcome — which for equal
+//! times is exactly FIFO insertion order; entries that land behind the
+//! window's start are clamped into the cursor bucket, where the sorted
+//! insert ranks them first; and the overflow heap holds only times at
+//! or beyond the window end. The total order is therefore identical to
+//! the reference heap's, bit for bit (property-tested in
 //! `tests/properties.rs`). Slot numbers index storage only and never
 //! participate in ordering.
 
@@ -111,11 +131,12 @@ pub enum Event<M> {
 const NIL: u32 = u32::MAX;
 
 /// The hot half of a slab slot: the scheduling key and the intrusive
-/// bucket-list link — everything a sorted-insert walk, a cursor scan,
-/// or an overflow migration needs. Kept in its own slab (parallel to
-/// the payload slab) so those walks stream through 24-byte cells
-/// regardless of how fat the payload type is; the payload is only
-/// touched on the final push/pop of a slot. Never moves once allocated.
+/// bucket-list link — everything an insert walk, a bucket sort, a
+/// cursor scan, or an overflow migration needs. Kept in its own slab
+/// (parallel to the payload slab) so those walks stream through
+/// 24-byte cells regardless of how fat the payload type is; the
+/// payload is only touched on the final push/pop of a slot. Never
+/// moves once allocated.
 #[derive(Clone, Copy)]
 struct NodeKey {
     time: SimTime,
@@ -170,12 +191,21 @@ const MIN_BUCKETS: usize = 64;
 const MAX_BUCKETS: usize = 1 << 16;
 /// Narrowest bucket: 1 ns. Narrow is the safe failure mode — an
 /// under-wide calendar degrades to overflow-heap behaviour (O(log n)),
-/// while an over-wide one degrades to O(n) in-bucket list walks.
+/// while an over-wide one pays a sort per fat bucket and an O(n) list
+/// walk for every push into the bucket being drained.
 const MIN_SHIFT: u32 = 0;
 /// Widest bucket: 2^30 ns ≈ 1.07 s.
 const MAX_SHIFT: u32 = 30;
 /// Width before any gap has been observed: 2^17 ns ≈ 131 µs.
 const DEFAULT_SHIFT: u32 = 17;
+
+/// An out-of-order push into a sorted bucket the cursor is not on still
+/// takes its sorted place when that is within this many cells of the
+/// head, so the short lists of a small pending population (a few keys
+/// per bucket) never pay for the mark-and-sort machinery; past it the
+/// key is appended and the bucket marked. Bounds the walk, so the push
+/// stays O(1).
+const SHORT_WALK: usize = 8;
 
 /// Priority queue of future events ordered by `(time, insertion sequence)`.
 ///
@@ -198,6 +228,13 @@ pub struct EventQueue<M> {
     tails: Vec<u32>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occ: Vec<u64>,
+    /// One bit per bucket: set iff the bucket's list is not known to be
+    /// in `(time, seq)` order (an out-of-order push was appended at the
+    /// tail). Never set for the cursor bucket; cleared when the cursor
+    /// arrives and sorts the list. Set implies non-empty.
+    unsorted: Vec<u64>,
+    /// Reused key buffer for the sort-on-arrival pass.
+    sort_scratch: Vec<Key>,
     /// Keys beyond the window `[base, base + nb·2^w_shift)`.
     overflow: BinaryHeap<Key>,
     nb: usize,
@@ -224,6 +261,10 @@ pub struct EventQueue<M> {
     rebuilt_len: usize,
     /// Most events ever pending at once (sizing diagnostics).
     high_water: usize,
+    /// Key cells read by sorted-insert walks and bucket sorts — the
+    /// complexity pin's wall-clock-free cost measure.
+    #[cfg(test)]
+    cells_visited: u64,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -235,6 +276,8 @@ impl<M> Default for EventQueue<M> {
             heads: vec![NIL; MIN_BUCKETS],
             tails: vec![NIL; MIN_BUCKETS],
             occ: vec![0; MIN_BUCKETS.div_ceil(64)],
+            unsorted: vec![0; MIN_BUCKETS.div_ceil(64)],
+            sort_scratch: Vec::new(),
             overflow: BinaryHeap::new(),
             nb: MIN_BUCKETS,
             w_shift: DEFAULT_SHIFT,
@@ -248,6 +291,8 @@ impl<M> Default for EventQueue<M> {
             gap_cnt: 0,
             rebuilt_len: 0,
             high_water: 0,
+            #[cfg(test)]
+            cells_visited: 0,
         }
     }
 }
@@ -437,46 +482,116 @@ impl<M> EventQueue<M> {
         self.link(i, k);
     }
 
-    /// Sorted-insert `k` into bucket `i`'s intrusive list. The common
-    /// push (latest key in its bucket) links at the tail in O(1);
-    /// out-of-order arrivals walk the list but move no data.
+    /// File `k` into bucket `i`'s intrusive list. Any bucket other than
+    /// the cursor's takes the key in O(1): in order, or already marked,
+    /// it goes on the tail; out of order it takes its place if that is
+    /// within [`SHORT_WALK`] cells of the head, else goes on the tail
+    /// and marks the bucket unsorted, to be sorted once, when the
+    /// cursor arrives ([`Self::settle`]). The cursor bucket is being
+    /// drained from its head, so it stays sorted: an out-of-order
+    /// arrival there (a push into the slice being dispatched, or a
+    /// stale-clamped one) walks to its place however far that is.
     fn link(&mut self, i: usize, k: Key) {
-        let ord = k.order();
-        let head = self.heads[i];
-        if head == NIL {
+        // Re-filed keys (rebuild, overflow migration) carry a stale
+        // link from their previous list.
+        self.keys[k.slot as usize].next = NIL;
+        self.bucketed += 1;
+        if self.heads[i] == NIL {
             self.occ_set(i);
-            // Re-filed keys (rebuild, overflow migration) carry a stale
-            // link from their previous list; sever it.
-            self.keys[k.slot as usize].next = NIL;
             self.heads[i] = k.slot;
             self.tails[i] = k.slot;
-        } else {
-            let tail = self.tails[i];
+            return;
+        }
+        let tail = self.tails[i];
+        if !self.is_unsorted(i) {
             let tn = self.keys[tail as usize];
-            if (tn.time, tn.seq) < ord {
-                self.keys[k.slot as usize].next = NIL;
-                self.keys[tail as usize].next = k.slot;
-                self.tails[i] = k.slot;
-            } else {
-                let mut prev = NIL;
-                let mut cur = head;
-                while cur != NIL {
-                    let c = self.keys[cur as usize];
-                    if (c.time, c.seq) > ord {
-                        break;
-                    }
-                    prev = cur;
-                    cur = c.next;
+            if (tn.time, tn.seq) > k.order() {
+                let limit = if i == self.cursor {
+                    usize::MAX
+                } else {
+                    SHORT_WALK
+                };
+                if self.insert_sorted(i, k, limit) {
+                    return;
                 }
+                self.unsorted[i >> 6] |= 1u64 << (i & 63);
+            }
+        }
+        self.keys[tail as usize].next = k.slot;
+        self.tails[i] = k.slot;
+    }
+
+    /// Walk sorted bucket `i` to the first key ranking after `k` and
+    /// link `k` before it; false (list untouched) if that key is not
+    /// among the first `limit` cells. The caller has checked that the
+    /// tail is such a key, so an unlimited walk ends inside the list,
+    /// and the tail is unmoved either way.
+    fn insert_sorted(&mut self, i: usize, k: Key, limit: usize) -> bool {
+        let ord = k.order();
+        let mut prev = NIL;
+        let mut cur = self.heads[i];
+        for _ in 0..limit {
+            let c = self.keys[cur as usize];
+            #[cfg(test)]
+            {
+                self.cells_visited += 1;
+            }
+            if (c.time, c.seq) > ord {
                 self.keys[k.slot as usize].next = cur;
                 if prev == NIL {
                     self.heads[i] = k.slot;
                 } else {
                     self.keys[prev as usize].next = k.slot;
                 }
+                return true;
             }
+            prev = cur;
+            cur = c.next;
         }
-        self.bucketed += 1;
+        false
+    }
+
+    #[inline]
+    fn is_unsorted(&self, i: usize) -> bool {
+        self.unsorted[i >> 6] & (1u64 << (i & 63)) != 0
+    }
+
+    /// Append bucket `i`'s keys, in list order, to `out`.
+    fn bucket_keys_into(&self, i: usize, out: &mut Vec<Key>) {
+        let mut cur = self.heads[i];
+        while cur != NIL {
+            let n = self.keys[cur as usize];
+            out.push(Key {
+                time: n.time,
+                seq: n.seq,
+                slot: cur,
+            });
+            cur = n.next;
+        }
+    }
+
+    /// Put bucket `i`'s list into `(time, seq)` order and clear its
+    /// unsorted mark: stream the keys into the contiguous scratch, sort
+    /// there, relink. `seq` is unique, so the unstable sort has exactly
+    /// one outcome.
+    fn sort_bucket(&mut self, i: usize) {
+        let mut scratch = std::mem::take(&mut self.sort_scratch);
+        scratch.clear();
+        self.bucket_keys_into(i, &mut scratch);
+        #[cfg(test)]
+        {
+            self.cells_visited += scratch.len() as u64;
+        }
+        scratch.sort_unstable_by_key(|k| k.order());
+        let mut next = NIL;
+        for k in scratch.iter().rev() {
+            self.keys[k.slot as usize].next = next;
+            next = k.slot;
+        }
+        self.heads[i] = next;
+        self.tails[i] = scratch.last().expect("unsorted implies non-empty").slot;
+        self.unsorted[i >> 6] &= !(1u64 << (i & 63));
+        self.sort_scratch = scratch;
     }
 
     /// Pull every overflow key that the (just-advanced) window now
@@ -562,6 +677,11 @@ impl<M> EventQueue<M> {
             let head_t = self.keys[self.heads[i] as usize].time.0;
             self.aim_at(head_t);
             debug_assert_eq!(self.cursor, i, "head key outside its slice");
+            // Sort on arrival, before overflow keys are merged in: from
+            // here on the bucket is the cursor's and stays sorted.
+            if self.is_unsorted(i) {
+                self.sort_bucket(i);
+            }
         } else {
             // Buckets drained: jump the window to the earliest overflow
             // key (possibly re-tuning the width — order-neutral).
@@ -584,16 +704,7 @@ impl<M> EventQueue<M> {
         let mut scratch: Vec<Key> = Vec::with_capacity(self.len);
         let mut w = 0;
         while let Some(i) = self.occ_word_next(&mut w) {
-            let mut cur = self.heads[i];
-            while cur != NIL {
-                let n = self.keys[cur as usize];
-                scratch.push(Key {
-                    time: n.time,
-                    seq: n.seq,
-                    slot: cur,
-                });
-                cur = n.next;
-            }
+            self.bucket_keys_into(i, &mut scratch);
             self.heads[i] = NIL;
             self.tails[i] = NIL;
             // Clear as we go so the word scan advances past this bucket.
@@ -663,10 +774,12 @@ impl<M> EventQueue<M> {
             self.tails.resize(new_nb, NIL);
             self.nb = new_nb;
             self.occ = vec![0; new_nb.div_ceil(64)];
+            self.unsorted = vec![0; new_nb.div_ceil(64)];
         } else {
             self.heads.fill(NIL);
             self.tails.fill(NIL);
             self.occ.fill(0);
+            self.unsorted.fill(0);
         }
         self.bucketed = 0;
     }
@@ -819,6 +932,42 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, n);
+    }
+
+    /// Complexity pin without a wall clock: one coordination wave of a
+    /// population-scale session — the calendar pre-sized by `reserve`
+    /// (maximum bucket count, default width), the event being handled
+    /// at the cursor, 10⁵ deliveries pushed in random time order into
+    /// the eight buckets a link latency ahead — then the full drain.
+    /// Appending and sorting on arrival reads each key cell about
+    /// once; a sorted insert per push walks half a 12 500-key bucket
+    /// each time, some 10⁸ cells.
+    #[test]
+    fn random_order_wave_reads_n_log_n_key_cells() {
+        const N: u64 = 100_000;
+        let mut q = EventQueue::with_capacity(800_000);
+        q.push(SimTime(0), timer_ev(0));
+        let mut want = vec![(0u64, 0u64)];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for tag in 1..=N {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let t = 1_000_000 + x % 1_000_000;
+            q.push(SimTime(t), timer_ev(tag));
+            want.push((t, tag));
+        }
+        want.sort_unstable();
+        let got: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|(t, e)| (t.0, tag_of(e)))
+            .collect();
+        assert_eq!(got, want);
+        let bound = 2 * N * u64::from(N.ilog2() + 1);
+        assert!(
+            q.cells_visited <= bound,
+            "{} key cells read for {N} events, bound {bound}",
+            q.cells_visited
+        );
     }
 
     #[test]

@@ -18,6 +18,14 @@ fn timer(tag: u64) -> Event<()> {
     }
 }
 
+/// `(time, tag)` of a popped [`timer`] event.
+fn time_and_tag((t, ev): (SimTime, Event<()>)) -> (u64, u64) {
+    match ev {
+        Event::Timer { tag, .. } => (t.0, tag),
+        _ => unreachable!(),
+    }
+}
+
 /// Reference scheduler the calendar queue is pinned against: an
 /// unordered vec popped by linear min-scan on `(time, seq)` — trivially
 /// correct, O(n) per pop, used only at test scale.
@@ -69,10 +77,7 @@ fn check_against_reference(ops: &[(u8, u64)], mut time_of: impl FnMut(u64, u64) 
             }
             _ => {
                 let limit = if kind % 3 == 1 { u64::MAX } else { x };
-                let got = q.pop_at_or_before(SimTime(limit)).map(|(t, ev)| match ev {
-                    Event::Timer { tag, .. } => (t.0, tag),
-                    _ => unreachable!(),
-                });
+                let got = q.pop_at_or_before(SimTime(limit)).map(time_and_tag);
                 let want = r.pop_at_or_before(limit);
                 prop_assert_eq!(got, want, "pop_at_or_before({}) diverged", limit);
                 if let Some((t, _)) = got {
@@ -83,16 +88,94 @@ fn check_against_reference(ops: &[(u8, u64)], mut time_of: impl FnMut(u64, u64) 
         prop_assert_eq!(q.len(), r.pending.len());
     }
     loop {
-        let got = q.pop().map(|(t, ev)| match ev {
-            Event::Timer { tag, .. } => (t.0, tag),
-            _ => unreachable!(),
-        });
+        let got = q.pop().map(time_and_tag);
         let want = r.pop_at_or_before(u64::MAX);
         prop_assert_eq!(got, want, "drain diverged");
         if got.is_none() {
             break;
         }
     }
+}
+
+/// The population-scale session's queue shape, against a binary heap
+/// on `(time, seq)`: the calendar is pre-sized the way `Session` sizes
+/// it (`reserve` on the empty queue pins it at the maximum bucket count
+/// and the default ~131 µs width), a far-future ballast keeps the
+/// population above the shrink threshold so no pop rebuilds it, and
+/// every coordination wave is a burst of pushes in random time order
+/// confined to three or four buckets a link latency ahead — the case
+/// that appends and sorts on arrival. Mixed in: timers scattered around
+/// the window's far edge (some file into far buckets out of order,
+/// some overflow and migrate in when the window slides, where later
+/// direct pushes join them), pushes into the slice being drained, and
+/// stale pushes behind it.
+fn check_session_shape(ops: &[(u8, u64)]) {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    const WINDOW: u64 = (1 << 16) << 17; // MAX_BUCKETS × default width
+    const BALLAST: u64 = 1 << 50;
+
+    let mut q: EventQueue<()> = EventQueue::new();
+    q.reserve(800_000);
+    let mut r: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+    let mut seq = 0u64;
+    let mut push = |q: &mut EventQueue<()>, r: &mut BinaryHeap<_>, t: u64| {
+        r.push(Reverse((t, seq)));
+        q.push(SimTime(t), timer(seq));
+        seq += 1;
+    };
+    // The first push anchors the window at time zero; the ballast then
+    // lies beyond it, in the overflow heap.
+    push(&mut q, &mut r, 0);
+    for i in 0..2_100 {
+        push(&mut q, &mut r, BALLAST + i % 7);
+    }
+    let mut clock = 0u64;
+    for &(kind, x) in ops {
+        let mut z = x | 1;
+        let mut next = || {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            z
+        };
+        match kind % 8 {
+            0..=2 => {
+                for _ in 0..1 + x % 48 {
+                    push(&mut q, &mut r, clock + 1_000_000 + next() % 400_000);
+                }
+            }
+            3 => {
+                for _ in 0..1 + x % 6 {
+                    let t = clock + WINDOW - 10_000_000 + next() % 20_000_000;
+                    push(&mut q, &mut r, t);
+                }
+            }
+            4 => push(&mut q, &mut r, clock + x % (1 << 17)),
+            5 => push(&mut q, &mut r, clock.saturating_sub(x % 50_000)),
+            _ => {
+                for _ in 0..1 + x % 8 {
+                    // The ballast stays put until the final drain:
+                    // popping it would park the window past every
+                    // later push.
+                    let Some(want) = r.peek().map(|r| r.0).filter(|k| k.0 < BALLAST) else {
+                        break;
+                    };
+                    r.pop();
+                    let got = q.pop().map(time_and_tag);
+                    prop_assert_eq!(got, Some(want), "pop diverged at clock {}", clock);
+                    clock = want.0;
+                }
+            }
+        }
+        prop_assert_eq!(q.len(), r.len());
+    }
+    while let Some(Reverse(want)) = r.pop() {
+        let got = q.pop().map(time_and_tag);
+        prop_assert_eq!(got, Some(want), "drain diverged");
+    }
+    prop_assert!(q.pop().is_none());
 }
 
 /// Build a sink from generated (counter-index, value) and
@@ -169,6 +252,15 @@ proptest! {
         check_against_reference(&ops, |x, clock| {
             clock + 1_000_000 + x % 1_000_000
         });
+    }
+
+    /// Same pin in the population-scale session shape (see
+    /// `check_session_shape`).
+    #[test]
+    fn calendar_matches_reference_session_shape(
+        ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..300),
+    ) {
+        check_session_shape(&ops);
     }
 
     /// `sample` is exactly a subset of the pool, distinct, of the

@@ -67,6 +67,14 @@ cargo build --release -q --example large_world
 timeout 120 ./target/release/examples/large_world 10000 2 dcop >/dev/null \
     || { echo "verify.sh: large-world smoke failed" >&2; exit 1; }
 
+echo "==> repo benchmark smoke (one reduced round per workload, all output checks on)"
+# benchmark/ is its own workspace (built into benchmark/target); the
+# smoke exits non-zero if any session fails, a figure CSV moves, two
+# same-seed sharded digests differ, or a traced session is not the
+# plain one.
+timeout 600 benchmark/run.sh --smoke >/dev/null \
+    || { echo "verify.sh: repo benchmark smoke failed" >&2; exit 1; }
+
 echo "==> bench smoke (each benchmark runs once in test mode)"
 cargo bench -p mss-bench -- --test
 
