@@ -47,7 +47,7 @@ impl BroadcastPeer {
 
     fn on_request(&mut self, ctx: &mut dyn Runtime<Msg>, req: ContentRequest) {
         if let Some(v) = &req.view {
-            self.core.view.union_with(v);
+            self.core.learn_view(v);
         }
         self.part = req.part;
         self.heard += 1; // self
@@ -90,7 +90,7 @@ impl BroadcastPeer {
     }
 
     fn on_announce(&mut self, ctx: &mut dyn Runtime<Msg>, c: ControlPacket) {
-        self.core.view.insert(c.from);
+        self.core.learn_peer(c.from);
         self.heard += 1;
         self.maybe_switch(ctx);
     }

@@ -52,7 +52,7 @@ impl DcopPeer {
         req: ContentRequest,
     ) {
         if let Some(v) = &req.view {
-            self.core.view.union_with(v);
+            self.core.learn_view(v);
         }
         let assignment = self.core.request_assignment(&req, shared);
         self.core.adopt(ctx, assignment);
@@ -75,8 +75,7 @@ impl DcopPeer {
             self.core.count_unexpected_control(ctx);
             return;
         }
-        self.core.view.insert(c.from);
-        self.core.view.union_with(&c.view);
+        self.core.learn(c);
         // An in-session packet carries the parent's pre-derived division
         // basis; a wire-decoded one doesn't, and the child re-derives it
         // from the recipe — identical by `DivisionBasis`'s contract.
@@ -105,13 +104,23 @@ impl DcopPeer {
 
     /// Select up to `H` children, assign them parts of this peer's
     /// re-divided schedule, and schedule this peer's own switch at δ.
+    /// Unless every control packet re-selects, this was the peer's only
+    /// `Select`: the view has no reader left and is closed.
     fn select_and_spawn(
         &mut self,
         ctx: &mut dyn Runtime<Msg>,
         shared: &mut RoundShared,
         wave: u32,
     ) {
-        if self.core.view.is_full() {
+        self.spawn_children(ctx, shared, wave);
+        if !self.core.cfg.reselect_on_every_control {
+            self.core.close_view();
+        }
+    }
+
+    /// One `Select` and its fan-out of `Activate` packets.
+    fn spawn_children(&mut self, ctx: &mut dyn Runtime<Msg>, shared: &mut RoundShared, wave: u32) {
+        if self.core.selection_done() {
             return;
         }
         let fanout = self.core.cfg.fanout;
@@ -164,7 +173,7 @@ impl DcopPeer {
                 view_wire: crate::msg::ViewWire::full(),
             };
             let to = self.core.dir.actor_of(*child);
-            shared.outbox.push((to, shared.ctl.wrap(packet)));
+            shared.outbox.push((to, Msg::control(packet)));
         }
         self.core.send_coord_batch(ctx, &mut shared.outbox);
         // The parent keeps part 0 of the same division, switching at δ.
@@ -187,7 +196,7 @@ impl PlanePeer for DcopPeer {
             Msg::Request(req) => self.on_request(ctx, shared, *req),
             Msg::Control(c) => {
                 self.on_control(ctx, shared, &c);
-                shared.ctl.recycle(c);
+                crate::msg::recycle_control(c);
             }
             Msg::Nack(n) => self.core.on_nack(ctx, &n),
             _ => {}

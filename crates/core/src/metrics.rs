@@ -56,20 +56,7 @@ pub const REPAIR_PACKETS: &str = "repair.packets";
 /// the packet as whatever kind the handler expected.
 pub const COORD_UNEXPECTED_KIND: &str = "coord.unexpected_kind";
 
-/// Defines `fn $f() -> MetricId`: the interned slot of metric `$name`,
-/// registered on first use. Everything recorded on a handler path goes
-/// through one of these — the by-name calls hash the string per call.
-macro_rules! metric_ids {
-    ($($f:ident => $name:ident;)*) => {$(
-        #[doc = concat!("Interned slot id for [`", stringify!($name), "`].")]
-        pub fn $f() -> MetricId {
-            static ID: OnceLock<MetricId> = OnceLock::new();
-            *ID.get_or_init(|| mss_sim::metrics::register($name))
-        }
-    )*};
-}
-
-metric_ids! {
+mss_sim::metric_ids! {
     coord_msgs_id => COORD_MSGS;
     coord_bytes_id => COORD_BYTES;
     coord_bytes_tx_id => COORD_BYTES_TX;

@@ -288,10 +288,17 @@ const _: () = assert!(std::mem::size_of::<TwoPhase>() <= 24);
 const _: () = assert!(std::mem::size_of::<Nack>() <= 16);
 
 impl Msg {
-    /// A control message, boxing the fat body. Use this (not
-    /// `Msg::Control(Box::new(..))`) at construction sites.
+    /// A control message, boxing the fat body into a recycled shell
+    /// (see [`recycle_control`]) when this thread has one free. Use this
+    /// (not `Msg::Control(Box::new(..))`) at construction sites.
     pub fn control(c: ControlPacket) -> Msg {
-        Msg::Control(Box::new(c))
+        match CTL_SHELLS.with(|s| s.borrow_mut().pop()) {
+            Some(mut shell) => {
+                *shell = c;
+                Msg::Control(shell)
+            }
+            None => Msg::Control(Box::new(c)),
+        }
     }
 
     /// A content request, boxing the fat body.
@@ -338,10 +345,27 @@ thread_local! {
     /// event order.
     static PKT_SHELLS: std::cell::RefCell<Vec<Arc<Packet>>> =
         const { std::cell::RefCell::new(Vec::new()) };
+
+    /// Free-list of `Box<ControlPacket>` shells, recycled between the
+    /// receiving handler ([`recycle_control`]) and the next
+    /// [`Msg::control`] on this thread, so boxed control payloads do not
+    /// cost one malloc/free pair per coordination message. Per thread,
+    /// never per peer: a world or shard thread hosts both ends of most
+    /// edges and reuses a handful of shells per round, and a live worker
+    /// keeps one bounded pool for all the tasks it steps — a peer that
+    /// only ever *receives* pins nothing of its own.
+    // The boxes are the point: this list recycles the heap shells
+    // themselves, so `vec_box`'s "unbox it" advice would defeat it.
+    #[allow(clippy::vec_box)]
+    static CTL_SHELLS: std::cell::RefCell<Vec<Box<ControlPacket>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Shells kept per thread at most; a burst beyond this frees normally.
-const PKT_SHELL_CAP: usize = 64;
+/// Shells kept per thread and kind at most: enough for every in-flight
+/// message of a round's fan-out; a burst beyond this frees normally. A
+/// pooled shell keeps its stale payload until the next use overwrites
+/// it, so this is also the most stale payloads a thread can pin.
+const SHELL_CAP: usize = 64;
 
 /// Hand a consumed data message's `Arc` shell back for reuse by the
 /// next [`Msg::data`] on this thread. Shells still shared (a repair
@@ -351,11 +375,25 @@ pub fn recycle_data(d: DataMsg) {
     if Arc::get_mut(&mut shell).is_some() {
         PKT_SHELLS.with(|s| {
             let mut pool = s.borrow_mut();
-            if pool.len() < PKT_SHELL_CAP {
+            if pool.len() < SHELL_CAP {
                 pool.push(shell);
             }
         });
     }
+}
+
+/// Hand a drained control box back for reuse by the next
+/// [`Msg::control`] on this thread. Receivers read the packet by
+/// reference, so nothing needs moving out; the payload is overwritten
+/// whole on reuse, which makes pooled and fresh boxes indistinguishable
+/// to handlers.
+pub fn recycle_control(shell: Box<ControlPacket>) {
+    CTL_SHELLS.with(|s| {
+        let mut pool = s.borrow_mut();
+        if pool.len() < SHELL_CAP {
+            pool.push(shell);
+        }
+    });
 }
 
 /// Wire bytes a control packet's schedule is accounted as: the

@@ -8,13 +8,13 @@
 use std::sync::Arc;
 
 use mss_media::ContentDesc;
-use mss_overlay::select::{select_from_complement, select_from_complement_with};
+use mss_overlay::select::select_from_complement_with;
 use mss_overlay::{Directory, PeerId, View};
 use mss_sim::prelude::*;
 
 use crate::config::{Piggyback, SessionConfig};
 use crate::metrics as mnames;
-use crate::msg::{ContentRequest, Msg};
+use crate::msg::{ContentRequest, ControlPacket, Msg};
 use crate::plane::RoundShared;
 use crate::schedule::{merge_assignment, TxSchedule};
 
@@ -44,8 +44,6 @@ pub struct PeerReport {
     pub sched_len: usize,
     /// Packets actually sent.
     pub sent: u64,
-    /// View size at the end of the run.
-    pub view_count: usize,
 }
 
 /// State shared by every contents-peer actor.
@@ -58,8 +56,11 @@ pub struct Core {
     pub dir: Arc<Directory>,
     /// Session parameters.
     pub cfg: SessionConfig,
-    /// Perceived-active view `VW_i` (always contains `me`).
-    pub view: View,
+    /// Perceived-active view `VW_i` (always contains `me`), kept only
+    /// while its one reader — this peer's own `Select` — can still run:
+    /// `None` once the protocol closed selection (see
+    /// [`Core::close_view`]).
+    view: Option<View>,
     /// True once transmitting (the paper's *active* state).
     pub active: bool,
     /// Wave at which this peer first activated.
@@ -95,7 +96,7 @@ impl Core {
             me,
             dir: dir.into(),
             cfg,
-            view,
+            view: Some(view),
             active: false,
             wave: 0,
             activated_nanos: u64::MAX,
@@ -123,7 +124,6 @@ impl Core {
             interval_nanos: self.sched.interval_nanos,
             sched_len: self.sched.seq.len(),
             sent: self.sent,
-            view_count: self.view.count(),
         }
     }
 
@@ -387,33 +387,81 @@ impl Core {
         }
     }
 
+    /// The live view, or `None` once selection is closed.
+    pub fn view(&self) -> Option<&View> {
+        self.view.as_ref()
+    }
+
+    /// Learn from a received control packet: its sender is active and so
+    /// is everyone it lists — `VW_i := VW_i ∪ {c.from} ∪ c.VW`.
+    pub fn learn(&mut self, c: &ControlPacket) {
+        self.learn_peer(c.from);
+        self.learn_view(&c.view);
+    }
+
+    /// Note one peer as active. A closed view ignores it — nothing will
+    /// ever read the result.
+    pub fn learn_peer(&mut self, peer: PeerId) {
+        if let Some(own) = self.view.as_mut() {
+            own.insert(peer);
+        }
+    }
+
+    /// Merge a received view (`VW_i := VW_i ∪ VW`). A closed view
+    /// ignores it.
+    pub fn learn_view(&mut self, view: &View) {
+        if let Some(own) = self.view.as_mut() {
+            own.union_with(view);
+        }
+    }
+
+    /// Close selection: this peer will never `Select` again, so its
+    /// view has no reader left — release it and ignore further
+    /// learning. Protocols call this after their last possible
+    /// selection; everything up to and including that `Select` saw the
+    /// full view, so decisions, messages and RNG draws are unchanged.
+    pub fn close_view(&mut self) {
+        self.view = None;
+    }
+
+    /// True when `Select` has nobody left to pick: the view is full, or
+    /// selection is closed.
+    pub fn selection_done(&self) -> bool {
+        self.view.as_ref().is_none_or(View::is_full)
+    }
+
     /// The paper's `Select`: up to `m` peers drawn uniformly from the
     /// complement of this peer's view. Selected peers are added to the
-    /// view (they are now perceived active / claimed).
+    /// view (they are now perceived active / claimed). Nobody once
+    /// selection is closed.
     pub fn select_children(&mut self, m: usize) -> Vec<PeerId> {
-        let picked = select_from_complement(&self.view, m, &mut self.rng);
-        for p in &picked {
-            self.view.insert(*p);
-        }
-        picked
+        self.select_children_in(m, &mut Vec::new())
     }
 
     /// [`Core::select_children`] drawing through caller-owned pool
     /// scratch (one complement buffer per plane instead of one per
     /// selection). Consumes the identical RNG stream.
     pub fn select_children_in(&mut self, m: usize, pool: &mut Vec<PeerId>) -> Vec<PeerId> {
-        let picked = select_from_complement_with(&self.view, m, &mut self.rng, pool);
+        let Some(view) = self.view.as_mut() else {
+            return Vec::new();
+        };
+        let picked = select_from_complement_with(view, m, &mut self.rng, pool);
         for p in &picked {
-            self.view.insert(*p);
+            view.insert(*p);
         }
         picked
     }
 
     /// The view to piggyback on an outgoing coordination message, per the
     /// configured variant. `selected` is the just-chosen child set.
+    ///
+    /// # Panics
+    ///
+    /// When selection is closed: a piggyback accompanies a selection,
+    /// and a closed peer makes none.
     pub fn piggyback_view(&self, selected: &[PeerId]) -> View {
         match self.cfg.piggyback {
-            Piggyback::FullView => self.view.clone(),
+            Piggyback::FullView => self.view.clone().expect("piggyback after selection closed"),
             Piggyback::SelectionsOnly => {
                 let mut v = View::empty(self.cfg.n);
                 v.insert(self.me);
@@ -441,8 +489,9 @@ mod tests {
     fn new_core_is_dormant_and_self_aware() {
         let c = core(10);
         assert!(!c.active);
-        assert!(c.view.contains(PeerId(0)));
-        assert_eq!(c.view.count(), 1);
+        let view = c.view().expect("open");
+        assert!(view.contains(PeerId(0)));
+        assert_eq!(view.count(), 1);
         assert!(c.sched.exhausted());
         let r = c.report();
         assert!(!r.active);
@@ -454,10 +503,11 @@ mod tests {
         let mut c = core(10);
         let picked = c.select_children(4);
         assert_eq!(picked.len(), 4);
+        let view = c.view().expect("open");
         for p in &picked {
-            assert!(c.view.contains(*p));
+            assert!(view.contains(*p));
         }
-        assert_eq!(c.view.count(), 5);
+        assert_eq!(view.count(), 5);
         // Selecting again avoids previously claimed peers.
         let picked2 = c.select_children(10);
         assert_eq!(picked2.len(), 5, "only 5 unclaimed remain");
@@ -476,7 +526,7 @@ mod tests {
         let sel = c.piggyback_view(&picked);
         assert_eq!(sel.count(), 3, "self + 2 selections");
         // Distinction shows once the view has merged outside knowledge.
-        c.view.insert(PeerId(9));
+        c.learn_peer(PeerId(9));
         let full2 = c.piggyback_view(&picked);
         assert_eq!(full2.count(), 3, "SelectionsOnly ignores merged view");
         c.cfg.piggyback = Piggyback::FullView;

@@ -25,7 +25,7 @@ use mss_sim::event::ActorId;
 use mss_sim::prelude::*;
 use mss_sim::world::ActorGroup;
 
-use crate::msg::{ControlPacket, Msg};
+use crate::msg::Msg;
 
 /// Memoized enhanced full-content sequence (the initial division's
 /// input): identical for every part of one leaf request.
@@ -54,56 +54,7 @@ pub struct RoundShared {
     pub outbox: Vec<(ActorId, Msg)>,
     /// Sender-side per-edge view snapshots backing delta piggybacks.
     pub delta: DeltaTracker,
-    /// Free-list of control-payload boxes (see [`CtlPool`]).
-    pub ctl: CtlPool,
     init_cache: Option<InitEntry>,
-}
-
-/// Free-list of `Box<ControlPacket>` shells, so the slim-`Msg` layout's
-/// boxed control payloads do not cost one malloc/free pair per
-/// coordination message. A plane hosts both ends of most edges, so a
-/// box drained at the receiver ([`CtlPool::recycle`]) is handed back
-/// for the next sender-side [`CtlPool::wrap`]; steady-state rounds recycle
-/// a handful of shells instead of hitting the allocator per message.
-///
-/// Pure allocation reuse: the payload is overwritten whole on `wrap`,
-/// so pooled and fresh boxes are indistinguishable to handlers (the
-/// plane-equivalence suites pin this). Capacity is bounded so a burst
-/// cannot pin memory.
-#[derive(Default)]
-pub struct CtlPool {
-    // The boxes are the point: this list recycles the heap shells
-    // themselves, so `vec_box`'s "unbox it" advice would defeat it.
-    #[allow(clippy::vec_box)]
-    free: Vec<Box<ControlPacket>>,
-}
-
-impl CtlPool {
-    /// Shells kept at most: enough for every in-flight control of a
-    /// round's fan-out without letting a burst pin memory.
-    const CAP: usize = 64;
-
-    /// Wrap `c` as a control message, reusing a recycled shell when one
-    /// is free (falls back to a fresh allocation otherwise).
-    pub fn wrap(&mut self, c: ControlPacket) -> Msg {
-        match self.free.pop() {
-            Some(mut shell) => {
-                *shell = c;
-                Msg::Control(shell)
-            }
-            None => Msg::control(c),
-        }
-    }
-
-    /// Keep a drained control box for the next [`CtlPool::wrap`]. The
-    /// shell's payload stays in place until `wrap` overwrites it (at
-    /// most [`CtlPool::CAP`] stale payloads are pinned) — receivers
-    /// read the packet by reference, so nothing needs moving out.
-    pub fn recycle(&mut self, boxed: Box<ControlPacket>) {
-        if self.free.len() < CtlPool::CAP {
-            self.free.push(boxed);
-        }
-    }
 }
 
 /// Tracks, per directed parent→child edge, the last full view the

@@ -76,7 +76,7 @@ impl TcopPeer {
         req: ContentRequest,
     ) {
         if let Some(v) = &req.view {
-            self.core.view.union_with(v);
+            self.core.learn_view(v);
         }
         self.has_parent = true; // parent is the leaf
         let assignment = self.core.request_assignment(&req, shared);
@@ -92,7 +92,7 @@ impl TcopPeer {
         shared: &mut RoundShared,
         child_wave: u32,
     ) {
-        if self.probe.is_some() || self.core.view.is_full() {
+        if self.probe.is_some() || self.core.selection_done() {
             return;
         }
         let candidates = self
@@ -128,7 +128,7 @@ impl TcopPeer {
                 view_wire: ViewWire::Full { epoch },
             };
             let to = self.core.dir.actor_of(*child);
-            shared.outbox.push((to, shared.ctl.wrap(probe)));
+            shared.outbox.push((to, Msg::control(probe)));
         }
         self.core.send_coord_batch(ctx, &mut shared.outbox);
         let timer = ctx.set_timer(self.core.cfg.reply_timeout, TAG_REPLY_TIMEOUT);
@@ -148,7 +148,7 @@ impl TcopPeer {
     /// (`c2`), which is what reproduces the paper's 6 rounds at `H = 60`
     /// (the committed wave still has peers to probe).
     fn on_probe(&mut self, ctx: &mut dyn Runtime<Msg>, c: &ControlPacket) {
-        self.core.view.insert(c.from);
+        self.core.learn_peer(c.from);
         let accept = !self.has_parent;
         if accept {
             self.has_parent = true; // reserved until the commit arrives
@@ -182,6 +182,9 @@ impl TcopPeer {
     }
 
     /// §3.5 steps 4–6: commit the confirmed children and re-divide.
+    /// Ends this peer's selection unless it re-probes (`C = φ` under
+    /// persistent probing): until here the view stays open, so a probe
+    /// received while waiting still reaches the commits' piggyback.
     fn finish_probe(&mut self, ctx: &mut dyn Runtime<Msg>, shared: &mut RoundShared) {
         let Some(round) = self.probe.take() else {
             return;
@@ -199,6 +202,8 @@ impl TcopPeer {
             // every peer is eventually probed.
             if self.core.cfg.tcop_persistent_probing {
                 self.start_probe(ctx, shared, round.child_wave + 1);
+            } else {
+                self.core.close_view();
             }
             return;
         }
@@ -262,9 +267,12 @@ impl TcopPeer {
                 basis: Some(basis.clone()),
             };
             let to = self.core.dir.actor_of(*child);
-            shared.outbox.push((to, shared.ctl.wrap(commit)));
+            shared.outbox.push((to, Msg::control(commit)));
         }
         self.core.send_coord_batch(ctx, &mut shared.outbox);
+        // A committed parent never probes again: the commits' piggyback
+        // was the view's last read.
+        self.core.close_view();
         let own = basis.assign(parts, 0);
         let live_mark = basis_is_live
             .then(|| crate::schedule::mark_position(pos as usize, interval, mark_delta));
@@ -278,8 +286,7 @@ impl TcopPeer {
         shared: &mut RoundShared,
         c: &ControlPacket,
     ) {
-        self.core.view.insert(c.from);
-        self.core.view.union_with(&c.view);
+        self.core.learn(c);
         let assignment = match &c.basis {
             Some(b) => b.assign(c.parts as usize, c.part as usize),
             None => derived_assignment_opts(
@@ -321,7 +328,7 @@ impl PlanePeer for TcopPeer {
                         self.core.count_unexpected_control(ctx)
                     }
                 }
-                shared.ctl.recycle(c);
+                crate::msg::recycle_control(c);
             }
             Msg::Reply(r) => self.on_reply(ctx, shared, r),
             Msg::Nack(n) => self.core.on_nack(ctx, &n),

@@ -2,16 +2,17 @@
 //! against a mock runtime — no world, no protocol, just the mechanics.
 
 use mss_core::config::SessionConfig;
-use mss_core::msg::{Msg, Nack};
+use mss_core::msg::{ContentRequest, ControlKind, ControlPacket, Msg, Nack, ProbeReply, ViewWire};
 use mss_core::peer_core::Core;
 use mss_core::schedule::{initial_assignment, TxSchedule};
+use mss_core::tcop::TcopPeer;
 use mss_media::{ContentDesc, PacketSeq, Seq};
-use mss_overlay::{Directory, PeerId};
+use mss_overlay::{Directory, PeerId, View};
 use mss_sim::event::{ActorId, TimerId};
 use mss_sim::metrics::Metrics;
 use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
-use mss_sim::world::Runtime;
+use mss_sim::world::{Actor, Runtime};
 
 /// Captures everything the code under test does with its runtime.
 struct MockRt {
@@ -215,6 +216,117 @@ fn select_children_is_bounded_by_population() {
     let mut c = core();
     let picked = c.select_children(100);
     assert_eq!(picked.len(), 7, "everyone but self");
-    assert!(c.view.is_full());
+    assert!(c.view().expect("open").is_full());
+    assert!(c.selection_done());
     assert!(c.select_children(1).is_empty());
+}
+
+#[test]
+fn closed_core_ignores_learning_and_selects_nobody() {
+    let mut c = core();
+    c.learn_peer(PeerId(3));
+    assert!(c.view().expect("open").contains(PeerId(3)));
+    c.close_view();
+    assert!(c.view().is_none(), "a closed view releases its storage");
+    assert!(c.selection_done());
+    // Nothing a closed peer hears is kept: no reader is left.
+    c.learn_peer(PeerId(4));
+    c.learn_view(&View::full(8));
+    c.learn(&probe_from(PeerId(5), 2));
+    assert!(c.view().is_none());
+    assert!(c.select_children(3).is_empty());
+}
+
+fn probe_from(from: PeerId, wave: u32) -> ControlPacket {
+    ControlPacket {
+        kind: ControlKind::Probe,
+        from,
+        wave,
+        view: std::sync::Arc::new(View::empty(8)),
+        sched: mss_media::SeqView::empty(),
+        pos: 0,
+        interval_nanos: 1000,
+        mark_delta_nanos: 0,
+        part: 0,
+        parts: 0,
+        h: 2,
+        fanout: 3,
+        basis: None,
+        view_wire: ViewWire::full(),
+    }
+}
+
+/// A TCoP parent's view stays open until its probe round is finished:
+/// a probe it receives while waiting for replies must still show up in
+/// the view its commits piggyback.
+#[test]
+fn tcop_prober_learns_from_probes_until_it_commits() {
+    let dir = Directory::new((0..8).map(ActorId).collect(), ActorId(8));
+    let mut cfg = SessionConfig::small(8, 3, 5);
+    cfg.content = ContentDesc::small(2, 40);
+    let mut peer = TcopPeer::new(PeerId(0), dir, cfg);
+    let mut rt = MockRt::new();
+    let request = ContentRequest {
+        wave: 1,
+        interval_nanos: 1000,
+        h: 2,
+        fanout: 3,
+        part: 0,
+        parts: 1,
+        view: None,
+        weights: None,
+    };
+    peer.on_message(&mut rt, ActorId(8), Msg::request(request));
+    let probed: Vec<PeerId> = rt
+        .sent
+        .drain(..)
+        .map(|(to, msg)| match msg {
+            Msg::Control(c) if c.kind == ControlKind::Probe => PeerId(to.0),
+            other => panic!("expected a probe, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(probed.len(), 3);
+
+    // While the replies are outstanding, someone else probes this peer.
+    let stranger = (1..8)
+        .map(PeerId)
+        .find(|p| !probed.contains(p))
+        .expect("8 peers, 3 probed");
+    peer.on_message(
+        &mut rt,
+        ActorId(stranger.0),
+        Msg::control(probe_from(stranger, 3)),
+    );
+    match rt.sent.drain(..).next() {
+        Some((_, Msg::Reply(r))) => assert!(!r.accept, "a claimed peer refuses"),
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+
+    // One child accepts, the others refuse: the round commits.
+    for (k, child) in probed.iter().enumerate() {
+        let reply = ProbeReply {
+            from: *child,
+            accept: k == 0,
+            wave: 2,
+        };
+        peer.on_message(&mut rt, ActorId(child.0), Msg::Reply(reply));
+    }
+    let commits: Vec<_> = rt
+        .sent
+        .iter()
+        .filter_map(|(to, msg)| match msg {
+            Msg::Control(c) if c.kind == ControlKind::Commit => Some((*to, c)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(commits.len(), 1);
+    let (to, commit) = &commits[0];
+    assert_eq!(*to, ActorId(probed[0].0));
+    assert!(
+        commit.view.contains(stranger),
+        "the commit's view must include the peer learned from a probe mid-round"
+    );
+    for p in &probed {
+        assert!(commit.view.contains(*p));
+    }
 }

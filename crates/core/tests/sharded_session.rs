@@ -143,3 +143,29 @@ fn shard_blocks_partition_exactly() {
         assert!(max - min <= 1, "n={n} s={s}: uneven blocks {sizes:?}");
     }
 }
+
+/// Golden pin of the activation-only configuration the view-lifetime
+/// rule acts on (`SessionConfig::large`: each peer selects once, then
+/// its view closes): closing a view must change no decision, message or
+/// event, so digest, event count and coverage stay at the values the
+/// keep-every-view implementation produced.
+#[test]
+fn large_config_two_shard_run_matches_the_golden_digest() {
+    for (protocol, digest, events, activated) in [
+        (Protocol::Dcop, 0x8c0c_220f_863d_d8ca_u64, 46_125, 4999),
+        (Protocol::Tcop, 0x4c12_359e_b858_7b7d_u64, 92_638, 4996),
+    ] {
+        let cfg = SessionConfig::large(5000, 8, 42);
+        let (outcome, world, _) = Session::new(cfg, protocol)
+            .shards(2)
+            .run_with_sharded_world();
+        assert_eq!(
+            world.event_digest(),
+            digest,
+            "{protocol:?} digest {:016x}",
+            world.event_digest()
+        );
+        assert_eq!(world.events_dispatched(), events, "{protocol:?} events");
+        assert_eq!(outcome.activated, activated, "{protocol:?} activated");
+    }
+}

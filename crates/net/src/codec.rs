@@ -12,7 +12,7 @@
 //! since the epoch-stamped full view on that edge). Decoding a delta
 //! yields a packet whose `view` holds the additions only, with the
 //! original [`ViewWire::Delta`] preserved so a receiver holding the
-//! per-edge snapshot (see `live`'s reassembler) can reconstruct the
+//! per-edge snapshot (see `crate::views`) can reconstruct the
 //! complete view.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};

@@ -35,6 +35,7 @@
 pub mod bus;
 pub mod codec;
 pub mod live;
+pub mod names;
 pub(crate) mod ready;
 pub mod runtime;
 pub(crate) mod sys;

@@ -5,13 +5,17 @@
 //! Topology: `rx_shards` shared receive sockets (task → socket is
 //! `task % rx_shards`), each sized explicitly via `SO_RCVBUF` and
 //! watched by **one** poll thread through epoll; datagrams arrive in
-//! `recvmmsg` batches, are routed by a 4-byte destination header
-//! (see [`crate::codec::encode_routed_into`]) into per-task mailboxes,
-//! and the owning tasks are pushed onto the ready queue. A small pool
-//! of worker threads drains the queue; each task step's outbound
-//! fan-out is flushed as one `sendmmsg` burst through the worker's own
-//! blocking tx socket — a full send buffer throttles the worker
-//! (backpressure) instead of dropping.
+//! `recvmmsg` batches and are routed by a 4-byte destination header
+//! (see [`crate::codec::encode_routed_into`]) into per-task mailboxes
+//! *still encoded* — the poll thread is a pure router and never builds
+//! a message — and the owning tasks are pushed onto the ready queue. A
+//! small pool of worker threads drains the queue; the worker stepping a
+//! task decodes its frames, resolves delta-coded views against the
+//! task's own snapshots (see [`crate::views`]) and runs the handler, so
+//! a message is allocated and freed on one thread. Each task step's
+//! outbound fan-out is flushed as one `sendmmsg` burst through the
+//! worker's own blocking tx socket — a full send buffer throttles the
+//! worker (backpressure) instead of dropping.
 //!
 //! Loss is still possible (UDP semantics): if the poll thread falls
 //! behind, the kernel drops at the receive queue — those drops are
@@ -37,8 +41,9 @@ use mss_sim::pool::BufPool;
 use mss_sim::world::Actor;
 
 use crate::bus::{ThreadedOutcome, SETTLE};
-use crate::codec::{decode, encode_routed_into};
-use crate::ready::{OutboxSink, Scheduler};
+use crate::codec::encode_routed_into;
+use crate::names;
+use crate::ready::{OutboxSink, Scheduler, StepScratch};
 use crate::runtime::{await_session, SessionControl};
 use crate::sys::{self, BatchSocket, Epoll, RxMeta, RX_BATCH, RX_BUF};
 use bytes::BytesMut;
@@ -125,12 +130,12 @@ impl LiveSession {
             let (granted_r, _) = sys::set_socket_bufs(&s, SHARD_RCVBUF, WORKER_SNDBUF)?;
             ovfl_counted &= sys::enable_rxq_ovfl(&s);
             s.set_nonblocking(true)?;
-            setup_metrics.set_max("net.rcvbuf_bytes", granted_r as u64);
+            setup_metrics.set_max_id(names::rcvbuf_bytes_id(), granted_r as u64);
             rx_addrs.push(s.local_addr()?);
             rx_socks.push(s);
         }
-        setup_metrics.set("net.mmsg_active", u64::from(use_mmsg));
-        setup_metrics.set("net.rxq_ovfl_counted", u64::from(ovfl_counted));
+        setup_metrics.set_id(names::mmsg_active_id(), u64::from(use_mmsg));
+        setup_metrics.set_id(names::rxq_ovfl_counted_id(), u64::from(ovfl_counted));
         let rx_addrs: Arc<Vec<SocketAddr>> = Arc::new(rx_addrs);
 
         let epoll = Epoll::new()?;
@@ -197,9 +202,9 @@ impl LiveSession {
                     sys::set_socket_bufs(&tx, 64 * 1024, WORKER_SNDBUF)?;
                     let mut sink = UdpSink::new(&tx, addrs, rx_shards, use_mmsg);
                     let mut metrics = Metrics::new();
-                    let mut outbox = Vec::new();
+                    let mut scratch = StepScratch::default();
                     while let Some(task) = sched.next_task() {
-                        sched.run_step(task, &mut sink, &mut metrics, &mut outbox);
+                        sched.run_step(task, &mut sink, &mut metrics, &mut scratch);
                     }
                     Ok(metrics)
                 });
@@ -217,6 +222,9 @@ impl LiveSession {
                 metrics.merge(&h.join().expect("worker panicked")?);
             }
             metrics.merge(&poll.join().expect("poll thread panicked")?);
+            let (fallbacks, tracked) = sched.view_totals();
+            metrics.add_id(names::view_resync_fallbacks_id(), fallbacks);
+            metrics.add_id(names::view_edges_tracked_id(), tracked as u64);
 
             let mut reports = Vec::with_capacity(n);
             for i in 0..n as u32 {
@@ -240,9 +248,10 @@ impl LiveSession {
     }
 }
 
-/// The single I/O thread: epoll over the shard sockets plus the timer
-/// wake fd; fires due timers, pulls `recvmmsg` batches, routes frames
-/// into mailboxes.
+/// The single I/O thread, a pure router: epoll over the shard sockets
+/// plus the timer wake fd; fires due timers, pulls `recvmmsg` batches,
+/// and appends each frame — undecoded — to the mailbox its 4-byte
+/// destination header names.
 fn poll_loop(
     sched: Arc<Scheduler>,
     ctl: Arc<SessionControl>,
@@ -268,10 +277,6 @@ fn poll_loop(
     let mut last_ovfl = vec![0u32; rx_shards];
     let mut timer_scratch = Vec::new();
     let mut tokens = Vec::new();
-    // Per-edge view snapshots for delta piggybacks: the poll loop is
-    // the single decode point for every task on this box, so one
-    // reassembler (keyed receiver+sender) serves them all.
-    let mut views = crate::views::ViewReassembler::new();
 
     while !ctl.should_stop() {
         sched.mark_awake();
@@ -299,35 +304,31 @@ fn poll_loop(
                 if got == 0 {
                     break;
                 }
-                metrics.incr("net.rx_batches");
-                metrics.add("net.rx_datagrams", got as u64);
-                metrics.set_max("net.rx_batch_max", got as u64);
+                metrics.incr_id(names::rx_batches_id());
+                metrics.add_id(names::rx_datagrams_id(), got as u64);
+                metrics.set_max_id(names::rx_batch_max_id(), got as u64);
                 let mut ovfl_max = last_ovfl[shard];
+                let mut deepest = 0usize;
                 for i in 0..got {
                     ovfl_max = ovfl_max.max(meta[i].rxq_ovfl);
                     let frame = &bufs[i][..meta[i].len];
-                    if frame.len() < 4 {
-                        metrics.incr("net.rx_decode_err");
+                    let Some((to, frame)) = frame.split_first_chunk::<4>() else {
+                        metrics.incr_id(names::rx_decode_err_id());
                         continue;
-                    }
-                    let to = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
+                    };
+                    let to = u32::from_le_bytes(*to);
                     if to as usize >= sched.task_count() {
-                        metrics.incr("net.rx_unroutable");
+                        metrics.incr_id(names::rx_unroutable_id());
                         continue;
                     }
-                    match decode(&frame[4..]) {
-                        Ok((from, mut msg)) => {
-                            if let Msg::Control(c) = &mut msg {
-                                views.resolve(to, c);
-                            }
-                            let depth = sched.deliver(to, from, msg);
-                            metrics.set_max("net.mailbox_hwm", depth as u64);
-                        }
-                        Err(_) => metrics.incr("net.rx_decode_err"),
-                    }
+                    deepest = deepest.max(sched.deliver_frame(to, frame));
                 }
+                metrics.set_max_id(names::mailbox_hwm_id(), deepest as u64);
                 if ovfl_max > last_ovfl[shard] {
-                    metrics.add("net.rx_dropped", u64::from(ovfl_max - last_ovfl[shard]));
+                    metrics.add_id(
+                        names::rx_dropped_id(),
+                        u64::from(ovfl_max - last_ovfl[shard]),
+                    );
                     last_ovfl[shard] = ovfl_max;
                 }
                 if got < bufs.len() {
@@ -336,8 +337,6 @@ fn poll_loop(
             }
         }
     }
-    metrics.add("net.view_resync_fallbacks", views.fallbacks());
-    metrics.set_max("net.view_edges_tracked", views.tracked_edges() as u64);
     Ok(metrics)
 }
 
@@ -350,7 +349,10 @@ struct UdpSink<'s> {
     addrs: Arc<Vec<SocketAddr>>,
     rx_shards: usize,
     pool: BufPool,
+    /// The current burst: `frames[i]` goes to `dests[i]`. Both keep
+    /// their capacity across flushes.
     frames: Vec<BytesMut>,
+    dests: Vec<SocketAddr>,
 }
 
 impl<'s> UdpSink<'s> {
@@ -367,36 +369,36 @@ impl<'s> UdpSink<'s> {
             rx_shards,
             pool: BufPool::new(sys::TX_BATCH),
             frames: Vec::new(),
+            dests: Vec::new(),
         }
     }
 }
 
 impl OutboxSink for UdpSink<'_> {
     fn flush(&mut self, from: ActorId, out: &mut Vec<(ActorId, Msg)>, metrics: &mut Metrics) {
-        self.frames.clear();
-        let mut dests = Vec::with_capacity(out.len());
+        debug_assert!(self.frames.is_empty() && self.dests.is_empty());
         for (to, msg) in out.drain(..) {
             let mut frame = BytesMut::from(self.pool.take());
             encode_routed_into(to, from, &msg, &mut frame);
-            dests.push(self.addrs[to.index() % self.rx_shards]);
+            self.dests.push(self.addrs[to.index() % self.rx_shards]);
             self.frames.push(frame);
         }
-        let wire: Vec<(SocketAddr, &[u8])> = dests
-            .iter()
-            .copied()
-            .zip(self.frames.iter().map(|f| &f[..]))
-            .collect();
-        match self.batcher.send_batch(self.sock, &wire) {
+        let burst = self.frames.len();
+        match self
+            .batcher
+            .send_batch(self.sock, &self.dests, &self.frames)
+        {
             Ok((sent, calls)) => {
-                metrics.add("net.tx_batches", calls as u64);
-                metrics.add("net.tx_datagrams", sent as u64);
-                metrics.set_max("net.tx_batch_max", sent as u64);
-                if sent < wire.len() {
-                    metrics.add("net.tx_dropped", (wire.len() - sent) as u64);
+                metrics.add_id(names::tx_batches_id(), calls as u64);
+                metrics.add_id(names::tx_datagrams_id(), sent as u64);
+                metrics.set_max_id(names::tx_batch_max_id(), sent as u64);
+                if sent < burst {
+                    metrics.add_id(names::tx_dropped_id(), (burst - sent) as u64);
                 }
             }
-            Err(_) => metrics.add("net.tx_dropped", wire.len() as u64),
+            Err(_) => metrics.add_id(names::tx_dropped_id(), burst as u64),
         }
+        self.dests.clear();
         for frame in self.frames.drain(..) {
             self.pool.put(frame.into());
         }
@@ -407,6 +409,21 @@ impl OutboxSink for UdpSink<'_> {
 mod tests {
     use super::*;
     use mss_media::ContentDesc;
+
+    /// View lifetime on the receive side: no frame was undecodable, every
+    /// delta found its snapshot, and at shutdown at most `max_edges`
+    /// snapshots are left (DCoP tracks none; TCoP at most one per peer —
+    /// an accepted probe whose commit never came).
+    fn assert_views_died_with_their_readers(out: &ThreadedOutcome, max_edges: u64) {
+        let m = &out.metrics;
+        assert_eq!(m.counter(names::RX_DECODE_ERR), 0);
+        assert_eq!(m.counter(names::VIEW_RESYNC_FALLBACKS), 0);
+        let tracked = m.counter(names::VIEW_EDGES_TRACKED);
+        assert!(
+            tracked <= max_edges,
+            "{tracked} snapshots outlived their readers (bound {max_edges})"
+        );
+    }
 
     #[test]
     fn live_dcop_streams_a_small_content() {
@@ -421,6 +438,7 @@ mod tests {
         // Batching stats must be observable.
         assert!(out.metrics.counter("net.rx_batches") > 0);
         assert!(out.metrics.counter("net.tx_datagrams") > 0);
+        assert_views_died_with_their_readers(&out, 0);
     }
 
     #[test]
@@ -432,6 +450,7 @@ mod tests {
             .expect("live session");
         assert_eq!(out.activated, 6);
         assert!(out.complete, "leaf missing {} packets", out.missing);
+        assert_views_died_with_their_readers(&out, 6);
     }
 
     /// Beyond the old fixed-bitmap frame bound (n ≈ 4·10³): this
@@ -464,6 +483,8 @@ mod tests {
         // every frame stayed under the datagram cap (oversized sends
         // are dropped silently, which would show up as misses above).
         assert!(out.metrics.counter("net.tx_datagrams") > 0);
+        // DCoP ships every view under epoch 0: nothing is snapshotted.
+        assert_views_died_with_their_readers(&out, 0);
     }
 
     #[test]

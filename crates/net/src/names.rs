@@ -1,0 +1,58 @@
+//! Metric names the live plane records, with their interned slot ids.
+//!
+//! The I/O loops record through the `*_id()` accessors (no string
+//! hashing per batch or datagram); readers — the benchmark, the
+//! `live_scale` experiment, tests — look the same counters up by name
+//! through `Metrics::counter`.
+
+/// `recvmmsg` (or fallback) batches that returned at least one datagram.
+pub const RX_BATCHES: &str = "net.rx_batches";
+/// Datagrams received.
+pub const RX_DATAGRAMS: &str = "net.rx_datagrams";
+/// Largest receive batch.
+pub const RX_BATCH_MAX: &str = "net.rx_batch_max";
+/// Datagrams the kernel dropped at a full receive queue (`SO_RXQ_OVFL`).
+pub const RX_DROPPED: &str = "net.rx_dropped";
+/// Frames that failed to decode (truncated or corrupt) and were skipped.
+pub const RX_DECODE_ERR: &str = "net.rx_decode_err";
+/// Datagrams addressed to a task this session does not host.
+pub const RX_UNROUTABLE: &str = "net.rx_unroutable";
+/// Deepest any task's mailbox got, in messages.
+pub const MAILBOX_HWM: &str = "net.mailbox_hwm";
+/// `sendmmsg` (or fallback) calls made.
+pub const TX_BATCHES: &str = "net.tx_batches";
+/// Datagrams handed to the kernel.
+pub const TX_DATAGRAMS: &str = "net.tx_datagrams";
+/// Largest send burst.
+pub const TX_BATCH_MAX: &str = "net.tx_batch_max";
+/// Datagrams the kernel refused.
+pub const TX_DROPPED: &str = "net.tx_dropped";
+/// Receive buffer the kernel granted per shard socket.
+pub const RCVBUF_BYTES: &str = "net.rcvbuf_bytes";
+/// 1 when the batched syscalls are in use, 0 on the fallback path.
+pub const MMSG_ACTIVE: &str = "net.mmsg_active";
+/// 1 when every shard socket reports receive-queue overflow counts.
+pub const RXQ_OVFL_COUNTED: &str = "net.rxq_ovfl_counted";
+/// Delta piggybacks that found no matching snapshot (summed over tasks).
+pub const VIEW_RESYNC_FALLBACKS: &str = "net.view_resync_fallbacks";
+/// View snapshots still held at shutdown (summed over tasks).
+pub const VIEW_EDGES_TRACKED: &str = "net.view_edges_tracked";
+
+mss_sim::metric_ids! {
+    rx_batches_id => RX_BATCHES;
+    rx_datagrams_id => RX_DATAGRAMS;
+    rx_batch_max_id => RX_BATCH_MAX;
+    rx_dropped_id => RX_DROPPED;
+    rx_decode_err_id => RX_DECODE_ERR;
+    rx_unroutable_id => RX_UNROUTABLE;
+    mailbox_hwm_id => MAILBOX_HWM;
+    tx_batches_id => TX_BATCHES;
+    tx_datagrams_id => TX_DATAGRAMS;
+    tx_batch_max_id => TX_BATCH_MAX;
+    tx_dropped_id => TX_DROPPED;
+    rcvbuf_bytes_id => RCVBUF_BYTES;
+    mmsg_active_id => MMSG_ACTIVE;
+    rxq_ovfl_counted_id => RXQ_OVFL_COUNTED;
+    view_resync_fallbacks_id => VIEW_RESYNC_FALLBACKS;
+    view_edges_tracked_id => VIEW_EDGES_TRACKED;
+}

@@ -11,6 +11,16 @@
 //! is what lets one box host thousands of live peers — the thread count
 //! is the worker pool size, not the peer count.
 //!
+//! A mailbox holds *frames*, not messages: the poll thread appends each
+//! datagram's still-encoded bytes to the destination task's
+//! [`Mailbox`] and the worker that steps the task decodes them, one at
+//! a time, right before the handler runs. Every per-message allocation
+//! (the decoded view, the control shell, the packet payload) is thereby
+//! made and freed by the same worker thread — allocator fast path, no
+//! cross-thread frees — and the poll thread allocates nothing per
+//! datagram. Each task also owns the [`ViewReassembler`] for the deltas
+//! addressed to it.
+//!
 //! Outbound messages are not sent inline: each `Runtime::send` appends
 //! to a per-run outbox which the worker flushes once per task step
 //! through an [`OutboxSink`] — on the live plane that flush is a single
@@ -34,8 +44,11 @@ use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
 use mss_sim::world::{Actor, Runtime, SimMessage};
 
+use crate::codec::decode;
+use crate::names;
 use crate::runtime::SessionControl;
 use crate::sys::EventFd;
+use crate::views::ViewReassembler;
 
 /// Events (messages + timers) one task may process per scheduling turn
 /// before it must yield the worker to other ready tasks.
@@ -55,13 +68,79 @@ struct TaskBody {
     rng: SimRng,
     timers: TimerSlots,
     started: bool,
+    /// Snapshots for the delta piggybacks addressed to this task.
+    views: ViewReassembler,
+}
+
+/// A task's inbound queue: encoded frames back to back, each behind a
+/// `u32` length prefix, in one byte buffer that keeps its capacity.
+/// Draining the last frame resets the buffer to its start, so a task
+/// that keeps up never grows it past one burst.
+#[derive(Default)]
+struct Mailbox {
+    buf: Vec<u8>,
+    /// Offset of the oldest unread frame's length prefix.
+    head: usize,
+    /// Unread frames.
+    depth: usize,
+}
+
+impl Mailbox {
+    /// Consumed prefix beyond which a never-empty mailbox is compacted
+    /// (once the prefix also outweighs the unread remainder, so the
+    /// copy is amortized).
+    const COMPACT_MIN: usize = 64 * 1024;
+
+    /// Append one frame; returns the depth in messages after the push.
+    fn push(&mut self, frame: &[u8]) -> usize {
+        if self.head >= Mailbox::COMPACT_MIN && self.head >= self.buf.len() - self.head {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf
+            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        self.buf.extend_from_slice(frame);
+        self.depth += 1;
+        self.depth
+    }
+
+    /// Move the oldest frame into `out` (cleared first); false when the
+    /// mailbox is empty.
+    fn pop_into(&mut self, out: &mut Vec<u8>) -> bool {
+        if self.depth == 0 {
+            return false;
+        }
+        let body = self.head + 4;
+        let len = u32::from_le_bytes(self.buf[self.head..body].try_into().expect("4 bytes"));
+        let end = body + len as usize;
+        out.clear();
+        out.extend_from_slice(&self.buf[body..end]);
+        self.depth -= 1;
+        if self.depth == 0 {
+            self.buf.clear();
+            self.head = 0;
+        } else {
+            self.head = end;
+        }
+        true
+    }
+}
+
+/// Per-worker scratch a task step runs through; reused across steps so
+/// the steady state allocates nothing here.
+#[derive(Default)]
+pub(crate) struct StepScratch {
+    /// Outbound messages of the current step, flushed as one burst.
+    outbox: Vec<(ActorId, Msg)>,
+    /// The frame being decoded.
+    frame: Vec<u8>,
 }
 
 /// One peer task.
 struct TaskCell {
     state: AtomicU8,
-    /// Inbound messages, pushed by the poll thread.
-    mailbox: Mutex<VecDeque<(ActorId, Msg)>>,
+    /// Inbound frames, appended by the poll thread.
+    mailbox: Mutex<Mailbox>,
     /// Timers that reached their deadline, pushed by the poll thread;
     /// generation-checked against [`TimerSlots`] when the task runs.
     due: Mutex<Vec<(TimerId, u64)>>,
@@ -331,13 +410,14 @@ impl Scheduler {
             .enumerate()
             .map(|(i, actor)| TaskCell {
                 state: AtomicU8::new(IDLE),
-                mailbox: Mutex::new(VecDeque::new()),
+                mailbox: Mutex::new(Mailbox::default()),
                 due: Mutex::new(Vec::new()),
                 body: Mutex::new(Some(TaskBody {
                     actor,
                     rng: SimRng::new(seed).fork(0x4E45_5452_544D ^ (i as u64)),
                     timers: TimerSlots::default(),
                     started: false,
+                    views: ViewReassembler::new(),
                 })),
             })
             .collect();
@@ -382,19 +462,24 @@ impl Scheduler {
         }
     }
 
-    /// Deliver one inbound message to `task`'s mailbox and schedule it.
-    /// Returns the mailbox depth after the push (for high-water stats).
-    pub(crate) fn deliver(&self, task: u32, from: ActorId, msg: Msg) -> usize {
+    /// Append one encoded frame (`[from][kind][body]`, routing prefix
+    /// already stripped) to `task`'s mailbox and schedule it. Returns
+    /// the mailbox depth in messages after the push (for high-water
+    /// stats); 0 for an unknown task.
+    pub(crate) fn deliver_frame(&self, task: u32, frame: &[u8]) -> usize {
         let Some(cell) = self.cells.get(task as usize) else {
             return 0;
         };
-        let depth = {
-            let mut mb = cell.mailbox.lock().expect("mailbox poisoned");
-            mb.push_back((from, msg));
-            mb.len()
-        };
+        let depth = cell.mailbox.lock().expect("mailbox poisoned").push(frame);
         self.schedule(task);
         depth
+    }
+
+    /// [`Scheduler::deliver_frame`] for a message in hand: encode, then
+    /// deliver the frame.
+    #[cfg(test)]
+    pub(crate) fn deliver(&self, task: u32, from: ActorId, msg: Msg) -> usize {
+        self.deliver_frame(task, &crate::codec::encode(from, &msg))
     }
 
     /// Poll-thread timer pump: move every due timer into its task's due
@@ -451,20 +536,21 @@ impl Scheduler {
         self.queue.cv.notify_all();
     }
 
-    /// Run one scheduling turn of `task`: fire its due timers, drain up
-    /// to [`STEP_BUDGET`] mailbox messages, flush the outbox through
-    /// `sink`, then yield (back to IDLE, or re-queued when work
+    /// Run one scheduling turn of `task`: fire its due timers, decode
+    /// and handle up to [`STEP_BUDGET`] mailbox frames, flush the outbox
+    /// through `sink`, then yield (back to IDLE, or re-queued when work
     /// remains). Returns the number of events processed.
     pub(crate) fn run_step(
         &self,
         task: u32,
         sink: &mut dyn OutboxSink,
         metrics: &mut Metrics,
-        outbox: &mut Vec<(ActorId, Msg)>,
+        scratch: &mut StepScratch,
     ) -> usize {
         let cell = &self.cells[task as usize];
         cell.state.store(RUNNING, Ordering::Release);
 
+        let StepScratch { outbox, frame } = scratch;
         let me = ActorId(task);
         let n_actors = self.cells.len();
         let mut events = 0usize;
@@ -476,6 +562,7 @@ impl Scheduler {
                 rng,
                 timers,
                 started,
+                views,
             } = body;
 
             macro_rules! rt {
@@ -512,12 +599,30 @@ impl Scheduler {
                 }
             }
 
-            // Mailbox, up to the step budget.
+            // Mailbox, up to the step budget. The message is decoded
+            // here, handled, and dropped — all on this thread.
             while events < STEP_BUDGET {
-                let next = cell.mailbox.lock().expect("mailbox poisoned").pop_front();
-                let Some((from, msg)) = next else { break };
-                actor.on_message(&mut rt!(), from, msg);
+                if !cell
+                    .mailbox
+                    .lock()
+                    .expect("mailbox poisoned")
+                    .pop_into(frame)
+                {
+                    break;
+                }
                 events += 1;
+                let Ok((from, mut msg)) = decode(frame) else {
+                    metrics.incr_id(names::rx_decode_err_id());
+                    continue;
+                };
+                if let Msg::Control(c) = &mut msg {
+                    views.resolve(from, c);
+                }
+                let sent_before = outbox.len();
+                actor.on_message(&mut rt!(), from, msg);
+                for (to, sent) in &outbox[sent_before..] {
+                    views.observe_sent(*to, sent);
+                }
             }
 
             if let Some((watched, pred)) = &self.watch {
@@ -535,7 +640,7 @@ impl Scheduler {
 
         // Yield: IDLE when drained, otherwise straight back on the queue.
         let pending = {
-            !cell.mailbox.lock().expect("mailbox poisoned").is_empty()
+            cell.mailbox.lock().expect("mailbox poisoned").depth > 0
                 || !cell.due.lock().expect("due list poisoned").is_empty()
         };
         if pending {
@@ -561,6 +666,17 @@ impl Scheduler {
             self.queue.cv.notify_one();
         }
         events
+    }
+
+    /// `(fallbacks, tracked edges)` of every task's [`ViewReassembler`],
+    /// summed — read after shutdown, before the actors are taken.
+    pub(crate) fn view_totals(&self) -> (u64, usize) {
+        self.cells.iter().fold((0, 0), |(f, t), cell| {
+            match cell.body.lock().expect("task body poisoned").as_ref() {
+                Some(b) => (f + b.views.fallbacks(), t + b.views.tracked_edges()),
+                None => (f, t),
+            }
+        })
     }
 
     /// Remove a task's actor after shutdown (for report extraction).
@@ -593,17 +709,67 @@ mod tests {
         assert!(!s.take(a), "stale generation must miss");
     }
 
-    /// An actor that counts everything and echoes each message back.
+    /// Frames come out in push order, whole, across both buffer resets:
+    /// the clear when the last frame is drained and the compaction of a
+    /// mailbox that never runs empty.
+    #[test]
+    fn mailbox_is_fifo_across_resets() {
+        let mut mb = Mailbox::default();
+        let mut out = Vec::new();
+        let frame = |i: u32| -> Vec<u8> {
+            let len = 1 + (i as usize * 7) % 40;
+            i.to_le_bytes().iter().copied().cycle().take(len).collect()
+        };
+        let (mut pushed, mut popped) = (0u32, 0u32);
+        // Drain-to-empty rounds: the buffer restarts at offset 0.
+        for round in 1..=5u32 {
+            for _ in 0..round {
+                assert_eq!(mb.push(&frame(pushed)), (pushed - popped + 1) as usize);
+                pushed += 1;
+            }
+            while mb.pop_into(&mut out) {
+                assert_eq!(out, frame(popped));
+                popped += 1;
+            }
+            assert_eq!((mb.head, mb.buf.len(), mb.depth), (0, 0, 0));
+        }
+        assert_eq!(popped, pushed);
+        // Never-empty regime: two in, one out, until the consumed prefix
+        // has been compacted away at least once.
+        let mut compacted = false;
+        while !compacted || pushed < 50_000 {
+            let head_before = mb.head;
+            mb.push(&frame(pushed));
+            mb.push(&frame(pushed + 1));
+            pushed += 2;
+            compacted |= mb.head < head_before;
+            assert!(mb.pop_into(&mut out));
+            assert_eq!(out, frame(popped));
+            popped += 1;
+        }
+        assert_eq!(mb.depth, (pushed - popped) as usize);
+        while mb.pop_into(&mut out) {
+            assert_eq!(out, frame(popped));
+            popped += 1;
+        }
+        assert_eq!(popped, pushed);
+        assert!(!mb.pop_into(&mut out), "empty mailbox pops nothing");
+    }
+
+    /// An actor that counts everything and records message order.
+    #[derive(Default)]
     struct Echo {
-        got: usize,
+        waves: Vec<u32>,
         timers: usize,
     }
     impl Actor<Msg> for Echo {
         fn on_start(&mut self, rt: &mut dyn Runtime<Msg>) {
             rt.set_timer(SimDuration::from_millis(1), 7);
         }
-        fn on_message(&mut self, _rt: &mut dyn Runtime<Msg>, _from: ActorId, _msg: Msg) {
-            self.got += 1;
+        fn on_message(&mut self, _rt: &mut dyn Runtime<Msg>, _from: ActorId, msg: Msg) {
+            if let Msg::Reply(r) = msg {
+                self.waves.push(r.wave);
+            }
         }
         fn on_timer(&mut self, _rt: &mut dyn Runtime<Msg>, _t: TimerId, tag: u64) {
             assert_eq!(tag, 7);
@@ -620,47 +786,158 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mailbox_and_timers_drive_a_task() {
-        let ctl = Arc::new(SessionControl::new());
+    fn reply(wave: u32) -> Msg {
+        Msg::Reply(mss_core::msg::ProbeReply {
+            from: mss_overlay::PeerId(0),
+            accept: true,
+            wave,
+        })
+    }
+
+    /// One started Echo task, its `on_start` turn already run.
+    fn echo_scheduler() -> Scheduler {
         let sched = Scheduler::new(
-            vec![Box::new(Echo { got: 0, timers: 0 })],
+            vec![Box::new(Echo::default())],
             1,
             Instant::now(),
-            Arc::clone(&ctl),
+            Arc::new(SessionControl::new()),
             None,
         )
         .unwrap();
         sched.seed_all();
-        let mut m = Metrics::new();
-        let mut out = Vec::new();
-        // First turn runs on_start (arms the 1 ms timer).
         let t = sched.next_task().unwrap();
-        sched.run_step(t, &mut NullSink, &mut m, &mut out);
+        sched.run_step(
+            t,
+            &mut NullSink,
+            &mut Metrics::new(),
+            &mut StepScratch::default(),
+        );
+        sched
+    }
 
-        // Deliver two messages; the task must be scheduled exactly once.
-        let probe = |wave| {
-            Msg::Reply(mss_core::msg::ProbeReply {
-                from: mss_overlay::PeerId(0),
-                accept: true,
-                wave,
-            })
-        };
-        sched.deliver(0, ActorId(0), probe(1));
-        sched.deliver(0, ActorId(0), probe(2));
+    fn echo_of(sched: &Scheduler) -> Echo {
+        let actor = sched.take_actor(0).unwrap();
+        let echo: &Echo = actor.as_any().downcast_ref().unwrap();
+        Echo {
+            waves: echo.waves.clone(),
+            timers: echo.timers,
+        }
+    }
+
+    #[test]
+    fn mailbox_and_timers_drive_a_task() {
+        let sched = echo_scheduler();
+        let mut m = Metrics::new();
+        let mut scratch = StepScratch::default();
+
+        // Deliver two messages; the task must be scheduled exactly once,
+        // and the depth is reported in messages.
+        assert_eq!(sched.deliver(0, ActorId(0), reply(1)), 1);
+        assert_eq!(sched.deliver(0, ActorId(0), reply(2)), 2);
         let t = sched.next_task().unwrap();
-        sched.run_step(t, &mut NullSink, &mut m, &mut out);
+        assert_eq!(sched.run_step(t, &mut NullSink, &mut m, &mut scratch), 2);
 
         // Pump the timer plane past the deadline.
         std::thread::sleep(Duration::from_millis(3));
-        let mut scratch = Vec::new();
-        sched.fire_due(sched.now(), &mut scratch);
+        let mut due = Vec::new();
+        sched.fire_due(sched.now(), &mut due);
         let t = sched.next_task().unwrap();
-        sched.run_step(t, &mut NullSink, &mut m, &mut out);
+        sched.run_step(t, &mut NullSink, &mut m, &mut scratch);
 
-        let actor = sched.take_actor(0).unwrap();
-        let echo: &Echo = actor.as_any().downcast_ref().unwrap();
-        assert_eq!(echo.got, 2);
+        let echo = echo_of(&sched);
+        assert_eq!(echo.waves, [1, 2]);
         assert_eq!(echo.timers, 1);
+    }
+
+    #[test]
+    fn step_budget_leaves_the_remainder_queued_and_the_task_requeued() {
+        let sched = echo_scheduler();
+        let mut m = Metrics::new();
+        let mut scratch = StepScratch::default();
+        let total = STEP_BUDGET as u32 + 10;
+        for w in 0..total {
+            assert_eq!(sched.deliver(0, ActorId(0), reply(w)), w as usize + 1);
+        }
+        let t = sched.next_task().unwrap();
+        assert_eq!(
+            sched.run_step(t, &mut NullSink, &mut m, &mut scratch),
+            STEP_BUDGET
+        );
+        // The remainder is still in the mailbox and the task went
+        // straight back on the ready queue without a new delivery.
+        assert_eq!(sched.cells[0].mailbox.lock().unwrap().depth, 10);
+        let t = sched.next_task().unwrap();
+        assert_eq!(sched.run_step(t, &mut NullSink, &mut m, &mut scratch), 10);
+        assert_eq!(sched.cells[0].state.load(Ordering::Acquire), IDLE);
+        assert_eq!(echo_of(&sched).waves, (0..total).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn corrupt_frames_are_counted_and_skipped() {
+        let sched = echo_scheduler();
+        let mut m = Metrics::new();
+        let mut scratch = StepScratch::default();
+        let good = crate::codec::encode(ActorId(0), &reply(5));
+        sched.deliver_frame(0, &good[..good.len() - 3]); // truncated body
+        sched.deliver_frame(0, &[1, 0, 0, 0, 0xEE]); // unknown kind tag
+        sched.deliver_frame(0, &[]); // not even a header
+        sched.deliver_frame(0, &good);
+        let t = sched.next_task().unwrap();
+        assert_eq!(sched.run_step(t, &mut NullSink, &mut m, &mut scratch), 4);
+        assert_eq!(m.counter(names::RX_DECODE_ERR), 3);
+        assert_eq!(echo_of(&sched).waves, [5], "the good frame still lands");
+    }
+
+    /// A task that refuses every prober, as a claimed TCoP peer does.
+    struct Refuser;
+    impl Actor<Msg> for Refuser {
+        fn on_message(&mut self, rt: &mut dyn Runtime<Msg>, from: ActorId, msg: Msg) {
+            if let Msg::Control(c) = msg {
+                let refusal = mss_core::msg::ProbeReply {
+                    from: mss_overlay::PeerId(0),
+                    accept: false,
+                    wave: c.wave,
+                };
+                rt.send(from, Msg::Reply(refusal));
+            }
+        }
+        fn on_timer(&mut self, _rt: &mut dyn Runtime<Msg>, _t: TimerId, _tag: u64) {}
+        impl_as_any!();
+    }
+
+    #[test]
+    fn refusing_a_prober_drops_its_snapshot() {
+        let sched = Scheduler::new(
+            vec![Box::new(Refuser)],
+            1,
+            Instant::now(),
+            Arc::new(SessionControl::new()),
+            None,
+        )
+        .unwrap();
+        let probe = |from: u32| {
+            Msg::control(mss_core::msg::ControlPacket {
+                kind: mss_core::msg::ControlKind::Probe,
+                from: mss_overlay::PeerId(from),
+                wave: 2,
+                view: Arc::new(mss_overlay::View::empty(64)),
+                sched: mss_media::SeqView::empty(),
+                pos: 0,
+                interval_nanos: 1,
+                mark_delta_nanos: 0,
+                part: 0,
+                parts: 0,
+                h: 1,
+                fanout: 2,
+                basis: None,
+                view_wire: mss_core::msg::ViewWire::Full { epoch: 1 },
+            })
+        };
+        sched.deliver(0, ActorId(3), probe(3));
+        sched.deliver(0, ActorId(4), probe(4));
+        let t = sched.next_task().unwrap();
+        let mut scratch = StepScratch::default();
+        sched.run_step(t, &mut NullSink, &mut Metrics::new(), &mut scratch);
+        assert_eq!(sched.view_totals(), (0, 0), "both refused edges dropped");
     }
 }

@@ -361,30 +361,34 @@ mod linux {
             Ok(n)
         }
 
-        /// Send every `(addr, frame)` pair, batched `TX_BATCH` at a time.
-        /// Returns datagrams handed to the kernel and syscalls used.
-        pub(crate) fn send_batch(
+        /// Send `frames[i]` to `dests[i]` for every `i`, batched
+        /// `TX_BATCH` at a time (the two slices are parallel, so callers
+        /// keep both as reusable buffers). Returns datagrams handed to
+        /// the kernel and syscalls used.
+        pub(crate) fn send_batch<B: AsRef<[u8]>>(
             &mut self,
             sock: &UdpSocket,
-            out: &[(std::net::SocketAddr, &[u8])],
+            dests: &[std::net::SocketAddr],
+            frames: &[B],
         ) -> io::Result<(usize, usize)> {
+            debug_assert_eq!(dests.len(), frames.len());
             if !self.use_mmsg {
-                return fallback_send(sock, out);
+                return fallback_send(sock, dests, frames);
             }
             let mut sent = 0usize;
             let mut calls = 0usize;
-            for chunk in out.chunks(TX_BATCH) {
-                let mut names: Vec<SockAddrIn> =
-                    chunk.iter().map(|(a, _)| sockaddr_of(*a)).collect();
-                let mut iovs: Vec<IoVec> = chunk
+            for (dests, frames) in dests.chunks(TX_BATCH).zip(frames.chunks(TX_BATCH)) {
+                let chunk = dests.len();
+                let mut names: Vec<SockAddrIn> = dests.iter().map(|a| sockaddr_of(*a)).collect();
+                let mut iovs: Vec<IoVec> = frames
                     .iter()
-                    .map(|(_, b)| IoVec {
-                        base: b.as_ptr() as *mut u8,
-                        len: b.len(),
+                    .map(|b| IoVec {
+                        base: b.as_ref().as_ptr() as *mut u8,
+                        len: b.as_ref().len(),
                     })
                     .collect();
-                let mut hdrs: Vec<MMsgHdr> = Vec::with_capacity(chunk.len());
-                for i in 0..chunk.len() {
+                let mut hdrs: Vec<MMsgHdr> = Vec::with_capacity(chunk);
+                for i in 0..chunk {
                     hdrs.push(MMsgHdr {
                         hdr: MsgHdr {
                             name: &mut names[i],
@@ -401,14 +405,9 @@ mod linux {
                 // The tx socket is blocking: a full send buffer throttles
                 // the worker (backpressure) instead of dropping.
                 let mut done = 0usize;
-                while done < chunk.len() {
+                while done < chunk {
                     let n = unsafe {
-                        sendmmsg(
-                            self.fd,
-                            hdrs[done..].as_mut_ptr(),
-                            (chunk.len() - done) as u32,
-                            0,
-                        )
+                        sendmmsg(self.fd, hdrs[done..].as_mut_ptr(), (chunk - done) as u32, 0)
                     };
                     calls += 1;
                     if n < 0 {
@@ -480,17 +479,18 @@ fn fallback_recv(sock: &UdpSocket, bufs: &mut [Vec<u8>], meta: &mut [RxMeta]) ->
 }
 
 /// One `send_to` per datagram (portable / forced-fallback path).
-fn fallback_send(
+fn fallback_send<B: AsRef<[u8]>>(
     sock: &UdpSocket,
-    out: &[(std::net::SocketAddr, &[u8])],
+    dests: &[std::net::SocketAddr],
+    frames: &[B],
 ) -> io::Result<(usize, usize)> {
     let mut sent = 0;
-    for (addr, frame) in out {
-        if sock.send_to(frame, addr).is_ok() {
+    for (addr, frame) in dests.iter().zip(frames) {
+        if sock.send_to(frame.as_ref(), addr).is_ok() {
             sent += 1;
         }
     }
-    Ok((sent, out.len().max(1)))
+    Ok((sent, dests.len().max(1)))
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -563,12 +563,13 @@ mod portable {
         ) -> io::Result<usize> {
             fallback_recv(sock, bufs, meta)
         }
-        pub(crate) fn send_batch(
+        pub(crate) fn send_batch<B: AsRef<[u8]>>(
             &mut self,
             sock: &UdpSocket,
-            out: &[(std::net::SocketAddr, &[u8])],
+            dests: &[std::net::SocketAddr],
+            frames: &[B],
         ) -> io::Result<(usize, usize)> {
-            fallback_send(sock, out)
+            fallback_send(sock, dests, frames)
         }
     }
 }
@@ -598,9 +599,9 @@ mod tests {
         let dst = rx.local_addr().unwrap();
         let mut btx = BatchSocket::new(&tx, mmsg_enabled());
         let frames: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 32 + i as usize]).collect();
-        let out: Vec<(std::net::SocketAddr, &[u8])> =
-            frames.iter().map(|f| (dst, f.as_slice())).collect();
-        let (sent, calls) = btx.send_batch(&tx, &out).unwrap();
+        let (sent, calls) = btx
+            .send_batch(&tx, &vec![dst; frames.len()], &frames)
+            .unwrap();
         assert_eq!(sent, 10);
         assert!(calls >= 1);
 

@@ -40,8 +40,7 @@ pub struct UdpTransport {
     /// Recycled frame buffers: every send encodes into pooled scratch
     /// instead of allocating a fresh frame per delivery.
     frames: BufPool,
-    /// Per-sender view snapshots: this socket belongs to one actor, so
-    /// the reassembler's receiver key is constant.
+    /// View snapshots for the deltas addressed to this actor.
     views: crate::views::ViewReassembler,
 }
 
@@ -64,6 +63,7 @@ impl Transport for UdpTransport {
         let Some(addr) = self.addrs.get(to.index()) else {
             return;
         };
+        self.views.observe_sent(to, &msg);
         let mut frame = BytesMut::from(self.frames.take());
         encode_into(self.me, &msg, &mut frame);
         // Oversized or transient failures are dropped — UDP semantics.
@@ -79,7 +79,7 @@ impl Transport for UdpTransport {
             Ok((len, _)) => {
                 let (from, mut msg) = decode(&self.buf[..len]).ok()?;
                 if let Msg::Control(c) = &mut msg {
-                    self.views.resolve(self.me.0, c);
+                    self.views.resolve(from, c);
                 }
                 Some((from, msg))
             }

@@ -3,34 +3,49 @@
 //! A sender ships an edge its full view once (epoch-stamped) and
 //! follow-ups carry only the ids gained since (see the delta tracker in
 //! `mss_core::plane`). The codec decodes such a delta into a control
-//! packet whose `view` holds the additions alone; a [`ViewReassembler`]
-//! sits next to each live decode site, caches the last full view per
-//! directed edge, and upgrades delta packets back to the sender's
-//! complete view before the protocol handler sees them.
+//! packet whose `view` holds the additions alone; each receiver — a
+//! ready-queue task, or a thread-per-peer transport — owns one
+//! [`ViewReassembler`], which caches the last tracked full view per
+//! *sender* and upgrades delta packets back to the sender's complete
+//! view before the protocol handler sees them.
 //!
-//! When the cached snapshot doesn't match (first contact on a rebooted
-//! receiver, a lost or reordered full frame), the packet keeps its
-//! additions-only view — the documented degraded mode. That is safe,
-//! not merely tolerable: views are grow-only and every id in a delta is
-//! genuinely in the sender's view, so a mismatch can only *under*-inform
-//! the receiver, which the protocols already absorb (the same peer can
-//! be re-selected, re-probed, or re-announced to). The fallback count is
-//! surfaced as the `net.view_resync_fallbacks` metric so live runs can
-//! confirm deltas are actually resolving.
+//! A snapshot lives exactly as long as a delta can still read it — the
+//! mirror of the sender's `DeltaTracker` entry:
+//!
+//! - an epoch-0 frame ([`ViewWire::full`], all of DCoP) announces that no
+//!   delta will follow and is never snapshotted;
+//! - a delta *consumes* the sender's snapshot (the sender built it by
+//!   consuming its own tracker entry, so none can follow without a new
+//!   full frame first);
+//! - a receiver that refuses the prober
+//!   ([`ViewReassembler::observe_sent`]) drops the edge, as the sender
+//!   does on its side.
+//!
+//! What remains is at most one snapshot per receiver: an accepted probe
+//! whose commit was lost.
+//!
+//! When the cached snapshot doesn't match (a lost, reordered or
+//! duplicated frame), the packet keeps its additions-only view — the
+//! documented degraded mode. That is safe, not merely tolerable: views
+//! are grow-only and every id in a delta is genuinely in the sender's
+//! view, so a mismatch can only *under*-inform the receiver, which the
+//! protocols already absorb (the same peer can be re-selected,
+//! re-probed, or re-announced to). The fallback count is surfaced as the
+//! `net.view_resync_fallbacks` metric so live runs can confirm deltas
+//! are actually resolving.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mss_core::msg::{ControlPacket, ViewWire};
+use mss_core::msg::{ControlPacket, Msg, ViewWire};
 use mss_overlay::wire::apply_delta;
 use mss_overlay::View;
+use mss_sim::event::ActorId;
 
-/// Per-edge cache of the last full view received, keyed by
-/// `(receiver, sender)` so one reassembler can serve a shard socket
-/// carrying frames for many local tasks.
+/// One receiver's cache of tracked full views, keyed by sending actor.
 #[derive(Default)]
 pub struct ViewReassembler {
-    snaps: HashMap<u64, (u32, Arc<View>)>,
+    snaps: HashMap<u32, (u32, Arc<View>)>,
     fallbacks: u64,
 }
 
@@ -40,31 +55,38 @@ impl ViewReassembler {
         ViewReassembler::default()
     }
 
-    fn key(receiver: u32, sender: u32) -> u64 {
-        (u64::from(receiver) << 32) | u64::from(sender)
-    }
-
-    /// Resolve a just-decoded control packet in place for the task
-    /// `receiver`: full frames refresh the edge snapshot; delta frames
-    /// are rebuilt against it when the epoch and base cardinality
-    /// match, and otherwise left additions-only (counted as a
+    /// Resolve a just-decoded control packet from `sender` in place:
+    /// a tracked full frame (epoch ≠ 0) becomes the edge's snapshot; a
+    /// delta frame consumes the snapshot — the sender built it by
+    /// consuming its own — and is rebuilt against it when epoch and base
+    /// cardinality match, otherwise left additions-only (counted as a
     /// fallback).
-    pub fn resolve(&mut self, receiver: u32, c: &mut ControlPacket) {
-        let key = ViewReassembler::key(receiver, c.from.0);
+    pub fn resolve(&mut self, sender: ActorId, c: &mut ControlPacket) {
         match &c.view_wire {
+            ViewWire::Full { epoch: 0 } => {}
             ViewWire::Full { epoch } => {
-                self.snaps.insert(key, (*epoch, Arc::clone(&c.view)));
+                self.snaps.insert(sender.0, (*epoch, Arc::clone(&c.view)));
             }
             ViewWire::Delta {
                 epoch,
                 base_count,
                 additions,
-            } => match self.snaps.get(&key) {
-                Some((e, base)) if e == epoch && base.count() == *base_count as usize => {
-                    c.view = Arc::new(apply_delta(base, additions));
+            } => match self.snaps.remove(&sender.0) {
+                Some((e, base)) if e == *epoch && base.count() == *base_count as usize => {
+                    c.view = Arc::new(apply_delta(&base, additions));
                 }
                 _ => self.fallbacks += 1,
             },
+        }
+    }
+
+    /// Note a message this receiver is sending: refusing a prober
+    /// (`Reply { accept: false }`) ends that edge — no commit, and so no
+    /// delta, will follow — and drops the prober's snapshot, as the
+    /// prober's `DeltaTracker` drops its entry on the reply.
+    pub fn observe_sent(&mut self, to: ActorId, msg: &Msg) {
+        if matches!(msg, Msg::Reply(r) if !r.accept) {
+            self.snaps.remove(&to.0);
         }
     }
 
@@ -74,7 +96,7 @@ impl ViewReassembler {
         self.fallbacks
     }
 
-    /// Number of edges currently holding a snapshot.
+    /// Number of senders currently holding a snapshot.
     pub fn tracked_edges(&self) -> usize {
         self.snaps.len()
     }
@@ -83,9 +105,11 @@ impl ViewReassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mss_core::msg::{ControlKind, Msg};
+    use mss_core::msg::{ControlKind, ProbeReply};
     use mss_media::SeqView;
     use mss_overlay::PeerId;
+
+    const SENDER: ActorId = ActorId(4);
 
     fn view_of(n: usize, ids: &[u32]) -> View {
         let mut v = View::empty(n);
@@ -114,10 +138,10 @@ mod tests {
         }
     }
 
-    /// Drive a packet through the real codec, as the live poll loop
-    /// does, then resolve it.
+    /// Drive a packet through the real codec, as a live worker does
+    /// before resolving it.
     fn through_codec(c: ControlPacket) -> ControlPacket {
-        let frame = crate::codec::encode(mss_sim::event::ActorId(4), &Msg::control(c));
+        let frame = crate::codec::encode(SENDER, &Msg::control(c));
         match crate::codec::decode(&frame).expect("decodes").1 {
             Msg::Control(c) => *c,
             other => panic!("wrong variant {other:?}"),
@@ -125,11 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn full_then_delta_reconstructs_the_grown_view() {
+    fn full_then_delta_reconstructs_the_grown_view_and_consumes_the_snapshot() {
         let mut r = ViewReassembler::new();
         let base = view_of(300, &[1, 9, 250]);
         let mut first = through_codec(control(base.clone(), ViewWire::Full { epoch: 1 }));
-        r.resolve(7, &mut first);
+        r.resolve(SENDER, &mut first);
         assert_eq!(first.view.as_ref(), &base);
         assert_eq!(r.tracked_edges(), 1);
 
@@ -144,10 +168,44 @@ mod tests {
         ));
         // The codec alone only sees the additions…
         assert_eq!(second.view.count(), 2);
-        r.resolve(7, &mut second);
+        r.resolve(SENDER, &mut second);
         // …the reassembler restores the sender's complete view.
         assert_eq!(second.view.as_ref(), &grown);
         assert_eq!(r.fallbacks(), 0);
+        assert_eq!(
+            r.tracked_edges(),
+            0,
+            "the delta was the snapshot's last reader"
+        );
+    }
+
+    #[test]
+    fn untracked_full_frames_are_never_snapshotted() {
+        let mut r = ViewReassembler::new();
+        let mut c = through_codec(control(view_of(64, &[1, 2]), ViewWire::full()));
+        r.resolve(SENDER, &mut c);
+        assert_eq!(c.view.count(), 2);
+        assert_eq!(r.tracked_edges(), 0);
+    }
+
+    #[test]
+    fn refusal_drops_the_edge() {
+        let mut r = ViewReassembler::new();
+        let mut c = through_codec(control(view_of(64, &[1]), ViewWire::Full { epoch: 1 }));
+        r.resolve(SENDER, &mut c);
+        let reply = |accept| {
+            Msg::Reply(ProbeReply {
+                from: PeerId(0),
+                accept,
+                wave: 1,
+            })
+        };
+        r.observe_sent(ActorId(5), &reply(false));
+        assert_eq!(r.tracked_edges(), 1, "another sender's refusal");
+        r.observe_sent(SENDER, &reply(true));
+        assert_eq!(r.tracked_edges(), 1, "an acceptance awaits its commit");
+        r.observe_sent(SENDER, &reply(false));
+        assert_eq!(r.tracked_edges(), 0);
     }
 
     #[test]
@@ -161,25 +219,27 @@ mod tests {
         };
         // No snapshot at all (lost full frame).
         let mut c = through_codec(control(grown.clone(), delta.clone()));
-        r.resolve(0, &mut c);
+        r.resolve(SENDER, &mut c);
         assert_eq!(c.view.count(), 2, "additions-only floor");
         assert_eq!(r.fallbacks(), 1);
-        // Snapshot under a different epoch: also a fallback.
+        // Snapshot under a different epoch: also a fallback — and the
+        // stale snapshot goes with it.
         let mut full = through_codec(control(view_of(100, &[3]), ViewWire::Full { epoch: 1 }));
-        r.resolve(0, &mut full);
+        r.resolve(SENDER, &mut full);
         let mut c = through_codec(control(grown, delta));
-        r.resolve(0, &mut c);
+        r.resolve(SENDER, &mut c);
         assert_eq!(c.view.count(), 2);
         assert_eq!(r.fallbacks(), 2);
+        assert_eq!(r.tracked_edges(), 0);
     }
 
     #[test]
-    fn edges_are_keyed_per_receiver_and_sender() {
+    fn snapshots_are_keyed_by_sender() {
         let mut r = ViewReassembler::new();
         let base = view_of(50, &[1]);
         let mut c = through_codec(control(base.clone(), ViewWire::Full { epoch: 1 }));
-        r.resolve(10, &mut c);
-        // Same sender, different receiving task: no snapshot.
+        r.resolve(SENDER, &mut c);
+        // Same epoch and size from a different sender: no snapshot.
         let mut d = through_codec(control(
             view_of(50, &[1, 2]),
             ViewWire::Delta {
@@ -188,7 +248,7 @@ mod tests {
                 additions: vec![2].into(),
             },
         ));
-        r.resolve(11, &mut d);
+        r.resolve(ActorId(11), &mut d);
         assert_eq!(r.fallbacks(), 1);
     }
 }

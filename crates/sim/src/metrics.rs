@@ -110,6 +110,22 @@ pub fn register(name: &str) -> MetricId {
     id
 }
 
+/// Defines `pub fn $f() -> MetricId`: the interned slot of the metric
+/// named by the `&str` constant `$name`, registered on first use.
+/// Everything recorded on a handler or I/O path goes through one of
+/// these — the by-name calls hash the string per call.
+#[macro_export]
+macro_rules! metric_ids {
+    ($($f:ident => $name:ident;)*) => {$(
+        #[doc = concat!("Interned slot id for [`", stringify!($name), "`].")]
+        pub fn $f() -> $crate::metrics::MetricId {
+            static ID: ::std::sync::OnceLock<$crate::metrics::MetricId> =
+                ::std::sync::OnceLock::new();
+            *ID.get_or_init(|| $crate::metrics::register($name))
+        }
+    )*};
+}
+
 /// Id of an already-registered name, without registering it.
 fn lookup(name: &str) -> Option<MetricId> {
     let t = table().read().expect("metric intern table poisoned");

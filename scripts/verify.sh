@@ -50,9 +50,12 @@ echo "==> live-plane smoke (loopback UDP, time-bounded, mmsg + fallback)"
 # (DCoP, TCoP, the forced single-syscall fallback, and the ignored
 # n=5000 beyond-the-old-bitmap-cap smoke that only the adaptive view
 # codec makes hostable); `timeout` bounds the step so a wedged poll
-# loop fails the gate instead of hanging it. The MSS_NO_MMSG=1 pass
-# proves the sendmmsg/recvmmsg fallback stays live on kernels without
-# the batched syscalls.
+# loop fails the gate instead of hanging it. The same tests assert the
+# receive-side view lifetime (`net.view_edges_tracked` 0 for DCoP, <= n
+# for TCoP; `net.view_resync_fallbacks` and `net.rx_decode_err` 0), so
+# a snapshot or frame that outlives its reader fails this step on both
+# paths. The MSS_NO_MMSG=1 pass proves the sendmmsg/recvmmsg fallback
+# stays live on kernels without the batched syscalls.
 timeout 300 cargo test --release -q -p mss-net --lib live -- --include-ignored \
     || { echo "verify.sh: live-plane smoke failed" >&2; exit 1; }
 MSS_NO_MMSG=1 timeout 300 cargo test --release -q -p mss-net --lib live -- --include-ignored \

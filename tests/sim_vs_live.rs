@@ -112,6 +112,32 @@ fn ready_queue_runtime_matches_simulator_at_scale() {
     }
 }
 
+/// Receive-side view lifetime under TCoP's probe → reply → commit
+/// deltas at n = 600: every delta resolves against its snapshot, a
+/// commit consumes it and a refusal drops it, so what is left at
+/// shutdown is at most one snapshot per peer (an accepted probe whose
+/// commit never came) — not one per probe ever received.
+#[test]
+fn live_tcop_snapshots_die_with_their_readers() {
+    let n = 600;
+    let mut cfg = SessionConfig::live(n, 8, 4244);
+    cfg.content = ContentDesc::small(33, 100);
+    let live = LiveSession::new(cfg, Protocol::Tcop, Duration::from_secs(30))
+        .run()
+        .expect("live session");
+    assert!(live.complete, "leaf missing {} packets", live.missing);
+    let m = &live.metrics;
+    assert_eq!(m.counter("net.rx_decode_err"), 0);
+    assert_eq!(m.counter("net.view_resync_fallbacks"), 0);
+    let probes = m.counter("coord.bytes_tx.probe");
+    let tracked = m.counter("net.view_edges_tracked");
+    assert!(probes > 0, "the session must have probed");
+    assert!(
+        tracked <= n as u64,
+        "{tracked} snapshots outlived their readers (n = {n})"
+    );
+}
+
 #[test]
 fn centralized_agrees_across_substrates() {
     let sim = Session::new(shared_cfg(), Protocol::Centralized)
