@@ -31,7 +31,7 @@ pub struct BroadcastPeer {
 
 impl BroadcastPeer {
     /// Peer `me` of a broadcast session.
-    pub fn new(me: PeerId, dir: impl Into<Arc<Directory>>, cfg: SessionConfig) -> BroadcastPeer {
+    pub fn new(me: PeerId, dir: Arc<Directory>, cfg: SessionConfig) -> BroadcastPeer {
         BroadcastPeer {
             core: Core::new(me, dir, cfg),
             heard: 0,

@@ -35,7 +35,7 @@ pub struct CentralizedPeer {
 
 impl CentralizedPeer {
     /// Peer `me` of a centralized session.
-    pub fn new(me: PeerId, dir: impl Into<Arc<Directory>>, cfg: SessionConfig) -> CentralizedPeer {
+    pub fn new(me: PeerId, dir: Arc<Directory>, cfg: SessionConfig) -> CentralizedPeer {
         CentralizedPeer {
             core: Core::new(me, dir, cfg),
             votes: 0,
@@ -57,7 +57,8 @@ impl CentralizedPeer {
         if !self.is_coordinator() {
             return;
         }
-        ctx.metrics().set(mnames::COORD_FIXED_ROUNDS, TWO_PC_ROUNDS);
+        ctx.metrics()
+            .set_id(mnames::coord_fixed_rounds_id(), TWO_PC_ROUNDS);
         let n = self.core.cfg.n;
         let h = self.core.cfg.parity_interval;
         let interval = self.core.content().packet_interval_nanos();

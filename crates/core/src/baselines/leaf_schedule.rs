@@ -23,7 +23,7 @@ pub struct SchedulePeer {
 
 impl SchedulePeer {
     /// Peer `me` of a leaf-schedule session.
-    pub fn new(me: PeerId, dir: impl Into<Arc<Directory>>, cfg: SessionConfig) -> SchedulePeer {
+    pub fn new(me: PeerId, dir: Arc<Directory>, cfg: SessionConfig) -> SchedulePeer {
         SchedulePeer {
             core: Core::new(me, dir, cfg),
         }

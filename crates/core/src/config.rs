@@ -293,6 +293,19 @@ impl SessionConfig {
         }
     }
 
+    /// The configuration a host of `protocol` runs: validated, and with
+    /// the one protocol-dependent rule applied — the unicast chain is
+    /// DCoP with fan-out 1. Every session host (simulated, multi-leaf,
+    /// live) starts here, so `Unicast` cannot silently run with fan-out
+    /// `H`.
+    pub fn normalized(mut self, protocol: Protocol) -> SessionConfig {
+        self.validate();
+        if protocol == Protocol::Unicast {
+            self.fanout = 1;
+        }
+        self
+    }
+
     /// Validate invariants; panics with a descriptive message when the
     /// configuration is inconsistent.
     pub fn validate(&self) {

@@ -32,7 +32,7 @@ pub struct DcopPeer {
 
 impl DcopPeer {
     /// Peer `me` of a DCoP session.
-    pub fn new(me: PeerId, dir: impl Into<Arc<Directory>>, cfg: SessionConfig) -> DcopPeer {
+    pub fn new(me: PeerId, dir: Arc<Directory>, cfg: SessionConfig) -> DcopPeer {
         DcopPeer {
             core: Core::new(me, dir, cfg),
             shared: RoundShared::default(),

@@ -54,7 +54,7 @@ impl LeafActor {
     pub fn new(
         cfg: SessionConfig,
         protocol: Protocol,
-        dir: impl Into<Arc<Directory>>,
+        dir: Arc<Directory>,
         gate: Option<OverrunGate>,
     ) -> LeafActor {
         let l = cfg.content.packets as usize;
@@ -62,7 +62,7 @@ impl LeafActor {
         LeafActor {
             cfg,
             protocol,
-            dir: dir.into(),
+            dir,
             gate,
             decoder: Decoder::new(),
             meter: ReceiptMeter::new(),
@@ -116,7 +116,7 @@ impl LeafActor {
         }
         let missing: Arc<[mss_media::Seq]> = self.missing_seqs(REPAIR_BATCH).into();
         self.repair_rounds += 1;
-        ctx.metrics().incr("repair.rounds");
+        ctx.metrics().incr_id(mnames::repair_rounds_id());
         let pool: Vec<PeerId> = self.dir.peers().collect();
         let targets = self.rng.sample(&pool, repair.fanout.max(1));
         for peer in targets {
@@ -282,7 +282,7 @@ impl LeafActor {
                     && self.decoder.known_count() as u64 >= self.cfg.content.packets
                 {
                     self.complete_nanos = Some(now);
-                    ctx.metrics().set("leaf.complete_nanos", now);
+                    ctx.metrics().set_id(mnames::leaf_complete_nanos_id(), now);
                 }
             }
             InsertOutcome::Redundant => self.duplicates += 1,

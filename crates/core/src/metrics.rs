@@ -45,10 +45,15 @@ pub const COORD_FIXED_ROUNDS: &str = "coord.fixed_rounds";
 /// Data packets sent by contents peers.
 pub const DATA_MSGS: &str = "data.msgs";
 
+/// NACK rounds the leaf sent.
+pub const REPAIR_ROUNDS: &str = "repair.rounds";
 /// NACKs served by contents peers.
 pub const REPAIR_REQUESTS: &str = "repair.requests";
 /// Data packets retransmitted in answer to NACKs.
 pub const REPAIR_PACKETS: &str = "repair.packets";
+
+/// Virtual time (nanos) at which the leaf held every data packet.
+pub const LEAF_COMPLETE_NANOS: &str = "leaf.complete_nanos";
 
 /// Control packets whose kind the receiving protocol does not handle
 /// (e.g. an `Announce` reaching a DCoP peer). Such packets are dropped —
@@ -67,10 +72,13 @@ mss_sim::metric_ids! {
     coord_probe_waves_id => COORD_PROBE_WAVES;
     coord_probe_waves_at_activation_id => COORD_PROBE_WAVES_AT_ACTIVATION;
     coord_last_activation_nanos_id => COORD_LAST_ACTIVATION_NANOS;
+    coord_fixed_rounds_id => COORD_FIXED_ROUNDS;
     coord_unexpected_kind_id => COORD_UNEXPECTED_KIND;
     data_msgs_id => DATA_MSGS;
+    repair_rounds_id => REPAIR_ROUNDS;
     repair_requests_id => REPAIR_REQUESTS;
     repair_packets_id => REPAIR_PACKETS;
+    leaf_complete_nanos_id => LEAF_COMPLETE_NANOS;
 }
 
 /// Per-kind breakdown of [`COORD_BYTES_TX`]: which message kinds carry

@@ -319,14 +319,9 @@ pub struct MultiSession {
 impl MultiSession {
     /// `leaves` concurrent sessions over `cfg.n` shared peers.
     pub fn new(cfg: SessionConfig, protocol: Protocol, leaves: usize) -> MultiSession {
-        cfg.validate();
         assert!(leaves >= 1);
-        let mut cfg = cfg;
-        if protocol == Protocol::Unicast {
-            cfg.fanout = 1;
-        }
         MultiSession {
-            cfg,
+            cfg: cfg.normalized(protocol),
             protocol,
             leaves,
             stagger: SimDuration::ZERO,

@@ -86,15 +86,15 @@ pub struct Core {
 }
 
 impl Core {
-    /// Core for peer `me` of a session. Accepts a plain [`Directory`]
-    /// (wrapped on the spot) or an already-shared `Arc<Directory>`.
-    pub fn new(me: PeerId, dir: impl Into<Arc<Directory>>, cfg: SessionConfig) -> Core {
+    /// Core for peer `me` of a session; `dir` is the session's one
+    /// shared table.
+    pub fn new(me: PeerId, dir: Arc<Directory>, cfg: SessionConfig) -> Core {
         let mut view = View::empty(cfg.n);
         view.insert(me);
         let rng = SimRng::new(cfg.seed).fork(1000 + u64::from(me.0));
         Core {
             me,
-            dir: dir.into(),
+            dir,
             cfg,
             view: Some(view),
             active: false,
@@ -478,10 +478,9 @@ impl Core {
 mod tests {
     use super::*;
     use crate::config::SessionConfig;
-    use mss_sim::event::ActorId;
 
     fn core(n: usize) -> Core {
-        let dir = Directory::new((0..n as u32).map(ActorId).collect(), ActorId(n as u32));
+        let dir = Arc::new(Directory::dense(n));
         Core::new(PeerId(0), dir, SessionConfig::small(n, 3, 7))
     }
 

@@ -340,10 +340,10 @@ pub fn derived_assignment_opts(
 /// [`DivisionBasis::assign`] in O(1) — a strided [`SeqView`] over the
 /// shared basis, no element ever copied. The wire format is unchanged:
 /// like the in-memory `sched`, the basis is re-derivable from the
-/// packet's recipe fields, so it contributes nothing to
-/// [`crate::msg::Msg::wire_size`] and codecs simply drop it (a decoding
-/// receiver falls back to deriving from the recipe — bit-identical, per
-/// this type's contract).
+/// packet's recipe fields, so it contributes nothing to `Msg`'s
+/// [`wire_size`](mss_sim::world::SimMessage::wire_size) and codecs
+/// simply drop it (a decoding receiver falls back to deriving from the
+/// recipe — bit-identical, per this type's contract).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DivisionBasis {
     /// The re-protected postfix the division deals out round-robin.

@@ -22,7 +22,7 @@ use mss_sim::event::ActorId;
 use mss_sim::link::{JitterLatency, LinkModel};
 use mss_sim::prelude::*;
 use mss_sim::shard::ShardedWorld;
-use mss_sim::world::World;
+use mss_sim::world::{ActorGroup, World};
 
 use crate::baselines::{BroadcastPeer, CentralizedPeer, SchedulePeer};
 use crate::config::{Protocol, SessionConfig};
@@ -32,7 +32,7 @@ use crate::metrics as mnames;
 use crate::metrics::SessionOutcome;
 use crate::msg::Msg;
 use crate::peer_core::PeerReport;
-use crate::plane::Plane;
+use crate::plane::{Plane, PlanePeer};
 use crate::tcop::TcopPeer;
 
 /// Crash-stop fault injector: kills listed peers at listed times.
@@ -131,14 +131,8 @@ impl Session {
     /// paper's "reliable high-speed" channels, with enough jitter that
     /// concurrent probes do not arrive in artificial lockstep).
     pub fn new(cfg: SessionConfig, protocol: Protocol) -> Session {
-        cfg.validate();
-        let mut cfg = cfg;
-        if protocol == Protocol::Unicast {
-            // The unicast chain is DCoP with fan-out 1.
-            cfg.fanout = 1;
-        }
         Session {
-            cfg,
+            cfg: cfg.normalized(protocol),
             protocol,
             link: LinkSpec::Default,
             gate: None,
@@ -210,11 +204,14 @@ impl Session {
     /// when more than one shard was requested and the link supports it,
     /// and to the classic single-threaded world otherwise — so existing
     /// callers keep the bit-for-bit single-world event stream.
-    pub fn run(self) -> SessionOutcome {
+    pub fn run(mut self) -> SessionOutcome {
         if self.shards > 1 {
-            match self.try_sharded() {
-                Ok(run) => return run.0,
-                Err(single) => return single.run_with_world().0,
+            match std::mem::replace(&mut self.link, LinkSpec::Default).build_factory() {
+                Ok(f) => {
+                    self.link = LinkSpec::Factory(f);
+                    return self.run_with_sharded_world().0;
+                }
+                Err(spec) => self.link = spec,
             }
         }
         self.run_with_world().0
@@ -224,89 +221,29 @@ impl Session {
     /// uses the single-threaded world (ignoring [`Session::shards`]);
     /// use [`Session::run_with_sharded_world`] for the parallel kernel.
     pub fn run_with_world(self) -> (SessionOutcome, World<Msg>, Vec<PeerReport>) {
-        let Session {
-            cfg,
-            protocol,
-            link,
-            gate,
-            faults,
-            limit,
-            hosting,
-            shards: _,
-        } = self;
-        let link = link.build_single();
-        let mut world: World<Msg> = World::new(link, cfg.seed);
-        let n = cfg.n;
-        // Each data packet is at least one send + one delivery event, plus
-        // per-peer timer churn; pre-reserving avoids repeated heap growth
-        // in the event queue during the streaming phase.
-        world.reserve_events(cfg.content.packets as usize * 2 + n * 8);
-        let dir = Arc::new(Directory::new(
-            (0..n as u32).map(ActorId).collect(),
-            ActorId(n as u32),
-        ));
-        let peers = dir.peers();
-        match (hosting, protocol) {
-            (Hosting::Plane, Protocol::Dcop | Protocol::Unicast) => {
-                let members: Vec<DcopPeer> = peers
-                    .map(|me| DcopPeer::new(me, dir.clone(), cfg.clone()))
-                    .collect();
-                let first = world.add_group(n, Box::new(Plane::new(members)));
-                debug_assert_eq!(first, dir.actor_of(PeerId(0)));
-            }
-            (Hosting::Plane, Protocol::Tcop) => {
-                let members: Vec<TcopPeer> = peers
-                    .map(|me| TcopPeer::new(me, dir.clone(), cfg.clone()))
-                    .collect();
-                let first = world.add_group(n, Box::new(Plane::new(members)));
-                debug_assert_eq!(first, dir.actor_of(PeerId(0)));
-            }
-            _ => {
-                for me in peers {
-                    let id = world.add_actor(make_peer(protocol, me, dir.clone(), cfg.clone()));
-                    debug_assert_eq!(id, dir.actor_of(me));
-                }
+        let p = self.into_parts(1);
+        let mut world: World<Msg> = World::new(p.link.build_single(), p.cfg.seed);
+        world.reserve_events(p.reserve);
+        for hosted in p.blocks {
+            match hosted {
+                Hosted::Group(members, group) => _ = world.add_group(members, group),
+                Hosted::Solo(actors) => actors.into_iter().for_each(|a| _ = world.add_actor(a)),
             }
         }
-        let leaf_id = world.add_actor(Box::new(LeafActor::new(
-            cfg.clone(),
-            protocol,
-            dir.clone(),
-            gate,
-        )));
-        debug_assert_eq!(leaf_id, dir.leaf());
-        if !faults.is_empty() {
-            let faults = faults
-                .iter()
-                .map(|(at, p)| (*at, dir.actor_of(*p)))
-                .collect();
-            world.add_actor(Box::new(FaultInjector { faults }));
+        let leaf_id = world.add_actor(p.leaf);
+        debug_assert_eq!(leaf_id, p.dir.leaf());
+        if let Some(injector) = p.injector {
+            world.add_actor(injector);
         }
         if std::env::var_os("MSS_TRACE").is_some() {
             world.set_trace(true);
         }
-        world.run_until(limit);
+        world.run_until(p.limit);
 
-        let reports = peer_reports(&world, protocol, &dir);
-        let outcome = summarize(&world, protocol, &cfg, &dir, &reports);
+        let reports = peer_reports(&world, p.protocol, &p.dir);
+        let leaf: &LeafActor = world.actor_as(p.dir.leaf()).expect("leaf actor");
+        let outcome = summarize_parts(world.metrics(), leaf, p.protocol, &p.cfg, &reports);
         (outcome, world, reports)
-    }
-
-    /// Sharded run if the link supports it, or the session handed back
-    /// for a single-world fallback.
-    fn try_sharded(
-        mut self,
-    ) -> Result<(SessionOutcome, ShardedWorld<Msg>, Vec<PeerReport>), Box<Session>> {
-        match std::mem::replace(&mut self.link, LinkSpec::Default).build_factory() {
-            Ok(f) => {
-                self.link = LinkSpec::Factory(f);
-                Ok(self.run_with_sharded_world())
-            }
-            Err(spec) => {
-                self.link = spec;
-                Err(Box::new(self))
-            }
-        }
     }
 
     /// Run on the sharded parallel kernel and hand back the sharded
@@ -322,19 +259,9 @@ impl Session {
     /// un-replicable instance) or has zero minimum latency — build it
     /// with [`Session::link_factory`] instead.
     pub fn run_with_sharded_world(self) -> (SessionOutcome, ShardedWorld<Msg>, Vec<PeerReport>) {
-        let Session {
-            cfg,
-            protocol,
-            link,
-            gate,
-            faults,
-            limit,
-            hosting,
-            shards,
-        } = self;
-        let n = cfg.n;
-        let shards = shards.clamp(1, n.max(1));
-        let factory: Box<dyn Fn() -> Box<dyn LinkModel + Send>> = match link {
+        let shards = self.shards.clamp(1, self.cfg.n);
+        let p = self.into_parts(shards);
+        let factory: Box<dyn Fn() -> Box<dyn LinkModel + Send>> = match p.link {
             LinkSpec::Instance(_) => panic!(
                 "a sharded session needs a per-shard link: use Session::link_factory \
                  (Session::link instances cannot be replicated across shards)"
@@ -348,65 +275,115 @@ impl Session {
             "sharded session link has zero min_latency — no conservative lookahead exists"
         );
         let mut world: ShardedWorld<Msg> =
-            ShardedWorld::new(shards, lookahead, cfg.seed, |_k| factory());
-        world.reserve_events(cfg.content.packets as usize * 2 + n * 8);
-        let dir = Arc::new(Directory::new(
-            (0..n as u32).map(ActorId).collect(),
-            ActorId(n as u32),
-        ));
-        // Contiguous block partition: shard k hosts peers
-        // [starts[k], starts[k+1]); global ids stay dense because the
+            ShardedWorld::new(shards, lookahead, p.cfg.seed, |_k| factory());
+        world.reserve_events(p.reserve);
+        // Shard k hosts block k; global ids stay dense because the
         // blocks are registered in ascending order.
-        let starts = shard_blocks(n, shards);
-        for k in 0..shards {
-            let block = starts[k]..starts[k + 1];
-            if block.is_empty() {
-                continue;
-            }
-            let members = block.clone().map(|p| PeerId(p as u32));
-            match (hosting, protocol) {
-                (Hosting::Plane, Protocol::Dcop | Protocol::Unicast) => {
-                    let members: Vec<DcopPeer> = members
-                        .map(|me| DcopPeer::new(me, dir.clone(), cfg.clone()))
-                        .collect();
-                    let first = world.add_group(k, block.len(), Box::new(Plane::new(members)));
-                    debug_assert_eq!(first, dir.actor_of(PeerId(block.start as u32)));
-                }
-                (Hosting::Plane, Protocol::Tcop) => {
-                    let members: Vec<TcopPeer> = members
-                        .map(|me| TcopPeer::new(me, dir.clone(), cfg.clone()))
-                        .collect();
-                    let first = world.add_group(k, block.len(), Box::new(Plane::new(members)));
-                    debug_assert_eq!(first, dir.actor_of(PeerId(block.start as u32)));
-                }
-                _ => {
-                    for me in members {
-                        let id =
-                            world.add_actor(k, make_peer(protocol, me, dir.clone(), cfg.clone()));
-                        debug_assert_eq!(id, dir.actor_of(me));
-                    }
-                }
+        for (k, hosted) in p.blocks.into_iter().enumerate() {
+            match hosted {
+                Hosted::Group(members, group) => _ = world.add_group(k, members, group),
+                Hosted::Solo(actors) => actors.into_iter().for_each(|a| _ = world.add_actor(k, a)),
             }
         }
-        let leaf_id = world.add_actor(
-            0,
-            Box::new(LeafActor::new(cfg.clone(), protocol, dir.clone(), gate)),
-        );
-        debug_assert_eq!(leaf_id, dir.leaf());
-        if !faults.is_empty() {
+        let leaf_id = world.add_actor(0, p.leaf);
+        debug_assert_eq!(leaf_id, p.dir.leaf());
+        if let Some(injector) = p.injector {
+            world.add_actor(0, injector);
+        }
+        world.run_until(p.limit);
+
+        let reports = sharded_peer_reports(&world, p.protocol, &p.dir);
+        let leaf: &LeafActor = world.actor_as(p.dir.leaf()).expect("leaf actor");
+        let outcome = summarize_parts(world.metrics(), leaf, p.protocol, &p.cfg, &reports);
+        (outcome, world, reports)
+    }
+
+    /// The one place a session becomes actors: the contents peers of
+    /// each block of `shard_blocks(n, shards)` (one shard is the single
+    /// world), the leaf, and the crash injector if any fault was asked
+    /// for. Both kernels register exactly these, in this order.
+    fn into_parts(self, shards: usize) -> Parts {
+        let Session {
+            cfg,
+            protocol,
+            link,
+            gate,
+            faults,
+            limit,
+            hosting,
+            shards: _,
+        } = self;
+        let dir = Arc::new(Directory::dense(cfg.n));
+        let blocks = shard_blocks(cfg.n, shards)
+            .windows(2)
+            .map(|w| {
+                let members = (w[0]..w[1]).map(|p| PeerId(p as u32));
+                match (hosting, protocol) {
+                    (Hosting::Plane, Protocol::Dcop | Protocol::Unicast) => {
+                        plane_of(members.map(|me| DcopPeer::new(me, dir.clone(), cfg.clone())))
+                    }
+                    (Hosting::Plane, Protocol::Tcop) => {
+                        plane_of(members.map(|me| TcopPeer::new(me, dir.clone(), cfg.clone())))
+                    }
+                    _ => Hosted::Solo(
+                        members
+                            .map(|me| make_peer(protocol, me, dir.clone(), cfg.clone()))
+                            .collect(),
+                    ),
+                }
+            })
+            .collect();
+        let leaf = Box::new(LeafActor::new(cfg.clone(), protocol, dir.clone(), gate));
+        let injector = (!faults.is_empty()).then(|| -> Box<dyn Actor<Msg>> {
             let faults = faults
                 .iter()
                 .map(|(at, p)| (*at, dir.actor_of(*p)))
                 .collect();
-            world.add_actor(0, Box::new(FaultInjector { faults }));
+            Box::new(FaultInjector { faults })
+        });
+        Parts {
+            // Each data packet is at least one send + one delivery event,
+            // plus per-peer timer churn; pre-reserving avoids repeated
+            // growth of the event queue during the streaming phase.
+            reserve: cfg.content.packets as usize * 2 + cfg.n * 8,
+            cfg,
+            protocol,
+            link,
+            limit,
+            dir,
+            blocks,
+            leaf,
+            injector,
         }
-        world.run_until(limit);
-
-        let reports = sharded_peer_reports(&world, protocol, &dir);
-        let leaf: &LeafActor = world.actor_as(dir.leaf()).expect("leaf actor");
-        let outcome = summarize_parts(world.metrics(), leaf, protocol, &cfg, &reports);
-        (outcome, world, reports)
     }
+}
+
+/// The contents peers one shard hosts.
+enum Hosted {
+    /// A [`Plane`] group and its member count.
+    Group(usize, Box<dyn ActorGroup<Msg>>),
+    /// One boxed actor per peer (the baselines, and [`Hosting::Solo`]).
+    Solo(Vec<Box<dyn Actor<Msg>>>),
+}
+
+fn plane_of<P: PlanePeer>(members: impl Iterator<Item = P>) -> Hosted {
+    let members: Vec<P> = members.collect();
+    Hosted::Group(members.len(), Box::new(Plane::new(members)))
+}
+
+/// A session's actor set (see [`Session::into_parts`]) and what is left
+/// of its builder for the kernel: link, time limit, events to reserve.
+struct Parts {
+    cfg: SessionConfig,
+    protocol: Protocol,
+    link: LinkSpec,
+    limit: SimTime,
+    reserve: usize,
+    dir: Arc<Directory>,
+    /// One entry per block, in ascending peer-id order.
+    blocks: Vec<Hosted>,
+    leaf: Box<dyn Actor<Msg>>,
+    injector: Option<Box<dyn Actor<Msg>>>,
 }
 
 /// Block-partition `n` peers over `shards` shards: `shards + 1` range
@@ -448,10 +425,9 @@ pub fn report_of(actor: &dyn Actor<Msg>, protocol: Protocol) -> Option<PeerRepor
 pub fn make_peer(
     protocol: Protocol,
     me: PeerId,
-    dir: impl Into<Arc<Directory>>,
+    dir: Arc<Directory>,
     cfg: SessionConfig,
 ) -> Box<dyn Actor<Msg>> {
-    let dir = dir.into();
     match protocol {
         Protocol::Dcop | Protocol::Unicast => Box::new(DcopPeer::new(me, dir, cfg)),
         Protocol::Tcop => Box::new(TcopPeer::new(me, dir, cfg)),
@@ -463,15 +439,7 @@ pub fn make_peer(
 
 /// Extract every contents peer's report from a finished world.
 pub fn peer_reports(world: &World<Msg>, protocol: Protocol, dir: &Directory) -> Vec<PeerReport> {
-    dir.peers()
-        .map(|p| {
-            let id = dir.actor_of(p);
-            world
-                .actor_any(id)
-                .and_then(|a| report_from_any(a, protocol))
-                .expect("peer type")
-        })
-        .collect()
+    reports_via(|id| world.actor_any(id), protocol, dir)
 }
 
 /// Extract every contents peer's report from a finished sharded world.
@@ -480,11 +448,17 @@ pub fn sharded_peer_reports(
     protocol: Protocol,
     dir: &Directory,
 ) -> Vec<PeerReport> {
+    reports_via(|id| world.actor_any(id), protocol, dir)
+}
+
+fn reports_via<'w>(
+    actor_any: impl Fn(ActorId) -> Option<&'w dyn std::any::Any>,
+    protocol: Protocol,
+    dir: &Directory,
+) -> Vec<PeerReport> {
     dir.peers()
         .map(|p| {
-            let id = dir.actor_of(p);
-            world
-                .actor_any(id)
+            actor_any(dir.actor_of(p))
                 .and_then(|a| report_from_any(a, protocol))
                 .expect("peer type")
         })
@@ -514,17 +488,6 @@ pub fn rounds_of_metrics(m: &Metrics, protocol: Protocol) -> u32 {
         Protocol::Centralized => m.counter(mnames::COORD_FIXED_ROUNDS) as u32,
         _ => m.counter(mnames::COORD_MAX_WAVE) as u32,
     }
-}
-
-fn summarize(
-    world: &World<Msg>,
-    protocol: Protocol,
-    cfg: &SessionConfig,
-    dir: &Directory,
-    reports: &[PeerReport],
-) -> SessionOutcome {
-    let leaf: &LeafActor = world.actor_as(dir.leaf()).expect("leaf actor");
-    summarize_parts(world.metrics(), leaf, protocol, cfg, reports)
 }
 
 /// Distill the outcome from the pieces both kernels produce: the merged

@@ -49,7 +49,7 @@ pub struct TcopPeer {
 
 impl TcopPeer {
     /// Peer `me` of a TCoP session.
-    pub fn new(me: PeerId, dir: impl Into<Arc<Directory>>, cfg: SessionConfig) -> TcopPeer {
+    pub fn new(me: PeerId, dir: Arc<Directory>, cfg: SessionConfig) -> TcopPeer {
         TcopPeer {
             core: Core::new(me, dir, cfg),
             has_parent: false,

@@ -13,6 +13,7 @@ use mss_sim::metrics::Metrics;
 use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
 use mss_sim::world::{Actor, Runtime};
+use std::sync::Arc;
 
 /// Captures everything the code under test does with its runtime.
 struct MockRt {
@@ -65,7 +66,7 @@ impl Runtime<Msg> for MockRt {
 }
 
 fn core() -> Core {
-    let dir = Directory::new((0..8).map(ActorId).collect(), ActorId(8));
+    let dir = Arc::new(Directory::dense(8));
     let mut cfg = SessionConfig::small(8, 3, 5);
     cfg.content = ContentDesc::small(2, 40);
     Core::new(PeerId(0), dir, cfg)
@@ -261,7 +262,7 @@ fn probe_from(from: PeerId, wave: u32) -> ControlPacket {
 /// the view its commits piggyback.
 #[test]
 fn tcop_prober_learns_from_probes_until_it_commits() {
-    let dir = Directory::new((0..8).map(ActorId).collect(), ActorId(8));
+    let dir = Arc::new(Directory::dense(8));
     let mut cfg = SessionConfig::small(8, 3, 5);
     cfg.content = ContentDesc::small(2, 40);
     let mut peer = TcopPeer::new(PeerId(0), dir, cfg);

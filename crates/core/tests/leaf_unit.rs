@@ -12,6 +12,7 @@ use mss_sim::metrics::Metrics;
 use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
 use mss_sim::world::{Actor, Runtime};
+use std::sync::Arc;
 
 struct MockRt {
     now: SimTime,
@@ -68,8 +69,8 @@ fn cfg() -> SessionConfig {
     cfg
 }
 
-fn dir() -> Directory {
-    Directory::new((0..9).map(ActorId).collect(), ActorId(9))
+fn dir() -> Arc<Directory> {
+    Arc::new(Directory::dense(9))
 }
 
 fn data_msg(content: &ContentDesc, seq: u64) -> Msg {

@@ -77,8 +77,8 @@ fn cfg() -> SessionConfig {
     cfg
 }
 
-fn dir() -> Directory {
-    Directory::new((0..8).map(ActorId).collect(), ActorId(8))
+fn dir() -> Arc<Directory> {
+    Arc::new(Directory::dense(8))
 }
 
 fn request(wave: u32) -> ContentRequest {

@@ -5,14 +5,10 @@
 use mss_core::prelude::*;
 use mss_core::session::sharded_peer_reports;
 use mss_overlay::Directory;
-use mss_sim::event::ActorId;
 use std::sync::Arc;
 
 fn dir_for(n: usize) -> Arc<Directory> {
-    Arc::new(Directory::new(
-        (0..n as u32).map(ActorId).collect(),
-        ActorId(n as u32),
-    ))
+    Arc::new(Directory::dense(n))
 }
 
 #[test]
@@ -167,5 +163,48 @@ fn large_config_two_shard_run_matches_the_golden_digest() {
         );
         assert_eq!(world.events_dispatched(), events, "{protocol:?} events");
         assert_eq!(outcome.activated, activated, "{protocol:?} activated");
+    }
+}
+
+/// Builder pin: what the one session builder wires, per protocol, for
+/// the single world and for three shards — peers in ascending blocks,
+/// then the leaf, then the injector, the same RNG forks. Values measured
+/// before `run_with_world` and `run_with_sharded_world` shared a builder.
+#[test]
+fn builder_wires_every_protocol_identically_on_both_kernels() {
+    let session = |protocol| {
+        let mut cfg = SessionConfig::small(24, 4, 7);
+        cfg.parity_interval = 3;
+        Session::new(cfg, protocol).fault(mss_sim::time::SimDuration::from_millis(300), PeerId(5))
+    };
+    // In `Protocol::ALL` order: single-world events, then the
+    // three-shard digest and its summed event count.
+    let pinned = [
+        (754, 0xb8ff_808c_fd83_8032_u64, 772), // DCoP
+        (993, 0x3c65_42bc_0a3d_21f9, 971),     // TCoP
+        (1319, 0x0cde_7191_f8cd_be2e, 1329),   // broadcast
+        (583, 0x7eec_3eb6_6630_0240, 583),     // unicast
+        (605, 0x078d_b548_6b8c_5738, 605),     // centralized
+        (559, 0x6038_342c_41dd_1149, 559),     // leaf-schedule
+    ];
+    for (protocol, (single_events, digest, sharded_events)) in Protocol::ALL.into_iter().zip(pinned)
+    {
+        let (outcome, world, reports) = session(protocol).run_with_world();
+        assert_eq!(world.events_dispatched(), single_events, "{protocol:?}");
+        assert_eq!(outcome.activated, 24, "{protocol:?} single world");
+        assert!(outcome.complete, "{protocol:?} single world");
+        assert_eq!(reports.len(), 24);
+
+        let (outcome, world, reports) = session(protocol).shards(3).run_with_sharded_world();
+        assert_eq!(
+            world.event_digest(),
+            digest,
+            "{protocol:?} digest {:016x}",
+            world.event_digest()
+        );
+        assert_eq!(world.events_dispatched(), sharded_events, "{protocol:?}");
+        assert_eq!(outcome.activated, 24, "{protocol:?} three shards");
+        assert!(outcome.complete, "{protocol:?} three shards");
+        assert_eq!(reports.len(), 24);
     }
 }

@@ -1,75 +1,39 @@
-//! Live-plane scaling: thousands of real peers on loopback UDP, on the
-//! ready-queue runtime (`LiveSession` — shared sharded sockets,
-//! `recvmmsg`/`sendmmsg` batching) against the thread-per-peer baseline
-//! (`run_udp_session` — one OS thread and one socket per peer).
+//! Live-plane scaling: thousands of real peers on loopback UDP, hosted
+//! by `LiveSession` (ready-queue runtime, shared sharded sockets,
+//! `recvmmsg`/`sendmmsg` batching).
 //!
 //! Each point hosts one [`SessionConfig::live`] session over real
 //! sockets, cold start to completed stream, and reports messages per
 //! second over the hosting time (total wall-clock minus the fixed
-//! post-completion settle grace). Setup is deliberately inside the
-//! measured window: spawning one thread + one socket per peer *is* the
-//! thread-per-peer architecture's cost, exactly as binding a handful of
-//! shared sockets is the ready queue's. The `done_s` column additionally
-//! reports the in-session latency (start signal → leaf done), which
-//! excludes setup on both sides. Each point also reports the leaf
-//! receipt rate and the batching/overflow counters the runtime exposes.
-//! Rows are measured interleaved (A, B, A, B, …) and the best repetition
-//! per runtime is kept — the standard interleaved-minima discipline for
-//! wall-clock A/B numbers. Timing rows run strictly sequentially;
-//! `--threads` is ignored here.
+//! post-completion settle grace). Setup — binding the handful of shared
+//! sockets, building the peers — is deliberately inside the measured
+//! window. The `done_s` column additionally reports the in-session
+//! latency (start signal → leaf done), which excludes setup. Each point
+//! also reports the leaf receipt rate and the batching/overflow counters
+//! the runtime exposes. The best of [`REPS`] repetitions per point is
+//! kept. Timing rows run strictly sequentially; `--threads` is ignored
+//! here.
 //!
-//! The default grid tops out at n = 2·10³ (already far past where one
-//! thread per peer is comfortable on a small box); `--full` adds
-//! n = 4·10³ — the old fixed-bitmap piggyback frame bound — and
-//! n = 10⁴, which only became hostable once the adaptive view codec
-//! and delta piggybacks shrank control frames (a fixed bitmap at
-//! n = 10⁴ cost 1.25 KB in *every* request and control packet). The
-//! thread-per-peer baseline is only run up to [`THREADS_CAP`] peers:
-//! beyond that, merely spawning the threads takes minutes on a small
-//! box (thousands of runnable threads contend with every further
-//! spawn), so the rows would measure the OS scheduler, not the
-//! protocol plane.
+//! The default grid tops out at n = 2·10³; `--full` adds n = 4·10³ —
+//! the old fixed-bitmap piggyback frame bound — and n = 10⁴, which only
+//! became hostable once the adaptive view codec and delta piggybacks
+//! shrank control frames (a fixed bitmap at n = 10⁴ cost 1.25 KB in
+//! *every* request and control packet).
 
 use std::time::{Duration, Instant};
 
 use mss_core::prelude::*;
-use mss_net::udp::run_udp_session;
 use mss_net::LiveSession;
 
 use super::{ExperimentOutput, RunOpts};
 use crate::table::{f, Table};
 
-/// Largest population the thread-per-peer baseline is attempted at.
-pub const THREADS_CAP: usize = 2_000;
-
-/// Interleaved repetitions per (runtime, point); minima are kept.
+/// Repetitions per point; the best is kept.
 pub const REPS: usize = 2;
-
-/// Which live runtime hosts the session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// `LiveSession`: ready-queue scheduler, shared sharded sockets,
-    /// `recvmmsg`/`sendmmsg` batching.
-    Ready,
-    /// `run_udp_session`: one OS thread + one blocking socket per peer.
-    Threads,
-}
-
-impl RuntimeKind {
-    /// CSV / log label.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeKind::Ready => "ready",
-            RuntimeKind::Threads => "threads",
-        }
-    }
-}
 
 /// One measured live run.
 #[derive(Clone, Debug)]
 pub struct LivePoint {
-    /// Runtime hosting the session.
-    pub runtime: RuntimeKind,
     /// Protocol measured.
     pub protocol: Protocol,
     /// Population size.
@@ -91,9 +55,9 @@ pub struct LivePoint {
     pub complete: bool,
     /// Fraction of content packets the leaf reconstructed.
     pub receipt_rate: f64,
-    /// Largest `recvmmsg` batch observed (0 on the threads runtime).
+    /// Largest `recvmmsg` batch observed.
     pub rx_batch_max: u64,
-    /// Largest `sendmmsg` batch observed (0 on the threads runtime).
+    /// Largest `sendmmsg` batch observed.
     pub tx_batch_max: u64,
     /// Kernel receive-queue drops (`net.rx_dropped`).
     pub rx_dropped: u64,
@@ -117,25 +81,20 @@ pub fn wall_budget(n: usize) -> Duration {
     Duration::from_millis(8_000 + 40 * n as u64)
 }
 
-/// Host one `(runtime, protocol, n)` session and measure it.
-pub fn measure(runtime: RuntimeKind, protocol: Protocol, n: usize) -> LivePoint {
+/// Host one `(protocol, n)` session and measure it.
+pub fn measure(protocol: Protocol, n: usize) -> LivePoint {
     let cfg = SessionConfig::live(n, 8, 42);
     let packets = cfg.content.packets;
     let start = Instant::now();
-    let outcome = match runtime {
-        RuntimeKind::Ready => LiveSession::new(cfg, protocol, wall_budget(n))
-            .run()
-            .expect("live session I/O"),
-        RuntimeKind::Threads => {
-            run_udp_session(cfg, protocol, wall_budget(n)).expect("udp session I/O")
-        }
-    };
+    let outcome = LiveSession::new(cfg, protocol, wall_budget(n))
+        .run()
+        .expect("live session I/O");
     // The settle grace only runs after a completion signal; subtract it
     // so the metric is hosting time, not a fixed sleep.
     let settled = outcome.time_to_done.is_some();
     let wall_s = (start.elapsed().as_secs_f64()
         - if settled {
-            mss_net::bus::SETTLE.as_secs_f64()
+            mss_net::runtime::SETTLE.as_secs_f64()
         } else {
             0.0
         })
@@ -145,7 +104,6 @@ pub fn measure(runtime: RuntimeKind, protocol: Protocol, n: usize) -> LivePoint 
         .map_or(wall_s, |d| d.as_secs_f64().max(1e-9));
     let msgs = outcome.metrics.counter("net.sent");
     LivePoint {
-        runtime,
         protocol,
         n,
         wall_s,
@@ -163,7 +121,7 @@ pub fn measure(runtime: RuntimeKind, protocol: Protocol, n: usize) -> LivePoint 
 }
 
 /// Keep the better of two repetitions: completion first, then fuller
-/// activation, then lower hosting time (the interleaved-minima rule).
+/// activation, then lower hosting time.
 fn better(a: LivePoint, b: LivePoint) -> LivePoint {
     if a.complete != b.complete {
         return if a.complete { a } else { b };
@@ -180,7 +138,6 @@ fn better(a: LivePoint, b: LivePoint) -> LivePoint {
 
 fn push_point(t: &mut Table, p: &LivePoint) {
     t.push(vec![
-        p.runtime.name().to_owned(),
         p.protocol.name().to_owned(),
         p.n.to_string(),
         f(p.wall_s, 3),
@@ -196,12 +153,11 @@ fn push_point(t: &mut Table, p: &LivePoint) {
     ]);
 }
 
-/// Run the live-plane A/B sweep.
+/// Run the live-plane population sweep.
 pub fn run(opts: &RunOpts) -> ExperimentOutput {
     let mut t = Table::new(
-        "Live loopback scaling — ready-queue runtime vs one thread per peer (H=8)",
+        "Live loopback scaling — ready-queue runtime (H=8)",
         &[
-            "runtime",
             "protocol",
             "n",
             "wall_s",
@@ -216,69 +172,29 @@ pub fn run(opts: &RunOpts) -> ExperimentOutput {
             "rx_dropped",
         ],
     );
-    let mut ab = Table::new(
-        "Ready-queue speedup over thread-per-peer (interleaved minima)",
-        &[
-            "protocol",
-            "n",
-            "ready_eps",
-            "threads_eps",
-            "speedup",
-            "ready_complete",
-            "threads_complete",
-        ],
-    );
     for protocol in [Protocol::Dcop, Protocol::Tcop] {
         for &n in &population_grid(opts.full) {
-            let mut best: [Option<LivePoint>; 2] = [None, None];
-            for _rep in 0..REPS {
-                for (slot, runtime) in [RuntimeKind::Ready, RuntimeKind::Threads]
-                    .into_iter()
-                    .enumerate()
-                {
-                    if runtime == RuntimeKind::Threads && n > THREADS_CAP {
-                        continue;
-                    }
-                    let p = measure(runtime, protocol, n);
+            let best = (0..REPS)
+                .map(|_| {
+                    let p = measure(protocol, n);
                     eprintln!(
-                        "[live_scale] {} {} n={}: hosted {:.2}s, {:.0} msgs/s, complete={}",
-                        runtime.name(),
+                        "[live_scale] {} n={}: hosted {:.2}s, {:.0} msgs/s, complete={}",
                         protocol.name(),
                         n,
                         p.wall_s,
                         p.events_per_sec,
                         p.complete
                     );
-                    best[slot] = Some(match best[slot].take() {
-                        Some(prev) => better(prev, p),
-                        None => p,
-                    });
-                }
-            }
-            let ready = best[0].take().expect("ready runtime always measured");
-            push_point(&mut t, &ready);
-            if let Some(threads) = best[1].take() {
-                push_point(&mut t, &threads);
-                let speedup = if threads.events_per_sec > 0.0 {
-                    ready.events_per_sec / threads.events_per_sec
-                } else {
-                    f64::INFINITY
-                };
-                ab.push(vec![
-                    protocol.name().to_owned(),
-                    n.to_string(),
-                    f(ready.events_per_sec, 0),
-                    f(threads.events_per_sec, 0),
-                    f(speedup, 2),
-                    ready.complete.to_string(),
-                    threads.complete.to_string(),
-                ]);
-            }
+                    p
+                })
+                .reduce(better)
+                .expect("REPS >= 1");
+            push_point(&mut t, &best);
         }
     }
     ExperimentOutput {
         name: "live_scale",
-        tables: vec![t, ab],
+        tables: vec![t],
     }
 }
 
@@ -287,19 +203,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_live_point_completes_on_both_runtimes() {
-        for runtime in [RuntimeKind::Ready, RuntimeKind::Threads] {
-            let p = measure(runtime, Protocol::Dcop, 24);
-            assert_eq!(p.activated, 24, "{} activation", p.runtime.name());
-            assert!(p.complete, "{} completion", p.runtime.name());
-            assert!(p.msgs > 0);
-            assert!(p.receipt_rate > 0.999);
-        }
+    fn small_live_point_completes() {
+        let p = measure(Protocol::Dcop, 24);
+        assert_eq!(p.activated, 24);
+        assert!(p.complete);
+        assert!(p.msgs > 0);
+        assert!(p.receipt_rate > 0.999);
     }
 
     fn point(complete: bool, activated: usize, wall_s: f64) -> LivePoint {
         LivePoint {
-            runtime: RuntimeKind::Ready,
             protocol: Protocol::Dcop,
             n: 8,
             wall_s,

@@ -14,7 +14,7 @@
 //!
 //! For a fixed multiplier `c`, the product `c·s` in GF(2⁸) is linear over
 //! GF(2), so it splits over the nibbles of `s`:
-//! `c·s = c·(s & 0x0f) ⊕ c·(s >> 4 << 4)`. [`NIB`] stores, per multiplier,
+//! `c·s = c·(s & 0x0f) ⊕ c·(s >> 4 << 4)`. `NIB` stores, per multiplier,
 //! 32 bytes: `NIB[c][n] = c·n` for the low nibble and
 //! `NIB[c][16+n] = c·(n<<4)` for the high nibble — one 8 KiB compile-time
 //! table whose two active rows fit in a single cache line during a

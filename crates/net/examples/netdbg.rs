@@ -1,11 +1,13 @@
 use mss_core::prelude::*;
-use mss_net::bus::ThreadedSession;
+use mss_net::LiveSession;
 use std::time::Duration;
 
 fn main() {
     let mut cfg = SessionConfig::small(6, 2, 77);
     cfg.content = ContentDesc::small(5, 60);
-    let out = ThreadedSession::new(cfg, Protocol::Dcop, Duration::from_millis(1500)).run();
+    let out = LiveSession::new(cfg, Protocol::Dcop, Duration::from_millis(1500))
+        .run()
+        .expect("live session");
     println!(
         "activated={} complete={} missing={}",
         out.activated, out.complete, out.missing

@@ -1,6 +1,6 @@
 //! The live network plane: a full streaming session over real UDP
-//! loopback sockets, hosted on the cooperative ready-queue runtime
-//! instead of one OS thread per peer.
+//! loopback sockets, hosted on the cooperative ready-queue runtime —
+//! the one live host.
 //!
 //! Topology: `rx_shards` shared receive sockets (task → socket is
 //! `task % rx_shards`), each sized explicitly via `SO_RCVBUF` and
@@ -33,18 +33,19 @@ use std::time::{Duration, Instant};
 use mss_core::config::{Protocol, SessionConfig};
 use mss_core::leaf::LeafActor;
 use mss_core::msg::Msg;
+use mss_core::peer_core::PeerReport;
 use mss_core::session::{make_peer, report_of};
 use mss_overlay::{Directory, PeerId};
 use mss_sim::event::ActorId;
 use mss_sim::metrics::Metrics;
 use mss_sim::pool::BufPool;
+use mss_sim::rng::SimRng;
 use mss_sim::world::Actor;
 
-use crate::bus::{ThreadedOutcome, SETTLE};
 use crate::codec::encode_routed_into;
 use crate::names;
 use crate::ready::{OutboxSink, Scheduler, StepScratch};
-use crate::runtime::{await_session, SessionControl};
+use crate::runtime::{await_session, SessionControl, SETTLE};
 use crate::sys::{self, BatchSocket, Epoll, RxMeta, RX_BATCH, RX_BUF};
 use bytes::BytesMut;
 
@@ -60,15 +61,36 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// even with no timers pending.
 const MAX_SLEEP_MS: i32 = 50;
 
+/// Result of a live session run.
+#[derive(Debug)]
+pub struct LiveOutcome {
+    /// Contents peers that activated.
+    pub activated: usize,
+    /// True when the leaf reconstructed the whole content byte-exactly.
+    pub complete: bool,
+    /// Data packets the leaf never reconstructed.
+    pub missing: usize,
+    /// Coordination messages across all threads.
+    pub coord_msgs: u64,
+    /// Per-peer reports.
+    pub reports: Vec<PeerReport>,
+    /// Merged metrics from every thread.
+    pub metrics: Metrics,
+    /// Wall-clock from session start to the leaf's done signal, `None`
+    /// when the wall deadline (not completion) ended the run. Excludes
+    /// the post-completion settle grace and teardown.
+    pub time_to_done: Option<Duration>,
+}
+
 /// A streaming session over UDP loopback, hosted by the ready-queue
-/// runtime. Mirrors [`crate::bus::ThreadedSession`]'s surface: build,
-/// tweak, `run()`, get a [`ThreadedOutcome`].
+/// runtime: build, tweak, `run()`, get a [`LiveOutcome`].
 pub struct LiveSession {
     cfg: SessionConfig,
     protocol: Protocol,
     wall_timeout: Duration,
     workers: usize,
     rx_shards: usize,
+    loss: f64,
 }
 
 impl LiveSession {
@@ -76,11 +98,7 @@ impl LiveSession {
     /// completed (completion is signaled, so finished sessions return
     /// much sooner).
     pub fn new(cfg: SessionConfig, protocol: Protocol, wall_timeout: Duration) -> LiveSession {
-        cfg.validate();
-        let mut cfg = cfg;
-        if protocol == Protocol::Unicast {
-            cfg.fanout = 1;
-        }
+        let cfg = cfg.normalized(protocol);
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         // One poll thread + workers; never oversubscribe a small box.
         let workers = cores.saturating_sub(1).clamp(1, 8);
@@ -91,7 +109,18 @@ impl LiveSession {
             wall_timeout,
             workers,
             rx_shards,
+            loss: 0.0,
         }
+    }
+
+    /// Drop each message a contents peer sends with probability `p`
+    /// before it reaches the socket (lossy links on top of whatever the
+    /// kernel drops; counted in `net.tx_dropped`). The leaf's own sends
+    /// — requests, NACKs — stay lossless: losing a request would just
+    /// rescale `H`, clouding what a loss test measures.
+    pub fn loss(mut self, p: f64) -> LiveSession {
+        self.loss = p;
+        self
     }
 
     /// Override the worker-thread count (default: cores − 1, min 1).
@@ -108,13 +137,14 @@ impl LiveSession {
 
     /// Bind sockets, spawn the poll thread and worker pool, stream the
     /// session, and collect the outcome.
-    pub fn run(self) -> std::io::Result<ThreadedOutcome> {
+    pub fn run(self) -> std::io::Result<LiveOutcome> {
         let LiveSession {
             cfg,
             protocol,
             wall_timeout,
             workers,
             rx_shards,
+            loss,
         } = self;
         let n = cfg.n;
         let total = n + 1;
@@ -151,10 +181,7 @@ impl LiveSession {
 
         // --- actors + scheduler -------------------------------------
         // One shared table: a plain `Directory` would be deep-copied per peer.
-        let dir = Arc::new(Directory::new(
-            (0..n as u32).map(ActorId).collect(),
-            ActorId(n as u32),
-        ));
+        let dir = Arc::new(Directory::dense(n));
         let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(total);
         for i in 0..n {
             actors.push(make_peer(
@@ -186,7 +213,7 @@ impl LiveSession {
         epoll.add(sched.timers.wake_fd().raw(), WAKE_TOKEN)?;
 
         // --- threads -------------------------------------------------
-        let outcome = std::thread::scope(|scope| -> std::io::Result<ThreadedOutcome> {
+        let outcome = std::thread::scope(|scope| -> std::io::Result<LiveOutcome> {
             let poll_sched = Arc::clone(&sched);
             let poll_ctl = Arc::clone(&ctl);
             let poll = scope.spawn(move || {
@@ -194,13 +221,18 @@ impl LiveSession {
             });
 
             let mut worker_handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
+            for worker in 0..workers {
                 let sched = Arc::clone(&sched);
                 let addrs = Arc::clone(&rx_addrs);
+                let drops = InjectedLoss {
+                    p: loss,
+                    rng: SimRng::new(cfg.seed).fork(0x1055 + worker as u64),
+                    leaf: ActorId(n as u32),
+                };
                 let handle = scope.spawn(move || -> std::io::Result<Metrics> {
                     let tx = UdpSocket::bind("127.0.0.1:0")?;
                     sys::set_socket_bufs(&tx, 64 * 1024, WORKER_SNDBUF)?;
-                    let mut sink = UdpSink::new(&tx, addrs, rx_shards, use_mmsg);
+                    let mut sink = UdpSink::new(&tx, addrs, rx_shards, use_mmsg, drops);
                     let mut metrics = Metrics::new();
                     let mut scratch = StepScratch::default();
                     while let Some(task) = sched.next_task() {
@@ -234,7 +266,7 @@ impl LiveSession {
             let leaf_actor = sched.take_actor(n as u32).expect("leaf actor");
             let leaf: &LeafActor = leaf_actor.as_any().downcast_ref().expect("leaf downcast");
 
-            Ok(ThreadedOutcome {
+            Ok(LiveOutcome {
                 activated: reports.iter().filter(|r| r.active).count(),
                 complete: leaf.is_complete(),
                 missing: leaf.missing_count(),
@@ -340,6 +372,14 @@ fn poll_loop(
     Ok(metrics)
 }
 
+/// [`LiveSession::loss`] as one worker applies it.
+struct InjectedLoss {
+    p: f64,
+    rng: SimRng,
+    /// The leaf's sends are exempt.
+    leaf: ActorId,
+}
+
 /// Worker-side outbox flush: encode every message with its routing
 /// header into pooled scratch, then hand the whole fan-out to the
 /// kernel as `sendmmsg` bursts.
@@ -353,6 +393,7 @@ struct UdpSink<'s> {
     /// their capacity across flushes.
     frames: Vec<BytesMut>,
     dests: Vec<SocketAddr>,
+    drops: InjectedLoss,
 }
 
 impl<'s> UdpSink<'s> {
@@ -361,6 +402,7 @@ impl<'s> UdpSink<'s> {
         addrs: Arc<Vec<SocketAddr>>,
         rx_shards: usize,
         use_mmsg: bool,
+        drops: InjectedLoss,
     ) -> UdpSink<'s> {
         UdpSink {
             sock,
@@ -370,6 +412,7 @@ impl<'s> UdpSink<'s> {
             pool: BufPool::new(sys::TX_BATCH),
             frames: Vec::new(),
             dests: Vec::new(),
+            drops,
         }
     }
 }
@@ -377,7 +420,12 @@ impl<'s> UdpSink<'s> {
 impl OutboxSink for UdpSink<'_> {
     fn flush(&mut self, from: ActorId, out: &mut Vec<(ActorId, Msg)>, metrics: &mut Metrics) {
         debug_assert!(self.frames.is_empty() && self.dests.is_empty());
+        let lossy = self.drops.p > 0.0 && from != self.drops.leaf;
         for (to, msg) in out.drain(..) {
+            if lossy && self.drops.rng.gen_bool(self.drops.p) {
+                metrics.incr_id(names::tx_dropped_id());
+                continue;
+            }
             let mut frame = BytesMut::from(self.pool.take());
             encode_routed_into(to, from, &msg, &mut frame);
             self.dests.push(self.addrs[to.index() % self.rx_shards]);
@@ -414,7 +462,7 @@ mod tests {
     /// delta found its snapshot, and at shutdown at most `max_edges`
     /// snapshots are left (DCoP tracks none; TCoP at most one per peer —
     /// an accepted probe whose commit never came).
-    fn assert_views_died_with_their_readers(out: &ThreadedOutcome, max_edges: u64) {
+    fn assert_views_died_with_their_readers(out: &LiveOutcome, max_edges: u64) {
         let m = &out.metrics;
         assert_eq!(m.counter(names::RX_DECODE_ERR), 0);
         assert_eq!(m.counter(names::VIEW_RESYNC_FALLBACKS), 0);
@@ -451,6 +499,46 @@ mod tests {
         assert_eq!(out.activated, 6);
         assert!(out.complete, "leaf missing {} packets", out.missing);
         assert_views_died_with_their_readers(&out, 6);
+    }
+
+    /// Parity + NACK repair over injected loss on the real runtime.
+    #[test]
+    fn lossy_live_session_with_nack_repair_still_completes() {
+        let mut cfg = SessionConfig::small(8, 3, 501);
+        cfg.content = ContentDesc::small(13, 120);
+        cfg.repair = Some(mss_core::config::RepairConfig {
+            check_interval: mss_sim::time::SimDuration::from_millis(60),
+            fanout: 3,
+            max_rounds: 10,
+        });
+        // 3% loss on every peer's sends: parity + repair must close it.
+        let out = LiveSession::new(cfg, Protocol::Dcop, Duration::from_millis(2500))
+            .loss(0.03)
+            .run()
+            .expect("live session");
+        assert_eq!(out.activated, 8);
+        assert!(
+            out.complete,
+            "repair failed over lossy links: missing {}",
+            out.missing
+        );
+        assert!(
+            out.metrics.counter(names::TX_DROPPED) > 0,
+            "no send was dropped, so nothing was repaired"
+        );
+    }
+
+    /// A baseline protocol on the live host: the leaf computes the whole
+    /// schedule and every peer streams its share.
+    #[test]
+    fn live_leaf_schedule_streams() {
+        let mut cfg = SessionConfig::small(4, 2, 78);
+        cfg.content = ContentDesc::small(6, 40);
+        let out = LiveSession::new(cfg, Protocol::LeafSchedule, Duration::from_millis(1200))
+            .run()
+            .expect("live session");
+        assert_eq!(out.activated, 4);
+        assert!(out.complete, "leaf missing {} packets", out.missing);
     }
 
     /// Beyond the old fixed-bitmap frame bound (n ≈ 4·10³): this

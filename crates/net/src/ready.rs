@@ -396,8 +396,7 @@ impl Runtime<Msg> for RqRuntime<'_> {
 
 impl Scheduler {
     /// Build the task table. `actors[i]` becomes task `i` with actor id
-    /// `ActorId(i)`; RNG streams fork exactly as the thread-per-peer
-    /// host does, so protocol decisions match across runtimes.
+    /// `ActorId(i)` and its own RNG stream forked from `seed`.
     pub(crate) fn new(
         actors: Vec<Box<dyn Actor<Msg>>>,
         seed: u64,

@@ -1,22 +1,15 @@
-//! Hosting protocol actors on real threads and real clocks.
-//!
-//! The simulator runs actors against virtual time; here each actor gets
-//! its own OS thread, a wall clock, a timer wheel, and a [`Transport`]
-//! (in-process channels or UDP). [`NetRuntime`] implements the same
-//! [`Runtime`] trait the simulator's context implements, so the protocol
-//! state machines from `mss-core` run **unchanged**.
+//! Session control shared by the live host's threads: the
+//! completion-signaled shutdown ([`SessionControl`], [`await_session`])
+//! and the completion predicate type ([`WatchFn`]). The `Runtime` that
+//! hosts the `mss-core` actors on a wall clock lives with the ready-queue
+//! scheduler; this module is only the orchestration around it.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mss_core::msg::Msg;
-use mss_sim::event::{ActorId, TimerId};
-use mss_sim::metrics::{self, Metrics};
-use mss_sim::rng::SimRng;
-use mss_sim::time::{SimDuration, SimTime};
-use mss_sim::world::{Actor, Runtime, SimMessage};
+use mss_sim::world::Actor;
 
 /// Shared shutdown/completion state for one live session.
 ///
@@ -85,6 +78,12 @@ impl SessionControl {
     }
 }
 
+/// Post-completion settle: long enough for in-flight datagrams and the
+/// final coordination replies to land, far shorter than any wall
+/// timeout a test would otherwise sleep out in full. Public so
+/// benchmarks can subtract this fixed grace from measured wall-clock.
+pub const SETTLE: Duration = Duration::from_millis(200);
+
 /// Orchestrator-side shutdown: wait for completion or the wall deadline,
 /// then (on completion) a short settle grace so in-flight stragglers
 /// land — late data packets, final coordination replies — before the
@@ -112,214 +111,3 @@ pub fn await_session(
 /// event; when it first returns true the host raises
 /// [`SessionControl::signal_done`].
 pub type WatchFn = dyn Fn(&dyn Actor<Msg>) -> bool + Send + Sync;
-
-/// How an actor thread exchanges messages with the rest of the session.
-pub trait Transport {
-    /// Deliver `msg` to `to` (best effort; live transports may drop).
-    fn send(&mut self, to: ActorId, msg: Msg);
-    /// Wait up to `timeout` for one inbound message.
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<(ActorId, Msg)>;
-}
-
-/// Pending timers for one hosted actor.
-#[derive(Default)]
-struct TimerWheel {
-    // (deadline_nanos, id, tag); linear scan is fine at protocol scale.
-    pending: Vec<(u64, u64, u64)>,
-    cancelled: HashSet<u64>,
-    next_id: u64,
-}
-
-impl TimerWheel {
-    fn arm(&mut self, deadline: u64, tag: u64) -> TimerId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push((deadline, id, tag));
-        TimerId(id)
-    }
-
-    fn cancel(&mut self, t: TimerId) {
-        self.cancelled.insert(t.0);
-    }
-
-    fn next_deadline(&self) -> Option<u64> {
-        self.pending
-            .iter()
-            .filter(|(_, id, _)| !self.cancelled.contains(id))
-            .map(|(d, _, _)| *d)
-            .min()
-    }
-
-    fn pop_due(&mut self, now: u64) -> Option<(TimerId, u64)> {
-        let idx = self
-            .pending
-            .iter()
-            .position(|(d, id, _)| *d <= now && !self.cancelled.contains(id))?;
-        let (_, id, tag) = self.pending.swap_remove(idx);
-        Some((TimerId(id), tag))
-    }
-}
-
-/// The live implementation of [`Runtime`].
-pub struct NetRuntime<'a, T: Transport> {
-    me: ActorId,
-    epoch: Instant,
-    n_actors: usize,
-    transport: &'a mut T,
-    wheel: &'a mut TimerWheel,
-    rng: &'a mut SimRng,
-    metrics: &'a mut Metrics,
-}
-
-impl<'a, T: Transport> Runtime<Msg> for NetRuntime<'a, T> {
-    fn id(&self) -> ActorId {
-        self.me
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    fn actor_count(&self) -> usize {
-        self.n_actors
-    }
-
-    fn is_alive(&self, _actor: ActorId) -> bool {
-        true // a live runtime has no failure oracle
-    }
-
-    fn send(&mut self, to: ActorId, msg: Msg) {
-        self.metrics.incr(metrics::NET_SENT);
-        self.metrics
-            .add(metrics::NET_BYTES_SENT, msg.wire_size() as u64);
-        self.transport.send(to, msg);
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let deadline = self.now().as_nanos().saturating_add(delay.as_nanos());
-        self.wheel.arm(deadline, tag)
-    }
-
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.wheel.cancel(timer);
-    }
-
-    fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
-    }
-}
-
-/// Result of hosting one actor until shutdown.
-pub struct HostReport {
-    /// The actor, with its final state (downcast with
-    /// `mss_core::session::report_of` or `as_any`).
-    pub actor: Box<dyn Actor<Msg>>,
-    /// Metrics recorded on this actor's thread.
-    pub metrics: Metrics,
-}
-
-/// Drive one actor against a transport until the session stops.
-///
-/// The loop fires due timers, then blocks on the transport until the next
-/// timer deadline (capped at 5 ms so the stop flag stays responsive).
-/// When `watch` is given, it runs after every delivered event and its
-/// first `true` raises [`SessionControl::signal_done`] — this is how a
-/// session finishes as soon as the leaf completes instead of sleeping
-/// out the whole wall timeout.
-#[allow(clippy::too_many_arguments)]
-pub fn host_actor<T: Transport>(
-    me: ActorId,
-    mut actor: Box<dyn Actor<Msg>>,
-    mut transport: T,
-    epoch: Instant,
-    seed: u64,
-    n_actors: usize,
-    ctl: &SessionControl,
-    watch: Option<&WatchFn>,
-) -> HostReport {
-    let mut wheel = TimerWheel::default();
-    let mut rng = SimRng::new(seed).fork(0x4E45_5452_544D ^ u64::from(me.0));
-    let mut metrics = Metrics::new();
-    {
-        let mut rt = NetRuntime {
-            me,
-            epoch,
-            n_actors,
-            transport: &mut transport,
-            wheel: &mut wheel,
-            rng: &mut rng,
-            metrics: &mut metrics,
-        };
-        actor.on_start(&mut rt);
-    }
-    let mut watching = watch.is_some();
-    while !ctl.should_stop() {
-        let now = epoch.elapsed().as_nanos() as u64;
-        let mut saw_event = false;
-        // Fire everything due.
-        while let Some((tid, tag)) = wheel.pop_due(now) {
-            let mut rt = NetRuntime {
-                me,
-                epoch,
-                n_actors,
-                transport: &mut transport,
-                wheel: &mut wheel,
-                rng: &mut rng,
-                metrics: &mut metrics,
-            };
-            actor.on_timer(&mut rt, tid, tag);
-            saw_event = true;
-        }
-        let wait = wheel
-            .next_deadline()
-            .map(|d| Duration::from_nanos(d.saturating_sub(now)))
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5));
-        if let Some((from, msg)) = transport.recv_timeout(wait) {
-            let mut rt = NetRuntime {
-                me,
-                epoch,
-                n_actors,
-                transport: &mut transport,
-                wheel: &mut wheel,
-                rng: &mut rng,
-                metrics: &mut metrics,
-            };
-            actor.on_message(&mut rt, from, msg);
-            saw_event = true;
-        }
-        if watching && saw_event {
-            if let Some(w) = watch {
-                if w(actor.as_ref()) {
-                    ctl.signal_done();
-                    watching = false; // condition is sticky; stop probing
-                }
-            }
-        }
-    }
-    HostReport { actor, metrics }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wheel_orders_and_cancels() {
-        let mut w = TimerWheel::default();
-        let a = w.arm(100, 1);
-        let b = w.arm(50, 2);
-        let _c = w.arm(200, 3);
-        assert_eq!(w.next_deadline(), Some(50));
-        w.cancel(b);
-        assert_eq!(w.next_deadline(), Some(100));
-        assert_eq!(w.pop_due(60), None, "b cancelled, a not due");
-        assert_eq!(w.pop_due(150), Some((a, 1)));
-        assert_eq!(w.pop_due(150), None);
-        assert_eq!(w.next_deadline(), Some(200));
-    }
-}

@@ -3,11 +3,10 @@
 //! A sender ships an edge its full view once (epoch-stamped) and
 //! follow-ups carry only the ids gained since (see the delta tracker in
 //! `mss_core::plane`). The codec decodes such a delta into a control
-//! packet whose `view` holds the additions alone; each receiver — a
-//! ready-queue task, or a thread-per-peer transport — owns one
-//! [`ViewReassembler`], which caches the last tracked full view per
-//! *sender* and upgrades delta packets back to the sender's complete
-//! view before the protocol handler sees them.
+//! packet whose `view` holds the additions alone; each receiver (a
+//! ready-queue task) owns one [`ViewReassembler`], which caches the
+//! last tracked full view per *sender* and upgrades delta packets back
+//! to the sender's complete view before the protocol handler sees them.
 //!
 //! A snapshot lives exactly as long as a delta can still read it — the
 //! mirror of the sender's `DeltaTracker` entry:

@@ -42,6 +42,12 @@ impl Directory {
         Directory { actors, leaf }
     }
 
+    /// The layout every session host uses: contents peer `i` is actor
+    /// `i`, the leaf is actor `n`.
+    pub fn dense(n: usize) -> Self {
+        Directory::new((0..n as u32).map(ActorId).collect(), ActorId(n as u32))
+    }
+
     /// Number of contents peers `n`.
     pub fn n(&self) -> usize {
         self.actors.len()
@@ -75,13 +81,9 @@ impl Directory {
 mod tests {
     use super::*;
 
-    fn dir(n: u32) -> Directory {
-        Directory::new((0..n).map(ActorId).collect(), ActorId(n))
-    }
-
     #[test]
     fn lookups_roundtrip() {
-        let d = dir(5);
+        let d = Directory::dense(5);
         assert_eq!(d.n(), 5);
         assert_eq!(d.actor_of(PeerId(3)), ActorId(3));
         assert_eq!(d.peer_of(ActorId(3)), Some(PeerId(3)));
@@ -91,7 +93,7 @@ mod tests {
 
     #[test]
     fn peers_enumerates_all() {
-        let d = dir(3);
+        let d = Directory::dense(3);
         let ids: Vec<u32> = d.peers().map(|p| p.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }

@@ -8,9 +8,11 @@
 //! dispatch path never hashes or compares strings and never allocates.
 //! The kernel's own counters occupy fixed, compile-time-known slots
 //! (`NET_SENT_ID` …); protocol and harness counters obtain ids through
-//! [`register`]. The original string-keyed API (`add`, `incr`,
-//! [`Metrics::counter`], …) remains as a thin layer over the intern
-//! table, so harness extraction and table/CSV emitters are unchanged.
+//! [`register`] (usually through [`metric_ids!`](crate::metric_ids)).
+//! Counters are written by id only; reading by name
+//! ([`Metrics::counter`], [`Metrics::counters`]) stays a thin layer over
+//! the intern table, so harness extraction and table/CSV emitters are
+//! unchanged.
 //!
 //! Because the intern table is global, the same name maps to the same
 //! slot in every sink, which makes [`Metrics::merge`] a plain slot-wise
@@ -112,8 +114,7 @@ pub fn register(name: &str) -> MetricId {
 
 /// Defines `pub fn $f() -> MetricId`: the interned slot of the metric
 /// named by the `&str` constant `$name`, registered on first use.
-/// Everything recorded on a handler or I/O path goes through one of
-/// these — the by-name calls hash the string per call.
+/// Every counter write goes through one of these.
 #[macro_export]
 macro_rules! metric_ids {
     ($($f:ident => $name:ident;)*) => {$(
@@ -209,28 +210,7 @@ impl Metrics {
         self.hists.get(id.index()).and_then(|h| h.as_ref())
     }
 
-    // ---- string compatibility layer over the intern table ----
-
-    /// Add `v` to counter `name` (creating it at zero).
-    pub fn add(&mut self, name: &str, v: u64) {
-        self.add_id(register(name), v);
-    }
-
-    /// Increment counter `name` by one.
-    #[inline]
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Overwrite counter `name` with `v`.
-    pub fn set(&mut self, name: &str, v: u64) {
-        self.set_id(register(name), v);
-    }
-
-    /// Raise counter `name` to `v` if `v` is larger (running maximum).
-    pub fn set_max(&mut self, name: &str, v: u64) {
-        self.set_max_id(register(name), v);
-    }
+    // ---- by-name layer over the intern table ----
 
     /// Current value of counter `name` (0 if never written). Read-only:
     /// does not register the name.
@@ -326,10 +306,11 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
+        let (a, b) = (register("a"), register("b"));
         let mut m = Metrics::new();
-        m.incr("a");
-        m.add("a", 4);
-        m.incr("b");
+        m.incr_id(a);
+        m.add_id(a, 4);
+        m.incr_id(b);
         assert_eq!(m.counter("a"), 5);
         assert_eq!(m.counter("b"), 1);
         assert_eq!(m.counter("missing"), 0);
@@ -337,13 +318,14 @@ mod tests {
 
     #[test]
     fn set_and_set_max() {
+        let (a, b) = (register("a"), register("b"));
         let mut m = Metrics::new();
-        m.set("a", 10);
-        m.set("a", 3);
+        m.set_id(a, 10);
+        m.set_id(a, 3);
         assert_eq!(m.counter("a"), 3);
-        m.set_max("b", 5);
-        m.set_max("b", 2);
-        m.set_max("b", 9);
+        m.set_max_id(b, 5);
+        m.set_max_id(b, 2);
+        m.set_max_id(b, 9);
         assert_eq!(m.counter("b"), 9);
     }
 
@@ -359,11 +341,12 @@ mod tests {
 
     #[test]
     fn merge_combines_both_kinds() {
+        let (x, y) = (register("x"), register("y"));
         let mut a = Metrics::new();
         let mut b = Metrics::new();
-        a.add("x", 1);
-        b.add("x", 2);
-        b.add("y", 3);
+        a.add_id(x, 1);
+        b.add_id(x, 2);
+        b.add_id(y, 3);
         a.record("h", 5);
         b.record("h", 6);
         b.record("g", 7);
@@ -377,8 +360,8 @@ mod tests {
     #[test]
     fn iteration_is_name_ordered() {
         let mut m = Metrics::new();
-        m.incr("zeta");
-        m.incr("alpha");
+        m.incr_id(register("zeta"));
+        m.incr_id(register("alpha"));
         let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
     }
@@ -386,7 +369,7 @@ mod tests {
     #[test]
     fn clear_empties() {
         let mut m = Metrics::new();
-        m.incr("a");
+        m.incr_id(register("a"));
         m.record("h", 1);
         m.clear();
         assert_eq!(m.counter("a"), 0);
@@ -408,49 +391,28 @@ mod tests {
     }
 
     #[test]
-    fn id_api_and_string_api_agree_bit_for_bit() {
-        let id = register("test.idstr.counter");
-        let hid = register("test.idstr.hist");
-        let mut by_id = Metrics::new();
-        let mut by_name = Metrics::new();
-        for v in [3u64, 0, 41] {
-            by_id.add_id(id, v);
-            by_name.add("test.idstr.counter", v);
-        }
-        by_id.incr_id(id);
-        by_name.incr("test.idstr.counter");
-        by_id.set_max_id(id, 40);
-        by_name.set_max("test.idstr.counter", 40);
-        for v in [7u64, 9] {
-            by_id.record_id(hid, v);
-            by_name.record("test.idstr.hist", v);
-        }
-        assert_eq!(by_id.counter_id(id), by_name.counter("test.idstr.counter"));
-        assert_eq!(by_id.counter("test.idstr.counter"), by_name.counter_id(id));
-        let ha = by_id.histogram_id(hid).unwrap();
-        let hb = by_name.histogram("test.idstr.hist").unwrap();
-        assert_eq!(ha.count(), hb.count());
-        assert_eq!(ha.min(), hb.min());
-        assert_eq!(ha.max(), hb.max());
-        let ca: Vec<_> = by_id
-            .counters()
-            .filter(|(k, _)| k.starts_with("test.idstr."))
-            .collect();
-        let cb: Vec<_> = by_name
-            .counters()
-            .filter(|(k, _)| k.starts_with("test.idstr."))
-            .collect();
-        assert_eq!(ca, cb);
-    }
-
-    #[test]
-    fn set_id_then_string_read_round_trips() {
-        let id = register("test.roundtrip");
+    fn two_ids_of_one_name_are_one_slot_and_names_read_what_ids_wrote() {
+        let (first, again) = (register("test.oneslot"), register("test.oneslot"));
+        let hid = register("test.oneslot.hist");
         let mut m = Metrics::new();
-        m.set_id(id, 123);
-        assert_eq!(m.counter("test.roundtrip"), 123);
-        m.set("test.roundtrip", 7);
-        assert_eq!(m.counter_id(id), 7);
+        for v in [3u64, 0, 41] {
+            m.add_id(first, v);
+        }
+        m.incr_id(again);
+        m.set_max_id(again, 40);
+        assert_eq!(m.counter_id(first), 45);
+        assert_eq!(m.counter("test.oneslot"), 45);
+        m.set_id(first, 123);
+        assert_eq!(m.counter("test.oneslot"), 123);
+        m.record_id(hid, 7);
+        m.record("test.oneslot.hist", 9);
+        let h = m.histogram("test.oneslot.hist").unwrap();
+        assert_eq!((h.count(), h.min(), h.max()), (2, 7, 9));
+        let listed: Vec<_> = m
+            .counters()
+            .filter(|(k, _)| k.starts_with("test.oneslot"))
+            .collect();
+        assert_eq!(listed, vec![("test.oneslot", 123)]);
     }
 
     #[test]
@@ -458,7 +420,7 @@ mod tests {
         // Registering a name alone must not make it show up in sinks.
         register("test.unwritten.ghost");
         let mut m = Metrics::new();
-        m.incr("test.unwritten.real");
+        m.incr_id(register("test.unwritten.real"));
         assert!(m.counters().all(|(k, _)| k != "test.unwritten.ghost"));
         assert_eq!(m.counter("test.unwritten.ghost"), 0);
     }

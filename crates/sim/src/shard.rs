@@ -902,7 +902,8 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
         }
         let clamped = self.clamped_cross_events();
         if clamped > 0 {
-            self.merged.add(CLAMPED_CROSS_EVENTS, clamped);
+            self.merged
+                .add_id(metrics::register(CLAMPED_CROSS_EVENTS), clamped);
         }
         #[cfg(debug_assertions)]
         assert_eq!(

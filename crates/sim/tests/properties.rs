@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use mss_sim::event::{ActorId, Event, EventQueue, TimerId};
 use mss_sim::hist::Histogram;
 use mss_sim::link::{Bandwidth, FixedLatency, GilbertElliott, IidLoss, LinkModel, LinkVerdict};
-use mss_sim::metrics::Metrics;
+use mss_sim::metrics::{register, Metrics};
 use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
 
@@ -184,7 +184,7 @@ fn check_session_shape(ops: &[(u8, u64)]) {
 fn sink_of(counters: &[(u8, u64)], samples: &[(u8, u64)]) -> Metrics {
     let mut m = Metrics::new();
     for &(k, v) in counters {
-        m.add(&format!("prop.merge.c{}", k % 8), v);
+        m.add_id(register(&format!("prop.merge.c{}", k % 8)), v);
     }
     for &(k, v) in samples {
         m.record(&format!("prop.merge.h{}", k % 4), v);

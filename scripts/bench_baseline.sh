@@ -171,10 +171,9 @@ cat "$out"
 # MSS_SCALING_FULL=0 to keep the sweep but stop at n=10^4 (slow boxes:
 # the single-shard TCoP baseline at 10^5 runs tens of minutes).
 record_live_scale() {
-    # Live network plane: the ready-queue runtime vs one thread per
-    # peer, real loopback UDP up to n=2·10^3, appended to the history
-    # as its own line (events/sec per runtime plus the interleaved-
-    # minima speedup). Works without sendmmsg/recvmmsg too — the
+    # Live network plane: the ready-queue runtime on real loopback UDP
+    # up to n=2·10^3, appended to the history as its own line
+    # (events/sec per point). Works without sendmmsg/recvmmsg too — the
     # runtime falls back to single-syscall I/O when the batched calls
     # are unavailable (or when MSS_NO_MMSG=1 forces the fallback), so
     # this entry records numbers on every kernel. Opt out with
@@ -187,26 +186,21 @@ record_live_scale() {
         echo "bench_baseline.sh: live-plane sweep failed" >&2
         exit 1
     fi
-    local points="results/live_scale_1.csv" ab="results/live_scale_2.csv"
-    if [ ! -s "$points" ] || [ ! -s "$ab" ]; then
-        echo "bench_baseline.sh: live-plane sweep wrote no CSVs" >&2
+    local points="results/live_scale.csv"
+    if [ ! -s "$points" ]; then
+        echo "bench_baseline.sh: live-plane sweep wrote no CSV" >&2
         exit 1
     fi
     {
         printf '{"commit": "%s", "recorded": "%s", "bench": "live_scale", "cores": %s, "cpu": "%s", "mmsg": %s, "events_per_sec": {' \
             "$commit" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$cores" "$cpu" \
             "$([ "${MSS_NO_MMSG:-0}" = "1" ] && echo false || echo true)"
-        # runtime,protocol,n,wall_s,done_s,msgs,events_per_sec,...
+        # protocol,n,wall_s,done_s,msgs,events_per_sec,... (keys keep the
+        # "ready/" prefix of the older history lines)
         awk -F, 'NR > 1 {
-            key = sprintf("%s/%s/n%s", $1, $2, $3)
-            printf "%s\"%s\": %.0f", (n++ ? ", " : ""), key, $7
+            key = sprintf("ready/%s/n%s", $1, $2)
+            printf "%s\"%s\": %.0f", (n++ ? ", " : ""), key, $6
         }' "$points"
-        printf '}, "speedup_vs_threads": {'
-        # protocol,n,ready_eps,threads_eps,speedup,...
-        awk -F, 'NR > 1 {
-            key = sprintf("%s/n%s", $1, $2)
-            printf "%s\"%s\": %.2f", (n++ ? ", " : ""), key, $5
-        }' "$ab"
         printf '}}\n'
     } >>"$history"
     echo "bench_baseline.sh: live-plane sweep appended to $history"

@@ -47,7 +47,8 @@ cargo run --release -q -p mss-harness -- shardcheck >/dev/null
 
 echo "==> live-plane smoke (loopback UDP, time-bounded, mmsg + fallback)"
 # The ready-queue runtime's own tests host real loopback sessions
-# (DCoP, TCoP, the forced single-syscall fallback, and the ignored
+# (DCoP, TCoP, a baseline, 3 % injected send loss closed by parity +
+# NACK repair, the forced single-syscall fallback, and the ignored
 # n=5000 beyond-the-old-bitmap-cap smoke that only the adaptive view
 # codec makes hostable); `timeout` bounds the step so a wedged poll
 # loop fails the gate instead of hanging it. The same tests assert the
@@ -89,5 +90,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> rustfmt check"
 cargo fmt --check
+
+echo "==> rustdoc (warnings are errors: a link to a deleted or private item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "verify.sh: all checks passed"

@@ -10,7 +10,7 @@
 //!   allocation, playout accounting,
 //! - [`overlay`]: peer ids, views, selection, failure detection,
 //! - [`core`]: the DCoP/TCoP coordination protocols and four baselines,
-//! - [`net`]: live runtimes (threads + channels, UDP loopback),
+//! - [`net`]: the live host (ready-queue runtime over UDP loopback),
 //! - [`harness`]: the experiment harness regenerating Figures 10–12.
 //!
 //! Start with [`core::prelude`]:

@@ -1,17 +1,14 @@
-//! Simulator vs live runtimes: the identical protocol state machines run
-//! on (a) the deterministic discrete-event simulator, (b) OS threads with
-//! channels, (c) UDP loopback sockets with one thread per peer, and
-//! (d) the ready-queue runtime (shared sockets, `recvmmsg`/`sendmmsg`
-//! batching) — and agree on the protocol's observable outcomes
-//! (coverage, completion, coordination volume class).
+//! Simulator vs live host: the identical protocol state machines run on
+//! the deterministic discrete-event simulator (one world and sharded)
+//! and on the ready-queue runtime over UDP loopback (shared sockets,
+//! `recvmmsg`/`sendmmsg` batching) — and agree on the protocol's
+//! observable outcomes (coverage, completion, coordination volume class).
 
 use std::time::Duration;
 
 use mss::core::prelude::*;
 use mss::core::session::Session;
-use mss::net::bus::ThreadedSession;
-use mss::net::udp::run_udp_session;
-use mss::net::LiveSession;
+use mss::net::{LiveOutcome, LiveSession};
 
 fn shared_cfg() -> SessionConfig {
     let mut cfg = SessionConfig::small(8, 3, 1234);
@@ -19,27 +16,34 @@ fn shared_cfg() -> SessionConfig {
     cfg
 }
 
+fn run_live(protocol: Protocol, wall_ms: u64) -> LiveOutcome {
+    LiveSession::new(shared_cfg(), protocol, Duration::from_millis(wall_ms))
+        .run()
+        .expect("live session")
+}
+
 #[test]
 fn dcop_agrees_across_all_three_substrates() {
-    let sim = Session::new(shared_cfg(), Protocol::Dcop)
-        .time_limit(SimDuration::from_secs(60))
-        .run();
-    let threaded =
-        ThreadedSession::new(shared_cfg(), Protocol::Dcop, Duration::from_millis(1200)).run();
-    let udp = run_udp_session(shared_cfg(), Protocol::Dcop, Duration::from_millis(1200))
-        .expect("udp session");
+    let session =
+        || Session::new(shared_cfg(), Protocol::Dcop).time_limit(SimDuration::from_secs(60));
+    let sim = session().run();
+    let sharded = session().shards(2).run();
+    let live = run_live(Protocol::Dcop, 1200);
 
     // All three cover every peer and reconstruct the content.
     assert_eq!(sim.activated, 8);
-    assert_eq!(threaded.activated, 8);
-    assert_eq!(udp.activated, 8);
+    assert_eq!(sharded.activated, 8);
+    assert_eq!(live.activated, 8);
     assert!(sim.complete);
-    assert!(threaded.complete, "threaded missing {}", threaded.missing);
-    assert!(udp.complete, "udp missing {}", udp.missing);
+    assert!(sharded.complete);
+    assert!(live.complete, "live missing {}", live.missing);
 
     // Coordination volume is in the same class (timing and rng streams
     // differ, so exact counts may not match — an order of magnitude must).
-    for (name, msgs) in [("threaded", threaded.coord_msgs), ("udp", udp.coord_msgs)] {
+    for (name, msgs) in [
+        ("sharded", sharded.coord_msgs_total),
+        ("live", live.coord_msgs),
+    ] {
         assert!(
             msgs >= sim.coord_msgs_total / 4 && msgs <= sim.coord_msgs_total * 4,
             "{name} coordination volume {} vs simulator {}",
@@ -54,12 +58,11 @@ fn tcop_agrees_across_substrates() {
     let sim = Session::new(shared_cfg(), Protocol::Tcop)
         .time_limit(SimDuration::from_secs(60))
         .run();
-    let threaded =
-        ThreadedSession::new(shared_cfg(), Protocol::Tcop, Duration::from_millis(1500)).run();
+    let live = run_live(Protocol::Tcop, 1500);
     assert_eq!(sim.activated, 8);
-    assert_eq!(threaded.activated, 8);
+    assert_eq!(live.activated, 8);
     assert!(sim.complete);
-    assert!(threaded.complete, "threaded missing {}", threaded.missing);
+    assert!(live.complete, "live missing {}", live.missing);
 }
 
 /// Shared config for the at-scale pinning: n in the hundreds on the
@@ -143,15 +146,10 @@ fn centralized_agrees_across_substrates() {
     let sim = Session::new(shared_cfg(), Protocol::Centralized)
         .time_limit(SimDuration::from_secs(60))
         .run();
-    let threaded = ThreadedSession::new(
-        shared_cfg(),
-        Protocol::Centralized,
-        Duration::from_millis(1200),
-    )
-    .run();
+    let live = run_live(Protocol::Centralized, 1200);
     assert!(sim.complete);
-    assert!(threaded.complete, "threaded missing {}", threaded.missing);
+    assert!(live.complete, "live missing {}", live.missing);
     // 2PC message count is deterministic: 1 + 3(n−1) in every substrate.
     assert_eq!(sim.coord_msgs_total, 1 + 3 * 7);
-    assert_eq!(threaded.coord_msgs, 1 + 3 * 7);
+    assert_eq!(live.coord_msgs, 1 + 3 * 7);
 }
