@@ -1,5 +1,5 @@
 //! Live-plane scaling: thousands of real peers on loopback UDP, hosted
-//! by `LiveSession` (ready-queue runtime, shared sharded sockets,
+//! by `LiveSession` (ready-queue runtime, bundled datagrams,
 //! `recvmmsg`/`sendmmsg` batching).
 //!
 //! Each point hosts one [`SessionConfig::live`] session over real
@@ -10,7 +10,8 @@
 //! window. The `done_s` column additionally reports the in-session
 //! latency (start signal → leaf done), which excludes setup. Each point
 //! also reports the leaf receipt rate and the batching/overflow counters
-//! the runtime exposes. The best of [`REPS`] repetitions per point is
+//! the runtime exposes, including bundle fill (frames per datagram) on
+//! both sides of the wire. The best of [`REPS`] repetitions per point is
 //! kept. Timing rows run strictly sequentially; `--threads` is ignored
 //! here.
 //!
@@ -59,8 +60,13 @@ pub struct LivePoint {
     pub rx_batch_max: u64,
     /// Largest `sendmmsg` batch observed.
     pub tx_batch_max: u64,
-    /// Kernel receive-queue drops (`net.rx_dropped`).
+    /// Kernel receive-queue drops (`net.rx_dropped`), in datagrams.
     pub rx_dropped: u64,
+    /// Bundle fill on the send side: frames per datagram
+    /// (`net.tx_frames / net.tx_datagrams`).
+    pub tx_fill: f64,
+    /// Bundle fill on the receive side (`net.rx_frames / net.rx_datagrams`).
+    pub rx_fill: f64,
 }
 
 /// The population grid: up to 2·10³ by default; `--full` adds 4·10³
@@ -103,6 +109,9 @@ pub fn measure(protocol: Protocol, n: usize) -> LivePoint {
         .time_to_done
         .map_or(wall_s, |d| d.as_secs_f64().max(1e-9));
     let msgs = outcome.metrics.counter("net.sent");
+    let fill = |frames, datagrams| {
+        outcome.metrics.counter(frames) as f64 / outcome.metrics.counter(datagrams).max(1) as f64
+    };
     LivePoint {
         protocol,
         n,
@@ -117,6 +126,8 @@ pub fn measure(protocol: Protocol, n: usize) -> LivePoint {
         rx_batch_max: outcome.metrics.counter("net.rx_batch_max"),
         tx_batch_max: outcome.metrics.counter("net.tx_batch_max"),
         rx_dropped: outcome.metrics.counter("net.rx_dropped"),
+        tx_fill: fill(mss_net::names::TX_FRAMES, mss_net::names::TX_DATAGRAMS),
+        rx_fill: fill(mss_net::names::RX_FRAMES, mss_net::names::RX_DATAGRAMS),
     }
 }
 
@@ -150,6 +161,8 @@ fn push_point(t: &mut Table, p: &LivePoint) {
         p.rx_batch_max.to_string(),
         p.tx_batch_max.to_string(),
         p.rx_dropped.to_string(),
+        f(p.tx_fill, 1),
+        f(p.rx_fill, 1),
     ]);
 }
 
@@ -170,6 +183,8 @@ pub fn run(opts: &RunOpts) -> ExperimentOutput {
             "rx_batch_max",
             "tx_batch_max",
             "rx_dropped",
+            "tx_frames_per_datagram",
+            "rx_frames_per_datagram",
         ],
     );
     for protocol in [Protocol::Dcop, Protocol::Tcop] {
@@ -225,6 +240,8 @@ mod tests {
             rx_batch_max: 0,
             tx_batch_max: 0,
             rx_dropped: 0,
+            tx_fill: 1.0,
+            rx_fill: 1.0,
         }
     }
 

@@ -1,4 +1,5 @@
-//! Binary wire codec for session messages.
+//! Binary wire codec for session messages, and the datagram format of
+//! the live plane.
 //!
 //! A hand-rolled, length-checked little-endian format on top of `bytes`
 //! (no external serializer). Every frame is `[from: u32][kind: u8][body]`.
@@ -14,6 +15,27 @@
 //! original [`ViewWire::Delta`] preserved so a receiver holding the
 //! per-edge snapshot (see `crate::views`) can reconstruct the
 //! complete view.
+//!
+//! # Datagrams are bundles
+//!
+//! On the wire a datagram is one or more *records*, back to back:
+//!
+//! ```text
+//! [len: u16 LE][to: u32 LE][from: u32 LE][kind: u8][body]   ← record 1
+//! [len: u16 LE][to: u32 LE] …                               ← record 2 …
+//! ```
+//!
+//! `len` counts the routed frame that follows it (`[to]` + the plain
+//! frame), so a receiver can hand each record to its task without
+//! decoding it. [`BundleWriter`] fills a datagram until the next record
+//! would push it past [`BUNDLE_MTU`] — one un-fragmented Ethernet UDP
+//! payload — and seals it there; a frame that alone exceeds the MTU
+//! travels as a single-record datagram (the kernel fragments it, as it
+//! did before bundling). [`split_bundle`] walks the records of a
+//! received datagram and stops at the first malformed one, so whatever
+//! precedes a truncation or a corrupt length prefix is still delivered.
+//! There is one format and one size: no switch selects frame-per-datagram
+//! or a larger bundle.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mss_core::msg::{
@@ -24,6 +46,7 @@ use mss_media::{Packet, PacketId, PacketSeq, Seq, SeqView};
 use mss_overlay::wire::{self, ViewFrame, WireError};
 use mss_overlay::{PeerId, View};
 use mss_sim::event::ActorId;
+use mss_sim::pool::BufPool;
 use std::sync::Arc;
 
 /// Decoding failure.
@@ -78,7 +101,7 @@ fn get_len(buf: &mut impl Buf) -> Result<usize, CodecError> {
 }
 
 /// Write a view in its smallest set encoding.
-fn put_view(out: &mut BytesMut, v: &View) {
+fn put_view(out: &mut impl BufMut, v: &View) {
     wire::encode_view(v, out);
 }
 
@@ -100,7 +123,7 @@ fn get_view_frame(buf: &mut &[u8]) -> Result<ViewFrame, CodecError> {
     Ok(frame)
 }
 
-fn put_packet_id(out: &mut BytesMut, id: &PacketId) {
+fn put_packet_id(out: &mut impl BufMut, id: &PacketId) {
     match id {
         PacketId::Data(s) => {
             out.put_u8(0);
@@ -152,7 +175,7 @@ fn get_packet_id(buf: &mut impl Buf) -> Result<PacketId, CodecError> {
     }
 }
 
-fn put_seq(out: &mut BytesMut, seq: &PacketSeq) {
+fn put_seq(out: &mut impl BufMut, seq: &PacketSeq) {
     out.put_u32_le(seq.len() as u32);
     for id in seq.ids() {
         put_packet_id(out, id);
@@ -162,7 +185,7 @@ fn put_seq(out: &mut BytesMut, seq: &PacketSeq) {
 /// Encode a strided view element-for-element — same bytes as
 /// materializing with [`SeqView::to_seq`] and calling [`put_seq`],
 /// without the intermediate copy.
-fn put_seq_view(out: &mut BytesMut, view: &SeqView) {
+fn put_seq_view(out: &mut impl BufMut, view: &SeqView) {
     out.put_u32_le(view.len() as u32);
     for id in view.iter() {
         put_packet_id(out, id);
@@ -178,7 +201,7 @@ fn get_seq(buf: &mut impl Buf) -> Result<PacketSeq, CodecError> {
     Ok(PacketSeq::from_ids(ids))
 }
 
-fn put_control(out: &mut BytesMut, c: &ControlPacket) {
+fn put_control(out: &mut impl BufMut, c: &ControlPacket) {
     out.put_u8(match c.kind {
         ControlKind::Activate => 0,
         ControlKind::Probe => 1,
@@ -280,9 +303,11 @@ pub fn encode_into(from: ActorId, msg: &Msg, out: &mut BytesMut) {
 }
 
 /// [`encode_into`] with a routing prefix: `[to: u32 LE]` then the
-/// ordinary frame. The ready-queue runtime's shard sockets carry frames
-/// for many tasks, and the 4-byte destination header lets the poll loop
-/// route a datagram to its mailbox before (and without) decoding it.
+/// ordinary frame — the payload of one bundle record. The live plane's
+/// receive socket carries frames for every task, and the 4-byte
+/// destination prefix lets the poll loop route a frame to its mailbox
+/// before (and without) decoding it. ([`BundleWriter::push`] writes the
+/// same bytes straight into the open bundle.)
 pub fn encode_routed_into(to: ActorId, from: ActorId, msg: &Msg, out: &mut BytesMut) {
     out.clear();
     out.put_u32_le(to.0);
@@ -291,7 +316,7 @@ pub fn encode_routed_into(to: ActorId, from: ActorId, msg: &Msg, out: &mut Bytes
 
 /// Append one `[from][kind][body]` frame (no clear — callers manage the
 /// buffer and any routing prefix).
-fn put_frame(from: ActorId, msg: &Msg, out: &mut BytesMut) {
+fn put_frame(from: ActorId, msg: &Msg, out: &mut impl BufMut) {
     out.put_u32_le(from.0);
     match msg {
         Msg::Request(r) => {
@@ -492,6 +517,154 @@ pub fn decode(frame: &[u8]) -> Result<(ActorId, Msg), CodecError> {
         t => return Err(CodecError::BadTag(t)),
     };
     Ok((from, msg))
+}
+
+/// Seal threshold of a bundle: one un-fragmented Ethernet UDP payload
+/// (1500 B MTU − 20 B IPv4 header − 8 B UDP header). A datagram exceeds
+/// it only when it holds a single frame that is larger by itself.
+pub const BUNDLE_MTU: usize = 1472;
+
+/// Largest routed frame a record can carry: the UDP/IPv4 payload limit
+/// (65 507 B) minus the record's own length prefix.
+pub const MAX_RECORD: usize = 65_507 - RECORD_PREFIX;
+
+/// Bytes of a record's `[len: u16]` prefix.
+const RECORD_PREFIX: usize = 2;
+/// Bytes of a routed frame's `[to: u32]` prefix.
+const ROUTE_PREFIX: usize = 4;
+
+/// Builds the outbound datagrams of one sender: an *open* bundle that
+/// records are appended to, and the list of *sealed* bundles waiting
+/// for the next batched send. Buffers are recycled, so the steady state
+/// allocates nothing.
+#[derive(Debug)]
+pub struct BundleWriter {
+    /// The open bundle (empty = none open).
+    open: Vec<u8>,
+    /// Sealed datagrams, oldest first.
+    sealed: Vec<Vec<u8>>,
+    spare: BufPool,
+}
+
+impl BundleWriter {
+    /// A writer that keeps up to `spare` emptied buffers for reuse.
+    pub fn new(spare: usize) -> BundleWriter {
+        BundleWriter {
+            open: Vec::new(),
+            sealed: Vec::new(),
+            spare: BufPool::new(spare),
+        }
+    }
+
+    /// Append `msg` as one record to the open bundle, encoded in place.
+    /// False (and nothing appended) when the frame exceeds
+    /// [`MAX_RECORD`] and so cannot travel in any datagram.
+    pub fn push(&mut self, to: ActorId, from: ActorId, msg: &Msg) -> bool {
+        self.push_with(|out| {
+            out.put_u32_le(to.0);
+            put_frame(from, msg, out);
+        })
+    }
+
+    /// [`BundleWriter::push`] for a routed frame already encoded
+    /// (`[to][from][kind][body]`); also refuses one too short to hold
+    /// its routing prefix, which no receiver would accept.
+    pub fn push_frame(&mut self, routed: &[u8]) -> bool {
+        self.push_with(|out| out.put_slice(routed))
+    }
+
+    fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> bool {
+        let open = &mut self.open;
+        let start = open.len();
+        open.put_slice(&[0; RECORD_PREFIX]);
+        write(open);
+        let len = open.len() - start - RECORD_PREFIX;
+        if !(ROUTE_PREFIX..=MAX_RECORD).contains(&len) {
+            open.truncate(start);
+            return false;
+        }
+        open[start..start + RECORD_PREFIX].copy_from_slice(&(len as u16).to_le_bytes());
+        if start > 0 && open.len() > BUNDLE_MTU {
+            // The record does not fit behind the earlier ones: they are
+            // sealed, and it opens the next bundle.
+            let mut next = self.spare.take();
+            next.extend_from_slice(&open[start..]);
+            open.truncate(start);
+            self.sealed.push(std::mem::replace(open, next));
+        }
+        true
+    }
+
+    /// Seal the open bundle (the caller is about to send).
+    pub fn seal(&mut self) {
+        if !self.open.is_empty() {
+            let next = self.spare.take();
+            self.sealed.push(std::mem::replace(&mut self.open, next));
+        }
+    }
+
+    /// The sealed datagrams, oldest first.
+    pub fn sealed(&self) -> &[Vec<u8>] {
+        &self.sealed
+    }
+
+    /// Forget the sealed datagrams (they were sent); their buffers go
+    /// back to the spare list.
+    pub fn recycle_sealed(&mut self) {
+        for buf in self.sealed.drain(..) {
+            self.spare.put(buf);
+        }
+    }
+}
+
+/// Iterator over the records of one received datagram; see
+/// [`split_bundle`].
+#[derive(Debug)]
+pub struct Records<'a> {
+    rest: &'a [u8],
+    done: bool,
+}
+
+/// Walk the records of a datagram: each item is `(to, frame)` — the
+/// destination task and the plain `[from][kind][body]` frame, still
+/// encoded — or the error that ends the walk. A record that is cut
+/// short, claims more bytes than the datagram holds, or is shorter than
+/// its routing prefix yields one `Err` and nothing after it; the records
+/// before it have already been yielded intact. An empty datagram is
+/// malformed (a bundle holds at least one record).
+pub fn split_bundle(datagram: &[u8]) -> Records<'_> {
+    Records {
+        rest: datagram,
+        done: false,
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = Result<(u32, &'a [u8]), CodecError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        self.done = true; // until this record proves well-formed
+        let Some((len, body)) = self.rest.split_first_chunk::<RECORD_PREFIX>() else {
+            return Some(Err(CodecError::Truncated));
+        };
+        let len = usize::from(u16::from_le_bytes(*len));
+        if len < ROUTE_PREFIX {
+            return Some(Err(CodecError::BadLength(len as u64)));
+        }
+        if body.len() < len {
+            return Some(Err(CodecError::Truncated));
+        }
+        let (routed, rest) = body.split_at(len);
+        let (to, frame) = routed
+            .split_first_chunk::<ROUTE_PREFIX>()
+            .expect("len >= ROUTE_PREFIX checked above");
+        self.rest = rest;
+        self.done = rest.is_empty();
+        Some(Ok((u32::from_le_bytes(*to), frame)))
+    }
 }
 
 #[cfg(test)]

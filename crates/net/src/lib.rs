@@ -3,11 +3,13 @@
 //! The simulator answers the paper's quantitative questions; this crate
 //! answers "does it actually run on real transports?" — the same
 //! `mss-core` actors, unchanged, hosted by [`live::LiveSession`]: peers
-//! are cooperative tasks on a ready-queue scheduler, I/O is a handful of
-//! shared nonblocking UDP loopback sockets driven by epoll with
-//! `recvmmsg`/`sendmmsg` batching, frames are encoded by the hand-rolled
-//! binary [`codec`] and delta-coded views are rebuilt per receiver
-//! ([`views`]); thousands of peers per box. Shutdown is
+//! are cooperative tasks on a ready-queue scheduler, I/O is one shared
+//! nonblocking UDP loopback receive socket driven by epoll plus a send
+//! socket per worker, with `recvmmsg`/`sendmmsg` batching; frames are
+//! encoded by the hand-rolled binary [`codec`] and travel many to a
+//! datagram (bundles sealed at one MTU, flushed before a worker would
+//! block), and delta-coded views are rebuilt per receiver ([`views`]);
+//! thousands of peers per box. Shutdown is
 //! completion-signaled through [`runtime::SessionControl`].
 //!
 //! ```no_run

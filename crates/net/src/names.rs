@@ -4,28 +4,44 @@
 //! hashing per batch or datagram); readers — the benchmark, the
 //! `live_scale` experiment, tests — look the same counters up by name
 //! through `Metrics::counter`.
+//!
+//! Two units appear below. A *datagram* is what one `sendmsg`/`recvmsg`
+//! slot moves and what the kernel drops: a bundle of one or more frames
+//! (see [`crate::codec`]). A *frame* is one encoded message, a record
+//! of a bundle. Bundle fill is frames ÷ datagrams, readable on either
+//! side (`net.tx_frames / net.tx_datagrams`, `net.rx_frames /
+//! net.rx_datagrams`).
 
 /// `recvmmsg` (or fallback) batches that returned at least one datagram.
 pub const RX_BATCHES: &str = "net.rx_batches";
-/// Datagrams received.
+/// Datagrams (bundles) received.
 pub const RX_DATAGRAMS: &str = "net.rx_datagrams";
-/// Largest receive batch.
+/// Frames (bundle records) routed to a mailbox.
+pub const RX_FRAMES: &str = "net.rx_frames";
+/// Largest receive batch, in datagrams.
 pub const RX_BATCH_MAX: &str = "net.rx_batch_max";
-/// Datagrams the kernel dropped at a full receive queue (`SO_RXQ_OVFL`).
+/// Datagrams (bundles — each may carry many frames) the kernel dropped
+/// at a full receive queue (`SO_RXQ_OVFL`).
 pub const RX_DROPPED: &str = "net.rx_dropped";
-/// Frames that failed to decode (truncated or corrupt) and were skipped.
+/// Malformed input, skipped: a bundle record that was truncated,
+/// overlong or shorter than its routing prefix (one count, and the rest
+/// of that datagram is discarded), or a frame its task could not decode.
 pub const RX_DECODE_ERR: &str = "net.rx_decode_err";
-/// Datagrams addressed to a task this session does not host.
+/// Frames addressed to a task this session does not host.
 pub const RX_UNROUTABLE: &str = "net.rx_unroutable";
-/// Deepest any task's mailbox got, in messages.
+/// Deepest any task's mailbox got, in frames.
 pub const MAILBOX_HWM: &str = "net.mailbox_hwm";
 /// `sendmmsg` (or fallback) calls made.
 pub const TX_BATCHES: &str = "net.tx_batches";
-/// Datagrams handed to the kernel.
+/// Datagrams (bundles) handed to the kernel.
 pub const TX_DATAGRAMS: &str = "net.tx_datagrams";
-/// Largest send burst.
+/// Frames (bundle records) written into datagrams.
+pub const TX_FRAMES: &str = "net.tx_frames";
+/// Largest send burst, in datagrams.
 pub const TX_BATCH_MAX: &str = "net.tx_batch_max";
-/// Datagrams the kernel refused.
+/// Sends that never reached the kernel: datagrams (bundles) it refused,
+/// plus — one count per frame — messages `LiveSession::loss` dropped
+/// before bundling and frames too large for any datagram.
 pub const TX_DROPPED: &str = "net.tx_dropped";
 /// Receive buffer the kernel granted per shard socket.
 pub const RCVBUF_BYTES: &str = "net.rcvbuf_bytes";
@@ -41,6 +57,7 @@ pub const VIEW_EDGES_TRACKED: &str = "net.view_edges_tracked";
 mss_sim::metric_ids! {
     rx_batches_id => RX_BATCHES;
     rx_datagrams_id => RX_DATAGRAMS;
+    rx_frames_id => RX_FRAMES;
     rx_batch_max_id => RX_BATCH_MAX;
     rx_dropped_id => RX_DROPPED;
     rx_decode_err_id => RX_DECODE_ERR;
@@ -48,6 +65,7 @@ mss_sim::metric_ids! {
     mailbox_hwm_id => MAILBOX_HWM;
     tx_batches_id => TX_BATCHES;
     tx_datagrams_id => TX_DATAGRAMS;
+    tx_frames_id => TX_FRAMES;
     tx_batch_max_id => TX_BATCH_MAX;
     tx_dropped_id => TX_DROPPED;
     rcvbuf_bytes_id => RCVBUF_BYTES;

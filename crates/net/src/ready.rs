@@ -12,7 +12,7 @@
 //! is the worker pool size, not the peer count.
 //!
 //! A mailbox holds *frames*, not messages: the poll thread appends each
-//! datagram's still-encoded bytes to the destination task's
+//! bundle record's still-encoded frame to the destination task's
 //! [`Mailbox`] and the worker that steps the task decodes them, one at
 //! a time, right before the handler runs. Every per-message allocation
 //! (the decoded view, the control shell, the packet payload) is thereby
@@ -22,10 +22,14 @@
 //! addressed to it.
 //!
 //! Outbound messages are not sent inline: each `Runtime::send` appends
-//! to a per-run outbox which the worker flushes once per task step
-//! through an [`OutboxSink`] — on the live plane that flush is a single
-//! `sendmmsg` burst (see [`crate::live`]), so a protocol fan-out from
-//! `send_coord_batch` maps onto one batched syscall.
+//! to a per-run outbox which the worker posts once per task step to an
+//! [`OutboxSink`]. The sink may hold them back — on the live plane it
+//! packs them into datagram bundles (see [`crate::live`]) that outlive
+//! the step — under one rule, kept by [`Scheduler::run_worker`]: a
+//! worker takes its next task with a non-blocking pop, and when that
+//! comes back empty it flushes the sink *before* it blocks. Nothing
+//! waits in a buffer while its worker sleeps; what a held-back message
+//! waits for is the tasks that were ready alongside its sender.
 //!
 //! Timers live in one shared min-heap ([`TimerService`]) drained by the
 //! poll thread; per-task generation-stamped [`TimerSlots`] give
@@ -130,7 +134,7 @@ impl Mailbox {
 /// the steady state allocates nothing here.
 #[derive(Default)]
 pub(crate) struct StepScratch {
-    /// Outbound messages of the current step, flushed as one burst.
+    /// Outbound messages of the current step, posted to the sink as one.
     outbox: Vec<(ActorId, Msg)>,
     /// The frame being decoded.
     frame: Vec<u8>,
@@ -286,10 +290,17 @@ impl TimerService {
         }
     }
 
-    /// Mark the poller awake (arms stop signaling) and drain the wake fd.
-    fn mark_awake(&self) {
+    /// Mark the poller awake (arms stop signaling). `woken` says the
+    /// last `epoll_wait` reported the wake fd readable: only then is
+    /// there a count to drain — an unconditional `read` is a syscall per
+    /// loop iteration that almost always returns `EAGAIN`. A signal that
+    /// lands after that `epoll_wait` returned is not lost: the fd is
+    /// level-triggered, so the next wait reports it at once.
+    fn mark_awake(&self, woken: bool) {
         self.next_wake.store(0, Ordering::Release);
-        self.wake.drain();
+        if woken {
+            self.wake.drain();
+        }
     }
 
     pub(crate) fn wake_fd(&self) -> &EventFd {
@@ -297,12 +308,17 @@ impl TimerService {
     }
 }
 
-/// Where a task step's outbound messages go. The live plane encodes and
-/// `sendmmsg`-bursts them; tests can loop them straight back into the
-/// scheduler.
+/// Where a task step's outbound messages go. The live plane encodes
+/// them into datagram bundles and `sendmmsg`-bursts those; tests
+/// substitute their own.
 pub(crate) trait OutboxSink {
-    /// Deliver every `(to, msg)` pair, draining `out`.
-    fn flush(&mut self, from: ActorId, out: &mut Vec<(ActorId, Msg)>, metrics: &mut Metrics);
+    /// Accept every `(to, msg)` pair of one task step, draining `out`.
+    /// The sink may hold them back until [`OutboxSink::flush`].
+    fn post(&mut self, from: ActorId, out: &mut Vec<(ActorId, Msg)>, metrics: &mut Metrics);
+
+    /// Put everything held back on the wire. [`Scheduler::run_worker`]
+    /// calls this whenever the worker is about to block.
+    fn flush(&mut self, metrics: &mut Metrics);
 }
 
 /// The blocking ready queue shared by all workers.
@@ -504,9 +520,36 @@ impl Scheduler {
         self.timers.publish_sleep(target)
     }
 
-    /// Mark the poll thread awake and drain its wake fd.
-    pub(crate) fn mark_awake(&self) {
-        self.timers.mark_awake();
+    /// See [`TimerService::mark_awake`].
+    pub(crate) fn mark_awake(&self, woken: bool) {
+        self.timers.mark_awake(woken);
+    }
+
+    /// One worker's whole life: step ready tasks through `sink` until
+    /// the session stops. The flush rule lives here — the sink is
+    /// flushed whenever the ready queue comes up empty, before the
+    /// worker blocks on it (and so also on the way out at shutdown).
+    pub(crate) fn run_worker(&self, sink: &mut dyn OutboxSink, metrics: &mut Metrics) {
+        let mut scratch = StepScratch::default();
+        while let Some(task) = self.try_next_task().or_else(|| {
+            sink.flush(metrics);
+            self.next_task()
+        }) {
+            self.run_step(task, sink, metrics, &mut scratch);
+        }
+    }
+
+    /// Worker-side non-blocking pop: `None` when nothing is ready right
+    /// now or the session stopped.
+    pub(crate) fn try_next_task(&self) -> Option<u32> {
+        if self.ctl.should_stop() {
+            return None;
+        }
+        self.queue
+            .q
+            .lock()
+            .expect("ready queue poisoned")
+            .pop_front()
     }
 
     /// Worker-side blocking pop. Returns `None` once the session stops.
@@ -536,8 +579,8 @@ impl Scheduler {
     }
 
     /// Run one scheduling turn of `task`: fire its due timers, decode
-    /// and handle up to [`STEP_BUDGET`] mailbox frames, flush the outbox
-    /// through `sink`, then yield (back to IDLE, or re-queued when work
+    /// and handle up to [`STEP_BUDGET`] mailbox frames, post the outbox
+    /// to `sink`, then yield (back to IDLE, or re-queued when work
     /// remains). Returns the number of events processed.
     pub(crate) fn run_step(
         &self,
@@ -631,10 +674,8 @@ impl Scheduler {
             }
         }
 
-        // One burst per scheduling turn: the whole fan-out of this step
-        // leaves in a single batched flush.
         if !outbox.is_empty() {
-            sink.flush(me, outbox, metrics);
+            sink.post(me, outbox, metrics);
         }
 
         // Yield: IDLE when drained, otherwise straight back on the queue.
@@ -690,8 +731,33 @@ impl Scheduler {
     }
 }
 
+/// Test doubles shared with the live plane's tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+
+    /// Sink that drops everything.
+    pub(crate) struct NullSink;
+    impl OutboxSink for NullSink {
+        fn post(&mut self, _f: ActorId, out: &mut Vec<(ActorId, Msg)>, _m: &mut Metrics) {
+            out.clear();
+        }
+        fn flush(&mut self, _m: &mut Metrics) {}
+    }
+
+    /// An accepting probe reply of the given wave.
+    pub(crate) fn reply(wave: u32) -> Msg {
+        Msg::Reply(mss_core::msg::ProbeReply {
+            from: mss_overlay::PeerId(0),
+            accept: true,
+            wave,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_support::{reply, NullSink};
     use super::*;
     use mss_sim::impl_as_any;
 
@@ -775,22 +841,6 @@ mod tests {
             self.timers += 1;
         }
         impl_as_any!();
-    }
-
-    /// Sink that drops everything (Echo never sends anyway).
-    struct NullSink;
-    impl OutboxSink for NullSink {
-        fn flush(&mut self, _f: ActorId, out: &mut Vec<(ActorId, Msg)>, _m: &mut Metrics) {
-            out.clear();
-        }
-    }
-
-    fn reply(wave: u32) -> Msg {
-        Msg::Reply(mss_core::msg::ProbeReply {
-            from: mss_overlay::PeerId(0),
-            accept: true,
-            wave,
-        })
     }
 
     /// One started Echo task, its `on_start` turn already run.
@@ -885,6 +935,64 @@ mod tests {
         assert_eq!(sched.run_step(t, &mut NullSink, &mut m, &mut scratch), 4);
         assert_eq!(m.counter(names::RX_DECODE_ERR), 3);
         assert_eq!(echo_of(&sched).waves, [5], "the good frame still lands");
+    }
+
+    /// Sink standing in for the wire: `post` holds every message back,
+    /// `flush` releases what is held onto a channel.
+    struct HoldingSink {
+        held: usize,
+        wire: std::sync::mpsc::Sender<usize>,
+    }
+    impl OutboxSink for HoldingSink {
+        fn post(&mut self, _f: ActorId, out: &mut Vec<(ActorId, Msg)>, _m: &mut Metrics) {
+            self.held += out.drain(..).count();
+        }
+        fn flush(&mut self, _m: &mut Metrics) {
+            if self.held > 0 {
+                self.wire.send(self.held).expect("test still listening");
+                self.held = 0;
+            }
+        }
+    }
+
+    /// Sends one message when started, then nothing.
+    struct Shouter;
+    impl Actor<Msg> for Shouter {
+        fn on_start(&mut self, rt: &mut dyn Runtime<Msg>) {
+            rt.send(ActorId(0), reply(9));
+        }
+        fn on_message(&mut self, _rt: &mut dyn Runtime<Msg>, _from: ActorId, _msg: Msg) {}
+        impl_as_any!();
+    }
+
+    /// The flush rule: the only ready task sends one frame; its worker
+    /// then finds the queue empty and must flush before it blocks, so
+    /// the frame is on the wire while the session is still running — not
+    /// at the next send, not at shutdown.
+    #[test]
+    fn a_lone_frame_is_on_the_wire_before_the_worker_blocks() {
+        let ctl = Arc::new(SessionControl::new());
+        let sched = Scheduler::new(
+            vec![Box::new(Shouter)],
+            1,
+            Instant::now(),
+            Arc::clone(&ctl),
+            None,
+        )
+        .unwrap();
+        let (wire, on_wire) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let sched = &sched;
+            let worker = scope.spawn(move || {
+                sched.run_worker(&mut HoldingSink { held: 0, wire }, &mut Metrics::new())
+            });
+            sched.seed_all();
+            assert_eq!(on_wire.recv_timeout(Duration::from_secs(10)), Ok(1));
+            ctl.request_stop();
+            sched.wake_workers();
+            worker.join().expect("worker panicked");
+        });
+        assert!(on_wire.try_recv().is_err(), "nothing was left for shutdown");
     }
 
     /// A task that refuses every prober, as a claimed TCoP peer does.

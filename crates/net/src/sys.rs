@@ -38,9 +38,28 @@ pub(crate) fn mmsg_enabled() -> bool {
 
 /// One received datagram: filled length and kernel-reported drop count
 /// (cumulative per socket, from `SO_RXQ_OVFL`; 0 when unsupported).
+#[derive(Clone, Default)]
 pub(crate) struct RxMeta {
     pub len: usize,
     pub rxq_ovfl: u32,
+}
+
+/// A send destination, converted to the kernel's address form once
+/// (when the sender is set up) instead of once per datagram.
+pub(crate) struct Dest {
+    addr: std::net::SocketAddr,
+    #[cfg(target_os = "linux")]
+    raw: linux::SockAddrIn,
+}
+
+impl Dest {
+    pub(crate) fn new(addr: std::net::SocketAddr) -> Dest {
+        Dest {
+            addr,
+            #[cfg(target_os = "linux")]
+            raw: linux::sockaddr_of(addr),
+        }
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -58,7 +77,7 @@ mod linux {
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    struct SockAddrIn {
+    pub(super) struct SockAddrIn {
         family: u16,
         port_be: u16,
         addr_be: u32,
@@ -123,7 +142,7 @@ mod linux {
         fn close(fd: CInt) -> CInt;
     }
 
-    fn sockaddr_of(addr: std::net::SocketAddr) -> SockAddrIn {
+    pub(super) fn sockaddr_of(addr: std::net::SocketAddr) -> SockAddrIn {
         let std::net::SocketAddr::V4(v4) = addr else {
             // The live plane binds IPv4 loopback only.
             panic!("live plane sockets are IPv4");
@@ -162,8 +181,10 @@ mod linux {
             Ok(())
         }
 
-        /// Wait up to `timeout_ms` (-1 = forever); returns ready tokens.
+        /// Wait up to `timeout_ms` (-1 = forever); `out` holds exactly the
+        /// tokens this call found ready (none after a signal interrupt).
         pub(crate) fn wait(&self, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<()> {
+            out.clear();
             let mut evs = [EpollEvent { events: 0, data: 0 }; 16];
             let n = unsafe { epoll_wait(self.fd, evs.as_mut_ptr(), evs.len() as CInt, timeout_ms) };
             if n < 0 {
@@ -173,7 +194,6 @@ mod linux {
                 }
                 return Err(e);
             }
-            out.clear();
             for ev in &evs[..n as usize] {
                 out.push(ev.data);
             }
@@ -265,17 +285,22 @@ mod linux {
     }
 
     /// Batched datagram I/O over one socket. Owns the parallel syscall
-    /// arrays so per-flush setup is pointer fills, not allocation.
+    /// arrays, sized once for the larger of the two batch bounds, so a
+    /// call is pointer fills, not allocation. The raw pointers in `iovs`
+    /// and `hdrs` are rewritten by every call before the kernel reads
+    /// them and never dereferenced otherwise.
     pub(crate) struct BatchSocket {
         fd: CInt,
         use_mmsg: bool,
-        // recvmmsg scratch (parallel arrays, rebuilt cheaply per call).
         ctrl: Vec<[u8; CMSG_SPACE]>,
         names: Vec<SockAddrIn>,
+        iovs: Vec<IoVec>,
+        hdrs: Vec<MMsgHdr>,
     }
 
     impl BatchSocket {
         pub(crate) fn new(sock: &UdpSocket, use_mmsg: bool) -> BatchSocket {
+            let cap = RX_BATCH.max(TX_BATCH);
             BatchSocket {
                 fd: sock.as_raw_fd(),
                 use_mmsg,
@@ -289,6 +314,35 @@ mod linux {
                     };
                     RX_BATCH
                 ],
+                iovs: Vec::with_capacity(cap),
+                hdrs: Vec::with_capacity(cap),
+            }
+        }
+
+        /// Point `hdrs[i]` at `iovs[i]` for every filled iovec, with the
+        /// name and control buffers `name_ctrl(i)` supplies.
+        fn fill_hdrs(
+            &mut self,
+            mut name_ctrl: impl FnMut(usize) -> (*mut SockAddrIn, *mut u8, usize),
+        ) {
+            self.hdrs.clear();
+            let iovs = self.iovs.as_mut_ptr();
+            for i in 0..self.iovs.len() {
+                let (name, control, controllen) = name_ctrl(i);
+                self.hdrs.push(MMsgHdr {
+                    hdr: MsgHdr {
+                        name,
+                        namelen: std::mem::size_of::<SockAddrIn>() as u32,
+                        // SAFETY: `i < iovs.len()`, so the offset stays
+                        // inside the vector's allocation.
+                        iov: unsafe { iovs.add(i) },
+                        iovlen: 1,
+                        control,
+                        controllen,
+                        flags: 0,
+                    },
+                    len: 0,
+                });
             }
         }
 
@@ -305,37 +359,18 @@ mod linux {
                 return fallback_recv(sock, bufs, meta);
             }
             let vlen = bufs.len().min(RX_BATCH);
-            let mut iovs: Vec<IoVec> = bufs[..vlen]
-                .iter_mut()
-                .map(|b| IoVec {
-                    base: b.as_mut_ptr(),
-                    len: b.capacity(),
-                })
-                .collect();
-            let mut hdrs: Vec<MMsgHdr> = Vec::with_capacity(vlen);
-            for ((iov, name), ctrl) in iovs
-                .iter_mut()
-                .zip(self.names.iter_mut())
-                .zip(self.ctrl.iter_mut())
-                .take(vlen)
-            {
-                hdrs.push(MMsgHdr {
-                    hdr: MsgHdr {
-                        name,
-                        namelen: std::mem::size_of::<SockAddrIn>() as u32,
-                        iov,
-                        iovlen: 1,
-                        control: ctrl.as_mut_ptr(),
-                        controllen: CMSG_SPACE,
-                        flags: 0,
-                    },
-                    len: 0,
-                });
-            }
+            self.iovs.clear();
+            self.iovs.extend(bufs[..vlen].iter_mut().map(|b| IoVec {
+                base: b.as_mut_ptr(),
+                len: b.capacity(),
+            }));
+            let (names, ctrl) = (self.names.as_mut_ptr(), self.ctrl.as_mut_ptr());
+            // SAFETY: `i < vlen <= RX_BATCH`, the length of both arrays.
+            self.fill_hdrs(|i| unsafe { (names.add(i), ctrl.add(i).cast(), CMSG_SPACE) });
             let n = unsafe {
                 recvmmsg(
                     self.fd,
-                    hdrs.as_mut_ptr(),
+                    self.hdrs.as_mut_ptr(),
                     vlen as u32,
                     MSG_DONTWAIT,
                     std::ptr::null_mut(),
@@ -350,64 +385,52 @@ mod linux {
             }
             let n = n as usize;
             for i in 0..n {
-                // SAFETY: the kernel wrote hdrs[i].len bytes into bufs[i],
+                let hdr = &self.hdrs[i];
+                // SAFETY: the kernel wrote hdr.len bytes into bufs[i],
                 // whose capacity we advertised in the iovec.
-                unsafe { bufs[i].set_len(hdrs[i].len as usize) };
+                unsafe { bufs[i].set_len(hdr.len as usize) };
                 meta[i] = RxMeta {
-                    len: hdrs[i].len as usize,
-                    rxq_ovfl: parse_rxq_ovfl(&self.ctrl[i], hdrs[i].hdr.controllen),
+                    len: hdr.len as usize,
+                    rxq_ovfl: parse_rxq_ovfl(&self.ctrl[i], hdr.hdr.controllen),
                 };
             }
             Ok(n)
         }
 
-        /// Send `frames[i]` to `dests[i]` for every `i`, batched
-        /// `TX_BATCH` at a time (the two slices are parallel, so callers
-        /// keep both as reusable buffers). Returns datagrams handed to
-        /// the kernel and syscalls used.
+        /// Send every datagram to `dest`, batched `TX_BATCH` at a time.
+        /// Returns datagrams handed to the kernel and syscalls used.
         pub(crate) fn send_batch<B: AsRef<[u8]>>(
             &mut self,
             sock: &UdpSocket,
-            dests: &[std::net::SocketAddr],
-            frames: &[B],
+            dest: &Dest,
+            datagrams: &[B],
         ) -> io::Result<(usize, usize)> {
-            debug_assert_eq!(dests.len(), frames.len());
             if !self.use_mmsg {
-                return fallback_send(sock, dests, frames);
+                return fallback_send(sock, dest, datagrams);
             }
             let mut sent = 0usize;
             let mut calls = 0usize;
-            for (dests, frames) in dests.chunks(TX_BATCH).zip(frames.chunks(TX_BATCH)) {
-                let chunk = dests.len();
-                let mut names: Vec<SockAddrIn> = dests.iter().map(|a| sockaddr_of(*a)).collect();
-                let mut iovs: Vec<IoVec> = frames
-                    .iter()
-                    .map(|b| IoVec {
-                        base: b.as_ref().as_ptr() as *mut u8,
-                        len: b.as_ref().len(),
-                    })
-                    .collect();
-                let mut hdrs: Vec<MMsgHdr> = Vec::with_capacity(chunk);
-                for i in 0..chunk {
-                    hdrs.push(MMsgHdr {
-                        hdr: MsgHdr {
-                            name: &mut names[i],
-                            namelen: std::mem::size_of::<SockAddrIn>() as u32,
-                            iov: &mut iovs[i],
-                            iovlen: 1,
-                            control: std::ptr::null_mut(),
-                            controllen: 0,
-                            flags: 0,
-                        },
-                        len: 0,
-                    });
-                }
+            for chunk in datagrams.chunks(TX_BATCH) {
+                self.iovs.clear();
+                self.iovs.extend(chunk.iter().map(|b| IoVec {
+                    // The kernel only reads a send buffer.
+                    base: b.as_ref().as_ptr().cast_mut(),
+                    len: b.as_ref().len(),
+                }));
+                // Nor does it write a destination address.
+                let name: *const SockAddrIn = &dest.raw;
+                self.fill_hdrs(|_| (name.cast_mut(), std::ptr::null_mut(), 0));
                 // The tx socket is blocking: a full send buffer throttles
                 // the worker (backpressure) instead of dropping.
                 let mut done = 0usize;
-                while done < chunk {
+                while done < chunk.len() {
                     let n = unsafe {
-                        sendmmsg(self.fd, hdrs[done..].as_mut_ptr(), (chunk - done) as u32, 0)
+                        sendmmsg(
+                            self.fd,
+                            self.hdrs[done..].as_mut_ptr(),
+                            (chunk.len() - done) as u32,
+                            0,
+                        )
                     };
                     calls += 1;
                     if n < 0 {
@@ -481,16 +504,16 @@ fn fallback_recv(sock: &UdpSocket, bufs: &mut [Vec<u8>], meta: &mut [RxMeta]) ->
 /// One `send_to` per datagram (portable / forced-fallback path).
 fn fallback_send<B: AsRef<[u8]>>(
     sock: &UdpSocket,
-    dests: &[std::net::SocketAddr],
-    frames: &[B],
+    dest: &Dest,
+    datagrams: &[B],
 ) -> io::Result<(usize, usize)> {
     let mut sent = 0;
-    for (addr, frame) in dests.iter().zip(frames) {
-        if sock.send_to(frame.as_ref(), addr).is_ok() {
+    for datagram in datagrams {
+        if sock.send_to(datagram.as_ref(), dest.addr).is_ok() {
             sent += 1;
         }
     }
-    Ok((sent, dests.len().max(1)))
+    Ok((sent, datagrams.len().max(1)))
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -566,10 +589,10 @@ mod portable {
         pub(crate) fn send_batch<B: AsRef<[u8]>>(
             &mut self,
             sock: &UdpSocket,
-            dests: &[std::net::SocketAddr],
-            frames: &[B],
+            dest: &Dest,
+            datagrams: &[B],
         ) -> io::Result<(usize, usize)> {
-            fallback_send(sock, dests, frames)
+            fallback_send(sock, dest, datagrams)
         }
     }
 }
@@ -596,23 +619,16 @@ mod tests {
         let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.set_nonblocking(true).unwrap();
         let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let dst = rx.local_addr().unwrap();
+        let dst = Dest::new(rx.local_addr().unwrap());
         let mut btx = BatchSocket::new(&tx, mmsg_enabled());
         let frames: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 32 + i as usize]).collect();
-        let (sent, calls) = btx
-            .send_batch(&tx, &vec![dst; frames.len()], &frames)
-            .unwrap();
+        let (sent, calls) = btx.send_batch(&tx, &dst, &frames).unwrap();
         assert_eq!(sent, 10);
         assert!(calls >= 1);
 
         let mut brx = BatchSocket::new(&rx, mmsg_enabled());
         let mut bufs: Vec<Vec<u8>> = (0..RX_BATCH).map(|_| Vec::with_capacity(2048)).collect();
-        let mut meta: Vec<RxMeta> = (0..RX_BATCH)
-            .map(|_| RxMeta {
-                len: 0,
-                rxq_ovfl: 0,
-            })
-            .collect();
+        let mut meta = vec![RxMeta::default(); RX_BATCH];
         let mut got = 0;
         for _ in 0..200 {
             let n = brx.recv_batch(&rx, &mut bufs, &mut meta).unwrap();

@@ -1,18 +1,40 @@
-//! The same DCoP state machines, running on real worker threads, a wall
-//! clock and UDP loopback sockets instead of the simulator — hosted by
-//! `LiveSession`, first on clean links, then with 3 % of every peer's
-//! sends dropped and NACK repair closing the gaps.
+//! The same protocol state machines, running on real worker threads, a
+//! wall clock and UDP loopback sockets instead of the simulator — hosted
+//! by `LiveSession`.
+//!
+//! Without an argument: DCoP at n = 8, first on clean links, then with
+//! 3 % of every peer's sends dropped and NACK repair closing the gaps.
+//! With a population (`-- 10000`): one `SessionConfig::live(n, 8, 7)`
+//! session per coordination protocol, to read the wire off — how many
+//! frames each datagram carried (bundle fill), drops, decode errors.
 //!
 //! ```text
-//! cargo run --release --example live_session
+//! cargo run --release --example live_session [-- n]
 //! ```
 
 use std::time::{Duration, Instant};
 
 use mss::core::prelude::*;
-use mss::net::LiveSession;
+use mss::net::{names, LiveOutcome, LiveSession};
 
-fn main() {
+/// Frames ÷ datagrams on each side of the wire.
+fn bundle_fill(out: &LiveOutcome) -> String {
+    let m = &out.metrics;
+    let fill = |frames, datagrams| {
+        let (f, d) = (m.counter(frames), m.counter(datagrams));
+        format!(
+            "{f} frames / {d} datagrams = {:.1}",
+            f as f64 / d.max(1) as f64
+        )
+    };
+    format!(
+        "tx {}, rx {}",
+        fill(names::TX_FRAMES, names::TX_DATAGRAMS),
+        fill(names::RX_FRAMES, names::RX_DATAGRAMS)
+    )
+}
+
+fn small_demo() {
     let mut cfg = SessionConfig::small(8, 3, 7);
     cfg.content = ContentDesc::small(3, 120);
     cfg.repair = Some(mss::core::config::RepairConfig::default());
@@ -31,16 +53,50 @@ fn main() {
             .expect("live session");
         println!(
             "{label}: activated {}/{} peers, complete={}, missing={}, \
-             {} coordination msgs, {} sends dropped ({:.0} ms wall)",
+             {} coordination msgs, {} sends dropped ({:.0} ms wall)\n               {}",
             out.activated,
             cfg.n,
             out.complete,
             out.missing,
             out.coord_msgs,
-            out.metrics.counter(mss::net::names::TX_DROPPED),
-            t0.elapsed().as_secs_f64() * 1e3
+            out.metrics.counter(names::TX_DROPPED),
+            t0.elapsed().as_secs_f64() * 1e3,
+            bundle_fill(&out)
         );
         assert!(out.complete, "live session failed to stream");
     }
     println!("\nsame protocol code as the simulator — swap the Runtime, keep the state machines.");
+}
+
+fn population(n: usize) {
+    println!("live sessions at n = {n} (H = 8, loopback UDP)\n");
+    for protocol in [Protocol::Dcop, Protocol::Tcop] {
+        let cfg = SessionConfig::live(n, 8, 7);
+        let budget = Duration::from_millis(8_000 + 40 * n as u64);
+        let out = LiveSession::new(cfg, protocol, budget)
+            .run()
+            .expect("live session");
+        let m = &out.metrics;
+        println!(
+            "{:<5}: activated {}/{n}, complete={}, done in {:.0} ms, {} coordination msgs\n       \
+             {}\n       rx_dropped {}, rx_decode_err {}, view_resync_fallbacks {}",
+            protocol.name(),
+            out.activated,
+            out.complete,
+            out.time_to_done.map_or(f64::NAN, |d| d.as_secs_f64() * 1e3),
+            out.coord_msgs,
+            bundle_fill(&out),
+            m.counter(names::RX_DROPPED),
+            m.counter(names::RX_DECODE_ERR),
+            m.counter(names::VIEW_RESYNC_FALLBACKS),
+        );
+        assert!(out.complete, "live session failed to stream");
+    }
+}
+
+fn main() {
+    match std::env::args().nth(1) {
+        None => small_demo(),
+        Some(n) => population(n.parse().expect("population must be a number")),
+    }
 }

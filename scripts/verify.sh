@@ -48,19 +48,24 @@ cargo run --release -q -p mss-harness -- shardcheck >/dev/null
 echo "==> live-plane smoke (loopback UDP, time-bounded, mmsg + fallback)"
 # The ready-queue runtime's own tests host real loopback sessions
 # (DCoP, TCoP, a baseline, 3 % injected send loss closed by parity +
-# NACK repair, the forced single-syscall fallback, and the ignored
-# n=5000 beyond-the-old-bitmap-cap smoke that only the adaptive view
-# codec makes hostable); `timeout` bounds the step so a wedged poll
-# loop fails the gate instead of hanging it. The same tests assert the
+# NACK repair, the forced single-syscall fallback, TCoP on two workers
+# — per-edge order across workers' bundles — and the ignored n=5000
+# beyond-the-old-bitmap-cap smoke that only the adaptive view codec
+# makes hostable); `timeout` bounds the step so a wedged poll loop
+# fails the gate instead of hanging it. The same tests assert the
 # receive-side view lifetime (`net.view_edges_tracked` 0 for DCoP, <= n
 # for TCoP; `net.view_resync_fallbacks` and `net.rx_decode_err` 0), so
 # a snapshot or frame that outlives its reader fails this step on both
-# paths. The MSS_NO_MMSG=1 pass proves the sendmmsg/recvmmsg fallback
+# paths. `--test bundle` is the datagram format under hostile input
+# (round trip, every truncation point, malformed records, golden
+# bytes). The MSS_NO_MMSG=1 pass proves the sendmmsg/recvmmsg fallback
 # stays live on kernels without the batched syscalls.
-timeout 300 cargo test --release -q -p mss-net --lib live -- --include-ignored \
-    || { echo "verify.sh: live-plane smoke failed" >&2; exit 1; }
-MSS_NO_MMSG=1 timeout 300 cargo test --release -q -p mss-net --lib live -- --include-ignored \
-    || { echo "verify.sh: live-plane fallback smoke failed" >&2; exit 1; }
+live_plane() {
+    timeout 300 cargo test --release -q -p mss-net --lib live -- --include-ignored \
+        && timeout 60 cargo test --release -q -p mss-net --test bundle
+}
+live_plane || { echo "verify.sh: live-plane smoke failed" >&2; exit 1; }
+MSS_NO_MMSG=1 live_plane || { echo "verify.sh: live-plane fallback smoke failed" >&2; exit 1; }
 
 echo "==> large-world smoke (n=10^4, 2 shards, time-bounded)"
 # Exercises the compact memory plane end to end: the example asserts

@@ -1,6 +1,6 @@
 //! Simulator vs live host: the identical protocol state machines run on
 //! the deterministic discrete-event simulator (one world and sharded)
-//! and on the ready-queue runtime over UDP loopback (shared sockets,
+//! and on the ready-queue runtime over UDP loopback (bundled datagrams,
 //! `recvmmsg`/`sendmmsg` batching) — and agree on the protocol's
 //! observable outcomes (coverage, completion, coordination volume class).
 
@@ -135,6 +135,12 @@ fn live_tcop_snapshots_die_with_their_readers() {
     let probes = m.counter("coord.bytes_tx.probe");
     let tracked = m.counter("net.view_edges_tracked");
     assert!(probes > 0, "the session must have probed");
+    // Those deltas crossed the wire bundled, many frames to a datagram.
+    let (frames, datagrams) = (m.counter("net.tx_frames"), m.counter("net.tx_datagrams"));
+    assert!(
+        frames > datagrams,
+        "{frames} frames in {datagrams} datagrams"
+    );
     assert!(
         tracked <= n as u64,
         "{tracked} snapshots outlived their readers (n = {n})"
