@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
-use crate::msg::{ContentRequest, ControlKind, ControlPacket, Msg};
+use crate::msg::{ContentRequest, ControlBody, ControlKind, Msg, ViewWire};
 use crate::peer_core::{Core, PeerReport, TAG_SEND, TAG_SWITCH};
 use crate::schedule::{initial_assignment_opts, TxSchedule};
 use mss_media::PacketSeq;
@@ -61,36 +61,33 @@ impl BroadcastPeer {
         self.core.adopt(ctx, assignment);
         self.core.record_activation(ctx, req.wave);
         // Group-communication state exchange with every other peer.
-        let view = Arc::new(self.core.piggyback_view(&[]));
-        let empty = mss_media::SeqView::empty();
+        let body = Arc::new(ControlBody {
+            kind: ControlKind::Announce,
+            from: self.core.me,
+            wave: req.wave,
+            view: Arc::new(self.core.piggyback_view(&[])),
+            // Each peer announces to every other peer exactly once.
+            view_wire: ViewWire::full(),
+            sched: mss_media::SeqView::empty(),
+            pos: 0,
+            interval_nanos: req.interval_nanos,
+            mark_delta_nanos: 0,
+            parts: 0,
+            h: req.h,
+            fanout: req.fanout,
+            basis: None,
+        });
         let me = self.core.me;
         let peers: Vec<PeerId> = self.core.dir.peers().filter(|p| *p != me).collect();
         for peer in peers {
-            let msg = ControlPacket {
-                kind: ControlKind::Announce,
-                from: me,
-                wave: req.wave,
-                view: view.clone(),
-                sched: empty.clone(),
-                pos: 0,
-                interval_nanos: req.interval_nanos,
-                mark_delta_nanos: 0,
-                part: 0,
-                parts: 0,
-                h: req.h,
-                fanout: req.fanout,
-                basis: None,
-                // Each peer announces to every other peer exactly once.
-                view_wire: crate::msg::ViewWire::full(),
-            };
             let to = self.core.dir.actor_of(peer);
-            self.core.send_coord(ctx, to, Msg::control(msg));
+            self.core.send_coord(ctx, to, Msg::control(&body, 0));
         }
         self.maybe_switch(ctx);
     }
 
-    fn on_announce(&mut self, ctx: &mut dyn Runtime<Msg>, c: ControlPacket) {
-        self.core.learn_peer(c.from);
+    fn on_announce(&mut self, ctx: &mut dyn Runtime<Msg>, from: PeerId) {
+        self.core.learn_peer(from);
         self.heard += 1;
         self.maybe_switch(ctx);
     }
@@ -127,7 +124,9 @@ impl Actor<Msg> for BroadcastPeer {
     fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, _from: ActorId, msg: Msg) {
         match msg {
             Msg::Request(req) => self.on_request(ctx, *req),
-            Msg::Control(c) if c.kind == ControlKind::Announce => self.on_announce(ctx, *c),
+            Msg::Control(c) if c.body.kind == ControlKind::Announce => {
+                self.on_announce(ctx, c.body.from)
+            }
             Msg::Nack(n) => self.core.on_nack(ctx, &n),
             _ => {}
         }

@@ -16,10 +16,10 @@ use std::sync::Arc;
 use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
-use crate::msg::{ContentRequest, ControlKind, ControlPacket, Msg};
+use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, ViewWire};
 use crate::peer_core::{Core, PeerReport, TAG_SEND, TAG_SWITCH};
 use crate::plane::{PlanePeer, RoundShared};
-use crate::schedule::{derived_assignment_opts, DivisionBasis};
+use crate::schedule::DivisionBasis;
 use mss_overlay::{Directory, PeerId};
 
 /// A contents peer running DCoP.
@@ -67,7 +67,8 @@ impl DcopPeer {
         shared: &mut RoundShared,
         c: &ControlPacket,
     ) {
-        if c.kind != ControlKind::Activate {
+        let b = &*c.body;
+        if b.kind != ControlKind::Activate {
             // DCoP speaks only `Activate`; anything else (a misrouted
             // probe, commit or announce) is dropped — and counted, so the
             // drop is observable — instead of being misread as an
@@ -75,30 +76,13 @@ impl DcopPeer {
             self.core.count_unexpected_control(ctx);
             return;
         }
-        self.core.learn(c);
-        // An in-session packet carries the parent's pre-derived division
-        // basis; a wire-decoded one doesn't, and the child re-derives it
-        // from the recipe — identical by `DivisionBasis`'s contract.
-        let assignment = match &c.basis {
-            Some(b) => b.assign(c.parts as usize, c.part as usize),
-            None => derived_assignment_opts(
-                &c.sched,
-                c.pos as usize,
-                c.interval_nanos,
-                c.mark_delta_nanos,
-                c.h as usize,
-                c.parts as usize,
-                c.part as usize,
-                self.core.cfg.reenhance,
-                self.core.cfg.tail_parity,
-                self.core.cfg.coding,
-            ),
-        };
+        self.core.learn(b);
+        let assignment = self.core.control_assignment(c);
         let was_active = self.core.active;
         self.core.adopt(ctx, assignment);
-        self.core.record_activation(ctx, c.wave);
+        self.core.record_activation(ctx, b.wave);
         if !was_active || self.core.cfg.reselect_on_every_control {
-            self.select_and_spawn(ctx, shared, c.wave + 1);
+            self.select_and_spawn(ctx, shared, b.wave + 1);
         }
     }
 
@@ -139,9 +123,9 @@ impl DcopPeer {
             let (b, p, d) = self.core.effective_basis();
             (b.seq.clone(), p as u32, d, b.interval_nanos, !was_pending)
         };
-        // One derivation for the whole fan-out: each child gets the basis
-        // in its control packet and deals out its own part, instead of
-        // all `parts` peers repeating the mark/re-enhance computation.
+        // One derivation and one body for the whole fan-out: each child
+        // gets a handle on it and deals out its own part, instead of all
+        // `parts` peers repeating the mark/re-enhance computation.
         let basis = DivisionBasis::derive(
             &sched,
             pos as usize,
@@ -152,32 +136,33 @@ impl DcopPeer {
             self.core.cfg.tail_parity,
             self.core.cfg.coding,
         );
-        debug_assert!(shared.outbox.is_empty());
-        for (j, child) in children.iter().enumerate() {
-            let packet = ControlPacket {
-                kind: ControlKind::Activate,
-                from: self.core.me,
-                wave,
-                view: view.clone(),
-                sched: sched.clone(),
-                pos,
-                interval_nanos: interval,
-                mark_delta_nanos: mark_delta,
-                part: (j + 1) as u32,
-                parts: parts as u32,
-                h: h as u32,
-                fanout: fanout as u32,
-                basis: Some(basis.clone()),
-                // DCoP activates an edge exactly once — every contact
-                // is first contact, so the view always travels in full.
-                view_wire: crate::msg::ViewWire::full(),
-            };
-            let to = self.core.dir.actor_of(*child);
-            shared.outbox.push((to, Msg::control(packet)));
-        }
-        self.core.send_coord_batch(ctx, &mut shared.outbox);
         // The parent keeps part 0 of the same division, switching at δ.
         let own = basis.assign(parts, 0);
+        let body = Arc::new(ControlBody {
+            kind: ControlKind::Activate,
+            from: self.core.me,
+            wave,
+            view,
+            // DCoP activates an edge exactly once — every contact is
+            // first contact, so the view always travels in full.
+            view_wire: ViewWire::full(),
+            sched,
+            pos,
+            interval_nanos: interval,
+            mark_delta_nanos: mark_delta,
+            parts: parts as u32,
+            h: h as u32,
+            fanout: fanout as u32,
+            basis: Some(basis),
+        });
+        debug_assert!(shared.outbox.is_empty());
+        for (j, child) in children.iter().enumerate() {
+            let to = self.core.dir.actor_of(*child);
+            shared
+                .outbox
+                .push((to, Msg::control(&body, (j + 1) as u32)));
+        }
+        self.core.send_coord_batch(ctx, &mut shared.outbox);
         let live_mark = basis_is_live
             .then(|| crate::schedule::mark_position(pos as usize, interval, mark_delta));
         self.core.arm_switch(ctx, own, live_mark);
@@ -194,10 +179,7 @@ impl PlanePeer for DcopPeer {
     ) {
         match msg {
             Msg::Request(req) => self.on_request(ctx, shared, *req),
-            Msg::Control(c) => {
-                self.on_control(ctx, shared, &c);
-                crate::msg::recycle_control(c);
-            }
+            Msg::Control(c) => self.on_control(ctx, shared, &c),
             Msg::Nack(n) => self.core.on_nack(ctx, &n),
             _ => {}
         }

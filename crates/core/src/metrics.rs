@@ -105,7 +105,7 @@ pub fn coord_kind_index(msg: &crate::msg::Msg) -> usize {
     use crate::msg::{ControlKind, Msg};
     match msg {
         Msg::Request(_) => 0,
-        Msg::Control(c) => match c.kind {
+        Msg::Control(c) => match c.body.kind {
             ControlKind::Activate => 1,
             ControlKind::Probe => 2,
             ControlKind::Commit => 3,

@@ -16,6 +16,18 @@
 //! [`Msg::model_size`] reproduces the seed's fixed `n/8`-bit-bitmap
 //! paper model — the historical `coord.bytes` accounting Figures 10/11
 //! keep for continuity.
+//!
+//! # One fan-out, one control body
+//!
+//! A parent that selects `H` children tells each of them the same
+//! thing — its view, `SEQ`, rate, `h`, `H` — and a different part
+//! index. The control packet is split along that line: a
+//! [`ControlBody`] is built once per `Select` and is immutable once
+//! sent (it sits behind an `Arc`; mutating it after a send does not
+//! compile), and the [`ControlPacket`] a message carries is the 16-byte
+//! handle `{ body, part }`, inline in [`Msg::Control`]. A fan-out is one
+//! allocation, one refcount bump per child, and one free when the last
+//! child has handled it — on whichever thread that is.
 
 use std::sync::Arc;
 
@@ -49,7 +61,7 @@ pub struct ContentRequest {
     pub weights: Option<Arc<[u64]>>,
 }
 
-/// What role a [`ControlPacket`] plays.
+/// What role a control packet plays.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ControlKind {
     /// DCoP control packet: activates (or re-assigns) the child
@@ -67,12 +79,12 @@ pub enum ControlKind {
 
 /// How a control packet's view travels on the wire.
 ///
-/// The in-memory [`ControlPacket::view`] is always the complete
+/// The in-memory [`ControlBody::view`] is always the complete
 /// piggyback set — every handler, simulated or live, sees the same full
 /// view. `ViewWire` only selects the *encoding*: a first contact ships
-/// the full (adaptively encoded) set under a fresh per-edge epoch; a
-/// follow-up on a tracked edge (TCoP's probe → commit) ships only the
-/// ids the view gained since the epoch-stamped snapshot. Receivers that
+/// the full (adaptively encoded) set under the sender's epoch stamp; a
+/// follow-up (TCoP's probe → commit) ships only the ids the view gained
+/// since the epoch-stamped snapshot. Receivers that
 /// hold the matching snapshot reconstruct the full view exactly; on an
 /// epoch or size mismatch (a lost full frame) they fall back to the
 /// additions alone — safe, because views are grow-only and every id in
@@ -81,12 +93,12 @@ pub enum ControlKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ViewWire {
     /// Ship the complete view (smallest of the dense/sparse/runs
-    /// encodings), stamping the edge's epoch.
+    /// encodings), stamping the sender's epoch.
     Full {
-        /// Per-edge epoch this full view establishes.
+        /// Epoch this full view establishes (0: no delta will follow).
         epoch: u32,
     },
-    /// Ship only the growth since the edge's last full view.
+    /// Ship only the growth since the sender's last full view.
     Delta {
         /// Epoch of the full view this delta extends.
         epoch: u32,
@@ -106,9 +118,12 @@ impl ViewWire {
     }
 }
 
-/// Parent→child coordination packet (`c`/`c1`/`c2` in the paper).
+/// Everything the children of one fan-out share: the part-independent
+/// content of a parent→child coordination packet (`c`/`c1`/`c2` in the
+/// paper). Built once per `Select`, handed out behind an `Arc` by
+/// [`Msg::control`], and never changed after that.
 #[derive(Clone, Debug)]
-pub struct ControlPacket {
+pub struct ControlBody {
     /// Role of this packet.
     pub kind: ControlKind,
     /// Sending contents peer.
@@ -116,13 +131,15 @@ pub struct ControlPacket {
     /// Activation wave this packet belongs to (leaf = wave 1).
     pub wave: u32,
     /// Sender's view `VW_j` (contents depend on the piggyback variant).
-    /// Shared via `Arc` like `sched`: a fan-out builds the view once and
-    /// each per-child clone is a refcount bump, not a bitset copy.
+    /// `Arc`-shared beyond the body: a TCoP probe round keeps the same
+    /// view as the snapshot its commits' delta is computed against.
     pub view: Arc<View>,
+    /// How `view` is encoded on the wire (full frame or delta); affects
+    /// only the codec and byte accounting, never handler behavior.
+    pub view_wire: ViewWire,
     /// The parent's current schedule — the basis for the child's postfix
     /// computation. Carried as a recipe on the wire (see module docs); a
-    /// strided [`mss_media::SeqView`] into the parent's division basis,
-    /// so fanning out to many children clones O(1) views, never packets.
+    /// strided [`mss_media::SeqView`] into the parent's division basis.
     pub sched: SeqView,
     /// `SEQ`: the parent's position in `sched` when this packet was sent
     /// (index of the next packet to transmit).
@@ -132,8 +149,6 @@ pub struct ControlPacket {
     /// The `δ` the child must use when computing the mark (zero when the
     /// division basis is a not-yet-live pending schedule).
     pub mark_delta_nanos: u64,
-    /// The child's assigned part index within the coming division.
-    pub part: u32,
     /// Division arity (`H_j + 1`: children plus the parent itself).
     pub parts: u32,
     /// Parity interval `h` for re-enhancement.
@@ -149,10 +164,16 @@ pub struct ControlPacket {
     /// Shipping it spares each of the `parts` receivers the
     /// mark/re-enhance recomputation.
     pub basis: Option<crate::schedule::DivisionBasis>,
-    /// How `view` is encoded on the wire (full frame or per-edge
-    /// delta); affects only the codec and byte accounting, never
-    /// handler behavior.
-    pub view_wire: ViewWire,
+}
+
+/// One child's handle on a fan-out's shared [`ControlBody`], plus the
+/// only thing that differs between the children: the part index.
+#[derive(Clone, Debug)]
+pub struct ControlPacket {
+    /// The fan-out's shared, immutable content.
+    pub body: Arc<ControlBody>,
+    /// The child's assigned part index within the coming division.
+    pub part: u32,
 }
 
 /// TCoP `cc1`: the child's reply to a probe.
@@ -239,22 +260,23 @@ pub struct Nack {
 
 /// Everything that can travel in a session.
 ///
-/// The fat bodies — [`ControlPacket`] (~15 fields), [`ContentRequest`],
-/// and [`ScheduleAssignment`] — are boxed so the enum itself is a
-/// couple of words. `size_of::<Msg>()` sets the width of every
-/// calendar-queue slot, cross-shard batch entry, and live-plane mailbox
-/// cell, for the [`Msg::Data`] majority as much as for the control
-/// minority; before the boxing, `ControlPacket` alone pushed every
-/// event to 120 bytes. [`TwoPhase`], [`ProbeReply`], and [`Nack`] stay
-/// inline: they are already small and fixed-size, and `TwoPhase` (the
-/// widest inline variant at 24 bytes) is what the compile-time bound
-/// below pins.
+/// The fat bodies live on the heap so the enum itself is a couple of
+/// words: [`ContentRequest`] and [`ScheduleAssignment`] are boxed, and a
+/// control packet is a handle on its fan-out's shared [`ControlBody`].
+/// `size_of::<Msg>()` sets the width of every calendar-queue slot,
+/// cross-shard batch entry, and live-plane mailbox cell, for the
+/// [`Msg::Data`] majority as much as for the control minority; inline,
+/// the ~15 control fields alone pushed every event to 120 bytes.
+/// [`ControlPacket`], [`TwoPhase`], [`ProbeReply`], and [`Nack`] stay
+/// inline: they are small and fixed-size, and `TwoPhase` (the widest
+/// inline variant at 24 bytes) is what the compile-time bound below
+/// pins.
 #[derive(Clone, Debug)]
 pub enum Msg {
     /// Leaf → contents peer.
     Request(Box<ContentRequest>),
     /// Parent → child coordination.
-    Control(Box<ControlPacket>),
+    Control(ControlPacket),
     /// TCoP probe reply.
     Reply(ProbeReply),
     /// Contents peer → leaf media packet.
@@ -283,22 +305,19 @@ const _: () = assert!(
         == std::mem::size_of::<mss_sim::event::Event<Msg>>()
 );
 const _: () = assert!(std::mem::size_of::<DataMsg>() <= 16);
+const _: () = assert!(std::mem::size_of::<ControlPacket>() <= 16);
 const _: () = assert!(std::mem::size_of::<ProbeReply>() <= 12);
 const _: () = assert!(std::mem::size_of::<TwoPhase>() <= 24);
 const _: () = assert!(std::mem::size_of::<Nack>() <= 16);
 
 impl Msg {
-    /// A control message, boxing the fat body into a recycled shell
-    /// (see [`recycle_control`]) when this thread has one free. Use this
-    /// (not `Msg::Control(Box::new(..))`) at construction sites.
-    pub fn control(c: ControlPacket) -> Msg {
-        match CTL_SHELLS.with(|s| s.borrow_mut().pop()) {
-            Some(mut shell) => {
-                *shell = c;
-                Msg::Control(shell)
-            }
-            None => Msg::Control(Box::new(c)),
-        }
+    /// One child's control message: a handle on the fan-out's shared
+    /// `body` (a refcount bump, no allocation) plus its `part`.
+    pub fn control(body: &Arc<ControlBody>, part: u32) -> Msg {
+        Msg::Control(ControlPacket {
+            body: Arc::clone(body),
+            part,
+        })
     }
 
     /// A content request, boxing the fat body.
@@ -345,25 +364,10 @@ thread_local! {
     /// event order.
     static PKT_SHELLS: std::cell::RefCell<Vec<Arc<Packet>>> =
         const { std::cell::RefCell::new(Vec::new()) };
-
-    /// Free-list of `Box<ControlPacket>` shells, recycled between the
-    /// receiving handler ([`recycle_control`]) and the next
-    /// [`Msg::control`] on this thread, so boxed control payloads do not
-    /// cost one malloc/free pair per coordination message. Per thread,
-    /// never per peer: a world or shard thread hosts both ends of most
-    /// edges and reuses a handful of shells per round, and a live worker
-    /// keeps one bounded pool for all the tasks it steps — a peer that
-    /// only ever *receives* pins nothing of its own.
-    // The boxes are the point: this list recycles the heap shells
-    // themselves, so `vec_box`'s "unbox it" advice would defeat it.
-    #[allow(clippy::vec_box)]
-    static CTL_SHELLS: std::cell::RefCell<Vec<Box<ControlPacket>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Shells kept per thread and kind at most: enough for every in-flight
-/// message of a round's fan-out; a burst beyond this frees normally. A
-/// pooled shell keeps its stale payload until the next use overwrites
+/// Shells kept per thread at most; a burst beyond this frees normally.
+/// A pooled shell keeps its stale payload until the next use overwrites
 /// it, so this is also the most stale payloads a thread can pin.
 const SHELL_CAP: usize = 64;
 
@@ -380,20 +384,6 @@ pub fn recycle_data(d: DataMsg) {
             }
         });
     }
-}
-
-/// Hand a drained control box back for reuse by the next
-/// [`Msg::control`] on this thread. Receivers read the packet by
-/// reference, so nothing needs moving out; the payload is overwritten
-/// whole on reuse, which makes pooled and fresh boxes indistinguishable
-/// to handlers.
-pub fn recycle_control(shell: Box<ControlPacket>) {
-    CTL_SHELLS.with(|s| {
-        let mut pool = s.borrow_mut();
-        if pool.len() < SHELL_CAP {
-            pool.push(shell);
-        }
-    });
 }
 
 /// Wire bytes a control packet's schedule is accounted as: the
@@ -416,7 +406,7 @@ fn packet_id_wire_len(id: &PacketId) -> usize {
 
 /// Codec bytes for a control packet's view site (`[epoch: u32]` + the
 /// adaptive or delta view frame).
-fn view_site_len(c: &ControlPacket) -> usize {
+fn view_site_len(c: &ControlBody) -> usize {
     4 + match &c.view_wire {
         ViewWire::Full { .. } => wire::encoded_len(&c.view),
         ViewWire::Delta {
@@ -439,7 +429,9 @@ impl Msg {
     /// control-byte comparison curve, and the resync-storm worst case.
     pub fn full_wire_size(&self) -> usize {
         match self {
-            Msg::Control(c) => self.wire_size() - view_site_len(c) + 4 + wire::encoded_len(&c.view),
+            Msg::Control(c) => {
+                self.wire_size() - view_site_len(&c.body) + 4 + wire::encoded_len(&c.body.view)
+            }
             _ => self.wire_size(),
         }
     }
@@ -458,7 +450,7 @@ impl Msg {
             }
             // kind + ids + wave + recipe (pos, interval, part, parts, h,
             // fanout ≈ 32B) + view bits.
-            Msg::Control(c) => 16 + 32 + view_bytes(&c.view),
+            Msg::Control(c) => 16 + 32 + view_bytes(&c.body.view),
             Msg::Reply(_) => 12,
             Msg::Data(d) => d.packet.wire_size(),
             Msg::TwoPhase(t) => match t {
@@ -493,7 +485,7 @@ impl SimMessage for Msg {
             // kind + from + wave + [epoch + view frame] + recipe + the
             // six fixed recipe-adjacent fields (pos, interval, mark δ,
             // part/parts, h/fanout).
-            Msg::Control(c) => 5 + 1 + 4 + 4 + view_site_len(c) + SCHED_RECIPE_BYTES + 36,
+            Msg::Control(c) => 5 + 1 + 4 + 4 + view_site_len(&c.body) + SCHED_RECIPE_BYTES + 36,
             Msg::Reply(_) => 5 + 4 + 1 + 4,
             Msg::Data(d) => d.packet.wire_size(),
             Msg::TwoPhase(t) => match t {
@@ -514,23 +506,26 @@ mod tests {
     use super::*;
     use mss_media::{ContentDesc, PacketId, Seq};
 
-    fn control(kind: ControlKind, n: usize) -> ControlPacket {
-        ControlPacket {
+    fn control(kind: ControlKind, n: usize) -> ControlBody {
+        ControlBody {
             kind,
             from: PeerId(0),
             wave: 1,
             view: Arc::new(View::empty(n)),
+            view_wire: ViewWire::full(),
             sched: PacketSeq::data_range(10).into(),
             pos: 0,
             interval_nanos: 1000,
             mark_delta_nanos: 0,
-            part: 1,
             parts: 4,
             h: 3,
             fanout: 4,
             basis: None,
-            view_wire: ViewWire::full(),
         }
+    }
+
+    fn msg(body: ControlBody) -> Msg {
+        Msg::control(&Arc::new(body), 1)
     }
 
     /// Runtime mirror of the compile-time size asserts above, so
@@ -549,11 +544,12 @@ mod tests {
             "Option<Event<Msg>> lost its niche"
         );
         assert_eq!(size_of::<DataMsg>(), 16, "data fast path grew");
+        assert_eq!(size_of::<ControlPacket>(), 16, "control handle grew");
     }
 
     #[test]
     fn coordination_classification() {
-        assert!(Msg::control(control(ControlKind::Activate, 10)).is_coordination());
+        assert!(msg(control(ControlKind::Activate, 10)).is_coordination());
         assert!(Msg::Reply(ProbeReply {
             from: PeerId(0),
             accept: true,
@@ -567,10 +563,10 @@ mod tests {
 
     #[test]
     fn control_wire_size_scales_with_view_not_schedule() {
-        let small = Msg::control(control(ControlKind::Probe, 100));
+        let small = msg(control(ControlKind::Probe, 100));
         let mut big = control(ControlKind::Probe, 100);
         big.sched = PacketSeq::data_range(100_000).into();
-        let big = Msg::control(big);
+        let big = msg(big);
         assert_eq!(small.wire_size(), big.wire_size(), "schedule is a recipe");
         // Adaptive encoding: the cost scales with membership, not the
         // population — a fuller view costs more, a wider empty one
@@ -581,7 +577,7 @@ mod tests {
             v.insert(PeerId(i));
         }
         fuller.view = Arc::new(v);
-        assert!(Msg::control(fuller).wire_size() > small.wire_size());
+        assert!(msg(fuller).wire_size() > small.wire_size());
     }
 
     #[test]
@@ -592,13 +588,13 @@ mod tests {
             v.insert(PeerId(i * 5));
         }
         c.view = Arc::new(v);
-        let full = Msg::control(c.clone());
+        let full = msg(c.clone());
         c.view_wire = ViewWire::Delta {
             epoch: 1,
             base_count: 198,
             additions: vec![41, 997].into(),
         };
-        let delta = Msg::control(c);
+        let delta = msg(c);
         assert!(delta.wire_size() < full.wire_size(), "delta must shrink tx");
         assert_eq!(delta.full_wire_size(), full.wire_size());
         assert_eq!(delta.model_size(), full.model_size());

@@ -14,9 +14,9 @@ use mss_sim::prelude::*;
 
 use crate::config::{Piggyback, SessionConfig};
 use crate::metrics as mnames;
-use crate::msg::{ContentRequest, ControlPacket, Msg};
+use crate::msg::{ContentRequest, ControlBody, ControlPacket, Msg};
 use crate::plane::RoundShared;
-use crate::schedule::{merge_assignment, TxSchedule};
+use crate::schedule::{derived_assignment_opts, merge_assignment, TxSchedule};
 
 /// Timer tag: transmit the next scheduled packet.
 pub const TAG_SEND: u64 = 1;
@@ -222,6 +222,30 @@ impl Core {
         }
     }
 
+    /// The assignment a parent's control packet confers on this peer:
+    /// its `part` of the division the shared body describes. An
+    /// in-session body carries the parent's pre-derived division basis;
+    /// a wire-decoded one doesn't, and the child re-derives it from the
+    /// recipe — identical by `DivisionBasis`'s contract.
+    pub fn control_assignment(&self, c: &ControlPacket) -> TxSchedule {
+        let (b, part) = (&*c.body, c.part as usize);
+        match &b.basis {
+            Some(basis) => basis.assign(b.parts as usize, part),
+            None => derived_assignment_opts(
+                &b.sched,
+                b.pos as usize,
+                b.interval_nanos,
+                b.mark_delta_nanos,
+                b.h as usize,
+                b.parts as usize,
+                part,
+                self.cfg.reenhance,
+                self.cfg.tail_parity,
+                self.cfg.coding,
+            ),
+        }
+    }
+
     /// Mark this peer active (first time only), updating the
     /// synchronization metrics.
     pub fn record_activation(&mut self, ctx: &mut dyn Runtime<Msg>, wave: u32) {
@@ -394,7 +418,7 @@ impl Core {
 
     /// Learn from a received control packet: its sender is active and so
     /// is everyone it lists — `VW_i := VW_i ∪ {c.from} ∪ c.VW`.
-    pub fn learn(&mut self, c: &ControlPacket) {
+    pub fn learn(&mut self, c: &ControlBody) {
         self.learn_peer(c.from);
         self.learn_view(&c.view);
     }

@@ -8,19 +8,19 @@
 //! indexed by [`mss_overlay::PeerId`] (the directory maps ids densely,
 //! so `member == peer.0`) and threads one [`RoundShared`] scratch arena
 //! through every handler call. Scratch contents never influence handler
-//! behavior — buffers are cleared or overwritten before use, the
-//! enhance cache is pure memoization, and the delta tracker only picks
-//! a view's wire encoding — so a plane-hosted session is bit-for-bit
-//! identical to solo-hosted actors (the session equivalence tests pin
-//! this).
+//! behavior — buffers are cleared or overwritten before use and the
+//! enhance cache is pure memoization — so a plane-hosted session is
+//! bit-for-bit identical to solo-hosted actors (the session equivalence
+//! tests pin this). Nothing per-edge lives here: the one piece of
+//! sender-side state a delta piggyback needs, the view a probe round
+//! shipped in full, is held by that round (see [`crate::tcop`]).
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mss_media::parity::{enhance, Coding};
 use mss_media::PacketSeq;
-use mss_overlay::{PeerId, View};
+use mss_overlay::PeerId;
 use mss_sim::event::ActorId;
 use mss_sim::prelude::*;
 use mss_sim::world::ActorGroup;
@@ -39,11 +39,8 @@ struct InitEntry {
 
 /// Per-round scratch shared by every peer of a plane (or owned by a
 /// single solo-hosted peer). Reuse is an allocation amortization only:
-/// nothing here influences *protocol* behavior between handler
-/// invocations except the pure [`RoundShared::enhanced_content`] memo —
-/// the [`DeltaTracker`] carries state across calls, but it only selects
-/// the wire encoding of a view (`ViewWire`), never what any handler
-/// decides.
+/// nothing here carries over between handler invocations except the
+/// pure [`RoundShared::enhanced_content`] memo.
 #[derive(Default)]
 pub struct RoundShared {
     /// Selection-pool scratch for `Select` — cleared by every draw.
@@ -52,50 +49,7 @@ pub struct RoundShared {
     /// whole fan-out here, then drain it through
     /// [`crate::peer_core::Core::send_coord_batch`].
     pub outbox: Vec<(ActorId, Msg)>,
-    /// Sender-side per-edge view snapshots backing delta piggybacks.
-    pub delta: DeltaTracker,
     init_cache: Option<InitEntry>,
-}
-
-/// Tracks, per directed parent→child edge, the last full view the
-/// parent shipped, so a follow-up on the same edge (TCoP's probe →
-/// commit) can carry only the ids gained since — the delta piggyback.
-///
-/// Epochs stamp full frames so receivers pair a delta with the right
-/// snapshot. An edge's entry is consumed by [`DeltaTracker::take`]
-/// (commit sent, or the probe was refused), so epochs can restart after
-/// a later re-probe; that is safe because the receiver additionally
-/// checks the snapshot's cardinality, and two snapshots of one
-/// grow-only view with equal cardinality are the same set.
-#[derive(Default)]
-pub struct DeltaTracker {
-    edges: HashMap<u64, (u32, Arc<View>)>,
-}
-
-impl DeltaTracker {
-    fn key(from: PeerId, to: PeerId) -> u64 {
-        (u64::from(from.0) << 32) | u64::from(to.0)
-    }
-
-    /// Record that `from` is shipping `view` in full to `to`; returns
-    /// the epoch to stamp on the frame.
-    pub fn record_full(&mut self, from: PeerId, to: PeerId, view: &Arc<View>) -> u32 {
-        let k = DeltaTracker::key(from, to);
-        let epoch = self.edges.get(&k).map_or(1, |(e, _)| e.wrapping_add(1));
-        self.edges.insert(k, (epoch, Arc::clone(view)));
-        epoch
-    }
-
-    /// Consume the edge's snapshot for a delta follow-up (or to drop a
-    /// refused edge). Returns the stamped epoch and the snapshot view.
-    pub fn take(&mut self, from: PeerId, to: PeerId) -> Option<(u32, Arc<View>)> {
-        self.edges.remove(&DeltaTracker::key(from, to))
-    }
-
-    /// Number of tracked edges (tests and memory accounting).
-    pub fn tracked_edges(&self) -> usize {
-        self.edges.len()
-    }
 }
 
 impl RoundShared {

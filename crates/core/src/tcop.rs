@@ -7,6 +7,14 @@
 //! parent and the session forms a spanning tree rooted at the leaf — at
 //! the cost of three rounds per selection wave and probe traffic wasted
 //! on already-claimed peers.
+//!
+//! A probe already tells the candidate the parent's view in full, so
+//! the commit that follows ships only what the view gained since (a
+//! delta piggyback, see [`ViewWire`]). The sender-side state this needs
+//! is one `Arc<View>` per *round*, not per edge — every probe of a round
+//! carries the same view — so the `ProbeRound` holds it, stamps probes
+//! and commits with the round's wave as the epoch, and computes the one
+//! delta all of the round's commits share.
 
 use std::sync::Arc;
 
@@ -14,23 +22,28 @@ use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
 use crate::metrics as mnames;
-use crate::msg::{ContentRequest, ControlKind, ControlPacket, Msg, ProbeReply, ViewWire};
+use crate::msg::{
+    ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, ProbeReply, ViewWire,
+};
 use crate::peer_core::{Core, PeerReport, TAG_REPLY_TIMEOUT, TAG_SEND, TAG_SWITCH};
 use crate::plane::{PlanePeer, RoundShared};
-use crate::schedule::{derived_assignment_opts, DivisionBasis};
-use mss_overlay::{Directory, PeerId};
+use crate::schedule::DivisionBasis;
+use mss_overlay::{Directory, PeerId, View};
 
 /// In-flight probe round state on the parent side.
 struct ProbeRound {
-    /// Activation wave the committed children will belong to.
+    /// Activation wave the committed children will belong to. Doubles
+    /// as the round's view epoch: nonzero (children are wave ≥ 2) and
+    /// distinct for every round this parent runs.
     child_wave: u32,
-    /// Replies still awaited.
-    outstanding: usize,
+    /// Probed candidates whose reply is still awaited; a reply from
+    /// anyone else (a duplicate, an echo) is not part of this round.
+    awaiting: Vec<PeerId>,
     /// Candidates that accepted this parent.
     accepted: Vec<PeerId>,
-    /// Everyone probed this round — so refused edges can drop their
-    /// delta-tracker snapshots.
-    probed: Vec<PeerId>,
+    /// The view every probe of this round carried in full — the
+    /// snapshot the commits' delta is computed against.
+    snapshot: Arc<View>,
     /// Fallback timer in case replies are lost.
     timer: TimerId,
 }
@@ -105,38 +118,35 @@ impl TcopPeer {
         ctx.metrics()
             .set_max_id(mnames::coord_probe_waves_id(), u64::from(child_wave - 1));
         let view = Arc::new(self.core.piggyback_view(&candidates));
-        let empty_sched = mss_media::SeqView::empty();
+        // One body for the round. The full view it carries is what the
+        // commits that follow a confirmation are a delta against.
+        let body = Arc::new(ControlBody {
+            kind: ControlKind::Probe,
+            from: self.core.me,
+            wave: child_wave,
+            view: view.clone(),
+            view_wire: ViewWire::Full { epoch: child_wave },
+            sched: mss_media::SeqView::empty(),
+            pos: 0,
+            interval_nanos: self.core.sched.interval_nanos,
+            mark_delta_nanos: 0,
+            parts: 0,
+            h: self.core.cfg.parity_interval as u32,
+            fanout: self.core.cfg.fanout as u32,
+            basis: None,
+        });
         debug_assert!(shared.outbox.is_empty());
         for child in &candidates {
-            // Snapshot what this edge is told in full: the commit that
-            // follows a confirmation ships only the growth since.
-            let epoch = shared.delta.record_full(self.core.me, *child, &view);
-            let probe = ControlPacket {
-                kind: ControlKind::Probe,
-                from: self.core.me,
-                wave: child_wave,
-                view: view.clone(),
-                sched: empty_sched.clone(),
-                pos: 0,
-                interval_nanos: self.core.sched.interval_nanos,
-                mark_delta_nanos: 0,
-                part: 0,
-                parts: 0,
-                h: self.core.cfg.parity_interval as u32,
-                fanout: self.core.cfg.fanout as u32,
-                basis: None,
-                view_wire: ViewWire::Full { epoch },
-            };
             let to = self.core.dir.actor_of(*child);
-            shared.outbox.push((to, Msg::control(probe)));
+            shared.outbox.push((to, Msg::control(&body, 0)));
         }
         self.core.send_coord_batch(ctx, &mut shared.outbox);
         let timer = ctx.set_timer(self.core.cfg.reply_timeout, TAG_REPLY_TIMEOUT);
         self.probe = Some(ProbeRound {
             child_wave,
-            outstanding: candidates.len(),
+            awaiting: candidates,
             accepted: Vec::new(),
-            probed: candidates,
+            snapshot: view,
             timer,
         });
     }
@@ -147,7 +157,7 @@ impl TcopPeer {
     /// does not merge its view — view knowledge transfers on the commit
     /// (`c2`), which is what reproduces the paper's 6 rounds at `H = 60`
     /// (the committed wave still has peers to probe).
-    fn on_probe(&mut self, ctx: &mut dyn Runtime<Msg>, c: &ControlPacket) {
+    fn on_probe(&mut self, ctx: &mut dyn Runtime<Msg>, c: &ControlBody) {
         self.core.learn_peer(c.from);
         let accept = !self.has_parent;
         if accept {
@@ -170,11 +180,17 @@ impl TcopPeer {
         if r.wave != round.child_wave {
             return;
         }
-        round.outstanding -= 1;
+        // Count each probed candidate once: a duplicated datagram or a
+        // peer echoing the wave must not commit a child twice.
+        let Some(k) = round.awaiting.iter().position(|p| *p == r.from) else {
+            self.core.count_unexpected_control(ctx);
+            return;
+        };
+        round.awaiting.swap_remove(k);
         if r.accept {
             round.accepted.push(r.from);
         }
-        if round.outstanding == 0 {
+        if round.awaiting.is_empty() {
             let timer = round.timer;
             ctx.cancel_timer(timer);
             self.finish_probe(ctx, shared);
@@ -189,13 +205,6 @@ impl TcopPeer {
         let Some(round) = self.probe.take() else {
             return;
         };
-        // Refused (or timed-out) edges get no commit: drop their
-        // snapshots so the tracker stays bounded by in-flight probes.
-        for p in &round.probed {
-            if !round.accepted.contains(p) {
-                shared.delta.take(self.core.me, *p);
-            }
-        }
         if round.accepted.is_empty() {
             // The paper stops here ("if C = φ"); with persistent probing
             // the parent tries the next candidate batch, which guarantees
@@ -224,8 +233,8 @@ impl TcopPeer {
             let (b, p, d) = self.core.effective_basis();
             (b.seq.clone(), p as u32, d, b.interval_nanos, !was_pending)
         };
-        // One derivation shared by the parent and all committed children
-        // (shipped in each `c2`).
+        // One derivation and one body shared by the parent and all
+        // committed children.
         let basis = DivisionBasis::derive(
             &sched,
             pos as usize,
@@ -236,44 +245,42 @@ impl TcopPeer {
             self.core.cfg.tail_parity,
             self.core.cfg.coding,
         );
+        let own = basis.assign(parts, 0);
+        let body = Arc::new(ControlBody {
+            kind: ControlKind::Commit,
+            from: self.core.me,
+            wave: round.child_wave,
+            // Delta piggyback: the probe already carried every child of
+            // this round the snapshot in full; ship only the ids gained
+            // since. In memory the commit still carries the complete
+            // view — `view_wire` affects the codec and byte accounting
+            // only.
+            view_wire: ViewWire::Delta {
+                epoch: round.child_wave,
+                base_count: round.snapshot.count() as u32,
+                additions: view.diff_ids(&round.snapshot).into(),
+            },
+            view,
+            sched,
+            pos,
+            interval_nanos: interval,
+            mark_delta_nanos: mark_delta,
+            parts: parts as u32,
+            h: h_eff as u32,
+            fanout: self.core.cfg.fanout as u32,
+            basis: Some(basis),
+        });
         debug_assert!(shared.outbox.is_empty());
         for (j, child) in round.accepted.iter().enumerate() {
-            // Delta piggyback: the probe already carried this edge a
-            // full view; ship only the ids gained since. In-memory the
-            // commit still carries the complete view — `view_wire`
-            // affects the codec and byte accounting only.
-            let view_wire = match shared.delta.take(self.core.me, *child) {
-                Some((epoch, base)) => ViewWire::Delta {
-                    epoch,
-                    base_count: base.count() as u32,
-                    additions: view.diff_ids(&base).into(),
-                },
-                None => ViewWire::full(),
-            };
-            let commit = ControlPacket {
-                kind: ControlKind::Commit,
-                from: self.core.me,
-                wave: round.child_wave,
-                view: view.clone(),
-                view_wire,
-                sched: sched.clone(),
-                pos,
-                interval_nanos: interval,
-                mark_delta_nanos: mark_delta,
-                part: (j + 1) as u32,
-                parts: parts as u32,
-                h: h_eff as u32,
-                fanout: self.core.cfg.fanout as u32,
-                basis: Some(basis.clone()),
-            };
             let to = self.core.dir.actor_of(*child);
-            shared.outbox.push((to, Msg::control(commit)));
+            shared
+                .outbox
+                .push((to, Msg::control(&body, (j + 1) as u32)));
         }
         self.core.send_coord_batch(ctx, &mut shared.outbox);
         // A committed parent never probes again: the commits' piggyback
         // was the view's last read.
         self.core.close_view();
-        let own = basis.assign(parts, 0);
         let live_mark = basis_is_live
             .then(|| crate::schedule::mark_position(pos as usize, interval, mark_delta));
         self.core.arm_switch(ctx, own, live_mark);
@@ -286,25 +293,12 @@ impl TcopPeer {
         shared: &mut RoundShared,
         c: &ControlPacket,
     ) {
-        self.core.learn(c);
-        let assignment = match &c.basis {
-            Some(b) => b.assign(c.parts as usize, c.part as usize),
-            None => derived_assignment_opts(
-                &c.sched,
-                c.pos as usize,
-                c.interval_nanos,
-                c.mark_delta_nanos,
-                c.h as usize,
-                c.parts as usize,
-                c.part as usize,
-                self.core.cfg.reenhance,
-                self.core.cfg.tail_parity,
-                self.core.cfg.coding,
-            ),
-        };
+        let b = &*c.body;
+        self.core.learn(b);
+        let assignment = self.core.control_assignment(c);
         self.core.adopt(ctx, assignment);
-        self.core.record_activation(ctx, c.wave);
-        self.start_probe(ctx, shared, c.wave + 1);
+        self.core.record_activation(ctx, b.wave);
+        self.start_probe(ctx, shared, b.wave + 1);
     }
 }
 
@@ -318,18 +312,15 @@ impl PlanePeer for TcopPeer {
     ) {
         match msg {
             Msg::Request(req) => self.on_request(ctx, shared, *req),
-            Msg::Control(c) => {
-                match c.kind {
-                    ControlKind::Probe => self.on_probe(ctx, &c),
-                    ControlKind::Commit => self.on_commit(ctx, shared, &c),
-                    // TCoP has no handler for these kinds; drop and count
-                    // instead of silently ignoring.
-                    ControlKind::Activate | ControlKind::Announce => {
-                        self.core.count_unexpected_control(ctx)
-                    }
+            Msg::Control(c) => match c.body.kind {
+                ControlKind::Probe => self.on_probe(ctx, &c.body),
+                ControlKind::Commit => self.on_commit(ctx, shared, &c),
+                // TCoP has no handler for these kinds; drop and count
+                // instead of silently ignoring.
+                ControlKind::Activate | ControlKind::Announce => {
+                    self.core.count_unexpected_control(ctx)
                 }
-                crate::msg::recycle_control(c);
-            }
+            },
             Msg::Reply(r) => self.on_reply(ctx, shared, r),
             Msg::Nack(n) => self.core.on_nack(ctx, &n),
             _ => {}

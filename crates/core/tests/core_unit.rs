@@ -2,7 +2,11 @@
 //! against a mock runtime — no world, no protocol, just the mechanics.
 
 use mss_core::config::SessionConfig;
-use mss_core::msg::{ContentRequest, ControlKind, ControlPacket, Msg, Nack, ProbeReply, ViewWire};
+use mss_core::dcop::DcopPeer;
+use mss_core::metrics::COORD_UNEXPECTED_KIND;
+use mss_core::msg::{
+    ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, Nack, ProbeReply, ViewWire,
+};
 use mss_core::peer_core::Core;
 use mss_core::schedule::{initial_assignment, TxSchedule};
 use mss_core::tcop::TcopPeer;
@@ -233,41 +237,41 @@ fn closed_core_ignores_learning_and_selects_nobody() {
     // Nothing a closed peer hears is kept: no reader is left.
     c.learn_peer(PeerId(4));
     c.learn_view(&View::full(8));
-    c.learn(&probe_from(PeerId(5), 2));
+    c.learn(&probe_body(PeerId(5), 2));
     assert!(c.view().is_none());
     assert!(c.select_children(3).is_empty());
 }
 
-fn probe_from(from: PeerId, wave: u32) -> ControlPacket {
-    ControlPacket {
+fn probe_body(from: PeerId, wave: u32) -> ControlBody {
+    ControlBody {
         kind: ControlKind::Probe,
         from,
         wave,
-        view: std::sync::Arc::new(View::empty(8)),
+        view: Arc::new(View::empty(8)),
+        view_wire: ViewWire::full(),
         sched: mss_media::SeqView::empty(),
         pos: 0,
         interval_nanos: 1000,
         mark_delta_nanos: 0,
-        part: 0,
         parts: 0,
         h: 2,
         fanout: 3,
         basis: None,
-        view_wire: ViewWire::full(),
     }
 }
 
-/// A TCoP parent's view stays open until its probe round is finished:
-/// a probe it receives while waiting for replies must still show up in
-/// the view its commits piggyback.
-#[test]
-fn tcop_prober_learns_from_probes_until_it_commits() {
-    let dir = Arc::new(Directory::dense(8));
+fn probe_from(from: PeerId, wave: u32) -> Msg {
+    Msg::control(&Arc::new(probe_body(from, wave)), 0)
+}
+
+fn peer_cfg() -> (Arc<Directory>, SessionConfig) {
     let mut cfg = SessionConfig::small(8, 3, 5);
     cfg.content = ContentDesc::small(2, 40);
-    let mut peer = TcopPeer::new(PeerId(0), dir, cfg);
-    let mut rt = MockRt::new();
-    let request = ContentRequest {
+    (Arc::new(Directory::dense(8)), cfg)
+}
+
+fn leaf_request() -> Msg {
+    Msg::request(ContentRequest {
         wave: 1,
         interval_nanos: 1000,
         h: 2,
@@ -276,28 +280,67 @@ fn tcop_prober_learns_from_probes_until_it_commits() {
         parts: 1,
         view: None,
         weights: None,
-    };
-    peer.on_message(&mut rt, ActorId(8), Msg::request(request));
-    let probed: Vec<PeerId> = rt
-        .sent
+    })
+}
+
+/// Drain the runtime's sends, which must all be control packets of
+/// `kind`, as `(destination, handle)` pairs.
+fn drain_controls(rt: &mut MockRt, kind: ControlKind) -> Vec<(PeerId, ControlPacket)> {
+    rt.sent
         .drain(..)
         .map(|(to, msg)| match msg {
-            Msg::Control(c) if c.kind == ControlKind::Probe => PeerId(to.0),
-            other => panic!("expected a probe, got {other:?}"),
+            Msg::Control(c) if c.body.kind == kind => (PeerId(to.0), c),
+            other => panic!("expected {kind:?}, got {other:?}"),
         })
-        .collect();
-    assert_eq!(probed.len(), 3);
+        .collect()
+}
+
+/// The handles of one fan-out share one body and differ only in `part`.
+fn assert_one_body(fanout: &[(PeerId, ControlPacket)], parts: impl Iterator<Item = u32>) {
+    let first = &fanout[0].1.body;
+    for (_, c) in fanout {
+        assert!(Arc::ptr_eq(&c.body, first), "one fan-out, one body");
+    }
+    let got: Vec<u32> = fanout.iter().map(|(_, c)| c.part).collect();
+    assert_eq!(got, parts.collect::<Vec<_>>());
+    assert_eq!(Arc::strong_count(first), fanout.len());
+}
+
+/// A TCoP parent activated by the leaf, with its first probe round
+/// (wave 2, three candidates) on the wire.
+fn probing_tcop_peer(rt: &mut MockRt) -> (TcopPeer, Vec<(PeerId, ControlPacket)>) {
+    let (dir, cfg) = peer_cfg();
+    let mut peer = TcopPeer::new(PeerId(0), dir, cfg);
+    peer.on_message(rt, ActorId(8), leaf_request());
+    let probes = drain_controls(rt, ControlKind::Probe);
+    assert_eq!(probes.len(), 3);
+    (peer, probes)
+}
+
+fn reply(peer: &mut TcopPeer, rt: &mut MockRt, from: PeerId, accept: bool) {
+    let r = ProbeReply {
+        from,
+        accept,
+        wave: 2,
+    };
+    peer.on_message(rt, ActorId(from.0), Msg::Reply(r));
+}
+
+/// A TCoP parent's view stays open until its probe round is finished:
+/// a probe it receives while waiting for replies must still show up in
+/// the view its commits piggyback.
+#[test]
+fn tcop_prober_learns_from_probes_until_it_commits() {
+    let mut rt = MockRt::new();
+    let (mut peer, probes) = probing_tcop_peer(&mut rt);
+    let probed: Vec<PeerId> = probes.iter().map(|(to, _)| *to).collect();
 
     // While the replies are outstanding, someone else probes this peer.
     let stranger = (1..8)
         .map(PeerId)
         .find(|p| !probed.contains(p))
         .expect("8 peers, 3 probed");
-    peer.on_message(
-        &mut rt,
-        ActorId(stranger.0),
-        Msg::control(probe_from(stranger, 3)),
-    );
+    peer.on_message(&mut rt, ActorId(stranger.0), probe_from(stranger, 3));
     match rt.sent.drain(..).next() {
         Some((_, Msg::Reply(r))) => assert!(!r.accept, "a claimed peer refuses"),
         other => panic!("expected a refusal, got {other:?}"),
@@ -305,29 +348,109 @@ fn tcop_prober_learns_from_probes_until_it_commits() {
 
     // One child accepts, the others refuse: the round commits.
     for (k, child) in probed.iter().enumerate() {
-        let reply = ProbeReply {
-            from: *child,
-            accept: k == 0,
-            wave: 2,
-        };
-        peer.on_message(&mut rt, ActorId(child.0), Msg::Reply(reply));
+        reply(&mut peer, &mut rt, *child, k == 0);
     }
-    let commits: Vec<_> = rt
-        .sent
-        .iter()
-        .filter_map(|(to, msg)| match msg {
-            Msg::Control(c) if c.kind == ControlKind::Commit => Some((*to, c)),
-            _ => None,
-        })
-        .collect();
+    let commits = drain_controls(&mut rt, ControlKind::Commit);
     assert_eq!(commits.len(), 1);
     let (to, commit) = &commits[0];
-    assert_eq!(*to, ActorId(probed[0].0));
+    assert_eq!(*to, probed[0]);
     assert!(
-        commit.view.contains(stranger),
+        commit.body.view.contains(stranger),
         "the commit's view must include the peer learned from a probe mid-round"
     );
     for p in &probed {
-        assert!(commit.view.contains(*p));
+        assert!(commit.body.view.contains(*p));
     }
+}
+
+/// One DCoP `Select` builds one body: every child holds a handle on it,
+/// and the last handler to drop its handle frees it.
+#[test]
+fn dcop_fanout_shares_one_body() {
+    let (dir, cfg) = peer_cfg();
+    let mut peer = DcopPeer::new(PeerId(0), dir, cfg);
+    let mut rt = MockRt::new();
+    peer.on_message(&mut rt, ActorId(8), leaf_request());
+    let fanout = drain_controls(&mut rt, ControlKind::Activate);
+    assert_eq!(fanout.len(), 3);
+    assert_one_body(&fanout, 1..=3);
+    assert_eq!(fanout[0].1.body.parts, 4, "children plus the parent");
+
+    let body = Arc::downgrade(&fanout[0].1.body);
+    let mut handles = fanout.into_iter();
+    drop(handles.next());
+    assert!(body.upgrade().is_some(), "two children still hold it");
+    drop(handles);
+    assert!(body.upgrade().is_none(), "the last handle frees the body");
+}
+
+/// A TCoP probe round is one body (part 0 for every candidate) and so is
+/// its commit round, whose commits all carry the one delta against the
+/// view the probes shipped, under the probes' nonzero epoch.
+#[test]
+fn tcop_rounds_share_one_body_and_one_delta() {
+    let mut rt = MockRt::new();
+    let (mut peer, probes) = probing_tcop_peer(&mut rt);
+    assert_one_body(&probes, [0, 0, 0].into_iter());
+    let probe = Arc::clone(&probes[0].1.body);
+    let ViewWire::Full { epoch } = probe.view_wire else {
+        panic!("a probe ships its view in full");
+    };
+    assert_ne!(epoch, 0, "epoch 0 would announce that no delta follows");
+
+    // Mid-round the view grows, so the delta is not empty.
+    let probed: Vec<PeerId> = probes.iter().map(|(to, _)| *to).collect();
+    let stranger = (1..8).map(PeerId).find(|p| !probed.contains(p)).unwrap();
+    peer.on_message(&mut rt, ActorId(stranger.0), probe_from(stranger, 3));
+    rt.sent.clear();
+    drop(probes);
+    assert_eq!(
+        Arc::strong_count(&probe),
+        1,
+        "the round keeps the view, not the body"
+    );
+
+    reply(&mut peer, &mut rt, probed[0], true);
+    reply(&mut peer, &mut rt, probed[1], false);
+    reply(&mut peer, &mut rt, probed[2], true);
+    let commits = drain_controls(&mut rt, ControlKind::Commit);
+    let to: Vec<PeerId> = commits.iter().map(|(to, _)| *to).collect();
+    assert_eq!(to, [probed[0], probed[2]]);
+    assert_one_body(&commits, 1..=2);
+    let commit = &commits[0].1.body;
+    assert_eq!(commit.parts, 3);
+    assert_eq!(
+        commit.view_wire,
+        ViewWire::Delta {
+            epoch,
+            base_count: probe.view.count() as u32,
+            additions: commit.view.diff_ids(&probe.view).into(),
+        }
+    );
+    assert_eq!(commit.view.diff_ids(&probe.view), [stranger.0]);
+}
+
+/// A reply counts once, and only from a candidate this round probed: a
+/// duplicated accept or an unsolicited one must not commit a child twice
+/// or skew the division arity.
+#[test]
+fn tcop_counts_each_probed_candidate_once() {
+    let mut rt = MockRt::new();
+    let (mut peer, probes) = probing_tcop_peer(&mut rt);
+    let probed: Vec<PeerId> = probes.iter().map(|(to, _)| *to).collect();
+    let stranger = (1..8).map(PeerId).find(|p| !probed.contains(p)).unwrap();
+
+    reply(&mut peer, &mut rt, probed[0], true);
+    reply(&mut peer, &mut rt, probed[0], true); // duplicated datagram
+    reply(&mut peer, &mut rt, stranger, true); // never probed
+    assert!(rt.sent.is_empty(), "two candidates have not answered yet");
+    assert_eq!(rt.metrics.counter(COORD_UNEXPECTED_KIND), 2);
+    reply(&mut peer, &mut rt, probed[1], true);
+    reply(&mut peer, &mut rt, probed[2], false);
+
+    let commits = drain_controls(&mut rt, ControlKind::Commit);
+    let to: Vec<PeerId> = commits.iter().map(|(to, _)| *to).collect();
+    assert_eq!(to, [probed[0], probed[1]], "one commit per accepted child");
+    assert_one_body(&commits, 1..=2);
+    assert_eq!(commits[0].1.body.parts, 3, "parts == accepted + 1");
 }

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use mss_core::metrics::COORD_UNEXPECTED_KIND;
-use mss_core::msg::{ContentRequest, ControlKind, ControlPacket, Msg};
+use mss_core::msg::{ContentRequest, ControlBody, ControlKind, Msg};
 use mss_core::plane::{PlanePeer, RoundShared};
 use mss_core::prelude::*;
 use mss_core::{dcop::DcopPeer, tcop::TcopPeer};
@@ -94,23 +94,23 @@ fn request(wave: u32) -> ContentRequest {
     }
 }
 
-fn control(kind: ControlKind) -> ControlPacket {
-    ControlPacket {
+fn control(kind: ControlKind) -> Msg {
+    let body = ControlBody {
         kind,
         from: PeerId(1),
         wave: 1,
         view: Arc::new(View::empty(8)),
+        view_wire: mss_core::msg::ViewWire::full(),
         sched: PacketSeq::data_range(10).into(),
         pos: 0,
         interval_nanos: 1_000_000,
         mark_delta_nanos: 0,
-        part: 1,
         parts: 2,
         h: 3,
         fanout: 3,
         basis: None,
-        view_wire: mss_core::msg::ViewWire::full(),
-    }
+    };
+    Msg::control(&Arc::new(body), 1)
 }
 
 /// An activated peer reports the wave it activated in — even wave 0,
@@ -156,12 +156,7 @@ fn dcop_drops_and_counts_non_activate_control_kinds() {
     .into_iter()
     .enumerate()
     {
-        peer.plane_message(
-            &mut rt,
-            &mut shared,
-            ActorId(1),
-            Msg::control(control(kind)),
-        );
+        peer.plane_message(&mut rt, &mut shared, ActorId(1), control(kind));
         assert_eq!(
             rt.metrics.counter(COORD_UNEXPECTED_KIND),
             i as u64 + 1,
@@ -185,12 +180,7 @@ fn tcop_drops_and_counts_activate_and_announce_kinds() {
         .into_iter()
         .enumerate()
     {
-        peer.plane_message(
-            &mut rt,
-            &mut shared,
-            ActorId(1),
-            Msg::control(control(kind)),
-        );
+        peer.plane_message(&mut rt, &mut shared, ActorId(1), control(kind));
         assert_eq!(
             rt.metrics.counter(COORD_UNEXPECTED_KIND),
             i as u64 + 1,

@@ -39,8 +39,8 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mss_core::msg::{
-    ContentRequest, ControlKind, ControlPacket, Msg, Nack, ProbeReply, ScheduleAssignment,
-    TwoPhase, ViewWire,
+    ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, Nack, ProbeReply,
+    ScheduleAssignment, TwoPhase, ViewWire,
 };
 use mss_media::{Packet, PacketId, PacketSeq, Seq, SeqView};
 use mss_overlay::wire::{self, ViewFrame, WireError};
@@ -201,7 +201,9 @@ fn get_seq(buf: &mut impl Buf) -> Result<PacketSeq, CodecError> {
     Ok(PacketSeq::from_ids(ids))
 }
 
-fn put_control(out: &mut impl BufMut, c: &ControlPacket) {
+/// One handle of a fan-out: the shared body's fields with the handle's
+/// `part` at its fixed place among them.
+fn put_control(out: &mut impl BufMut, ControlPacket { body: c, part }: &ControlPacket) {
     out.put_u8(match c.kind {
         ControlKind::Activate => 0,
         ControlKind::Probe => 1,
@@ -228,12 +230,14 @@ fn put_control(out: &mut impl BufMut, c: &ControlPacket) {
     out.put_u32_le(c.pos);
     out.put_u64_le(c.interval_nanos);
     out.put_u64_le(c.mark_delta_nanos);
-    out.put_u32_le(c.part);
+    out.put_u32_le(*part);
     out.put_u32_le(c.parts);
     out.put_u32_le(c.h);
     out.put_u32_le(c.fanout);
 }
 
+/// Decodes onto a fresh body nobody else holds yet, so the receiver's
+/// reassembler (`crate::views`) can still fill in a delta's view.
 fn get_control(buf: &mut &[u8]) -> Result<ControlPacket, CodecError> {
     need(buf, 9)?;
     let kind = match buf.get_u8() {
@@ -269,21 +273,28 @@ fn get_control(buf: &mut &[u8]) -> Result<ControlPacket, CodecError> {
     let view = Arc::new(view);
     let sched = SeqView::from(get_seq(buf)?);
     need(buf, 4 + 8 + 8 + 16)?;
-    Ok(ControlPacket {
+    let pos = buf.get_u32_le();
+    let interval_nanos = buf.get_u64_le();
+    let mark_delta_nanos = buf.get_u64_le();
+    let part = buf.get_u32_le();
+    let body = ControlBody {
         kind,
         from,
         wave,
         view,
+        view_wire,
         sched,
-        pos: buf.get_u32_le(),
-        interval_nanos: buf.get_u64_le(),
-        mark_delta_nanos: buf.get_u64_le(),
-        part: buf.get_u32_le(),
+        pos,
+        interval_nanos,
+        mark_delta_nanos,
         parts: buf.get_u32_le(),
         h: buf.get_u32_le(),
         fanout: buf.get_u32_le(),
         basis: None,
-        view_wire,
+    };
+    Ok(ControlPacket {
+        body: Arc::new(body),
+        part,
     })
 }
 
@@ -445,7 +456,7 @@ pub fn decode(frame: &[u8]) -> Result<(ActorId, Msg), CodecError> {
                 weights,
             })
         }
-        1 => Msg::control(get_control(&mut buf)?),
+        1 => Msg::Control(get_control(&mut buf)?),
         2 => {
             need(&buf, 9)?;
             Msg::Reply(ProbeReply {
@@ -737,24 +748,24 @@ mod tests {
     #[test]
     fn control_roundtrip_with_parity_schedule() {
         let sched = mss_media::parity::esq(&PacketSeq::data_range(10), 2);
-        let msg = Msg::control(ControlPacket {
+        let body = Arc::new(ControlBody {
             kind: ControlKind::Commit,
             from: PeerId(5),
             wave: 3,
             view: Arc::new(view_of(70, &[64, 69])),
+            view_wire: ViewWire::Full { epoch: 7 },
             sched: sched.clone().into(),
             pos: 4,
             interval_nanos: 99,
             mark_delta_nanos: 123,
-            part: 1,
             parts: 3,
             h: 2,
             fanout: 3,
             basis: None,
-            view_wire: ViewWire::Full { epoch: 7 },
         });
-        match roundtrip(msg) {
-            Msg::Control(c) => {
+        match roundtrip(Msg::control(&body, 1)) {
+            Msg::Control(ControlPacket { body: c, part }) => {
+                assert_eq!(part, 1);
                 assert_eq!(c.kind, ControlKind::Commit);
                 assert_eq!(c.sched.to_seq(), sched);
                 assert_eq!(c.mark_delta_nanos, 123);
@@ -768,28 +779,27 @@ mod tests {
     #[test]
     fn delta_control_roundtrip_preserves_additions() {
         let full = view_of(500, &[1, 2, 3, 90, 411]);
-        let msg = Msg::control(ControlPacket {
+        let body = Arc::new(ControlBody {
             kind: ControlKind::Commit,
             from: PeerId(9),
             wave: 2,
             view: Arc::new(full),
-            sched: SeqView::empty(),
-            pos: 0,
-            interval_nanos: 10,
-            mark_delta_nanos: 0,
-            part: 1,
-            parts: 2,
-            h: 2,
-            fanout: 2,
-            basis: None,
             view_wire: ViewWire::Delta {
                 epoch: 3,
                 base_count: 3,
                 additions: vec![90, 411].into(),
             },
+            sched: SeqView::empty(),
+            pos: 0,
+            interval_nanos: 10,
+            mark_delta_nanos: 0,
+            parts: 2,
+            h: 2,
+            fanout: 2,
+            basis: None,
         });
-        match roundtrip(msg) {
-            Msg::Control(c) => {
+        match roundtrip(Msg::control(&body, 1)) {
+            Msg::Control(ControlPacket { body: c, .. }) => {
                 // Without the edge snapshot, the decoded view is the
                 // additions alone; the delta survives for reassembly.
                 assert_eq!(
@@ -869,22 +879,22 @@ mod tests {
                 additions: vec![7, 64].into(),
             },
         ] {
-            let c = Msg::control(ControlPacket {
+            let body = Arc::new(ControlBody {
                 kind: ControlKind::Probe,
                 from: PeerId(2),
                 wave: 1,
                 view: Arc::new(view_of(900, &[1, 7, 64])),
+                view_wire,
                 sched: SeqView::empty(),
                 pos: 0,
                 interval_nanos: 11,
                 mark_delta_nanos: 0,
-                part: 0,
                 parts: 0,
                 h: 3,
                 fanout: 4,
                 basis: None,
-                view_wire,
             });
+            let c = Msg::control(&body, 0);
             let frame = encode(ActorId(1), &c);
             let empty_sched_bytes = 4; // `[len: u32]` for zero entries
             assert_eq!(

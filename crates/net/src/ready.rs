@@ -15,7 +15,7 @@
 //! bundle record's still-encoded frame to the destination task's
 //! [`Mailbox`] and the worker that steps the task decodes them, one at
 //! a time, right before the handler runs. Every per-message allocation
-//! (the decoded view, the control shell, the packet payload) is thereby
+//! (the decoded view, the control body, the packet payload) is thereby
 //! made and freed by the same worker thread — allocator fast path, no
 //! cross-thread frees — and the poll thread allocates nothing per
 //! datagram. Each task also owns the [`ViewReassembler`] for the deltas
@@ -1003,7 +1003,7 @@ mod tests {
                 let refusal = mss_core::msg::ProbeReply {
                     from: mss_overlay::PeerId(0),
                     accept: false,
-                    wave: c.wave,
+                    wave: c.body.wave,
                 };
                 rt.send(from, Msg::Reply(refusal));
             }
@@ -1023,22 +1023,22 @@ mod tests {
         )
         .unwrap();
         let probe = |from: u32| {
-            Msg::control(mss_core::msg::ControlPacket {
+            let body = mss_core::msg::ControlBody {
                 kind: mss_core::msg::ControlKind::Probe,
                 from: mss_overlay::PeerId(from),
                 wave: 2,
                 view: Arc::new(mss_overlay::View::empty(64)),
+                view_wire: mss_core::msg::ViewWire::Full { epoch: 1 },
                 sched: mss_media::SeqView::empty(),
                 pos: 0,
                 interval_nanos: 1,
                 mark_delta_nanos: 0,
-                part: 0,
                 parts: 0,
                 h: 1,
                 fanout: 2,
                 basis: None,
-                view_wire: mss_core::msg::ViewWire::Full { epoch: 1 },
-            })
+            };
+            Msg::control(&Arc::new(body), 0)
         };
         sched.deliver(0, ActorId(3), probe(3));
         sched.deliver(0, ActorId(4), probe(4));

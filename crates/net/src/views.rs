@@ -1,24 +1,26 @@
 //! Receiver-side reconstruction of delta-coded view piggybacks.
 //!
-//! A sender ships an edge its full view once (epoch-stamped) and
-//! follow-ups carry only the ids gained since (see the delta tracker in
-//! `mss_core::plane`). The codec decodes such a delta into a control
-//! packet whose `view` holds the additions alone; each receiver (a
-//! ready-queue task) owns one [`ViewReassembler`], which caches the
-//! last tracked full view per *sender* and upgrades delta packets back
-//! to the sender's complete view before the protocol handler sees them.
+//! A sender ships its full view once (epoch-stamped) and follow-ups
+//! carry only the ids gained since (a TCoP probe round keeps the view
+//! its probes carried, see `mss_core::tcop`). The codec decodes such a
+//! delta into a control packet whose `view` holds the additions alone;
+//! each receiver (a ready-queue task) owns one [`ViewReassembler`],
+//! which caches the last tracked full view per *sender* and upgrades
+//! delta packets back to the sender's complete view before the protocol
+//! handler sees them. The decoded body is fresh and uniquely owned, so
+//! the upgrade happens in place.
 //!
 //! A snapshot lives exactly as long as a delta can still read it — the
-//! mirror of the sender's `DeltaTracker` entry:
+//! mirror of the sender's probe round:
 //!
 //! - an epoch-0 frame ([`ViewWire::full`], all of DCoP) announces that no
 //!   delta will follow and is never snapshotted;
-//! - a delta *consumes* the sender's snapshot (the sender built it by
-//!   consuming its own tracker entry, so none can follow without a new
-//!   full frame first);
+//! - a delta *consumes* the sender's snapshot (the sender's round ended
+//!   with the commit, so none can follow without a new full frame
+//!   first);
 //! - a receiver that refuses the prober
-//!   ([`ViewReassembler::observe_sent`]) drops the edge, as the sender
-//!   does on its side.
+//!   ([`ViewReassembler::observe_sent`]) drops the edge: the sender's
+//!   round will not commit it.
 //!
 //! What remains is at most one snapshot per receiver: an accepted probe
 //! whose commit was lost.
@@ -61,10 +63,11 @@ impl ViewReassembler {
     /// cardinality match, otherwise left additions-only (counted as a
     /// fallback).
     pub fn resolve(&mut self, sender: ActorId, c: &mut ControlPacket) {
-        match &c.view_wire {
+        match &c.body.view_wire {
             ViewWire::Full { epoch: 0 } => {}
             ViewWire::Full { epoch } => {
-                self.snaps.insert(sender.0, (*epoch, Arc::clone(&c.view)));
+                self.snaps
+                    .insert(sender.0, (*epoch, Arc::clone(&c.body.view)));
             }
             ViewWire::Delta {
                 epoch,
@@ -72,7 +75,10 @@ impl ViewReassembler {
                 additions,
             } => match self.snaps.remove(&sender.0) {
                 Some((e, base)) if e == *epoch && base.count() == *base_count as usize => {
-                    c.view = Arc::new(apply_delta(&base, additions));
+                    let view = Arc::new(apply_delta(&base, additions));
+                    // A just-decoded body has no other holder; a shared
+                    // one (never the case on the receive path) is copied.
+                    Arc::make_mut(&mut c.body).view = view;
                 }
                 _ => self.fallbacks += 1,
             },
@@ -81,8 +87,7 @@ impl ViewReassembler {
 
     /// Note a message this receiver is sending: refusing a prober
     /// (`Reply { accept: false }`) ends that edge — no commit, and so no
-    /// delta, will follow — and drops the prober's snapshot, as the
-    /// prober's `DeltaTracker` drops its entry on the reply.
+    /// delta, will follow — and drops the prober's snapshot.
     pub fn observe_sent(&mut self, to: ActorId, msg: &Msg) {
         if matches!(msg, Msg::Reply(r) if !r.accept) {
             self.snaps.remove(&to.0);
@@ -104,7 +109,7 @@ impl ViewReassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mss_core::msg::{ControlKind, ProbeReply};
+    use mss_core::msg::{ControlBody, ControlKind, ProbeReply};
     use mss_media::SeqView;
     use mss_overlay::PeerId;
 
@@ -118,31 +123,31 @@ mod tests {
         v
     }
 
-    fn control(view: View, view_wire: ViewWire) -> ControlPacket {
-        ControlPacket {
+    fn control(view: View, view_wire: ViewWire) -> Msg {
+        let body = ControlBody {
             kind: ControlKind::Commit,
             from: PeerId(4),
             wave: 1,
             view: Arc::new(view),
+            view_wire,
             sched: SeqView::empty(),
             pos: 0,
             interval_nanos: 1,
             mark_delta_nanos: 0,
-            part: 1,
             parts: 2,
             h: 2,
             fanout: 2,
             basis: None,
-            view_wire,
-        }
+        };
+        Msg::control(&Arc::new(body), 1)
     }
 
     /// Drive a packet through the real codec, as a live worker does
     /// before resolving it.
-    fn through_codec(c: ControlPacket) -> ControlPacket {
-        let frame = crate::codec::encode(SENDER, &Msg::control(c));
+    fn through_codec(msg: Msg) -> ControlPacket {
+        let frame = crate::codec::encode(SENDER, &msg);
         match crate::codec::decode(&frame).expect("decodes").1 {
-            Msg::Control(c) => *c,
+            Msg::Control(c) => c,
             other => panic!("wrong variant {other:?}"),
         }
     }
@@ -153,7 +158,7 @@ mod tests {
         let base = view_of(300, &[1, 9, 250]);
         let mut first = through_codec(control(base.clone(), ViewWire::Full { epoch: 1 }));
         r.resolve(SENDER, &mut first);
-        assert_eq!(first.view.as_ref(), &base);
+        assert_eq!(first.body.view.as_ref(), &base);
         assert_eq!(r.tracked_edges(), 1);
 
         let grown = view_of(300, &[1, 2, 9, 250, 299]);
@@ -166,10 +171,10 @@ mod tests {
             },
         ));
         // The codec alone only sees the additions…
-        assert_eq!(second.view.count(), 2);
+        assert_eq!(second.body.view.count(), 2);
         r.resolve(SENDER, &mut second);
         // …the reassembler restores the sender's complete view.
-        assert_eq!(second.view.as_ref(), &grown);
+        assert_eq!(second.body.view.as_ref(), &grown);
         assert_eq!(r.fallbacks(), 0);
         assert_eq!(
             r.tracked_edges(),
@@ -183,7 +188,7 @@ mod tests {
         let mut r = ViewReassembler::new();
         let mut c = through_codec(control(view_of(64, &[1, 2]), ViewWire::full()));
         r.resolve(SENDER, &mut c);
-        assert_eq!(c.view.count(), 2);
+        assert_eq!(c.body.view.count(), 2);
         assert_eq!(r.tracked_edges(), 0);
     }
 
@@ -219,7 +224,7 @@ mod tests {
         // No snapshot at all (lost full frame).
         let mut c = through_codec(control(grown.clone(), delta.clone()));
         r.resolve(SENDER, &mut c);
-        assert_eq!(c.view.count(), 2, "additions-only floor");
+        assert_eq!(c.body.view.count(), 2, "additions-only floor");
         assert_eq!(r.fallbacks(), 1);
         // Snapshot under a different epoch: also a fallback — and the
         // stale snapshot goes with it.
@@ -227,7 +232,7 @@ mod tests {
         r.resolve(SENDER, &mut full);
         let mut c = through_codec(control(grown, delta));
         r.resolve(SENDER, &mut c);
-        assert_eq!(c.view.count(), 2);
+        assert_eq!(c.body.view.count(), 2);
         assert_eq!(r.fallbacks(), 2);
         assert_eq!(r.tracked_edges(), 0);
     }

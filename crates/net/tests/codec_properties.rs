@@ -9,8 +9,8 @@ use proptest::prelude::*;
 
 use bytes::BytesMut;
 use mss_core::msg::{
-    ContentRequest, ControlKind, ControlPacket, Msg, Nack, ProbeReply, ScheduleAssignment,
-    TwoPhase, ViewWire,
+    ContentRequest, ControlBody, ControlKind, Msg, Nack, ProbeReply, ScheduleAssignment, TwoPhase,
+    ViewWire,
 };
 use mss_net::codec::{decode, encode_into, encode_routed_into};
 use mss_overlay::{PeerId, View};
@@ -79,7 +79,7 @@ fn gen_msg(seed: u64) -> Msg {
                     additions: members[..keep].to_vec().into(),
                 }
             };
-            Msg::control(ControlPacket {
+            let body = ControlBody {
                 kind: match rng.gen_below(4) {
                     0 => ControlKind::Activate,
                     1 => ControlKind::Probe,
@@ -89,17 +89,17 @@ fn gen_msg(seed: u64) -> Msg {
                 from: PeerId(rng.gen_below(1000) as u32),
                 wave: rng.gen_below(20) as u32,
                 view: v,
+                view_wire,
                 sched: seq(30).into(),
                 pos: rng.gen_below(30) as u32,
                 interval_nanos: rng.next_u64() >> 30,
                 mark_delta_nanos: rng.next_u64() >> 30,
-                part: rng.gen_below(8) as u32,
                 parts: 1 + rng.gen_below(8) as u32,
                 h: 1 + rng.gen_below(8) as u32,
                 fanout: 1 + rng.gen_below(8) as u32,
                 basis: None,
-                view_wire,
-            })
+            };
+            Msg::control(&Arc::new(body), rng.gen_below(8) as u32)
         }
         2 => Msg::Reply(ProbeReply {
             from: PeerId(rng.gen_below(1000) as u32),
@@ -194,22 +194,173 @@ fn shaped_view(shape: u64, seed: u64) -> Arc<View> {
 /// A control packet whose only varying parts are the view and its wire
 /// form — isolates the view frame inside a real codec frame.
 fn control_with(view: Arc<View>, view_wire: ViewWire) -> Msg {
-    Msg::control(ControlPacket {
+    let body = ControlBody {
         kind: ControlKind::Commit,
         from: PeerId(4),
         wave: 3,
         view,
+        view_wire,
         sched: mss_media::SeqView::empty(),
         pos: 0,
         interval_nanos: 1_000,
         mark_delta_nanos: 0,
-        part: 0,
         parts: 1,
         h: 2,
         fanout: 2,
         basis: None,
-        view_wire,
-    })
+    };
+    Msg::control(&Arc::new(body), 0)
+}
+
+fn view_of(n: usize, ids: impl IntoIterator<Item = u32>) -> Arc<View> {
+    let mut v = View::empty(n);
+    for i in ids {
+        v.insert(PeerId(i));
+    }
+    Arc::new(v)
+}
+
+/// Four bodies and, for one part of each, the frame the boxed
+/// `ControlPacket` of the parent tree (PR 23) encoded for the same
+/// fields from `ActorId(21)` — one per kind, covering the sparse, runs
+/// and dense full-view encodings and a delta.
+fn golden_fanouts() -> [(ControlBody, u32, &'static str); 4] {
+    let dense = || view_of(64, (0..64).filter(|i| i % 9 != 4));
+    let blank = ControlBody {
+        kind: ControlKind::Activate,
+        from: PeerId(12),
+        wave: 5,
+        view: dense(),
+        view_wire: ViewWire::full(),
+        sched: mss_media::SeqView::empty(),
+        pos: 0,
+        interval_nanos: 1_500,
+        mark_delta_nanos: 0,
+        parts: 0,
+        h: 3,
+        fanout: 8,
+        basis: None,
+    };
+    [
+        (
+            ControlBody {
+                from: PeerId(7),
+                wave: 2,
+                view: view_of(300, [1, 9, 250]),
+                sched: mss_media::parity::esq(&PacketSeq::data_range(4), 2).into(),
+                pos: 1,
+                interval_nanos: 1_000_000,
+                mark_delta_nanos: 2_000_000,
+                parts: 5,
+                h: 2,
+                fanout: 4,
+                ..blank.clone()
+            },
+            3,
+            "15000000010007000000020000000000000011ac02030107f0010600000001020000000100000000\
+             00000002000000000000000001000000000000000002000000000000000003000000000000000102\
+             00000003000000000000000400000000000000000400000000000000010000004042\
+             0f000000000080841e000000000003000000050000000200000004000000",
+        ),
+        (
+            ControlBody {
+                kind: ControlKind::Probe,
+                view: view_of(300, 40..120),
+                view_wire: ViewWire::Full { epoch: 5 },
+                ..blank.clone()
+            },
+            0,
+            "1500000001010c000000050000000500000012ac0201284f0000000000000000dc05000000000000\
+             000000000000000000000000000000000300000008000000",
+        ),
+        (
+            ControlBody {
+                kind: ControlKind::Commit,
+                view_wire: ViewWire::Delta {
+                    epoch: 5,
+                    base_count: 54,
+                    additions: vec![3, 17, 63].into(),
+                },
+                sched: PacketSeq::data_range(3).into(),
+                pos: 2,
+                mark_delta_nanos: 30_000,
+                parts: 4,
+                h: 4,
+                ..blank.clone()
+            },
+            2,
+            "1500000001020c000000050000000500000013403603030d2d030000000001000000000000000002\
+             0000000000000000030000000000000002000000dc05000000000000307500000000000002000000\
+             040000000400000008000000",
+        ),
+        (
+            ControlBody {
+                kind: ControlKind::Announce,
+                from: PeerId(3),
+                wave: 1,
+                interval_nanos: 777,
+                h: 2,
+                fanout: 6,
+                ..blank
+            },
+            0,
+            "1500000001030300000001000000000000001040efdfbf7ffffefdfb000000000000000009030000\
+             00000000000000000000000000000000000000000200000006000000",
+        ),
+    ]
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
+        .collect()
+}
+
+/// Every handle of a shared fan-out encodes to the bytes the parent
+/// tree produced for the equivalent boxed packet — the golden frame,
+/// with the handle's `part` at its fixed offset — decodes to the right
+/// `part` on a body of its own, and keeps the byte-accounting mirrors.
+#[test]
+fn shared_fanout_handles_encode_to_the_boxed_packets_bytes() {
+    for (body, golden_part, hex) in golden_fanouts() {
+        let golden = unhex(hex);
+        let body = Arc::new(body);
+        let part_at = golden.len() - 16; // [part][parts][h][fanout] end a frame
+        let priced = Msg::control(&body, golden_part);
+        for part in [golden_part, 0, 1, 7, u32::MAX] {
+            let msg = Msg::control(&body, part);
+            let frame = encode_frame(ActorId(21), &msg);
+            let mut expect = golden.clone();
+            expect[part_at..part_at + 4].copy_from_slice(&part.to_le_bytes());
+            assert_eq!(frame, expect, "{:?} part {part}", body.kind);
+
+            let (from, back) = decode(&frame).expect("golden frames decode");
+            assert_eq!(from, ActorId(21));
+            let Msg::Control(c) = &back else {
+                panic!("wrong variant")
+            };
+            assert_eq!(c.part, part);
+            assert_eq!(Arc::strong_count(&c.body), 1, "a decoded body is unshared");
+            assert_eq!(encode_frame(from, &back), frame);
+            for m in [&msg, &back] {
+                assert_eq!(m.wire_size(), priced.wire_size());
+                assert_eq!(m.model_size(), priced.model_size());
+                assert!(m.is_coordination());
+            }
+            // Without the snapshot a decoded delta cannot re-price the
+            // complete view (`byte_accounting_survives_roundtrip`).
+            assert_eq!(msg.full_wire_size(), priced.full_wire_size());
+            if matches!(body.view_wire, ViewWire::Full { .. }) {
+                assert_eq!(back.full_wire_size(), priced.full_wire_size());
+            }
+        }
+        assert_eq!(
+            Arc::strong_count(&body),
+            2,
+            "handles are refcounts, not copies"
+        );
+    }
 }
 
 proptest! {
@@ -242,7 +393,7 @@ proptest! {
         // that view, so the counterfactual is only comparable on
         // non-delta messages — the reassembler path is pinned by
         // `views.rs` tests.
-        if !matches!(&msg, Msg::Control(c) if matches!(c.view_wire, ViewWire::Delta { .. })) {
+        if !matches!(&msg, Msg::Control(c) if matches!(c.body.view_wire, ViewWire::Delta { .. })) {
             prop_assert_eq!(back.full_wire_size(), msg.full_wire_size(), "coord.bytes_full moved");
         }
         prop_assert_eq!(back.is_coordination(), msg.is_coordination());
@@ -304,7 +455,7 @@ proptest! {
         let frame = encode_frame(ActorId(11), &msg);
         let (_, back) = decode(&frame).expect("shaped view frame must decode");
         let Msg::Control(c) = &back else { panic!("wrong variant") };
-        prop_assert_eq!(c.view.as_ref(), v.as_ref(), "decoded view differs for shape {}", shape);
+        prop_assert_eq!(c.body.view.as_ref(), v.as_ref(), "decoded view differs for shape {}", shape);
         prop_assert_eq!(&frame, &encode_frame(ActorId(11), &back));
     }
 
@@ -326,8 +477,8 @@ proptest! {
         let frame = encode_frame(ActorId(11), &msg);
         let (_, back) = decode(&frame).expect("delta frame must decode");
         let Msg::Control(c) = &back else { panic!("wrong variant") };
-        prop_assert_eq!(&c.view_wire, &wire);
-        let got: Vec<u32> = c.view.iter().map(|p| p.0).collect();
+        prop_assert_eq!(&c.body.view_wire, &wire);
+        let got: Vec<u32> = c.body.view.iter().map(|p| p.0).collect();
         prop_assert_eq!(&got, &members[members.len() - keep..]);
         prop_assert_eq!(&frame, &encode_frame(ActorId(11), &back));
     }

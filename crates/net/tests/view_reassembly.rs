@@ -1,6 +1,7 @@
 //! Stateful property test of the receive-side view lifetime: one
-//! receiver's [`ViewReassembler`] against several senders, each running
-//! the real sender-side `DeltaTracker` over a grow-only view, under
+//! receiver's [`ViewReassembler`] against several senders, each a small
+//! model of a TCoP parent's probe rounds (a per-round epoch stamp and
+//! the snapshot of the round still open) over a grow-only view, under
 //! scripts that mix delivered and dropped full frames, commits (deltas),
 //! refusals, duplicated deltas, and replays of stale frames.
 //!
@@ -14,8 +15,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use mss_core::msg::{ControlKind, ControlPacket, Msg, ProbeReply, ViewWire};
-use mss_core::plane::DeltaTracker;
+use mss_core::msg::{ControlBody, ControlKind, ControlPacket, Msg, ProbeReply, ViewWire};
 use mss_net::codec::{decode, encode};
 use mss_net::views::ViewReassembler;
 use mss_overlay::{PeerId, View};
@@ -24,11 +24,15 @@ use mss_sim::rng::SimRng;
 
 const RECEIVER: PeerId = PeerId(0);
 
-/// One sender: a grow-only view, and the frames it has put on the wire
-/// so far (for replays), each with the view it stood for.
+/// One sender: a grow-only view, its probe rounds towards the receiver
+/// (`epoch` stamps the latest, `open` holds its snapshot until it is
+/// answered), and the frames it has put on the wire so far (for
+/// replays), each with the view it stood for.
 struct Sender {
     me: PeerId,
     view: View,
+    epoch: u32,
+    open: Option<Arc<View>>,
     sent_fulls: Vec<Vec<u8>>,
     sent_deltas: Vec<(Vec<u8>, View)>,
 }
@@ -42,23 +46,22 @@ impl Sender {
     }
 
     fn packet(&self, kind: ControlKind, view_wire: ViewWire) -> Vec<u8> {
-        let c = ControlPacket {
+        let body = ControlBody {
             kind,
             from: self.me,
             wave: 2,
             view: Arc::new(self.view.clone()),
+            view_wire,
             sched: mss_media::SeqView::empty(),
             pos: 0,
             interval_nanos: 1,
             mark_delta_nanos: 0,
-            part: 0,
             parts: 1,
             h: 2,
             fanout: 2,
             basis: None,
-            view_wire,
         };
-        encode(ActorId(self.me.0), &Msg::control(c)).to_vec()
+        encode(ActorId(self.me.0), &Msg::control(&Arc::new(body), 0)).to_vec()
     }
 }
 
@@ -69,7 +72,7 @@ fn deliver(r: &mut ViewReassembler, frame: &[u8]) -> ControlPacket {
         panic!("control frames only");
     };
     r.resolve(from, &mut c);
-    *c
+    c
 }
 
 /// Deliver a delta frame that stood for `truth` and check the
@@ -77,6 +80,7 @@ fn deliver(r: &mut ViewReassembler, frame: &[u8]) -> ControlPacket {
 fn deliver_delta(r: &mut ViewReassembler, frame: &[u8], truth: &View) -> Result<(), String> {
     let before = r.fallbacks();
     let c = deliver(r, frame);
+    let c = &*c.body;
     let ViewWire::Delta { additions, .. } = &c.view_wire else {
         return Err("delta frame decoded as something else".into());
     };
@@ -110,23 +114,23 @@ fn run_script(seed: u64) -> Result<(), String> {
             Sender {
                 me: PeerId(i),
                 view,
+                epoch: 0,
+                open: None,
                 sent_fulls: Vec::new(),
                 sent_deltas: Vec::new(),
             }
         })
         .collect();
-    let mut tracker = DeltaTracker::default();
     let mut r = ViewReassembler::new();
 
     // `answer`: commit (true) or refuse (false) the sender's open edge.
     // Returns whether a commit's first delivery resolved.
     let answer = |s: &mut Sender,
-                  tracker: &mut DeltaTracker,
                   r: &mut ViewReassembler,
                   rng: &mut SimRng,
                   commit: bool|
      -> Result<bool, String> {
-        let Some((epoch, base)) = tracker.take(s.me, RECEIVER) else {
+        let Some(base) = s.open.take() else {
             return Ok(true); // nothing outstanding on this edge
         };
         if !commit {
@@ -140,7 +144,7 @@ fn run_script(seed: u64) -> Result<(), String> {
         }
         s.grow(rng);
         let wire = ViewWire::Delta {
-            epoch,
+            epoch: s.epoch,
             base_count: base.count() as u32,
             additions: s.view.diff_ids(&base).into(),
         };
@@ -160,17 +164,14 @@ fn run_script(seed: u64) -> Result<(), String> {
         s.sent_deltas.push((frame, s.view.clone()));
         Ok(resolved)
     };
-    let probe = |s: &mut Sender,
-                 tracker: &mut DeltaTracker,
-                 r: &mut ViewReassembler,
-                 rng: &mut SimRng,
-                 dropped: bool| {
+    let probe = |s: &mut Sender, r: &mut ViewReassembler, rng: &mut SimRng, dropped: bool| {
         s.grow(rng);
-        let epoch = tracker.record_full(s.me, RECEIVER, &Arc::new(s.view.clone()));
-        let frame = s.packet(ControlKind::Probe, ViewWire::Full { epoch });
+        s.epoch += 1;
+        s.open = Some(Arc::new(s.view.clone()));
+        let frame = s.packet(ControlKind::Probe, ViewWire::Full { epoch: s.epoch });
         if !dropped {
             let c = deliver(r, &frame);
-            assert_eq!(c.view.as_ref(), &s.view, "full frames carry the view");
+            assert_eq!(c.body.view.as_ref(), &s.view, "full frames carry the view");
         }
         s.sent_fulls.push(frame);
     };
@@ -181,13 +182,13 @@ fn run_script(seed: u64) -> Result<(), String> {
         match rng.gen_below(8) {
             0..=2 => {
                 let dropped = rng.gen_bool(0.3);
-                probe(s, &mut tracker, &mut r, &mut rng, dropped);
+                probe(s, &mut r, &mut rng, dropped);
             }
             3 | 4 => {
-                answer(s, &mut tracker, &mut r, &mut rng, true)?;
+                answer(s, &mut r, &mut rng, true)?;
             }
             5 => {
-                answer(s, &mut tracker, &mut r, &mut rng, false)?;
+                answer(s, &mut r, &mut rng, false)?;
             }
             6 => {
                 // Replay of an old full frame (stale epoch, older view).
@@ -212,17 +213,17 @@ fn run_script(seed: u64) -> Result<(), String> {
 
     // Close every edge: a delivered probe, then its answer.
     for s in &mut senders {
-        probe(s, &mut tracker, &mut r, &mut rng, false);
+        probe(s, &mut r, &mut rng, false);
         let commit = rng.gen_bool(0.5);
-        if !answer(s, &mut tracker, &mut r, &mut rng, commit)? {
+        if !answer(s, &mut r, &mut rng, commit)? {
             return Err("an in-order probe → commit must resolve".into());
         }
     }
-    if r.tracked_edges() != 0 || tracker.tracked_edges() != 0 {
+    let open = senders.iter().filter(|s| s.open.is_some()).count();
+    if r.tracked_edges() != 0 || open != 0 {
         return Err(format!(
-            "{} receiver / {} sender snapshots outlived their readers",
+            "{} receiver / {open} sender snapshots outlived their readers",
             r.tracked_edges(),
-            tracker.tracked_edges()
         ));
     }
     Ok(())

@@ -12,8 +12,6 @@
 //! biased variants (e.g. locality-aware selection, an extension beyond
 //! the paper).
 
-use std::collections::HashMap;
-
 use mss_sim::rng::SimRng;
 
 use crate::peer::PeerId;
@@ -21,7 +19,7 @@ use crate::view::View;
 
 /// Complement size above which [`select_from_complement_with`] switches
 /// from materializing the pool (O(n) time and scratch) to the indexed
-/// draw (O(m) map entries + O(m log |view|) lookups). Both paths consume
+/// draw (O(m) displaced positions + O(m log |view|) lookups). Both paths consume
 /// the identical RNG sequence and return identical picks, so the
 /// threshold is purely a performance knob — it cannot perturb seeded
 /// runs. Kept well above every paper-eval population so the small-n
@@ -71,18 +69,22 @@ pub fn select_from_complement_with(
 /// [`select_from_complement`] without materializing the complement:
 /// runs the exact same partial Fisher–Yates over the *virtual* array
 /// `complement()[0..len]`, tracking only the O(m) displaced positions
-/// in a map and resolving untouched positions with
+/// in a small list and resolving untouched positions with
 /// [`View::nth_absent`]. Consumes the identical RNG sequence (one
 /// `gen_index(len - i)` per pick) and returns the identical picks as
 /// the materializing variants, for any view.
 pub fn select_from_complement_indexed(view: &View, m: usize, rng: &mut SimRng) -> Vec<PeerId> {
     let len = view.absent_count();
     let k = m.min(len);
-    // Position → occupant, for the positions a swap has displaced; all
-    // other positions still hold their original complement element.
-    let mut moved: HashMap<usize, PeerId> = HashMap::with_capacity(k);
-    let at = |moved: &HashMap<usize, PeerId>, x: usize| {
-        moved.get(&x).copied().unwrap_or_else(|| view.nth_absent(x))
+    // (position, occupant) for the positions a swap has displaced; all
+    // other positions still hold their original complement element. At
+    // most `k` entries (one per pick), so a linear scan beats hashing.
+    let mut moved: Vec<(usize, PeerId)> = Vec::with_capacity(k);
+    let at = |moved: &[(usize, PeerId)], x: usize| {
+        moved
+            .iter()
+            .find(|(pos, _)| *pos == x)
+            .map_or_else(|| view.nth_absent(x), |(_, p)| *p)
     };
     let mut picked = Vec::with_capacity(k);
     for i in 0..k {
@@ -91,7 +93,10 @@ pub fn select_from_complement_indexed(view: &View, m: usize, rng: &mut SimRng) -
         // swap(i, j): position i is never read again (future reads are
         // at indices > i), so only j's new occupant needs recording.
         let val_i = at(&moved, i);
-        moved.insert(j, val_i);
+        match moved.iter_mut().find(|(pos, _)| *pos == j) {
+            Some(slot) => slot.1 = val_i,
+            None => moved.push((j, val_i)),
+        }
         picked.push(val_j);
     }
     picked

@@ -29,11 +29,11 @@
 //! yields the same [`View`], and re-encoding is deterministic (smallest
 //! form, lowest tag on ties), so encode → decode → encode is
 //! byte-stable. Tag 3 carries only the ids a peer's view gained since a
-//! per-edge snapshot (`base_count` names the snapshot's size as a
+//! snapshot the receiver already holds (`base_count` names the snapshot's size as a
 //! cheap consistency check); views are grow-only, so the additions are
 //! the full symmetric difference. Epochs that pair full frames with
 //! deltas live one layer up, next to the frame (see `mss-net`'s codec
-//! and the delta tracker in `mss-core`).
+//! and the probe round in `mss-core`'s `tcop`).
 
 use bytes::BufMut;
 

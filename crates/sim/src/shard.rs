@@ -534,7 +534,10 @@ impl<M: SimMessage> Shard<M> {
                 }
             }
         }
-        inbox.sort_by_key(|a| (a.at, a.src, a.seq));
+        // `(at, src, seq)` is unique per arrival (`seq` is the source
+        // shard's monotone cross-send counter), so the unstable sort
+        // yields the stable order without a merge buffer per window.
+        inbox.sort_unstable_by_key(|a| (a.at, a.src, a.seq));
         for a in inbox.drain(..) {
             let mut at = a.at;
             if at < self.floor {

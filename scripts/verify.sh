@@ -70,11 +70,14 @@ MSS_NO_MMSG=1 live_plane || { echo "verify.sh: live-plane fallback smoke failed"
 echo "==> large-world smoke (n=10^4, 2 shards, time-bounded)"
 # Exercises the compact memory plane end to end: the example asserts
 # >=99.5% peer activation and prints peak RSS, so a queue-layout or
-# payload-pooling bug that only shows at scale fails here rather than
-# in the (slow) n=10^6 profiling run.
+# payload-sharing bug that only shows at scale fails here rather than
+# in the (slow) n=10^6 profiling run. Both protocols: TCoP's
+# probe-round snapshot and one-delta-per-round commits otherwise first
+# meet n > 10^3 in the benchmark.
 cargo build --release -q --example large_world
-timeout 120 ./target/release/examples/large_world 10000 2 dcop >/dev/null \
-    || { echo "verify.sh: large-world smoke failed" >&2; exit 1; }
+timeout 120 sh -c 'for p in dcop tcop; do
+    ./target/release/examples/large_world 10000 2 "$p" >/dev/null || exit 1
+done' || { echo "verify.sh: large-world smoke failed" >&2; exit 1; }
 
 echo "==> repo benchmark smoke (one reduced round per workload, all output checks on)"
 # benchmark/ is its own workspace (built into benchmark/target); the
