@@ -4,7 +4,7 @@
 //!
 //! This is the number the DES hot-loop optimizations are judged by:
 //! every control-packet fan-out, metric update, timer and data packet
-//! in the session flows through `World::step`, so events/sec here is
+//! in the session flows through `World`'s dispatch loop, so events/sec here is
 //! the throughput ceiling for the sweep harness. The event count per
 //! session is deterministic (fixed seed), which makes the rate directly
 //! comparable across kernel versions — `scripts/bench_baseline.sh`

@@ -312,7 +312,7 @@ pub struct MultiSession {
     protocol: Protocol,
     leaves: usize,
     stagger: SimDuration,
-    link: Box<dyn LinkModel>,
+    link: Box<dyn LinkModel + Send>,
     limit: SimTime,
 }
 
@@ -340,7 +340,7 @@ impl MultiSession {
     }
 
     /// Replace the network model.
-    pub fn link(mut self, link: impl LinkModel + 'static) -> MultiSession {
+    pub fn link(mut self, link: impl LinkModel + Send + 'static) -> MultiSession {
         self.link = Box::new(link);
         self
     }

@@ -66,18 +66,9 @@ pub enum Hosting {
     Solo,
 }
 
-/// How a session obtains its link model. A plain instance is enough for
-/// the single world; the sharded world needs one instance *per shard*
-/// (so link state stays thread-local), hence the factory form. The
-/// default link is stateless and supports both.
-enum LinkSpec {
-    /// The built-in 1–2 ms jitter link.
-    Default,
-    /// A caller-supplied instance ([`Session::link`]): single-world only.
-    Instance(Box<dyn LinkModel>),
-    /// A caller-supplied per-shard constructor ([`Session::link_factory`]).
-    Factory(Box<dyn Fn() -> Box<dyn LinkModel + Send>>),
-}
+/// Builds a fresh instance of the session's link for each world (each
+/// shard of a sharded run), so stateful models stay thread-local.
+type LinkFactory = Box<dyn Fn() -> Box<dyn LinkModel + Send>>;
 
 fn default_link() -> JitterLatency {
     JitterLatency {
@@ -86,39 +77,11 @@ fn default_link() -> JitterLatency {
     }
 }
 
-impl LinkSpec {
-    /// The link instance for a single-world run (bit-for-bit the link
-    /// the seed used, for every spec form).
-    fn build_single(self) -> Box<dyn LinkModel> {
-        match self {
-            LinkSpec::Default => Box::new(default_link()),
-            LinkSpec::Instance(link) => link,
-            LinkSpec::Factory(f) => f(),
-        }
-    }
-
-    /// Per-shard link constructor, or the spec handed back untouched
-    /// when it cannot run sharded (an opaque instance, or a model with
-    /// zero lookahead) so a single-world fallback keeps the user's link.
-    fn build_factory(self) -> Result<Box<dyn Fn() -> Box<dyn LinkModel + Send>>, LinkSpec> {
-        let f: Box<dyn Fn() -> Box<dyn LinkModel + Send>> = match self {
-            LinkSpec::Default => Box::new(|| Box::new(default_link())),
-            spec @ LinkSpec::Instance(_) => return Err(spec),
-            LinkSpec::Factory(f) => f,
-        };
-        if f().min_latency() > SimDuration::ZERO {
-            Ok(f)
-        } else {
-            Err(LinkSpec::Factory(f))
-        }
-    }
-}
-
 /// Builder for one streaming session.
 pub struct Session {
     cfg: SessionConfig,
     protocol: Protocol,
-    link: LinkSpec,
+    link: LinkFactory,
     gate: Option<OverrunGate>,
     faults: Vec<(SimDuration, PeerId)>,
     limit: SimTime,
@@ -134,7 +97,7 @@ impl Session {
         Session {
             cfg: cfg.normalized(protocol),
             protocol,
-            link: LinkSpec::Default,
+            link: Box::new(|| Box::new(default_link())),
             gate: None,
             faults: Vec::new(),
             limit: SimTime::MAX,
@@ -143,33 +106,24 @@ impl Session {
         }
     }
 
-    /// Replace the network model with a single instance. A session built
-    /// this way always runs in the single-threaded world (the instance
-    /// cannot be replicated per shard); use [`Session::link_factory`]
-    /// for sharded runs.
-    pub fn link(mut self, link: impl LinkModel + 'static) -> Session {
-        self.link = LinkSpec::Instance(Box::new(link));
+    /// Replace the network model. `link` is the prototype of every
+    /// world's link: each shard of a sharded run gets its own clone, so
+    /// stateful models stay thread-local, and a single-world run clones
+    /// it once (an unused clone behaves exactly like the original). Its
+    /// [`LinkModel::min_latency`] is the sharded run's synchronization
+    /// lookahead; a link whose minimum latency is zero always runs on
+    /// one world.
+    pub fn link(mut self, link: impl LinkModel + Clone + Send + 'static) -> Session {
+        self.link = Box::new(move || Box::new(link.clone()));
         self
     }
 
-    /// Replace the network model with a per-shard constructor. Every
-    /// shard of a sharded run gets its own instance, so stateful models
-    /// stay thread-local; a single-world run calls it once. The model's
-    /// [`LinkModel::min_latency`] must be positive for sharded execution
-    /// (it becomes the synchronization lookahead).
-    pub fn link_factory<L: LinkModel + Send + 'static>(
-        mut self,
-        factory: impl Fn() -> L + 'static,
-    ) -> Session {
-        self.link = LinkSpec::Factory(Box::new(move || Box::new(factory())));
-        self
-    }
-
-    /// Split the session across `shards` worker threads (1 = the
-    /// classic single-threaded world, the default). Sharded runs are
-    /// deterministic per `(seed, shards)` pair but not stream-identical
-    /// across different shard counts; `run()` falls back to the single
-    /// world when the link cannot be sharded (see [`Session::link`]).
+    /// Split the session across `shards` worker threads (1 = a single
+    /// world, the default). Sharded runs are deterministic per
+    /// `(seed, shards)` pair but not stream-identical across different
+    /// shard counts; `run()` stays on one world when the link's
+    /// [`LinkModel::min_latency`] is zero, since no lookahead exists to
+    /// synchronize shards on (see [`Session::link`]).
     pub fn shards(mut self, shards: usize) -> Session {
         self.shards = shards.max(1);
         self
@@ -201,20 +155,15 @@ impl Session {
     }
 
     /// Run to quiescence and summarize. Dispatches to the sharded world
-    /// when more than one shard was requested and the link supports it,
-    /// and to the classic single-threaded world otherwise — so existing
-    /// callers keep the bit-for-bit single-world event stream.
-    pub fn run(mut self) -> SessionOutcome {
-        if self.shards > 1 {
-            match std::mem::replace(&mut self.link, LinkSpec::Default).build_factory() {
-                Ok(f) => {
-                    self.link = LinkSpec::Factory(f);
-                    return self.run_with_sharded_world().0;
-                }
-                Err(spec) => self.link = spec,
-            }
+    /// when more than one shard was requested and the link has a
+    /// positive minimum latency, and to a single world otherwise — so
+    /// existing callers keep the bit-for-bit single-world event stream.
+    pub fn run(self) -> SessionOutcome {
+        if self.shards > 1 && (self.link)().min_latency() > SimDuration::ZERO {
+            self.run_with_sharded_world().0
+        } else {
+            self.run_with_world().0
         }
-        self.run_with_world().0
     }
 
     /// Run and also hand back the world for deeper inspection. Always
@@ -222,7 +171,7 @@ impl Session {
     /// use [`Session::run_with_sharded_world`] for the parallel kernel.
     pub fn run_with_world(self) -> (SessionOutcome, World<Msg>, Vec<PeerReport>) {
         let p = self.into_parts(1);
-        let mut world: World<Msg> = World::new(p.link.build_single(), p.cfg.seed);
+        let mut world: World<Msg> = World::new((p.link)(), p.cfg.seed);
         world.reserve_events(p.reserve);
         for hosted in p.blocks {
             match hosted {
@@ -234,9 +183,6 @@ impl Session {
         debug_assert_eq!(leaf_id, p.dir.leaf());
         if let Some(injector) = p.injector {
             world.add_actor(injector);
-        }
-        if std::env::var_os("MSS_TRACE").is_some() {
-            world.set_trace(true);
         }
         world.run_until(p.limit);
 
@@ -255,27 +201,15 @@ impl Session {
     /// the link model's [`LinkModel::min_latency`].
     ///
     /// # Panics
-    /// If the session's link was set with [`Session::link`] (an
-    /// un-replicable instance) or has zero minimum latency — build it
-    /// with [`Session::link_factory`] instead.
+    /// If more than one shard runs and the link's minimum latency is
+    /// zero (no conservative lookahead exists; [`Session::run`] stays on
+    /// one world instead).
     pub fn run_with_sharded_world(self) -> (SessionOutcome, ShardedWorld<Msg>, Vec<PeerReport>) {
         let shards = self.shards.clamp(1, self.cfg.n);
         let p = self.into_parts(shards);
-        let factory: Box<dyn Fn() -> Box<dyn LinkModel + Send>> = match p.link {
-            LinkSpec::Instance(_) => panic!(
-                "a sharded session needs a per-shard link: use Session::link_factory \
-                 (Session::link instances cannot be replicated across shards)"
-            ),
-            LinkSpec::Default => Box::new(|| Box::new(default_link())),
-            LinkSpec::Factory(f) => f,
-        };
-        let lookahead = factory().min_latency();
-        assert!(
-            shards == 1 || lookahead > SimDuration::ZERO,
-            "sharded session link has zero min_latency — no conservative lookahead exists"
-        );
+        let lookahead = (p.link)().min_latency();
         let mut world: ShardedWorld<Msg> =
-            ShardedWorld::new(shards, lookahead, p.cfg.seed, |_k| factory());
+            ShardedWorld::new(shards, lookahead, p.cfg.seed, |_k| (p.link)());
         world.reserve_events(p.reserve);
         // Shard k hosts block k; global ids stay dense because the
         // blocks are registered in ascending order.
@@ -376,7 +310,7 @@ fn plane_of<P: PlanePeer>(members: impl Iterator<Item = P>) -> Hosted {
 struct Parts {
     cfg: SessionConfig,
     protocol: Protocol,
-    link: LinkSpec,
+    link: LinkFactory,
     limit: SimTime,
     reserve: usize,
     dir: Arc<Directory>,

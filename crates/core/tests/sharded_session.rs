@@ -76,30 +76,35 @@ fn session_run_dispatches_to_shards_and_agrees_on_coverage() {
 }
 
 #[test]
-fn instance_link_falls_back_to_single_world() {
+fn link_runs_sharded_with_its_min_latency_as_lookahead() {
     use mss_sim::link::FixedLatency;
     use mss_sim::time::SimDuration;
-    // `link()` instances cannot shard; run() must silently use the
-    // single world and still finish.
-    let outcome = Session::new(SessionConfig::small(12, 3, 9), Protocol::Dcop)
+    // Each shard gets a clone of the link; its floor is the lookahead.
+    let (outcome, world, _) = Session::new(SessionConfig::small(18, 3, 3), Protocol::Dcop)
         .link(FixedLatency::new(SimDuration::from_millis(2)))
-        .shards(4)
-        .run();
-    assert_eq!(outcome.activated, 12);
+        .shards(3)
+        .run_with_sharded_world();
+    assert_eq!(world.shard_count(), 3);
+    assert_eq!(world.lookahead(), SimDuration::from_millis(2));
+    assert_eq!(outcome.activated, 18);
     assert!(outcome.complete);
 }
 
 #[test]
-fn link_factory_runs_sharded_with_model_lookahead() {
+fn zero_latency_link_falls_back_to_one_world() {
     use mss_sim::link::FixedLatency;
     use mss_sim::time::SimDuration;
-    let (outcome, world, _) = Session::new(SessionConfig::small(18, 3, 3), Protocol::Dcop)
-        .link_factory(|| FixedLatency::new(SimDuration::from_millis(2)))
-        .shards(3)
-        .run_with_sharded_world();
-    assert_eq!(world.lookahead(), SimDuration::from_millis(2));
-    assert_eq!(outcome.activated, 18);
+    // No lookahead to synchronize shards on: `run()` must take one world
+    // (the very outcome `run_with_world` gives) and still finish.
+    let session = || {
+        Session::new(SessionConfig::small(12, 3, 9), Protocol::Dcop)
+            .link(FixedLatency::new(SimDuration::ZERO))
+            .shards(4)
+    };
+    let outcome = session().run();
+    assert_eq!(outcome.activated, 12);
     assert!(outcome.complete);
+    assert_eq!(outcome, session().run_with_world().0);
 }
 
 #[test]
@@ -168,8 +173,10 @@ fn large_config_two_shard_run_matches_the_golden_digest() {
 
 /// Builder pin: what the one session builder wires, per protocol, for
 /// the single world and for three shards — peers in ascending blocks,
-/// then the leaf, then the injector, the same RNG forks. Values measured
-/// before `run_with_world` and `run_with_sharded_world` shared a builder.
+/// then the leaf, then the injector, the same RNG forks. Event counts and
+/// three-shard digests were measured before `run_with_world` and
+/// `run_with_sharded_world` shared a builder; the single-world digests
+/// when the lone world started folding one (PR 25).
 #[test]
 fn builder_wires_every_protocol_identically_on_both_kernels() {
     let session = |protocol| {
@@ -177,19 +184,26 @@ fn builder_wires_every_protocol_identically_on_both_kernels() {
         cfg.parity_interval = 3;
         Session::new(cfg, protocol).fault(mss_sim::time::SimDuration::from_millis(300), PeerId(5))
     };
-    // In `Protocol::ALL` order: single-world events, then the
-    // three-shard digest and its summed event count.
+    // In `Protocol::ALL` order: the single-world digest and event count,
+    // then the three-shard digest and its summed event count.
     let pinned = [
-        (754, 0xb8ff_808c_fd83_8032_u64, 772), // DCoP
-        (993, 0x3c65_42bc_0a3d_21f9, 971),     // TCoP
-        (1319, 0x0cde_7191_f8cd_be2e, 1329),   // broadcast
-        (583, 0x7eec_3eb6_6630_0240, 583),     // unicast
-        (605, 0x078d_b548_6b8c_5738, 605),     // centralized
-        (559, 0x6038_342c_41dd_1149, 559),     // leaf-schedule
+        (0xe70b_d766_0b3f_3043_u64, 754, 0xb8ff_808c_fd83_8032, 772), // DCoP
+        (0x8c88_0e9f_c54c_7278, 993, 0x3c65_42bc_0a3d_21f9, 971),     // TCoP
+        (0xb51d_03bb_4540_966c, 1319, 0x0cde_7191_f8cd_be2e, 1329),   // broadcast
+        (0xebfe_d246_b1e1_2fe9, 583, 0x7eec_3eb6_6630_0240, 583),     // unicast
+        (0x6b1a_6416_bf3d_6954, 605, 0x078d_b548_6b8c_5738, 605),     // centralized
+        (0x95e2_1486_8483_7d27, 559, 0x6038_342c_41dd_1149, 559),     // leaf-schedule
     ];
-    for (protocol, (single_events, digest, sharded_events)) in Protocol::ALL.into_iter().zip(pinned)
+    for (protocol, (single_digest, single_events, digest, sharded_events)) in
+        Protocol::ALL.into_iter().zip(pinned)
     {
         let (outcome, world, reports) = session(protocol).run_with_world();
+        assert_eq!(
+            world.event_digest(),
+            single_digest,
+            "{protocol:?} single-world digest {:016x}",
+            world.event_digest()
+        );
         assert_eq!(world.events_dispatched(), single_events, "{protocol:?}");
         assert_eq!(outcome.activated, 24, "{protocol:?} single world");
         assert!(outcome.complete, "{protocol:?} single world");

@@ -8,10 +8,11 @@
 //!
 //! - [`time`]: integer-nanosecond virtual time,
 //! - [`event`]: a deterministic `(time, sequence)`-ordered event queue,
-//! - [`world`]: the actor scheduler with timers and crash-stop fault
-//!   injection,
-//! - [`shard`]: a sharded parallel world running the same actors across
-//!   threads under conservative time-window synchronization,
+//! - [`world`]: the one event kernel — the actor scheduler with timers,
+//!   crash-stop fault injection and the per-event digest,
+//! - [`shard`]: a sharded parallel world, `S` [`world::World`]s running
+//!   the same actors across threads under conservative time-window
+//!   synchronization (a shard is a `World` plus an outbox),
 //! - [`link`]: pluggable network models (fixed latency, jitter,
 //!   i.i.d. and Gilbert–Elliott bursty loss, bandwidth queueing),
 //! - [`rng`]: a splittable PCG generator so runs are bit-reproducible,

@@ -54,23 +54,6 @@ pub trait LinkModel {
     }
 }
 
-impl LinkModel for Box<dyn LinkModel> {
-    fn process(
-        &mut self,
-        now: SimTime,
-        from: ActorId,
-        to: ActorId,
-        bytes: usize,
-        rng: &mut SimRng,
-    ) -> LinkVerdict {
-        self.as_mut().process(now, from, to, bytes, rng)
-    }
-
-    fn min_latency(&self) -> SimDuration {
-        self.as_ref().min_latency()
-    }
-}
-
 impl LinkModel for Box<dyn LinkModel + Send> {
     fn process(
         &mut self,
@@ -152,6 +135,7 @@ impl LinkModel for JitterLatency {
 
 /// Drops each message independently with probability `p`; otherwise
 /// defers to the inner model.
+#[derive(Clone)]
 pub struct IidLoss<L> {
     /// Per-message drop probability.
     pub p: f64,
@@ -185,6 +169,7 @@ impl<L: LinkModel> LinkModel for IidLoss<L> {
 /// In the *good* state messages drop with probability `loss_good`, in the
 /// *bad* state with `loss_bad`; the chain transitions good→bad with
 /// probability `p_gb` and bad→good with `p_bg` per message.
+#[derive(Clone)]
 pub struct GilbertElliott<L> {
     /// Good→bad transition probability (per message).
     pub p_gb: f64,
@@ -247,6 +232,7 @@ impl<L: LinkModel> LinkModel for GilbertElliott<L> {
 /// Serializes messages per directed pair at a finite bandwidth: a message
 /// must finish transmitting before the next one starts, adding queueing
 /// delay under load.
+#[derive(Clone)]
 pub struct Bandwidth<L> {
     /// Link capacity in bytes per (simulated) second.
     pub bytes_per_sec: u64,
@@ -305,6 +291,7 @@ impl<L: LinkModel> LinkModel for Bandwidth<L> {
 /// transmission queue at its own rate — the heterogeneous-peer model of
 /// the paper's §2 (and its §5 future work). Actors without an entry use
 /// `default_bytes_per_sec`.
+#[derive(Clone)]
 pub struct PerSenderBandwidth<L> {
     caps: Vec<u64>,
     default_bytes_per_sec: u64,

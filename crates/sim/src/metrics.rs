@@ -33,6 +33,11 @@ pub const NET_DELIVERED: &str = "net.delivered";
 pub const NET_TO_DEAD: &str = "net.to_dead";
 /// Total bytes handed to the link model.
 pub const NET_BYTES_SENT: &str = "net.bytes_sent";
+/// Deliveries timed behind the receiver's clock — a link verdict in the
+/// past, or a cross-shard arrival below the closed window — and clamped
+/// forward. Always zero for an honest link model; a nonzero count fails
+/// the run under `debug_assertions`.
+pub const NET_CLAMPED: &str = "net.clamped";
 
 /// A process-wide handle for one metric name (see [`register`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -48,14 +53,17 @@ pub const NET_DELIVERED_ID: MetricId = MetricId(2);
 pub const NET_TO_DEAD_ID: MetricId = MetricId(3);
 /// Fixed slot of [`NET_BYTES_SENT`].
 pub const NET_BYTES_SENT_ID: MetricId = MetricId(4);
+/// Fixed slot of [`NET_CLAMPED`].
+pub const NET_CLAMPED_ID: MetricId = MetricId(5);
 
 /// Names of the fixed kernel slots, in id order.
-const FIXED: [&str; 5] = [
+const FIXED: [&str; 6] = [
     NET_SENT,
     NET_DROPPED,
     NET_DELIVERED,
     NET_TO_DEAD,
     NET_BYTES_SENT,
+    NET_CLAMPED,
 ];
 
 impl MetricId {
@@ -383,6 +391,7 @@ mod tests {
         assert_eq!(register(NET_DELIVERED), NET_DELIVERED_ID);
         assert_eq!(register(NET_TO_DEAD), NET_TO_DEAD_ID);
         assert_eq!(register(NET_BYTES_SENT), NET_BYTES_SENT_ID);
+        assert_eq!(register(NET_CLAMPED), NET_CLAMPED_ID);
         let a = register("test.register.idempotent");
         let b = register("test.register.idempotent");
         assert_eq!(a, b);

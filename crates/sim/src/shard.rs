@@ -3,11 +3,18 @@
 //!
 //! # Model
 //!
-//! A [`ShardedWorld`] partitions its actors into `S` shards. Each shard
-//! owns a full scheduler replica — calendar [`EventQueue`], timer table,
-//! link-model instance, forked RNG stream, and [`Metrics`] sink — and
-//! runs on its own `std::thread::scope` worker. Execution proceeds in
-//! *windows* of the classic conservative (lookahead) kind:
+//! A [`ShardedWorld`] is `S` [`World`]s plus what only sharding needs.
+//! A shard is a `World` plus an outbox: it owns its calendar
+//! [`EventQueue`](crate::event::EventQueue), timer table, link-model
+//! instance, forked RNG stream and [`Metrics`] sink, and runs the one
+//! dispatch loop and the one `Ctx`, whose route queues a send locally
+//! when the receiver lives on this shard and stages it in the outbox for
+//! the receiver's shard otherwise. Its slot table spans the whole id
+//! space (the actors other shards host are placeholders), so global ids
+//! index every table directly. The composition adds the global-id →
+//! shard map, the window floor, the barrier/channel exchange, and the
+//! digest combination. Each shard runs on its own `std::thread::scope`
+//! worker, in *windows* of the classic conservative (lookahead) kind:
 //!
 //! 1. every worker posts the time of its earliest pending event; a
 //!    barrier reduction yields the global minimum `t0`;
@@ -25,8 +32,9 @@
 //! just processed: the per-shard event streams are causally complete.
 //! An arrival before the closed window's end would mean the link model
 //! overstated its `min_latency`; such events are clamped to the window
-//! boundary and counted (`shard.clamped_cross_events`), and the run
-//! fails hard after joining under `debug_assertions`.
+//! boundary and counted ([`crate::metrics::NET_CLAMPED`], the counter a
+//! lone world's past-delivery guard uses), and the run fails hard after
+//! joining under `debug_assertions`.
 //!
 //! # Determinism
 //!
@@ -37,8 +45,8 @@
 //! `(time, src shard, src seq)` order — no outcome ever depends on
 //! thread scheduling. Runs with *different* shard counts are equally
 //! valid simulations but not stream-identical (RNG streams and tie-break
-//! interleavings differ); the single-threaded [`crate::world::World`]
-//! remains the reference kernel.
+//! interleavings differ); a lone [`World`] (seeded directly, not forked)
+//! remains the reference.
 //!
 //! Crash-stop kills and `stop_world` are control signals, not timed
 //! events: they apply immediately in the calling shard and reach other
@@ -51,48 +59,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
-use crate::event::{ActorId, Event, EventQueue, TimerId};
-use crate::link::{LinkModel, LinkVerdict};
+use crate::event::{ActorId, Event};
+use crate::link::LinkModel;
 use crate::metrics::{self, Metrics};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::world::{
-    is_alive_idx, kill_idx, Actor, ActorGroup, Runtime, SimMessage, Slot, Taken, TimerTable,
-};
+use crate::world::{Actor, ActorGroup, SimMessage, World};
 
-/// Metric counting cross-shard arrivals that violated the lookahead
-/// contract and were clamped to the window boundary (release builds
-/// only; a debug build fails the run instead).
-pub const CLAMPED_CROSS_EVENTS: &str = "shard.clamped_cross_events";
-
-/// Global-id → (shard, local index) routing table, shared read-only by
-/// every worker.
-#[derive(Clone, Default)]
-struct ShardMap {
+/// Global id → hosting shard, shared read-only by every worker.
+#[derive(Default)]
+pub(crate) struct ShardMap {
     shard_of: Vec<u32>,
-    local_of: Vec<u32>,
 }
 
 impl ShardMap {
-    fn push(&mut self, shard: u32, local: u32) -> ActorId {
-        let id = ActorId(self.shard_of.len() as u32);
-        self.shard_of.push(shard);
-        self.local_of.push(local);
-        id
-    }
-
     #[inline]
     fn shard(&self, id: ActorId) -> u32 {
         self.shard_of[id.index()]
-    }
-
-    #[inline]
-    fn local(&self, id: ActorId) -> u32 {
-        self.local_of[id.index()]
-    }
-
-    fn len(&self) -> usize {
-        self.shard_of.len()
     }
 }
 
@@ -114,6 +97,13 @@ enum Cross<M> {
     Kill(ActorId),
 }
 
+/// One destination's staging buffer, alone on its cache lines. Every
+/// world allocates its lanes on the building thread right after its
+/// siblings', and each worker pushes into its own lanes on every
+/// cross-shard send; unpadded, two workers' lanes could share a line.
+#[repr(align(128))]
+struct Lane<M>(Vec<Cross<M>>);
+
 /// A cross-shard delivery after unboxing, carrying its sort key.
 struct Arrival<M> {
     at: SimTime,
@@ -124,17 +114,128 @@ struct Arrival<M> {
     msg: M,
 }
 
-/// Fold one dispatched event into a shard's running stream digest
-/// (an FNV-style 64-bit mix; order-sensitive by construction).
-#[inline]
-fn fold_digest(h: u64, at: SimTime, kind: u64, payload: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut x = h ^ at.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = x.wrapping_mul(PRIME);
-    x ^= kind.rotate_left(17);
-    x = x.wrapping_mul(PRIME);
-    x ^= payload.rotate_left(31);
-    x.wrapping_mul(PRIME)
+/// A world's side of the cross-shard exchange. A lone world's outbox has
+/// no destinations, so it hosts every actor and stages nothing.
+pub(crate) struct Outbox<M> {
+    shard: u32,
+    map: Arc<ShardMap>,
+    /// Per-destination staging (own index unused).
+    out: Vec<Lane<M>>,
+    /// Monotone cross-send counter (see [`Cross::Deliver`]).
+    seq: u64,
+    /// Events flushed to other shards, kills included.
+    sent: u64,
+}
+
+impl<M> Default for Outbox<M> {
+    fn default() -> Self {
+        Outbox {
+            shard: 0,
+            map: Arc::default(),
+            out: Vec::new(),
+            seq: 0,
+            sent: 0,
+        }
+    }
+}
+
+impl<M> Outbox<M> {
+    /// True when this world hosts `to`: always for a lone world.
+    #[inline]
+    pub(crate) fn hosts(&self, to: ActorId) -> bool {
+        self.out.is_empty() || self.map.shard(to) == self.shard
+    }
+
+    /// Stage a delivery for the shard hosting `to`.
+    pub(crate) fn stage(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M) {
+        let seq = self.seq;
+        self.seq += 1;
+        let Lane(out) = &mut self.out[self.map.shard(to) as usize];
+        out.push(Cross::Deliver {
+            at,
+            seq,
+            from,
+            to,
+            msg,
+        });
+    }
+
+    /// Stage `actor`'s crash-stop for every other shard.
+    pub(crate) fn kill(&mut self, actor: ActorId) {
+        let own = self.shard as usize;
+        for (dst, Lane(out)) in self.out.iter_mut().enumerate() {
+            if dst != own {
+                out.push(Cross::Kill(actor));
+            }
+        }
+    }
+
+    /// Flush staged cross-shard events, one batch per destination.
+    fn flush(&mut self, txs: &[Sender<Vec<Cross<M>>>]) {
+        for (dst, Lane(buf)) in self.out.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                self.sent += buf.len() as u64;
+                // A send can only fail if the destination worker already
+                // exited, which the aligned barrier schedule rules out
+                // for live runs; ignore rather than unwind mid-scope.
+                let _ = txs[dst].send(std::mem::take(buf));
+            }
+        }
+    }
+}
+
+/// Drain all inboxes and queue the arrivals in deterministic
+/// `(time, src shard, src seq)` order. Kills apply first; arrivals below
+/// the closed window's `floor` are clamped and counted.
+fn drain<M: SimMessage>(
+    world: &mut World<M>,
+    floor: SimTime,
+    rxs: &[Receiver<Vec<Cross<M>>>],
+    inbox: &mut Vec<Arrival<M>>,
+) {
+    debug_assert!(inbox.is_empty());
+    for (src, rx) in rxs.iter().enumerate() {
+        while let Ok(batch) = rx.try_recv() {
+            for cross in batch {
+                match cross {
+                    Cross::Kill(actor) => world.kill(actor),
+                    Cross::Deliver {
+                        at,
+                        seq,
+                        from,
+                        to,
+                        msg,
+                    } => inbox.push(Arrival {
+                        at,
+                        src: src as u32,
+                        seq,
+                        from,
+                        to,
+                        msg,
+                    }),
+                }
+            }
+        }
+    }
+    // `(at, src, seq)` is unique per arrival (`seq` is the source
+    // shard's monotone cross-send counter), so the unstable sort
+    // yields the stable order without a merge buffer per window.
+    inbox.sort_unstable_by_key(|a| (a.at, a.src, a.seq));
+    for a in inbox.drain(..) {
+        let mut at = a.at;
+        if at < floor {
+            world.metrics_mut().incr_id(metrics::NET_CLAMPED_ID);
+            at = floor;
+        }
+        world.queue.push(
+            at,
+            Event::Deliver {
+                from: a.from,
+                to: a.to,
+                msg: a.msg,
+            },
+        );
+    }
 }
 
 /// Per-shard load and synchronization counters (see
@@ -153,7 +254,7 @@ pub struct ShardStats {
     pub cross_sent: u64,
     /// Events still pending in this shard's queue.
     pub pending_events: usize,
-    /// Cross-shard arrivals clamped for violating the lookahead bound.
+    /// Deliveries clamped for violating the lookahead bound.
     pub clamped: u64,
 }
 
@@ -164,474 +265,93 @@ struct ShardSync {
     /// posted before the window-opening barrier.
     next: Vec<AtomicU64>,
     stop: AtomicBool,
+    limit: SimTime,
+    lookahead: SimDuration,
 }
 
-/// One shard: a self-contained scheduler over a subset of the actors.
-struct Shard<M: SimMessage> {
-    index: u32,
+/// One shard's worker loop (see the module docs for the window
+/// algorithm), starting from the closed-window `floor`. Returns the
+/// windows run and the floor they leave behind — the same on every
+/// worker, which all take the same branches on the same values.
+fn run_worker<M: SimMessage>(
+    world: &mut World<M>,
+    mut floor: SimTime,
+    sync: &ShardSync,
+    txs: Vec<Sender<Vec<Cross<M>>>>,
+    rxs: Vec<Receiver<Vec<Cross<M>>>>,
+) -> (u64, SimTime) {
+    let (limit, shard, single) = (sync.limit, world.outbox.shard as usize, txs.len() == 1);
+    let mut windows = 0;
+    let mut inbox: Vec<Arrival<M>> = Vec::new();
+    // Wave −1: `on_start` callbacks run before any event, and their
+    // sends are exchanged so the first window's queues are complete.
+    world.start_pending();
+    world.outbox.flush(&txs);
+    sync.barrier.wait();
+    drain(world, floor, &rxs, &mut inbox);
+    loop {
+        // Publish a pending halt only here, strictly between the
+        // window-closing barrier below and the window-opening one:
+        // no worker can reach this store for window k+1 until every
+        // worker has both read the flag for window k and closed k,
+        // so all workers read the same value and take the same
+        // branch every iteration. (A mid-window store could be read
+        // one iteration "early" by a sibling that was descheduled
+        // just past the opening barrier; that sibling broke out
+        // while the stopper parked on the closing barrier forever.)
+        if world.stop {
+            sync.stop.store(true, Ordering::Release);
+        }
+        let next = world.queue.peek_time().map_or(u64::MAX, |t| t.0);
+        sync.next[shard].store(next, Ordering::Release);
+        sync.barrier.wait();
+        if sync.stop.load(Ordering::Acquire) {
+            break;
+        }
+        let t0 = sync
+            .next
+            .iter()
+            .map(|a| a.load(Ordering::Acquire))
+            .min()
+            .unwrap_or(u64::MAX);
+        if t0 == u64::MAX || t0 > limit.0 {
+            break;
+        }
+        let end = if single {
+            limit
+        } else {
+            // Process strictly before t0 + L (inclusive bound is
+            // t0 + L − 1), never past the caller's limit.
+            SimTime(
+                t0.saturating_add(sync.lookahead.as_nanos())
+                    .saturating_sub(1)
+                    .min(limit.0),
+            )
+        };
+        world.dispatch_until(end);
+        if end.0 < u64::MAX {
+            floor = SimTime(end.0 + 1);
+        }
+        windows += 1;
+        world.outbox.flush(&txs);
+        sync.barrier.wait();
+        drain(world, floor, &rxs, &mut inbox);
+    }
+    (windows, floor)
+}
+
+/// One logical world executed by `S` cooperating shard [`World`]s. See
+/// the module docs for the synchronization and determinism contract; the
+/// registration and inspection API mirrors [`World`] with an explicit
+/// shard assignment per actor.
+pub struct ShardedWorld<M: SimMessage> {
+    shards: Vec<World<M>>,
     map: Arc<ShardMap>,
-    /// Local slots; `globals[i]` is the world-wide id of local slot `i`.
-    actors: Vec<Slot<M>>,
-    globals: Vec<ActorId>,
-    groups: Vec<Option<Box<dyn ActorGroup<M>>>>,
-    /// Full-length liveness copy (all shards see all actors); remote
-    /// kills are applied at window boundaries.
-    alive: Vec<bool>,
-    queue: EventQueue<M>,
-    timers: TimerTable,
-    link: Box<dyn LinkModel + Send>,
-    rng: SimRng,
-    metrics: Metrics,
-    now: SimTime,
+    lookahead: SimDuration,
     /// End (exclusive) of the last closed window: the floor below which
     /// a cross-shard arrival is a causality violation.
     floor: SimTime,
-    stop: bool,
-    started: usize,
-    dispatched: u64,
-    digest: u64,
-    /// Per-destination staging for cross-shard events (own index unused).
-    out: Vec<Vec<Cross<M>>>,
-    xseq: u64,
     windows: u64,
-    cross_sent: u64,
-    clamped: u64,
-}
-
-/// The context handed to actor callbacks running inside a shard. Same
-/// contract as the single world's `Ctx`; sends that cross shards are
-/// staged instead of queued.
-struct ShardCtx<'a, M: SimMessage> {
-    shard: u32,
-    self_id: ActorId,
-    now: SimTime,
-    map: &'a ShardMap,
-    queue: &'a mut EventQueue<M>,
-    link: &'a mut (dyn LinkModel + Send),
-    rng: &'a mut SimRng,
-    metrics: &'a mut Metrics,
-    alive: &'a mut [bool],
-    timers: &'a mut TimerTable,
-    stop: &'a mut bool,
-    out: &'a mut [Vec<Cross<M>>],
-    xseq: &'a mut u64,
-    clamped: &'a mut u64,
-}
-
-impl<'a, M: SimMessage> ShardCtx<'a, M> {
-    /// Route one link verdict: local push or cross-shard staging. A
-    /// delivery into the past (a link model bug) is clamped to `now`
-    /// and counted; the run fails after joining under debug assertions.
-    #[inline]
-    fn route(&mut self, to: ActorId, verdict: LinkVerdict, msg: M) {
-        match verdict {
-            LinkVerdict::Deliver(mut at) => {
-                if at < self.now {
-                    *self.clamped += 1;
-                    at = self.now;
-                }
-                let dst = self.map.shard(to);
-                if dst == self.shard {
-                    self.queue.push(
-                        at,
-                        Event::Deliver {
-                            from: self.self_id,
-                            to,
-                            msg,
-                        },
-                    );
-                } else {
-                    let seq = *self.xseq;
-                    *self.xseq += 1;
-                    self.out[dst as usize].push(Cross::Deliver {
-                        at,
-                        seq,
-                        from: self.self_id,
-                        to,
-                        msg,
-                    });
-                }
-            }
-            LinkVerdict::Drop => {
-                self.metrics.incr_id(metrics::NET_DROPPED_ID);
-            }
-        }
-    }
-}
-
-impl<'a, M: SimMessage> Runtime<M> for ShardCtx<'a, M> {
-    #[inline]
-    fn id(&self) -> ActorId {
-        self.self_id
-    }
-
-    #[inline]
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn actor_count(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// Liveness against this shard's copy: kills from other shards are
-    /// visible from the next window boundary on.
-    fn is_alive(&self, actor: ActorId) -> bool {
-        is_alive_idx(self.alive, actor.index())
-    }
-
-    fn send(&mut self, to: ActorId, msg: M) {
-        let bytes = msg.wire_size();
-        self.metrics.incr_id(metrics::NET_SENT_ID);
-        self.metrics
-            .add_id(metrics::NET_BYTES_SENT_ID, bytes as u64);
-        let verdict = self
-            .link
-            .process(self.now, self.self_id, to, bytes, self.rng);
-        self.route(to, verdict, msg);
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let id = self.timers.arm();
-        self.queue.push(
-            self.now + delay,
-            Event::Timer {
-                actor: self.self_id,
-                timer: id,
-                tag,
-            },
-        );
-        id
-    }
-
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.timers.take(timer);
-    }
-
-    #[inline]
-    fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    #[inline]
-    fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
-    }
-
-    /// Crash-stop `actor`: immediate in this shard, boundary-applied in
-    /// the others (see module docs).
-    fn kill(&mut self, actor: ActorId) {
-        kill_idx(self.alive, actor.index());
-        let own = self.shard as usize;
-        for (dst, out) in self.out.iter_mut().enumerate() {
-            if dst != own {
-                out.push(Cross::Kill(actor));
-            }
-        }
-    }
-
-    /// Halt the run: this shard stops dispatching after the current
-    /// callback; the other shards finish their open window first.
-    fn stop_world(&mut self) {
-        *self.stop = true;
-    }
-
-    /// Batched send with one metrics update, same per-message link and
-    /// routing order as individual sends.
-    fn send_batch(&mut self, batch: &mut Vec<(ActorId, M)>) {
-        let count = batch.len() as u64;
-        let mut bytes = 0u64;
-        for (to, msg) in batch.drain(..) {
-            let size = msg.wire_size();
-            bytes += size as u64;
-            let verdict = self
-                .link
-                .process(self.now, self.self_id, to, size, self.rng);
-            self.route(to, verdict, msg);
-        }
-        self.metrics.add_id(metrics::NET_SENT_ID, count);
-        self.metrics.add_id(metrics::NET_BYTES_SENT_ID, bytes);
-    }
-}
-
-impl<M: SimMessage> Shard<M> {
-    fn ctx(&mut self, self_id: ActorId) -> ShardCtx<'_, M> {
-        ShardCtx {
-            shard: self.index,
-            self_id,
-            now: self.now,
-            map: &self.map,
-            queue: &mut self.queue,
-            link: self.link.as_mut(),
-            rng: &mut self.rng,
-            metrics: &mut self.metrics,
-            alive: &mut self.alive,
-            timers: &mut self.timers,
-            stop: &mut self.stop,
-            out: &mut self.out,
-            xseq: &mut self.xseq,
-            clamped: &mut self.clamped,
-        }
-    }
-
-    fn take_target(&mut self, local: usize) -> Option<Taken<M>> {
-        match self.actors.get_mut(local)? {
-            Slot::Solo(slot) => slot.take().map(Taken::Actor),
-            Slot::Member { group, member } => {
-                let (g, m) = (*group as usize, *member);
-                self.groups
-                    .get_mut(g)
-                    .and_then(Option::take)
-                    .map(|b| Taken::Group(g, m, b))
-            }
-        }
-    }
-
-    fn put_target(&mut self, local: usize, taken: Taken<M>) {
-        match taken {
-            Taken::Actor(a) => {
-                if let Some(Slot::Solo(slot)) = self.actors.get_mut(local) {
-                    *slot = Some(a);
-                }
-            }
-            Taken::Group(g, _, b) => self.groups[g] = Some(b),
-        }
-    }
-
-    fn actor_any(&self, local: usize) -> Option<&dyn Any> {
-        match self.actors.get(local)? {
-            Slot::Solo(slot) => slot.as_deref().map(|a| a.as_any()),
-            Slot::Member { group, member } => self
-                .groups
-                .get(*group as usize)
-                .and_then(|g| g.as_deref())
-                .map(|g| g.member_as_any(*member)),
-        }
-    }
-
-    /// Run pending `on_start` callbacks in local registration order.
-    fn start_pending(&mut self) {
-        while self.started < self.actors.len() {
-            let idx = self.started;
-            self.started += 1;
-            let gid = self.globals[idx];
-            if !is_alive_idx(&self.alive, gid.index()) {
-                continue;
-            }
-            let Some(mut taken) = self.take_target(idx) else {
-                continue;
-            };
-            match &mut taken {
-                Taken::Actor(a) => a.on_start(&mut self.ctx(gid)),
-                Taken::Group(_, m, b) => {
-                    let m = *m;
-                    b.on_start(&mut self.ctx(gid), m);
-                }
-            }
-            self.put_target(idx, taken);
-        }
-    }
-
-    /// Dispatch every local event at or before `end` (stops early on
-    /// `stop_world`).
-    fn dispatch_window(&mut self, end: SimTime) {
-        while !self.stop {
-            let Some((at, event)) = self.queue.pop_at_or_before(end) else {
-                break;
-            };
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            self.dispatched += 1;
-            match event {
-                Event::Deliver { from, to, msg } => {
-                    self.digest = fold_digest(
-                        self.digest,
-                        at,
-                        1,
-                        (u64::from(from.0) << 32) | u64::from(to.0),
-                    );
-                    if !is_alive_idx(&self.alive, to.index()) {
-                        self.metrics.incr_id(metrics::NET_TO_DEAD_ID);
-                        continue;
-                    }
-                    self.metrics.incr_id(metrics::NET_DELIVERED_ID);
-                    let local = self.map.local(to) as usize;
-                    let Some(mut taken) = self.take_target(local) else {
-                        continue;
-                    };
-                    match &mut taken {
-                        Taken::Actor(a) => a.on_message(&mut self.ctx(to), from, msg),
-                        Taken::Group(_, m, b) => {
-                            let m = *m;
-                            b.on_message(&mut self.ctx(to), m, from, msg);
-                        }
-                    }
-                    self.put_target(local, taken);
-                }
-                Event::Timer { actor, timer, tag } => {
-                    self.digest = fold_digest(self.digest, at, 2, (u64::from(actor.0) << 32) ^ tag);
-                    if !self.timers.take(timer) {
-                        continue;
-                    }
-                    if !is_alive_idx(&self.alive, actor.index()) {
-                        continue;
-                    }
-                    let local = self.map.local(actor) as usize;
-                    let Some(mut taken) = self.take_target(local) else {
-                        continue;
-                    };
-                    match &mut taken {
-                        Taken::Actor(a) => a.on_timer(&mut self.ctx(actor), timer, tag),
-                        Taken::Group(_, m, b) => {
-                            let m = *m;
-                            b.on_timer(&mut self.ctx(actor), m, timer, tag);
-                        }
-                    }
-                    self.put_target(local, taken);
-                }
-            }
-        }
-    }
-
-    /// Flush staged cross-shard events, one batch per destination.
-    fn flush(&mut self, txs: &[Sender<Vec<Cross<M>>>]) {
-        for (dst, buf) in self.out.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                self.cross_sent += buf.len() as u64;
-                // A send can only fail if the destination worker already
-                // exited, which the aligned barrier schedule rules out
-                // for live runs; ignore rather than unwind mid-scope.
-                let _ = txs[dst].send(std::mem::take(buf));
-            }
-        }
-    }
-
-    /// Drain all inboxes and queue the arrivals in deterministic
-    /// `(time, src shard, src seq)` order. Kills apply first; arrivals
-    /// below the closed window's floor are clamped and counted.
-    fn drain(&mut self, rxs: &[Receiver<Vec<Cross<M>>>], inbox: &mut Vec<Arrival<M>>) {
-        debug_assert!(inbox.is_empty());
-        for (src, rx) in rxs.iter().enumerate() {
-            while let Ok(batch) = rx.try_recv() {
-                for cross in batch {
-                    match cross {
-                        Cross::Kill(actor) => kill_idx(&mut self.alive, actor.index()),
-                        Cross::Deliver {
-                            at,
-                            seq,
-                            from,
-                            to,
-                            msg,
-                        } => inbox.push(Arrival {
-                            at,
-                            src: src as u32,
-                            seq,
-                            from,
-                            to,
-                            msg,
-                        }),
-                    }
-                }
-            }
-        }
-        // `(at, src, seq)` is unique per arrival (`seq` is the source
-        // shard's monotone cross-send counter), so the unstable sort
-        // yields the stable order without a merge buffer per window.
-        inbox.sort_unstable_by_key(|a| (a.at, a.src, a.seq));
-        for a in inbox.drain(..) {
-            let mut at = a.at;
-            if at < self.floor {
-                self.clamped += 1;
-                at = self.floor;
-            }
-            self.queue.push(
-                at,
-                Event::Deliver {
-                    from: a.from,
-                    to: a.to,
-                    msg: a.msg,
-                },
-            );
-        }
-    }
-
-    /// The worker loop: see the module docs for the window algorithm.
-    fn run_worker(
-        &mut self,
-        limit: SimTime,
-        lookahead: SimDuration,
-        single: bool,
-        sync: &ShardSync,
-        txs: Vec<Sender<Vec<Cross<M>>>>,
-        rxs: Vec<Receiver<Vec<Cross<M>>>>,
-    ) {
-        let mut inbox: Vec<Arrival<M>> = Vec::new();
-        // Wave −1: `on_start` callbacks run before any event, and their
-        // sends are exchanged so the first window's queues are complete.
-        self.start_pending();
-        self.flush(&txs);
-        sync.barrier.wait();
-        self.drain(&rxs, &mut inbox);
-        loop {
-            // Publish a pending halt only here, strictly between the
-            // window-closing barrier below and the window-opening one:
-            // no worker can reach this store for window k+1 until every
-            // worker has both read the flag for window k and closed k,
-            // so all workers read the same value and take the same
-            // branch every iteration. (A mid-window store — the old
-            // code stored right after `dispatch_window` — could be read
-            // one iteration "early" by a sibling that was descheduled
-            // just past the opening barrier; that sibling broke out
-            // while the stopper parked on the closing barrier forever.)
-            if self.stop {
-                sync.stop.store(true, Ordering::Release);
-            }
-            let next = self.queue.peek_time().map_or(u64::MAX, |t| t.0);
-            sync.next[self.index as usize].store(next, Ordering::Release);
-            sync.barrier.wait();
-            if sync.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let t0 = sync
-                .next
-                .iter()
-                .map(|a| a.load(Ordering::Acquire))
-                .min()
-                .unwrap_or(u64::MAX);
-            if t0 == u64::MAX || t0 > limit.0 {
-                break;
-            }
-            let end = if single {
-                limit
-            } else {
-                // Process strictly before t0 + L (inclusive bound is
-                // t0 + L − 1), never past the caller's limit.
-                SimTime(
-                    t0.saturating_add(lookahead.as_nanos())
-                        .saturating_sub(1)
-                        .min(limit.0),
-                )
-            };
-            self.dispatch_window(end);
-            if end.0 < u64::MAX {
-                self.floor = SimTime(end.0 + 1);
-            }
-            self.windows += 1;
-            self.flush(&txs);
-            sync.barrier.wait();
-            self.drain(&rxs, &mut inbox);
-        }
-    }
-}
-
-/// One logical world executed by `S` cooperating shard workers. See the
-/// module docs for the synchronization and determinism contract; the
-/// registration and inspection API mirrors [`crate::world::World`] with
-/// an explicit shard assignment per actor.
-pub struct ShardedWorld<M: SimMessage> {
-    shards: Vec<Shard<M>>,
-    map: Arc<ShardMap>,
-    lookahead: SimDuration,
     merged: Metrics,
     now: SimTime,
     stopped: bool,
@@ -658,36 +378,14 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
              (the link model's min_latency is zero — run single-shard instead)"
         );
         let master = SimRng::new(seed);
-        let shards: Vec<Shard<M>> = (0..shards)
-            .map(|k| Shard {
-                index: k as u32,
-                map: Arc::new(ShardMap::default()),
-                actors: Vec::new(),
-                globals: Vec::new(),
-                groups: Vec::new(),
-                alive: Vec::new(),
-                queue: EventQueue::new(),
-                timers: TimerTable::default(),
-                link: link_for(k),
-                rng: master.fork(k as u64),
-                metrics: Metrics::new(),
-                now: SimTime::ZERO,
-                floor: SimTime::ZERO,
-                stop: false,
-                started: 0,
-                dispatched: 0,
-                digest: 0,
-                out: Vec::new(),
-                xseq: 0,
-                windows: 0,
-                cross_sent: 0,
-                clamped: 0,
-            })
-            .collect();
         ShardedWorld {
-            shards,
-            map: Arc::new(ShardMap::default()),
+            shards: (0..shards)
+                .map(|k| World::with_rng(link_for(k), master.fork(k as u64)))
+                .collect(),
+            map: Arc::default(),
             lookahead,
+            floor: SimTime::ZERO,
+            windows: 0,
             merged: Metrics::new(),
             now: SimTime::ZERO,
             stopped: false,
@@ -695,24 +393,26 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
         }
     }
 
-    fn register(&mut self, shard: usize) -> &mut ShardMap {
+    /// Record the next `count` global ids as hosted by `shard`, and take
+    /// them as placeholders on every other shard.
+    fn register(&mut self, shard: usize, count: usize) {
         assert!(!self.ran, "registration after the world has run");
         assert!(shard < self.shards.len(), "shard index out of range");
-        Arc::get_mut(&mut self.map).expect("map shared while registering")
+        let map = Arc::get_mut(&mut self.map).expect("map shared while registering");
+        map.shard_of
+            .resize(map.shard_of.len() + count, shard as u32);
+        for (k, world) in self.shards.iter_mut().enumerate() {
+            if k != shard {
+                world.add_elsewhere(count);
+            }
+        }
     }
 
     /// Register a solo actor on `shard`; global ids stay dense in
     /// registration order across all shards.
     pub fn add_actor(&mut self, shard: usize, actor: Box<dyn Actor<M>>) -> ActorId {
-        let local = self.shards[shard].actors.len() as u32;
-        let id = self.register(shard).push(shard as u32, local);
-        let sh = &mut self.shards[shard];
-        sh.actors.push(Slot::Solo(Some(actor)));
-        sh.globals.push(id);
-        for s in &mut self.shards {
-            s.alive.push(true);
-        }
-        id
+        self.register(shard, 1);
+        self.shards[shard].add_actor(actor)
     }
 
     /// Register a group of `members` co-hosted actors on `shard`,
@@ -724,30 +424,13 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
         members: usize,
         group: Box<dyn ActorGroup<M>>,
     ) -> ActorId {
-        self.register(shard);
-        let gidx = self.shards[shard].groups.len() as u32;
-        self.shards[shard].groups.push(Some(group));
-        let mut first = None;
-        for member in 0..members as u32 {
-            let local = self.shards[shard].actors.len() as u32;
-            let id = self.register(shard).push(shard as u32, local);
-            first.get_or_insert(id);
-            let sh = &mut self.shards[shard];
-            sh.actors.push(Slot::Member {
-                group: gidx,
-                member,
-            });
-            sh.globals.push(id);
-            for s in &mut self.shards {
-                s.alive.push(true);
-            }
-        }
-        first.expect("empty group")
+        self.register(shard, members);
+        self.shards[shard].add_group(members, group)
     }
 
     /// Number of registered actors across all shards.
     pub fn actor_count(&self) -> usize {
-        self.map.len()
+        self.map.shard_of.len()
     }
 
     /// Number of shards.
@@ -774,26 +457,20 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
     /// Crash-stop an actor from outside the simulation (applied to every
     /// shard's liveness copy at once).
     pub fn kill(&mut self, actor: ActorId) {
-        for s in &mut self.shards {
-            kill_idx(&mut s.alive, actor.index());
+        for world in &mut self.shards {
+            world.kill(actor);
         }
     }
 
     /// True if `actor` has not been killed.
     pub fn is_alive(&self, actor: ActorId) -> bool {
-        self.shards
-            .first()
-            .map(|s| is_alive_idx(&s.alive, actor.index()))
-            .unwrap_or(false)
+        self.shards[0].is_alive(actor)
     }
 
     /// Borrow any registered actor as `Any` for post-run inspection.
     pub fn actor_any(&self, id: ActorId) -> Option<&dyn Any> {
-        if id.index() >= self.map.len() {
-            return None;
-        }
-        let shard = self.map.shard(id) as usize;
-        self.shards[shard].actor_any(self.map.local(id) as usize)
+        let shard = *self.map.shard_of.get(id.index())?;
+        self.shards[shard as usize].actor_any(id)
     }
 
     /// Downcast a registered actor to its concrete type.
@@ -803,7 +480,7 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
 
     /// Total events dispatched across all shards.
     pub fn events_dispatched(&self) -> u64 {
-        self.shards.iter().map(|s| s.dispatched).sum()
+        self.shards.iter().map(World::events_dispatched).sum()
     }
 
     /// Order-sensitive digest of every shard's dispatched event stream,
@@ -812,56 +489,67 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
     pub fn event_digest(&self) -> u64 {
         self.shards
             .iter()
-            .fold(0u64, |h, s| h.rotate_left(9) ^ s.digest)
+            .fold(0u64, |h, w| h.rotate_left(9) ^ w.event_digest())
     }
 
-    /// Cross-shard arrivals that violated the lookahead contract and
-    /// were clamped (always zero for honest link models).
+    /// Deliveries that violated the lookahead contract and were clamped
+    /// (always zero for honest link models).
     pub fn clamped_cross_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.clamped).sum()
+        self.shards.iter().map(World::clamped).sum()
     }
 
     /// Per-shard load counters, in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
-            .map(|s| ShardStats {
-                shard: s.index as usize,
-                actors: s.actors.len(),
-                dispatched: s.dispatched,
-                windows: s.windows,
-                cross_sent: s.cross_sent,
-                pending_events: s.queue.len(),
-                clamped: s.clamped,
+            .enumerate()
+            .map(|(k, w)| ShardStats {
+                shard: k,
+                actors: self
+                    .map
+                    .shard_of
+                    .iter()
+                    .filter(|&&s| s as usize == k)
+                    .count(),
+                dispatched: w.events_dispatched(),
+                windows: self.windows,
+                cross_sent: w.outbox.sent,
+                pending_events: w.pending_events(),
+                clamped: w.clamped(),
             })
             .collect()
     }
 
     /// Pre-reserve per-shard queue capacity (allocation hint only).
     pub fn reserve_events(&mut self, events: usize) {
-        let per = events / self.shards.len().max(1);
-        for s in &mut self.shards {
-            s.queue.reserve(per);
+        let per = events / self.shards.len();
+        for world in &mut self.shards {
+            world.reserve_events(per);
         }
     }
 
     /// Run until every queue drains, an actor stops the world, or
     /// virtual time would pass `limit` (same clock semantics as
-    /// [`crate::world::World::run_until`]). Returns the time reached.
+    /// [`World::run_until`]). Returns the time reached.
     pub fn run_until(&mut self, limit: SimTime) -> SimTime {
         let s = self.shards.len();
         if !self.ran {
             self.ran = true;
-            let out_template = || Vec::new();
-            for shard in &mut self.shards {
-                shard.map = self.map.clone();
-                shard.out = (0..s).map(|_| out_template()).collect();
+            for (k, world) in self.shards.iter_mut().enumerate() {
+                world.outbox = Outbox {
+                    shard: k as u32,
+                    map: Arc::clone(&self.map),
+                    out: (0..s).map(|_| Lane(Vec::new())).collect(),
+                    ..Outbox::default()
+                };
             }
         }
         let sync = ShardSync {
             barrier: Barrier::new(s),
             next: (0..s).map(|_| AtomicU64::new(u64::MAX)).collect(),
             stop: AtomicBool::new(self.stopped),
+            limit,
+            lookahead: self.lookahead,
         };
         // One mpsc channel per ordered shard pair; senders are handed to
         // the source worker, receivers to the destination, both indexed
@@ -877,21 +565,31 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
             }
             rxs.push(row);
         }
-        let lookahead = self.lookahead;
-        let single = s == 1;
-        std::thread::scope(|scope| {
+        let floor = self.floor;
+        let ends: Vec<(u64, SimTime)> = std::thread::scope(|scope| {
             let sync = &sync;
-            for ((shard, tx_row), rx_row) in self.shards.iter_mut().zip(txs).zip(rxs) {
-                scope.spawn(move || {
-                    shard.run_worker(limit, lookahead, single, sync, tx_row, rx_row)
-                });
-            }
+            let workers: Vec<_> = self
+                .shards
+                .iter_mut()
+                .zip(txs)
+                .zip(rxs)
+                .map(|((world, tx_row), rx_row)| {
+                    scope.spawn(move || run_worker(world, floor, sync, tx_row, rx_row))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
+        let windows;
+        (windows, self.floor) = ends[0];
+        self.windows += windows;
         self.stopped = sync.stop.load(Ordering::Acquire);
         let max_now = self
             .shards
             .iter()
-            .map(|sh| sh.now)
+            .map(World::now)
             .max()
             .unwrap_or(SimTime::ZERO);
         self.now = if self.stopped || limit == SimTime::MAX {
@@ -900,17 +598,13 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
             limit
         };
         self.merged.clear();
-        for sh in &self.shards {
-            self.merged.merge(&sh.metrics);
-        }
-        let clamped = self.clamped_cross_events();
-        if clamped > 0 {
-            self.merged
-                .add_id(metrics::register(CLAMPED_CROSS_EVENTS), clamped);
+        for world in &self.shards {
+            self.merged.merge(world.metrics());
         }
         #[cfg(debug_assertions)]
         assert_eq!(
-            clamped, 0,
+            self.clamped_cross_events(),
+            0,
             "cross-shard events violated the lookahead contract \
              (the link model's min_latency overstates its real minimum)"
         );

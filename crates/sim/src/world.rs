@@ -1,10 +1,24 @@
-//! The actor world: scheduler, dispatch, timers, and fault injection.
+//! The actor world: the simulator's one event kernel — scheduler,
+//! dispatch, timers, and fault injection.
 //!
 //! A [`World`] owns a set of actors, an [`EventQueue`], a [`LinkModel`],
 //! a seeded RNG, and a [`Metrics`] sink. Actors interact with the world
 //! only through the [`Ctx`] handed to their callbacks, which keeps the
 //! borrow structure simple and makes actor code look like ordinary
 //! message-handler code.
+//!
+//! The sharded world ([`crate::shard::ShardedWorld`]) is `S` of these
+//! side by side: a shard is a `World` plus an outbox. A shard's slot
+//! table spans the whole id space — the actors other shards host are
+//! placeholders — and [`Ctx`]'s one route queues a send locally when this
+//! world hosts the receiver and stages it in the outbox otherwise. A lone
+//! world has no other shard, so every send it makes is local.
+//!
+//! Every world folds each dispatched event into an order-sensitive
+//! digest ([`World::event_digest`]). A link verdict that lies in the past
+//! (a link-model bug) is clamped to the present and counted in
+//! [`metrics::NET_CLAMPED`]; a nonzero count fails the run under
+//! `debug_assertions`.
 //!
 //! Determinism: with a fixed seed, fixed actor registration order, and
 //! the same message handlers, a run produces an identical event sequence
@@ -16,6 +30,7 @@ use crate::event::{ActorId, Event, EventQueue, TimerId};
 use crate::link::{LinkModel, LinkVerdict};
 use crate::metrics::{self, Metrics};
 use crate::rng::SimRng;
+use crate::shard::Outbox;
 use crate::time::{SimDuration, SimTime};
 
 /// Anything that can travel over a simulated link.
@@ -134,20 +149,21 @@ pub trait ActorGroup<M: SimMessage>: Send + 'static {
     fn member_as_any(&self, member: u32) -> &dyn Any;
 }
 
-/// Where one [`ActorId`] lives: its own box, or a slot of a group slab.
-/// Shared with the sharded world, whose per-shard slabs use the same
-/// storage scheme over shard-local indices.
-pub(crate) enum Slot<M: SimMessage> {
+/// Where one [`ActorId`] lives: its own box, a slot of a group slab, or
+/// another shard of the same sharded world.
+enum Slot<M: SimMessage> {
     /// A free-standing actor (`None` only transiently during dispatch).
     Solo(Option<Box<dyn Actor<M>>>),
     /// Member `member` of `groups[group]`.
     Member { group: u32, member: u32 },
+    /// Hosted by another shard: no event for it is ever queued here.
+    Elsewhere,
 }
 
 /// A dispatch target moved out of its slot for the duration of one
 /// callback (the reentrancy guard): the solo actor's box, or the whole
 /// group box plus the addressed member index.
-pub(crate) enum Taken<M: SimMessage> {
+enum Taken<M: SimMessage> {
     Actor(Box<dyn Actor<M>>),
     Group(usize, u32, Box<dyn ActorGroup<M>>),
 }
@@ -155,17 +171,30 @@ pub(crate) enum Taken<M: SimMessage> {
 /// Liveness lookup shared by every dispatch site: out-of-range ids are
 /// treated as dead (never registered ⇒ cannot receive anything).
 #[inline]
-pub(crate) fn is_alive_idx(alive: &[bool], idx: usize) -> bool {
+fn is_alive_idx(alive: &[bool], idx: usize) -> bool {
     alive.get(idx).copied().unwrap_or(false)
 }
 
 /// Crash-stop by index; out-of-range ids are a no-op, matching
 /// [`is_alive_idx`].
 #[inline]
-pub(crate) fn kill_idx(alive: &mut [bool], idx: usize) {
+fn kill_idx(alive: &mut [bool], idx: usize) {
     if let Some(a) = alive.get_mut(idx) {
         *a = false;
     }
+}
+
+/// Fold one dispatched event into a world's running stream digest (an
+/// FNV-style 64-bit mix; order-sensitive by construction).
+#[inline]
+fn fold_digest(h: u64, at: SimTime, kind: u64, payload: u64) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let mut x = h ^ at.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x = x.wrapping_mul(PRIME);
+    x ^= kind.rotate_left(17);
+    x = x.wrapping_mul(PRIME);
+    x ^= payload.rotate_left(31);
+    x.wrapping_mul(PRIME)
 }
 
 /// Pending-timer bookkeeping: a generation-stamped slot map.
@@ -180,16 +209,16 @@ pub(crate) fn kill_idx(alive: &mut [bool], idx: usize) {
 /// misfire if its slot were recycled 2³² times before dispatch, which no
 /// realistic run approaches.
 #[derive(Default)]
-pub(crate) struct TimerTable {
+struct TimerTable {
     /// Current generation per slot; odd/even carries no meaning, only
     /// equality with the id's stamp.
     gens: Vec<u32>,
     free: Vec<u32>,
-    pub(crate) live: usize,
+    live: usize,
 }
 
 impl TimerTable {
-    pub(crate) fn arm(&mut self) -> TimerId {
+    fn arm(&mut self) -> TimerId {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -203,7 +232,7 @@ impl TimerTable {
 
     /// Consume `id` (cancel or fire). Returns false when the id is
     /// stale — already fired or already cancelled.
-    pub(crate) fn take(&mut self, id: TimerId) -> bool {
+    fn take(&mut self, id: TimerId) -> bool {
         let slot = (id.0 >> 32) as usize;
         let gen = id.0 as u32;
         match self.gens.get_mut(slot) {
@@ -223,12 +252,49 @@ pub struct Ctx<'a, M: SimMessage> {
     self_id: ActorId,
     now: SimTime,
     queue: &'a mut EventQueue<M>,
-    link: &'a mut dyn LinkModel,
+    link: &'a mut (dyn LinkModel + Send),
     rng: &'a mut SimRng,
     metrics: &'a mut Metrics,
     alive: &'a mut [bool],
     timers: &'a mut TimerTable,
     stop: &'a mut bool,
+    outbox: &'a mut Outbox<M>,
+}
+
+impl<'a, M: SimMessage> Ctx<'a, M> {
+    /// The one route every send takes. The link decides the message's
+    /// fate; a delivery time in the past is clamped to now and counted;
+    /// the delivery is queued here when this world hosts `to` (always,
+    /// for a lone world) and staged for the hosting shard otherwise.
+    #[inline]
+    fn route(&mut self, to: ActorId, bytes: usize, msg: M) {
+        match self
+            .link
+            .process(self.now, self.self_id, to, bytes, self.rng)
+        {
+            LinkVerdict::Deliver(mut at) => {
+                if at < self.now {
+                    self.metrics.incr_id(metrics::NET_CLAMPED_ID);
+                    at = self.now;
+                }
+                if self.outbox.hosts(to) {
+                    self.queue.push(
+                        at,
+                        Event::Deliver {
+                            from: self.self_id,
+                            to,
+                            msg,
+                        },
+                    );
+                } else {
+                    self.outbox.stage(at, self.self_id, to, msg);
+                }
+            }
+            LinkVerdict::Drop => {
+                self.metrics.incr_id(metrics::NET_DROPPED_ID);
+            }
+        }
+    }
 }
 
 impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
@@ -246,6 +312,8 @@ impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
         self.alive.len()
     }
 
+    /// Liveness as this world sees it: in a shard, kills made on other
+    /// shards are visible from the next window boundary on.
     fn is_alive(&self, actor: ActorId) -> bool {
         is_alive_idx(self.alive, actor.index())
     }
@@ -257,25 +325,7 @@ impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
         self.metrics.incr_id(metrics::NET_SENT_ID);
         self.metrics
             .add_id(metrics::NET_BYTES_SENT_ID, bytes as u64);
-        match self
-            .link
-            .process(self.now, self.self_id, to, bytes, self.rng)
-        {
-            LinkVerdict::Deliver(at) => {
-                debug_assert!(at >= self.now, "link delivered into the past");
-                self.queue.push(
-                    at,
-                    Event::Deliver {
-                        from: self.self_id,
-                        to,
-                        msg,
-                    },
-                );
-            }
-            LinkVerdict::Drop => {
-                self.metrics.incr_id(metrics::NET_DROPPED_ID);
-            }
-        }
+        self.route(to, bytes, msg);
     }
 
     fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
@@ -309,18 +359,22 @@ impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
     }
 
     /// Crash-stop `actor`: it receives no further messages or timers.
-    /// In-flight messages *from* it still arrive (they already left).
+    /// In-flight messages *from* it still arrive (they already left). In
+    /// a shard the kill is immediate here and reaches the other shards at
+    /// the next window boundary.
     fn kill(&mut self, actor: ActorId) {
         kill_idx(self.alive, actor.index());
+        self.outbox.kill(actor);
     }
 
-    /// Halt the whole simulation after the current callback returns.
+    /// Halt the whole simulation after the current callback returns (a
+    /// sharded world's other shards finish their open window first).
     fn stop_world(&mut self) {
         *self.stop = true;
     }
 
     /// Batched send: one metrics update for the whole fan-out, with link
-    /// processing and queue pushes in exact per-message order — the event
+    /// processing and routing in exact per-message order — the event
     /// stream (delivery times, sequence numbers, RNG draws) is
     /// bit-identical to `batch.len()` individual [`Runtime::send`] calls.
     fn send_batch(&mut self, batch: &mut Vec<(ActorId, M)>) {
@@ -329,84 +383,63 @@ impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
         for (to, msg) in batch.drain(..) {
             let size = msg.wire_size();
             bytes += size as u64;
-            match self
-                .link
-                .process(self.now, self.self_id, to, size, self.rng)
-            {
-                LinkVerdict::Deliver(at) => {
-                    debug_assert!(at >= self.now, "link delivered into the past");
-                    self.queue.push(
-                        at,
-                        Event::Deliver {
-                            from: self.self_id,
-                            to,
-                            msg,
-                        },
-                    );
-                }
-                LinkVerdict::Drop => {
-                    self.metrics.incr_id(metrics::NET_DROPPED_ID);
-                }
-            }
+            self.route(to, size, msg);
         }
         self.metrics.add_id(metrics::NET_SENT_ID, count);
         self.metrics.add_id(metrics::NET_BYTES_SENT_ID, bytes);
     }
 }
 
-/// A point-in-time snapshot of a world's population and scheduler load —
-/// the numbers shard partitioning and capacity planning need, behind one
-/// stable API instead of ad-hoc field accessors.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorldStats {
-    /// Registered actors, alive or not (dense id space size).
-    pub actors: usize,
-    /// Actors not crash-stopped.
-    pub alive: usize,
-    /// Events currently pending in the queue.
-    pub pending_events: usize,
-    /// Timers armed but neither fired nor cancelled.
-    pub pending_timers: usize,
-    /// Events dispatched since construction (timers included).
-    pub events_dispatched: u64,
-    /// Most events ever pending at once.
-    pub queue_high_water: usize,
-}
-
 /// Owns the actors and runs the event loop.
+///
+/// Aligned to 128 bytes (a cache line and its prefetch pair): a sharded
+/// world keeps its shards side by side in one `Vec`, and each shard's
+/// worker writes its clock, counters and queue header on every event.
+/// Without the alignment, one shard's tail and the next one's head
+/// would share a line in three of four heap placements. A session's
+/// speed would then depend on where the allocator put the `Vec`.
+#[repr(align(128))]
 pub struct World<M: SimMessage> {
     actors: Vec<Slot<M>>,
     groups: Vec<Option<Box<dyn ActorGroup<M>>>>,
     alive: Vec<bool>,
     started: usize,
-    queue: EventQueue<M>,
-    link: Box<dyn LinkModel>,
+    pub(crate) queue: EventQueue<M>,
+    link: Box<dyn LinkModel + Send>,
     rng: SimRng,
     metrics: Metrics,
     now: SimTime,
     timers: TimerTable,
-    stop: bool,
-    trace: bool,
+    pub(crate) stop: bool,
     dispatched: u64,
+    digest: u64,
+    /// Cross-shard staging; a lone world's outbox has no destinations.
+    pub(crate) outbox: Outbox<M>,
 }
 
 impl<M: SimMessage> World<M> {
     /// A world with the given link model and RNG seed.
-    pub fn new(link: impl LinkModel + 'static, seed: u64) -> Self {
+    pub fn new(link: impl LinkModel + Send + 'static, seed: u64) -> Self {
+        Self::with_rng(Box::new(link), SimRng::new(seed))
+    }
+
+    /// A world drawing from `rng` (a shard's forked stream).
+    pub(crate) fn with_rng(link: Box<dyn LinkModel + Send>, rng: SimRng) -> Self {
         World {
             actors: Vec::new(),
             groups: Vec::new(),
             alive: Vec::new(),
             started: 0,
             queue: EventQueue::new(),
-            link: Box::new(link),
-            rng: SimRng::new(seed),
+            link,
+            rng,
             metrics: Metrics::new(),
             now: SimTime::ZERO,
             timers: TimerTable::default(),
             stop: false,
-            trace: false,
             dispatched: 0,
+            digest: 0,
+            outbox: Outbox::default(),
         }
     }
 
@@ -436,6 +469,14 @@ impl<M: SimMessage> World<M> {
             self.alive.push(true);
         }
         first
+    }
+
+    /// Take the next `count` ids for actors another shard hosts: they
+    /// stay alive here, so liveness reads and kills cover every id.
+    pub(crate) fn add_elsewhere(&mut self, count: usize) {
+        let len = self.actors.len() + count;
+        self.actors.resize_with(len, || Slot::Elsewhere);
+        self.alive.resize(len, true);
     }
 
     /// Number of registered actors (alive or not).
@@ -468,16 +509,6 @@ impl<M: SimMessage> World<M> {
         kill_idx(&mut self.alive, actor.index());
     }
 
-    /// Borrow a registered *solo* actor as a trait object for inspection.
-    /// Group members have no per-member `dyn Actor` box; use
-    /// [`World::actor_any`] / [`World::actor_as`], which resolve both.
-    pub fn actor_as_dyn(&self, id: ActorId) -> Option<&dyn Actor<M>> {
-        match self.actors.get(id.index())? {
-            Slot::Solo(slot) => slot.as_deref(),
-            Slot::Member { .. } => None,
-        }
-    }
-
     /// Borrow any registered actor — solo or group member — as `Any` for
     /// post-run inspection.
     pub fn actor_any(&self, id: ActorId) -> Option<&dyn Any> {
@@ -488,6 +519,7 @@ impl<M: SimMessage> World<M> {
                 .get(*group as usize)
                 .and_then(|g| g.as_deref())
                 .map(|g| g.member_as_any(*member)),
+            Slot::Elsewhere => None,
         }
     }
 
@@ -511,11 +543,13 @@ impl<M: SimMessage> World<M> {
             alive: &mut self.alive,
             timers: &mut self.timers,
             stop: &mut self.stop,
+            outbox: &mut self.outbox,
         }
     }
 
     /// Take the dispatch target for `id` out of its slot (solo box or
-    /// group box), or `None` when the id is unknown or mid-dispatch.
+    /// group box), or `None` when the id is unknown, mid-dispatch, or
+    /// hosted by another shard.
     fn take_target(&mut self, id: ActorId) -> Option<Taken<M>> {
         match self.actors.get_mut(id.index())? {
             Slot::Solo(slot) => slot.take().map(Taken::Actor),
@@ -526,6 +560,7 @@ impl<M: SimMessage> World<M> {
                     .and_then(Option::take)
                     .map(|b| Taken::Group(g, m, b))
             }
+            Slot::Elsewhere => None,
         }
     }
 
@@ -541,7 +576,9 @@ impl<M: SimMessage> World<M> {
         }
     }
 
-    fn start_pending(&mut self) {
+    /// Run the `on_start` callbacks of every actor registered since the
+    /// last run, in registration order (skipping other shards' actors).
+    pub(crate) fn start_pending(&mut self) {
         while self.started < self.actors.len() {
             let idx = self.started;
             self.started += 1;
@@ -549,7 +586,9 @@ impl<M: SimMessage> World<M> {
                 continue;
             }
             let id = ActorId(idx as u32);
-            let mut taken = self.take_target(id).expect("actor reentrancy");
+            let Some(mut taken) = self.take_target(id) else {
+                continue;
+            };
             match &mut taken {
                 Taken::Actor(a) => a.on_start(&mut self.ctx(id)),
                 Taken::Group(_, m, b) => {
@@ -561,32 +600,35 @@ impl<M: SimMessage> World<M> {
         }
     }
 
-    /// Dispatch a single event if one is pending at or before `limit`.
+    /// The dispatch loop — the only one: dispatch every pending event at
+    /// or before `end` in `(time, seq)` order, until none is left or an
+    /// actor stops the world. A lone world runs it once per
+    /// [`World::run_until`]; a shard runs it once per window.
+    pub(crate) fn dispatch_until(&mut self, end: SimTime) {
+        while self.step(end) {}
+    }
+
+    /// Dispatch a single event if one is pending at or before `end`.
     /// Returns false when nothing was dispatched (empty queue, past the
     /// limit, or the world was stopped).
-    pub fn step(&mut self, limit: SimTime) -> bool {
-        self.start_pending();
+    fn step(&mut self, end: SimTime) -> bool {
         if self.stop {
             return false;
         }
-        let Some((at, event)) = self.queue.pop_at_or_before(limit) else {
+        let Some((at, event)) = self.queue.pop_at_or_before(end) else {
             return false;
         };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.dispatched += 1;
-        if self.trace {
-            match &event {
-                Event::Deliver { from, to, .. } => {
-                    eprintln!("[{at:?}] deliver {from} -> {to}");
-                }
-                Event::Timer { actor, tag, .. } => {
-                    eprintln!("[{at:?}] timer {actor} tag={tag}");
-                }
-            }
-        }
         match event {
             Event::Deliver { from, to, msg } => {
+                self.digest = fold_digest(
+                    self.digest,
+                    at,
+                    1,
+                    (u64::from(from.0) << 32) | u64::from(to.0),
+                );
                 if !is_alive_idx(&self.alive, to.index()) {
                     self.metrics.incr_id(metrics::NET_TO_DEAD_ID);
                     return true;
@@ -605,6 +647,7 @@ impl<M: SimMessage> World<M> {
                 self.put_target(to, taken);
             }
             Event::Timer { actor, timer, tag } => {
+                self.digest = fold_digest(self.digest, at, 2, (u64::from(actor.0) << 32) ^ tag);
                 // A stale id means the timer was cancelled (or the slot
                 // already consumed); firing consumes it either way.
                 if !self.timers.take(timer) {
@@ -629,22 +672,6 @@ impl<M: SimMessage> World<M> {
         true
     }
 
-    /// Enable/disable stderr tracing of every dispatched event (debug aid).
-    pub fn set_trace(&mut self, on: bool) {
-        self.trace = on;
-    }
-
-    /// Run until the queue drains, an actor stops the world, virtual time
-    /// would pass `limit`, or `max_events` events have been dispatched.
-    /// Returns the number of events dispatched.
-    pub fn run_events(&mut self, limit: SimTime, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events && self.step(limit) {
-            n += 1;
-        }
-        n
-    }
-
     /// Run until the queue drains, an actor stops the world, or virtual
     /// time would pass `limit`. Returns the virtual time reached.
     ///
@@ -656,7 +683,9 @@ impl<M: SimMessage> World<M> {
     /// `limit == SimTime::MAX`, the [`World::run`] sentinel meaning "no
     /// limit", where time stays at the last dispatched event.
     pub fn run_until(&mut self, limit: SimTime) -> SimTime {
-        while self.step(limit) {}
+        self.start_pending();
+        self.dispatch_until(limit);
+        debug_assert_eq!(self.clamped(), 0, "link delivered into the past");
         if !self.stop && limit != SimTime::MAX && self.now < limit {
             self.now = limit;
         }
@@ -698,21 +727,20 @@ impl<M: SimMessage> World<M> {
         self.dispatched
     }
 
+    /// Order-sensitive digest of every event dispatched so far: identical
+    /// for identical runs, and a cheap fingerprint for determinism gates.
+    pub fn event_digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Deliveries clamped forward so far ([`metrics::NET_CLAMPED`]).
+    pub(crate) fn clamped(&self) -> u64 {
+        self.metrics.counter_id(metrics::NET_CLAMPED_ID)
+    }
+
     /// Most events that were ever pending at once (sizing diagnostics).
     pub fn queue_high_water(&self) -> usize {
         self.queue.high_water()
-    }
-
-    /// Population and scheduler-load snapshot (see [`WorldStats`]).
-    pub fn stats(&self) -> WorldStats {
-        WorldStats {
-            actors: self.actors.len(),
-            alive: self.alive.iter().filter(|a| **a).count(),
-            pending_events: self.queue.len(),
-            pending_timers: self.timers.live,
-            events_dispatched: self.dispatched,
-            queue_high_water: self.queue.high_water(),
-        }
     }
 }
 

@@ -1,10 +1,11 @@
 //! Sharded-world kernel tests: cross-shard delivery, determinism for a
 //! fixed `(seed, shards)` pair, kill propagation, stop propagation, and
-//! the lookahead-violation guard.
+//! the lookahead-violation and past-delivery guards.
 
 use mss_sim::event::ActorId;
 use mss_sim::impl_as_any;
 use mss_sim::link::{FixedLatency, LinkModel, LinkVerdict};
+use mss_sim::metrics;
 use mss_sim::prelude::*;
 use mss_sim::rng::SimRng;
 use mss_sim::shard::ShardedWorld;
@@ -327,6 +328,57 @@ fn lying_link_fails_the_run_in_debug() {
         }),
     );
     sw.run();
+}
+
+/// A link that delivers 1 ns into the past — a bug the one route's
+/// clamp-and-count guard must catch on either kernel.
+struct PastLink;
+impl LinkModel for PastLink {
+    fn process(
+        &mut self,
+        now: SimTime,
+        _from: ActorId,
+        _to: ActorId,
+        _bytes: usize,
+        _rng: &mut SimRng,
+    ) -> LinkVerdict {
+        LinkVerdict::Deliver(SimTime(now.0 - 1))
+    }
+    fn min_latency(&self) -> SimDuration {
+        LAT
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, should_panic(expected = "delivered into the past"))]
+fn past_delivery_fails_a_lone_world_in_debug_and_is_clamped_in_release() {
+    let mut w: World<Ping> = World::new(PastLink, 6);
+    let sink = w.add_actor(Box::new(Sink::default()));
+    w.add_actor(Box::new(Pinger {
+        target: sink,
+        count: 3,
+    }));
+    w.run();
+    // Release only from here: each ping lands at its send time.
+    let got = &w.actor_as::<Sink>(sink).unwrap().got;
+    assert_eq!(got, &[(1_000_000, 0), (2_000_000, 1), (3_000_000, 2)]);
+    assert_eq!(w.metrics().counter(metrics::NET_CLAMPED), 3);
+
+    // The shards route through the same code: the sender clamps the
+    // verdict to its clock, the receiver clamps it again to the floor.
+    let mut sw: ShardedWorld<Ping> = ShardedWorld::new(2, LAT, 6, |_| Box::new(PastLink));
+    let sink = sw.add_actor(0, Box::new(Sink::default()));
+    sw.add_actor(
+        1,
+        Box::new(Pinger {
+            target: sink,
+            count: 3,
+        }),
+    );
+    sw.run();
+    assert_eq!(sw.actor_as::<Sink>(sink).unwrap().got.len(), 3);
+    assert_eq!(sw.clamped_cross_events(), 6);
+    assert_eq!(sw.metrics().counter(metrics::NET_CLAMPED), 6);
 }
 
 #[test]

@@ -4,6 +4,16 @@
 # dependencies (crates/compat/ vendors the few third-party APIs used),
 # so no network access or pre-populated registry cache is needed.
 #
+# Each test runs once. The workspace step (every crate but the root
+# package, whose tests tier-1 just ran) already includes these
+# invariants, so they have no step of their own:
+#   - event memory plane: the `size_regression` tests of mss-core::msg
+#     and mss-sim::event re-measure `Msg` / `Event` / `NodeKey` at
+#     runtime behind the compile-time asserts;
+#   - calendar queue vs reference model: mss-sim's `properties` test;
+#   - word-wide coding kernels vs scalar loops: mss-media's
+#     `kernel_equivalence` test.
+#
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,21 +27,8 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> full workspace tests"
-cargo test -q --workspace
-
-echo "==> event memory plane: size-regression gates (Msg / Event / NodeKey)"
-# Compile-time asserts in mss-core::msg and mss-sim::event are the hard
-# floor; these named tests re-measure at runtime so a width regression
-# reports the actual size instead of an opaque const-eval build error.
-cargo test -q -p mss-core --lib size_regression
-cargo test -q -p mss-sim --lib size_regression
-
-echo "==> event-queue property tests (calendar queue vs reference model)"
-cargo test -q -p mss-sim --test properties
-
-echo "==> coding-plane kernel equivalence (word-wide kernels vs scalar loops)"
-cargo test -q -p mss-media --test kernel_equivalence
+echo "==> workspace tests (every crate but the root package)"
+cargo test -q --workspace --exclude mss
 
 echo "==> scheduler determinism: fig10/fig12 CSVs must be byte-identical"
 echo "    (and independent of --threads: sweep parallelism must not leak)"
