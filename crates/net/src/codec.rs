@@ -36,6 +36,17 @@
 //! precedes a truncation or a corrupt length prefix is still delivered.
 //! There is one format and one size: no switch selects frame-per-datagram
 //! or a larger bundle.
+//!
+//! # A fan-out is written once and parsed once per worker
+//!
+//! The children of one fan-out hold handles on one `ControlBody` that
+//! differ only in `part`, so their frames differ only in the four bytes
+//! [`PART_FROM_END`] before the end (and their records in `to`).
+//! [`BundleWriter::push`] encodes such a body once per fan-out and
+//! copies the record for the other children; a worker's
+//! [`FanoutDecoder`] parses it once and hands the other recipients
+//! handles on the same decoded body. Neither changes a byte on the wire
+//! or what a recipient decodes.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mss_core::msg::{
@@ -236,8 +247,10 @@ fn put_control(out: &mut impl BufMut, ControlPacket { body: c, part }: &ControlP
     out.put_u32_le(c.fanout);
 }
 
-/// Decodes onto a fresh body nobody else holds yet, so the receiver's
-/// reassembler (`crate::views`) can still fill in a delta's view.
+/// Decodes onto a fresh body. A worker's [`FanoutDecoder`] then shares
+/// it with the fan-out's other recipients, so the receiver's
+/// reassembler (`crate::views`) copies it before filling in a delta's
+/// view.
 fn get_control(buf: &mut &[u8]) -> Result<ControlPacket, CodecError> {
     need(buf, 9)?;
     let kind = match buf.get_u8() {
@@ -318,7 +331,7 @@ pub fn encode_into(from: ActorId, msg: &Msg, out: &mut BytesMut) {
 /// receive socket carries frames for every task, and the 4-byte
 /// destination prefix lets the poll loop route a frame to its mailbox
 /// before (and without) decoding it. ([`BundleWriter::push`] writes the
-/// same bytes straight into the open bundle.)
+/// same bytes straight into the open bundle, once per fan-out.)
 pub fn encode_routed_into(to: ActorId, from: ActorId, msg: &Msg, out: &mut BytesMut) {
     out.clear();
     out.put_u32_le(to.0);
@@ -419,6 +432,12 @@ fn put_frame(from: ActorId, msg: &Msg, out: &mut impl BufMut) {
 
 /// Decode a frame produced by [`encode`].
 pub fn decode(frame: &[u8]) -> Result<(ActorId, Msg), CodecError> {
+    decode_with_rest(frame).map(|(from, msg, _)| (from, msg))
+}
+
+/// [`decode`], plus the number of bytes the message left unread at the
+/// end of the frame (`decode` ignores them).
+fn decode_with_rest(frame: &[u8]) -> Result<(ActorId, Msg, usize), CodecError> {
     let mut buf = frame;
     need(&buf, 5)?;
     let from = ActorId(buf.get_u32_le());
@@ -527,7 +546,131 @@ pub fn decode(frame: &[u8]) -> Result<(ActorId, Msg), CodecError> {
         }
         t => return Err(CodecError::BadTag(t)),
     };
-    Ok((from, msg))
+    Ok((from, msg, buf.len()))
+}
+
+/// Bytes from a control frame's `part` field to the end of the frame:
+/// `[part][parts][h][fanout]`, four `u32`s, close every control frame.
+/// `part` is the only field in which the handles of one fan-out differ,
+/// so [`BundleWriter::push`] and [`FanoutDecoder`] find it here without
+/// parsing the body.
+pub const PART_FROM_END: usize = 16;
+
+/// The last control frame one sender sent, and its decoded body.
+#[derive(Debug)]
+struct HeldBody {
+    frame: Vec<u8>,
+    body: Arc<ControlBody>,
+    /// Recipients that have yet to decode it here.
+    left: u32,
+}
+
+/// A worker's decoder: [`decode`], except that the control body of a
+/// fan-out is parsed once per worker, not once per recipient.
+///
+/// It holds, per sender, the last control frame that sender sent and
+/// its decoded body. A frame that equals the held one in every byte
+/// except `part` (at [`PART_FROM_END`]) is answered with a handle on the
+/// held body and the frame's own `part` — exactly what [`decode`] would
+/// return. Anything else goes through [`decode`], errors included.
+///
+/// A fan-out of one, or a frame with bytes after its last field, is
+/// never held (and leaves its sender's entry alone). An entry is
+/// replaced by its sender's next held control frame, dropped once the
+/// recipients still expected have decoded it (`parts − 1` for Activate
+/// and Commit, `fanout` for Probe; an Announce waits to be replaced),
+/// and freed with the decoder. So the table holds at most one entry per
+/// sender; senders at or above the bound given to
+/// [`FanoutDecoder::new`] hold none.
+#[derive(Debug)]
+pub struct FanoutDecoder {
+    /// Indexed by sender.
+    held: Vec<Option<HeldBody>>,
+    senders: usize,
+    shared: u64,
+}
+
+impl FanoutDecoder {
+    /// A decoder that holds bodies for senders `0..senders`.
+    pub fn new(senders: usize) -> FanoutDecoder {
+        FanoutDecoder {
+            held: Vec::new(),
+            senders,
+            shared: 0,
+        }
+    }
+
+    /// Decode one plain `[from][kind][body]` frame.
+    pub fn decode(&mut self, frame: &[u8]) -> Result<(ActorId, Msg), CodecError> {
+        if let Some(hit) = self.repeat(frame) {
+            return Ok(hit);
+        }
+        let (from, msg, rest) = decode_with_rest(frame)?;
+        if let Msg::Control(c) = &msg {
+            self.hold(from, frame, c, rest);
+        }
+        Ok((from, msg))
+    }
+
+    /// A handle on the held body when `frame` repeats its sender's held
+    /// frame in every byte except `part`.
+    fn repeat(&mut self, frame: &[u8]) -> Option<(ActorId, Msg)> {
+        let from = u32::from_le_bytes(*frame.first_chunk::<4>()?);
+        let slot = self.held.get_mut(from as usize)?;
+        let held = slot.as_mut()?;
+        // A held frame is a whole control frame, longer than PART_FROM_END.
+        let part_at = frame.len().checked_sub(PART_FROM_END)?;
+        let same = frame.len() == held.frame.len()
+            && frame[..part_at] == held.frame[..part_at]
+            && frame[part_at + 4..] == held.frame[part_at + 4..];
+        if !same {
+            return None;
+        }
+        let part = u32::from_le_bytes(frame[part_at..part_at + 4].try_into().expect("4 bytes"));
+        let body = Arc::clone(&held.body);
+        held.left -= 1;
+        if held.left == 0 {
+            *slot = None;
+        }
+        self.shared += 1;
+        Some((ActorId(from), Msg::Control(ControlPacket { body, part })))
+    }
+
+    /// Make a just-decoded control frame its sender's held one.
+    fn hold(&mut self, from: ActorId, frame: &[u8], c: &ControlPacket, rest: usize) {
+        let i = from.0 as usize;
+        let recipients = match c.body.kind {
+            ControlKind::Activate | ControlKind::Commit => c.body.parts.saturating_sub(1),
+            ControlKind::Probe => c.body.fanout,
+            ControlKind::Announce => u32::MAX,
+        };
+        // Bytes after the last field would put `part` elsewhere.
+        if i >= self.senders || rest != 0 || recipients < 2 {
+            return;
+        }
+        if self.held.len() <= i {
+            self.held.resize_with(i + 1, || None);
+        }
+        let slot = &mut self.held[i];
+        let mut buf = slot.take().map(|h| h.frame).unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(frame);
+        *slot = Some(HeldBody {
+            frame: buf,
+            body: Arc::clone(&c.body),
+            left: recipients - 1,
+        });
+    }
+
+    /// Control frames answered from a held body instead of parsed.
+    pub fn shared(&self) -> u64 {
+        self.shared
+    }
+
+    /// Senders whose last control body is still held.
+    pub fn held(&self) -> usize {
+        self.held.iter().filter(|h| h.is_some()).count()
+    }
 }
 
 /// Seal threshold of a bundle: one un-fragmented Ethernet UDP payload
@@ -548,6 +691,13 @@ const ROUTE_PREFIX: usize = 4;
 /// records are appended to, and the list of *sealed* bundles waiting
 /// for the next batched send. Buffers are recycled, so the steady state
 /// allocates nothing.
+///
+/// A fan-out is encoded once: the writer keeps the routed frame of the
+/// last control message pushed, and a control from the same sender on
+/// the same body (`Arc::ptr_eq`) is that frame with `to` and `part`
+/// patched in — the same bytes encoding would produce. The writer holds
+/// the body itself, so the pointer it compares cannot be freed and
+/// reused, until [`BundleWriter::forget_body`].
 #[derive(Debug)]
 pub struct BundleWriter {
     /// The open bundle (empty = none open).
@@ -555,6 +705,12 @@ pub struct BundleWriter {
     /// Sealed datagrams, oldest first.
     sealed: Vec<Vec<u8>>,
     spare: BufPool,
+    /// Sender and body of the last control message pushed.
+    held: Option<(ActorId, Arc<ControlBody>)>,
+    /// Its routed frame.
+    held_frame: Vec<u8>,
+    /// Records copied from `held_frame` since the last `forget_body`.
+    copied: u64,
 }
 
 impl BundleWriter {
@@ -564,17 +720,50 @@ impl BundleWriter {
             open: Vec::new(),
             sealed: Vec::new(),
             spare: BufPool::new(spare),
+            held: None,
+            held_frame: Vec::new(),
+            copied: 0,
         }
     }
 
-    /// Append `msg` as one record to the open bundle, encoded in place.
+    /// Append `msg` as one record to the open bundle, encoded in place
+    /// (or copied, for the next handle of a held fan-out body).
     /// False (and nothing appended) when the frame exceeds
     /// [`MAX_RECORD`] and so cannot travel in any datagram.
     pub fn push(&mut self, to: ActorId, from: ActorId, msg: &Msg) -> bool {
-        self.push_with(|out| {
-            out.put_u32_le(to.0);
-            put_frame(from, msg, out);
-        })
+        let Msg::Control(c) = msg else {
+            return self.push_with(|out| {
+                out.put_u32_le(to.0);
+                put_frame(from, msg, out);
+            });
+        };
+        let repeat =
+            matches!(&self.held, Some((f, body)) if *f == from && Arc::ptr_eq(body, &c.body));
+        if !repeat {
+            self.held_frame.clear();
+            self.held_frame.put_u32_le(to.0);
+            put_frame(from, msg, &mut self.held_frame);
+            self.held = Some((from, Arc::clone(&c.body)));
+        }
+        let frame = std::mem::take(&mut self.held_frame);
+        let pushed = self.push_with(|out| {
+            let start = out.len();
+            out.extend_from_slice(&frame);
+            out[start..start + ROUTE_PREFIX].copy_from_slice(&to.0.to_le_bytes());
+            let part_at = out.len() - PART_FROM_END;
+            out[part_at..part_at + 4].copy_from_slice(&c.part.to_le_bytes());
+        });
+        self.held_frame = frame;
+        self.copied += u64::from(repeat && pushed);
+        pushed
+    }
+
+    /// Forget the held control body (its fan-outs are written). Returns
+    /// how many records were copied from a held body, instead of
+    /// encoded, since the last call.
+    pub fn forget_body(&mut self) -> u64 {
+        self.held = None;
+        std::mem::take(&mut self.copied)
     }
 
     /// [`BundleWriter::push`] for a routed frame already encoded
@@ -1014,6 +1203,53 @@ mod tests {
         match roundtrip(msg) {
             Msg::Nack(n) => assert_eq!(n.seqs.as_ref(), &[Seq(3), Seq(99), Seq(100_000)][..]),
             other => panic!("wrong variant {other:?}"),
+        }
+    }
+
+    /// `part` sits [`PART_FROM_END`] bytes before the end of every
+    /// control frame, whatever kind, view and schedule precede it, and
+    /// it is the only place two handles of one body differ.
+    #[test]
+    fn part_sits_at_a_fixed_distance_from_the_frame_end() {
+        let sched = mss_media::parity::esq(&PacketSeq::data_range(7), 3);
+        for (kind, view_wire) in [
+            (ControlKind::Activate, ViewWire::full()),
+            (ControlKind::Probe, ViewWire::Full { epoch: 4 }),
+            (
+                ControlKind::Commit,
+                ViewWire::Delta {
+                    epoch: 4,
+                    base_count: 1,
+                    additions: vec![40].into(),
+                },
+            ),
+        ] {
+            let body = Arc::new(ControlBody {
+                kind,
+                from: PeerId(3),
+                wave: 2,
+                view: Arc::new(view_of(90, &[2, 40])),
+                view_wire,
+                sched: sched.clone().into(),
+                pos: 1,
+                interval_nanos: 5,
+                mark_delta_nanos: 6,
+                parts: 0x0A0B_0C0D,
+                h: 2,
+                fanout: 3,
+                basis: None,
+            });
+            let a = encode(ActorId(2), &Msg::control(&body, 0x0102_0304));
+            let b = encode(ActorId(2), &Msg::control(&body, 7));
+            let at = a.len() - PART_FROM_END;
+            assert_eq!(a[at..at + 4], 0x0102_0304u32.to_le_bytes());
+            assert_eq!(a[at + 4..at + 8], 0x0A0B_0C0Du32.to_le_bytes());
+            assert_eq!(a.len(), b.len());
+            let differ: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
+            assert!(
+                differ.iter().all(|i| (at..at + 4).contains(i)),
+                "{kind:?}: handles differ at {differ:?}, part is at {at}"
+            );
         }
     }
 

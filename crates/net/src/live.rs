@@ -10,9 +10,11 @@
 //! mailbox *still encoded* — the poll thread is a pure router and never
 //! builds a message — and the owning tasks are pushed onto the ready
 //! queue. A small pool of worker threads drains the queue; the worker
-//! stepping a task decodes its frames, resolves delta-coded views
-//! against the task's own snapshots (see [`crate::views`]) and runs the
-//! handler, so a message is allocated and freed on one thread.
+//! stepping a task pops a step's frames under one lock, decodes them
+//! (a fan-out's shared control body once per worker), resolves
+//! delta-coded views against the task's own snapshots (see
+//! [`crate::views`]) and runs the handler, so a message is allocated
+//! and freed on one thread.
 //!
 //! Egress is bundled per worker, not per task step: a worker's sink
 //! encodes every message the tasks it steps send into one open bundle,
@@ -32,10 +34,11 @@
 //! the receive queue — those drops are *counted*, not silent, via the
 //! `SO_RXQ_OVFL` overflow counter surfaced as the `net.rx_dropped`
 //! metric. Batch sizes, bundle fill (`net.tx_frames` ÷
-//! `net.tx_datagrams`, likewise `rx`), buffer sizes and mailbox
-//! high-water marks are all reported in the outcome's metrics (see
-//! [`crate::names`]) so the batching behavior is observable, not
-//! assumed.
+//! `net.tx_datagrams`, likewise `rx`), buffer sizes, mailbox
+//! high-water marks, the frames written and parsed once per fan-out
+//! and the workers' busy time are all reported in the outcome's
+//! metrics (see [`crate::names`]) so the batching behavior is
+//! observable, not assumed.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
@@ -359,10 +362,11 @@ struct InjectedLoss {
 }
 
 /// Worker-side egress. Each posted message is encoded, as one record,
-/// straight into the open bundle; open and sealed bundles outlive the
-/// task step that wrote them, and the sealed ones go to the kernel as
-/// one `sendmmsg` burst once [`TX_BATCH`] have piled up or the worker
-/// is about to block.
+/// straight into the open bundle — a fan-out's shared body once, its
+/// other handles copied ([`BundleWriter::push`]); open and sealed
+/// bundles outlive the task step that wrote them, and the sealed ones
+/// go to the kernel as one `sendmmsg` burst once [`TX_BATCH`] have
+/// piled up or the worker is about to block.
 struct UdpSink<'s> {
     sock: &'s UdpSocket,
     batcher: BatchSocket,
@@ -422,6 +426,7 @@ impl OutboxSink for UdpSink<'_> {
             }
         }
         metrics.add_id(names::tx_frames_id(), frames);
+        metrics.add_id(names::tx_bodies_shared_id(), self.bundles.forget_body());
         if self.bundles.sealed().len() >= TX_BATCH {
             self.send_sealed(metrics);
         }
@@ -479,7 +484,7 @@ mod tests {
 
     /// Step every queued task once and return what each recorder logged.
     fn drain_recorders(sched: &Scheduler, n: u32) -> Vec<Vec<usize>> {
-        let mut scratch = crate::ready::StepScratch::default();
+        let mut scratch = crate::ready::StepScratch::new(sched.task_count());
         let mut metrics = Metrics::new();
         while let Some(task) = sched.try_next_task() {
             sched.run_step(task, &mut NullSink, &mut metrics, &mut scratch);
@@ -597,6 +602,29 @@ mod tests {
         // Batching stats must be observable.
         assert!(out.metrics.counter("net.rx_batches") > 0);
         assert!(out.metrics.counter("net.tx_datagrams") > 0);
+        assert_views_died_with_their_readers(&out, 0);
+    }
+
+    /// A fan-out is written once and parsed once per worker. Under the
+    /// live preset a DCoP peer selects once, so it sends one fan-out;
+    /// on one worker all its recipients decode there, and the last of
+    /// them drops the held body: none is left at shutdown.
+    #[test]
+    fn live_dcop_on_one_worker_leaves_no_held_body() {
+        let n = 300;
+        let mut cfg = SessionConfig::live(n, 8, 80);
+        cfg.content = ContentDesc::small(5, 60);
+        let out = LiveSession::new(cfg, Protocol::Dcop, Duration::from_secs(20))
+            .workers(1)
+            .run()
+            .expect("live session");
+        assert!(out.activated >= n - n / 100, "{} activated", out.activated);
+        assert!(out.complete, "leaf missing {} packets", out.missing);
+        let m = &out.metrics;
+        assert!(m.counter(names::TX_BODIES_SHARED) > 0, "no record copied");
+        assert!(m.counter(names::RX_BODIES_SHARED) > 0, "no body shared");
+        assert_eq!(m.counter(names::RX_BODIES_HELD), 0);
+        assert!(m.counter(names::WORKER_BUSY_NS) > 0);
         assert_views_died_with_their_readers(&out, 0);
     }
 

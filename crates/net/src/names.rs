@@ -53,6 +53,18 @@ pub const RXQ_OVFL_COUNTED: &str = "net.rxq_ovfl_counted";
 pub const VIEW_RESYNC_FALLBACKS: &str = "net.view_resync_fallbacks";
 /// View snapshots still held at shutdown (summed over tasks).
 pub const VIEW_EDGES_TRACKED: &str = "net.view_edges_tracked";
+/// Control frames written by copying the record of an earlier handle on
+/// the same fan-out body instead of encoding it (encodes skipped).
+pub const TX_BODIES_SHARED: &str = "net.tx_bodies_shared";
+/// Control frames answered from a body the worker already decoded for
+/// another recipient of the same fan-out (decodes skipped).
+pub const RX_BODIES_SHARED: &str = "net.rx_bodies_shared";
+/// Decoded fan-out bodies workers still held when they exited (summed
+/// over workers; the decode tables hold at most one per sender).
+pub const RX_BODIES_HELD: &str = "net.rx_bodies_held";
+/// Nanoseconds workers spent stepping tasks (summed over workers); read
+/// against `LiveOutcome::time_to_done` it says how busy the workers were.
+pub const WORKER_BUSY_NS: &str = "net.worker_busy_ns";
 
 mss_sim::metric_ids! {
     rx_batches_id => RX_BATCHES;
@@ -73,4 +85,8 @@ mss_sim::metric_ids! {
     rxq_ovfl_counted_id => RXQ_OVFL_COUNTED;
     view_resync_fallbacks_id => VIEW_RESYNC_FALLBACKS;
     view_edges_tracked_id => VIEW_EDGES_TRACKED;
+    tx_bodies_shared_id => TX_BODIES_SHARED;
+    rx_bodies_shared_id => RX_BODIES_SHARED;
+    rx_bodies_held_id => RX_BODIES_HELD;
+    worker_busy_ns_id => WORKER_BUSY_NS;
 }

@@ -13,11 +13,16 @@
 //!
 //! A mailbox holds *frames*, not messages: the poll thread appends each
 //! bundle record's still-encoded frame to the destination task's
-//! [`Mailbox`] and the worker that steps the task decodes them, one at
-//! a time, right before the handler runs. Every per-message allocation
-//! (the decoded view, the control body, the packet payload) is thereby
-//! made and freed by the same worker thread — allocator fast path, no
-//! cross-thread frees — and the poll thread allocates nothing per
+//! [`Mailbox`]. The worker that steps the task moves up to the rest of
+//! the step budget of them out under **one** lock, then decodes each
+//! right before the handler runs — through the worker's
+//! [`FanoutDecoder`], so a fan-out's shared control body is parsed once
+//! per worker, not once per recipient. Work that arrives during the
+//! step raises the task's `RUNNING_DIRTY` edge, so no second look at
+//! the mailbox is needed to know whether to requeue. Every per-message
+//! allocation (the decoded view, the control body, the packet payload)
+//! is made and freed by the same worker thread — allocator fast path,
+//! no cross-thread frees — and the poll thread allocates nothing per
 //! datagram. Each task also owns the [`ViewReassembler`] for the deltas
 //! addressed to it.
 //!
@@ -48,7 +53,7 @@ use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
 use mss_sim::world::{Actor, Runtime, SimMessage};
 
-use crate::codec::decode;
+use crate::codec::FanoutDecoder;
 use crate::names;
 use crate::runtime::SessionControl;
 use crate::sys::EventFd;
@@ -108,36 +113,57 @@ impl Mailbox {
         self.depth
     }
 
-    /// Move the oldest frame into `out` (cleared first); false when the
-    /// mailbox is empty.
-    fn pop_into(&mut self, out: &mut Vec<u8>) -> bool {
-        if self.depth == 0 {
-            return false;
+    /// Move up to `max` of the oldest frames, still length-prefixed, to
+    /// the end of `out`; returns whether frames remain.
+    fn pop_batch(&mut self, max: usize, out: &mut Vec<u8>) -> bool {
+        let take = max.min(self.depth);
+        let mut end = self.head;
+        for _ in 0..take {
+            let len = u32::from_le_bytes(self.buf[end..end + 4].try_into().expect("4 bytes"));
+            end += 4 + len as usize;
         }
-        let body = self.head + 4;
-        let len = u32::from_le_bytes(self.buf[self.head..body].try_into().expect("4 bytes"));
-        let end = body + len as usize;
-        out.clear();
-        out.extend_from_slice(&self.buf[body..end]);
-        self.depth -= 1;
+        out.extend_from_slice(&self.buf[self.head..end]);
+        self.depth -= take;
         if self.depth == 0 {
             self.buf.clear();
             self.head = 0;
         } else {
             self.head = end;
         }
-        true
+        self.depth > 0
     }
+}
+
+/// The frames of a [`Mailbox::pop_batch`], in order.
+fn popped_frames(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (len, tail) = rest.split_first_chunk::<4>()?;
+        let (frame, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+        rest = tail;
+        Some(frame)
+    })
 }
 
 /// Per-worker scratch a task step runs through; reused across steps so
 /// the steady state allocates nothing here.
-#[derive(Default)]
 pub(crate) struct StepScratch {
     /// Outbound messages of the current step, posted to the sink as one.
     outbox: Vec<(ActorId, Msg)>,
-    /// The frame being decoded.
-    frame: Vec<u8>,
+    /// The frames popped for the current step.
+    frames: Vec<u8>,
+    /// The worker's decoder, with its table of held fan-out bodies.
+    decoder: FanoutDecoder,
+}
+
+impl StepScratch {
+    /// Scratch for a worker stepping the tasks `0..tasks`.
+    pub(crate) fn new(tasks: usize) -> StepScratch {
+        StepScratch {
+            outbox: Vec::new(),
+            frames: Vec::new(),
+            decoder: FanoutDecoder::new(tasks),
+        }
+    }
 }
 
 /// One peer task.
@@ -529,14 +555,21 @@ impl Scheduler {
     /// the session stops. The flush rule lives here — the sink is
     /// flushed whenever the ready queue comes up empty, before the
     /// worker blocks on it (and so also on the way out at shutdown).
+    /// On exit it records its busy time and its decoder's counts.
     pub(crate) fn run_worker(&self, sink: &mut dyn OutboxSink, metrics: &mut Metrics) {
-        let mut scratch = StepScratch::default();
+        let mut scratch = StepScratch::new(self.cells.len());
+        let mut busy = Duration::ZERO;
         while let Some(task) = self.try_next_task().or_else(|| {
             sink.flush(metrics);
             self.next_task()
         }) {
+            let started = Instant::now();
             self.run_step(task, sink, metrics, &mut scratch);
+            busy += started.elapsed();
         }
+        metrics.add_id(names::worker_busy_ns_id(), busy.as_nanos() as u64);
+        metrics.add_id(names::rx_bodies_shared_id(), scratch.decoder.shared());
+        metrics.add_id(names::rx_bodies_held_id(), scratch.decoder.held() as u64);
     }
 
     /// Worker-side non-blocking pop: `None` when nothing is ready right
@@ -578,10 +611,11 @@ impl Scheduler {
         self.queue.cv.notify_all();
     }
 
-    /// Run one scheduling turn of `task`: fire its due timers, decode
-    /// and handle up to [`STEP_BUDGET`] mailbox frames, post the outbox
-    /// to `sink`, then yield (back to IDLE, or re-queued when work
-    /// remains). Returns the number of events processed.
+    /// Run one scheduling turn of `task`: fire its due timers, pop up to
+    /// the rest of [`STEP_BUDGET`] mailbox frames under one lock, decode
+    /// and handle them, post the outbox to `sink`, then yield (back to
+    /// IDLE, or re-queued when work remains). Returns the number of
+    /// events processed.
     pub(crate) fn run_step(
         &self,
         task: u32,
@@ -592,11 +626,15 @@ impl Scheduler {
         let cell = &self.cells[task as usize];
         cell.state.store(RUNNING, Ordering::Release);
 
-        let StepScratch { outbox, frame } = scratch;
+        let StepScratch {
+            outbox,
+            frames,
+            decoder,
+        } = scratch;
         let me = ActorId(task);
         let n_actors = self.cells.len();
         let mut events = 0usize;
-        {
+        let more = {
             let mut body_slot = cell.body.lock().expect("task body poisoned");
             let body = body_slot.as_mut().expect("task body taken mid-session");
             let TaskBody {
@@ -641,19 +679,18 @@ impl Scheduler {
                 }
             }
 
-            // Mailbox, up to the step budget. The message is decoded
-            // here, handled, and dropped — all on this thread.
-            while events < STEP_BUDGET {
-                if !cell
-                    .mailbox
-                    .lock()
-                    .expect("mailbox poisoned")
-                    .pop_into(frame)
-                {
-                    break;
-                }
+            // Mailbox, up to the step budget, popped under one lock. Each
+            // message is decoded here, handled, and dropped — all on this
+            // thread.
+            frames.clear();
+            let more = cell
+                .mailbox
+                .lock()
+                .expect("mailbox poisoned")
+                .pop_batch(STEP_BUDGET.saturating_sub(events), frames);
+            for frame in popped_frames(frames) {
                 events += 1;
-                let Ok((from, mut msg)) = decode(frame) else {
+                let Ok((from, mut msg)) = decoder.decode(frame) else {
                     metrics.incr_id(names::rx_decode_err_id());
                     continue;
                 };
@@ -672,18 +709,17 @@ impl Scheduler {
                     self.ctl.signal_done();
                 }
             }
-        }
+            more
+        };
 
         if !outbox.is_empty() {
             sink.post(me, outbox, metrics);
         }
 
-        // Yield: IDLE when drained, otherwise straight back on the queue.
-        let pending = {
-            cell.mailbox.lock().expect("mailbox poisoned").depth > 0
-                || !cell.due.lock().expect("due list poisoned").is_empty()
-        };
-        if pending {
+        // Yield: straight back on the queue when the pop left frames
+        // behind; otherwise IDLE, unless frames or timers arrived since
+        // the step began (RUNNING_DIRTY).
+        if more {
             cell.state.store(QUEUED, Ordering::Release);
             self.queue
                 .q
@@ -774,9 +810,9 @@ mod tests {
         assert!(!s.take(a), "stale generation must miss");
     }
 
-    /// Frames come out in push order, whole, across both buffer resets:
-    /// the clear when the last frame is drained and the compaction of a
-    /// mailbox that never runs empty.
+    /// Frames come out in push order, whole and at most `max` per pop,
+    /// across both buffer resets: the clear when the last frame is
+    /// drained and the compaction of a mailbox that never runs empty.
     #[test]
     fn mailbox_is_fifo_across_resets() {
         let mut mb = Mailbox::default();
@@ -786,39 +822,46 @@ mod tests {
             i.to_le_bytes().iter().copied().cycle().take(len).collect()
         };
         let (mut pushed, mut popped) = (0u32, 0u32);
+        // Pop up to `max` frames; check them and whether any remain.
+        let mut pop = |mb: &mut Mailbox, max: usize, popped: &mut u32| {
+            out.clear();
+            let more = mb.pop_batch(max, &mut out);
+            let got: Vec<&[u8]> = popped_frames(&out).collect();
+            assert_eq!(got.len(), max.min(got.len() + mb.depth));
+            for f in got {
+                assert_eq!(f, frame(*popped));
+                *popped += 1;
+            }
+            assert_eq!(more, mb.depth > 0);
+            more
+        };
         // Drain-to-empty rounds: the buffer restarts at offset 0.
         for round in 1..=5u32 {
-            for _ in 0..round {
+            for _ in 0..round * 3 {
                 assert_eq!(mb.push(&frame(pushed)), (pushed - popped + 1) as usize);
                 pushed += 1;
             }
-            while mb.pop_into(&mut out) {
-                assert_eq!(out, frame(popped));
-                popped += 1;
-            }
+            while pop(&mut mb, round as usize, &mut popped) {}
             assert_eq!((mb.head, mb.buf.len(), mb.depth), (0, 0, 0));
         }
         assert_eq!(popped, pushed);
-        // Never-empty regime: two in, one out, until the consumed prefix
-        // has been compacted away at least once.
+        // Never-empty regime: three in, two out, until the consumed
+        // prefix has been compacted away at least once.
         let mut compacted = false;
         while !compacted || pushed < 50_000 {
             let head_before = mb.head;
-            mb.push(&frame(pushed));
-            mb.push(&frame(pushed + 1));
-            pushed += 2;
+            for _ in 0..3 {
+                mb.push(&frame(pushed));
+                pushed += 1;
+            }
             compacted |= mb.head < head_before;
-            assert!(mb.pop_into(&mut out));
-            assert_eq!(out, frame(popped));
-            popped += 1;
+            assert!(pop(&mut mb, 2, &mut popped));
         }
         assert_eq!(mb.depth, (pushed - popped) as usize);
-        while mb.pop_into(&mut out) {
-            assert_eq!(out, frame(popped));
-            popped += 1;
-        }
+        while pop(&mut mb, STEP_BUDGET, &mut popped) {}
         assert_eq!(popped, pushed);
-        assert!(!mb.pop_into(&mut out), "empty mailbox pops nothing");
+        assert!(!pop(&mut mb, STEP_BUDGET, &mut popped));
+        assert!(out.is_empty(), "empty mailbox pops nothing");
     }
 
     /// An actor that counts everything and records message order.
@@ -859,7 +902,7 @@ mod tests {
             t,
             &mut NullSink,
             &mut Metrics::new(),
-            &mut StepScratch::default(),
+            &mut StepScratch::new(1),
         );
         sched
     }
@@ -877,7 +920,7 @@ mod tests {
     fn mailbox_and_timers_drive_a_task() {
         let sched = echo_scheduler();
         let mut m = Metrics::new();
-        let mut scratch = StepScratch::default();
+        let mut scratch = StepScratch::new(1);
 
         // Deliver two messages; the task must be scheduled exactly once,
         // and the depth is reported in messages.
@@ -902,7 +945,7 @@ mod tests {
     fn step_budget_leaves_the_remainder_queued_and_the_task_requeued() {
         let sched = echo_scheduler();
         let mut m = Metrics::new();
-        let mut scratch = StepScratch::default();
+        let mut scratch = StepScratch::new(1);
         let total = STEP_BUDGET as u32 + 10;
         for w in 0..total {
             assert_eq!(sched.deliver(0, ActorId(0), reply(w)), w as usize + 1);
@@ -925,7 +968,7 @@ mod tests {
     fn corrupt_frames_are_counted_and_skipped() {
         let sched = echo_scheduler();
         let mut m = Metrics::new();
-        let mut scratch = StepScratch::default();
+        let mut scratch = StepScratch::new(1);
         let good = crate::codec::encode(ActorId(0), &reply(5));
         sched.deliver_frame(0, &good[..good.len() - 3]); // truncated body
         sched.deliver_frame(0, &[1, 0, 0, 0, 0xEE]); // unknown kind tag
@@ -1043,7 +1086,7 @@ mod tests {
         sched.deliver(0, ActorId(3), probe(3));
         sched.deliver(0, ActorId(4), probe(4));
         let t = sched.next_task().unwrap();
-        let mut scratch = StepScratch::default();
+        let mut scratch = StepScratch::new(1);
         sched.run_step(t, &mut NullSink, &mut Metrics::new(), &mut scratch);
         assert_eq!(sched.view_totals(), (0, 0), "both refused edges dropped");
     }

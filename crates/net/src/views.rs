@@ -7,8 +7,11 @@
 //! each receiver (a ready-queue task) owns one [`ViewReassembler`],
 //! which caches the last tracked full view per *sender* and upgrades
 //! delta packets back to the sender's complete view before the protocol
-//! handler sees them. The decoded body is fresh and uniquely owned, so
-//! the upgrade happens in place.
+//! handler sees them. A decoded body may be shared with the fan-out's
+//! other recipients on the same worker (`crate::codec::FanoutDecoder`
+//! parses it once), so the upgrade copies it first (`Arc::make_mut`):
+//! resolving a delta for one task never changes what another task
+//! decodes.
 //!
 //! A snapshot lives exactly as long as a delta can still read it — the
 //! mirror of the sender's probe round:
@@ -76,8 +79,8 @@ impl ViewReassembler {
             } => match self.snaps.remove(&sender.0) {
                 Some((e, base)) if e == *epoch && base.count() == *base_count as usize => {
                     let view = Arc::new(apply_delta(&base, additions));
-                    // A just-decoded body has no other holder; a shared
-                    // one (never the case on the receive path) is copied.
+                    // The worker's decoder may share the body with the
+                    // fan-out's other recipients: copy, then upgrade.
                     Arc::make_mut(&mut c.body).view = view;
                 }
                 _ => self.fallbacks += 1,
@@ -235,6 +238,83 @@ mod tests {
         assert_eq!(c.body.view.count(), 2);
         assert_eq!(r.fallbacks(), 2);
         assert_eq!(r.tracked_edges(), 0);
+    }
+
+    /// Two tasks on one worker receive one commit fan-out: the decoder
+    /// parses the body once and hands both a handle on it. Resolving
+    /// the delta for the first copies the body, so the shared body —
+    /// and the second task's decode of the same frame — still hold the
+    /// additions alone, until the second task resolves its own.
+    #[test]
+    fn resolving_a_shared_body_leaves_it_untouched() {
+        let mut decoder = crate::codec::FanoutDecoder::new(8);
+        let mut tasks = [ViewReassembler::new(), ViewReassembler::new()];
+        let base = view_of(300, &[1, 9, 250]);
+        let grown = view_of(300, &[1, 2, 9, 250, 299]);
+        let fanout = |view: &View, view_wire| {
+            let body = Arc::new(ControlBody {
+                kind: ControlKind::Commit,
+                from: PeerId(4),
+                wave: 1,
+                view: Arc::new(view.clone()),
+                view_wire,
+                sched: SeqView::empty(),
+                pos: 0,
+                interval_nanos: 1,
+                mark_delta_nanos: 0,
+                parts: 3,
+                h: 2,
+                fanout: 2,
+                basis: None,
+            });
+            [1, 2].map(|part| crate::codec::encode(SENDER, &Msg::control(&body, part)))
+        };
+        let decode = |decoder: &mut crate::codec::FanoutDecoder, frame: &[u8]| match decoder
+            .decode(frame)
+            .expect("decodes")
+        {
+            (from, Msg::Control(c)) => (from, c),
+            other => panic!("wrong variant {other:?}"),
+        };
+        for (task, frame) in tasks
+            .iter_mut()
+            .zip(fanout(&base, ViewWire::Full { epoch: 1 }))
+        {
+            let (from, mut c) = decode(&mut decoder, &frame);
+            task.resolve(from, &mut c);
+        }
+        let [first, second] = fanout(
+            &grown,
+            ViewWire::Delta {
+                epoch: 1,
+                base_count: base.count() as u32,
+                additions: grown.diff_ids(&base).into(),
+            },
+        );
+
+        let (from, mut one) = decode(&mut decoder, &first);
+        let shared = Arc::clone(&one.body);
+        tasks[0].resolve(from, &mut one);
+        assert_eq!(one.body.view.as_ref(), &grown);
+        assert!(!Arc::ptr_eq(&one.body, &shared), "resolved on a copy");
+        assert_eq!(
+            shared.view.count(),
+            2,
+            "the shared body keeps the additions"
+        );
+
+        let (from, mut two) = decode(&mut decoder, &second);
+        assert!(Arc::ptr_eq(&two.body, &shared), "parsed once for both");
+        assert_eq!(two.part, 2);
+        assert_eq!(two.body.view.count(), 2, "the next decode is untouched");
+        tasks[1].resolve(from, &mut two);
+        assert_eq!(two.body.view.as_ref(), &grown);
+        assert_eq!(shared.view.count(), 2);
+        assert_eq!(decoder.shared(), 2, "one repeat per fan-out");
+        assert_eq!(decoder.held(), 0, "both recipients decoded both");
+        assert!(tasks
+            .iter()
+            .all(|t| t.fallbacks() == 0 && t.tracked_edges() == 0));
     }
 
     #[test]

@@ -4,8 +4,19 @@
 //! and the damage must surface as exactly one error — the poll thread
 //! counts that error as one `net.rx_decode_err` and drops the rest of
 //! the datagram (pinned against the real router in `live.rs`'s tests).
+//! And a fan-out written once must put on the wire exactly the bytes
+//! that writing each of its messages on its own would.
 
-use mss_net::codec::{split_bundle, BundleWriter, CodecError, BUNDLE_MTU, MAX_RECORD};
+use std::sync::Arc;
+
+use bytes::BytesMut;
+use mss_core::msg::{ControlBody, ControlKind, Msg, ProbeReply, ViewWire};
+use mss_media::{ContentDesc, PacketId, PacketSeq, Seq};
+use mss_net::codec::{
+    encode_routed_into, split_bundle, BundleWriter, CodecError, BUNDLE_MTU, MAX_RECORD,
+};
+use mss_overlay::{PeerId, View};
+use mss_sim::event::ActorId;
 use mss_sim::rng::SimRng;
 use proptest::prelude::*;
 
@@ -130,6 +141,176 @@ proptest! {
         }
         let (_, errors) = route(&datagram);
         prop_assert!(errors <= 1);
+    }
+}
+
+/// A fan-out body whose view is sparse, runs or dense (`shape` 0, 1, 2;
+/// a dense one over 12 000 peers is a record larger than one MTU), or a
+/// delta against part of it (`shape` 3).
+fn fanout_body(rng: &mut SimRng, shape: u64) -> Arc<ControlBody> {
+    let n = if shape == 2 && rng.gen_bool(0.2) {
+        12_000
+    } else {
+        64 + rng.gen_below(2_000) as usize
+    };
+    let mut view = View::empty(n);
+    match shape {
+        0 => {
+            for _ in 0..1 + rng.gen_below(8) {
+                view.insert(PeerId(rng.gen_below(n as u64) as u32));
+            }
+        }
+        2 => {
+            for i in (0..n as u32).filter(|i| i % 17 != 3) {
+                view.insert(PeerId(i));
+            }
+        }
+        _ => {
+            let start = rng.gen_below(n as u64 - 60) as u32;
+            for i in start..start + 16 + rng.gen_below(40) as u32 {
+                view.insert(PeerId(i));
+            }
+        }
+    }
+    let view_wire = match shape {
+        3 => {
+            let members: Vec<u32> = view.iter().map(|p| p.0).collect();
+            let keep = rng.gen_below(members.len() as u64 + 1) as usize;
+            ViewWire::Delta {
+                epoch: 1 + rng.gen_below(9) as u32,
+                base_count: (members.len() - keep) as u32,
+                additions: members[members.len() - keep..].to_vec().into(),
+            }
+        }
+        _ => ViewWire::Full {
+            epoch: rng.gen_below(3) as u32,
+        },
+    };
+    Arc::new(ControlBody {
+        kind: match shape {
+            0 => ControlKind::Activate,
+            1 => ControlKind::Probe,
+            2 => ControlKind::Announce,
+            _ => ControlKind::Commit,
+        },
+        from: PeerId(rng.gen_below(n as u64) as u32),
+        wave: rng.gen_below(9) as u32,
+        view: Arc::new(view),
+        view_wire,
+        sched: mss_media::parity::esq(&PacketSeq::data_range(1 + rng.gen_below(12)), 2).into(),
+        pos: rng.gen_below(12) as u32,
+        interval_nanos: rng.next_u64() >> 30,
+        mark_delta_nanos: rng.next_u64() >> 40,
+        parts: 1 + rng.gen_below(9) as u32,
+        h: 2,
+        fanout: 8,
+        basis: None,
+    })
+}
+
+/// One sender's fan-out in progress: its body and the handles still to
+/// write.
+struct Fanout {
+    from: ActorId,
+    body: Arc<ControlBody>,
+    left: usize,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// (iv) Fan-outs of 1 … 8 handles on one body, with random parts,
+    /// interleaved with other senders' fan-outs, one body pushed from two
+    /// senders, replies, data, post boundaries and mid-stream sends:
+    /// the datagrams are byte-identical to those of the same messages
+    /// encoded one at a time (`encode_routed_into` + `push_frame`), and
+    /// exactly the handles that follow a handle on the same body from
+    /// the same sender are copied.
+    #[test]
+    fn shared_fanouts_write_the_bytes_of_one_message_at_a_time(seed in any::<u64>(), steps in 1usize..160) {
+        let mut rng = SimRng::new(seed).fork(0xFA_0017);
+        let content = ContentDesc::small(seed, 20);
+        let mut shared = BundleWriter::new(4);
+        let mut plain = BundleWriter::new(4);
+        let mut routed = BytesMut::new();
+        let mut open: Vec<Fanout> = Vec::new();
+        // The copy rule, stated independently: the last control pushed
+        // since the last post boundary.
+        let mut last: Option<(ActorId, Arc<ControlBody>)> = None;
+        let (mut copied, mut expect_copied) = (0u64, 0u64);
+        let compare = |shared: &mut BundleWriter, plain: &mut BundleWriter| {
+            prop_assert_eq!(shared.sealed(), plain.sealed());
+            shared.recycle_sealed();
+            plain.recycle_sealed();
+        };
+        for _ in 0..steps {
+            let to = ActorId(rng.gen_below(5_000) as u32);
+            let from = ActorId(rng.gen_below(4) as u32);
+            let msg = match rng.gen_below(12) {
+                0 | 1 => {
+                    let shape = rng.gen_below(4);
+                    let body = fanout_body(&mut rng, shape);
+                    open.push(Fanout { from, body, left: 1 + rng.gen_below(8) as usize });
+                    continue;
+                }
+                2 => {
+                    // Another sender takes up a body already in flight.
+                    if let Some(f) = open.first() {
+                        let (from, body) = (ActorId(f.from.0 + 4), Arc::clone(&f.body));
+                        open.push(Fanout { from, body, left: 2 });
+                    }
+                    continue;
+                }
+                3 => Msg::Reply(ProbeReply {
+                    from: PeerId(from.0),
+                    accept: rng.gen_bool(0.5),
+                    wave: rng.gen_below(9) as u32,
+                }),
+                4 => Msg::data(PeerId(from.0), content.materialize(&PacketId::Data(Seq(1 + rng.gen_below(20))))),
+                5 => {
+                    copied += shared.forget_body();
+                    last = None;
+                    continue;
+                }
+                6 => {
+                    shared.seal();
+                    plain.seal();
+                    compare(&mut shared, &mut plain);
+                    continue;
+                }
+                _ => {
+                    // The next handle of an open fan-out: mostly the
+                    // newest, sometimes an older one (interleaving).
+                    if open.is_empty() {
+                        continue;
+                    }
+                    let k = if rng.gen_bool(0.7) { open.len() - 1 } else { rng.gen_below(open.len() as u64) as usize };
+                    let f = &mut open[k];
+                    let msg = Msg::control(&f.body, rng.next_u64() as u32);
+                    let from = f.from;
+                    f.left -= 1;
+                    if f.left == 0 {
+                        open.remove(k);
+                    }
+                    let repeat = matches!(&last, Some((lf, lb)) if *lf == from
+                        && matches!(&msg, Msg::Control(c) if Arc::ptr_eq(lb, &c.body)));
+                    expect_copied += u64::from(repeat);
+                    if let Msg::Control(c) = &msg {
+                        last = Some((from, Arc::clone(&c.body)));
+                    }
+                    encode_routed_into(to, from, &msg, &mut routed);
+                    prop_assert_eq!(shared.push(to, from, &msg), plain.push_frame(&routed));
+                    continue;
+                }
+            };
+            encode_routed_into(to, from, &msg, &mut routed);
+            prop_assert_eq!(shared.push(to, from, &msg), plain.push_frame(&routed));
+        }
+        shared.seal();
+        plain.seal();
+        compare(&mut shared, &mut plain);
+        copied += shared.forget_body();
+        prop_assert_eq!(copied, expect_copied);
     }
 }
 

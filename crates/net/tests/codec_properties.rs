@@ -2,8 +2,10 @@
 //! `encode_into` → `decode` byte-exactly (checked by re-encoding —
 //! encoding is deterministic, so `encode(decode(encode(m)))` must equal
 //! `encode(m)` bit for bit), the routed variant is exactly a 4-byte
-//! destination prefix over the plain frame, and truncated or corrupted
-//! frames are rejected with an error — never a panic.
+//! destination prefix over the plain frame, truncated or corrupted
+//! frames are rejected with an error — never a panic — and a worker's
+//! `FanoutDecoder`, which parses a fan-out's body once, answers every
+//! frame exactly as `decode` does.
 
 use proptest::prelude::*;
 
@@ -12,7 +14,9 @@ use mss_core::msg::{
     ContentRequest, ControlBody, ControlKind, Msg, Nack, ProbeReply, ScheduleAssignment, TwoPhase,
     ViewWire,
 };
-use mss_net::codec::{decode, encode_into, encode_routed_into};
+use mss_net::codec::{
+    decode, encode_into, encode_routed_into, CodecError, FanoutDecoder, PART_FROM_END,
+};
 use mss_overlay::{PeerId, View};
 use mss_sim::event::ActorId;
 use mss_sim::rng::SimRng;
@@ -326,7 +330,7 @@ fn shared_fanout_handles_encode_to_the_boxed_packets_bytes() {
     for (body, golden_part, hex) in golden_fanouts() {
         let golden = unhex(hex);
         let body = Arc::new(body);
-        let part_at = golden.len() - 16; // [part][parts][h][fanout] end a frame
+        let part_at = golden.len() - PART_FROM_END;
         let priced = Msg::control(&body, golden_part);
         for part in [golden_part, 0, 1, 7, u32::MAX] {
             let msg = Msg::control(&body, part);
@@ -363,7 +367,122 @@ fn shared_fanout_handles_encode_to_the_boxed_packets_bytes() {
     }
 }
 
+/// The first control message `gen_msg` makes at or after `seed`.
+fn gen_control(seed: u64) -> Msg {
+    (0..)
+        .map(|k| gen_msg(seed.wrapping_add(k)))
+        .find(|m| matches!(m, Msg::Control(_)))
+        .expect("one in seven messages is a control")
+}
+
+/// A random one of `frames`, if any.
+fn pick<'a>(rng: &mut SimRng, frames: &'a [Vec<u8>]) -> Option<&'a Vec<u8>> {
+    (!frames.is_empty()).then(|| &frames[rng.gen_below(frames.len() as u64) as usize])
+}
+
+/// `got` is what `want` is: the same sender and an equal message (for
+/// a control, the same `part` on an equal body), or the same error.
+fn assert_same_decode(
+    got: &Result<(ActorId, Msg), CodecError>,
+    want: &Result<(ActorId, Msg), CodecError>,
+) {
+    match (got, want) {
+        (Ok((gf, gm)), Ok((wf, wm))) => {
+            assert_eq!(gf, wf);
+            if let (Msg::Control(g), Msg::Control(w)) = (gm, wm) {
+                assert_eq!(g.part, w.part);
+            }
+            assert_eq!(format!("{gm:?}"), format!("{wm:?}"));
+        }
+        (Err(g), Err(w)) => assert_eq!(g, w),
+        _ => panic!("decoder {got:?}, decode {want:?}"),
+    }
+}
+
 proptest! {
+    /// A worker's `FanoutDecoder` returns exactly what `decode` returns,
+    /// over random frame sequences from a few senders: fresh messages of
+    /// every kind, fan-outs (one body, many parts), repeats, a changed
+    /// body from the same sender, a repeat that differs in one byte
+    /// outside `part`, a repeat with bytes appended, and truncations —
+    /// and it never holds more than one body per sender it holds for.
+    #[test]
+    fn fanout_decoder_returns_what_decode_returns(seed in any::<u64>(), steps in 1usize..120) {
+        let mut rng = SimRng::new(seed).fork(0xDEC0DE);
+        // Senders 0..4 are held for; 4 and 5 are beyond the bound.
+        let mut decoder = FanoutDecoder::new(4);
+        let mut controls: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..steps {
+            let from = ActorId(rng.gen_below(6) as u32);
+            let mut frames = Vec::new();
+            match rng.gen_below(9) {
+                0 => frames.push(encode_frame(from, &gen_msg(rng.next_u64()))),
+                1 | 2 => {
+                    // A fan-out: one body, handles with their own parts.
+                    let Msg::Control(c) = gen_control(rng.next_u64()) else { unreachable!() };
+                    for _ in 0..1 + rng.gen_below(6) {
+                        let part = rng.gen_below(9) as u32;
+                        frames.push(encode_frame(from, &Msg::control(&c.body, part)));
+                    }
+                }
+                3 => {
+                    // Another handle of an earlier fan-out, or a copy.
+                    if let Some(f) = pick(&mut rng, &controls) {
+                        let mut f = f.clone();
+                        if rng.gen_bool(0.7) {
+                            let at = f.len() - PART_FROM_END;
+                            f[at..at + 4].copy_from_slice(&(rng.next_u64() as u32).to_le_bytes());
+                        }
+                        frames.push(f);
+                    }
+                }
+                4 => {
+                    // One byte off, anywhere but `part`.
+                    if let Some(f) = pick(&mut rng, &controls) {
+                        let mut f = f.clone();
+                        let part_at = f.len() - PART_FROM_END;
+                        let mut at = rng.gen_below(f.len() as u64 - 4) as usize;
+                        if at >= part_at {
+                            at += 4;
+                        }
+                        f[at] ^= 1 + rng.gen_below(255) as u8;
+                        frames.push(f);
+                    }
+                }
+                5 => {
+                    // Bytes after the last field (`decode` ignores them).
+                    if let Some(f) = pick(&mut rng, &controls) {
+                        let mut f = f.clone();
+                        f.extend((0..1 + rng.gen_below(8)).map(|_| rng.next_u64() as u8));
+                        frames.push(f);
+                    }
+                }
+                6 => {
+                    if let Some(f) = pick(&mut rng, &controls) {
+                        let cut = rng.gen_below(f.len() as u64) as usize;
+                        frames.push(f[..cut].to_vec());
+                    }
+                }
+                _ => {
+                    // The last control's sender moves on to a new body.
+                    let sender = controls
+                        .last()
+                        .map_or(from, |f| ActorId(u32::from_le_bytes(*f.first_chunk().unwrap())));
+                    frames.push(encode_frame(sender, &gen_control(rng.next_u64())));
+                }
+            }
+            for frame in frames {
+                let got = decoder.decode(&frame);
+                let want = decode(&frame);
+                assert_same_decode(&got, &want);
+                if matches!(&want, Ok((_, Msg::Control(_)))) {
+                    controls.push(frame);
+                }
+                prop_assert!(decoder.held() <= 4, "{} bodies held for 4 senders", decoder.held());
+            }
+        }
+    }
+
     /// encode → decode → encode is byte-stable for every message shape.
     #[test]
     fn roundtrip_is_byte_stable(seed in any::<u64>(), from in 0u32..5000) {

@@ -6,7 +6,10 @@
 //! 3 % of every peer's sends dropped and NACK repair closing the gaps.
 //! With a population (`-- 10000`): one `SessionConfig::live(n, 8, 7)`
 //! session per coordination protocol, to read the wire off — how many
-//! frames each datagram carried (bundle fill), drops, decode errors.
+//! frames each datagram carried (bundle fill), drops, decode errors —
+//! and the host: how many frames were copied from a fan-out's record
+//! instead of encoded (tx) or answered from a body the worker had
+//! already decoded (rx), and how busy the workers were.
 //!
 //! ```text
 //! cargo run --release --example live_session [-- n]
@@ -31,6 +34,24 @@ fn bundle_fill(out: &LiveOutcome) -> String {
         "tx {}, rx {}",
         fill(names::TX_FRAMES, names::TX_DATAGRAMS),
         fill(names::RX_FRAMES, names::RX_DATAGRAMS)
+    )
+}
+
+/// Frames written or parsed once per fan-out, as shares of each side's
+/// frames, and worker busy time ÷ `time_to_done` (summed over workers).
+fn host_load(out: &LiveOutcome) -> String {
+    let m = &out.metrics;
+    let share = |shared, frames| {
+        let (s, f) = (m.counter(shared), m.counter(frames));
+        format!("{s} of {f} ({:.1} %)", 100.0 * s as f64 / f.max(1) as f64)
+    };
+    let busy = out.time_to_done.map_or(f64::NAN, |d| {
+        m.counter(names::WORKER_BUSY_NS) as f64 / d.as_nanos() as f64
+    });
+    format!(
+        "bodies shared: tx {}, rx {}; worker busy / time_to_done {busy:.2}",
+        share(names::TX_BODIES_SHARED, names::TX_FRAMES),
+        share(names::RX_BODIES_SHARED, names::RX_FRAMES)
     )
 }
 
@@ -79,7 +100,7 @@ fn population(n: usize) {
         let m = &out.metrics;
         println!(
             "{:<5}: activated {}/{n}, complete={}, done in {:.0} ms, {} coordination msgs\n       \
-             {}\n       rx_dropped {}, rx_decode_err {}, view_resync_fallbacks {}",
+             {}\n       rx_dropped {}, rx_decode_err {}, view_resync_fallbacks {}\n       {}",
             protocol.name(),
             out.activated,
             out.complete,
@@ -89,6 +110,7 @@ fn population(n: usize) {
             m.counter(names::RX_DROPPED),
             m.counter(names::RX_DECODE_ERR),
             m.counter(names::VIEW_RESYNC_FALLBACKS),
+            host_load(&out),
         );
         assert!(out.complete, "live session failed to stream");
     }

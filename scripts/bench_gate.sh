@@ -8,6 +8,11 @@
 # normal same-machine noise for this bench and catches accidental
 # hot-path regressions before they land.
 #
+# The box drifts about ±10 % run to run, so one reading below a floor is
+# not yet a regression: that protocol is re-measured up to twice more,
+# and it fails only when all three readings are below its floor. Every
+# reading is printed.
+#
 # Opt out with MSS_SKIP_BENCH_GATE=1 (e.g. on a busy, throttled, or
 # different-class machine where absolute events/sec are not comparable
 # to the recorded baseline).
@@ -49,17 +54,20 @@ if [ -z "$baseline" ]; then
     exit 0
 fi
 
-current_raw=$(cargo bench -p mss-bench --bench session_throughput)
-
+# One bench run, as "<protocol> <events/s>" lines:
 # "  DCoP/n100   13.68 ms/iter (0.657 Melem/s)" -> "DCoP <eps>"
-current=$(awk '
-/Melem\/s/ {
-    name = $1
-    sub(/\/.*/, "", name)
-    melem = $(NF-1)
-    sub(/^\(/, "", melem)
-    printf "%s %.0f\n", name, melem * 1e6
-}' <<<"$current_raw")
+measure() {
+    cargo bench -p mss-bench --bench session_throughput </dev/null | awk '
+    /Melem\/s/ {
+        name = $1
+        sub(/\/.*/, "", name)
+        melem = $(NF-1)
+        sub(/^\(/, "", melem)
+        printf "%s %.0f\n", name, melem * 1e6
+    }'
+}
+
+current=$(measure)
 
 if [ -z "$current" ]; then
     echo "bench_gate.sh: no session_throughput lines parsed from bench output" >&2
@@ -74,11 +82,19 @@ while read -r proto eps; do
         continue
     fi
     floor=$((base * 85 / 100))
+    readings="$eps"
+    for _ in 1 2; do
+        [ "$eps" -lt "$floor" ] || break
+        echo "bench_gate.sh: $proto read $eps events/s, below floor $floor; re-measuring"
+        eps=$(measure | awk -v p="$proto" '$1 == p { print $2 }')
+        eps=${eps:-0}
+        readings="$readings $eps"
+    done
     if [ "$eps" -lt "$floor" ]; then
-        echo "bench_gate.sh: FAIL $proto — $eps events/s is >15% below baseline $base (floor $floor)" >&2
+        echo "bench_gate.sh: FAIL $proto — readings $readings events/s all >15% below baseline $base (floor $floor)" >&2
         fail=1
     else
-        echo "bench_gate.sh: ok   $proto — $eps events/s vs baseline $base (floor $floor)"
+        echo "bench_gate.sh: ok   $proto — readings $readings events/s vs baseline $base (floor $floor)"
     fi
 done <<<"$current"
 

@@ -145,6 +145,31 @@ fn live_tcop_snapshots_die_with_their_readers() {
         tracked <= n as u64,
         "{tracked} snapshots outlived their readers (n = {n})"
     );
+    assert_fanouts_written_once_and_parsed_once(&live);
+}
+
+/// A fan-out's shared body was encoded once for several children and
+/// decoded once for several recipients.
+fn assert_fanouts_written_once_and_parsed_once(live: &LiveOutcome) {
+    let m = &live.metrics;
+    for side in ["net.tx_bodies_shared", "net.rx_bodies_shared"] {
+        assert!(m.counter(side) > 0, "{side} = 0");
+    }
+}
+
+/// The DCoP half of the n = 600 live check: its `Activate` fan-outs
+/// are written once per sender and parsed once per worker, and the
+/// session still streams to completion with nothing undecodable.
+#[test]
+fn live_dcop_fanouts_are_shared_at_600() {
+    let mut cfg = SessionConfig::live(600, 8, 4246);
+    cfg.content = ContentDesc::small(35, 100);
+    let live = LiveSession::new(cfg, Protocol::Dcop, Duration::from_secs(30))
+        .run()
+        .expect("live session");
+    assert!(live.complete, "leaf missing {} packets", live.missing);
+    assert_eq!(live.metrics.counter("net.rx_decode_err"), 0);
+    assert_fanouts_written_once_and_parsed_once(&live);
 }
 
 #[test]
