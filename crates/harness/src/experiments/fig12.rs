@@ -153,21 +153,12 @@ mod tests {
         }
     }
 
-    /// A single-seed sanity pass over three fan-outs (kept light; the
-    /// full figure is exercised by the harness binary and benches).
+    /// A two-seed pass over the quick grid (kept light; the full figure
+    /// is exercised by the harness binary and the repo benchmark).
     #[test]
     fn rates_have_the_papers_shape() {
-        let opts = RunOpts {
-            seeds: 2,
-            threads: 2,
-            shards: 0,
-            full: false,
-        };
-        let _ = &opts;
-        let mut grid_opts = quick_opts();
-        grid_opts.seeds = 2;
-        let dcop = sweep(Protocol::Dcop, &grid_opts);
-        let tcop = sweep(Protocol::Tcop, &grid_opts);
+        let dcop = sweep(Protocol::Dcop, &quick_opts());
+        let tcop = sweep(Protocol::Tcop, &quick_opts());
         let d = |h: usize| dcop.iter().find(|r| r.fanout == h).unwrap();
         let t = |h: usize| tcop.iter().find(|r| r.fanout == h).unwrap();
         // Everything streams to completion.
@@ -176,6 +167,19 @@ mod tests {
         // Rates exceed 1 (parity overhead) and decrease with H.
         assert!(d(2).volume > d(60).volume);
         assert!(t(2).volume > t(60).volume);
+        // The paper's H = 60 anchor: DCoP at exactly H/(H-1) (paper
+        // 1.019), TCoP above it (paper 1.226).
+        assert!(
+            (d(60).volume - 60.0 / 59.0).abs() < 0.01,
+            "DCoP rate {} != H/(H-1)",
+            d(60).volume
+        );
+        assert!(
+            t(60).volume > d(60).volume,
+            "TCoP {} <= DCoP {} at H = 60",
+            t(60).volume,
+            d(60).volume
+        );
         // TCoP pays more redundancy than DCoP in the mid range (its
         // small-arity subtree divisions re-protect aggressively).
         assert!(

@@ -3,7 +3,7 @@
 //! multi-loss — the capability single XOR parity cannot offer.
 
 use mss_media::parity::{div_all, enhance, Coding, Decoder};
-use mss_media::{ContentDesc, PacketId, PacketSeq, Seq};
+use mss_media::{rs, ContentDesc, PacketId, PacketSeq, Seq};
 
 fn feed(dec: &mut Decoder, content: &ContentDesc, id: &PacketId) {
     let pkt = content.materialize(id);
@@ -116,6 +116,32 @@ fn rs_rows_arriving_before_data_still_decode() {
         feed(&mut dec, &content, id);
     }
     assert!(dec.missing(12).is_empty(), "missing {:?}", dec.missing(12));
+}
+
+#[test]
+fn rs_decode_recovers_r_data_losses_at_packet_size() {
+    // Losing the first r data shards forces a full elimination through
+    // the word-wide kernels, at segment sizes beyond the unit proptest's
+    // (k up to 16) and payloads of 1 KiB and the paper's 1350 B.
+    for (k, r) in [(4usize, 2usize), (8, 3), (16, 4)] {
+        for len in [1024usize, 1350] {
+            let data: Vec<Vec<u8>> = (0..k)
+                .map(|j| (0..len).map(|b| (j * 131 + b * 7 + 1) as u8).collect())
+                .collect();
+            let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+            let parity = rs::encode(&refs, r);
+            let mut shards: Vec<rs::Shard> = data
+                .iter()
+                .enumerate()
+                .skip(r)
+                .map(|(j, d)| rs::Shard::Data(j, d.clone()))
+                .collect();
+            for (i, p) in parity.into_iter().enumerate() {
+                shards.push(rs::Shard::Parity(i, p));
+            }
+            assert_eq!(rs::decode(k, &shards), Some(data), "k={k} r={r} len={len}");
+        }
+    }
 }
 
 #[test]
