@@ -173,15 +173,15 @@ impl Session {
         let p = self.into_parts(1);
         let mut world: World<Msg> = World::new((p.link)(), p.cfg.seed);
         world.reserve_events(p.reserve);
-        for hosted in p.blocks {
+        for hosted in p.actors.blocks {
             match hosted {
                 Hosted::Group(members, group) => _ = world.add_group(members, group),
                 Hosted::Solo(actors) => actors.into_iter().for_each(|a| _ = world.add_actor(a)),
             }
         }
-        let leaf_id = world.add_actor(p.leaf);
+        let leaf_id = world.add_actor(p.actors.leaf);
         debug_assert_eq!(leaf_id, p.dir.leaf());
-        if let Some(injector) = p.injector {
+        if let Some(injector) = p.actors.injector {
             world.add_actor(injector);
         }
         world.run_until(p.limit);
@@ -211,19 +211,8 @@ impl Session {
         let mut world: ShardedWorld<Msg> =
             ShardedWorld::new(shards, lookahead, p.cfg.seed, |_k| (p.link)());
         world.reserve_events(p.reserve);
-        // Shard k hosts block k; global ids stay dense because the
-        // blocks are registered in ascending order.
-        for (k, hosted) in p.blocks.into_iter().enumerate() {
-            match hosted {
-                Hosted::Group(members, group) => _ = world.add_group(k, members, group),
-                Hosted::Solo(actors) => actors.into_iter().for_each(|a| _ = world.add_actor(k, a)),
-            }
-        }
-        let leaf_id = world.add_actor(0, p.leaf);
+        let leaf_id = p.actors.register(&mut world);
         debug_assert_eq!(leaf_id, p.dir.leaf());
-        if let Some(injector) = p.injector {
-            world.add_actor(0, injector);
-        }
         world.run_until(p.limit);
 
         let reports = sharded_peer_reports(&world, p.protocol, &p.dir);
@@ -232,10 +221,25 @@ impl Session {
         (outcome, world, reports)
     }
 
+    /// The worlds of a live session on `workers` workers (at most one
+    /// per peer): this session's actors registered exactly as
+    /// [`Session::run_with_sharded_world`] registers them, and handed
+    /// out by [`ShardedWorld::into_live_worlds`], so every send is
+    /// staged for the host to carry. The link, time limit and
+    /// [`Session::shards`] are the host's business and are ignored.
+    pub fn into_live_worlds(self, workers: usize) -> Vec<World<Msg>> {
+        let workers = workers.clamp(1, self.cfg.n);
+        let p = self.into_parts(workers);
+        let mut world = ShardedWorld::live(workers, p.cfg.seed);
+        let leaf_id = p.actors.register(&mut world);
+        debug_assert_eq!(leaf_id, p.dir.leaf());
+        world.into_live_worlds()
+    }
+
     /// The one place a session becomes actors: the contents peers of
     /// each block of `shard_blocks(n, shards)` (one shard is the single
     /// world), the leaf, and the crash injector if any fault was asked
-    /// for. Both kernels register exactly these, in this order.
+    /// for. Every kernel registers exactly these, in this order.
     fn into_parts(self, shards: usize) -> Parts {
         let Session {
             cfg,
@@ -285,9 +289,11 @@ impl Session {
             link,
             limit,
             dir,
-            blocks,
-            leaf,
-            injector,
+            actors: Actors {
+                blocks,
+                leaf,
+                injector,
+            },
         }
     }
 }
@@ -298,6 +304,25 @@ enum Hosted {
     Group(usize, Box<dyn ActorGroup<Msg>>),
     /// One boxed actor per peer (the baselines, and [`Hosting::Solo`]).
     Solo(Vec<Box<dyn Actor<Msg>>>),
+}
+
+impl Actors {
+    /// Register on a sharded world: shard k hosts block k (global ids
+    /// stay dense because the blocks go in ascending order), shard 0 the
+    /// leaf and the injector. Returns the leaf's id.
+    fn register(self, world: &mut ShardedWorld<Msg>) -> ActorId {
+        for (k, hosted) in self.blocks.into_iter().enumerate() {
+            match hosted {
+                Hosted::Group(members, group) => _ = world.add_group(k, members, group),
+                Hosted::Solo(actors) => actors.into_iter().for_each(|a| _ = world.add_actor(k, a)),
+            }
+        }
+        let leaf = world.add_actor(0, self.leaf);
+        if let Some(injector) = self.injector {
+            world.add_actor(0, injector);
+        }
+        leaf
+    }
 }
 
 fn plane_of<P: PlanePeer>(members: impl Iterator<Item = P>) -> Hosted {
@@ -314,6 +339,11 @@ struct Parts {
     limit: SimTime,
     reserve: usize,
     dir: Arc<Directory>,
+    actors: Actors,
+}
+
+/// The actors of [`Parts`], in registration order.
+struct Actors {
     /// One entry per block, in ascending peer-id order.
     blocks: Vec<Hosted>,
     leaf: Box<dyn Actor<Msg>>,

@@ -1,11 +1,11 @@
 //! Live-plane scaling: thousands of real peers on loopback UDP, hosted
-//! by `LiveSession` (ready-queue runtime, bundled datagrams,
-//! `recvmmsg`/`sendmmsg` batching).
+//! by `LiveSession` (simulator worlds on a wall clock, bundled
+//! datagrams, `recvmmsg`/`sendmmsg` batching).
 //!
 //! Each point hosts one [`SessionConfig::live`] session over real
 //! sockets, cold start to completed stream, and reports messages per
 //! second over the hosting time (total wall-clock minus the fixed
-//! post-completion settle grace). Setup — binding the handful of shared
+//! post-completion settle grace). Setup — binding the workers'
 //! sockets, building the peers — is deliberately inside the measured
 //! window. The `done_s` column additionally reports the in-session
 //! latency (start signal → leaf done), which excludes setup. Each point
@@ -169,7 +169,7 @@ fn push_point(t: &mut Table, p: &LivePoint) {
 /// Run the live-plane population sweep.
 pub fn run(opts: &RunOpts) -> ExperimentOutput {
     let mut t = Table::new(
-        "Live loopback scaling — ready-queue runtime (H=8)",
+        "Live loopback scaling — one world per worker (H=8)",
         &[
             "protocol",
             "n",

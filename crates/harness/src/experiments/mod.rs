@@ -17,7 +17,7 @@
 //! | [`ablation`] | design-choice ablations (piggybacking, re-enhancement) |
 //! | [`scaling`] | events/sec at n=10²–10⁵ on the sharded kernel |
 //! | [`shardcheck`] | sharded-kernel determinism gate (n=10⁴) |
-//! | [`live_scale`] | live UDP loopback: the ready-queue runtime across populations |
+//! | [`live_scale`] | live UDP loopback: the live host across populations |
 //! | [`view_bytes`] | control bytes/peer/round: fixed bitmap vs adaptive vs delta |
 
 pub mod ablation;

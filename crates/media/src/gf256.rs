@@ -96,38 +96,6 @@ pub fn scale(buf: &mut [u8], c: u8) {
     crate::kernels::scale(buf, c);
 }
 
-/// The pre-kernel byte-at-a-time [`mul_acc`]: the scalar reference the
-/// nibble-table kernel is pinned against (equivalence tests) and the
-/// honest baseline for the `coding_kernels` bench A/B.
-pub fn mul_acc_scalar(dst: &mut [u8], src: &[u8], c: u8) {
-    debug_assert_eq!(dst.len(), src.len());
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
-        return;
-    }
-    let lc = LOG[c as usize] as usize;
-    for (d, s) in dst.iter_mut().zip(src) {
-        if *s != 0 {
-            *d ^= EXP[lc + LOG[*s as usize] as usize];
-        }
-    }
-}
-
-/// The pre-kernel byte-at-a-time [`scale`] (scalar reference/baseline).
-pub fn scale_scalar(buf: &mut [u8], c: u8) {
-    if c == 1 {
-        return;
-    }
-    for b in buf.iter_mut() {
-        *b = mul(*b, c);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

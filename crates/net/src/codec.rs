@@ -26,7 +26,7 @@
 //! ```
 //!
 //! `len` counts the routed frame that follows it (`[to]` + the plain
-//! frame), so a receiver can hand each record to its task without
+//! frame), so a receiver can tell each record's destination without
 //! decoding it. [`BundleWriter`] fills a datagram until the next record
 //! would push it past [`BUNDLE_MTU`] — one un-fragmented Ethernet UDP
 //! payload — and seals it there; a frame that alone exceeds the MTU
@@ -327,10 +327,10 @@ pub fn encode_into(from: ActorId, msg: &Msg, out: &mut BytesMut) {
 }
 
 /// [`encode_into`] with a routing prefix: `[to: u32 LE]` then the
-/// ordinary frame — the payload of one bundle record. The live plane's
-/// receive socket carries frames for every task, and the 4-byte
-/// destination prefix lets the poll loop route a frame to its mailbox
-/// before (and without) decoding it. ([`BundleWriter::push`] writes the
+/// ordinary frame — the payload of one bundle record. A live worker's
+/// receive socket carries frames for every peer it hosts, and the
+/// 4-byte destination prefix names the receiver before (and without)
+/// decoding the frame. ([`BundleWriter::push`] writes the
 /// same bytes straight into the open bundle, once per fan-out.)
 pub fn encode_routed_into(to: ActorId, from: ActorId, msg: &Msg, out: &mut BytesMut) {
     out.clear();
@@ -826,7 +826,7 @@ pub struct Records<'a> {
 }
 
 /// Walk the records of a datagram: each item is `(to, frame)` — the
-/// destination task and the plain `[from][kind][body]` frame, still
+/// destination actor and the plain `[from][kind][body]` frame, still
 /// encoded — or the error that ends the walk. A record that is cut
 /// short, claims more bytes than the datagram holds, or is shorter than
 /// its routing prefix yields one `Err` and nothing after it; the records

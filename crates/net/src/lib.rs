@@ -2,15 +2,16 @@
 //!
 //! The simulator answers the paper's quantitative questions; this crate
 //! answers "does it actually run on real transports?" — the same
-//! `mss-core` actors, unchanged, hosted by [`live::LiveSession`]: peers
-//! are cooperative tasks on a ready-queue scheduler, I/O is one shared
-//! nonblocking UDP loopback receive socket driven by epoll plus a send
-//! socket per worker, with `recvmmsg`/`sendmmsg` batching; frames are
-//! encoded by the hand-rolled binary [`codec`] and travel many to a
-//! datagram (bundles sealed at one MTU, flushed before a worker would
-//! block), and delta-coded views are rebuilt per receiver ([`views`]);
-//! thousands of peers per box. Shutdown is
-//! completion-signaled through [`runtime::SessionControl`].
+//! `mss-core` actors, unchanged, hosted by [`live::LiveSession`]. A
+//! live worker is the simulator's own kernel, an `mss_sim` world, on a
+//! wall clock: one thread and one nonblocking UDP loopback receive
+//! socket per worker, driven by epoll, with `recvmmsg`/`sendmmsg`
+//! batching. Every message crosses the wire: frames are encoded by the
+//! hand-rolled binary [`codec`] and travel many to a datagram (bundles
+//! sealed at one MTU, flushed before a worker waits), and delta-coded
+//! views are rebuilt per receiver ([`views`]); thousands of peers per
+//! box. Shutdown is completion-signaled through
+//! [`runtime::SessionControl`].
 //!
 //! ```no_run
 //! use std::time::Duration;
@@ -31,7 +32,6 @@ pub mod bus;
 pub mod codec;
 pub mod live;
 pub mod names;
-pub(crate) mod ready;
 pub mod runtime;
 pub(crate) mod sys;
 pub mod views;

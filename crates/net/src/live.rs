@@ -1,79 +1,89 @@
 //! The live network plane: a full streaming session over real UDP
-//! loopback sockets, hosted on the cooperative ready-queue runtime —
-//! the one live host.
+//! loopback sockets. A live worker is an `mss_sim` [`World`] on a wall
+//! clock, so the event queue, the timers and the one dispatch loop that
+//! run the `mss-core` actors are the simulator's own.
 //!
-//! Topology: one shared receive socket, sized explicitly via
-//! `SO_RCVBUF` and watched by **one** poll thread through epoll. A
-//! datagram is a *bundle* of length-prefixed frames (format in
-//! [`crate::codec`]); datagrams arrive in `recvmmsg` batches and each
-//! record is routed by its 4-byte destination prefix into the task's
-//! mailbox *still encoded* — the poll thread is a pure router and never
-//! builds a message — and the owning tasks are pushed onto the ready
-//! queue. A small pool of worker threads drains the queue; the worker
-//! stepping a task pops a step's frames under one lock, decodes them
-//! (a fan-out's shared control body once per worker), resolves
-//! delta-coded views against the task's own snapshots (see
-//! [`crate::views`]) and runs the handler, so a message is allocated
-//! and freed on one thread.
+//! [`LiveSession::workers`]`(S)` builds `S` worlds with
+//! `Session::into_live_worlds`, registered as for the sharded simulator:
+//! worker k hosts block k of `shard_blocks(n, S)` (a `Plane` group for
+//! DCoP and TCoP, boxed actors for the baselines), worker 0 also the
+//! leaf. Each worker owns one thread, one non-blocking receive socket
+//! (sized with `SO_RCVBUF`) and one blocking send socket, and loops:
 //!
-//! Egress is bundled per worker, not per task step: a worker's sink
-//! encodes every message the tasks it steps send into one open bundle,
-//! seals the bundle when the next record would push it past one MTU
-//! ([`crate::codec::BUNDLE_MTU`]), and hands the sealed bundles to
-//! `sendmmsg` through its own blocking tx socket — a full send buffer
-//! throttles the worker (backpressure) instead of dropping — when
-//! 64 (`TX_BATCH`) of them have piled up **or the worker is about to
-//! block** on an empty ready queue (`Scheduler::run_worker`). The
-//! per-datagram kernel cost, which used to be paid per 13-byte reply, is
-//! paid once per ≈ 1.4 KB. Per-edge FIFO therefore holds per *worker*:
-//! two messages on one edge arrive in send order when one worker sent
-//! both, which is all the protocols need (DESIGN.md §mss-net).
+//! 1. `recvmmsg` until the socket is empty;
+//! 2. split each datagram into its records ([`crate::codec`]), decode
+//!    each frame through the worker's [`FanoutDecoder`] (a fan-out's
+//!    shared control body once per worker) and resolve delta-coded
+//!    views against the receiver's snapshots ([`crate::views`]);
+//! 3. queue each message as a delivery at now: wall-clock nanoseconds
+//!    since the session epoch, but at most `MAX_STEP` past the world's
+//!    clock, so a worker that falls behind slows its world down;
+//! 4. `run_until(now)`: due timers and deliveries, in time order;
+//! 5. drain the sends the world staged into one [`BundleWriter`] per
+//!    destination worker, applying [`LiveSession::loss`];
+//! 6. seal the bundles and `sendmmsg` them;
+//! 7. signal done once the leaf is complete (worker 0);
+//! 8. `epoll_wait` until the world's next event or a datagram.
+//!
+//! A live world hosts no receiver, not even its own peers, so every send
+//! crosses the wire: the sessions measure the network, not a shortcut.
+//! Sealed bundles go out as soon as 64 (`TX_BATCH`) pile up and always
+//! before the worker waits, so nothing waits in a buffer while its
+//! worker sleeps. A sender's messages to one receiver leave through one
+//! writer in send order, so per-edge FIFO holds unless the kernel drops
+//! a datagram, which is all the protocols need (DESIGN.md §mss-net).
 //!
 //! Loss is still possible (UDP semantics), and its unit is the datagram:
-//! if the poll thread falls behind, the kernel drops whole bundles at
-//! the receive queue — those drops are *counted*, not silent, via the
+//! if a worker falls behind, the kernel drops whole bundles at its
+//! receive queue — those drops are *counted*, not silent, via the
 //! `SO_RXQ_OVFL` overflow counter surfaced as the `net.rx_dropped`
 //! metric. Batch sizes, bundle fill (`net.tx_frames` ÷
-//! `net.tx_datagrams`, likewise `rx`), buffer sizes, mailbox
-//! high-water marks, the frames written and parsed once per fan-out
-//! and the workers' busy time are all reported in the outcome's
-//! metrics (see [`crate::names`]) so the batching behavior is
-//! observable, not assumed.
+//! `net.tx_datagrams`, likewise `rx`), buffer sizes, the frames written
+//! and parsed once per fan-out and the workers' busy time are all
+//! reported in the outcome's metrics (see [`crate::names`]) so the
+//! batching behavior is observable, not assumed.
 
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::Arc;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use mss_core::config::{Protocol, SessionConfig};
 use mss_core::leaf::LeafActor;
 use mss_core::msg::Msg;
 use mss_core::peer_core::PeerReport;
-use mss_core::session::{make_peer, report_of};
-use mss_overlay::{Directory, PeerId};
+use mss_core::session::{report_from_any, shard_blocks, Session};
 use mss_sim::event::ActorId;
 use mss_sim::metrics::Metrics;
 use mss_sim::rng::SimRng;
-use mss_sim::world::Actor;
+use mss_sim::time::{SimDuration, SimTime};
+use mss_sim::world::World;
 
-use crate::codec::{split_bundle, BundleWriter};
+use crate::codec::{split_bundle, BundleWriter, FanoutDecoder};
 use crate::names;
-use crate::ready::{OutboxSink, Scheduler};
 use crate::runtime::{await_session, SessionControl, SETTLE};
 use crate::sys::{self, BatchSocket, Dest, Epoll, RxMeta, RX_BATCH, RX_BUF, TX_BATCH};
+use crate::views::ViewReassembler;
 
-/// Kernel receive buffer of the shared rx socket, sized big: the poll
-/// thread must survive fan-out bursts from every worker at once.
+/// Kernel receive buffer of each worker's socket, sized big: it takes
+/// the fan-out bursts of every worker at once, its own included.
 const RX_RCVBUF: usize = 4 * 1024 * 1024;
 /// Send buffer per worker tx socket; blocking sends make this the
 /// backpressure window.
 const WORKER_SNDBUF: usize = 1024 * 1024;
 /// Epoll token for the rx socket.
 const RX_TOKEN: u64 = 0;
-/// Epoll token for the timer-service wake eventfd.
-const WAKE_TOKEN: u64 = u64::MAX;
-/// Upper bound on one poll-loop sleep, so the stop flag stays live
-/// even with no timers pending.
-const MAX_SLEEP_MS: i32 = 50;
+/// Upper bound on one wait, so the stop flag stays live even with no
+/// event pending.
+const MAX_SLEEP_MS: u64 = 50;
+/// Most one loop turn advances a world's clock. A worker that falls
+/// behind (a burst, or a CPU it shares) lets world time trail the wall
+/// clock instead of jumping to it, so the timers that pace the data
+/// slow down with the worker as its coordination hops do. Without the
+/// cap, overdue data timers fire as one burst and the stream can end
+/// before the last TCoP waves are probed: at n = 10⁴ on one worker
+/// sharing its CPU with a busy loop, 4 of 8 TCoP sessions stopped at
+/// ≈ 0.945 of the peers activated, and none with it.
+const MAX_STEP: SimDuration = SimDuration::from_millis(5);
 
 /// Result of a live session run.
 #[derive(Debug)]
@@ -84,20 +94,23 @@ pub struct LiveOutcome {
     pub complete: bool,
     /// Data packets the leaf never reconstructed.
     pub missing: usize,
-    /// Coordination messages across all threads.
+    /// Coordination messages across all workers.
     pub coord_msgs: u64,
     /// Per-peer reports.
     pub reports: Vec<PeerReport>,
-    /// Merged metrics from every thread.
+    /// Merged metrics from every worker.
     pub metrics: Metrics,
     /// Wall-clock from session start to the leaf's done signal, `None`
     /// when the wall deadline (not completion) ended the run. Excludes
     /// the post-completion settle grace and teardown.
     pub time_to_done: Option<Duration>,
+    /// Per worker, the time it spent outside `epoll_wait` (the sum is
+    /// `net.worker_busy_ns`).
+    pub worker_busy: Vec<Duration>,
 }
 
-/// A streaming session over UDP loopback, hosted by the ready-queue
-/// runtime: build, tweak, `run()`, get a [`LiveOutcome`].
+/// A streaming session over UDP loopback: build, tweak, `run()`, get a
+/// [`LiveOutcome`].
 pub struct LiveSession {
     cfg: SessionConfig,
     protocol: Protocol,
@@ -113,7 +126,7 @@ impl LiveSession {
     pub fn new(cfg: SessionConfig, protocol: Protocol, wall_timeout: Duration) -> LiveSession {
         let cfg = cfg.normalized(protocol);
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        // One poll thread + workers; never oversubscribe a small box.
+        // Never oversubscribe a small box.
         let workers = cores.saturating_sub(1).clamp(1, 8);
         LiveSession {
             cfg,
@@ -134,14 +147,15 @@ impl LiveSession {
         self
     }
 
-    /// Override the worker-thread count (default: cores − 1, min 1).
+    /// Override the worker count (default: cores − 1, min 1; never more
+    /// than one per peer).
     pub fn workers(mut self, w: usize) -> LiveSession {
         self.workers = w.max(1);
         self
     }
 
-    /// Bind sockets, spawn the poll thread and worker pool, stream the
-    /// session, and collect the outcome.
+    /// Bind the sockets, run one thread per worker, stream the session,
+    /// and collect the outcome.
     pub fn run(self) -> std::io::Result<LiveOutcome> {
         let LiveSession {
             cfg,
@@ -151,206 +165,198 @@ impl LiveSession {
             loss,
         } = self;
         let n = cfg.n;
-        let total = n + 1;
+        let leaf = ActorId(n as u32);
         let use_mmsg = sys::mmsg_enabled();
+        let worlds = Session::new(cfg.clone(), protocol).into_live_worlds(workers);
+        let blocks = shard_blocks(n, worlds.len());
 
         // --- sockets -------------------------------------------------
-        let mut setup_metrics = Metrics::new();
-        let rx_sock = UdpSocket::bind("127.0.0.1:0")?;
-        let (granted_r, _) = sys::set_socket_bufs(&rx_sock, RX_RCVBUF, WORKER_SNDBUF)?;
-        let ovfl_counted = sys::enable_rxq_ovfl(&rx_sock);
-        rx_sock.set_nonblocking(true)?;
-        let rx_addr = rx_sock.local_addr()?;
-        setup_metrics.set_id(names::rcvbuf_bytes_id(), granted_r as u64);
-        setup_metrics.set_id(names::mmsg_active_id(), u64::from(use_mmsg));
-        setup_metrics.set_id(names::rxq_ovfl_counted_id(), u64::from(ovfl_counted));
-
-        let epoll = Epoll::new()?;
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::fd::AsRawFd;
-            epoll.add(rx_sock.as_raw_fd(), RX_TOKEN)?;
+        let mut metrics = Metrics::new();
+        let mut ovfl_counted = true;
+        let mut socks = Vec::with_capacity(worlds.len());
+        for _ in 0..worlds.len() {
+            let rx = UdpSocket::bind("127.0.0.1:0")?;
+            let (granted, _) = sys::set_socket_bufs(&rx, RX_RCVBUF, WORKER_SNDBUF)?;
+            ovfl_counted &= sys::enable_rxq_ovfl(&rx);
+            rx.set_nonblocking(true)?;
+            metrics.set_id(names::rcvbuf_bytes_id(), granted as u64);
+            socks.push(rx);
         }
-        #[cfg(not(target_os = "linux"))]
-        epoll.add(-1, RX_TOKEN)?;
-
-        // --- actors + scheduler -------------------------------------
-        // One shared table: a plain `Directory` would be deep-copied per peer.
-        let dir = Arc::new(Directory::dense(n));
-        let mut actors: Vec<Box<dyn Actor<Msg>>> = Vec::with_capacity(total);
-        for i in 0..n {
-            actors.push(make_peer(
-                protocol,
-                PeerId(i as u32),
-                dir.clone(),
-                cfg.clone(),
-            ));
+        metrics.set_id(names::mmsg_active_id(), u64::from(use_mmsg));
+        metrics.set_id(names::rxq_ovfl_counted_id(), u64::from(ovfl_counted));
+        let addrs = socks
+            .iter()
+            .map(UdpSocket::local_addr)
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let mut wires = Vec::with_capacity(worlds.len());
+        for (k, rx) in socks.into_iter().enumerate() {
+            let inbox = Inbox::new(
+                blocks[k] as u32..blocks[k + 1] as u32,
+                (k == 0).then_some(leaf),
+                n + 1,
+            );
+            let drops = InjectedLoss {
+                p: loss,
+                rng: SimRng::new(cfg.seed).fork(0x1055 + k as u64),
+                leaf,
+            };
+            wires.push(Wire::new(rx, &addrs, inbox, drops, use_mmsg)?);
         }
-        actors.push(Box::new(LeafActor::new(cfg.clone(), protocol, dir, None)));
 
-        let ctl = Arc::new(SessionControl::new());
+        // --- workers -------------------------------------------------
+        let ctl = SessionControl::new();
         let epoch = Instant::now();
-        let watch: crate::ready::Watch = (
-            n as u32,
-            Box::new(|a| {
-                a.as_any()
-                    .downcast_ref::<LeafActor>()
-                    .is_some_and(LeafActor::is_complete)
-            }),
-        );
-        let sched = Arc::new(Scheduler::new(
-            actors,
-            cfg.seed,
-            epoch,
-            Arc::clone(&ctl),
-            Some(watch),
-        )?);
-        epoll.add(sched.timers.wake_fd().raw(), WAKE_TOKEN)?;
+        let (time_to_done, finished) = std::thread::scope(|scope| {
+            let ctl = &ctl;
+            let handles: Vec<_> = worlds
+                .into_iter()
+                .zip(wires)
+                .map(|(mut world, mut wire)| {
+                    scope.spawn(move || {
+                        let ran = wire.run(&mut world, ctl, epoch);
+                        // An I/O error ends the session for every worker.
+                        ctl.request_stop();
+                        ran.map(|()| (world, wire))
+                    })
+                })
+                .collect();
+            let time_to_done = await_session(ctl, wall_timeout, SETTLE);
+            wake(&addrs);
+            let finished: Vec<_> = handles
+                .into_iter()
+                .map(|h| h.join().expect("live worker panicked"))
+                .collect();
+            (time_to_done, finished)
+        });
 
-        // --- threads -------------------------------------------------
-        let outcome = std::thread::scope(|scope| -> std::io::Result<LiveOutcome> {
-            let poll_sched = Arc::clone(&sched);
-            let poll_ctl = Arc::clone(&ctl);
-            let poll =
-                scope.spawn(move || poll_loop(poll_sched, poll_ctl, epoll, rx_sock, use_mmsg));
+        let mut worlds = Vec::with_capacity(finished.len());
+        let mut worker_busy = Vec::with_capacity(finished.len());
+        for done in finished {
+            let (mut world, mut wire) = done?;
+            // Every worker has sent its last datagram: what is still on
+            // the way is received, never delivered, so every frame sent
+            // is counted on both sides.
+            let now = world.now();
+            wire.receive(&mut world, now)?;
+            metrics.merge(&wire.metrics);
+            metrics.merge(world.metrics());
+            worker_busy.push(wire.busy);
+            worlds.push(world);
+        }
 
-            let mut worker_handles = Vec::with_capacity(workers);
-            for worker in 0..workers {
-                let sched = Arc::clone(&sched);
-                let drops = InjectedLoss {
-                    p: loss,
-                    rng: SimRng::new(cfg.seed).fork(0x1055 + worker as u64),
-                    leaf: ActorId(n as u32),
-                };
-                let handle = scope.spawn(move || -> std::io::Result<Metrics> {
-                    let tx = UdpSocket::bind("127.0.0.1:0")?;
-                    sys::set_socket_bufs(&tx, 64 * 1024, WORKER_SNDBUF)?;
-                    let mut sink = UdpSink::new(&tx, rx_addr, use_mmsg, drops);
-                    let mut metrics = Metrics::new();
-                    sched.run_worker(&mut sink, &mut metrics);
-                    Ok(metrics)
-                });
-                worker_handles.push(handle);
-            }
-
-            // Everything is wired; start the session.
-            sched.seed_all();
-            let time_to_done = await_session(&ctl, wall_timeout, SETTLE);
-            sched.wake_workers();
-            sched.timers.wake_fd().signal();
-
-            let mut metrics = setup_metrics;
-            for h in worker_handles {
-                metrics.merge(&h.join().expect("worker panicked")?);
-            }
-            metrics.merge(&poll.join().expect("poll thread panicked")?);
-            let (fallbacks, tracked) = sched.view_totals();
-            metrics.add_id(names::view_resync_fallbacks_id(), fallbacks);
-            metrics.add_id(names::view_edges_tracked_id(), tracked as u64);
-
-            let mut reports = Vec::with_capacity(n);
-            for i in 0..n as u32 {
-                let actor = sched.take_actor(i).expect("peer actor");
-                reports.push(report_of(actor.as_ref(), protocol).expect("peer report"));
-            }
-            let leaf_actor = sched.take_actor(n as u32).expect("leaf actor");
-            let leaf: &LeafActor = leaf_actor.as_any().downcast_ref().expect("leaf downcast");
-
-            Ok(LiveOutcome {
-                activated: reports.iter().filter(|r| r.active).count(),
-                complete: leaf.is_complete(),
-                missing: leaf.missing_count(),
-                coord_msgs: metrics.counter(mss_core::metrics::COORD_MSGS),
-                reports,
-                metrics,
-                time_to_done,
+        let reports: Vec<PeerReport> = (0..n as u32)
+            .map(|i| {
+                let any = worlds.iter().find_map(|w| w.actor_any(ActorId(i)));
+                any.and_then(|a| report_from_any(a, protocol))
+                    .expect("peer report")
             })
-        })?;
-        Ok(outcome)
+            .collect();
+        let leaf: &LeafActor = worlds[0].actor_as(leaf).expect("leaf actor");
+        Ok(LiveOutcome {
+            activated: reports.iter().filter(|r| r.active).count(),
+            complete: leaf.is_complete(),
+            missing: leaf.missing_count(),
+            coord_msgs: metrics.counter(mss_core::metrics::COORD_MSGS),
+            reports,
+            metrics,
+            time_to_done,
+            worker_busy,
+        })
     }
 }
 
-/// The single I/O thread, a pure router: epoll over the rx socket plus
-/// the timer wake fd; fires due timers, pulls `recvmmsg` batches, and
-/// appends each record's frame — undecoded — to the mailbox its 4-byte
-/// destination prefix names.
-fn poll_loop(
-    sched: Arc<Scheduler>,
-    ctl: Arc<SessionControl>,
-    epoll: Epoll,
-    rx_sock: UdpSocket,
-    use_mmsg: bool,
-) -> std::io::Result<Metrics> {
-    let mut metrics = Metrics::new();
-    let mut batcher = BatchSocket::new(&rx_sock, use_mmsg);
-    let mut bufs: Vec<Vec<u8>> = (0..RX_BATCH).map(|_| Vec::with_capacity(RX_BUF)).collect();
-    let mut meta = vec![RxMeta::default(); RX_BATCH];
-    // SO_RXQ_OVFL reports a cumulative drop count; track the last seen
-    // value and accumulate deltas.
-    let mut last_ovfl = 0u32;
-    let mut timer_scratch = Vec::new();
-    let mut tokens = Vec::new();
-    // The wake fd is drained only after an `epoll_wait` that reported
-    // it (and once at start).
-    let mut woken = true;
-
-    while !ctl.should_stop() {
-        sched.mark_awake(std::mem::take(&mut woken));
-        let now = sched.now();
-        let next_deadline = sched.fire_due(now, &mut timer_scratch);
-        let target = next_deadline.unwrap_or_else(|| now.saturating_add(u64::MAX / 2));
-        if !sched.publish_sleep(target) {
-            continue; // a timer raced in earlier than `target`; recompute
-        }
-        let timeout_ms = (target.saturating_sub(now) / 1_000_000).min(MAX_SLEEP_MS as u64) as i32;
-        epoll.wait(&mut tokens, timeout_ms)?;
-        woken = tokens.contains(&WAKE_TOKEN);
-        if !tokens.contains(&RX_TOKEN) {
-            continue;
-        }
-        // Drain the socket: epoll is level-triggered, but emptying it
-        // now keeps latency down and batches big.
-        loop {
-            let got = batcher.recv_batch(&rx_sock, &mut bufs, &mut meta)?;
-            if got == 0 {
-                break;
-            }
-            metrics.incr_id(names::rx_batches_id());
-            metrics.add_id(names::rx_datagrams_id(), got as u64);
-            metrics.set_max_id(names::rx_batch_max_id(), got as u64);
-            let mut ovfl_max = last_ovfl;
-            for (buf, meta) in bufs.iter().zip(&meta).take(got) {
-                ovfl_max = ovfl_max.max(meta.rxq_ovfl);
-                route_datagram(&sched, &buf[..meta.len], &mut metrics);
-            }
-            metrics.add_id(names::rx_dropped_id(), u64::from(ovfl_max - last_ovfl));
-            last_ovfl = ovfl_max;
-            if got < bufs.len() {
-                break;
-            }
+/// Wake every worker out of `epoll_wait` after the stop: a zero-length
+/// datagram, which no bundle is, so receivers skip it.
+fn wake(addrs: &[SocketAddr]) {
+    if let Ok(sock) = UdpSocket::bind("127.0.0.1:0") {
+        for addr in addrs {
+            let _ = sock.send_to(&[], addr);
         }
     }
-    Ok(metrics)
 }
 
-/// Route one received datagram: every record's frame goes, still
-/// encoded, to the mailbox its destination prefix names. A malformed
-/// record counts one `net.rx_decode_err` and ends the datagram; the
-/// records before it are already in their mailboxes.
-fn route_datagram(sched: &Scheduler, datagram: &[u8], metrics: &mut Metrics) {
-    let (mut frames, mut deepest) = (0u64, 0usize);
-    for record in split_bundle(datagram) {
-        match record {
-            Ok((to, frame)) if (to as usize) < sched.task_count() => {
-                frames += 1;
-                deepest = deepest.max(sched.deliver_frame(to, frame));
-            }
-            Ok(_) => metrics.incr_id(names::rx_unroutable_id()),
-            Err(_) => metrics.incr_id(names::rx_decode_err_id()),
+/// The receivers one worker hosts, with what decoding for them needs:
+/// the worker's decoder and one view reassembler per receiver.
+struct Inbox {
+    /// Contents peers hosted here.
+    peers: Range<u32>,
+    /// The leaf, on the worker that hosts it.
+    leaf: Option<ActorId>,
+    decoder: FanoutDecoder,
+    /// One per hosted peer, then one for the leaf.
+    views: Vec<ViewReassembler>,
+}
+
+impl Inbox {
+    /// Receivers `peers` (and `leaf`), decoding from senders `0..senders`.
+    fn new(peers: Range<u32>, leaf: Option<ActorId>, senders: usize) -> Inbox {
+        let hosted = peers.len() + usize::from(leaf.is_some());
+        Inbox {
+            peers,
+            leaf,
+            decoder: FanoutDecoder::new(senders),
+            views: (0..hosted).map(|_| ViewReassembler::new()).collect(),
         }
     }
-    metrics.add_id(names::rx_frames_id(), frames);
-    metrics.set_max_id(names::mailbox_hwm_id(), deepest as u64);
+
+    /// The index of `id`'s reassembler, when this worker hosts it.
+    fn slot(&self, id: u32) -> Option<usize> {
+        if self.peers.contains(&id) {
+            Some((id - self.peers.start) as usize)
+        } else if self.leaf == Some(ActorId(id)) {
+            Some(self.peers.len())
+        } else {
+            None
+        }
+    }
+
+    /// Queue every record of one datagram for delivery at `now`; returns
+    /// the frames queued. A record for a receiver hosted elsewhere is
+    /// counted in `net.rx_unroutable`, an undecodable frame in
+    /// `net.rx_decode_err`; both are skipped. A malformed record counts
+    /// one `net.rx_decode_err` and ends the datagram; the records before
+    /// it are already queued.
+    fn accept(
+        &mut self,
+        datagram: &[u8],
+        now: SimTime,
+        world: &mut World<Msg>,
+        metrics: &mut Metrics,
+    ) -> u64 {
+        let mut frames = 0;
+        for record in split_bundle(datagram) {
+            let Ok((to, frame)) = record else {
+                metrics.incr_id(names::rx_decode_err_id());
+                continue;
+            };
+            let Some(slot) = self.slot(to) else {
+                metrics.incr_id(names::rx_unroutable_id());
+                continue;
+            };
+            frames += 1;
+            let Ok((from, mut msg)) = self.decoder.decode(frame) else {
+                metrics.incr_id(names::rx_decode_err_id());
+                continue;
+            };
+            if let Msg::Control(c) = &mut msg {
+                self.views[slot].resolve(from, c);
+            }
+            world.arrive(now, from, ActorId(to), msg);
+        }
+        metrics.add_id(names::rx_frames_id(), frames);
+        frames
+    }
+
+    /// Record the decoder's and the reassemblers' end-of-run counts.
+    fn report(&self, metrics: &mut Metrics) {
+        let (fallbacks, tracked) = self.views.iter().fold((0, 0), |(f, t), v| {
+            (f + v.fallbacks(), t + v.tracked_edges() as u64)
+        });
+        metrics.add_id(names::view_resync_fallbacks_id(), fallbacks);
+        metrics.add_id(names::view_edges_tracked_id(), tracked);
+        metrics.add_id(names::rx_bodies_shared_id(), self.decoder.shared());
+        metrics.add_id(names::rx_bodies_held_id(), self.decoder.held() as u64);
+    }
 }
 
 /// [`LiveSession::loss`] as one worker applies it.
@@ -361,89 +367,224 @@ struct InjectedLoss {
     leaf: ActorId,
 }
 
-/// Worker-side egress. Each posted message is encoded, as one record,
-/// straight into the open bundle — a fan-out's shared body once, its
-/// other handles copied ([`BundleWriter::push`]); open and sealed
-/// bundles outlive the task step that wrote them, and the sealed ones
-/// go to the kernel as one `sendmmsg` burst once [`TX_BATCH`] have
-/// piled up or the worker is about to block.
-struct UdpSink<'s> {
-    sock: &'s UdpSocket,
-    batcher: BatchSocket,
-    /// The rx socket, in the kernel's address form.
-    dest: Dest,
-    bundles: BundleWriter,
+/// One worker's side of the wire: its sockets, one bundle writer per
+/// destination worker, the receivers it hosts, and its metrics.
+struct Wire {
+    rx: UdpSocket,
+    rx_batch: BatchSocket,
+    bufs: Vec<Vec<u8>>,
+    meta: Vec<RxMeta>,
+    /// Last cumulative `SO_RXQ_OVFL` count seen.
+    last_ovfl: u32,
+    tx: UdpSocket,
+    tx_batch: BatchSocket,
+    /// Every worker's rx socket, in the kernel's address form.
+    dests: Vec<Dest>,
+    /// One per destination worker.
+    bundles: Vec<BundleWriter>,
+    /// The sends of one `run_until`, taken from the world's lanes.
+    staged: Vec<(usize, ActorId, ActorId, Msg)>,
+    inbox: Inbox,
+    /// Frames queued since the last `run_until`.
+    queued: u64,
     drops: InjectedLoss,
+    metrics: Metrics,
+    /// Time spent outside `epoll_wait`.
+    busy: Duration,
 }
 
-impl<'s> UdpSink<'s> {
+impl Wire {
+    /// The wire of a worker receiving on `rx`, sending to the workers
+    /// listening on `addrs` from a socket of its own.
     fn new(
-        sock: &'s UdpSocket,
-        rx_addr: SocketAddr,
-        use_mmsg: bool,
+        rx: UdpSocket,
+        addrs: &[SocketAddr],
+        inbox: Inbox,
         drops: InjectedLoss,
-    ) -> UdpSink<'s> {
-        UdpSink {
-            sock,
-            batcher: BatchSocket::new(sock, use_mmsg),
-            dest: Dest::new(rx_addr),
-            bundles: BundleWriter::new(TX_BATCH + 1),
+        use_mmsg: bool,
+    ) -> std::io::Result<Wire> {
+        let tx = UdpSocket::bind("127.0.0.1:0")?;
+        sys::set_socket_bufs(&tx, 64 * 1024, WORKER_SNDBUF)?;
+        Ok(Wire {
+            rx_batch: BatchSocket::new(&rx, use_mmsg),
+            rx,
+            bufs: (0..RX_BATCH).map(|_| Vec::with_capacity(RX_BUF)).collect(),
+            meta: vec![RxMeta::default(); RX_BATCH],
+            last_ovfl: 0,
+            tx_batch: BatchSocket::new(&tx, use_mmsg),
+            tx,
+            dests: addrs.iter().map(|&a| Dest::new(a)).collect(),
+            bundles: addrs
+                .iter()
+                .map(|_| BundleWriter::new(TX_BATCH + 1))
+                .collect(),
+            staged: Vec::new(),
+            inbox,
+            queued: 0,
             drops,
-        }
+            metrics: Metrics::new(),
+            busy: Duration::ZERO,
+        })
     }
 
-    /// Hand every sealed bundle to the kernel.
-    fn send_sealed(&mut self, metrics: &mut Metrics) {
-        let burst = self.bundles.sealed().len();
+    /// The worker loop (module docs, steps 1–8) until the session stops.
+    fn run(
+        &mut self,
+        world: &mut World<Msg>,
+        ctl: &SessionControl,
+        epoch: Instant,
+    ) -> std::io::Result<()> {
+        let epoll = Epoll::new()?;
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::fd::AsRawFd;
+            epoll.add(self.rx.as_raw_fd(), RX_TOKEN)?;
+        }
+        #[cfg(not(target_os = "linux"))]
+        epoll.add(-1, RX_TOKEN)?;
+        let mut tokens = Vec::new();
+        let mut done = false;
+        while !ctl.should_stop() {
+            let woke = Instant::now();
+            let wall = SimTime(woke.duration_since(epoch).as_nanos() as u64);
+            let now = wall.min(world.now() + MAX_STEP);
+            self.receive(world, now)?;
+            self.metrics
+                .set_max_id(names::mailbox_hwm_id(), std::mem::take(&mut self.queued));
+            world.run_until(now);
+            self.post(world, now)?;
+            if let Some(leaf) = self.inbox.leaf.filter(|_| !done) {
+                if world
+                    .actor_as::<LeafActor>(leaf)
+                    .is_some_and(LeafActor::is_complete)
+                {
+                    ctl.signal_done();
+                    done = true;
+                }
+            }
+            let next = world.peek_time();
+            let idle = Instant::now();
+            self.busy += idle - woke;
+            let until = next.map_or(u64::MAX, |t| {
+                let at = epoch + Duration::from_nanos(t.as_nanos());
+                at.saturating_duration_since(idle)
+                    .as_nanos()
+                    .div_ceil(1_000_000) as u64
+            });
+            epoll.wait(&mut tokens, until.min(MAX_SLEEP_MS) as i32)?;
+        }
+        self.metrics
+            .add_id(names::worker_busy_ns_id(), self.busy.as_nanos() as u64);
+        self.inbox.report(&mut self.metrics);
+        Ok(())
+    }
+
+    /// Steps 1–3: drain the socket into `world`, every message due at
+    /// `now`.
+    fn receive(&mut self, world: &mut World<Msg>, now: SimTime) -> std::io::Result<()> {
+        loop {
+            let got = self
+                .rx_batch
+                .recv_batch(&self.rx, &mut self.bufs, &mut self.meta)?;
+            if got == 0 {
+                break;
+            }
+            let m = &mut self.metrics;
+            m.incr_id(names::rx_batches_id());
+            m.set_max_id(names::rx_batch_max_id(), got as u64);
+            let mut ovfl_max = self.last_ovfl;
+            for (buf, meta) in self.bufs.iter().zip(&self.meta).take(got) {
+                ovfl_max = ovfl_max.max(meta.rxq_ovfl);
+                if meta.len > 0 {
+                    m.incr_id(names::rx_datagrams_id());
+                    self.queued += self.inbox.accept(&buf[..meta.len], now, world, m);
+                }
+            }
+            m.add_id(names::rx_dropped_id(), u64::from(ovfl_max - self.last_ovfl));
+            self.last_ovfl = ovfl_max;
+            if got < self.bufs.len() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Steps 5–6: every staged send into its destination's bundle, then
+    /// every bundle onto the wire. A burst of one `run_until` can exceed
+    /// what the receive buffers hold — this worker's own included, which
+    /// nobody else drains — so after each full batch of bundles the
+    /// socket is drained too, into deliveries at `now`.
+    fn post(&mut self, world: &mut World<Msg>, now: SimTime) -> std::io::Result<()> {
+        let mut staged = std::mem::take(&mut self.staged);
+        world.drain_staged(|dst, from, to, msg| staged.push((dst, from, to, msg)));
+        for (dst, from, to, msg) in staged.drain(..) {
+            if self.push(dst, from, to, &msg) {
+                self.receive(world, now)?;
+            }
+        }
+        self.staged = staged;
+        for dst in 0..self.bundles.len() {
+            let copied = self.bundles[dst].forget_body();
+            self.metrics.add_id(names::tx_bodies_shared_id(), copied);
+            self.bundles[dst].seal();
+            self.send_sealed(dst);
+        }
+        Ok(())
+    }
+
+    /// One send: noted by the sender's reassembler (a refusal ends an
+    /// edge), dropped by the injected loss, or encoded into the bundle
+    /// for worker `dst`. True when that sent a full batch of bundles.
+    fn push(&mut self, dst: usize, from: ActorId, to: ActorId, msg: &Msg) -> bool {
+        if let Some(slot) = self.inbox.slot(from.0) {
+            self.inbox.views[slot].observe_sent(to, msg);
+        }
+        let drops = &mut self.drops;
+        if drops.p > 0.0 && from != drops.leaf && drops.rng.gen_bool(drops.p) {
+            self.metrics.incr_id(names::tx_dropped_id());
+            return false;
+        }
+        if self.bundles[dst].push(to, from, msg) {
+            self.metrics.incr_id(names::tx_frames_id());
+        } else {
+            self.metrics.incr_id(names::tx_dropped_id()); // larger than any datagram
+        }
+        let full = self.bundles[dst].sealed().len() >= TX_BATCH;
+        if full {
+            self.send_sealed(dst);
+        }
+        full
+    }
+
+    /// Hand the sealed bundles for worker `dst` to the kernel.
+    fn send_sealed(&mut self, dst: usize) {
+        let bundles = &mut self.bundles[dst];
+        let burst = bundles.sealed().len();
         if burst == 0 {
             return;
         }
         let sent = self
-            .batcher
-            .send_batch(self.sock, &self.dest, self.bundles.sealed());
+            .tx_batch
+            .send_batch(&self.tx, &self.dests[dst], bundles.sealed());
         let (sent, calls) = sent.unwrap_or((0, 1));
-        metrics.add_id(names::tx_batches_id(), calls as u64);
-        metrics.add_id(names::tx_datagrams_id(), sent as u64);
-        metrics.set_max_id(names::tx_batch_max_id(), sent as u64);
-        metrics.add_id(names::tx_dropped_id(), (burst - sent) as u64);
-        self.bundles.recycle_sealed();
-    }
-}
-
-impl OutboxSink for UdpSink<'_> {
-    fn post(&mut self, from: ActorId, out: &mut Vec<(ActorId, Msg)>, metrics: &mut Metrics) {
-        let lossy = self.drops.p > 0.0 && from != self.drops.leaf;
-        let mut frames = 0u64;
-        for (to, msg) in out.drain(..) {
-            if lossy && self.drops.rng.gen_bool(self.drops.p) {
-                metrics.incr_id(names::tx_dropped_id());
-                continue;
-            }
-            if self.bundles.push(to, from, &msg) {
-                frames += 1;
-            } else {
-                metrics.incr_id(names::tx_dropped_id()); // larger than any datagram
-            }
-        }
-        metrics.add_id(names::tx_frames_id(), frames);
-        metrics.add_id(names::tx_bodies_shared_id(), self.bundles.forget_body());
-        if self.bundles.sealed().len() >= TX_BATCH {
-            self.send_sealed(metrics);
-        }
-    }
-
-    fn flush(&mut self, metrics: &mut Metrics) {
-        self.bundles.seal();
-        self.send_sealed(metrics);
+        let m = &mut self.metrics;
+        m.add_id(names::tx_batches_id(), calls as u64);
+        m.add_id(names::tx_datagrams_id(), sent as u64);
+        m.set_max_id(names::tx_batch_max_id(), sent as u64);
+        m.add_id(names::tx_dropped_id(), (burst - sent) as u64);
+        bundles.recycle_sealed();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ready::test_support::{reply, NullSink};
+    use mss_core::msg::{ControlBody, ControlKind, ProbeReply, ViewWire};
     use mss_media::ContentDesc;
-    use mss_sim::world::Runtime;
+    use mss_overlay::PeerId;
+    use mss_sim::shard::ShardedWorld;
+    use mss_sim::world::{Actor, Runtime};
+    use std::sync::Arc;
 
     /// View lifetime on the receive side: no frame was undecodable, every
     /// delta found its snapshot, and at shutdown at most `max_edges`
@@ -460,6 +601,29 @@ mod tests {
         );
     }
 
+    /// Every send crossed the wire: it was written into a datagram or
+    /// counted as dropped, and with nothing lost in the kernel every
+    /// frame written was received.
+    fn assert_every_send_crossed_the_wire(out: &LiveOutcome) {
+        let m = &out.metrics;
+        let tx = m.counter(names::TX_FRAMES);
+        assert_eq!(
+            m.counter(mss_sim::metrics::NET_SENT),
+            tx + m.counter(names::TX_DROPPED)
+        );
+        assert_eq!(m.counter(names::RX_DROPPED), 0);
+        assert_eq!(m.counter(names::RX_FRAMES), tx);
+    }
+
+    /// An accepting probe reply of the given wave.
+    fn reply(wave: u32) -> Msg {
+        Msg::Reply(ProbeReply {
+            from: PeerId(0),
+            accept: true,
+            wave,
+        })
+    }
+
     /// Logs what it receives: a reply's wave, a data packet's payload size.
     #[derive(Default)]
     struct Recorder(Vec<usize>);
@@ -474,74 +638,99 @@ mod tests {
         mss_sim::impl_as_any!();
     }
 
-    fn recorders(n: usize) -> Scheduler {
-        let actors = (0..n)
-            .map(|_| Box::new(Recorder::default()) as Box<dyn Actor<Msg>>)
-            .collect();
-        let ctl = Arc::new(SessionControl::new());
-        Scheduler::new(actors, 1, Instant::now(), ctl, None).unwrap()
-    }
-
-    /// Step every queued task once and return what each recorder logged.
-    fn drain_recorders(sched: &Scheduler, n: u32) -> Vec<Vec<usize>> {
-        let mut scratch = crate::ready::StepScratch::new(sched.task_count());
-        let mut metrics = Metrics::new();
-        while let Some(task) = sched.try_next_task() {
-            sched.run_step(task, &mut NullSink, &mut metrics, &mut scratch);
+    /// Sends its messages when started, then nothing.
+    struct Shouter(Vec<(ActorId, Msg)>);
+    impl Actor<Msg> for Shouter {
+        fn on_start(&mut self, rt: &mut dyn Runtime<Msg>) {
+            for (to, msg) in self.0.drain(..) {
+                rt.send(to, msg);
+            }
         }
-        assert_eq!(metrics.counter(names::RX_DECODE_ERR), 0);
-        (0..n)
-            .map(|t| {
-                let actor = sched.take_actor(t).unwrap();
-                actor.as_any().downcast_ref::<Recorder>().unwrap().0.clone()
-            })
-            .collect()
+        fn on_message(&mut self, _rt: &mut dyn Runtime<Msg>, _from: ActorId, _msg: Msg) {}
+        mss_sim::impl_as_any!();
     }
 
-    /// The router on hostile input: the records before a malformed one
-    /// are delivered, the malformed one counts one `net.rx_decode_err`
-    /// and ends the datagram, and a well-formed record for a task nobody
-    /// hosts is counted apart without ending anything.
-    #[test]
-    fn a_malformed_record_counts_once_and_spares_the_records_before_it() {
-        let sched = recorders(2);
-        let mut w = BundleWriter::new(1);
-        for (to, wave) in [(0, 1), (1, 2), (7, 3), (0, 4)] {
-            assert!(w.push(ActorId(to), ActorId(1), &reply(wave)));
+    /// Live worlds hosting `actors[k]` on worker `k`, ids in order.
+    fn worlds(actors: Vec<Vec<Box<dyn Actor<Msg>>>>) -> Vec<World<Msg>> {
+        let mut sw = ShardedWorld::live(actors.len(), 1);
+        for (k, hosted) in actors.into_iter().enumerate() {
+            for actor in hosted {
+                sw.add_actor(k, actor);
+            }
         }
-        w.seal();
-        let mut datagram = w.sealed()[0].clone();
-        let good_len = datagram.len();
-        // A length prefix claiming more than is left, then a record that
-        // would be valid by itself and must not be reached.
-        datagram.extend_from_slice(&[0xFF, 0x00, 0, 0, 0, 0]);
-        datagram.extend_from_slice(&w.sealed()[0][..good_len / 4]);
-
-        let mut m = Metrics::new();
-        route_datagram(&sched, &datagram, &mut m);
-        assert_eq!(m.counter(names::RX_FRAMES), 3);
-        assert_eq!(m.counter(names::RX_UNROUTABLE), 1);
-        assert_eq!(m.counter(names::RX_DECODE_ERR), 1);
-        assert_eq!(m.counter(names::MAILBOX_HWM), 2);
-        assert_eq!(drain_recorders(&sched, 2), [vec![1, 4], vec![2]]);
+        sw.into_live_worlds()
     }
 
-    /// Through the real sink, socket and router: small frames share a
-    /// datagram, a frame over one MTU and one near the UDP limit travel
-    /// alone, and everything arrives in send order.
-    #[test]
-    fn frames_over_one_mtu_and_near_the_udp_limit_arrive() {
+    /// A bound, non-blocking receive socket.
+    fn rx_socket() -> UdpSocket {
         let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
         sys::set_socket_bufs(&rx, 1 << 20, 1 << 16).unwrap();
         rx.set_nonblocking(true).unwrap();
-        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        rx
+    }
+
+    /// The wire of a worker hosting `peers` out of `senders` actors,
+    /// receiving on `rx` and sending to `addrs`, without injected loss.
+    fn wire(rx: UdpSocket, addrs: &[SocketAddr], peers: Range<u32>, senders: usize) -> Wire {
         let no_loss = InjectedLoss {
             p: 0.0,
             rng: SimRng::new(1),
-            leaf: ActorId(9),
+            leaf: ActorId(u32::MAX),
         };
-        let use_mmsg = sys::mmsg_enabled();
-        let mut sink = UdpSink::new(&tx, rx.local_addr().unwrap(), use_mmsg, no_loss);
+        let inbox = Inbox::new(peers, None, senders);
+        Wire::new(rx, addrs, inbox, no_loss, sys::mmsg_enabled()).unwrap()
+    }
+
+    fn recorded(world: &World<Msg>, id: u32) -> Vec<usize> {
+        world.actor_as::<Recorder>(ActorId(id)).unwrap().0.clone()
+    }
+
+    /// The receive path on hostile input: a frame that does not decode
+    /// counts one `net.rx_decode_err` and is skipped, a record for a
+    /// receiver hosted elsewhere counts one `net.rx_unroutable`, and a
+    /// malformed record counts one `net.rx_decode_err` and ends the
+    /// datagram — the records before it are delivered, in order.
+    #[test]
+    fn corrupt_or_unroutable_records_are_counted_and_skipped() {
+        let mut world = worlds(vec![vec![
+            Box::new(Recorder::default()),
+            Box::new(Recorder::default()),
+        ]])
+        .remove(0);
+        let mut inbox = Inbox::new(0..2, None, 8);
+        let routed = |to: u32, frame: &[u8]| [&to.to_le_bytes()[..], frame].concat();
+        let good = crate::codec::encode(ActorId(1), &reply(5));
+        let mut w = BundleWriter::new(1);
+        assert!(w.push(ActorId(0), ActorId(1), &reply(1)));
+        assert!(w.push_frame(&routed(0, &good[..good.len() - 3]))); // truncated body
+        assert!(w.push_frame(&routed(0, &[1, 0, 0, 0, 0xEE]))); // unknown kind tag
+        assert!(w.push_frame(&routed(1, &[]))); // not even a header
+        assert!(w.push(ActorId(1), ActorId(1), &reply(2)));
+        assert!(w.push(ActorId(7), ActorId(1), &reply(3))); // hosted nowhere here
+        assert!(w.push_frame(&routed(0, &good)));
+        w.seal();
+        let mut datagram = w.sealed()[0].clone();
+        let whole = datagram.clone();
+        // A length prefix claiming more than is left, then a record that
+        // would be valid by itself and must not be reached.
+        datagram.extend_from_slice(&[0xFF, 0x00, 0, 0, 0, 0]);
+        datagram.extend_from_slice(&whole);
+
+        let mut m = Metrics::new();
+        assert_eq!(inbox.accept(&datagram, SimTime(1), &mut world, &mut m), 6);
+        assert_eq!(m.counter(names::RX_FRAMES), 6);
+        assert_eq!(m.counter(names::RX_UNROUTABLE), 1);
+        assert_eq!(m.counter(names::RX_DECODE_ERR), 4);
+        world.run_until(SimTime(1));
+        assert_eq!(recorded(&world, 0), [1, 5]);
+        assert_eq!(recorded(&world, 1), [2]);
+    }
+
+    /// Through the real sockets: small frames share a datagram, a frame
+    /// over one MTU and one near the UDP limit travel alone, and
+    /// everything arrives in send order.
+    #[test]
+    fn frames_over_one_mtu_and_near_the_udp_limit_arrive() {
         let data = |bytes: usize| {
             let content = ContentDesc {
                 packet_bytes: bytes,
@@ -551,18 +740,22 @@ mod tests {
             Msg::data(PeerId(1), content.materialize(&id))
         };
         let sizes = [1, 2, 2_000, 3, 60_000, 4, 5];
-        let mut out: Vec<(ActorId, Msg)> = sizes
+        let sends = sizes
             .iter()
-            .map(|&s| (ActorId(0), if s < 10 { reply(s as u32) } else { data(s) }))
+            .map(|&s| (ActorId(1), if s < 10 { reply(s as u32) } else { data(s) }))
             .collect();
-        let mut m = Metrics::new();
-        sink.post(ActorId(1), &mut out, &mut m);
-        assert_eq!(
-            m.counter(names::TX_DATAGRAMS),
-            0,
-            "nothing sent before the flush"
-        );
-        sink.flush(&mut m);
+        let mut worlds = worlds(vec![
+            vec![Box::new(Shouter(sends))],
+            vec![Box::new(Recorder::default())],
+        ]);
+        let (rx0, rx1) = (rx_socket(), rx_socket());
+        let addrs = [rx0.local_addr().unwrap(), rx1.local_addr().unwrap()];
+        let mut sender = wire(rx0, &addrs, 0..1, 2);
+        let mut receiver = wire(rx1, &addrs, 1..2, 2);
+
+        worlds[0].run_until(SimTime(1));
+        sender.post(&mut worlds[0], SimTime(1)).unwrap();
+        let m = &sender.metrics;
         assert_eq!(m.counter(names::TX_FRAMES), 7);
         assert_eq!(
             m.counter(names::TX_DATAGRAMS),
@@ -571,22 +764,181 @@ mod tests {
         );
         assert_eq!(m.counter(names::TX_DROPPED), 0);
 
-        let sched = recorders(1);
-        let mut batcher = BatchSocket::new(&rx, use_mmsg);
-        let mut bufs: Vec<Vec<u8>> = (0..8).map(|_| Vec::with_capacity(RX_BUF)).collect();
-        let mut meta = vec![RxMeta::default(); 8];
         let deadline = Instant::now() + Duration::from_secs(10);
-        while m.counter(names::RX_DATAGRAMS) < 5 && Instant::now() < deadline {
-            let got = batcher.recv_batch(&rx, &mut bufs, &mut meta).unwrap();
-            for (buf, meta) in bufs.iter().zip(&meta).take(got) {
-                route_datagram(&sched, &buf[..meta.len], &mut m);
-            }
-            m.add_id(names::rx_datagrams_id(), got as u64);
+        while receiver.metrics.counter(names::RX_DATAGRAMS) < 5 && Instant::now() < deadline {
+            receiver.receive(&mut worlds[1], SimTime(1)).unwrap();
             std::thread::yield_now();
         }
-        assert_eq!(m.counter(names::RX_FRAMES), 7);
-        assert_eq!(m.counter(names::RX_DECODE_ERR), 0);
-        assert_eq!(drain_recorders(&sched, 1), [sizes.to_vec()]);
+        assert_eq!(receiver.metrics.counter(names::RX_FRAMES), 7);
+        assert_eq!(receiver.metrics.counter(names::RX_DECODE_ERR), 0);
+        worlds[1].run_until(SimTime(1));
+        assert_eq!(recorded(&worlds[1], 1), sizes);
+    }
+
+    /// The flush rule: a worker whose one actor sends one frame puts it
+    /// on the wire before it waits — while the session is still running,
+    /// not at the next send, not at shutdown.
+    #[test]
+    fn a_lone_frame_is_on_the_wire_before_the_worker_blocks() {
+        let mut worlds = worlds(vec![
+            vec![Box::new(Shouter(vec![(ActorId(1), reply(9))]))],
+            vec![Box::new(Recorder::default())],
+        ]);
+        let (rx0, peer) = (rx_socket(), rx_socket());
+        let addrs = [rx0.local_addr().unwrap(), peer.local_addr().unwrap()];
+        let mut worker = wire(rx0, &addrs, 0..1, 2);
+        let ctl = SessionControl::new();
+        let mut buf = [0u8; 2048];
+        std::thread::scope(|scope| {
+            let (ctl, world) = (&ctl, &mut worlds[0]);
+            let running = scope.spawn(move || worker.run(world, ctl, Instant::now()));
+            peer.set_nonblocking(false).unwrap();
+            peer.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let got = peer.recv(&mut buf);
+            assert!(!ctl.should_stop());
+            ctl.request_stop();
+            wake(&addrs[..1]);
+            running.join().expect("worker panicked").unwrap();
+            let records: Vec<_> = split_bundle(&buf[..got.expect("frame on the wire")])
+                .map(|r| r.unwrap().0)
+                .collect();
+            assert_eq!(records, [1]);
+        });
+        peer.set_nonblocking(true).unwrap();
+        assert!(
+            peer.recv(&mut buf).is_err(),
+            "nothing was left for shutdown"
+        );
+    }
+
+    /// Arms a timer, then blocks its worker for 30 ms; says when the
+    /// timer fires.
+    struct Stall(std::sync::mpsc::Sender<()>);
+    impl Actor<Msg> for Stall {
+        fn on_start(&mut self, rt: &mut dyn Runtime<Msg>) {
+            rt.set_timer(SimDuration::from_millis(1), 0);
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        fn on_message(&mut self, _rt: &mut dyn Runtime<Msg>, _from: ActorId, _msg: Msg) {}
+        fn on_timer(&mut self, _rt: &mut dyn Runtime<Msg>, _t: mss_sim::event::TimerId, _tag: u64) {
+            let _ = self.0.send(());
+        }
+        mss_sim::impl_as_any!();
+    }
+
+    /// A worker that falls behind slows its world down rather than
+    /// jumping it to the wall clock: after the 30 ms stall, each turn
+    /// moves the world's clock by at most `MAX_STEP`, so it is still
+    /// short of the stall when the overdue timer has fired.
+    #[test]
+    fn a_worker_that_falls_behind_slows_its_world() {
+        let (fired, on_fire) = std::sync::mpsc::channel();
+        let mut world = worlds(vec![vec![Box::new(Stall(fired))]]).remove(0);
+        let rx = rx_socket();
+        let addrs = [rx.local_addr().unwrap()];
+        let mut worker = wire(rx, &addrs, 0..1, 1);
+        let ctl = SessionControl::new();
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| worker.run(&mut world, &ctl, Instant::now()));
+            let timer = on_fire.recv_timeout(Duration::from_secs(10));
+            ctl.request_stop();
+            wake(&addrs);
+            running.join().expect("worker panicked").unwrap();
+            timer.expect("the overdue timer fired");
+        });
+        let stall = SimTime::ZERO + SimDuration::from_millis(30);
+        assert!(world.now() < stall, "{:?}", world.now());
+    }
+
+    /// Refuses every probe of wave 2, as a claimed TCoP peer does, and
+    /// accepts the rest.
+    struct Refuser;
+    impl Actor<Msg> for Refuser {
+        fn on_message(&mut self, rt: &mut dyn Runtime<Msg>, from: ActorId, msg: Msg) {
+            if let Msg::Control(c) = msg {
+                let refusal = ProbeReply {
+                    from: PeerId(0),
+                    accept: c.body.wave != 2,
+                    wave: c.body.wave,
+                };
+                rt.send(from, Msg::Reply(refusal));
+            }
+        }
+        mss_sim::impl_as_any!();
+    }
+
+    /// A refusal drops the refused round's snapshot and no other. Probers
+    /// 3 and 4 are refused; prober 5's refused wave-2 probe and its
+    /// accepted wave-3 probe arrive in one receive pass, so the wave-3
+    /// snapshot is installed before the wave-2 refusal is sent — and
+    /// survives it, to resolve the commit that follows.
+    #[test]
+    fn refusing_a_prober_drops_its_snapshot() {
+        let mut hosted: Vec<Box<dyn Actor<Msg>>> = vec![Box::new(Refuser)];
+        hosted.extend((1..6).map(|_| Box::new(Recorder::default()) as Box<dyn Actor<Msg>>));
+        let mut world = worlds(vec![hosted]).remove(0);
+        let rx = rx_socket();
+        let addrs = [rx.local_addr().unwrap()];
+        let mut worker = wire(rx, &addrs, 0..1, 8);
+        let control = |kind, from: u32, wave, view_wire| {
+            let body = ControlBody {
+                kind,
+                from: PeerId(from),
+                wave,
+                view: Arc::new(mss_overlay::View::empty(64)),
+                view_wire,
+                sched: mss_media::SeqView::empty(),
+                pos: 0,
+                interval_nanos: 1,
+                mark_delta_nanos: 0,
+                parts: 2,
+                h: 1,
+                fanout: 2,
+                basis: None,
+            };
+            Msg::control(&Arc::new(body), 0)
+        };
+        let probe = |from, wave| {
+            control(
+                ControlKind::Probe,
+                from,
+                wave,
+                ViewWire::Full { epoch: wave },
+            )
+        };
+        let mut w = BundleWriter::new(1);
+        for (from, wave) in [(3, 2), (4, 2), (5, 2), (5, 3)] {
+            assert!(w.push(ActorId(0), ActorId(from), &probe(from, wave)));
+            w.forget_body();
+        }
+        w.seal();
+        let mut m = Metrics::new();
+        worker
+            .inbox
+            .accept(&w.sealed()[0], SimTime(1), &mut world, &mut m);
+        world.run_until(SimTime(1));
+        worker.post(&mut world, SimTime(1)).unwrap();
+        let edges = |inbox: &Inbox| inbox.views[0].tracked_edges();
+        assert_eq!(edges(&worker.inbox), 1, "only prober 5's wave 3 is left");
+
+        let delta = ViewWire::Delta {
+            epoch: 3,
+            base_count: 0,
+            additions: vec![].into(),
+        };
+        w.recycle_sealed();
+        assert!(w.push(
+            ActorId(0),
+            ActorId(5),
+            &control(ControlKind::Commit, 5, 3, delta)
+        ));
+        w.seal();
+        worker
+            .inbox
+            .accept(&w.sealed()[0], SimTime(2), &mut world, &mut m);
+        assert_eq!(worker.inbox.views[0].fallbacks(), 0, "the commit resolved");
+        assert_eq!(edges(&worker.inbox), 0);
     }
 
     #[test]
@@ -640,13 +992,14 @@ mod tests {
         assert_views_died_with_their_readers(&out, 6);
     }
 
-    /// Per-edge FIFO holds per worker, not across workers — and TCoP,
-    /// the protocol whose commit deltas need their probe's snapshot,
-    /// needs no more: a commit is causally behind the reply to its
-    /// probe, so the probe has long left its worker's bundle. Two
+    /// Per-edge FIFO holds per sending worker, not across workers — and
+    /// TCoP, the protocol whose commit deltas need their probe's
+    /// snapshot, needs no more: a commit is causally behind the reply to
+    /// its probe, so the probe has long left its worker's bundle. Two
     /// workers, enough peers that bundles fill and edges cross workers:
-    /// no delta may miss its snapshot, no record may be malformed, and
-    /// datagrams must actually carry more than one frame.
+    /// no delta may miss its snapshot, no record may be malformed,
+    /// datagrams must actually carry more than one frame, and every send
+    /// must cross the wire.
     #[test]
     fn live_tcop_on_two_workers_keeps_every_delta_resolvable() {
         let n = 300;
@@ -662,6 +1015,7 @@ mod tests {
         assert!(out.activated >= n - n / 100, "{} activated", out.activated);
         assert!(out.complete, "leaf missing {} packets", out.missing);
         assert_views_died_with_their_readers(&out, n as u64);
+        assert_eq!(out.worker_busy.len(), 2);
         let m = &out.metrics;
         assert!(
             m.counter("coord.bytes_tx.commit") > 0,
@@ -672,15 +1026,16 @@ mod tests {
             frames > datagrams,
             "{frames} frames in {datagrams} datagrams"
         );
+        assert_every_send_crossed_the_wire(&out);
     }
 
-    /// Parity + NACK repair over injected loss on the real runtime.
+    /// Parity + NACK repair over injected loss on the real wire.
     #[test]
     fn lossy_live_session_with_nack_repair_still_completes() {
         let mut cfg = SessionConfig::small(8, 3, 501);
         cfg.content = ContentDesc::small(13, 120);
         cfg.repair = Some(mss_core::config::RepairConfig {
-            check_interval: mss_sim::time::SimDuration::from_millis(60),
+            check_interval: SimDuration::from_millis(60),
             fanout: 3,
             max_rounds: 10,
         });
@@ -716,10 +1071,9 @@ mod tests {
 
     /// Beyond the old fixed-bitmap frame bound (n ≈ 4·10³): this
     /// population only became hostable with the adaptive view codec
-    /// and delta piggybacks. Ignored by default (it hosts 5·10³ real
-    /// sockets-and-tasks peers); verify.sh runs it with
-    /// `--include-ignored`, in both the mmsg and `MSS_NO_MMSG=1`
-    /// configurations.
+    /// and delta piggybacks. Ignored by default (it hosts 5·10³ peers
+    /// over real sockets); verify.sh runs it with `--include-ignored`,
+    /// in both the mmsg and `MSS_NO_MMSG=1` configurations.
     #[test]
     #[ignore = "slow live smoke; run via verify.sh (--include-ignored)"]
     fn live_dcop_streams_beyond_the_old_full_view_cap() {

@@ -16,7 +16,8 @@
 pub const RX_BATCHES: &str = "net.rx_batches";
 /// Datagrams (bundles) received.
 pub const RX_DATAGRAMS: &str = "net.rx_datagrams";
-/// Frames (bundle records) routed to a mailbox.
+/// Frames (bundle records) addressed to a receiver the receiving worker
+/// hosts, decodable or not.
 pub const RX_FRAMES: &str = "net.rx_frames";
 /// Largest receive batch, in datagrams.
 pub const RX_BATCH_MAX: &str = "net.rx_batch_max";
@@ -25,11 +26,15 @@ pub const RX_BATCH_MAX: &str = "net.rx_batch_max";
 pub const RX_DROPPED: &str = "net.rx_dropped";
 /// Malformed input, skipped: a bundle record that was truncated,
 /// overlong or shorter than its routing prefix (one count, and the rest
-/// of that datagram is discarded), or a frame its task could not decode.
+/// of that datagram is discarded), or a frame that does not decode.
 pub const RX_DECODE_ERR: &str = "net.rx_decode_err";
-/// Frames addressed to a task this session does not host.
+/// Frames addressed to a receiver the receiving worker does not host.
 pub const RX_UNROUTABLE: &str = "net.rx_unroutable";
-/// Deepest any task's mailbox got, in frames.
+/// Most frames one worker queued into its world before one
+/// `run_until`: its receive pass plus the passes it makes between
+/// bursts of its own sends. A per-layer metric of how much work one
+/// loop turn takes on, not an end-to-end one (the name outlived the
+/// per-peer mailboxes it once measured).
 pub const MAILBOX_HWM: &str = "net.mailbox_hwm";
 /// `sendmmsg` (or fallback) calls made.
 pub const TX_BATCHES: &str = "net.tx_batches";
@@ -43,15 +48,16 @@ pub const TX_BATCH_MAX: &str = "net.tx_batch_max";
 /// plus — one count per frame — messages `LiveSession::loss` dropped
 /// before bundling and frames too large for any datagram.
 pub const TX_DROPPED: &str = "net.tx_dropped";
-/// Receive buffer the kernel granted per shard socket.
+/// Receive buffer the kernel granted per worker socket.
 pub const RCVBUF_BYTES: &str = "net.rcvbuf_bytes";
 /// 1 when the batched syscalls are in use, 0 on the fallback path.
 pub const MMSG_ACTIVE: &str = "net.mmsg_active";
-/// 1 when every shard socket reports receive-queue overflow counts.
+/// 1 when every worker socket reports receive-queue overflow counts.
 pub const RXQ_OVFL_COUNTED: &str = "net.rxq_ovfl_counted";
-/// Delta piggybacks that found no matching snapshot (summed over tasks).
+/// Delta piggybacks that found no matching snapshot (summed over
+/// receivers).
 pub const VIEW_RESYNC_FALLBACKS: &str = "net.view_resync_fallbacks";
-/// View snapshots still held at shutdown (summed over tasks).
+/// View snapshots still held at shutdown (summed over receivers).
 pub const VIEW_EDGES_TRACKED: &str = "net.view_edges_tracked";
 /// Control frames written by copying the record of an earlier handle on
 /// the same fan-out body instead of encoding it (encodes skipped).
@@ -62,8 +68,9 @@ pub const RX_BODIES_SHARED: &str = "net.rx_bodies_shared";
 /// Decoded fan-out bodies workers still held when they exited (summed
 /// over workers; the decode tables hold at most one per sender).
 pub const RX_BODIES_HELD: &str = "net.rx_bodies_held";
-/// Nanoseconds workers spent stepping tasks (summed over workers); read
-/// against `LiveOutcome::time_to_done` it says how busy the workers were.
+/// Nanoseconds workers spent outside `epoll_wait` (summed over workers;
+/// `LiveOutcome::worker_busy` has them per worker); read against
+/// `LiveOutcome::time_to_done` it says how busy the workers were.
 pub const WORKER_BUSY_NS: &str = "net.worker_busy_ns";
 
 mss_sim::metric_ids! {

@@ -1,15 +1,12 @@
 //! Session control shared by the live host's threads: the
-//! completion-signaled shutdown ([`SessionControl`], [`await_session`])
-//! and the completion predicate type ([`WatchFn`]). The `Runtime` that
-//! hosts the `mss-core` actors on a wall clock lives with the ready-queue
-//! scheduler; this module is only the orchestration around it.
+//! completion-signaled shutdown ([`SessionControl`], [`await_session`]).
+//! The `Runtime` that hosts the `mss-core` actors is the simulator's own
+//! `Ctx`: a live worker is an `mss_sim` world on a wall clock (see
+//! [`crate::live`]); this module is only the orchestration around it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use mss_core::msg::Msg;
-use mss_sim::world::Actor;
 
 /// Shared shutdown/completion state for one live session.
 ///
@@ -106,8 +103,3 @@ pub fn await_session(
     ctl.request_stop();
     done.then_some(elapsed)
 }
-
-/// Completion predicate evaluated against a hosted actor after each
-/// event; when it first returns true the host raises
-/// [`SessionControl::signal_done`].
-pub type WatchFn = dyn Fn(&dyn Actor<Msg>) -> bool + Send + Sync;

@@ -1,4 +1,4 @@
-//! Thin Linux syscall layer for the ready-queue runtime: epoll, eventfd,
+//! Thin Linux syscall layer for the live workers: epoll,
 //! `recvmmsg`/`sendmmsg`, and socket-buffer control.
 //!
 //! The workspace vendors its few third-party APIs (see `crates/compat`),
@@ -6,12 +6,12 @@
 //! the handful of glibc entry points the live plane needs, with the
 //! x86-64 Linux struct layouts written out. Everything is wrapped in
 //! safe, narrow helpers — the rest of the crate never touches a raw fd
-//! except through [`Epoll`], [`EventFd`], [`BatchSocket`] and
+//! except through [`Epoll`], [`BatchSocket`] and
 //! [`set_socket_bufs`].
 //!
 //! Portability: on non-Linux targets (and when `MSS_NO_MMSG=1`), the
 //! batched send/receive helpers degrade to one `send_to`/`recv_from`
-//! per datagram and the poll loop to a short blocking receive — slower,
+//! per datagram and the worker's wait to a short sleep — slower,
 //! but behaviorally identical, so the verify gates run everywhere.
 
 #![allow(dead_code)]
@@ -119,7 +119,6 @@ mod linux {
 
     const EPOLLIN: u32 = 0x1;
     const EPOLL_CTL_ADD: CInt = 1;
-    const EFD_NONBLOCK: CInt = 0x800;
     const SOL_SOCKET: CInt = 1;
     const SO_SNDBUF: CInt = 7;
     const SO_RCVBUF: CInt = 8;
@@ -132,13 +131,10 @@ mod linux {
         fn epoll_create1(flags: CInt) -> CInt;
         fn epoll_ctl(epfd: CInt, op: CInt, fd: CInt, event: *mut EpollEvent) -> CInt;
         fn epoll_wait(epfd: CInt, events: *mut EpollEvent, maxevents: CInt, timeout: CInt) -> CInt;
-        fn eventfd(initval: u32, flags: CInt) -> CInt;
         fn recvmmsg(fd: CInt, vec: *mut MMsgHdr, vlen: u32, flags: CInt, timeout: *mut u8) -> CInt;
         fn sendmmsg(fd: CInt, vec: *mut MMsgHdr, vlen: u32, flags: CInt) -> CInt;
         fn setsockopt(fd: CInt, level: CInt, name: CInt, val: *const u8, len: u32) -> CInt;
         fn getsockopt(fd: CInt, level: CInt, name: CInt, val: *mut u8, len: *mut u32) -> CInt;
-        fn read(fd: CInt, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: CInt, buf: *const u8, count: usize) -> isize;
         fn close(fd: CInt) -> CInt;
     }
 
@@ -207,43 +203,6 @@ mod linux {
         }
     }
 
-    /// Edge-level wakeup pipe for the poll loop (timer re-arm, shutdown).
-    pub(crate) struct EventFd {
-        fd: CInt,
-    }
-
-    impl EventFd {
-        pub(crate) fn new() -> io::Result<EventFd> {
-            let fd = unsafe { eventfd(0, EFD_NONBLOCK) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(EventFd { fd })
-        }
-
-        pub(crate) fn raw(&self) -> RawFd {
-            self.fd
-        }
-
-        /// Wake any poller blocked on this fd.
-        pub(crate) fn signal(&self) {
-            let one: u64 = 1;
-            unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-        }
-
-        /// Clear the pending wake count.
-        pub(crate) fn drain(&self) {
-            let mut v: u64 = 0;
-            unsafe { read(self.fd, (&mut v as *mut u64).cast(), 8) };
-        }
-    }
-
-    impl Drop for EventFd {
-        fn drop(&mut self) {
-            unsafe { close(self.fd) };
-        }
-    }
-
     /// Set explicit kernel buffer sizes on a socket and report what the
     /// kernel actually granted (it doubles the request and clamps to
     /// `net.core.{r,w}mem_max`).
@@ -297,6 +256,12 @@ mod linux {
         iovs: Vec<IoVec>,
         hdrs: Vec<MMsgHdr>,
     }
+
+    // SAFETY: `fd`, `use_mmsg`, `ctrl` and `names` are plain data, and
+    // the raw pointers in `iovs` and `hdrs` are scratch: every call
+    // rewrites them from its own arguments before the kernel reads them,
+    // so a socket moved to another thread carries no live borrow.
+    unsafe impl Send for BatchSocket {}
 
     impl BatchSocket {
         pub(crate) fn new(sock: &UdpSocket, use_mmsg: bool) -> BatchSocket {
@@ -471,7 +436,7 @@ mod linux {
 }
 
 #[cfg(target_os = "linux")]
-pub(crate) use linux::{enable_rxq_ovfl, set_socket_bufs, BatchSocket, Epoll, EventFd};
+pub(crate) use linux::{enable_rxq_ovfl, set_socket_bufs, BatchSocket, Epoll};
 
 /// One `recv_from` per datagram: the portable path, also used when
 /// `MSS_NO_MMSG=1` forces the gates to exercise the fallback.
@@ -530,7 +495,7 @@ mod portable {
         pub(crate) fn add(&self, _fd: i32, _token: u64) -> io::Result<()> {
             Ok(())
         }
-        /// Without epoll the poll loop sleeps briefly and polls every
+        /// Without epoll a worker sleeps briefly and polls its
         /// socket; `wait` reports every token as potentially ready.
         pub(crate) fn wait(&self, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<()> {
             std::thread::sleep(std::time::Duration::from_millis(
@@ -545,19 +510,6 @@ mod portable {
             }
             Ok(())
         }
-    }
-
-    pub(crate) struct EventFd;
-
-    impl EventFd {
-        pub(crate) fn new() -> io::Result<EventFd> {
-            Ok(EventFd)
-        }
-        pub(crate) fn raw(&self) -> i32 {
-            -1
-        }
-        pub(crate) fn signal(&self) {}
-        pub(crate) fn drain(&self) {}
     }
 
     pub(crate) fn set_socket_bufs(
@@ -598,7 +550,7 @@ mod portable {
 }
 
 #[cfg(not(target_os = "linux"))]
-pub(crate) use portable::{enable_rxq_ovfl, set_socket_bufs, BatchSocket, Epoll, EventFd};
+pub(crate) use portable::{enable_rxq_ovfl, set_socket_bufs, BatchSocket, Epoll};
 
 #[cfg(test)]
 mod tests {
@@ -643,13 +595,5 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         assert_eq!(got, 10, "all batched datagrams must arrive");
-    }
-
-    #[test]
-    fn eventfd_signals_and_drains() {
-        let e = EventFd::new().unwrap();
-        e.signal();
-        e.signal();
-        e.drain();
     }
 }

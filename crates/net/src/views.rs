@@ -4,13 +4,13 @@
 //! carry only the ids gained since (a TCoP probe round keeps the view
 //! its probes carried, see `mss_core::tcop`). The codec decodes such a
 //! delta into a control packet whose `view` holds the additions alone;
-//! each receiver (a ready-queue task) owns one [`ViewReassembler`],
+//! each receiver (a peer a live worker hosts) owns one [`ViewReassembler`],
 //! which caches the last tracked full view per *sender* and upgrades
 //! delta packets back to the sender's complete view before the protocol
 //! handler sees them. A decoded body may be shared with the fan-out's
 //! other recipients on the same worker (`crate::codec::FanoutDecoder`
 //! parses it once), so the upgrade copies it first (`Arc::make_mut`):
-//! resolving a delta for one task never changes what another task
+//! resolving a delta for one receiver never changes what another
 //! decodes.
 //!
 //! A snapshot lives exactly as long as a delta can still read it — the
@@ -23,7 +23,10 @@
 //!   first);
 //! - a receiver that refuses the prober
 //!   ([`ViewReassembler::observe_sent`]) drops the edge: the sender's
-//!   round will not commit it.
+//!   round will not commit it. Only the refused round's snapshot goes:
+//!   a live worker resolves every frame of a receive pass before its
+//!   actors answer any, so a later probe from the same prober may
+//!   already have replaced it.
 //!
 //! What remains is at most one snapshot per receiver: an accepted probe
 //! whose commit was lost.
@@ -49,7 +52,9 @@ use mss_sim::event::ActorId;
 /// One receiver's cache of tracked full views, keyed by sending actor.
 #[derive(Default)]
 pub struct ViewReassembler {
-    snaps: HashMap<u32, (u32, Arc<View>)>,
+    /// Per sender: the snapshot's epoch, the wave of the frame that
+    /// carried it, and the view.
+    snaps: HashMap<u32, (u32, u32, Arc<View>)>,
     fallbacks: u64,
 }
 
@@ -70,14 +75,14 @@ impl ViewReassembler {
             ViewWire::Full { epoch: 0 } => {}
             ViewWire::Full { epoch } => {
                 self.snaps
-                    .insert(sender.0, (*epoch, Arc::clone(&c.body.view)));
+                    .insert(sender.0, (*epoch, c.body.wave, Arc::clone(&c.body.view)));
             }
             ViewWire::Delta {
                 epoch,
                 base_count,
                 additions,
             } => match self.snaps.remove(&sender.0) {
-                Some((e, base)) if e == *epoch && base.count() == *base_count as usize => {
+                Some((e, _, base)) if e == *epoch && base.count() == *base_count as usize => {
                     let view = Arc::new(apply_delta(&base, additions));
                     // The worker's decoder may share the body with the
                     // fan-out's other recipients: copy, then upgrade.
@@ -90,10 +95,15 @@ impl ViewReassembler {
 
     /// Note a message this receiver is sending: refusing a prober
     /// (`Reply { accept: false }`) ends that edge — no commit, and so no
-    /// delta, will follow — and drops the prober's snapshot.
+    /// delta, will follow — and drops the prober's snapshot if the
+    /// refused probe carried it (a reply names its probe's wave). A
+    /// snapshot of another wave came with a later probe, resolved before
+    /// the refusal was sent, and stays.
     pub fn observe_sent(&mut self, to: ActorId, msg: &Msg) {
-        if matches!(msg, Msg::Reply(r) if !r.accept) {
-            self.snaps.remove(&to.0);
+        if let Msg::Reply(r) = msg {
+            if !r.accept && self.snaps.get(&to.0).is_some_and(|s| s.1 == r.wave) {
+                self.snaps.remove(&to.0);
+            }
         }
     }
 
@@ -240,15 +250,15 @@ mod tests {
         assert_eq!(r.tracked_edges(), 0);
     }
 
-    /// Two tasks on one worker receive one commit fan-out: the decoder
+    /// Two receivers on one worker receive one commit fan-out: the decoder
     /// parses the body once and hands both a handle on it. Resolving
     /// the delta for the first copies the body, so the shared body —
-    /// and the second task's decode of the same frame — still hold the
-    /// additions alone, until the second task resolves its own.
+    /// and the second receiver's decode of the same frame — still hold the
+    /// additions alone, until the second receiver resolves its own.
     #[test]
     fn resolving_a_shared_body_leaves_it_untouched() {
         let mut decoder = crate::codec::FanoutDecoder::new(8);
-        let mut tasks = [ViewReassembler::new(), ViewReassembler::new()];
+        let mut receivers = [ViewReassembler::new(), ViewReassembler::new()];
         let base = view_of(300, &[1, 9, 250]);
         let grown = view_of(300, &[1, 2, 9, 250, 299]);
         let fanout = |view: &View, view_wire| {
@@ -276,12 +286,12 @@ mod tests {
             (from, Msg::Control(c)) => (from, c),
             other => panic!("wrong variant {other:?}"),
         };
-        for (task, frame) in tasks
+        for (receiver, frame) in receivers
             .iter_mut()
             .zip(fanout(&base, ViewWire::Full { epoch: 1 }))
         {
             let (from, mut c) = decode(&mut decoder, &frame);
-            task.resolve(from, &mut c);
+            receiver.resolve(from, &mut c);
         }
         let [first, second] = fanout(
             &grown,
@@ -294,7 +304,7 @@ mod tests {
 
         let (from, mut one) = decode(&mut decoder, &first);
         let shared = Arc::clone(&one.body);
-        tasks[0].resolve(from, &mut one);
+        receivers[0].resolve(from, &mut one);
         assert_eq!(one.body.view.as_ref(), &grown);
         assert!(!Arc::ptr_eq(&one.body, &shared), "resolved on a copy");
         assert_eq!(
@@ -307,12 +317,12 @@ mod tests {
         assert!(Arc::ptr_eq(&two.body, &shared), "parsed once for both");
         assert_eq!(two.part, 2);
         assert_eq!(two.body.view.count(), 2, "the next decode is untouched");
-        tasks[1].resolve(from, &mut two);
+        receivers[1].resolve(from, &mut two);
         assert_eq!(two.body.view.as_ref(), &grown);
         assert_eq!(shared.view.count(), 2);
         assert_eq!(decoder.shared(), 2, "one repeat per fan-out");
         assert_eq!(decoder.held(), 0, "both recipients decoded both");
-        assert!(tasks
+        assert!(receivers
             .iter()
             .all(|t| t.fallbacks() == 0 && t.tracked_edges() == 0));
     }

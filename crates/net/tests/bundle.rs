@@ -1,9 +1,10 @@
 //! The live plane's datagram format under hostile input: what
 //! [`BundleWriter`] seals, [`split_bundle`] must hand back record for
 //! record; what a damaged datagram still holds intact must be delivered,
-//! and the damage must surface as exactly one error — the poll thread
+//! and the damage must surface as exactly one error — a live worker
 //! counts that error as one `net.rx_decode_err` and drops the rest of
-//! the datagram (pinned against the real router in `live.rs`'s tests).
+//! the datagram (pinned against the real receive path in `live.rs`'s
+//! tests).
 //! And a fan-out written once must put on the wire exactly the bytes
 //! that writing each of its messages on its own would.
 
@@ -30,8 +31,8 @@ fn routed(to: u32, len: usize, salt: u64) -> Vec<u8> {
     f
 }
 
-/// What the poll thread's router does with one datagram: the frames it
-/// would deliver, and how many decode errors it would count.
+/// What a live worker's receive path does with one datagram: the frames
+/// it would deliver, and how many decode errors it would count.
 fn route(datagram: &[u8]) -> (Vec<(u32, Vec<u8>)>, usize) {
     let mut delivered = Vec::new();
     let mut errors = 0;

@@ -1,7 +1,7 @@
 //! # mss-overlay — P2P overlay substrate
 //!
-//! Identity, membership, views, selection, and failure detection for the
-//! multi-source streaming session: the machinery the ICPP 2006 paper's
+//! Identity, membership, views and selection for the multi-source
+//! streaming session: the machinery the ICPP 2006 paper's
 //! coordination protocols assume from the surrounding P2P overlay network.
 //!
 //! - [`peer`]: dense contents-peer ids `CP_1 … CP_n` and the directory
@@ -11,15 +11,12 @@
 //!   (dense / sparse / runs / delta frames),
 //! - [`select`]: the paper's `Select`/`Aselect` child-selection draws and
 //!   pluggable strategies,
-//! - [`failure`]: a timeout-based (◇P-style) failure detector for the
-//!   fault-tolerance experiments,
 //! - [`gossip`]: push / push-pull membership dissemination (the paper's
 //!   \[6\]-style bootstrap for the `CP` set everyone is assumed to know).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod failure;
 pub mod gossip;
 pub mod peer;
 pub mod select;

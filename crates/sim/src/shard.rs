@@ -60,7 +60,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 
 use crate::event::{ActorId, Event};
-use crate::link::LinkModel;
+use crate::link::{FixedLatency, LinkModel};
 use crate::metrics::{self, Metrics};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -166,6 +166,21 @@ impl<M> Outbox<M> {
         for (dst, Lane(out)) in self.out.iter_mut().enumerate() {
             if dst != own {
                 out.push(Cross::Kill(actor));
+            }
+        }
+    }
+
+    /// Hand every staged delivery to `post` as `(destination shard,
+    /// from, to, msg)`, lane by lane, each lane in send order. Staged
+    /// kills are dropped: the hosts that drain a world carry messages
+    /// only (see [`ShardedWorld::into_live_worlds`]).
+    pub(crate) fn drain(&mut self, mut post: impl FnMut(usize, ActorId, ActorId, M)) {
+        for (dst, Lane(buf)) in self.out.iter_mut().enumerate() {
+            self.sent += buf.len() as u64;
+            for cross in buf.drain(..) {
+                if let Cross::Deliver { from, to, msg, .. } = cross {
+                    post(dst, from, to, msg);
+                }
             }
         }
     }
@@ -340,6 +355,15 @@ fn run_worker<M: SimMessage>(
     (windows, floor)
 }
 
+/// Window sync needs a lookahead: a positive one unless there is one shard.
+fn check_lookahead(shards: usize, lookahead: SimDuration) {
+    assert!(
+        shards == 1 || lookahead > SimDuration::ZERO,
+        "conservative time-window sync needs positive lookahead \
+         (the link model's min_latency is zero — run single-shard instead)"
+    );
+}
+
 /// One logical world executed by `S` cooperating shard [`World`]s. See
 /// the module docs for the synchronization and determinism contract; the
 /// registration and inspection API mirrors [`World`] with an explicit
@@ -369,14 +393,50 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
         shards: usize,
         lookahead: SimDuration,
         seed: u64,
+        link_for: impl FnMut(usize) -> Box<dyn LinkModel + Send>,
+    ) -> Self {
+        check_lookahead(shards, lookahead);
+        Self::build(shards, lookahead, seed, link_for)
+    }
+
+    /// A world of `shards` shards that is only registered, never run as
+    /// one: a host that carries the traffic between shards itself takes
+    /// the shards out with [`ShardedWorld::into_live_worlds`]. Links are
+    /// zero-latency, so a send is staged at its send time.
+    pub fn live(shards: usize, seed: u64) -> Self {
+        Self::build(shards, SimDuration::ZERO, seed, |_| {
+            Box::new(FixedLatency::new(SimDuration::ZERO))
+        })
+    }
+
+    /// The shards as free-standing worlds for a host that carries every
+    /// message between them, the live plane's workers. Each world's
+    /// outbox gets an own index that no destination has, so it hosts no
+    /// receiver, not even its own actors: every send is staged in the
+    /// lane of the receiver's shard, and the host drains the lanes with
+    /// [`World::drain_staged`] and queues what arrives with
+    /// [`World::arrive`].
+    pub fn into_live_worlds(self) -> Vec<World<M>> {
+        let s = self.shards.len();
+        let mut shards = self.shards;
+        for world in &mut shards {
+            world.outbox = Outbox {
+                shard: s as u32,
+                map: Arc::clone(&self.map),
+                out: (0..s).map(|_| Lane(Vec::new())).collect(),
+                ..Outbox::default()
+            };
+        }
+        shards
+    }
+
+    fn build(
+        shards: usize,
+        lookahead: SimDuration,
+        seed: u64,
         mut link_for: impl FnMut(usize) -> Box<dyn LinkModel + Send>,
     ) -> Self {
         assert!(shards >= 1, "a sharded world needs at least one shard");
-        assert!(
-            shards == 1 || lookahead > SimDuration::ZERO,
-            "conservative time-window sync needs positive lookahead \
-             (the link model's min_latency is zero — run single-shard instead)"
-        );
         let master = SimRng::new(seed);
         ShardedWorld {
             shards: (0..shards)
@@ -533,6 +593,7 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
     /// [`World::run_until`]). Returns the time reached.
     pub fn run_until(&mut self, limit: SimTime) -> SimTime {
         let s = self.shards.len();
+        check_lookahead(s, self.lookahead);
         if !self.ran {
             self.ran = true;
             for (k, world) in self.shards.iter_mut().enumerate() {

@@ -12,7 +12,10 @@
 //! table spans the whole id space — the actors other shards host are
 //! placeholders — and [`Ctx`]'s one route queues a send locally when this
 //! world hosts the receiver and stages it in the outbox otherwise. A lone
-//! world has no other shard, so every send it makes is local.
+//! world has no other shard, so every send it makes is local. A live
+//! worker's world ([`crate::shard::ShardedWorld::into_live_worlds`]) is
+//! the opposite case: it hosts no receiver, so every send is staged, and
+//! the worker carries it over a socket.
 //!
 //! Every world folds each dispatched event into an order-sensitive
 //! digest ([`World::event_digest`]). A link verdict that lies in the past
@@ -695,6 +698,29 @@ impl<M: SimMessage> World<M> {
     /// Run until the queue drains or an actor stops the world.
     pub fn run(&mut self) -> SimTime {
         self.run_until(SimTime::MAX)
+    }
+
+    /// Time of the earliest pending event, if any.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
+    /// Queue a message that reached this world from outside it (a live
+    /// worker's socket) for delivery to `to` at `at`, or now if `at` is
+    /// already past.
+    pub fn arrive(&mut self, at: SimTime, from: ActorId, to: ActorId, msg: M) {
+        self.queue
+            .push(at.max(self.now), Event::Deliver { from, to, msg });
+    }
+
+    /// Hand every staged send to `post` as `(destination shard, from,
+    /// to, msg)`: lane by lane, each in send order, delivery times
+    /// dropped. Only a world from [`ShardedWorld::into_live_worlds`]
+    /// stages its local sends too.
+    ///
+    /// [`ShardedWorld::into_live_worlds`]: crate::shard::ShardedWorld::into_live_worlds
+    pub fn drain_staged(&mut self, post: impl FnMut(usize, ActorId, ActorId, M)) {
+        self.outbox.drain(post);
     }
 
     /// Number of events still pending.

@@ -5,11 +5,12 @@
 //! Without an argument: DCoP at n = 8, first on clean links, then with
 //! 3 % of every peer's sends dropped and NACK repair closing the gaps.
 //! With a population (`-- 10000`): one `SessionConfig::live(n, 8, 7)`
-//! session per coordination protocol, to read the wire off — how many
-//! frames each datagram carried (bundle fill), drops, decode errors —
+//! session per coordination protocol on one and on two workers, to
+//! read the wire off — how many frames each datagram carried (bundle
+//! fill), drops, decode errors, whether every send crossed the wire —
 //! and the host: how many frames were copied from a fan-out's record
-//! instead of encoded (tx) or answered from a body the worker had
-//! already decoded (rx), and how busy the workers were.
+//! instead of encoded (tx) or answered from a body a worker had
+//! already decoded (rx), and how busy each worker was.
 //!
 //! ```text
 //! cargo run --release --example live_session [-- n]
@@ -38,20 +39,28 @@ fn bundle_fill(out: &LiveOutcome) -> String {
 }
 
 /// Frames written or parsed once per fan-out, as shares of each side's
-/// frames, and worker busy time ÷ `time_to_done` (summed over workers).
+/// frames, and each worker's busy time ÷ `time_to_done`.
 fn host_load(out: &LiveOutcome) -> String {
     let m = &out.metrics;
     let share = |shared, frames| {
         let (s, f) = (m.counter(shared), m.counter(frames));
         format!("{s} of {f} ({:.1} %)", 100.0 * s as f64 / f.max(1) as f64)
     };
-    let busy = out.time_to_done.map_or(f64::NAN, |d| {
-        m.counter(names::WORKER_BUSY_NS) as f64 / d.as_nanos() as f64
-    });
+    let busy: Vec<String> = out
+        .worker_busy
+        .iter()
+        .map(|b| {
+            let ratio = out
+                .time_to_done
+                .map_or(f64::NAN, |d| b.as_secs_f64() / d.as_secs_f64());
+            format!("{ratio:.2}")
+        })
+        .collect();
     format!(
-        "bodies shared: tx {}, rx {}; worker busy / time_to_done {busy:.2}",
+        "bodies shared: tx {}, rx {}; busy / time_to_done per worker [{}]",
         share(names::TX_BODIES_SHARED, names::TX_FRAMES),
-        share(names::RX_BODIES_SHARED, names::RX_FRAMES)
+        share(names::RX_BODIES_SHARED, names::RX_FRAMES),
+        busy.join(", ")
     )
 }
 
@@ -91,16 +100,24 @@ fn small_demo() {
 
 fn population(n: usize) {
     println!("live sessions at n = {n} (H = 8, loopback UDP)\n");
-    for protocol in [Protocol::Dcop, Protocol::Tcop] {
+    for (protocol, workers) in [Protocol::Dcop, Protocol::Tcop]
+        .into_iter()
+        .flat_map(|p| [(p, 1), (p, 2)])
+    {
         let cfg = SessionConfig::live(n, 8, 7);
         let budget = Duration::from_millis(8_000 + 40 * n as u64);
         let out = LiveSession::new(cfg, protocol, budget)
+            .workers(workers)
             .run()
             .expect("live session");
         let m = &out.metrics;
+        let crossed = m.counter(mss::sim::metrics::NET_SENT)
+            == m.counter(names::TX_FRAMES) + m.counter(names::TX_DROPPED);
         println!(
-            "{:<5}: activated {}/{n}, complete={}, done in {:.0} ms, {} coordination msgs\n       \
-             {}\n       rx_dropped {}, rx_decode_err {}, view_resync_fallbacks {}\n       {}",
+            "{:<5} on {workers} worker(s): activated {}/{n}, complete={}, done in {:.0} ms, \
+             {} coordination msgs\n       \
+             {}\n       rx_dropped {}, rx_decode_err {}, view_resync_fallbacks {}, \
+             net.sent = tx_frames + tx_dropped: {crossed}\n       {}",
             protocol.name(),
             out.activated,
             out.complete,

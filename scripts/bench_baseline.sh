@@ -28,7 +28,7 @@ cpu=$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || e
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
 record_live_scale() {
-    # Live network plane: the ready-queue runtime on real loopback UDP
+    # Live network plane: the live host on real loopback UDP
     # up to n=2·10^3, appended to the history as its own line
     # (events/sec per point). Works without sendmmsg/recvmmsg too — the
     # runtime falls back to single-syscall I/O when the batched calls

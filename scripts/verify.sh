@@ -48,13 +48,14 @@ echo "==> sharded-kernel determinism gate (n=10^4 smoke, shards {1,2,4})"
 cargo run --release -q -p mss-harness -- shardcheck >/dev/null
 
 echo "==> live-plane smoke (loopback UDP, time-bounded, mmsg + fallback)"
-# The ready-queue runtime's own tests host real loopback sessions
-# (DCoP, TCoP, a baseline, 3 % injected send loss closed by parity +
-# NACK repair, the forced single-syscall fallback, TCoP on two workers
-# — per-edge order across workers' bundles — and the ignored n=5000
-# beyond-the-old-bitmap-cap smoke that only the adaptive view codec
-# makes hostable); `timeout` bounds the step so a wedged poll loop
-# fails the gate instead of hanging it. The same tests assert the
+# The live workers' own tests (`live.rs`: a worker is a simulator world
+# on a wall clock) host real loopback sessions (DCoP, TCoP, a baseline,
+# 3 % injected send loss closed by parity + NACK repair, the forced
+# single-syscall fallback, TCoP on two workers — per-edge order across
+# workers' bundles, and every send crossing the wire — and the ignored
+# n=5000 beyond-the-old-bitmap-cap smoke that only the adaptive view
+# codec makes hostable); `timeout` bounds the step so a wedged worker
+# loop fails the gate instead of hanging it. The same tests assert the
 # receive-side view lifetime (`net.view_edges_tracked` 0 for DCoP, <= n
 # for TCoP; `net.view_resync_fallbacks` and `net.rx_decode_err` 0), so
 # a snapshot or frame that outlives its reader fails this step on both

@@ -8,9 +8,10 @@
 //! - [`sim`]: deterministic discrete-event simulation kernel,
 //! - [`media`]: packets, sequence algebra, XOR parity coding, time-slot
 //!   allocation, playout accounting,
-//! - [`overlay`]: peer ids, views, selection, failure detection,
+//! - [`overlay`]: peer ids, views, selection, gossip membership,
 //! - [`core`]: the DCoP/TCoP coordination protocols and four baselines,
-//! - [`net`]: the live host (ready-queue runtime over UDP loopback),
+//! - [`net`]: the live host (simulator worlds on a wall clock over UDP
+//!   loopback),
 //! - [`harness`]: the experiment harness regenerating Figures 10–12.
 //!
 //! Start with [`core::prelude`]:

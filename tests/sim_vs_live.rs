@@ -1,8 +1,9 @@
 //! Simulator vs live host: the identical protocol state machines run on
 //! the deterministic discrete-event simulator (one world and sharded)
-//! and on the ready-queue runtime over UDP loopback (bundled datagrams,
-//! `recvmmsg`/`sendmmsg` batching) — and agree on the protocol's
-//! observable outcomes (coverage, completion, coordination volume class).
+//! and on live workers — the same kernel on a wall clock — over UDP
+//! loopback (bundled datagrams, `recvmmsg`/`sendmmsg` batching), and
+//! agree on the protocol's observable outcomes (coverage, completion,
+//! coordination volume class).
 
 use std::time::Duration;
 
@@ -66,7 +67,7 @@ fn tcop_agrees_across_substrates() {
 }
 
 /// Shared config for the at-scale pinning: n in the hundreds on the
-/// ready-queue runtime vs the same config on the simulator. Uses the
+/// live host vs the same config on the simulator. Uses the
 /// `live` preset (quadratic extensions off, repair on) for both sides
 /// so the comparison is apples to apples.
 fn scale_cfg(protocol_seed: u64) -> SessionConfig {
@@ -75,11 +76,13 @@ fn scale_cfg(protocol_seed: u64) -> SessionConfig {
     cfg
 }
 
-/// Pin the ready-queue runtime against the simulator at n=200: full
-/// activation, complete streaming, and coordination volume in the same
-/// class, for both coordination protocols.
+/// Pin the live host against the simulator at n=200: full activation,
+/// complete streaming, and coordination volume in the same class, for
+/// both coordination protocols — and no send skips the wire: each one
+/// was written into a datagram or counted as dropped, and with nothing
+/// lost in the kernel every frame written was received.
 #[test]
-fn ready_queue_runtime_matches_simulator_at_scale() {
+fn live_host_matches_simulator_at_scale() {
     for (protocol, seed) in [(Protocol::Dcop, 4242u64), (Protocol::Tcop, 4243u64)] {
         let sim = Session::new(scale_cfg(seed), protocol)
             .time_limit(SimDuration::from_secs(120))
@@ -110,8 +113,17 @@ fn ready_queue_runtime_matches_simulator_at_scale() {
             sim.coord_msgs_total
         );
         // The batched syscall plane must actually be exercised.
-        assert!(live.metrics.counter("net.rx_batches") > 0);
-        assert!(live.metrics.counter("net.tx_datagrams") > 0);
+        let m = &live.metrics;
+        assert!(m.counter("net.rx_batches") > 0);
+        assert!(m.counter("net.tx_datagrams") > 0);
+        let tx = m.counter("net.tx_frames");
+        assert_eq!(
+            m.counter("net.sent"),
+            tx + m.counter("net.tx_dropped"),
+            "{protocol:?}: a send skipped the wire"
+        );
+        assert_eq!(m.counter("net.rx_dropped"), 0, "{protocol:?}");
+        assert_eq!(m.counter("net.rx_frames"), tx, "{protocol:?}");
     }
 }
 
