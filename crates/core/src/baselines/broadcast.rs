@@ -14,7 +14,8 @@ use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
 use crate::msg::{ContentRequest, ControlBody, ControlKind, Msg, ViewWire};
-use crate::peer_core::{Core, PeerReport, TAG_SEND, TAG_SWITCH};
+use crate::peer_core::{Core, PeerReport};
+use crate::plane::{PlanePeer, RoundShared};
 use crate::schedule::{initial_assignment_opts, TxSchedule};
 use mss_media::PacketSeq;
 use mss_overlay::{Directory, PeerId};
@@ -38,11 +39,6 @@ impl BroadcastPeer {
             switched: false,
             part: 0,
         }
-    }
-
-    /// Post-run state snapshot.
-    pub fn report(&self) -> PeerReport {
-        self.core.report()
     }
 
     fn on_request(&mut self, ctx: &mut dyn Runtime<Msg>, req: ContentRequest) {
@@ -120,8 +116,8 @@ impl BroadcastPeer {
     }
 }
 
-impl Actor<Msg> for BroadcastPeer {
-    fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, _from: ActorId, msg: Msg) {
+impl PlanePeer for BroadcastPeer {
+    fn plane_message(&mut self, ctx: &mut dyn Runtime<Msg>, _: &mut RoundShared, msg: Msg) {
         match msg {
             Msg::Request(req) => self.on_request(ctx, *req),
             Msg::Control(c) if c.body.kind == ControlKind::Announce => {
@@ -132,13 +128,11 @@ impl Actor<Msg> for BroadcastPeer {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, _timer: TimerId, tag: u64) {
-        match tag {
-            TAG_SEND => self.core.on_send_timer(ctx),
-            TAG_SWITCH => self.core.on_switch_timer(ctx),
-            _ => {}
-        }
+    fn plane_timer(&mut self, ctx: &mut dyn Runtime<Msg>, _: &mut RoundShared, tag: u64) {
+        self.core.on_timer(ctx, tag);
     }
 
-    mss_sim::impl_as_any!();
+    fn report(&self) -> PeerReport {
+        self.core.report()
+    }
 }

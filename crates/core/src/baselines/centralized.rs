@@ -15,7 +15,8 @@ use mss_sim::prelude::*;
 use crate::config::SessionConfig;
 use crate::metrics as mnames;
 use crate::msg::{Msg, TwoPhase};
-use crate::peer_core::{Core, PeerReport, TAG_SEND, TAG_SWITCH};
+use crate::peer_core::{Core, PeerReport};
+use crate::plane::{PlanePeer, RoundShared};
 use crate::schedule::initial_assignment_opts;
 use mss_overlay::{Directory, PeerId};
 
@@ -41,11 +42,6 @@ impl CentralizedPeer {
             votes: 0,
             prepared: None,
         }
-    }
-
-    /// Post-run state snapshot.
-    pub fn report(&self) -> PeerReport {
-        self.core.report()
     }
 
     fn is_coordinator(&self) -> bool {
@@ -142,8 +138,8 @@ impl CentralizedPeer {
     }
 }
 
-impl Actor<Msg> for CentralizedPeer {
-    fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, _from: ActorId, msg: Msg) {
+impl PlanePeer for CentralizedPeer {
+    fn plane_message(&mut self, ctx: &mut dyn Runtime<Msg>, _: &mut RoundShared, msg: Msg) {
         match msg {
             Msg::Request(_) => self.on_request(ctx),
             Msg::TwoPhase(TwoPhase::Prepare { part, parts, h, .. }) => {
@@ -156,13 +152,11 @@ impl Actor<Msg> for CentralizedPeer {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, _timer: TimerId, tag: u64) {
-        match tag {
-            TAG_SEND => self.core.on_send_timer(ctx),
-            TAG_SWITCH => self.core.on_switch_timer(ctx),
-            _ => {}
-        }
+    fn plane_timer(&mut self, ctx: &mut dyn Runtime<Msg>, _: &mut RoundShared, tag: u64) {
+        self.core.on_timer(ctx, tag);
     }
 
-    mss_sim::impl_as_any!();
+    fn report(&self) -> PeerReport {
+        self.core.report()
+    }
 }

@@ -12,7 +12,8 @@ use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
 use crate::msg::{Msg, ScheduleAssignment};
-use crate::peer_core::{Core, PeerReport, TAG_SEND, TAG_SWITCH};
+use crate::peer_core::{Core, PeerReport};
+use crate::plane::{PlanePeer, RoundShared};
 use crate::schedule::TxSchedule;
 use mss_overlay::{Directory, PeerId};
 
@@ -29,11 +30,6 @@ impl SchedulePeer {
         }
     }
 
-    /// Post-run state snapshot.
-    pub fn report(&self) -> PeerReport {
-        self.core.report()
-    }
-
     fn on_assign(&mut self, ctx: &mut dyn Runtime<Msg>, a: ScheduleAssignment) {
         let assignment = TxSchedule {
             seq: a.sched.into(),
@@ -47,8 +43,8 @@ impl SchedulePeer {
     }
 }
 
-impl Actor<Msg> for SchedulePeer {
-    fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, _from: ActorId, msg: Msg) {
+impl PlanePeer for SchedulePeer {
+    fn plane_message(&mut self, ctx: &mut dyn Runtime<Msg>, _: &mut RoundShared, msg: Msg) {
         match msg {
             Msg::Assign(a) => self.on_assign(ctx, *a),
             Msg::Nack(n) => self.core.on_nack(ctx, &n),
@@ -56,13 +52,11 @@ impl Actor<Msg> for SchedulePeer {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, _timer: TimerId, tag: u64) {
-        match tag {
-            TAG_SEND => self.core.on_send_timer(ctx),
-            TAG_SWITCH => self.core.on_switch_timer(ctx),
-            _ => {}
-        }
+    fn plane_timer(&mut self, ctx: &mut dyn Runtime<Msg>, _: &mut RoundShared, tag: u64) {
+        self.core.on_timer(ctx, tag);
     }
 
-    mss_sim::impl_as_any!();
+    fn report(&self) -> PeerReport {
+        self.core.report()
+    }
 }

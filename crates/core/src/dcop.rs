@@ -17,7 +17,7 @@ use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
 use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, ViewWire};
-use crate::peer_core::{Core, PeerReport, TAG_SEND, TAG_SWITCH};
+use crate::peer_core::{Core, PeerReport};
 use crate::plane::{PlanePeer, RoundShared};
 use crate::schedule::DivisionBasis;
 use mss_overlay::{Directory, PeerId};
@@ -25,9 +25,6 @@ use mss_overlay::{Directory, PeerId};
 /// A contents peer running DCoP.
 pub struct DcopPeer {
     core: Core,
-    /// Round scratch for solo hosting; plane hosting substitutes the
-    /// plane-wide instance (see [`crate::plane`]).
-    shared: RoundShared,
 }
 
 impl DcopPeer {
@@ -35,13 +32,7 @@ impl DcopPeer {
     pub fn new(me: PeerId, dir: Arc<Directory>, cfg: SessionConfig) -> DcopPeer {
         DcopPeer {
             core: Core::new(me, dir, cfg),
-            shared: RoundShared::default(),
         }
-    }
-
-    /// Post-run state snapshot.
-    pub fn report(&self) -> PeerReport {
-        self.core.report()
     }
 
     /// §3.4 step 2: activation by the leaf's content request.
@@ -170,13 +161,7 @@ impl DcopPeer {
 }
 
 impl PlanePeer for DcopPeer {
-    fn plane_message(
-        &mut self,
-        ctx: &mut dyn Runtime<Msg>,
-        shared: &mut RoundShared,
-        _from: ActorId,
-        msg: Msg,
-    ) {
+    fn plane_message(&mut self, ctx: &mut dyn Runtime<Msg>, shared: &mut RoundShared, msg: Msg) {
         match msg {
             Msg::Request(req) => self.on_request(ctx, shared, *req),
             Msg::Control(c) => self.on_control(ctx, shared, &c),
@@ -185,33 +170,11 @@ impl PlanePeer for DcopPeer {
         }
     }
 
-    fn plane_timer(
-        &mut self,
-        ctx: &mut dyn Runtime<Msg>,
-        _shared: &mut RoundShared,
-        _timer: TimerId,
-        tag: u64,
-    ) {
-        match tag {
-            TAG_SEND => self.core.on_send_timer(ctx),
-            TAG_SWITCH => self.core.on_switch_timer(ctx),
-            _ => {}
-        }
-    }
-}
-
-impl Actor<Msg> for DcopPeer {
-    fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, from: ActorId, msg: Msg) {
-        let mut shared = std::mem::take(&mut self.shared);
-        self.plane_message(ctx, &mut shared, from, msg);
-        self.shared = shared;
+    fn plane_timer(&mut self, ctx: &mut dyn Runtime<Msg>, _: &mut RoundShared, tag: u64) {
+        self.core.on_timer(ctx, tag);
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, timer: TimerId, tag: u64) {
-        let mut shared = std::mem::take(&mut self.shared);
-        self.plane_timer(ctx, &mut shared, timer, tag);
-        self.shared = shared;
+    fn report(&self) -> PeerReport {
+        self.core.report()
     }
-
-    mss_sim::impl_as_any!();
 }

@@ -18,18 +18,22 @@ use std::sync::Arc;
 
 use mss_overlay::{Directory, PeerId};
 use mss_sim::event::{ActorId, TimerId};
-use mss_sim::link::{JitterLatency, LinkModel};
+use mss_sim::link::LinkModel;
 use mss_sim::metrics::Metrics;
 use mss_sim::prelude::*;
 use mss_sim::rng::SimRng;
 use mss_sim::world::{Actor, Runtime, SimMessage, World};
 
+use crate::baselines::{BroadcastPeer, CentralizedPeer, SchedulePeer};
 use crate::config::{Protocol, SessionConfig};
+use crate::dcop::DcopPeer;
 use crate::leaf::LeafActor;
 use crate::metrics as mnames;
 use crate::msg::Msg;
 use crate::peer_core::PeerReport;
-use crate::session::{make_peer, report_of};
+use crate::plane::{PlanePeer, RoundShared};
+use crate::session::default_link;
+use crate::tcop::TcopPeer;
 
 /// A session-scoped message envelope.
 #[derive(Clone, Debug)]
@@ -50,13 +54,12 @@ impl SimMessage for MultiMsg {
 const TAG_STRIDE: u64 = 1_000;
 
 /// Presents a single-session [`Runtime`] view onto a multi-session host.
-struct ScopedRuntime<'a, 'b> {
+struct ScopedRuntime<'a> {
     inner: &'a mut dyn Runtime<MultiMsg>,
     session: u32,
-    _marker: std::marker::PhantomData<&'b ()>,
 }
 
-impl Runtime<Msg> for ScopedRuntime<'_, '_> {
+impl Runtime<Msg> for ScopedRuntime<'_> {
     fn id(&self) -> ActorId {
         self.inner.id()
     }
@@ -100,10 +103,11 @@ impl Runtime<Msg> for ScopedRuntime<'_, '_> {
     }
 }
 
-/// A contents peer hosting one protocol instance per session.
+/// A contents peer hosting one protocol instance per session, all of
+/// them sharing one round scratch (see [`crate::plane`]).
 pub struct MultiPeer {
-    sessions: Vec<Box<dyn Actor<Msg>>>,
-    protocol: Protocol,
+    sessions: Vec<Box<dyn PlanePeer>>,
+    shared: RoundShared,
 }
 
 /// One directory per concurrent session over the same `n` contents
@@ -140,33 +144,46 @@ impl MultiPeer {
             .collect();
         MultiPeer {
             sessions: instances,
-            protocol,
+            shared: RoundShared::default(),
         }
     }
 
     /// Per-session reports for this peer.
     pub fn reports(&self) -> Vec<PeerReport> {
-        self.sessions
-            .iter()
-            .map(|a| report_of(a.as_ref(), self.protocol).expect("peer type"))
-            .collect()
+        self.sessions.iter().map(|p| p.report()).collect()
+    }
+}
+
+/// A contents peer of `protocol`, one session's instance on a
+/// [`MultiPeer`].
+fn make_peer(
+    protocol: Protocol,
+    me: PeerId,
+    dir: Arc<Directory>,
+    cfg: SessionConfig,
+) -> Box<dyn PlanePeer> {
+    match protocol {
+        Protocol::Dcop | Protocol::Unicast => Box::new(DcopPeer::new(me, dir, cfg)),
+        Protocol::Tcop => Box::new(TcopPeer::new(me, dir, cfg)),
+        Protocol::Broadcast => Box::new(BroadcastPeer::new(me, dir, cfg)),
+        Protocol::Centralized => Box::new(CentralizedPeer::new(me, dir, cfg)),
+        Protocol::LeafSchedule => Box::new(SchedulePeer::new(me, dir, cfg)),
     }
 }
 
 impl Actor<MultiMsg> for MultiPeer {
-    fn on_message(&mut self, ctx: &mut dyn Runtime<MultiMsg>, from: ActorId, msg: MultiMsg) {
+    fn on_message(&mut self, ctx: &mut dyn Runtime<MultiMsg>, _: ActorId, msg: MultiMsg) {
         let Some(inner) = self.sessions.get_mut(msg.session as usize) else {
             return;
         };
         let mut scoped = ScopedRuntime {
             inner: ctx,
             session: msg.session,
-            _marker: std::marker::PhantomData,
         };
-        inner.on_message(&mut scoped, from, msg.msg);
+        inner.plane_message(&mut scoped, &mut self.shared, msg.msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<MultiMsg>, timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut dyn Runtime<MultiMsg>, _: TimerId, tag: u64) {
         let session = (tag / TAG_STRIDE) as u32;
         let Some(inner) = self.sessions.get_mut(session as usize) else {
             return;
@@ -174,9 +191,8 @@ impl Actor<MultiMsg> for MultiPeer {
         let mut scoped = ScopedRuntime {
             inner: ctx,
             session,
-            _marker: std::marker::PhantomData,
         };
-        inner.on_timer(&mut scoped, timer, tag % TAG_STRIDE);
+        inner.plane_timer(&mut scoped, &mut self.shared, tag % TAG_STRIDE);
     }
 
     mss_sim::impl_as_any!();
@@ -214,7 +230,6 @@ impl Actor<MultiMsg> for MultiLeaf {
         let mut scoped = ScopedRuntime {
             inner: ctx,
             session: self.session,
-            _marker: std::marker::PhantomData,
         };
         if self.start_delay == SimDuration::ZERO {
             self.inner.on_start(&mut scoped);
@@ -230,7 +245,6 @@ impl Actor<MultiMsg> for MultiLeaf {
         let mut scoped = ScopedRuntime {
             inner: ctx,
             session: self.session,
-            _marker: std::marker::PhantomData,
         };
         self.inner.on_message(&mut scoped, from, msg.msg);
     }
@@ -239,7 +253,6 @@ impl Actor<MultiMsg> for MultiLeaf {
         let mut scoped = ScopedRuntime {
             inner: ctx,
             session: self.session,
-            _marker: std::marker::PhantomData,
         };
         let tag = tag % TAG_STRIDE;
         if tag == TAG_LEAF_START {
@@ -325,10 +338,7 @@ impl MultiSession {
             protocol,
             leaves,
             stagger: SimDuration::ZERO,
-            link: Box::new(JitterLatency {
-                base: SimDuration::from_millis(1),
-                jitter: SimDuration::from_millis(1),
-            }),
+            link: Box::new(default_link()),
             limit: SimTime::MAX,
         }
     }

@@ -335,6 +335,16 @@ impl Core {
         }
     }
 
+    /// Handle the timers every protocol shares, [`TAG_SEND`] and
+    /// [`TAG_SWITCH`]; any other tag is ignored.
+    pub fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, tag: u64) {
+        match tag {
+            TAG_SEND => self.on_send_timer(ctx),
+            TAG_SWITCH => self.on_switch_timer(ctx),
+            _ => {}
+        }
+    }
+
     /// Handle the δ switch timer (fallback path; the primary switch point
     /// is reaching the mark position while streaming).
     pub fn on_switch_timer(&mut self, ctx: &mut dyn Runtime<Msg>) {

@@ -1,19 +1,20 @@
-//! Protocol-plane hosting: all `n` contents peers of a session as one
-//! flat [`ActorGroup`] with shared round scratch.
+//! Protocol-plane hosting: the contents peers of a session (or of one
+//! shard's block of it) as one flat [`ActorGroup`] with shared round
+//! scratch — the only way a contents peer is hosted.
 //!
-//! The seed stored each peer as its own boxed `dyn Actor`, so every
-//! round paid a virtual dispatch per message plus per-peer allocation of
-//! the selection pool, the fan-out's message list, and the enhanced
-//! content sequence. A [`Plane`] keeps the peers in one dense `Vec`
-//! indexed by [`mss_overlay::PeerId`] (the directory maps ids densely,
-//! so `member == peer.0`) and threads one [`RoundShared`] scratch arena
-//! through every handler call. Scratch contents never influence handler
-//! behavior — buffers are cleared or overwritten before use and the
-//! enhance cache is pure memoization — so a plane-hosted session is
-//! bit-for-bit identical to solo-hosted actors (the session equivalence
-//! tests pin this). Nothing per-edge lives here: the one piece of
-//! sender-side state a delta piggyback needs, the view a probe round
-//! shipped in full, is held by that round (see [`crate::tcop`]).
+//! A [`Plane`] keeps the peers in one dense `Vec` indexed by
+//! [`mss_overlay::PeerId`] (the directory maps ids densely, so
+//! `member == peer.0` within the block) and threads one [`RoundShared`]
+//! scratch arena through every handler call, instead of each peer
+//! owning its selection pool, fan-out list and enhanced content
+//! sequence. Scratch contents never influence handler behavior —
+//! buffers are cleared or overwritten before use and the enhance cache
+//! is pure memoization — so one plane over all peers is bit-for-bit
+//! identical to one plane per peer (`session.rs`'s
+//! `one_plane_matches_plane_per_peer` tests pin this). Nothing per-edge
+//! lives here: the one piece of sender-side state a delta piggyback
+//! needs, the view a probe round shipped in full, is held by that round
+//! (see [`crate::tcop`]).
 
 use std::any::Any;
 use std::sync::Arc;
@@ -26,6 +27,7 @@ use mss_sim::prelude::*;
 use mss_sim::world::ActorGroup;
 
 use crate::msg::Msg;
+use crate::peer_core::PeerReport;
 
 /// Memoized enhanced full-content sequence (the initial division's
 /// input): identical for every part of one leaf request.
@@ -37,10 +39,10 @@ struct InitEntry {
     enhanced: Arc<PacketSeq>,
 }
 
-/// Per-round scratch shared by every peer of a plane (or owned by a
-/// single solo-hosted peer). Reuse is an allocation amortization only:
-/// nothing here carries over between handler invocations except the
-/// pure [`RoundShared::enhanced_content`] memo.
+/// Per-round scratch shared by every peer of a plane. Reuse is an
+/// allocation amortization only: nothing here carries over between
+/// handler invocations except the pure [`RoundShared::enhanced_content`]
+/// memo.
 #[derive(Default)]
 pub struct RoundShared {
     /// Selection-pool scratch for `Select` — cleared by every draw.
@@ -93,26 +95,17 @@ impl RoundShared {
     }
 }
 
-/// A peer hostable inside a [`Plane`]: the protocol handlers with the
-/// shared scratch threaded in explicitly. Solo hosting wraps these same
-/// handlers around a peer-owned [`RoundShared`].
+/// A contents peer of any protocol: the handlers with the plane's
+/// shared scratch threaded in explicitly (protocols that need no
+/// scratch ignore it). [`Plane`] does not forward `on_start`; a peer
+/// type that needs one must have it forwarded first.
 pub trait PlanePeer: Send + 'static {
     /// Deliver one message.
-    fn plane_message(
-        &mut self,
-        ctx: &mut dyn Runtime<Msg>,
-        shared: &mut RoundShared,
-        from: ActorId,
-        msg: Msg,
-    );
-    /// Fire one timer.
-    fn plane_timer(
-        &mut self,
-        ctx: &mut dyn Runtime<Msg>,
-        shared: &mut RoundShared,
-        timer: TimerId,
-        tag: u64,
-    );
+    fn plane_message(&mut self, ctx: &mut dyn Runtime<Msg>, shared: &mut RoundShared, msg: Msg);
+    /// Fire the timer set with `tag`.
+    fn plane_timer(&mut self, ctx: &mut dyn Runtime<Msg>, shared: &mut RoundShared, tag: u64);
+    /// Post-run state snapshot.
+    fn report(&self) -> PeerReport;
 }
 
 /// Dense slab of one session's contents peers plus their shared round
@@ -133,12 +126,12 @@ impl<P: PlanePeer> Plane<P> {
 }
 
 impl<P: PlanePeer> ActorGroup<Msg> for Plane<P> {
-    fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, member: u32, from: ActorId, msg: Msg) {
-        self.members[member as usize].plane_message(ctx, &mut self.shared, from, msg);
+    fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, member: u32, _: ActorId, msg: Msg) {
+        self.members[member as usize].plane_message(ctx, &mut self.shared, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, member: u32, timer: TimerId, tag: u64) {
-        self.members[member as usize].plane_timer(ctx, &mut self.shared, timer, tag);
+    fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, member: u32, _: TimerId, tag: u64) {
+        self.members[member as usize].plane_timer(ctx, &mut self.shared, tag);
     }
 
     fn member_as_any(&self, member: u32) -> &dyn Any {

@@ -54,23 +54,11 @@ impl Actor<Msg> for FaultInjector {
     mss_sim::impl_as_any!();
 }
 
-/// How the session's contents peers are hosted in the world.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Hosting {
-    /// All peers of the protocol in one flat [`Plane`] group sharing
-    /// round scratch (see [`crate::plane`]) — the default for the
-    /// protocols that support it. Bit-for-bit identical to [`Solo`](Hosting::Solo).
-    Plane,
-    /// One boxed actor per peer (the seed layout). Baselines always use
-    /// this.
-    Solo,
-}
-
 /// Builds a fresh instance of the session's link for each world (each
 /// shard of a sharded run), so stateful models stay thread-local.
 type LinkFactory = Box<dyn Fn() -> Box<dyn LinkModel + Send>>;
 
-fn default_link() -> JitterLatency {
+pub(crate) fn default_link() -> JitterLatency {
     JitterLatency {
         base: SimDuration::from_millis(1),
         jitter: SimDuration::from_millis(1),
@@ -85,7 +73,6 @@ pub struct Session {
     gate: Option<OverrunGate>,
     faults: Vec<(SimDuration, PeerId)>,
     limit: SimTime,
-    hosting: Hosting,
     shards: usize,
 }
 
@@ -101,7 +88,6 @@ impl Session {
             gate: None,
             faults: Vec::new(),
             limit: SimTime::MAX,
-            hosting: Hosting::Plane,
             shards: 1,
         }
     }
@@ -126,13 +112,6 @@ impl Session {
     /// synchronize shards on (see [`Session::link`]).
     pub fn shards(mut self, shards: usize) -> Session {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Host the peers as solo actors or as one plane group (protocols
-    /// without a plane implementation ignore this and stay solo).
-    pub fn hosting(mut self, hosting: Hosting) -> Session {
-        self.hosting = hosting;
         self
     }
 
@@ -170,14 +149,20 @@ impl Session {
     /// uses the single-threaded world (ignoring [`Session::shards`]);
     /// use [`Session::run_with_sharded_world`] for the parallel kernel.
     pub fn run_with_world(self) -> (SessionOutcome, World<Msg>, Vec<PeerReport>) {
-        let p = self.into_parts(1);
+        self.run_on_one_world(1)
+    }
+
+    /// [`Session::run_with_world`] with the peers split into `blocks`
+    /// [`Plane`]s of [`shard_blocks`] on the one world. Every split gives
+    /// the same run, since plane scratch never reaches behaviour (see
+    /// [`crate::plane`]); the tests compare one plane with a plane per
+    /// peer.
+    fn run_on_one_world(self, blocks: usize) -> (SessionOutcome, World<Msg>, Vec<PeerReport>) {
+        let p = self.into_parts(blocks);
         let mut world: World<Msg> = World::new((p.link)(), p.cfg.seed);
         world.reserve_events(p.reserve);
-        for hosted in p.actors.blocks {
-            match hosted {
-                Hosted::Group(members, group) => _ = world.add_group(members, group),
-                Hosted::Solo(actors) => actors.into_iter().for_each(|a| _ = world.add_actor(a)),
-            }
+        for (members, group) in p.actors.blocks {
+            world.add_group(members, group);
         }
         let leaf_id = world.add_actor(p.actors.leaf);
         debug_assert_eq!(leaf_id, p.dir.leaf());
@@ -196,9 +181,9 @@ impl Session {
     /// world for deeper inspection.
     ///
     /// Peers are block-partitioned into contiguous id ranges, one
-    /// [`Plane`] slab (or solo-actor range) per shard; the leaf and the
-    /// fault injector live on shard 0. The synchronization lookahead is
-    /// the link model's [`LinkModel::min_latency`].
+    /// [`Plane`] slab per shard; the leaf and the fault injector live on
+    /// shard 0. The synchronization lookahead is the link model's
+    /// [`LinkModel::min_latency`].
     ///
     /// # Panics
     /// If more than one shard runs and the link's minimum latency is
@@ -236,10 +221,11 @@ impl Session {
         world.into_live_worlds()
     }
 
-    /// The one place a session becomes actors: the contents peers of
-    /// each block of `shard_blocks(n, shards)` (one shard is the single
-    /// world), the leaf, and the crash injector if any fault was asked
-    /// for. Every kernel registers exactly these, in this order.
+    /// The one place a session becomes actors: a [`Plane`] of contents
+    /// peers for each block of `shard_blocks(n, shards)` (one shard is
+    /// the single world), the leaf, and the crash injector if any fault
+    /// was asked for. Every kernel registers exactly these, in this
+    /// order.
     fn into_parts(self, shards: usize) -> Parts {
         let Session {
             cfg,
@@ -248,26 +234,21 @@ impl Session {
             gate,
             faults,
             limit,
-            hosting,
             shards: _,
         } = self;
         let dir = Arc::new(Directory::dense(cfg.n));
         let blocks = shard_blocks(cfg.n, shards)
             .windows(2)
             .map(|w| {
-                let members = (w[0]..w[1]).map(|p| PeerId(p as u32));
-                match (hosting, protocol) {
-                    (Hosting::Plane, Protocol::Dcop | Protocol::Unicast) => {
-                        plane_of(members.map(|me| DcopPeer::new(me, dir.clone(), cfg.clone())))
+                let block = w[0]..w[1];
+                match protocol {
+                    Protocol::Dcop | Protocol::Unicast => {
+                        plane_of(DcopPeer::new, block, &dir, &cfg)
                     }
-                    (Hosting::Plane, Protocol::Tcop) => {
-                        plane_of(members.map(|me| TcopPeer::new(me, dir.clone(), cfg.clone())))
-                    }
-                    _ => Hosted::Solo(
-                        members
-                            .map(|me| make_peer(protocol, me, dir.clone(), cfg.clone()))
-                            .collect(),
-                    ),
+                    Protocol::Tcop => plane_of(TcopPeer::new, block, &dir, &cfg),
+                    Protocol::Broadcast => plane_of(BroadcastPeer::new, block, &dir, &cfg),
+                    Protocol::Centralized => plane_of(CentralizedPeer::new, block, &dir, &cfg),
+                    Protocol::LeafSchedule => plane_of(SchedulePeer::new, block, &dir, &cfg),
                 }
             })
             .collect();
@@ -298,24 +279,17 @@ impl Session {
     }
 }
 
-/// The contents peers one shard hosts.
-enum Hosted {
-    /// A [`Plane`] group and its member count.
-    Group(usize, Box<dyn ActorGroup<Msg>>),
-    /// One boxed actor per peer (the baselines, and [`Hosting::Solo`]).
-    Solo(Vec<Box<dyn Actor<Msg>>>),
-}
+/// The contents peers one block hosts: a [`Plane`] group and its
+/// member count.
+type Hosted = (usize, Box<dyn ActorGroup<Msg>>);
 
 impl Actors {
     /// Register on a sharded world: shard k hosts block k (global ids
     /// stay dense because the blocks go in ascending order), shard 0 the
     /// leaf and the injector. Returns the leaf's id.
     fn register(self, world: &mut ShardedWorld<Msg>) -> ActorId {
-        for (k, hosted) in self.blocks.into_iter().enumerate() {
-            match hosted {
-                Hosted::Group(members, group) => _ = world.add_group(k, members, group),
-                Hosted::Solo(actors) => actors.into_iter().for_each(|a| _ = world.add_actor(k, a)),
-            }
+        for (k, (members, group)) in self.blocks.into_iter().enumerate() {
+            world.add_group(k, members, group);
         }
         let leaf = world.add_actor(0, self.leaf);
         if let Some(injector) = self.injector {
@@ -325,9 +299,17 @@ impl Actors {
     }
 }
 
-fn plane_of<P: PlanePeer>(members: impl Iterator<Item = P>) -> Hosted {
-    let members: Vec<P> = members.collect();
-    Hosted::Group(members.len(), Box::new(Plane::new(members)))
+/// The peers of `block`, built by `new`, as one [`Plane`].
+fn plane_of<P: PlanePeer>(
+    new: fn(PeerId, Arc<Directory>, SessionConfig) -> P,
+    block: std::ops::Range<usize>,
+    dir: &Arc<Directory>,
+    cfg: &SessionConfig,
+) -> Hosted {
+    let members: Vec<P> = block
+        .map(|p| new(PeerId(p as u32), dir.clone(), cfg.clone()))
+        .collect();
+    (members.len(), Box::new(Plane::new(members)))
 }
 
 /// A session's actor set (see [`Session::into_parts`]) and what is left
@@ -367,7 +349,7 @@ pub fn shard_blocks(n: usize, shards: usize) -> Vec<usize> {
 }
 
 /// Downcast a hosted contents peer (behind its [`std::any::Any`] face,
-/// whether solo- or plane-hosted) to its report.
+/// a [`Plane`] member) to its report.
 pub fn report_from_any(any: &dyn std::any::Any, protocol: Protocol) -> Option<PeerReport> {
     match protocol {
         Protocol::Dcop | Protocol::Unicast => any.downcast_ref::<DcopPeer>().map(|p| p.report()),
@@ -375,29 +357,6 @@ pub fn report_from_any(any: &dyn std::any::Any, protocol: Protocol) -> Option<Pe
         Protocol::Broadcast => any.downcast_ref::<BroadcastPeer>().map(|p| p.report()),
         Protocol::Centralized => any.downcast_ref::<CentralizedPeer>().map(|p| p.report()),
         Protocol::LeafSchedule => any.downcast_ref::<SchedulePeer>().map(|p| p.report()),
-    }
-}
-
-/// Downcast any hosted contents-peer actor to its report (works for the
-/// simulator and for the live runtimes in `mss-net`).
-pub fn report_of(actor: &dyn Actor<Msg>, protocol: Protocol) -> Option<PeerReport> {
-    report_from_any(actor.as_any(), protocol)
-}
-
-/// Construct a contents-peer actor of the given protocol (shared by the
-/// simulator session builder and the live runtimes).
-pub fn make_peer(
-    protocol: Protocol,
-    me: PeerId,
-    dir: Arc<Directory>,
-    cfg: SessionConfig,
-) -> Box<dyn Actor<Msg>> {
-    match protocol {
-        Protocol::Dcop | Protocol::Unicast => Box::new(DcopPeer::new(me, dir, cfg)),
-        Protocol::Tcop => Box::new(TcopPeer::new(me, dir, cfg)),
-        Protocol::Broadcast => Box::new(BroadcastPeer::new(me, dir, cfg)),
-        Protocol::Centralized => Box::new(CentralizedPeer::new(me, dir, cfg)),
-        Protocol::LeafSchedule => Box::new(SchedulePeer::new(me, dir, cfg)),
     }
 }
 
@@ -501,6 +460,107 @@ fn summarize_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mss_media::ContentDesc;
+    use proptest::prelude::*;
+
+    /// Everything observable of one session on one world with its peers
+    /// in `blocks` planes: the peer reports, the full counter table, and
+    /// the outcome (its `Debug` covers the float fields exactly).
+    fn observe(
+        protocol: Protocol,
+        n: usize,
+        seed: u64,
+        faults: &[(u64, u32)],
+        blocks: usize,
+    ) -> (Vec<PeerReport>, Vec<(String, u64)>, String) {
+        let mut cfg = SessionConfig::small(n, 8.min(n), seed);
+        cfg.content = ContentDesc::small(seed ^ 0xC0DE, 240);
+        let mut session = Session::new(cfg, protocol);
+        for &(at_ms, victim) in faults {
+            session = session.fault(SimDuration::from_millis(at_ms), PeerId(victim));
+        }
+        let (outcome, world, reports) = session.run_on_one_world(blocks);
+        let counters = world
+            .metrics()
+            .counters()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        (reports, counters, format!("{outcome:?}"))
+    }
+
+    /// One plane over all `n` peers must run exactly as `n` one-peer
+    /// planes, each peer with scratch of its own.
+    fn assert_one_plane_matches_plane_per_peer(
+        protocol: Protocol,
+        n: usize,
+        seed: u64,
+        faults: &[(u64, u32)],
+    ) {
+        let one = observe(protocol, n, seed, faults, 1);
+        let per_peer = observe(protocol, n, seed, faults, n);
+        let shape = format!("{protocol:?} n={n} seed={seed} faults={faults:?}");
+        assert_eq!(one.0, per_peer.0, "peer reports diverged: {shape}");
+        assert_eq!(one.1, per_peer.1, "metric counters diverged: {shape}");
+        assert_eq!(one.2, per_peer.2, "outcome diverged: {shape}");
+    }
+
+    /// Every protocol, small and large populations, eight seeds each.
+    #[test]
+    fn one_plane_matches_plane_per_peer_across_protocols_sizes_and_seeds() {
+        for protocol in Protocol::ALL {
+            for n in [10usize, 100] {
+                for seed in 0..8u64 {
+                    assert_one_plane_matches_plane_per_peer(protocol, n, seed * 7 + 1, &[]);
+                }
+            }
+        }
+    }
+
+    /// Two crashes land mid-coordination and mid-streaming; a killed
+    /// member must drop at the same event whatever plane hosts it.
+    #[test]
+    fn one_plane_matches_plane_per_peer_under_crash_faults() {
+        for protocol in Protocol::ALL {
+            for n in [10usize, 100] {
+                for seed in 0..8u64 {
+                    let victim = (seed as u32 % (n as u32 - 1)) + 1;
+                    let faults = [(40 + seed * 11, victim), (90, (victim + 3) % n as u32)];
+                    assert_one_plane_matches_plane_per_peer(protocol, n, seed * 13 + 5, &faults);
+                }
+            }
+        }
+    }
+
+    /// The unicast chain has the deepest activation waves a plane sees.
+    #[test]
+    fn one_plane_matches_plane_per_peer_for_unicast_chain() {
+        for seed in [3u64, 17, 29] {
+            assert_one_plane_matches_plane_per_peer(Protocol::Unicast, 24, seed, &[]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Arbitrary shapes: protocol, population (fan-out capped by
+        /// `n`), seed, and an optional crash.
+        #[test]
+        fn one_plane_matches_plane_per_peer_for_arbitrary_shapes(
+            n in 2usize..40,
+            seed in any::<u64>(),
+            protocol in 0..Protocol::ALL.len(),
+            crash in any::<bool>(),
+            crash_at in 20u64..120,
+            crash_victim in 1u32..40,
+        ) {
+            let faults: Vec<(u64, u32)> = if crash {
+                vec![(crash_at, crash_victim % n as u32)]
+            } else {
+                Vec::new()
+            };
+            assert_one_plane_matches_plane_per_peer(Protocol::ALL[protocol], n, seed, &faults);
+        }
+    }
 
     #[test]
     fn dcop_small_session_covers_and_completes() {

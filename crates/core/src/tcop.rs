@@ -25,7 +25,7 @@ use crate::metrics as mnames;
 use crate::msg::{
     ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, ProbeReply, ViewWire,
 };
-use crate::peer_core::{Core, PeerReport, TAG_REPLY_TIMEOUT, TAG_SEND, TAG_SWITCH};
+use crate::peer_core::{Core, PeerReport, TAG_REPLY_TIMEOUT};
 use crate::plane::{PlanePeer, RoundShared};
 use crate::schedule::DivisionBasis;
 use mss_overlay::{Directory, PeerId, View};
@@ -55,9 +55,6 @@ pub struct TcopPeer {
     /// claimed peer rejects further probes — the non-redundancy rule.
     has_parent: bool,
     probe: Option<ProbeRound>,
-    /// Round scratch for solo hosting; plane hosting substitutes the
-    /// plane-wide instance (see [`crate::plane`]).
-    shared: RoundShared,
 }
 
 impl TcopPeer {
@@ -67,13 +64,7 @@ impl TcopPeer {
             core: Core::new(me, dir, cfg),
             has_parent: false,
             probe: None,
-            shared: RoundShared::default(),
         }
-    }
-
-    /// Post-run state snapshot.
-    pub fn report(&self) -> PeerReport {
-        self.core.report()
     }
 
     /// Whether this peer was claimed by a parent (incl. the leaf).
@@ -303,13 +294,7 @@ impl TcopPeer {
 }
 
 impl PlanePeer for TcopPeer {
-    fn plane_message(
-        &mut self,
-        ctx: &mut dyn Runtime<Msg>,
-        shared: &mut RoundShared,
-        _from: ActorId,
-        msg: Msg,
-    ) {
+    fn plane_message(&mut self, ctx: &mut dyn Runtime<Msg>, shared: &mut RoundShared, msg: Msg) {
         match msg {
             Msg::Request(req) => self.on_request(ctx, shared, *req),
             Msg::Control(c) => match c.body.kind {
@@ -327,34 +312,14 @@ impl PlanePeer for TcopPeer {
         }
     }
 
-    fn plane_timer(
-        &mut self,
-        ctx: &mut dyn Runtime<Msg>,
-        shared: &mut RoundShared,
-        _timer: TimerId,
-        tag: u64,
-    ) {
+    fn plane_timer(&mut self, ctx: &mut dyn Runtime<Msg>, shared: &mut RoundShared, tag: u64) {
         match tag {
-            TAG_SEND => self.core.on_send_timer(ctx),
-            TAG_SWITCH => self.core.on_switch_timer(ctx),
             TAG_REPLY_TIMEOUT => self.finish_probe(ctx, shared),
-            _ => {}
+            _ => self.core.on_timer(ctx, tag),
         }
     }
-}
 
-impl Actor<Msg> for TcopPeer {
-    fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, from: ActorId, msg: Msg) {
-        let mut shared = std::mem::take(&mut self.shared);
-        self.plane_message(ctx, &mut shared, from, msg);
-        self.shared = shared;
+    fn report(&self) -> PeerReport {
+        self.core.report()
     }
-
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, timer: TimerId, tag: u64) {
-        let mut shared = std::mem::take(&mut self.shared);
-        self.plane_timer(ctx, &mut shared, timer, tag);
-        self.shared = shared;
-    }
-
-    mss_sim::impl_as_any!();
 }

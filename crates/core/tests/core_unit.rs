@@ -8,6 +8,7 @@ use mss_core::msg::{
     ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, Nack, ProbeReply, ViewWire,
 };
 use mss_core::peer_core::Core;
+use mss_core::plane::{PlanePeer, RoundShared};
 use mss_core::schedule::{initial_assignment, TxSchedule};
 use mss_core::tcop::TcopPeer;
 use mss_media::{ContentDesc, PacketSeq, Seq};
@@ -16,7 +17,7 @@ use mss_sim::event::{ActorId, TimerId};
 use mss_sim::metrics::Metrics;
 use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
-use mss_sim::world::{Actor, Runtime};
+use mss_sim::world::Runtime;
 use std::sync::Arc;
 
 /// Captures everything the code under test does with its runtime.
@@ -306,12 +307,18 @@ fn assert_one_body(fanout: &[(PeerId, ControlPacket)], parts: impl Iterator<Item
     assert_eq!(Arc::strong_count(first), fanout.len());
 }
 
+/// Deliver `msg` to `peer` as its plane does, on fresh scratch (plane
+/// scratch never reaches behaviour).
+fn deliver(peer: &mut impl PlanePeer, rt: &mut MockRt, msg: Msg) {
+    peer.plane_message(rt, &mut RoundShared::default(), msg);
+}
+
 /// A TCoP parent activated by the leaf, with its first probe round
 /// (wave 2, three candidates) on the wire.
 fn probing_tcop_peer(rt: &mut MockRt) -> (TcopPeer, Vec<(PeerId, ControlPacket)>) {
     let (dir, cfg) = peer_cfg();
     let mut peer = TcopPeer::new(PeerId(0), dir, cfg);
-    peer.on_message(rt, ActorId(8), leaf_request());
+    deliver(&mut peer, rt, leaf_request());
     let probes = drain_controls(rt, ControlKind::Probe);
     assert_eq!(probes.len(), 3);
     (peer, probes)
@@ -323,7 +330,7 @@ fn reply(peer: &mut TcopPeer, rt: &mut MockRt, from: PeerId, accept: bool) {
         accept,
         wave: 2,
     };
-    peer.on_message(rt, ActorId(from.0), Msg::Reply(r));
+    deliver(peer, rt, Msg::Reply(r));
 }
 
 /// A TCoP parent's view stays open until its probe round is finished:
@@ -340,7 +347,7 @@ fn tcop_prober_learns_from_probes_until_it_commits() {
         .map(PeerId)
         .find(|p| !probed.contains(p))
         .expect("8 peers, 3 probed");
-    peer.on_message(&mut rt, ActorId(stranger.0), probe_from(stranger, 3));
+    deliver(&mut peer, &mut rt, probe_from(stranger, 3));
     match rt.sent.drain(..).next() {
         Some((_, Msg::Reply(r))) => assert!(!r.accept, "a claimed peer refuses"),
         other => panic!("expected a refusal, got {other:?}"),
@@ -370,7 +377,7 @@ fn dcop_fanout_shares_one_body() {
     let (dir, cfg) = peer_cfg();
     let mut peer = DcopPeer::new(PeerId(0), dir, cfg);
     let mut rt = MockRt::new();
-    peer.on_message(&mut rt, ActorId(8), leaf_request());
+    deliver(&mut peer, &mut rt, leaf_request());
     let fanout = drain_controls(&mut rt, ControlKind::Activate);
     assert_eq!(fanout.len(), 3);
     assert_one_body(&fanout, 1..=3);
@@ -401,7 +408,7 @@ fn tcop_rounds_share_one_body_and_one_delta() {
     // Mid-round the view grows, so the delta is not empty.
     let probed: Vec<PeerId> = probes.iter().map(|(to, _)| *to).collect();
     let stranger = (1..8).map(PeerId).find(|p| !probed.contains(p)).unwrap();
-    peer.on_message(&mut rt, ActorId(stranger.0), probe_from(stranger, 3));
+    deliver(&mut peer, &mut rt, probe_from(stranger, 3));
     rt.sent.clear();
     drop(probes);
     assert_eq!(

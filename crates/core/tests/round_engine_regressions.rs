@@ -122,7 +122,7 @@ fn wave_zero_activation_is_reported_as_some_zero() {
     let mut rt = MockRt::new();
     let mut shared = RoundShared::default();
     let mut peer = DcopPeer::new(PeerId(0), dir(), cfg());
-    peer.plane_message(&mut rt, &mut shared, ActorId(8), Msg::request(request(0)));
+    peer.plane_message(&mut rt, &mut shared, Msg::request(request(0)));
     let report = peer.report();
     assert!(report.active);
     assert_eq!(report.wave, Some(0), "wave-0 activation must be Some(0)");
@@ -156,7 +156,7 @@ fn dcop_drops_and_counts_non_activate_control_kinds() {
     .into_iter()
     .enumerate()
     {
-        peer.plane_message(&mut rt, &mut shared, ActorId(1), control(kind));
+        peer.plane_message(&mut rt, &mut shared, control(kind));
         assert_eq!(
             rt.metrics.counter(COORD_UNEXPECTED_KIND),
             i as u64 + 1,
@@ -180,7 +180,7 @@ fn tcop_drops_and_counts_activate_and_announce_kinds() {
         .into_iter()
         .enumerate()
     {
-        peer.plane_message(&mut rt, &mut shared, ActorId(1), control(kind));
+        peer.plane_message(&mut rt, &mut shared, control(kind));
         assert_eq!(
             rt.metrics.counter(COORD_UNEXPECTED_KIND),
             i as u64 + 1,

@@ -5,10 +5,10 @@
 //!
 //! [`LiveSession::workers`]`(S)` builds `S` worlds with
 //! `Session::into_live_worlds`, registered as for the sharded simulator:
-//! worker k hosts block k of `shard_blocks(n, S)` (a `Plane` group for
-//! DCoP and TCoP, boxed actors for the baselines), worker 0 also the
-//! leaf. Each worker owns one thread, one non-blocking receive socket
-//! (sized with `SO_RCVBUF`) and one blocking send socket, and loops:
+//! worker k hosts block k of `shard_blocks(n, S)` (a `Plane` group),
+//! worker 0 also the leaf. Each worker owns one thread, one
+//! non-blocking receive socket (sized with `SO_RCVBUF`) and one
+//! blocking send socket, and loops:
 //!
 //! 1. `recvmmsg` until the socket is empty;
 //! 2. split each datagram into its records ([`crate::codec`]), decode

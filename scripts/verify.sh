@@ -44,6 +44,21 @@ for t in 1 2 8; do
         || { echo "verify.sh: simulation results changed (--threads $t)" >&2; exit 1; }
 done
 
+echo "==> every cheap results CSV must be byte-identical (fig11 and the extensions)"
+# shardcheck.csv and live_scale.csv hold wall-clock timings and are
+# left out; each of these experiments takes well under a second.
+for e in fig11 compare multileaf overrun hetero startup faults loss coding ablation \
+    membership view_bytes; do
+    cargo run --release -q -p mss-harness -- "$e" --seeds 16 >/dev/null
+done
+git diff --exit-code -- results/fig11_tcop.csv results/compare_protocols.csv \
+    results/multileaf_scalability.csv results/overrun_rho.csv \
+    results/hetero_allocation_1.csv results/hetero_allocation_2.csv \
+    results/startup_latency.csv results/faults_crash.csv results/loss_channels.csv \
+    results/coding_crash.csv results/ablation_dcop.csv results/membership_gossip.csv \
+    results/view_bytes.csv \
+    || { echo "verify.sh: simulation results changed" >&2; exit 1; }
+
 echo "==> sharded-kernel determinism gate (n=10^4 smoke, shards {1,2,4})"
 cargo run --release -q -p mss-harness -- shardcheck >/dev/null
 
