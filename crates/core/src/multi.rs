@@ -3,262 +3,54 @@
 //! The paper's system is `CP_1..CP_n` contents peers serving
 //! `LP_1..LP_m` leaf peers ("a large number of leaf peers are required
 //! to be supported"); its evaluation only ever exercises `m = 1`. This
-//! module runs the *same* per-session protocol state machines for many
-//! concurrent leaves over one shared peer population: every contents
-//! peer hosts one independent protocol instance per session, multiplexed
-//! through a session-scoping [`Runtime`] adapter — no protocol code
-//! changes, which is the point of the `Runtime` abstraction.
-//!
-//! Message envelopes carry a session id; timer tags are partitioned per
-//! session. Each leaf is its own actor; coordination and data traffic of
-//! different sessions interleave freely on the shared substrate, so
-//! per-peer aggregate load is measured faithfully.
+//! module runs `m` ordinary sessions side by side in one world, each an
+//! independent tree over the same `n` contents peers: session `s`'s
+//! peers are one [`crate::plane::Plane`] at actors `s·n .. (s+1)·n` and
+//! its leaf is actor `m·n + s`. Contents peer `i` is the `m` instances
+//! at actors `s·n + i`; its load is their sum. Coordination and data
+//! traffic of different sessions interleave freely on the shared link.
 
 use std::sync::Arc;
 
-use mss_overlay::{Directory, PeerId};
+use mss_overlay::Directory;
 use mss_sim::event::{ActorId, TimerId};
-use mss_sim::link::LinkModel;
-use mss_sim::metrics::Metrics;
 use mss_sim::prelude::*;
-use mss_sim::rng::SimRng;
-use mss_sim::world::{Actor, Runtime, SimMessage, World};
+use mss_sim::world::World;
 
-use crate::baselines::{BroadcastPeer, CentralizedPeer, SchedulePeer};
 use crate::config::{Protocol, SessionConfig};
-use crate::dcop::DcopPeer;
 use crate::leaf::LeafActor;
 use crate::metrics as mnames;
 use crate::msg::Msg;
-use crate::peer_core::PeerReport;
-use crate::plane::{PlanePeer, RoundShared};
-use crate::session::default_link;
-use crate::tcop::TcopPeer;
+use crate::session::{default_link, plane, report_from_any};
 
-/// A session-scoped message envelope.
-#[derive(Clone, Debug)]
-pub struct MultiMsg {
-    /// Which leaf's session this belongs to.
-    pub session: u32,
-    /// The protocol message.
-    pub msg: Msg,
-}
-
-impl SimMessage for MultiMsg {
-    fn wire_size(&self) -> usize {
-        4 + self.msg.wire_size()
-    }
-}
-
-/// Timer-tag space per session (protocol tags are all < 1000).
-const TAG_STRIDE: u64 = 1_000;
-
-/// Presents a single-session [`Runtime`] view onto a multi-session host.
-struct ScopedRuntime<'a> {
-    inner: &'a mut dyn Runtime<MultiMsg>,
-    session: u32,
-}
-
-impl Runtime<Msg> for ScopedRuntime<'_> {
-    fn id(&self) -> ActorId {
-        self.inner.id()
-    }
-    fn now(&self) -> mss_sim::time::SimTime {
-        self.inner.now()
-    }
-    fn actor_count(&self) -> usize {
-        self.inner.actor_count()
-    }
-    fn is_alive(&self, actor: ActorId) -> bool {
-        self.inner.is_alive(actor)
-    }
-    fn send(&mut self, to: ActorId, msg: Msg) {
-        self.inner.send(
-            to,
-            MultiMsg {
-                session: self.session,
-                msg,
-            },
-        );
-    }
-    fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        debug_assert!(tag < TAG_STRIDE, "protocol timer tag too large");
-        self.inner
-            .set_timer(delay, u64::from(self.session) * TAG_STRIDE + tag)
-    }
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.inner.cancel_timer(timer);
-    }
-    fn rng(&mut self) -> &mut SimRng {
-        self.inner.rng()
-    }
-    fn metrics(&mut self) -> &mut Metrics {
-        self.inner.metrics()
-    }
-    fn kill(&mut self, actor: ActorId) {
-        self.inner.kill(actor);
-    }
-    fn stop_world(&mut self) {
-        self.inner.stop_world();
-    }
-}
-
-/// A contents peer hosting one protocol instance per session, all of
-/// them sharing one round scratch (see [`crate::plane`]).
-pub struct MultiPeer {
-    sessions: Vec<Box<dyn PlanePeer>>,
-    shared: RoundShared,
-}
-
-/// One directory per concurrent session over the same `n` contents
-/// peers: session `s`'s leaf lives at actor id `n + s`.
-pub fn session_directories(n: usize, sessions: usize) -> Vec<Arc<Directory>> {
-    (0..sessions)
-        .map(|s| {
-            Arc::new(Directory::new(
-                (0..n as u32).map(ActorId).collect(),
-                ActorId((n + s) as u32),
-            ))
-        })
-        .collect()
-}
-
-impl MultiPeer {
-    /// Peer `me` serving one leaf per entry of `dirs`: session `s` uses
-    /// `dirs[s]` (see [`session_directories`]), shared by all peers.
-    pub fn new(
-        me: PeerId,
-        dirs: &[Arc<Directory>],
-        protocol: Protocol,
-        cfg: &SessionConfig,
-    ) -> MultiPeer {
-        let instances = dirs
-            .iter()
-            .enumerate()
-            .map(|(s, dir)| {
-                let mut cfg = cfg.clone();
-                // Independent randomness per (peer, session).
-                cfg.seed = cfg.seed.wrapping_add(1 + s as u64 * 7919);
-                make_peer(protocol, me, Arc::clone(dir), cfg)
-            })
-            .collect();
-        MultiPeer {
-            sessions: instances,
-            shared: RoundShared::default(),
-        }
-    }
-
-    /// Per-session reports for this peer.
-    pub fn reports(&self) -> Vec<PeerReport> {
-        self.sessions.iter().map(|p| p.report()).collect()
-    }
-}
-
-/// A contents peer of `protocol`, one session's instance on a
-/// [`MultiPeer`].
-fn make_peer(
-    protocol: Protocol,
-    me: PeerId,
-    dir: Arc<Directory>,
-    cfg: SessionConfig,
-) -> Box<dyn PlanePeer> {
-    match protocol {
-        Protocol::Dcop | Protocol::Unicast => Box::new(DcopPeer::new(me, dir, cfg)),
-        Protocol::Tcop => Box::new(TcopPeer::new(me, dir, cfg)),
-        Protocol::Broadcast => Box::new(BroadcastPeer::new(me, dir, cfg)),
-        Protocol::Centralized => Box::new(CentralizedPeer::new(me, dir, cfg)),
-        Protocol::LeafSchedule => Box::new(SchedulePeer::new(me, dir, cfg)),
-    }
-}
-
-impl Actor<MultiMsg> for MultiPeer {
-    fn on_message(&mut self, ctx: &mut dyn Runtime<MultiMsg>, _: ActorId, msg: MultiMsg) {
-        let Some(inner) = self.sessions.get_mut(msg.session as usize) else {
-            return;
-        };
-        let mut scoped = ScopedRuntime {
-            inner: ctx,
-            session: msg.session,
-        };
-        inner.plane_message(&mut scoped, &mut self.shared, msg.msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<MultiMsg>, _: TimerId, tag: u64) {
-        let session = (tag / TAG_STRIDE) as u32;
-        let Some(inner) = self.sessions.get_mut(session as usize) else {
-            return;
-        };
-        let mut scoped = ScopedRuntime {
-            inner: ctx,
-            session,
-        };
-        inner.plane_timer(&mut scoped, &mut self.shared, tag % TAG_STRIDE);
-    }
-
-    mss_sim::impl_as_any!();
-}
-
-/// A leaf peer bound to one session, optionally starting late (staggered
+/// A leaf that sends its request `delay` into the run (staggered
 /// arrivals rather than a flash crowd).
-pub struct MultiLeaf {
-    session: u32,
-    start_delay: SimDuration,
-    inner: LeafActor,
+struct LateLeaf {
+    delay: SimDuration,
+    leaf: LeafActor,
 }
 
-/// Leaf timer tag reserved for the delayed start.
+/// Timer tag of the delayed start (the leaf's own tags are smaller).
 const TAG_LEAF_START: u64 = 999;
 
-impl MultiLeaf {
-    /// Session `session`'s leaf, initiating `start_delay` into the run.
-    pub fn new(session: u32, start_delay: SimDuration, inner: LeafActor) -> MultiLeaf {
-        MultiLeaf {
-            session,
-            start_delay,
-            inner,
-        }
-    }
-
-    /// The wrapped leaf, for post-run inspection.
-    pub fn leaf(&self) -> &LeafActor {
-        &self.inner
-    }
-}
-
-impl Actor<MultiMsg> for MultiLeaf {
-    fn on_start(&mut self, ctx: &mut dyn Runtime<MultiMsg>) {
-        let mut scoped = ScopedRuntime {
-            inner: ctx,
-            session: self.session,
-        };
-        if self.start_delay == SimDuration::ZERO {
-            self.inner.on_start(&mut scoped);
+impl Actor<Msg> for LateLeaf {
+    fn on_start(&mut self, ctx: &mut dyn Runtime<Msg>) {
+        if self.delay == SimDuration::ZERO {
+            self.leaf.on_start(ctx);
         } else {
-            scoped.set_timer(self.start_delay, TAG_LEAF_START);
+            ctx.set_timer(self.delay, TAG_LEAF_START);
         }
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Runtime<MultiMsg>, from: ActorId, msg: MultiMsg) {
-        if msg.session != self.session {
-            return;
-        }
-        let mut scoped = ScopedRuntime {
-            inner: ctx,
-            session: self.session,
-        };
-        self.inner.on_message(&mut scoped, from, msg.msg);
+    fn on_message(&mut self, ctx: &mut dyn Runtime<Msg>, from: ActorId, msg: Msg) {
+        self.leaf.on_message(ctx, from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<MultiMsg>, timer: TimerId, tag: u64) {
-        let mut scoped = ScopedRuntime {
-            inner: ctx,
-            session: self.session,
-        };
-        let tag = tag % TAG_STRIDE;
+    fn on_timer(&mut self, ctx: &mut dyn Runtime<Msg>, timer: TimerId, tag: u64) {
         if tag == TAG_LEAF_START {
-            self.inner.on_start(&mut scoped);
+            self.leaf.on_start(ctx);
         } else {
-            self.inner.on_timer(&mut scoped, timer, tag);
+            self.leaf.on_timer(ctx, timer, tag);
         }
     }
 
@@ -325,12 +117,12 @@ pub struct MultiSession {
     protocol: Protocol,
     leaves: usize,
     stagger: SimDuration,
-    link: Box<dyn LinkModel + Send>,
     limit: SimTime,
 }
 
 impl MultiSession {
-    /// `leaves` concurrent sessions over `cfg.n` shared peers.
+    /// `leaves` concurrent sessions over `cfg.n` shared peers, on the
+    /// default link of [`crate::session::Session::new`].
     pub fn new(cfg: SessionConfig, protocol: Protocol, leaves: usize) -> MultiSession {
         assert!(leaves >= 1);
         MultiSession {
@@ -338,7 +130,6 @@ impl MultiSession {
             protocol,
             leaves,
             stagger: SimDuration::ZERO,
-            link: Box::new(default_link()),
             limit: SimTime::MAX,
         }
     }
@@ -346,12 +137,6 @@ impl MultiSession {
     /// Delay each successive leaf's request by `stagger` (0 = flash crowd).
     pub fn stagger(mut self, stagger: SimDuration) -> MultiSession {
         self.stagger = stagger;
-        self
-    }
-
-    /// Replace the network model.
-    pub fn link(mut self, link: impl LinkModel + Send + 'static) -> MultiSession {
-        self.link = Box::new(link);
         self
     }
 
@@ -368,37 +153,39 @@ impl MultiSession {
             protocol,
             leaves,
             stagger,
-            link,
             limit,
         } = self;
         let n = cfg.n;
-        let mut world: World<MultiMsg> = World::new(link, cfg.seed);
-        let dirs = session_directories(n, leaves);
-        for i in 0..n {
-            world.add_actor(Box::new(MultiPeer::new(
-                PeerId(i as u32),
-                &dirs,
-                protocol,
-                &cfg,
-            )));
+        let actor = |i: usize| ActorId(i as u32);
+        let mut world: World<Msg> = World::new(default_link(), cfg.seed);
+        let mut dirs = Vec::with_capacity(leaves);
+        for s in 0..leaves {
+            let peers = (s * n..(s + 1) * n).map(actor).collect();
+            let dir = Arc::new(Directory::new(peers, actor(leaves * n + s)));
+            let mut peer_cfg = cfg.clone();
+            // Independent randomness per (peer, session).
+            peer_cfg.seed = cfg.seed.wrapping_add(1 + s as u64 * 7919);
+            let (members, group) = plane(protocol, 0..n, &dir, &peer_cfg);
+            world.add_group(members, group);
+            dirs.push(dir);
         }
-        for (s, dir) in dirs.iter().enumerate() {
+        // The leaves go after every plane, so the actor layout is the
+        // module doc's.
+        for (s, dir) in dirs.into_iter().enumerate() {
             let mut leaf_cfg = cfg.clone();
             leaf_cfg.seed = cfg.seed.wrapping_add(0xF00 + s as u64 * 104_729);
-            let inner = LeafActor::new(leaf_cfg, protocol, Arc::clone(dir), None);
-            world.add_actor(Box::new(MultiLeaf::new(
-                s as u32,
-                stagger.saturating_mul(s as u64),
-                inner,
-            )));
+            world.add_actor(Box::new(LateLeaf {
+                delay: stagger.saturating_mul(s as u64),
+                leaf: LeafActor::new(leaf_cfg, protocol, dir, None),
+            }));
         }
         world.run_until(limit);
 
         let content_bytes = cfg.content.packets as f64 * cfg.content.packet_bytes as f64;
         let per_leaf = (0..leaves)
             .map(|s| {
-                let ml: &MultiLeaf = world.actor_as(ActorId((n + s) as u32)).expect("leaf actor");
-                let leaf = ml.leaf();
+                let late: &LateLeaf = world.actor_as(actor(leaves * n + s)).expect("leaf actor");
+                let leaf = &late.leaf;
                 LeafSummary {
                     session: s as u32,
                     complete: leaf.is_complete(),
@@ -410,8 +197,12 @@ impl MultiSession {
             .collect();
         let per_peer_sent = (0..n)
             .map(|i| {
-                let mp: &MultiPeer = world.actor_as(ActorId(i as u32)).expect("peer actor");
-                mp.reports().iter().map(|r| r.sent).sum()
+                (0..leaves)
+                    .map(|s| {
+                        let any = world.actor_any(actor(s * n + i)).expect("peer actor");
+                        report_from_any(any, protocol).expect("peer type").sent
+                    })
+                    .sum()
             })
             .collect();
         MultiOutcome {
@@ -492,5 +283,44 @@ mod tests {
             .run();
         assert_eq!(out.completion(), 1.0);
         assert!(out.coord_msgs > 0);
+    }
+
+    /// Exact outcomes of a staggered three-leaf run for every protocol:
+    /// each leaf's completion time, every peer's aggregate load and the
+    /// coordination total. Any change to how sessions share the world
+    /// (actor layout, event order, link draws) shows up here.
+    #[test]
+    fn staggered_three_leaf_outcomes_are_pinned() {
+        #[rustfmt::skip]
+        let golden: [(Protocol, [u64; 3], [u64; 24], u64); 6] = [
+            (Protocol::Dcop, [104_138_017, 136_248_514, 135_948_585],
+             [27, 17, 40, 53, 15, 44, 22, 54, 15, 29, 44, 39, 34, 39, 49, 26, 18, 28, 26, 23, 21, 48, 33, 17], 586),
+            (Protocol::Tcop, [103_908_194, 117_435_309, 133_465_779],
+             [18, 11, 37, 68, 27, 54, 17, 63, 25, 26, 57, 40, 26, 51, 31, 14, 40, 16, 36, 19, 25, 31, 44, 17], 1144),
+            (Protocol::Broadcast, [98_290_413, 113_480_989, 128_091_223],
+             [42, 43, 45, 46, 43, 44, 44, 44, 45, 45, 45, 46, 44, 48, 47, 44, 46, 44, 45, 46, 47, 45, 46, 43], 1728),
+            (Protocol::Unicast, [105_686_596, 120_533_582, 135_049_348],
+             [0, 0, 70, 66, 66, 0, 26, 30, 0, 0, 186, 4, 20, 160, 0, 0, 0, 10, 1, 0, 1, 0, 161, 0], 72),
+            (Protocol::Centralized, [110_099_840, 125_122_624, 140_426_763],
+             [36, 36, 36, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33], 210),
+            (Protocol::LeafSchedule, [105_397_106, 120_372_319, 134_793_570],
+             [36, 36, 36, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33, 33], 72),
+        ];
+        for (protocol, done, per_peer_sent, coord_msgs) in golden {
+            let out = MultiSession::new(SessionConfig::small(24, 4, 35), protocol, 3)
+                .stagger(SimDuration::from_millis(15))
+                .time_limit(SimDuration::from_secs(120))
+                .run();
+            let got: Vec<Option<u64>> = out.per_leaf.iter().map(|l| l.complete_nanos).collect();
+            assert_eq!(got, done.map(Some), "{protocol:?}: leaf completion times");
+            assert_eq!(
+                out.per_peer_sent, per_peer_sent,
+                "{protocol:?}: per-peer load"
+            );
+            assert_eq!(
+                out.coord_msgs, coord_msgs,
+                "{protocol:?}: coordination messages"
+            );
+        }
     }
 }

@@ -14,6 +14,7 @@
 //! assert!(outcome.complete);
 //! ```
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use mss_media::buffer::OverrunGate;
@@ -239,18 +240,7 @@ impl Session {
         let dir = Arc::new(Directory::dense(cfg.n));
         let blocks = shard_blocks(cfg.n, shards)
             .windows(2)
-            .map(|w| {
-                let block = w[0]..w[1];
-                match protocol {
-                    Protocol::Dcop | Protocol::Unicast => {
-                        plane_of(DcopPeer::new, block, &dir, &cfg)
-                    }
-                    Protocol::Tcop => plane_of(TcopPeer::new, block, &dir, &cfg),
-                    Protocol::Broadcast => plane_of(BroadcastPeer::new, block, &dir, &cfg),
-                    Protocol::Centralized => plane_of(CentralizedPeer::new, block, &dir, &cfg),
-                    Protocol::LeafSchedule => plane_of(SchedulePeer::new, block, &dir, &cfg),
-                }
-            })
+            .map(|w| plane(protocol, w[0]..w[1], &dir, &cfg))
             .collect();
         let leaf = Box::new(LeafActor::new(cfg.clone(), protocol, dir.clone(), gate));
         let injector = (!faults.is_empty()).then(|| -> Box<dyn Actor<Msg>> {
@@ -281,7 +271,7 @@ impl Session {
 
 /// The contents peers one block hosts: a [`Plane`] group and its
 /// member count.
-type Hosted = (usize, Box<dyn ActorGroup<Msg>>);
+pub(crate) type Hosted = (usize, Box<dyn ActorGroup<Msg>>);
 
 impl Actors {
     /// Register on a sharded world: shard k hosts block k (global ids
@@ -299,10 +289,26 @@ impl Actors {
     }
 }
 
+/// The `protocol` contents peers of `block`, as one [`Plane`].
+pub(crate) fn plane(
+    protocol: Protocol,
+    block: Range<usize>,
+    dir: &Arc<Directory>,
+    cfg: &SessionConfig,
+) -> Hosted {
+    match protocol {
+        Protocol::Dcop | Protocol::Unicast => plane_of(DcopPeer::new, block, dir, cfg),
+        Protocol::Tcop => plane_of(TcopPeer::new, block, dir, cfg),
+        Protocol::Broadcast => plane_of(BroadcastPeer::new, block, dir, cfg),
+        Protocol::Centralized => plane_of(CentralizedPeer::new, block, dir, cfg),
+        Protocol::LeafSchedule => plane_of(SchedulePeer::new, block, dir, cfg),
+    }
+}
+
 /// The peers of `block`, built by `new`, as one [`Plane`].
 fn plane_of<P: PlanePeer>(
     new: fn(PeerId, Arc<Directory>, SessionConfig) -> P,
-    block: std::ops::Range<usize>,
+    block: Range<usize>,
     dir: &Arc<Directory>,
     cfg: &SessionConfig,
 ) -> Hosted {

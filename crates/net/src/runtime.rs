@@ -50,11 +50,6 @@ impl SessionControl {
         }
     }
 
-    /// True once `signal_done` has been called.
-    pub fn is_done(&self) -> bool {
-        *self.done.lock().expect("session control poisoned")
-    }
-
     /// Block until the session signals done or `timeout` elapses.
     /// Returns true when completion (not the deadline) ended the wait.
     pub fn wait_done(&self, timeout: Duration) -> bool {

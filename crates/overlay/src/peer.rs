@@ -63,14 +63,6 @@ impl Directory {
         self.leaf
     }
 
-    /// Reverse lookup: which contents peer (if any) an actor implements.
-    pub fn peer_of(&self, actor: ActorId) -> Option<PeerId> {
-        self.actors
-            .iter()
-            .position(|&a| a == actor)
-            .map(|i| PeerId(i as u32))
-    }
-
     /// All contents peers.
     pub fn peers(&self) -> impl Iterator<Item = PeerId> + '_ {
         (0..self.actors.len()).map(|i| PeerId(i as u32))
@@ -86,8 +78,6 @@ mod tests {
         let d = Directory::dense(5);
         assert_eq!(d.n(), 5);
         assert_eq!(d.actor_of(PeerId(3)), ActorId(3));
-        assert_eq!(d.peer_of(ActorId(3)), Some(PeerId(3)));
-        assert_eq!(d.peer_of(ActorId(5)), None, "leaf is not a contents peer");
         assert_eq!(d.leaf(), ActorId(5));
     }
 

@@ -16,7 +16,7 @@
 //! - [`link`]: pluggable network models (fixed latency, jitter,
 //!   i.i.d. and Gilbert–Elliott bursty loss, bandwidth queueing),
 //! - [`rng`]: a splittable PCG generator so runs are bit-reproducible,
-//! - [`metrics`] / [`hist`]: counters and log-linear histograms,
+//! - [`metrics`]: named counters, interned to dense slot ids,
 //! - [`pool`]: bounded byte-buffer freelists so live transports frame
 //!   deliveries into recycled scratch instead of fresh allocations.
 //!
@@ -59,7 +59,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod event;
-pub mod hist;
 pub mod link;
 pub mod metrics;
 pub mod pool;

@@ -1,4 +1,4 @@
-//! Run-wide metric collection: named counters and histograms.
+//! Run-wide metric collection: named counters.
 //!
 //! Actors and the scheduler record into a single [`Metrics`] sink; the
 //! experiment harness reads it after a run.
@@ -20,8 +20,6 @@
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
-
-use crate::hist::Histogram;
 
 /// Messages handed to the link model (including ones later dropped).
 pub const NET_SENT: &str = "net.sent";
@@ -141,7 +139,7 @@ fn lookup(name: &str) -> Option<MetricId> {
     t.by_name.get(name).copied()
 }
 
-/// Named counters and histograms for one simulation run.
+/// Named counters for one simulation run.
 ///
 /// Slots are indexed by [`MetricId`]; `None` means "never written", so
 /// only metrics a run actually touched appear in iteration — same
@@ -149,14 +147,13 @@ fn lookup(name: &str) -> Option<MetricId> {
 #[derive(Default)]
 pub struct Metrics {
     counters: Vec<Option<u64>>,
-    hists: Vec<Option<Histogram>>,
 }
 
 #[inline]
-fn slot<T>(v: &mut Vec<Option<T>>, id: MetricId) -> &mut Option<T> {
+fn slot(v: &mut Vec<Option<u64>>, id: MetricId) -> &mut Option<u64> {
     let i = id.index();
     if i >= v.len() {
-        v.resize_with(i + 1, || None);
+        v.resize(i + 1, None);
     }
     &mut v[i]
 }
@@ -205,36 +202,12 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Record a sample into the histogram in slot `id`.
-    #[inline]
-    pub fn record_id(&mut self, id: MetricId, v: u64) {
-        slot(&mut self.hists, id)
-            .get_or_insert_with(Histogram::new)
-            .record(v);
-    }
-
-    /// Histogram in slot `id`, if any sample was recorded.
-    pub fn histogram_id(&self, id: MetricId) -> Option<&Histogram> {
-        self.hists.get(id.index()).and_then(|h| h.as_ref())
-    }
-
     // ---- by-name layer over the intern table ----
 
     /// Current value of counter `name` (0 if never written). Read-only:
     /// does not register the name.
     pub fn counter(&self, name: &str) -> u64 {
         lookup(name).map_or(0, |id| self.counter_id(id))
-    }
-
-    /// Record a sample into histogram `name` (creating it if needed).
-    pub fn record(&mut self, name: &str, v: u64) {
-        self.record_id(register(name), v);
-    }
-
-    /// Histogram `name`, if any sample was recorded. Read-only: does not
-    /// register the name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        lookup(name).and_then(|id| self.histogram_id(id))
     }
 
     /// Iterate counters in name order.
@@ -250,20 +223,7 @@ impl Metrics {
         out.into_iter()
     }
 
-    /// Iterate histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        let t = table().read().expect("metric intern table poisoned");
-        let mut out: Vec<(&'static str, &Histogram)> = self
-            .hists
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.as_ref().map(|h| (t.names[i], h)))
-            .collect();
-        out.sort_unstable_by_key(|&(name, _)| name);
-        out.into_iter()
-    }
-
-    /// Fold another sink into this one (counters add, histograms merge).
+    /// Fold another sink into this one (counters add).
     /// Pure slot-wise addition — ids are process-global, so no name
     /// lookups or allocations happen here.
     pub fn merge(&mut self, other: &Metrics) {
@@ -275,23 +235,11 @@ impl Metrics {
                 *mine = Some(mine.unwrap_or(0) + v);
             }
         }
-        if self.hists.len() < other.hists.len() {
-            self.hists.resize_with(other.hists.len(), || None);
-        }
-        for (mine, theirs) in self.hists.iter_mut().zip(&other.hists) {
-            if let Some(h) = theirs {
-                match mine {
-                    Some(m) => m.merge(h),
-                    None => *mine = Some(h.clone()),
-                }
-            }
-        }
     }
 
     /// Drop all recorded data.
     pub fn clear(&mut self) {
         self.counters.clear();
-        self.hists.clear();
     }
 }
 
@@ -300,9 +248,6 @@ impl std::fmt::Debug for Metrics {
         let mut d = f.debug_struct("Metrics");
         for (k, v) in self.counters() {
             d.field(k, &v);
-        }
-        for (k, h) in self.histograms() {
-            d.field(k, h);
         }
         d.finish()
     }
@@ -338,31 +283,17 @@ mod tests {
     }
 
     #[test]
-    fn histograms_record() {
-        let mut m = Metrics::new();
-        m.record("lat", 10);
-        m.record("lat", 20);
-        let h = m.histogram("lat").unwrap();
-        assert_eq!(h.count(), 2);
-        assert!(m.histogram("nope").is_none());
-    }
-
-    #[test]
     fn merge_combines_both_kinds() {
+        // `x` is written in both sinks, `y` only in the one merged in.
         let (x, y) = (register("x"), register("y"));
         let mut a = Metrics::new();
         let mut b = Metrics::new();
         a.add_id(x, 1);
         b.add_id(x, 2);
         b.add_id(y, 3);
-        a.record("h", 5);
-        b.record("h", 6);
-        b.record("g", 7);
         a.merge(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.counter("y"), 3);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.histogram("g").unwrap().count(), 1);
     }
 
     #[test]
@@ -378,10 +309,9 @@ mod tests {
     fn clear_empties() {
         let mut m = Metrics::new();
         m.incr_id(register("a"));
-        m.record("h", 1);
         m.clear();
         assert_eq!(m.counter("a"), 0);
-        assert!(m.histogram("h").is_none());
+        assert_eq!(m.counters().count(), 0);
     }
 
     #[test]
@@ -402,7 +332,6 @@ mod tests {
     #[test]
     fn two_ids_of_one_name_are_one_slot_and_names_read_what_ids_wrote() {
         let (first, again) = (register("test.oneslot"), register("test.oneslot"));
-        let hid = register("test.oneslot.hist");
         let mut m = Metrics::new();
         for v in [3u64, 0, 41] {
             m.add_id(first, v);
@@ -413,10 +342,6 @@ mod tests {
         assert_eq!(m.counter("test.oneslot"), 45);
         m.set_id(first, 123);
         assert_eq!(m.counter("test.oneslot"), 123);
-        m.record_id(hid, 7);
-        m.record("test.oneslot.hist", 9);
-        let h = m.histogram("test.oneslot.hist").unwrap();
-        assert_eq!((h.count(), h.min(), h.max()), (2, 7, 9));
         let listed: Vec<_> = m
             .counters()
             .filter(|(k, _)| k.starts_with("test.oneslot"))

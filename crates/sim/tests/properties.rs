@@ -1,10 +1,9 @@
 //! Property-based tests for the simulation kernel: event ordering,
-//! RNG statistical sanity, histogram bounds, link-model invariants.
+//! RNG statistical sanity, link-model invariants, metrics merging.
 
 use proptest::prelude::*;
 
 use mss_sim::event::{ActorId, Event, EventQueue, TimerId};
-use mss_sim::hist::Histogram;
 use mss_sim::link::{Bandwidth, FixedLatency, GilbertElliott, IidLoss, LinkModel, LinkVerdict};
 use mss_sim::metrics::{register, Metrics};
 use mss_sim::rng::SimRng;
@@ -178,30 +177,20 @@ fn check_session_shape(ops: &[(u8, u64)]) {
     prop_assert!(q.pop().is_none());
 }
 
-/// Build a sink from generated (counter-index, value) and
-/// (histogram-index, sample) pairs, drawn from a small shared name pool
-/// so sinks overlap on some slots and miss on others.
-fn sink_of(counters: &[(u8, u64)], samples: &[(u8, u64)]) -> Metrics {
+/// Build a sink from generated (counter-index, value) pairs, drawn from
+/// a small shared name pool so sinks overlap on some slots and miss on
+/// others.
+fn sink_of(counters: &[(u8, u64)]) -> Metrics {
     let mut m = Metrics::new();
     for &(k, v) in counters {
         m.add_id(register(&format!("prop.merge.c{}", k % 8)), v);
     }
-    for &(k, v) in samples {
-        m.record(&format!("prop.merge.h{}", k % 4), v);
-    }
     m
 }
 
-/// Observable state of a sink: every counter plus histogram summaries,
-/// in name order.
+/// Observable state of a sink: every counter, in name order.
 fn snapshot(m: &Metrics) -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = m.counters().map(|(k, v)| (k.to_owned(), v)).collect();
-    for (k, h) in m.histograms() {
-        out.push((format!("{k}#count"), h.count()));
-        out.push((format!("{k}#min"), h.min()));
-        out.push((format!("{k}#max"), h.max()));
-    }
-    out
+    m.counters().map(|(k, v)| (k.to_owned(), v)).collect()
 }
 
 proptest! {
@@ -295,26 +284,6 @@ proptest! {
         prop_assert!(same < 4);
     }
 
-    /// Histogram quantiles are bracketed by min and max, and the mean is
-    /// exact.
-    #[test]
-    fn histogram_bounds(values in proptest::collection::vec(0u64..1_000_000_000, 1..300)) {
-        let mut h = Histogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        let min = *values.iter().min().unwrap();
-        let max = *values.iter().max().unwrap();
-        prop_assert_eq!(h.min(), min);
-        prop_assert_eq!(h.max(), max);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            let qq = h.quantile(q);
-            prop_assert!(qq >= min && qq <= max, "q{q}={qq} outside [{min},{max}]");
-        }
-        let exact: f64 = values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64;
-        prop_assert!((h.mean() - exact).abs() < 1e-6 * exact.max(1.0));
-    }
-
     /// Link models never deliver into the past, and bandwidth queueing
     /// is monotone per pair.
     #[test]
@@ -347,34 +316,30 @@ proptest! {
     }
 
     /// `Metrics::merge` is commutative and associative on random sinks:
-    /// the merged observable state (counters, histogram summaries) does
-    /// not depend on merge order or grouping.
+    /// the merged counters do not depend on merge order or grouping.
     #[test]
     fn metrics_merge_is_commutative_and_associative(
         ca in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..20),
         cb in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..20),
         cc in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..20),
-        ha in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..12),
-        hb in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..12),
-        hc in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..12),
     ) {
-        let a = sink_of(&ca, &ha);
-        let b = sink_of(&cb, &hb);
-        let c = sink_of(&cc, &hc);
+        let a = sink_of(&ca);
+        let b = sink_of(&cb);
+        let c = sink_of(&cc);
 
         // Commutativity: a ⊕ b == b ⊕ a.
-        let mut ab = sink_of(&ca, &ha);
+        let mut ab = sink_of(&ca);
         ab.merge(&b);
-        let mut ba = sink_of(&cb, &hb);
+        let mut ba = sink_of(&cb);
         ba.merge(&a);
         prop_assert_eq!(snapshot(&ab), snapshot(&ba));
 
         // Associativity: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c).
         let mut ab_c = ab;
         ab_c.merge(&c);
-        let mut bc = sink_of(&cb, &hb);
+        let mut bc = sink_of(&cb);
         bc.merge(&c);
-        let mut a_bc = sink_of(&ca, &ha);
+        let mut a_bc = sink_of(&ca);
         a_bc.merge(&bc);
         prop_assert_eq!(snapshot(&ab_c), snapshot(&a_bc));
     }

@@ -44,7 +44,7 @@ for t in 1 2 8; do
         || { echo "verify.sh: simulation results changed (--threads $t)" >&2; exit 1; }
 done
 
-echo "==> every cheap results CSV must be byte-identical (fig11 and the extensions)"
+echo "==> every cheap results CSV must be byte-identical (fig11 and the extensions), flash_crowd"
 # shardcheck.csv and live_scale.csv hold wall-clock timings and are
 # left out; each of these experiments takes well under a second.
 for e in fig11 compare multileaf overrun hetero startup faults loss coding ablation \
@@ -58,6 +58,9 @@ git diff --exit-code -- results/fig11_tcop.csv results/compare_protocols.csv \
     results/coding_crash.csv results/ablation_dcop.csv results/membership_gossip.csv \
     results/view_bytes.csv \
     || { echo "verify.sh: simulation results changed" >&2; exit 1; }
+# The only m = 32 multi-leaf run; it asserts that every leaf completes.
+cargo run --release -q --example flash_crowd >/dev/null \
+    || { echo "verify.sh: flash_crowd example failed" >&2; exit 1; }
 
 echo "==> sharded-kernel determinism gate (n=10^4 smoke, shards {1,2,4})"
 cargo run --release -q -p mss-harness -- shardcheck >/dev/null
