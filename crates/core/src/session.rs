@@ -568,6 +568,34 @@ mod tests {
         }
     }
 
+    /// A live worker's world resolves exactly the ids it hosts, so the
+    /// host finds each peer's report on the one world that has it.
+    #[test]
+    fn live_worlds_resolve_each_id_on_its_hosting_world_only() {
+        let n = 24;
+        for workers in 1..=3 {
+            let worlds = Session::new(SessionConfig::small(n, 4, 5), Protocol::Dcop)
+                .into_live_worlds(workers);
+            let blocks = shard_blocks(n, workers);
+            for id in 0..=n {
+                // The leaf, id n, lives on worker 0.
+                let host = if id == n {
+                    0
+                } else {
+                    blocks.partition_point(|&start| start <= id) - 1
+                };
+                for (k, world) in worlds.iter().enumerate() {
+                    assert_eq!(world.actor_count(), n + 1);
+                    assert_eq!(
+                        world.actor_any(ActorId(id as u32)).is_some(),
+                        k == host,
+                        "id {id} on world {k} of {workers}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn dcop_small_session_covers_and_completes() {
         let cfg = SessionConfig::small(10, 3, 42);

@@ -1107,8 +1107,8 @@ mod tests {
         // The sendmmsg-unavailable path must behave identically; we
         // can't toggle the env var safely under a threaded test runner,
         // so this is the one-worker session verify.sh also runs under
-        // `MSS_NO_MMSG=1`, beside the portable-path assertions in the
-        // sys tests.
+        // `MSS_NO_MMSG=1`. The socket-level fallback has its own test,
+        // `sys::tests::batch_roundtrip_loopback`, which runs both paths.
         let mut cfg = SessionConfig::small(4, 2, 79);
         cfg.content = ContentDesc::small(3, 40);
         let out = LiveSession::new(cfg, Protocol::Dcop, Duration::from_millis(2500))

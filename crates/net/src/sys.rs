@@ -14,8 +14,6 @@
 //! per datagram and the worker's wait to a short sleep — slower,
 //! but behaviorally identical, so the verify gates run everywhere.
 
-#![allow(dead_code)]
-
 use std::io;
 use std::net::UdpSocket;
 
@@ -568,32 +566,38 @@ mod tests {
 
     #[test]
     fn batch_roundtrip_loopback() {
-        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        rx.set_nonblocking(true).unwrap();
-        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let dst = Dest::new(rx.local_addr().unwrap());
-        let mut btx = BatchSocket::new(&tx, mmsg_enabled());
-        let frames: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 32 + i as usize]).collect();
-        let (sent, calls) = btx.send_batch(&tx, &dst, &frames).unwrap();
-        assert_eq!(sent, 10);
-        assert!(calls >= 1);
+        // Both paths, not only the one `mmsg_enabled()` picks.
+        for use_mmsg in [false, true] {
+            let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+            rx.set_nonblocking(true).unwrap();
+            let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let dst = Dest::new(rx.local_addr().unwrap());
+            let mut btx = BatchSocket::new(&tx, use_mmsg);
+            let frames: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 32 + i as usize]).collect();
+            let (sent, calls) = btx.send_batch(&tx, &dst, &frames).unwrap();
+            assert_eq!(sent, 10);
+            assert!(calls >= 1);
+            if !use_mmsg {
+                assert_eq!(calls, 10, "the fallback makes one call per datagram");
+            }
 
-        let mut brx = BatchSocket::new(&rx, mmsg_enabled());
-        let mut bufs: Vec<Vec<u8>> = (0..RX_BATCH).map(|_| Vec::with_capacity(2048)).collect();
-        let mut meta = vec![RxMeta::default(); RX_BATCH];
-        let mut got = 0;
-        for _ in 0..200 {
-            let n = brx.recv_batch(&rx, &mut bufs, &mut meta).unwrap();
-            for i in 0..n {
-                assert_eq!(bufs[i].len(), meta[i].len);
-                assert!(!bufs[i].is_empty());
+            let mut brx = BatchSocket::new(&rx, use_mmsg);
+            let mut bufs: Vec<Vec<u8>> = (0..RX_BATCH).map(|_| Vec::with_capacity(2048)).collect();
+            let mut meta = vec![RxMeta::default(); RX_BATCH];
+            let mut got = 0;
+            for _ in 0..200 {
+                let n = brx.recv_batch(&rx, &mut bufs, &mut meta).unwrap();
+                for i in 0..n {
+                    assert_eq!(bufs[i].len(), meta[i].len);
+                    assert!(!bufs[i].is_empty());
+                }
+                got += n;
+                if got >= 10 {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(2));
             }
-            got += n;
-            if got >= 10 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            assert_eq!(got, 10, "all datagrams must arrive (use_mmsg {use_mmsg})");
         }
-        assert_eq!(got, 10, "all batched datagrams must arrive");
     }
 }

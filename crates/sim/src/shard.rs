@@ -9,12 +9,13 @@
 //! instance, forked RNG stream and [`Metrics`] sink, and runs the one
 //! dispatch loop and the one `Ctx`, whose route queues a send locally
 //! when the receiver lives on this shard and stages it in the outbox for
-//! the receiver's shard otherwise. Its slot table spans the whole id
-//! space (the actors other shards host are placeholders), so global ids
-//! index every table directly. The composition adds the global-id →
-//! shard map, the window floor, the barrier/channel exchange, and the
-//! digest combination. Each shard runs on its own `std::thread::scope`
-//! worker, in *windows* of the classic conservative (lookahead) kind:
+//! the receiver's shard otherwise. It hosts its own actors as groups over
+//! contiguous global id ranges and keeps a liveness flag for every global
+//! id, so global ids need no translation. The composition adds the
+//! global-id → shard map, the window floor, the barrier/channel exchange,
+//! and the digest combination. Each shard runs on its own
+//! `std::thread::scope` worker, in *windows* of the classic conservative
+//! (lookahead) kind:
 //!
 //! 1. every worker posts the time of its earliest pending event; a
 //!    barrier reduction yields the global minimum `t0`;
@@ -453,8 +454,8 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
         }
     }
 
-    /// Record the next `count` global ids as hosted by `shard`, and take
-    /// them as placeholders on every other shard.
+    /// Record the next `count` global ids as hosted by `shard`; every
+    /// other shard only tracks their liveness.
     fn register(&mut self, shard: usize, count: usize) {
         assert!(!self.ran, "registration after the world has run");
         assert!(shard < self.shards.len(), "shard index out of range");
@@ -565,12 +566,7 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
             .enumerate()
             .map(|(k, w)| ShardStats {
                 shard: k,
-                actors: self
-                    .map
-                    .shard_of
-                    .iter()
-                    .filter(|&&s| s as usize == k)
-                    .count(),
+                actors: w.hosted_actors(),
                 dispatched: w.events_dispatched(),
                 windows: self.windows,
                 cross_sent: w.outbox.sent,

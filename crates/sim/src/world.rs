@@ -1,17 +1,19 @@
 //! The actor world: the simulator's one event kernel — scheduler,
 //! dispatch, timers, and fault injection.
 //!
-//! A [`World`] owns a set of actors, an [`EventQueue`], a [`LinkModel`],
-//! a seeded RNG, and a [`Metrics`] sink. Actors interact with the world
-//! only through the [`Ctx`] handed to their callbacks, which keeps the
-//! borrow structure simple and makes actor code look like ordinary
+//! A [`World`] owns a few actor groups, an [`EventQueue`], a
+//! [`LinkModel`], a seeded RNG, and a [`Metrics`] sink. It hosts one
+//! shape only: an [`ActorGroup`] over a contiguous id range. A lone
+//! [`Actor`] is a one-member group. Actors interact with the world only
+//! through the [`Ctx`] handed to their callbacks, which keeps the borrow
+//! structure simple and makes actor code look like ordinary
 //! message-handler code.
 //!
 //! The sharded world ([`crate::shard::ShardedWorld`]) is `S` of these
-//! side by side: a shard is a `World` plus an outbox. A shard's slot
-//! table spans the whole id space — the actors other shards host are
-//! placeholders — and [`Ctx`]'s one route queues a send locally when this
-//! world hosts the receiver and stages it in the outbox otherwise. A lone
+//! side by side: a shard is a `World` plus an outbox. A shard hosts only
+//! its own groups but keeps a liveness flag for every id of the session,
+//! and [`Ctx`]'s one route queues a send locally when this world hosts
+//! the receiver and stages it in the outbox otherwise. A lone
 //! world has no other shard, so every send it makes is local. A live
 //! worker's world ([`crate::shard::ShardedWorld::into_live_worlds`]) is
 //! the opposite case: it hosts no receiver, so every send is staged, and
@@ -43,29 +45,18 @@ pub trait SimMessage: 'static {
     fn wire_size(&self) -> usize;
 }
 
-impl SimMessage for () {
-    fn wire_size(&self) -> usize {
-        0
-    }
-}
-
 impl SimMessage for u32 {
     fn wire_size(&self) -> usize {
         4
     }
 }
 
-impl SimMessage for u64 {
-    fn wire_size(&self) -> usize {
-        8
-    }
-}
-
 /// The capabilities an actor may use from whatever hosts it.
 ///
-/// The simulator's [`Ctx`] implements this over virtual time; the
-/// `mss-net` crate implements it over threads, channels/UDP sockets and
-/// the wall clock — the same actor state machines run unchanged on both.
+/// [`Ctx`] is the one implementation on every substrate: a lone world, a
+/// shard, and a live worker's world (`mss-net` runs each worker as a
+/// [`World`] and carries its staged sends over UDP), so the same actor
+/// state machines run unchanged on all three.
 pub trait Runtime<M: SimMessage> {
     /// The id of the actor currently running.
     fn id(&self) -> ActorId;
@@ -73,8 +64,7 @@ pub trait Runtime<M: SimMessage> {
     fn now(&self) -> SimTime;
     /// Number of actors in the session.
     fn actor_count(&self) -> usize;
-    /// True if `actor` has not crashed (live runtimes may not know and
-    /// return true).
+    /// True if `actor` has not crashed, as far as this world knows.
     fn is_alive(&self, actor: ActorId) -> bool;
     /// Send `msg` to `to` through the hosting transport.
     fn send(&mut self, to: ActorId, msg: M);
@@ -86,9 +76,10 @@ pub trait Runtime<M: SimMessage> {
     fn rng(&mut self) -> &mut SimRng;
     /// Metric sink.
     fn metrics(&mut self) -> &mut Metrics;
-    /// Crash-stop an actor (fault injection; live runtimes ignore it).
+    /// Crash-stop an actor (fault injection); on a live worker, in its
+    /// own liveness copy only ([`World::drain_staged`] drops kills).
     fn kill(&mut self, _actor: ActorId) {}
-    /// Halt the whole session (live runtimes ignore it).
+    /// Halt the session; on a live worker, halt that worker's world.
     fn stop_world(&mut self) {}
     /// Send every `(to, msg)` pair in `batch`, draining it. Exactly
     /// equivalent to calling [`Runtime::send`] once per entry in order
@@ -152,23 +143,29 @@ pub trait ActorGroup<M: SimMessage>: Send + 'static {
     fn member_as_any(&self, member: u32) -> &dyn Any;
 }
 
-/// Where one [`ActorId`] lives: its own box, a slot of a group slab, or
-/// another shard of the same sharded world.
-enum Slot<M: SimMessage> {
-    /// A free-standing actor (`None` only transiently during dispatch).
-    Solo(Option<Box<dyn Actor<M>>>),
-    /// Member `member` of `groups[group]`.
-    Member { group: u32, member: u32 },
-    /// Hosted by another shard: no event for it is ever queued here.
-    Elsewhere,
+/// A lone [`Actor`] hosted as a one-member group.
+struct Solo<M: SimMessage>(Box<dyn Actor<M>>);
+
+impl<M: SimMessage> ActorGroup<M> for Solo<M> {
+    fn on_start(&mut self, ctx: &mut dyn Runtime<M>, _: u32) {
+        self.0.on_start(ctx)
+    }
+    fn on_message(&mut self, ctx: &mut dyn Runtime<M>, _: u32, from: ActorId, msg: M) {
+        self.0.on_message(ctx, from, msg)
+    }
+    fn on_timer(&mut self, ctx: &mut dyn Runtime<M>, _: u32, timer: TimerId, tag: u64) {
+        self.0.on_timer(ctx, timer, tag)
+    }
+    fn member_as_any(&self, _: u32) -> &dyn Any {
+        self.0.as_any()
+    }
 }
 
-/// A dispatch target moved out of its slot for the duration of one
-/// callback (the reentrancy guard): the solo actor's box, or the whole
-/// group box plus the addressed member index.
-enum Taken<M: SimMessage> {
-    Actor(Box<dyn Actor<M>>),
-    Group(usize, u32, Box<dyn ActorGroup<M>>),
+/// One registered group and the ids `first .. first + members` it hosts.
+struct Hosted<M: SimMessage> {
+    first: u32,
+    members: u32,
+    group: Box<dyn ActorGroup<M>>,
 }
 
 /// Liveness lookup shared by every dispatch site: out-of-range ids are
@@ -403,8 +400,9 @@ impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
 /// speed would then depend on where the allocator put the `Vec`.
 #[repr(align(128))]
 pub struct World<M: SimMessage> {
-    actors: Vec<Slot<M>>,
-    groups: Vec<Option<Box<dyn ActorGroup<M>>>>,
+    /// The hosted groups in id order (other shards host the gaps).
+    groups: Vec<Hosted<M>>,
+    /// Liveness of every id of the session, hosted here or not.
     alive: Vec<bool>,
     started: usize,
     pub(crate) queue: EventQueue<M>,
@@ -429,7 +427,6 @@ impl<M: SimMessage> World<M> {
     /// A world drawing from `rng` (a shard's forked stream).
     pub(crate) fn with_rng(link: Box<dyn LinkModel + Send>, rng: SimRng) -> Self {
         World {
-            actors: Vec::new(),
             groups: Vec::new(),
             alive: Vec::new(),
             started: 0,
@@ -448,10 +445,7 @@ impl<M: SimMessage> World<M> {
 
     /// Register an actor; ids are assigned densely in registration order.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
-        let id = ActorId(self.actors.len() as u32);
-        self.actors.push(Slot::Solo(Some(actor)));
-        self.alive.push(true);
-        id
+        self.add_group(1, Box::new(Solo(actor)))
     }
 
     /// Register a group of `members` co-hosted actors; each member gets
@@ -461,30 +455,41 @@ impl<M: SimMessage> World<M> {
     /// individual [`World::add_actor`] calls — only storage and the
     /// callback path differ.
     pub fn add_group(&mut self, members: usize, group: Box<dyn ActorGroup<M>>) -> ActorId {
-        let first = ActorId(self.actors.len() as u32);
-        let gidx = self.groups.len() as u32;
-        self.groups.push(Some(group));
-        for member in 0..members as u32 {
-            self.actors.push(Slot::Member {
-                group: gidx,
-                member,
-            });
-            self.alive.push(true);
-        }
-        first
+        let first = self.alive.len() as u32;
+        self.groups.push(Hosted {
+            first,
+            members: members as u32,
+            group,
+        });
+        self.alive.resize(self.alive.len() + members, true);
+        ActorId(first)
     }
 
     /// Take the next `count` ids for actors another shard hosts: they
     /// stay alive here, so liveness reads and kills cover every id.
     pub(crate) fn add_elsewhere(&mut self, count: usize) {
-        let len = self.actors.len() + count;
-        self.actors.resize_with(len, || Slot::Elsewhere);
-        self.alive.resize(len, true);
+        self.alive.resize(self.alive.len() + count, true);
+    }
+
+    /// The group hosting `id` and the member it is there, or `None` when
+    /// no group here hosts `id` (unregistered, or hosted by another
+    /// shard).
+    #[inline]
+    fn locate(&self, id: ActorId) -> Option<(usize, u32)> {
+        let after = self.groups.partition_point(|h| h.first <= id.0);
+        let g = after.checked_sub(1)?;
+        let member = id.0 - self.groups[g].first;
+        (member < self.groups[g].members).then_some((g, member))
+    }
+
+    /// Number of actors this world hosts (other shards' ids not counted).
+    pub(crate) fn hosted_actors(&self) -> usize {
+        self.groups.iter().map(|h| h.members as usize).sum()
     }
 
     /// Number of registered actors (alive or not).
     pub fn actor_count(&self) -> usize {
-        self.actors.len()
+        self.alive.len()
     }
 
     /// Current virtual time.
@@ -515,15 +520,8 @@ impl<M: SimMessage> World<M> {
     /// Borrow any registered actor — solo or group member — as `Any` for
     /// post-run inspection.
     pub fn actor_any(&self, id: ActorId) -> Option<&dyn Any> {
-        match self.actors.get(id.index())? {
-            Slot::Solo(slot) => slot.as_deref().map(|a| a.as_any()),
-            Slot::Member { group, member } => self
-                .groups
-                .get(*group as usize)
-                .and_then(|g| g.as_deref())
-                .map(|g| g.member_as_any(*member)),
-            Slot::Elsewhere => None,
-        }
+        let (g, member) = self.locate(id)?;
+        Some(self.groups[g].group.member_as_any(member))
     }
 
     /// Downcast a registered actor to its concrete type for inspection.
@@ -531,13 +529,20 @@ impl<M: SimMessage> World<M> {
         self.actor_any(id).and_then(|a| a.downcast_ref::<T>())
     }
 
-    /// The world-side half of the split borrow: one `Ctx` over every
-    /// field an actor callback may touch. All three dispatch sites
-    /// (start, deliver, timer) build their context here.
+    /// Run one callback of the group hosting `id` (a no-op if none here
+    /// does) with a `Ctx` over every other field a callback may touch.
+    /// All three dispatch sites (start, deliver, timer) come through here.
     #[inline]
-    fn ctx(&mut self, self_id: ActorId) -> Ctx<'_, M> {
-        Ctx {
-            self_id,
+    fn dispatch_to(
+        &mut self,
+        id: ActorId,
+        f: impl FnOnce(&mut dyn ActorGroup<M>, &mut Ctx<'_, M>, u32),
+    ) {
+        let Some((g, member)) = self.locate(id) else {
+            return;
+        };
+        let mut ctx = Ctx {
+            self_id: id,
             now: self.now,
             queue: &mut self.queue,
             link: self.link.as_mut(),
@@ -547,59 +552,19 @@ impl<M: SimMessage> World<M> {
             timers: &mut self.timers,
             stop: &mut self.stop,
             outbox: &mut self.outbox,
-        }
-    }
-
-    /// Take the dispatch target for `id` out of its slot (solo box or
-    /// group box), or `None` when the id is unknown, mid-dispatch, or
-    /// hosted by another shard.
-    fn take_target(&mut self, id: ActorId) -> Option<Taken<M>> {
-        match self.actors.get_mut(id.index())? {
-            Slot::Solo(slot) => slot.take().map(Taken::Actor),
-            Slot::Member { group, member } => {
-                let (g, m) = (*group as usize, *member);
-                self.groups
-                    .get_mut(g)
-                    .and_then(Option::take)
-                    .map(|b| Taken::Group(g, m, b))
-            }
-            Slot::Elsewhere => None,
-        }
-    }
-
-    /// Put a taken dispatch target back into its slot.
-    fn put_target(&mut self, id: ActorId, taken: Taken<M>) {
-        match taken {
-            Taken::Actor(a) => {
-                if let Some(Slot::Solo(slot)) = self.actors.get_mut(id.index()) {
-                    *slot = Some(a);
-                }
-            }
-            Taken::Group(g, _, b) => self.groups[g] = Some(b),
-        }
+        };
+        f(self.groups[g].group.as_mut(), &mut ctx, member);
     }
 
     /// Run the `on_start` callbacks of every actor registered since the
     /// last run, in registration order (skipping other shards' actors).
     pub(crate) fn start_pending(&mut self) {
-        while self.started < self.actors.len() {
-            let idx = self.started;
-            self.started += 1;
-            if !self.alive[idx] {
-                continue;
+        let (from, to) = (self.started, self.alive.len());
+        self.started = to;
+        for idx in from..to {
+            if self.alive[idx] {
+                self.dispatch_to(ActorId(idx as u32), |g, ctx, m| g.on_start(ctx, m));
             }
-            let id = ActorId(idx as u32);
-            let Some(mut taken) = self.take_target(id) else {
-                continue;
-            };
-            match &mut taken {
-                Taken::Actor(a) => a.on_start(&mut self.ctx(id)),
-                Taken::Group(_, m, b) => {
-                    let m = *m;
-                    b.on_start(&mut self.ctx(id), m);
-                }
-            }
-            self.put_target(id, taken);
         }
     }
 
@@ -637,39 +602,15 @@ impl<M: SimMessage> World<M> {
                     return true;
                 }
                 self.metrics.incr_id(metrics::NET_DELIVERED_ID);
-                let Some(mut taken) = self.take_target(to) else {
-                    return true;
-                };
-                match &mut taken {
-                    Taken::Actor(a) => a.on_message(&mut self.ctx(to), from, msg),
-                    Taken::Group(_, m, b) => {
-                        let m = *m;
-                        b.on_message(&mut self.ctx(to), m, from, msg);
-                    }
-                }
-                self.put_target(to, taken);
+                self.dispatch_to(to, |g, ctx, m| g.on_message(ctx, m, from, msg));
             }
             Event::Timer { actor, timer, tag } => {
                 self.digest = fold_digest(self.digest, at, 2, (u64::from(actor.0) << 32) ^ tag);
                 // A stale id means the timer was cancelled (or the slot
                 // already consumed); firing consumes it either way.
-                if !self.timers.take(timer) {
-                    return true;
+                if self.timers.take(timer) && is_alive_idx(&self.alive, actor.index()) {
+                    self.dispatch_to(actor, |g, ctx, m| g.on_timer(ctx, m, timer, tag));
                 }
-                if !is_alive_idx(&self.alive, actor.index()) {
-                    return true;
-                }
-                let Some(mut taken) = self.take_target(actor) else {
-                    return true;
-                };
-                match &mut taken {
-                    Taken::Actor(a) => a.on_timer(&mut self.ctx(actor), timer, tag),
-                    Taken::Group(_, m, b) => {
-                        let m = *m;
-                        b.on_timer(&mut self.ctx(actor), m, timer, tag);
-                    }
-                }
-                self.put_target(actor, taken);
             }
         }
         true
@@ -774,6 +715,7 @@ impl<M: SimMessage> World<M> {
 mod tests {
     use super::*;
     use crate::link::FixedLatency;
+    use std::sync::{Arc, Mutex};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u32);
@@ -885,6 +827,70 @@ mod tests {
         let s: &Sink = w.actor_as(sink).unwrap();
         assert!(s.got.is_empty());
         assert_eq!(w.metrics().counter(metrics::NET_TO_DEAD), 3);
+    }
+
+    /// Logs its id on start and keeps what each member receives;
+    /// hosted both as a solo actor and as a group.
+    struct Probe {
+        log: Arc<Mutex<Vec<u32>>>,
+        got: Vec<Vec<u32>>,
+    }
+    impl Actor<Ping> for Probe {
+        fn on_start(&mut self, ctx: &mut dyn Runtime<Ping>) {
+            ActorGroup::on_start(self, ctx, 0)
+        }
+        fn on_message(&mut self, ctx: &mut dyn Runtime<Ping>, from: ActorId, msg: Ping) {
+            ActorGroup::on_message(self, ctx, 0, from, msg)
+        }
+        impl_as_any!();
+    }
+    impl ActorGroup<Ping> for Probe {
+        fn on_start(&mut self, ctx: &mut dyn Runtime<Ping>, _: u32) {
+            self.log.lock().unwrap().push(ctx.id().0);
+        }
+        fn on_message(&mut self, ctx: &mut dyn Runtime<Ping>, m: u32, _: ActorId, msg: Ping) {
+            assert_eq!(ctx.id().0, msg.0, "member {m} ran under another id");
+            self.got[m as usize].push(msg.0);
+        }
+        fn member_as_any(&self, m: u32) -> &dyn Any {
+            &self.got[m as usize]
+        }
+    }
+
+    #[test]
+    fn solo_actors_and_groups_share_one_dense_id_space() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let probe = |k: usize| {
+            Box::new(Probe {
+                log: Arc::clone(&log),
+                got: vec![Vec::new(); k],
+            })
+        };
+        let mut w: World<Ping> = World::new(FixedLatency::new(SimDuration::ZERO), 3);
+        let ids = [
+            w.add_actor(probe(1)),
+            w.add_group(3, probe(3)),
+            w.add_group(0, probe(0)),
+            w.add_actor(probe(1)),
+        ];
+        // Dense ids; the empty group takes none.
+        assert_eq!(ids.map(|id| id.0), [0, 1, 4, 4]);
+        assert_eq!(w.actor_count(), 5);
+        for to in 0..5 {
+            w.arrive(SimTime::ZERO, ids[0], ActorId(to), Ping(to));
+        }
+        w.run();
+        // `on_start` ran in id order.
+        assert_eq!(*log.lock().unwrap(), [0, 1, 2, 3, 4]);
+        for id in [0, 4] {
+            assert_eq!(w.actor_as::<Probe>(ActorId(id)).unwrap().got, [[id]]);
+        }
+        for id in 1..4 {
+            assert_eq!(*w.actor_as::<Vec<u32>>(ActorId(id)).unwrap(), [id]);
+        }
+        for id in [5, 6, u32::MAX] {
+            assert!(w.actor_any(ActorId(id)).is_none(), "id {id} resolved");
+        }
     }
 
     #[test]

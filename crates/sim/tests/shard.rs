@@ -386,12 +386,9 @@ fn group_members_dispatch_on_their_shard() {
     use mss_sim::world::ActorGroup;
     use std::any::Any;
 
-    /// Counts messages per member and forwards each to the next member
-    /// (possibly on another shard) until the tag runs out.
+    /// Counts messages per member and forwards each around the ring of
+    /// ids 0..4 (possibly to another shard) until the tag runs out.
     struct Relay {
-        first: u32,
-        members: u32,
-        total: u32,
         seen: Vec<u32>,
     }
     impl ActorGroup<Ping> for Relay {
@@ -404,61 +401,27 @@ fn group_members_dispatch_on_their_shard() {
         ) {
             self.seen[member as usize] += 1;
             if msg.0 > 0 {
-                let next = self.first + (member + 1) % self.members;
-                ctx.send(ActorId(next), Ping(msg.0 - 1));
+                ctx.send(ActorId((ctx.id().0 + 1) % 4), Ping(msg.0 - 1));
             }
         }
         fn member_as_any(&self, member: u32) -> &dyn Any {
             &self.seen[member as usize]
         }
-        fn on_start(&mut self, ctx: &mut dyn Runtime<Ping>, member: u32) {
-            if member == 0 && ctx.id() == ActorId(self.first) {
-                ctx.send(ActorId(self.first), Ping(self.total.into()));
+        fn on_start(&mut self, ctx: &mut dyn Runtime<Ping>, _member: u32) {
+            if ctx.id() == ActorId(0) {
+                ctx.send(ActorId(0), Ping(8));
             }
         }
     }
 
     let mut sw: ShardedWorld<Ping> = ShardedWorld::new(2, LAT, 17, fixed_link);
     // Two 2-member relay groups, one per shard, forming a 4-hop ring.
-    let first = 0u32;
-    let a = sw.add_group(
-        0,
-        2,
-        Box::new(Relay {
-            first,
-            members: 4,
-            total: 8,
-            seen: vec![0; 2],
-        }),
-    );
-    assert_eq!(a, ActorId(0));
-    // Second group's members continue the dense id space (2, 3); their
-    // member indices are local (0, 1) but the ring math needs global
-    // positions, so give this group the same `first` and a 2-offset.
-    struct Tail {
-        seen: Vec<u32>,
-    }
-    impl ActorGroup<Ping> for Tail {
-        fn on_message(
-            &mut self,
-            ctx: &mut dyn Runtime<Ping>,
-            member: u32,
-            _from: ActorId,
-            msg: Ping,
-        ) {
-            self.seen[member as usize] += 1;
-            if msg.0 > 0 {
-                let next = if member == 0 { 3 } else { 0 };
-                ctx.send(ActorId(next), Ping(msg.0 - 1));
-            }
-        }
-        fn member_as_any(&self, member: u32) -> &dyn Any {
-            &self.seen[member as usize]
-        }
-    }
-    let b = sw.add_group(1, 2, Box::new(Tail { seen: vec![0; 2] }));
-    assert_eq!(b, ActorId(2));
+    let relay = || Box::new(Relay { seen: vec![0; 2] });
+    assert_eq!(sw.add_group(0, 2, relay()), ActorId(0));
+    assert_eq!(sw.add_group(1, 2, relay()), ActorId(2));
     assert_eq!(sw.actor_count(), 4);
+    let hosted: Vec<usize> = sw.shard_stats().iter().map(|s| s.actors).collect();
+    assert_eq!(hosted, [2, 2]);
     sw.run();
     // 8 hops around 0→1→2→3→0→…: the initial send hits member 0, then
     // each forward decrements; every member saw at least one message.
