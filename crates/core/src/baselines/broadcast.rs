@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
-use crate::msg::{ContentRequest, ControlBody, ControlKind, Msg, ViewWire};
+use crate::msg::{ContentRequest, ControlBody, ControlKind, Msg};
 use crate::peer_core::{Core, PeerReport};
 use crate::plane::{PlanePeer, RoundShared};
 use crate::schedule::{initial_assignment_opts, TxSchedule};
@@ -61,9 +61,7 @@ impl BroadcastPeer {
             kind: ControlKind::Announce,
             from: self.core.me,
             wave: req.wave,
-            view: Arc::new(self.core.piggyback_view(&[])),
-            // Each peer announces to every other peer exactly once.
-            view_wire: ViewWire::full(),
+            view: self.core.piggyback_view(&[]),
             sched: mss_media::SeqView::empty(),
             pos: 0,
             interval_nanos: req.interval_nanos,

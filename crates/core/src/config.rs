@@ -167,12 +167,6 @@ pub struct SessionConfig {
     /// selecting"), but stopping can strand peers dormant at small `H`;
     /// persistent probing guarantees coverage and is the default.
     pub tcop_persistent_probing: bool,
-    /// TCoP: when true (the paper's `Esq(pkt_j[m_j⟩, c2.n)` reading),
-    /// a committed division re-enhances with parity interval equal to its
-    /// arity, so small subtrees pay large parity overhead — the mechanism
-    /// behind TCoP's elevated receipt rate in Figure 12. When false, TCoP
-    /// re-enhances with the global `parity_interval` like DCoP.
-    pub tcop_segment_by_arity: bool,
     /// Leaf-driven NACK repair; `None` (the default and the paper's
     /// model) relies on parity alone.
     pub repair: Option<RepairConfig>,
@@ -207,7 +201,6 @@ impl SessionConfig {
             coding: Coding::Xor,
             tail_parity: false,
             tcop_persistent_probing: true,
-            tcop_segment_by_arity: true,
             repair: None,
             bandwidths: None,
             seed,
@@ -230,7 +223,6 @@ impl SessionConfig {
             coding: Coding::Xor,
             tail_parity: true,
             tcop_persistent_probing: true,
-            tcop_segment_by_arity: true,
             repair: None,
             bandwidths: None,
             seed,
@@ -277,10 +269,9 @@ impl SessionConfig {
     /// old fixed bit-vector piggyback (n/8 bytes in every request and
     /// control packet) bounded live sessions around n ≈ 4·10³. The
     /// adaptive codec removed that wall: a view frame costs at most
-    /// `min(members·varint, runs·2·varint, n/8) + 6` bytes and commit
-    /// rounds ship deltas, so the worst case is the dense bitmap at
-    /// n/8 — live n = 10⁴ peaks near 1.25 KiB per view and stays
-    /// datagram-safe up to n ≈ 5·10⁵.
+    /// `min(members·varint, runs·2·varint, n/8) + 6` bytes, so the
+    /// worst case is the dense bitmap at n/8 — live n = 10⁴ peaks near
+    /// 1.25 KiB per view and stays datagram-safe up to n ≈ 5·10⁵.
     pub fn live(n: usize, fanout: usize, seed: u64) -> SessionConfig {
         SessionConfig {
             reply_timeout: SimDuration::from_millis(250),

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
-use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, ViewWire};
+use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg};
 use crate::peer_core::{Core, PeerReport};
 use crate::plane::{PlanePeer, RoundShared};
 use crate::schedule::DivisionBasis;
@@ -105,7 +105,7 @@ impl DcopPeer {
         }
         let h = self.core.cfg.parity_interval;
         let parts = children.len() + 1; // children plus this parent
-        let view = Arc::new(self.core.piggyback_view(&children));
+        let view = self.core.piggyback_view(&children);
         // Divide the *effective* schedule: re-selecting before an earlier
         // division has switched must divide that division's own part,
         // never hand the same packets out twice.
@@ -134,9 +134,6 @@ impl DcopPeer {
             from: self.core.me,
             wave,
             view,
-            // DCoP activates an edge exactly once — every contact is
-            // first contact, so the view always travels in full.
-            view_wire: ViewWire::full(),
             sched,
             pos,
             interval_nanos: interval,

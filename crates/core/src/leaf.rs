@@ -149,7 +149,7 @@ impl LeafActor {
         let tx = msg.wire_size() as u64;
         m.add_id(mnames::coord_bytes_tx_id(), tx);
         m.add_id(mnames::coord_bytes_tx_kind_id(&msg), tx);
-        m.add_id(mnames::coord_bytes_full_id(), msg.full_wire_size() as u64);
+        m.add_id(mnames::coord_bytes_full_id(), tx);
         ctx.send(to, msg);
     }
 

@@ -17,12 +17,11 @@ pub const COORD_MSGS: &str = "coord.msgs";
 /// codec actually puts on the wire.
 pub const COORD_BYTES: &str = "coord.bytes";
 /// Bytes of coordination traffic as actually transmitted: exact codec
-/// frame lengths with adaptive view encodings and delta piggybacks
-/// (`Msg::wire_size`).
+/// frame lengths with adaptive view encodings (`Msg::wire_size`).
 pub const COORD_BYTES_TX: &str = "coord.bytes_tx";
-/// [`COORD_BYTES_TX`] with every delta piggyback priced as the full
-/// adaptively-encoded view (`Msg::full_wire_size`) — the "sparse, no
-/// deltas" point on the control-byte comparison curve.
+/// Written with the [`COORD_BYTES_TX`] value: every view travels as a
+/// full frame, so "priced as full" is what was transmitted. Kept for
+/// readers that compare both series.
 pub const COORD_BYTES_FULL: &str = "coord.bytes_full";
 /// Snapshot of [`COORD_MSGS`] taken at each first-activation; its final
 /// value is the message count *until all peers started transmitting*.
@@ -147,10 +146,10 @@ pub struct SessionOutcome {
     /// paper model ([`COORD_BYTES`]; feeds the Figure 10/11 series).
     pub coord_bytes: u64,
     /// Coordination bytes actually transmitted: exact codec frames with
-    /// adaptive views and delta piggybacks ([`COORD_BYTES_TX`]).
+    /// adaptive views ([`COORD_BYTES_TX`]).
     pub coord_bytes_tx: u64,
-    /// [`coord_bytes_tx`](Self::coord_bytes_tx) with deltas priced as
-    /// full adaptive view frames ([`COORD_BYTES_FULL`]).
+    /// Equal to [`coord_bytes_tx`](Self::coord_bytes_tx)
+    /// ([`COORD_BYTES_FULL`]).
     pub coord_bytes_full: u64,
     /// Contents peers that activated (coverage; should equal `n`).
     pub activated: u64,

@@ -3,19 +3,16 @@
 //! [`Msg::wire_size`] (the [`SimMessage`] accounting the simulator's
 //! links and the byte metrics consume) mirrors the `mss-net` codec's
 //! actual encoded frame length field for field — including the adaptive
-//! view frames and delta piggybacks of [`mss_overlay::wire`] — with two
+//! view frames of [`mss_overlay::wire`] — with two
 //! documented exceptions: the schedule travels as a fixed-size *recipe*
 //! ([`SCHED_RECIPE_BYTES`]; the demo codec materializes it, a production
 //! codec would not), and data packets defer to the media layer's own
 //! packet cost model. The codec-mirror tests in `mss-net` pin the mirror
 //! against real `encode()` lengths.
 //!
-//! Two companion accountings support the control-byte comparison curve:
-//! [`Msg::full_wire_size`] prices delta piggybacks as if the full view
-//! had been sent (adaptive encoding, no deltas), and
-//! [`Msg::model_size`] reproduces the seed's fixed `n/8`-bit-bitmap
-//! paper model — the historical `coord.bytes` accounting Figures 10/11
-//! keep for continuity.
+//! A companion accounting, [`Msg::model_size`], reproduces the seed's
+//! fixed `n/8`-bit-bitmap paper model — the historical `coord.bytes`
+//! accounting Figures 10/11 keep for continuity.
 //!
 //! # One fan-out, one control body
 //!
@@ -77,47 +74,6 @@ pub enum ControlKind {
     Announce,
 }
 
-/// How a control packet's view travels on the wire.
-///
-/// The in-memory [`ControlBody::view`] is always the complete
-/// piggyback set — every handler, simulated or live, sees the same full
-/// view. `ViewWire` only selects the *encoding*: a first contact ships
-/// the full (adaptively encoded) set under the sender's epoch stamp; a
-/// follow-up (TCoP's probe → commit) ships only the ids the view gained
-/// since the epoch-stamped snapshot. Receivers that
-/// hold the matching snapshot reconstruct the full view exactly; on an
-/// epoch or size mismatch (a lost full frame) they fall back to the
-/// additions alone — safe, because views are grow-only and every id in
-/// a delta is genuinely in the sender's view, so a mismatch only
-/// under-informs until the sender's next full frame resyncs the edge.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ViewWire {
-    /// Ship the complete view (smallest of the dense/sparse/runs
-    /// encodings), stamping the sender's epoch.
-    Full {
-        /// Epoch this full view establishes (0: no delta will follow).
-        epoch: u32,
-    },
-    /// Ship only the growth since the sender's last full view.
-    Delta {
-        /// Epoch of the full view this delta extends.
-        epoch: u32,
-        /// `|view|` of that full view — consistency check at the
-        /// receiver.
-        base_count: u32,
-        /// Ids added since, ascending. `Arc`-shared like the view: a
-        /// fan-out clones O(1).
-        additions: Arc<[u32]>,
-    },
-}
-
-impl ViewWire {
-    /// The untracked default: a full frame under epoch 0.
-    pub fn full() -> ViewWire {
-        ViewWire::Full { epoch: 0 }
-    }
-}
-
 /// Everything the children of one fan-out share: the part-independent
 /// content of a parent→child coordination packet (`c`/`c1`/`c2` in the
 /// paper). Built once per `Select`, handed out behind an `Arc` by
@@ -130,13 +86,9 @@ pub struct ControlBody {
     pub from: PeerId,
     /// Activation wave this packet belongs to (leaf = wave 1).
     pub wave: u32,
-    /// Sender's view `VW_j` (contents depend on the piggyback variant).
-    /// `Arc`-shared beyond the body: a TCoP probe round keeps the same
-    /// view as the snapshot its commits' delta is computed against.
-    pub view: Arc<View>,
-    /// How `view` is encoded on the wire (full frame or delta); affects
-    /// only the codec and byte accounting, never handler behavior.
-    pub view_wire: ViewWire,
+    /// Sender's view `VW_j` (contents depend on the piggyback variant;
+    /// a TCoP probe carries an empty view over the population).
+    pub view: View,
     /// The parent's current schedule — the basis for the child's postfix
     /// computation. Carried as a recipe on the wire (see module docs); a
     /// strided [`mss_media::SeqView`] into the parent's division basis.
@@ -404,19 +356,6 @@ fn packet_id_wire_len(id: &PacketId) -> usize {
     }
 }
 
-/// Codec bytes for a control packet's view site (`[epoch: u32]` + the
-/// adaptive or delta view frame).
-fn view_site_len(c: &ControlBody) -> usize {
-    4 + match &c.view_wire {
-        ViewWire::Full { .. } => wire::encoded_len(&c.view),
-        ViewWire::Delta {
-            base_count,
-            additions,
-            ..
-        } => wire::delta_encoded_len(c.view.population(), *base_count as usize, additions),
-    }
-}
-
 /// Bytes for the seed's fixed view bit-vector over `n` peers — the
 /// historical paper-model accounting [`Msg::model_size`] preserves.
 fn view_bytes(v: &View) -> usize {
@@ -424,18 +363,6 @@ fn view_bytes(v: &View) -> usize {
 }
 
 impl Msg {
-    /// [`Msg::wire_size`] with delta piggybacks priced as the full
-    /// (adaptively encoded) view — the "sparse, no deltas" point on the
-    /// control-byte comparison curve, and the resync-storm worst case.
-    pub fn full_wire_size(&self) -> usize {
-        match self {
-            Msg::Control(c) => {
-                self.wire_size() - view_site_len(&c.body) + 4 + wire::encoded_len(&c.body.view)
-            }
-            _ => self.wire_size(),
-        }
-    }
-
     /// The seed's hand-maintained paper-model accounting: fixed
     /// `n/8`-byte view bitmaps and field-count estimates. Feeds the
     /// legacy `coord.bytes` metric so the Figure 10/11 series stay
@@ -482,10 +409,12 @@ impl SimMessage for Msg {
                     + 1
                     + r.weights.as_ref().map_or(0, |w| 4 + 8 * w.len())
             }
-            // kind + from + wave + [epoch + view frame] + recipe + the
-            // six fixed recipe-adjacent fields (pos, interval, mark δ,
-            // part/parts, h/fanout).
-            Msg::Control(c) => 5 + 1 + 4 + 4 + view_site_len(&c.body) + SCHED_RECIPE_BYTES + 36,
+            // kind + from + wave + view frame + recipe + the six fixed
+            // recipe-adjacent fields (pos, interval, mark δ, part/parts,
+            // h/fanout).
+            Msg::Control(c) => {
+                5 + 1 + 4 + 4 + wire::encoded_len(&c.body.view) + SCHED_RECIPE_BYTES + 36
+            }
             Msg::Reply(_) => 5 + 4 + 1 + 4,
             Msg::Data(d) => d.packet.wire_size(),
             Msg::TwoPhase(t) => match t {
@@ -511,8 +440,7 @@ mod tests {
             kind,
             from: PeerId(0),
             wave: 1,
-            view: Arc::new(View::empty(n)),
-            view_wire: ViewWire::full(),
+            view: View::empty(n),
             sched: PacketSeq::data_range(10).into(),
             pos: 0,
             interval_nanos: 1000,
@@ -576,30 +504,20 @@ mod tests {
         for i in (0..100).step_by(3) {
             v.insert(PeerId(i));
         }
-        fuller.view = Arc::new(v);
+        fuller.view = v;
         assert!(msg(fuller).wire_size() > small.wire_size());
     }
 
     #[test]
-    fn delta_control_is_smaller_and_full_prices_the_view() {
+    fn model_size_charges_the_fixed_bitmap() {
         let mut c = control(ControlKind::Commit, 1000);
-        let mut v = View::empty(1000);
+        let empty = msg(c.clone()).model_size();
         for i in 0..200 {
-            v.insert(PeerId(i * 5));
+            c.view.insert(PeerId(i * 5));
         }
-        c.view = Arc::new(v);
-        let full = msg(c.clone());
-        c.view_wire = ViewWire::Delta {
-            epoch: 1,
-            base_count: 198,
-            additions: vec![41, 997].into(),
-        };
-        let delta = msg(c);
-        assert!(delta.wire_size() < full.wire_size(), "delta must shrink tx");
-        assert_eq!(delta.full_wire_size(), full.wire_size());
-        assert_eq!(delta.model_size(), full.model_size());
-        // The paper model charges the fixed bitmap regardless.
-        assert_eq!(full.model_size(), 16 + 32 + 125);
+        // The paper model charges `n/8` bytes whatever the view holds.
+        assert_eq!(msg(c).model_size(), empty);
+        assert_eq!(empty, 16 + 32 + 125);
     }
 
     #[test]

@@ -130,8 +130,8 @@ impl Core {
     /// Send a coordination message, maintaining the Figure-10/11
     /// counters: the legacy paper-model bytes (`coord.bytes`), the
     /// codec-exact transmitted bytes plus its per-kind breakdown
-    /// (`coord.bytes_tx[.*]`), and the no-delta comparison series
-    /// (`coord.bytes_full`).
+    /// (`coord.bytes_tx[.*]`), and `coord.bytes_full`, which equals
+    /// `coord.bytes_tx`.
     pub fn send_coord(&mut self, ctx: &mut dyn Runtime<Msg>, to: ActorId, msg: Msg) {
         debug_assert!(msg.is_coordination());
         let m = ctx.metrics();
@@ -140,7 +140,7 @@ impl Core {
         let tx = msg.wire_size() as u64;
         m.add_id(mnames::coord_bytes_tx_id(), tx);
         m.add_id(mnames::coord_bytes_tx_kind_id(&msg), tx);
-        m.add_id(mnames::coord_bytes_full_id(), msg.full_wire_size() as u64);
+        m.add_id(mnames::coord_bytes_full_id(), tx);
         ctx.send(to, msg);
     }
 
@@ -159,7 +159,6 @@ impl Core {
         }
         let mut model = 0u64;
         let mut tx = 0u64;
-        let mut full = 0u64;
         // Fan-out batches are kind-homogeneous (one wave of probes,
         // commits, or activates), so one per-kind add covers them all.
         let kind_id = mnames::coord_bytes_tx_kind_id(&batch[0].1);
@@ -168,14 +167,13 @@ impl Core {
             debug_assert_eq!(mnames::coord_bytes_tx_kind_id(msg), kind_id);
             model += msg.model_size() as u64;
             tx += msg.wire_size() as u64;
-            full += msg.full_wire_size() as u64;
         }
         let m = ctx.metrics();
         m.add_id(mnames::coord_msgs_id(), batch.len() as u64);
         m.add_id(mnames::coord_bytes_id(), model);
         m.add_id(mnames::coord_bytes_tx_id(), tx);
         m.add_id(kind_id, tx);
-        m.add_id(mnames::coord_bytes_full_id(), full);
+        m.add_id(mnames::coord_bytes_full_id(), tx);
         ctx.send_batch(batch);
     }
 

@@ -12,9 +12,7 @@
 //! is pure memoization — so one plane over all peers is bit-for-bit
 //! identical to one plane per peer (`session.rs`'s
 //! `one_plane_matches_plane_per_peer` tests pin this). Nothing per-edge
-//! lives here: the one piece of sender-side state a delta piggyback
-//! needs, the view a probe round shipped in full, is held by that round
-//! (see [`crate::tcop`]).
+//! lives here.
 
 use std::any::Any;
 use std::sync::Arc;

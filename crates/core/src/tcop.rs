@@ -8,13 +8,9 @@
 //! the cost of three rounds per selection wave and probe traffic wasted
 //! on already-claimed peers.
 //!
-//! A probe already tells the candidate the parent's view in full, so
-//! the commit that follows ships only what the view gained since (a
-//! delta piggyback, see [`ViewWire`]). The sender-side state this needs
-//! is one `Arc<View>` per *round*, not per edge — every probe of a round
-//! carries the same view — so the `ProbeRound` holds it, stamps probes
-//! and commits with the round's wave as the epoch, and computes the one
-//! delta all of the round's commits share.
+//! A candidate reads nothing of a probe but its sender and wave, so a
+//! probe carries an empty view over the population; the parent's view
+//! travels in full on the commit.
 
 use std::sync::Arc;
 
@@ -22,9 +18,7 @@ use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
 use crate::metrics as mnames;
-use crate::msg::{
-    ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, ProbeReply, ViewWire,
-};
+use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, ProbeReply};
 use crate::peer_core::{Core, PeerReport, TAG_REPLY_TIMEOUT};
 use crate::plane::{PlanePeer, RoundShared};
 use crate::schedule::DivisionBasis;
@@ -32,18 +26,13 @@ use mss_overlay::{Directory, PeerId, View};
 
 /// In-flight probe round state on the parent side.
 struct ProbeRound {
-    /// Activation wave the committed children will belong to. Doubles
-    /// as the round's view epoch: nonzero (children are wave ≥ 2) and
-    /// distinct for every round this parent runs.
+    /// Activation wave the committed children will belong to.
     child_wave: u32,
     /// Probed candidates whose reply is still awaited; a reply from
     /// anyone else (a duplicate, an echo) is not part of this round.
     awaiting: Vec<PeerId>,
     /// Candidates that accepted this parent.
     accepted: Vec<PeerId>,
-    /// The view every probe of this round carried in full — the
-    /// snapshot the commits' delta is computed against.
-    snapshot: Arc<View>,
     /// Fallback timer in case replies are lost.
     timer: TimerId,
 }
@@ -108,15 +97,11 @@ impl TcopPeer {
         // One probe round = 3 protocol rounds; track the deepest round.
         ctx.metrics()
             .set_max_id(mnames::coord_probe_waves_id(), u64::from(child_wave - 1));
-        let view = Arc::new(self.core.piggyback_view(&candidates));
-        // One body for the round. The full view it carries is what the
-        // commits that follow a confirmation are a delta against.
         let body = Arc::new(ControlBody {
             kind: ControlKind::Probe,
             from: self.core.me,
             wave: child_wave,
-            view: view.clone(),
-            view_wire: ViewWire::Full { epoch: child_wave },
+            view: View::empty(self.core.cfg.n),
             sched: mss_media::SeqView::empty(),
             pos: 0,
             interval_nanos: self.core.sched.interval_nanos,
@@ -137,7 +122,6 @@ impl TcopPeer {
             child_wave,
             awaiting: candidates,
             accepted: Vec::new(),
-            snapshot: view,
             timer,
         });
     }
@@ -208,17 +192,14 @@ impl TcopPeer {
             return;
         }
         let parts = round.accepted.len() + 1;
-        // Recovery segments cannot span subtrees: re-enhancement interval
-        // is the division arity (the paper's `Esq(pkt_j[m_j⟩, c2.n)`),
-        // unless configured to use the global h.
-        let h_eff = if self.core.cfg.tcop_segment_by_arity
-            && self.core.cfg.coding == mss_media::parity::Coding::Xor
-        {
+        // Recovery segments cannot span subtrees: under XOR parity the
+        // re-enhancement interval is the division arity (the paper's
+        // `Esq(pkt_j[m_j⟩, c2.n)`).
+        let h_eff = if self.core.cfg.coding == mss_media::parity::Coding::Xor {
             parts
         } else {
             self.core.cfg.parity_interval
         };
-        let view = Arc::new(self.core.piggyback_view(&round.accepted));
         let (sched, pos, mark_delta, interval, basis_is_live) = {
             let was_pending = self.core.pending_switch.is_some();
             let (b, p, d) = self.core.effective_basis();
@@ -241,17 +222,7 @@ impl TcopPeer {
             kind: ControlKind::Commit,
             from: self.core.me,
             wave: round.child_wave,
-            // Delta piggyback: the probe already carried every child of
-            // this round the snapshot in full; ship only the ids gained
-            // since. In memory the commit still carries the complete
-            // view — `view_wire` affects the codec and byte accounting
-            // only.
-            view_wire: ViewWire::Delta {
-                epoch: round.child_wave,
-                base_count: round.snapshot.count() as u32,
-                additions: view.diff_ids(&round.snapshot).into(),
-            },
-            view,
+            view: self.core.piggyback_view(&round.accepted),
             sched,
             pos,
             interval_nanos: interval,

@@ -5,7 +5,7 @@ use mss_core::config::SessionConfig;
 use mss_core::dcop::DcopPeer;
 use mss_core::metrics::COORD_UNEXPECTED_KIND;
 use mss_core::msg::{
-    ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, Nack, ProbeReply, ViewWire,
+    ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, Nack, ProbeReply,
 };
 use mss_core::peer_core::Core;
 use mss_core::plane::{PlanePeer, RoundShared};
@@ -17,7 +17,7 @@ use mss_sim::event::{ActorId, TimerId};
 use mss_sim::metrics::Metrics;
 use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
-use mss_sim::world::Runtime;
+use mss_sim::world::{Runtime, SimMessage};
 use std::sync::Arc;
 
 /// Captures everything the code under test does with its runtime.
@@ -248,8 +248,7 @@ fn probe_body(from: PeerId, wave: u32) -> ControlBody {
         kind: ControlKind::Probe,
         from,
         wave,
-        view: Arc::new(View::empty(8)),
-        view_wire: ViewWire::full(),
+        view: View::empty(8),
         sched: mss_media::SeqView::empty(),
         pos: 0,
         interval_nanos: 1000,
@@ -391,31 +390,23 @@ fn dcop_fanout_shares_one_body() {
     assert!(body.upgrade().is_none(), "the last handle frees the body");
 }
 
-/// A TCoP probe round is one body (part 0 for every candidate) and so is
-/// its commit round, whose commits all carry the one delta against the
-/// view the probes shipped, under the probes' nonzero epoch.
+/// A TCoP probe round is one body (part 0 for every candidate) whose
+/// view is empty over the population: a candidate reads only a probe's
+/// sender and wave. The commit round is one body too, and it carries the
+/// full view: every probed peer plus the peer learned mid-round.
 #[test]
-fn tcop_rounds_share_one_body_and_one_delta() {
+fn tcop_probes_carry_no_view_and_commits_carry_it_all() {
     let mut rt = MockRt::new();
     let (mut peer, probes) = probing_tcop_peer(&mut rt);
     assert_one_body(&probes, [0, 0, 0].into_iter());
-    let probe = Arc::clone(&probes[0].1.body);
-    let ViewWire::Full { epoch } = probe.view_wire else {
-        panic!("a probe ships its view in full");
-    };
-    assert_ne!(epoch, 0, "epoch 0 would announce that no delta follows");
+    let probe = &probes[0].1.body;
+    assert_eq!(probe.view.count(), 0, "a probe ships no members");
+    assert_eq!(probe.view.population(), 8, "over the session's population");
 
-    // Mid-round the view grows, so the delta is not empty.
     let probed: Vec<PeerId> = probes.iter().map(|(to, _)| *to).collect();
     let stranger = (1..8).map(PeerId).find(|p| !probed.contains(p)).unwrap();
     deliver(&mut peer, &mut rt, probe_from(stranger, 3));
     rt.sent.clear();
-    drop(probes);
-    assert_eq!(
-        Arc::strong_count(&probe),
-        1,
-        "the round keeps the view, not the body"
-    );
 
     reply(&mut peer, &mut rt, probed[0], true);
     reply(&mut peer, &mut rt, probed[1], false);
@@ -426,15 +417,39 @@ fn tcop_rounds_share_one_body_and_one_delta() {
     assert_one_body(&commits, 1..=2);
     let commit = &commits[0].1.body;
     assert_eq!(commit.parts, 3);
-    assert_eq!(
-        commit.view_wire,
-        ViewWire::Delta {
-            epoch,
-            base_count: probe.view.count() as u32,
-            additions: commit.view.diff_ids(&probe.view).into(),
-        }
-    );
-    assert_eq!(commit.view.diff_ids(&probe.view), [stranger.0]);
+    for p in probed.iter().chain([&stranger]) {
+        assert!(commit.view.contains(*p), "commit view lacks {p}");
+    }
+}
+
+/// A probe costs the same on the wire whatever its sender knows: a
+/// prober that has learned half of n = 10⁴ ids sends probes the size of
+/// one that knows only itself.
+#[test]
+fn tcop_probe_size_does_not_grow_with_the_prober_view() {
+    const N: usize = 10_000;
+    let probe_size = |known: Option<View>| {
+        let mut cfg = SessionConfig::small(N, 3, 5);
+        cfg.content = ContentDesc::small(2, 40);
+        let mut peer = TcopPeer::new(PeerId(0), Arc::new(Directory::dense(N)), cfg);
+        let mut rt = MockRt::new();
+        let req = ContentRequest {
+            wave: 1,
+            interval_nanos: 1000,
+            h: 2,
+            fanout: 3,
+            part: 0,
+            parts: 1,
+            view: known.map(Arc::new),
+            weights: None,
+        };
+        deliver(&mut peer, &mut rt, Msg::request(req));
+        let probes = drain_controls(&mut rt, ControlKind::Probe);
+        assert_eq!(probes.len(), 3);
+        Msg::Control(probes[0].1.clone()).wire_size()
+    };
+    let half = View::from_sorted_ids(N, (0..N as u32).step_by(2).collect());
+    assert_eq!(probe_size(Some(half)), probe_size(None));
 }
 
 /// A reply counts once, and only from a candidate this round probed: a

@@ -99,8 +99,7 @@ fn control(kind: ControlKind) -> Msg {
         kind,
         from: PeerId(1),
         wave: 1,
-        view: Arc::new(View::empty(8)),
-        view_wire: mss_core::msg::ViewWire::full(),
+        view: View::empty(8),
         sched: PacketSeq::data_range(10).into(),
         pos: 0,
         interval_nanos: 1_000_000,

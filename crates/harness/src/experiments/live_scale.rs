@@ -17,8 +17,7 @@
 //!
 //! The default grid tops out at n = 2·10³; `--full` adds n = 4·10³ —
 //! the old fixed-bitmap piggyback frame bound — and n = 10⁴, which only
-//! became hostable once the adaptive view codec and delta piggybacks
-//! shrank control frames (a fixed bitmap at n = 10⁴ cost 1.25 KB in
+//! became hostable once the adaptive view codec shrank control frames (a fixed bitmap at n = 10⁴ cost 1.25 KB in
 //! *every* request and control packet).
 
 use std::time::{Duration, Instant};

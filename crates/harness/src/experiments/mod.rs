@@ -18,7 +18,7 @@
 //! | [`scaling`] | events/sec at n=10²–10⁵ on the sharded kernel |
 //! | [`shardcheck`] | sharded-kernel determinism gate (n=10⁴) |
 //! | [`live_scale`] | live UDP loopback: the live host across populations |
-//! | [`view_bytes`] | control bytes/peer/round: fixed bitmap vs adaptive vs delta |
+//! | [`view_bytes`] | control bytes/peer/round: fixed bitmap vs adaptive |
 
 pub mod ablation;
 pub mod coding;

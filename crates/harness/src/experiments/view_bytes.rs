@@ -1,28 +1,21 @@
 //! Control-plane byte curves: what the view piggyback costs per peer
-//! per round under three wire accountings of the *same* session —
+//! per round under two accountings of the *same* session —
 //!
 //! - **model**: the paper-model fixed bitmap (`n/8` bytes in every
 //!   view-bearing packet, the pre-adaptive wire format),
-//! - **full**: the adaptive codec (sparse varint / run-length / dense,
-//!   whichever is smallest) with every packet carrying its complete
-//!   view,
-//! - **delta**: the adaptive codec with TCoP commit rounds shipping
-//!   only the ids gained since the probe's epoch-stamped full view —
-//!   the format actually framed on the wire.
+//! - **wire**: the adaptive codec (sparse varint / run-length / dense,
+//!   whichever is smallest) — the bytes actually framed on the wire.
 //!
-//! All three are metered simultaneously by the send paths
-//! (`coord.bytes`, `coord.bytes_full`, `coord.bytes_tx`), so one
-//! deterministic session per point yields the whole curve; nothing is
-//! re-simulated per accounting. DCoP has no delta opportunities (every
-//! Activate is a first contact), so its delta and full columns agree —
-//! that row is the control for the comparison.
+//! Both are metered simultaneously by the send paths (`coord.bytes`,
+//! `coord.bytes_tx`), so one deterministic session per point yields the
+//! whole curve; nothing is re-simulated per accounting.
 
 use mss_core::prelude::*;
 
 use super::{ExperimentOutput, RunOpts};
 use crate::table::{f, Table};
 
-/// One measured session under the three byte accountings.
+/// One measured session under the two byte accountings.
 #[derive(Clone, Debug)]
 pub struct BytesPoint {
     /// Protocol measured.
@@ -33,10 +26,8 @@ pub struct BytesPoint {
     pub rounds: u64,
     /// Paper-model bytes (fixed `n/8` bitmap per view).
     pub model: u64,
-    /// Adaptive codec, every view shipped complete.
-    pub full: u64,
-    /// Adaptive codec with delta piggybacks — the real wire bytes.
-    pub delta: u64,
+    /// Adaptive codec — the real wire bytes.
+    pub wire: u64,
 }
 
 impl BytesPoint {
@@ -55,7 +46,7 @@ pub fn population_grid(full: bool) -> Vec<usize> {
     g
 }
 
-/// Run one deterministic session and read the three byte meters.
+/// Run one deterministic session and read the two byte meters.
 pub fn measure(protocol: Protocol, n: usize) -> BytesPoint {
     let cfg = SessionConfig::large(n, 8, 42);
     let outcome = Session::new(cfg, protocol).run();
@@ -64,52 +55,44 @@ pub fn measure(protocol: Protocol, n: usize) -> BytesPoint {
         n,
         rounds: u64::from(outcome.rounds),
         model: outcome.coord_bytes,
-        full: outcome.coord_bytes_full,
-        delta: outcome.coord_bytes_tx,
+        wire: outcome.coord_bytes_tx,
     }
 }
 
 /// Run the byte-accounting sweep.
 pub fn run(opts: &RunOpts) -> ExperimentOutput {
     let mut t = Table::new(
-        "Control bytes per peer per round — fixed bitmap vs adaptive vs delta (H=8)",
+        "Control bytes per peer per round — fixed bitmap vs adaptive (H=8)",
         &[
             "protocol",
             "n",
             "rounds",
             "model_B",
-            "full_B",
-            "delta_B",
+            "wire_B",
             "model_B_ppr",
-            "full_B_ppr",
-            "delta_B_ppr",
+            "wire_B_ppr",
             "adaptive_cut",
-            "delta_cut",
         ],
     );
     for protocol in [Protocol::Dcop, Protocol::Tcop] {
         for &n in &population_grid(opts.full) {
             let p = measure(protocol, n);
             eprintln!(
-                "[view_bytes] {} n={}: model {} B, full {} B, delta {} B",
+                "[view_bytes] {} n={}: model {} B, wire {} B",
                 protocol.name(),
                 n,
                 p.model,
-                p.full,
-                p.delta
+                p.wire
             );
             t.push(vec![
                 protocol.name().to_owned(),
                 n.to_string(),
                 p.rounds.to_string(),
                 p.model.to_string(),
-                p.full.to_string(),
-                p.delta.to_string(),
+                p.wire.to_string(),
                 f(p.per_peer_round(p.model), 1),
-                f(p.per_peer_round(p.full), 1),
-                f(p.per_peer_round(p.delta), 1),
-                f(p.model as f64 / p.full.max(1) as f64, 2),
-                f(p.full as f64 / p.delta.max(1) as f64, 3),
+                f(p.per_peer_round(p.wire), 1),
+                f(p.model as f64 / p.wire.max(1) as f64, 2),
             ]);
         }
     }
@@ -124,18 +107,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accountings_are_ordered_and_delta_only_helps_tcop() {
+    fn adaptive_wire_beats_the_fixed_bitmap() {
         // At n=1000 the adaptive encodings must beat the fixed bitmap
-        // overall, and deltas must strictly beat full adaptive on TCoP
-        // (commit rounds) while being a no-op on DCoP (first contact
-        // everywhere).
-        let d = measure(Protocol::Dcop, 1_000);
-        assert!(d.model > 0 && d.rounds > 0);
-        assert!(d.full < d.model, "adaptive must beat the fixed bitmap");
-        assert_eq!(d.delta, d.full, "DCoP has no delta opportunities");
-        let t = measure(Protocol::Tcop, 1_000);
-        assert!(t.full < t.model);
-        assert!(t.delta < t.full, "TCoP commits must ship deltas");
+        // overall, on both protocols.
+        for protocol in [Protocol::Dcop, Protocol::Tcop] {
+            let p = measure(protocol, 1_000);
+            assert!(p.model > 0 && p.rounds > 0);
+            assert!(
+                p.wire < p.model,
+                "{protocol:?}: adaptive must beat the fixed bitmap"
+            );
+        }
     }
 
     #[test]

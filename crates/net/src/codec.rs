@@ -8,13 +8,8 @@
 //!
 //! Views travel as the adaptive `mss_overlay::wire` frames (dense /
 //! sparse / runs, whichever is smallest) rather than the seed's fixed
-//! `n`-bit bitmap; a control packet's view site is `[epoch: u32]`
-//! followed by one such frame, which may be a *delta* (the ids gained
-//! since the epoch-stamped full view on that edge). Decoding a delta
-//! yields a packet whose `view` holds the additions only, with the
-//! original [`ViewWire::Delta`] preserved so a receiver holding the
-//! per-edge snapshot (see `crate::views`) can reconstruct the
-//! complete view.
+//! `n`-bit bitmap. Every frame is self-contained, so decoding a message
+//! needs no state from earlier ones.
 //!
 //! # Datagrams are bundles
 //!
@@ -51,10 +46,10 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mss_core::msg::{
     ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, Nack, ProbeReply,
-    ScheduleAssignment, TwoPhase, ViewWire,
+    ScheduleAssignment, TwoPhase,
 };
 use mss_media::{Packet, PacketId, PacketSeq, Seq, SeqView};
-use mss_overlay::wire::{self, ViewFrame, WireError};
+use mss_overlay::wire::{self, WireError};
 use mss_overlay::{PeerId, View};
 use mss_sim::event::ActorId;
 use mss_sim::pool::BufPool;
@@ -116,22 +111,14 @@ fn put_view(out: &mut impl BufMut, v: &View) {
     wire::encode_view(v, out);
 }
 
-/// Read one full (set) view frame; delta frames are invalid here.
+/// Read one view frame from a slice-backed buffer.
 fn get_view(buf: &mut &[u8]) -> Result<View, CodecError> {
-    match get_view_frame(buf)? {
-        ViewFrame::Set(v) => Ok(v),
-        ViewFrame::Delta { .. } => Err(CodecError::BadView(WireError::BadEncoding)),
-    }
-}
-
-/// Read one view frame (set or delta) from a slice-backed buffer.
-fn get_view_frame(buf: &mut &[u8]) -> Result<ViewFrame, CodecError> {
-    let (frame, used) = wire::decode_view(buf, MAX_POPULATION).map_err(|e| match e {
+    let (view, used) = wire::decode_view(buf, MAX_POPULATION).map_err(|e| match e {
         WireError::Truncated => CodecError::Truncated,
         other => CodecError::BadView(other),
     })?;
     buf.advance(used);
-    Ok(frame)
+    Ok(view)
 }
 
 fn put_packet_id(out: &mut impl BufMut, id: &PacketId) {
@@ -223,20 +210,7 @@ fn put_control(out: &mut impl BufMut, ControlPacket { body: c, part }: &ControlP
     });
     out.put_u32_le(c.from.0);
     out.put_u32_le(c.wave);
-    match &c.view_wire {
-        ViewWire::Full { epoch } => {
-            out.put_u32_le(*epoch);
-            put_view(out, &c.view);
-        }
-        ViewWire::Delta {
-            epoch,
-            base_count,
-            additions,
-        } => {
-            out.put_u32_le(*epoch);
-            wire::encode_delta(c.view.population(), *base_count as usize, additions, out);
-        }
-    }
+    put_view(out, &c.view);
     put_seq_view(out, &c.sched);
     out.put_u32_le(c.pos);
     out.put_u64_le(c.interval_nanos);
@@ -248,9 +222,7 @@ fn put_control(out: &mut impl BufMut, ControlPacket { body: c, part }: &ControlP
 }
 
 /// Decodes onto a fresh body. A worker's [`FanoutDecoder`] then shares
-/// it with the fan-out's other recipients, so the receiver's
-/// reassembler (`crate::views`) copies it before filling in a delta's
-/// view.
+/// it with the fan-out's other recipients.
 fn get_control(buf: &mut &[u8]) -> Result<ControlPacket, CodecError> {
     need(buf, 9)?;
     let kind = match buf.get_u8() {
@@ -262,28 +234,7 @@ fn get_control(buf: &mut &[u8]) -> Result<ControlPacket, CodecError> {
     };
     let from = PeerId(buf.get_u32_le());
     let wave = buf.get_u32_le();
-    need(buf, 4)?;
-    let epoch = buf.get_u32_le();
-    // A delta decodes to its additions only; `view_wire` keeps the
-    // delta so a reassembler holding the edge's epoch-stamped snapshot
-    // can rebuild the complete view (grow-only views make the
-    // additions alone a safe floor when it can't).
-    let (view, view_wire) = match get_view_frame(buf)? {
-        ViewFrame::Set(v) => (v, ViewWire::Full { epoch }),
-        ViewFrame::Delta {
-            n,
-            base_count,
-            additions,
-        } => (
-            View::from_sorted_ids(n, additions.clone()),
-            ViewWire::Delta {
-                epoch,
-                base_count: base_count as u32,
-                additions: additions.into(),
-            },
-        ),
-    };
-    let view = Arc::new(view);
+    let view = get_view(buf)?;
     let sched = SeqView::from(get_seq(buf)?);
     need(buf, 4 + 8 + 8 + 16)?;
     let pos = buf.get_u32_le();
@@ -295,7 +246,6 @@ fn get_control(buf: &mut &[u8]) -> Result<ControlPacket, CodecError> {
         from,
         wave,
         view,
-        view_wire,
         sched,
         pos,
         interval_nanos,
@@ -941,8 +891,7 @@ mod tests {
             kind: ControlKind::Commit,
             from: PeerId(5),
             wave: 3,
-            view: Arc::new(view_of(70, &[64, 69])),
-            view_wire: ViewWire::Full { epoch: 7 },
+            view: view_of(70, &[64, 69]),
             sched: sched.clone().into(),
             pos: 4,
             interval_nanos: 99,
@@ -958,52 +907,7 @@ mod tests {
                 assert_eq!(c.kind, ControlKind::Commit);
                 assert_eq!(c.sched.to_seq(), sched);
                 assert_eq!(c.mark_delta_nanos, 123);
-                assert_eq!(c.view.count(), 2);
-                assert_eq!(c.view_wire, ViewWire::Full { epoch: 7 });
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
-    }
-
-    #[test]
-    fn delta_control_roundtrip_preserves_additions() {
-        let full = view_of(500, &[1, 2, 3, 90, 411]);
-        let body = Arc::new(ControlBody {
-            kind: ControlKind::Commit,
-            from: PeerId(9),
-            wave: 2,
-            view: Arc::new(full),
-            view_wire: ViewWire::Delta {
-                epoch: 3,
-                base_count: 3,
-                additions: vec![90, 411].into(),
-            },
-            sched: SeqView::empty(),
-            pos: 0,
-            interval_nanos: 10,
-            mark_delta_nanos: 0,
-            parts: 2,
-            h: 2,
-            fanout: 2,
-            basis: None,
-        });
-        match roundtrip(Msg::control(&body, 1)) {
-            Msg::Control(ControlPacket { body: c, .. }) => {
-                // Without the edge snapshot, the decoded view is the
-                // additions alone; the delta survives for reassembly.
-                assert_eq!(
-                    c.view.iter().map(|p| p.0).collect::<Vec<_>>(),
-                    vec![90, 411]
-                );
-                assert_eq!(c.view.population(), 500);
-                assert_eq!(
-                    c.view_wire,
-                    ViewWire::Delta {
-                        epoch: 3,
-                        base_count: 3,
-                        additions: vec![90, 411].into(),
-                    }
-                );
+                assert_eq!(c.view, view_of(70, &[64, 69]));
             }
             other => panic!("wrong variant {other:?}"),
         }
@@ -1060,20 +964,12 @@ mod tests {
                 "mirror drift for {msg:?}"
             );
         }
-        for view_wire in [
-            ViewWire::Full { epoch: 1 },
-            ViewWire::Delta {
-                epoch: 1,
-                base_count: 2,
-                additions: vec![7, 64].into(),
-            },
-        ] {
+        for view in [view_of(900, &[]), view_of(900, &[1, 7, 64])] {
             let body = Arc::new(ControlBody {
                 kind: ControlKind::Probe,
                 from: PeerId(2),
                 wave: 1,
-                view: Arc::new(view_of(900, &[1, 7, 64])),
-                view_wire,
+                view,
                 sched: SeqView::empty(),
                 pos: 0,
                 interval_nanos: 11,
@@ -1212,24 +1108,16 @@ mod tests {
     #[test]
     fn part_sits_at_a_fixed_distance_from_the_frame_end() {
         let sched = mss_media::parity::esq(&PacketSeq::data_range(7), 3);
-        for (kind, view_wire) in [
-            (ControlKind::Activate, ViewWire::full()),
-            (ControlKind::Probe, ViewWire::Full { epoch: 4 }),
-            (
-                ControlKind::Commit,
-                ViewWire::Delta {
-                    epoch: 4,
-                    base_count: 1,
-                    additions: vec![40].into(),
-                },
-            ),
+        for (kind, view) in [
+            (ControlKind::Activate, view_of(90, &[2, 40])),
+            (ControlKind::Probe, view_of(90, &[])),
+            (ControlKind::Commit, View::full(90)),
         ] {
             let body = Arc::new(ControlBody {
                 kind,
                 from: PeerId(3),
                 wave: 2,
-                view: Arc::new(view_of(90, &[2, 40])),
-                view_wire,
+                view,
                 sched: sched.clone().into(),
                 pos: 1,
                 interval_nanos: 5,

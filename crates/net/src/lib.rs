@@ -8,9 +8,8 @@
 //! socket per worker, driven by epoll, with `recvmmsg`/`sendmmsg`
 //! batching. Every message crosses the wire: frames are encoded by the
 //! hand-rolled binary [`codec`] and travel many to a datagram (bundles
-//! sealed at one MTU, flushed before a worker waits), and delta-coded
-//! views are rebuilt per receiver ([`views`]); thousands of peers per
-//! box. Shutdown is completion-signaled through
+//! sealed at one MTU, flushed before a worker waits); thousands of peers
+//! per box. Shutdown is completion-signaled through
 //! [`runtime::SessionControl`].
 //!
 //! ```no_run
@@ -34,7 +33,6 @@ pub mod live;
 pub mod names;
 pub mod runtime;
 pub(crate) mod sys;
-pub mod views;
 
 pub use live::{LiveOutcome, LiveSession};
 pub use runtime::SessionControl;

@@ -11,10 +11,9 @@
 //! blocking send socket, and loops:
 //!
 //! 1. `recvmmsg` until the socket is empty;
-//! 2. split each datagram into its records ([`crate::codec`]), decode
+//! 2. split each datagram into its records ([`crate::codec`]) and decode
 //!    each frame through the worker's [`FanoutDecoder`] (a fan-out's
-//!    shared control body once per worker) and resolve delta-coded
-//!    views against the receiver's snapshots ([`crate::views`]);
+//!    shared control body once per worker);
 //! 3. queue each message as a delivery at now: wall-clock nanoseconds
 //!    since the session epoch, but at most `MAX_STEP` past the world's
 //!    clock, so a worker that falls behind slows its world down;
@@ -62,7 +61,6 @@ use crate::codec::{split_bundle, BundleWriter, FanoutDecoder};
 use crate::names;
 use crate::runtime::{await_session, SessionControl, SETTLE};
 use crate::sys::{self, BatchSocket, Dest, Epoll, RxMeta, RX_BATCH, RX_BUF, TX_BATCH};
-use crate::views::ViewReassembler;
 
 /// Kernel receive buffer of each worker's socket, sized big: it takes
 /// the fan-out bursts of every worker at once, its own included.
@@ -275,39 +273,28 @@ fn wake(addrs: &[SocketAddr]) {
     }
 }
 
-/// The receivers one worker hosts, with what decoding for them needs:
-/// the worker's decoder and one view reassembler per receiver.
+/// The receivers one worker hosts, and the worker's decoder for them.
 struct Inbox {
     /// Contents peers hosted here.
     peers: Range<u32>,
     /// The leaf, on the worker that hosts it.
     leaf: Option<ActorId>,
     decoder: FanoutDecoder,
-    /// One per hosted peer, then one for the leaf.
-    views: Vec<ViewReassembler>,
 }
 
 impl Inbox {
     /// Receivers `peers` (and `leaf`), decoding from senders `0..senders`.
     fn new(peers: Range<u32>, leaf: Option<ActorId>, senders: usize) -> Inbox {
-        let hosted = peers.len() + usize::from(leaf.is_some());
         Inbox {
             peers,
             leaf,
             decoder: FanoutDecoder::new(senders),
-            views: (0..hosted).map(|_| ViewReassembler::new()).collect(),
         }
     }
 
-    /// The index of `id`'s reassembler, when this worker hosts it.
-    fn slot(&self, id: u32) -> Option<usize> {
-        if self.peers.contains(&id) {
-            Some((id - self.peers.start) as usize)
-        } else if self.leaf == Some(ActorId(id)) {
-            Some(self.peers.len())
-        } else {
-            None
-        }
+    /// Whether this worker hosts receiver `id`.
+    fn hosts(&self, id: u32) -> bool {
+        self.peers.contains(&id) || self.leaf == Some(ActorId(id))
     }
 
     /// Queue every record of one datagram for delivery at `now`; returns
@@ -329,31 +316,23 @@ impl Inbox {
                 metrics.incr_id(names::rx_decode_err_id());
                 continue;
             };
-            let Some(slot) = self.slot(to) else {
+            if !self.hosts(to) {
                 metrics.incr_id(names::rx_unroutable_id());
                 continue;
-            };
+            }
             frames += 1;
-            let Ok((from, mut msg)) = self.decoder.decode(frame) else {
+            let Ok((from, msg)) = self.decoder.decode(frame) else {
                 metrics.incr_id(names::rx_decode_err_id());
                 continue;
             };
-            if let Msg::Control(c) = &mut msg {
-                self.views[slot].resolve(from, c);
-            }
             world.arrive(now, from, ActorId(to), msg);
         }
         metrics.add_id(names::rx_frames_id(), frames);
         frames
     }
 
-    /// Record the decoder's and the reassemblers' end-of-run counts.
+    /// Record the decoder's end-of-run counts.
     fn report(&self, metrics: &mut Metrics) {
-        let (fallbacks, tracked) = self.views.iter().fold((0, 0), |(f, t), v| {
-            (f + v.fallbacks(), t + v.tracked_edges() as u64)
-        });
-        metrics.add_id(names::view_resync_fallbacks_id(), fallbacks);
-        metrics.add_id(names::view_edges_tracked_id(), tracked);
         metrics.add_id(names::rx_bodies_shared_id(), self.decoder.shared());
         metrics.add_id(names::rx_bodies_held_id(), self.decoder.held() as u64);
     }
@@ -532,13 +511,10 @@ impl Wire {
         Ok(())
     }
 
-    /// One send: noted by the sender's reassembler (a refusal ends an
-    /// edge), dropped by the injected loss, or encoded into the bundle
-    /// for worker `dst`. True when that sent a full batch of bundles.
+    /// One send: dropped by the injected loss, or encoded into the
+    /// bundle for worker `dst`. True when that sent a full batch of
+    /// bundles.
     fn push(&mut self, dst: usize, from: ActorId, to: ActorId, msg: &Msg) -> bool {
-        if let Some(slot) = self.inbox.slot(from.0) {
-            self.inbox.views[slot].observe_sent(to, msg);
-        }
         let drops = &mut self.drops;
         if drops.p > 0.0 && from != drops.leaf && drops.rng.gen_bool(drops.p) {
             self.metrics.incr_id(names::tx_dropped_id());
@@ -579,26 +555,15 @@ impl Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mss_core::msg::{ControlBody, ControlKind, ProbeReply, ViewWire};
+    use mss_core::msg::ProbeReply;
     use mss_media::ContentDesc;
     use mss_overlay::PeerId;
     use mss_sim::shard::ShardedWorld;
     use mss_sim::world::{Actor, Runtime};
-    use std::sync::Arc;
 
-    /// View lifetime on the receive side: no frame was undecodable, every
-    /// delta found its snapshot, and at shutdown at most `max_edges`
-    /// snapshots are left (DCoP tracks none; TCoP at most one per peer —
-    /// an accepted probe whose commit never came).
-    fn assert_views_died_with_their_readers(out: &LiveOutcome, max_edges: u64) {
-        let m = &out.metrics;
-        assert_eq!(m.counter(names::RX_DECODE_ERR), 0);
-        assert_eq!(m.counter(names::VIEW_RESYNC_FALLBACKS), 0);
-        let tracked = m.counter(names::VIEW_EDGES_TRACKED);
-        assert!(
-            tracked <= max_edges,
-            "{tracked} snapshots outlived their readers (bound {max_edges})"
-        );
+    /// No frame a worker received was undecodable.
+    fn assert_no_decode_errors(out: &LiveOutcome) {
+        assert_eq!(out.metrics.counter(names::RX_DECODE_ERR), 0);
     }
 
     /// Every send crossed the wire: it was written into a datagram or
@@ -851,96 +816,6 @@ mod tests {
         assert!(world.now() < stall, "{:?}", world.now());
     }
 
-    /// Refuses every probe of wave 2, as a claimed TCoP peer does, and
-    /// accepts the rest.
-    struct Refuser;
-    impl Actor<Msg> for Refuser {
-        fn on_message(&mut self, rt: &mut dyn Runtime<Msg>, from: ActorId, msg: Msg) {
-            if let Msg::Control(c) = msg {
-                let refusal = ProbeReply {
-                    from: PeerId(0),
-                    accept: c.body.wave != 2,
-                    wave: c.body.wave,
-                };
-                rt.send(from, Msg::Reply(refusal));
-            }
-        }
-        mss_sim::impl_as_any!();
-    }
-
-    /// A refusal drops the refused round's snapshot and no other. Probers
-    /// 3 and 4 are refused; prober 5's refused wave-2 probe and its
-    /// accepted wave-3 probe arrive in one receive pass, so the wave-3
-    /// snapshot is installed before the wave-2 refusal is sent — and
-    /// survives it, to resolve the commit that follows.
-    #[test]
-    fn refusing_a_prober_drops_its_snapshot() {
-        let mut hosted: Vec<Box<dyn Actor<Msg>>> = vec![Box::new(Refuser)];
-        hosted.extend((1..6).map(|_| Box::new(Recorder::default()) as Box<dyn Actor<Msg>>));
-        let mut world = worlds(vec![hosted]).remove(0);
-        let rx = rx_socket();
-        let addrs = [rx.local_addr().unwrap()];
-        let mut worker = wire(rx, &addrs, 0..1, 8);
-        let control = |kind, from: u32, wave, view_wire| {
-            let body = ControlBody {
-                kind,
-                from: PeerId(from),
-                wave,
-                view: Arc::new(mss_overlay::View::empty(64)),
-                view_wire,
-                sched: mss_media::SeqView::empty(),
-                pos: 0,
-                interval_nanos: 1,
-                mark_delta_nanos: 0,
-                parts: 2,
-                h: 1,
-                fanout: 2,
-                basis: None,
-            };
-            Msg::control(&Arc::new(body), 0)
-        };
-        let probe = |from, wave| {
-            control(
-                ControlKind::Probe,
-                from,
-                wave,
-                ViewWire::Full { epoch: wave },
-            )
-        };
-        let mut w = BundleWriter::new(1);
-        for (from, wave) in [(3, 2), (4, 2), (5, 2), (5, 3)] {
-            assert!(w.push(ActorId(0), ActorId(from), &probe(from, wave)));
-            w.forget_body();
-        }
-        w.seal();
-        let mut m = Metrics::new();
-        worker
-            .inbox
-            .accept(&w.sealed()[0], SimTime(1), &mut world, &mut m);
-        world.run_until(SimTime(1));
-        worker.post(&mut world, SimTime(1)).unwrap();
-        let edges = |inbox: &Inbox| inbox.views[0].tracked_edges();
-        assert_eq!(edges(&worker.inbox), 1, "only prober 5's wave 3 is left");
-
-        let delta = ViewWire::Delta {
-            epoch: 3,
-            base_count: 0,
-            additions: vec![].into(),
-        };
-        w.recycle_sealed();
-        assert!(w.push(
-            ActorId(0),
-            ActorId(5),
-            &control(ControlKind::Commit, 5, 3, delta)
-        ));
-        w.seal();
-        worker
-            .inbox
-            .accept(&w.sealed()[0], SimTime(2), &mut world, &mut m);
-        assert_eq!(worker.inbox.views[0].fallbacks(), 0, "the commit resolved");
-        assert_eq!(edges(&worker.inbox), 0);
-    }
-
     #[test]
     fn live_dcop_streams_a_small_content() {
         let mut cfg = SessionConfig::small(6, 2, 77);
@@ -954,7 +829,7 @@ mod tests {
         // Batching stats must be observable.
         assert!(out.metrics.counter("net.rx_batches") > 0);
         assert!(out.metrics.counter("net.tx_datagrams") > 0);
-        assert_views_died_with_their_readers(&out, 0);
+        assert_no_decode_errors(&out);
     }
 
     /// A fan-out is written once and parsed once per worker. Under the
@@ -977,7 +852,7 @@ mod tests {
         assert!(m.counter(names::RX_BODIES_SHARED) > 0, "no body shared");
         assert_eq!(m.counter(names::RX_BODIES_HELD), 0);
         assert!(m.counter(names::WORKER_BUSY_NS) > 0);
-        assert_views_died_with_their_readers(&out, 0);
+        assert_no_decode_errors(&out);
     }
 
     #[test]
@@ -989,19 +864,15 @@ mod tests {
             .expect("live session");
         assert_eq!(out.activated, 6);
         assert!(out.complete, "leaf missing {} packets", out.missing);
-        assert_views_died_with_their_readers(&out, 6);
+        assert_no_decode_errors(&out);
     }
 
-    /// Per-edge FIFO holds per sending worker, not across workers — and
-    /// TCoP, the protocol whose commit deltas need their probe's
-    /// snapshot, needs no more: a commit is causally behind the reply to
-    /// its probe, so the probe has long left its worker's bundle. Two
-    /// workers, enough peers that bundles fill and edges cross workers:
-    /// no delta may miss its snapshot, no record may be malformed,
-    /// datagrams must actually carry more than one frame, and every send
-    /// must cross the wire.
+    /// TCoP on two workers, enough peers that bundles fill and edges
+    /// cross workers: no record may be malformed, datagrams must
+    /// actually carry more than one frame, and every send must cross the
+    /// wire.
     #[test]
-    fn live_tcop_on_two_workers_keeps_every_delta_resolvable() {
+    fn live_tcop_on_two_workers_bundles_every_send() {
         let n = 300;
         let mut cfg = SessionConfig::live(n, 8, 4245);
         cfg.content = ContentDesc::small(17, 80);
@@ -1014,13 +885,10 @@ mod tests {
         // too), so activation gets a floor and completion stays strict.
         assert!(out.activated >= n - n / 100, "{} activated", out.activated);
         assert!(out.complete, "leaf missing {} packets", out.missing);
-        assert_views_died_with_their_readers(&out, n as u64);
+        assert_no_decode_errors(&out);
         assert_eq!(out.worker_busy.len(), 2);
         let m = &out.metrics;
-        assert!(
-            m.counter("coord.bytes_tx.commit") > 0,
-            "no commit delta sent"
-        );
+        assert!(m.counter("coord.bytes_tx.commit") > 0, "no commit sent");
         let (frames, datagrams) = (m.counter(names::TX_FRAMES), m.counter(names::TX_DATAGRAMS));
         assert!(
             frames > datagrams,
@@ -1070,8 +938,8 @@ mod tests {
     }
 
     /// Beyond the old fixed-bitmap frame bound (n ≈ 4·10³): this
-    /// population only became hostable with the adaptive view codec
-    /// and delta piggybacks. Ignored by default (it hosts 5·10³ peers
+    /// population only became hostable with the adaptive view codec.
+    /// Ignored by default (it hosts 5·10³ peers
     /// over real sockets); verify.sh runs it with `--include-ignored`,
     /// in both the mmsg and `MSS_NO_MMSG=1` configurations.
     #[test]
@@ -1098,8 +966,7 @@ mod tests {
         // every frame stayed under the datagram cap (oversized sends
         // are dropped silently, which would show up as misses above).
         assert!(out.metrics.counter("net.tx_datagrams") > 0);
-        // DCoP ships every view under epoch 0: nothing is snapshotted.
-        assert_views_died_with_their_readers(&out, 0);
+        assert_no_decode_errors(&out);
     }
 
     #[test]

@@ -54,11 +54,6 @@ pub const RCVBUF_BYTES: &str = "net.rcvbuf_bytes";
 pub const MMSG_ACTIVE: &str = "net.mmsg_active";
 /// 1 when every worker socket reports receive-queue overflow counts.
 pub const RXQ_OVFL_COUNTED: &str = "net.rxq_ovfl_counted";
-/// Delta piggybacks that found no matching snapshot (summed over
-/// receivers).
-pub const VIEW_RESYNC_FALLBACKS: &str = "net.view_resync_fallbacks";
-/// View snapshots still held at shutdown (summed over receivers).
-pub const VIEW_EDGES_TRACKED: &str = "net.view_edges_tracked";
 /// Control frames written by copying the record of an earlier handle on
 /// the same fan-out body instead of encoding it (encodes skipped).
 pub const TX_BODIES_SHARED: &str = "net.tx_bodies_shared";
@@ -90,8 +85,6 @@ mss_sim::metric_ids! {
     rcvbuf_bytes_id => RCVBUF_BYTES;
     mmsg_active_id => MMSG_ACTIVE;
     rxq_ovfl_counted_id => RXQ_OVFL_COUNTED;
-    view_resync_fallbacks_id => VIEW_RESYNC_FALLBACKS;
-    view_edges_tracked_id => VIEW_EDGES_TRACKED;
     tx_bodies_shared_id => TX_BODIES_SHARED;
     rx_bodies_shared_id => RX_BODIES_SHARED;
     rx_bodies_held_id => RX_BODIES_HELD;

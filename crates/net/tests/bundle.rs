@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use bytes::BytesMut;
-use mss_core::msg::{ControlBody, ControlKind, Msg, ProbeReply, ViewWire};
+use mss_core::msg::{ControlBody, ControlKind, Msg, ProbeReply};
 use mss_media::{ContentDesc, PacketId, PacketSeq, Seq};
 use mss_net::codec::{
     encode_routed_into, split_bundle, BundleWriter, CodecError, BUNDLE_MTU, MAX_RECORD,
@@ -147,7 +147,7 @@ proptest! {
 
 /// A fan-out body whose view is sparse, runs or dense (`shape` 0, 1, 2;
 /// a dense one over 12 000 peers is a record larger than one MTU), or a
-/// delta against part of it (`shape` 3).
+/// commit with a runs view (`shape` 3).
 fn fanout_body(rng: &mut SimRng, shape: u64) -> Arc<ControlBody> {
     let n = if shape == 2 && rng.gen_bool(0.2) {
         12_000
@@ -173,20 +173,6 @@ fn fanout_body(rng: &mut SimRng, shape: u64) -> Arc<ControlBody> {
             }
         }
     }
-    let view_wire = match shape {
-        3 => {
-            let members: Vec<u32> = view.iter().map(|p| p.0).collect();
-            let keep = rng.gen_below(members.len() as u64 + 1) as usize;
-            ViewWire::Delta {
-                epoch: 1 + rng.gen_below(9) as u32,
-                base_count: (members.len() - keep) as u32,
-                additions: members[members.len() - keep..].to_vec().into(),
-            }
-        }
-        _ => ViewWire::Full {
-            epoch: rng.gen_below(3) as u32,
-        },
-    };
     Arc::new(ControlBody {
         kind: match shape {
             0 => ControlKind::Activate,
@@ -196,8 +182,7 @@ fn fanout_body(rng: &mut SimRng, shape: u64) -> Arc<ControlBody> {
         },
         from: PeerId(rng.gen_below(n as u64) as u32),
         wave: rng.gen_below(9) as u32,
-        view: Arc::new(view),
-        view_wire,
+        view,
         sched: mss_media::parity::esq(&PacketSeq::data_range(1 + rng.gen_below(12)), 2).into(),
         pos: rng.gen_below(12) as u32,
         interval_nanos: rng.next_u64() >> 30,

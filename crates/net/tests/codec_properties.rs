@@ -12,7 +12,6 @@ use proptest::prelude::*;
 use bytes::BytesMut;
 use mss_core::msg::{
     ContentRequest, ControlBody, ControlKind, Msg, Nack, ProbeReply, ScheduleAssignment, TwoPhase,
-    ViewWire,
 };
 use mss_net::codec::{
     decode, encode_into, encode_routed_into, CodecError, FanoutDecoder, PART_FROM_END,
@@ -37,7 +36,7 @@ fn gen_msg(seed: u64) -> Msg {
         for _ in 0..members {
             v.insert(PeerId(rng.gen_below(n as u64) as u32));
         }
-        Arc::new(v)
+        v
     };
     let mut rng = SimRng::new(seed).fork(0xC0DEC + 1);
     let mut seq = |max: u64| {
@@ -55,7 +54,7 @@ fn gen_msg(seed: u64) -> Msg {
             part: rng.gen_below(8) as u32,
             parts: 1 + rng.gen_below(8) as u32,
             view: if rng.gen_bool(0.5) {
-                Some(view(1 + rng.gen_below(64) as usize))
+                Some(Arc::new(view(1 + rng.gen_below(64) as usize)))
             } else {
                 None
             },
@@ -68,21 +67,6 @@ fn gen_msg(seed: u64) -> Msg {
         }),
         1 => {
             let v = view(1 + rng.gen_below(128) as usize);
-            // Half full frames, half deltas whose additions are a
-            // subset of the in-memory view (as real senders produce).
-            let view_wire = if rng.gen_bool(0.5) {
-                ViewWire::Full {
-                    epoch: rng.gen_below(1000) as u32,
-                }
-            } else {
-                let members: Vec<u32> = v.iter().map(|p| p.0).collect();
-                let keep = rng.gen_below(members.len() as u64 + 1) as usize;
-                ViewWire::Delta {
-                    epoch: rng.gen_below(1000) as u32,
-                    base_count: rng.gen_below(v.population() as u64 + 1) as u32,
-                    additions: members[..keep].to_vec().into(),
-                }
-            };
             let body = ControlBody {
                 kind: match rng.gen_below(4) {
                     0 => ControlKind::Activate,
@@ -93,7 +77,6 @@ fn gen_msg(seed: u64) -> Msg {
                 from: PeerId(rng.gen_below(1000) as u32),
                 wave: rng.gen_below(20) as u32,
                 view: v,
-                view_wire,
                 sched: seq(30).into(),
                 pos: rng.gen_below(30) as u32,
                 interval_nanos: rng.next_u64() >> 30,
@@ -164,7 +147,7 @@ fn encode_frame(from: ActorId, msg: &Msg) -> Vec<u8> {
 /// Views engineered to land in each adaptive representation: a handful
 /// of scattered ids (sparse varint list), long contiguous bands (runs),
 /// and near-full membership (dense bitmap). `shape` selects one.
-fn shaped_view(shape: u64, seed: u64) -> Arc<View> {
+fn shaped_view(shape: u64, seed: u64) -> View {
     let mut rng = SimRng::new(seed).fork(0x5AE);
     let n = 256 + rng.gen_below(2048) as usize;
     let mut v = View::empty(n);
@@ -192,18 +175,17 @@ fn shaped_view(shape: u64, seed: u64) -> Arc<View> {
             }
         }
     }
-    Arc::new(v)
+    v
 }
 
-/// A control packet whose only varying parts are the view and its wire
-/// form — isolates the view frame inside a real codec frame.
-fn control_with(view: Arc<View>, view_wire: ViewWire) -> Msg {
+/// A control packet whose only varying part is the view — isolates the
+/// view frame inside a real codec frame.
+fn control_with(view: View) -> Msg {
     let body = ControlBody {
         kind: ControlKind::Commit,
         from: PeerId(4),
         wave: 3,
         view,
-        view_wire,
         sched: mss_media::SeqView::empty(),
         pos: 0,
         interval_nanos: 1_000,
@@ -216,18 +198,17 @@ fn control_with(view: Arc<View>, view_wire: ViewWire) -> Msg {
     Msg::control(&Arc::new(body), 0)
 }
 
-fn view_of(n: usize, ids: impl IntoIterator<Item = u32>) -> Arc<View> {
+fn view_of(n: usize, ids: impl IntoIterator<Item = u32>) -> View {
     let mut v = View::empty(n);
     for i in ids {
         v.insert(PeerId(i));
     }
-    Arc::new(v)
+    v
 }
 
-/// Four bodies and, for one part of each, the frame the boxed
-/// `ControlPacket` of the parent tree (PR 23) encoded for the same
-/// fields from `ActorId(21)` — one per kind, covering the sparse, runs
-/// and dense full-view encodings and a delta.
+/// Four bodies and, for one part of each, the frame their fields encode
+/// to from `ActorId(21)` — one per kind, covering the sparse, runs and
+/// dense view encodings. The bytes pin the control frame layout.
 fn golden_fanouts() -> [(ControlBody, u32, &'static str); 4] {
     let dense = || view_of(64, (0..64).filter(|i| i % 9 != 4));
     let blank = ControlBody {
@@ -235,7 +216,6 @@ fn golden_fanouts() -> [(ControlBody, u32, &'static str); 4] {
         from: PeerId(12),
         wave: 5,
         view: dense(),
-        view_wire: ViewWire::full(),
         sched: mss_media::SeqView::empty(),
         pos: 0,
         interval_nanos: 1_500,
@@ -261,30 +241,24 @@ fn golden_fanouts() -> [(ControlBody, u32, &'static str); 4] {
                 ..blank.clone()
             },
             3,
-            "15000000010007000000020000000000000011ac02030107f0010600000001020000000100000000\
-             00000002000000000000000001000000000000000002000000000000000003000000000000000102\
-             00000003000000000000000400000000000000000400000000000000010000004042\
-             0f000000000080841e000000000003000000050000000200000004000000",
+            "150000000100070000000200000011ac02030107f001060000000102000000010000000000000002\
+             00000000000000000100000000000000000200000000000000000300000000000000010200000003\
+             0000000000000004000000000000000004000000000000000100000040420f000000000080841e00\
+             0000000003000000050000000200000004000000",
         ),
         (
             ControlBody {
                 kind: ControlKind::Probe,
                 view: view_of(300, 40..120),
-                view_wire: ViewWire::Full { epoch: 5 },
                 ..blank.clone()
             },
             0,
-            "1500000001010c000000050000000500000012ac0201284f0000000000000000dc05000000000000\
-             000000000000000000000000000000000300000008000000",
+            "1500000001010c0000000500000012ac0201284f0000000000000000dc0500000000000000000000\
+             0000000000000000000000000300000008000000",
         ),
         (
             ControlBody {
                 kind: ControlKind::Commit,
-                view_wire: ViewWire::Delta {
-                    epoch: 5,
-                    base_count: 54,
-                    additions: vec![3, 17, 63].into(),
-                },
                 sched: PacketSeq::data_range(3).into(),
                 pos: 2,
                 mark_delta_nanos: 30_000,
@@ -293,9 +267,9 @@ fn golden_fanouts() -> [(ControlBody, u32, &'static str); 4] {
                 ..blank.clone()
             },
             2,
-            "1500000001020c000000050000000500000013403603030d2d030000000001000000000000000002\
-             0000000000000000030000000000000002000000dc05000000000000307500000000000002000000\
-             040000000400000008000000",
+            "1500000001020c000000050000001040efdfbf7ffffefdfb03000000000100000000000000000200\
+             00000000000000030000000000000002000000dc0500000000000030750000000000000200000004\
+             0000000400000008000000",
         ),
         (
             ControlBody {
@@ -308,8 +282,8 @@ fn golden_fanouts() -> [(ControlBody, u32, &'static str); 4] {
                 ..blank
             },
             0,
-            "1500000001030300000001000000000000001040efdfbf7ffffefdfb000000000000000009030000\
-             00000000000000000000000000000000000000000200000006000000",
+            "15000000010303000000010000001040efdfbf7ffffefdfb00000000000000000903000000000000\
+             000000000000000000000000000000000200000006000000",
         ),
     ]
 }
@@ -321,9 +295,8 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-/// Every handle of a shared fan-out encodes to the bytes the parent
-/// tree produced for the equivalent boxed packet — the golden frame,
-/// with the handle's `part` at its fixed offset — decodes to the right
+/// Every handle of a shared fan-out encodes to the golden frame, with
+/// the handle's `part` at its fixed offset, decodes to the right
 /// `part` on a body of its own, and keeps the byte-accounting mirrors.
 #[test]
 fn shared_fanout_handles_encode_to_the_boxed_packets_bytes() {
@@ -351,12 +324,6 @@ fn shared_fanout_handles_encode_to_the_boxed_packets_bytes() {
                 assert_eq!(m.wire_size(), priced.wire_size());
                 assert_eq!(m.model_size(), priced.model_size());
                 assert!(m.is_coordination());
-            }
-            // Without the snapshot a decoded delta cannot re-price the
-            // complete view (`byte_accounting_survives_roundtrip`).
-            assert_eq!(msg.full_wire_size(), priced.full_wire_size());
-            if matches!(body.view_wire, ViewWire::Full { .. }) {
-                assert_eq!(back.full_wire_size(), priced.full_wire_size());
             }
         }
         assert_eq!(
@@ -496,10 +463,9 @@ proptest! {
 
     /// The boxed/Arc'd re-layout of `Msg` (ISSUE 10) must not move any
     /// byte accounting: a message surviving a codec round-trip reports
-    /// the same `wire_size` (`coord.bytes_tx`, which includes
-    /// `view_site_len` for controls), `model_size` (legacy
-    /// `coord.bytes`), `full_wire_size`, and `is_coordination` class as
-    /// the original — for every variant `gen_msg` can produce.
+    /// the same `wire_size` (`coord.bytes_tx`), `model_size` (legacy
+    /// `coord.bytes`) and `is_coordination` class as the original — for
+    /// every variant `gen_msg` can produce.
     #[test]
     fn byte_accounting_survives_roundtrip(seed in any::<u64>(), from in 0u32..5000) {
         let msg = gen_msg(seed);
@@ -507,14 +473,6 @@ proptest! {
         let (_, back) = decode(&frame).expect("well-formed frame must decode");
         prop_assert_eq!(back.wire_size(), msg.wire_size(), "coord.bytes_tx moved");
         prop_assert_eq!(back.model_size(), msg.model_size(), "coord.bytes moved");
-        // `full_wire_size` re-prices a delta control's complete view; a
-        // bare decode (no per-edge reassembler snapshot) cannot recover
-        // that view, so the counterfactual is only comparable on
-        // non-delta messages — the reassembler path is pinned by
-        // `views.rs` tests.
-        if !matches!(&msg, Msg::Control(c) if matches!(c.body.view_wire, ViewWire::Delta { .. })) {
-            prop_assert_eq!(back.full_wire_size(), msg.full_wire_size(), "coord.bytes_full moved");
-        }
         prop_assert_eq!(back.is_coordination(), msg.is_coordination());
     }
 
@@ -570,53 +528,19 @@ proptest! {
     #[test]
     fn every_view_shape_roundtrips_through_control_frames(seed in any::<u64>(), shape in 0u64..3) {
         let v = shaped_view(shape, seed);
-        let msg = control_with(Arc::clone(&v), ViewWire::Full { epoch: 2 });
+        let msg = control_with(v.clone());
         let frame = encode_frame(ActorId(11), &msg);
         let (_, back) = decode(&frame).expect("shaped view frame must decode");
         let Msg::Control(c) = &back else { panic!("wrong variant") };
-        prop_assert_eq!(c.body.view.as_ref(), v.as_ref(), "decoded view differs for shape {}", shape);
-        prop_assert_eq!(&frame, &encode_frame(ActorId(11), &back));
-    }
-
-    /// Delta frames carry only the additions: the decoded packet's view
-    /// is exactly the sorted additions set and the `ViewWire` metadata
-    /// (epoch, base cardinality, ids) survives byte-exactly.
-    #[test]
-    fn delta_frames_preserve_additions_and_metadata(seed in any::<u64>(), shape in 0u64..3) {
-        let v = shaped_view(shape, seed);
-        let members: Vec<u32> = v.iter().map(|p| p.0).collect();
-        let mut rng = SimRng::new(seed).fork(0xDE17A);
-        let keep = rng.gen_below(members.len() as u64 + 1) as usize;
-        let wire = ViewWire::Delta {
-            epoch: rng.gen_below(1 << 20) as u32,
-            base_count: (members.len() - keep) as u32,
-            additions: members[members.len() - keep..].to_vec().into(),
-        };
-        let msg = control_with(v, wire.clone());
-        let frame = encode_frame(ActorId(11), &msg);
-        let (_, back) = decode(&frame).expect("delta frame must decode");
-        let Msg::Control(c) = &back else { panic!("wrong variant") };
-        prop_assert_eq!(&c.body.view_wire, &wire);
-        let got: Vec<u32> = c.body.view.iter().map(|p| p.0).collect();
-        prop_assert_eq!(&got, &members[members.len() - keep..]);
+        prop_assert_eq!(&c.body.view, &v, "decoded view differs for shape {}", shape);
         prop_assert_eq!(&frame, &encode_frame(ActorId(11), &back));
     }
 
     /// Truncating or corrupting a frame built around any view shape
-    /// (including delta frames) errors cleanly — never a panic.
+    /// errors cleanly — never a panic.
     #[test]
     fn damaged_view_frames_never_panic(seed in any::<u64>(), shape in 0u64..3, flips in 1usize..8) {
-        let v = shaped_view(shape, seed);
-        let msg = if shape == 1 {
-            let members: Vec<u32> = v.iter().map(|p| p.0).collect();
-            control_with(v, ViewWire::Delta {
-                epoch: 5,
-                base_count: 0,
-                additions: members.into(),
-            })
-        } else {
-            control_with(v, ViewWire::Full { epoch: 5 })
-        };
+        let msg = control_with(shaped_view(shape, seed));
         let frame = encode_frame(ActorId(3), &msg);
         for cut in 0..frame.len() {
             let _ = decode(&frame[..cut]);

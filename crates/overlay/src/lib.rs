@@ -8,9 +8,8 @@
 //!   mapping them to transport actors,
 //! - [`view`]: the adaptive `VW_i` views carried in control packets,
 //! - [`wire`]: compact self-describing wire encodings for those views
-//!   (dense / sparse / runs / delta frames),
-//! - [`select`]: the paper's `Select`/`Aselect` child-selection draws and
-//!   pluggable strategies,
+//!   (dense / sparse / runs frames),
+//! - [`select`]: the paper's `Select`/`Aselect` child-selection draws,
 //! - [`gossip`]: push / push-pull membership dissemination (the paper's
 //!   \[6\]-style bootstrap for the `CP` set everyone is assumed to know).
 

@@ -7,10 +7,6 @@
 //! the selector already knows to be claimed — same pool computation,
 //! different view maintenance — so both reduce to
 //! [`select_from_complement`].
-//!
-//! A [`SelectionStrategy`] lets experiments swap the uniform draw for
-//! biased variants (e.g. locality-aware selection, an extension beyond
-//! the paper).
 
 use mss_sim::rng::SimRng;
 
@@ -100,76 +96,6 @@ pub fn select_from_complement_indexed(view: &View, m: usize, rng: &mut SimRng) -
         picked.push(val_j);
     }
     picked
-}
-
-/// Pluggable selection policy.
-pub trait SelectionStrategy {
-    /// Choose up to `m` children for `selector` given its current view.
-    fn select(
-        &mut self,
-        selector: Option<PeerId>,
-        view: &View,
-        m: usize,
-        rng: &mut SimRng,
-    ) -> Vec<PeerId>;
-}
-
-/// The paper's uniform random selection.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UniformSelect;
-
-impl SelectionStrategy for UniformSelect {
-    fn select(
-        &mut self,
-        _selector: Option<PeerId>,
-        view: &View,
-        m: usize,
-        rng: &mut SimRng,
-    ) -> Vec<PeerId> {
-        select_from_complement(view, m, rng)
-    }
-}
-
-/// Locality-biased selection (extension): peers whose id is close to the
-/// selector's (mod n) are preferred with the given probability; useful to
-/// study clustering effects on coordination depth.
-#[derive(Clone, Copy, Debug)]
-pub struct LocalityBiasedSelect {
-    /// Probability of drawing from the near half of the candidate pool.
-    pub bias: f64,
-}
-
-impl SelectionStrategy for LocalityBiasedSelect {
-    fn select(
-        &mut self,
-        selector: Option<PeerId>,
-        view: &View,
-        m: usize,
-        rng: &mut SimRng,
-    ) -> Vec<PeerId> {
-        let mut pool = view.complement();
-        let Some(me) = selector else {
-            return rng.sample(&pool, m);
-        };
-        let n = view.population() as i64;
-        let dist = |p: PeerId| {
-            let d = (i64::from(p.0) - i64::from(me.0)).rem_euclid(n);
-            d.min(n - d)
-        };
-        pool.sort_by_key(|&p| dist(p));
-        let near_len = pool.len().div_ceil(2);
-        let mut picked: Vec<PeerId> = Vec::with_capacity(m.min(pool.len()));
-        while picked.len() < m && !pool.is_empty() {
-            let from_near = rng.gen_bool(self.bias) && near_len > picked.len();
-            let idx = if from_near {
-                rng.gen_index(near_len.min(pool.len()))
-            } else {
-                rng.gen_index(pool.len())
-            };
-            picked.push(pool.remove(idx));
-        }
-        picked
-    }
 }
 
 #[cfg(test)]
@@ -280,57 +206,5 @@ mod tests {
         s.sort();
         s.dedup();
         assert_eq!(s.len(), picked.len());
-    }
-
-    #[test]
-    fn uniform_select_covers_pool() {
-        let v = view_with(10, &[0]);
-        let mut rng = SimRng::new(5);
-        let mut strat = UniformSelect;
-        let mut seen = [false; 10];
-        for _ in 0..500 {
-            for p in strat.select(Some(PeerId(0)), &v, 2, &mut rng) {
-                seen[p.index()] = true;
-            }
-        }
-        assert!(!seen[0], "selector's own view excludes it only if in view");
-        assert!(seen[1..].iter().all(|&s| s), "some candidate never drawn");
-    }
-
-    #[test]
-    fn locality_bias_prefers_near_ids() {
-        let v = view_with(100, &[]);
-        let mut rng = SimRng::new(6);
-        let mut strat = LocalityBiasedSelect { bias: 0.9 };
-        let me = PeerId(50);
-        let mut near = 0usize;
-        let mut total = 0usize;
-        for _ in 0..300 {
-            for p in strat.select(Some(me), &v, 5, &mut rng) {
-                let d = (i64::from(p.0) - 50)
-                    .unsigned_abs()
-                    .min((100 - (i64::from(p.0) - 50).abs()) as u64);
-                if d <= 25 {
-                    near += 1;
-                }
-                total += 1;
-            }
-        }
-        let frac = near as f64 / total as f64;
-        assert!(frac > 0.6, "near fraction {frac} not biased");
-    }
-
-    #[test]
-    fn locality_select_is_distinct_and_bounded() {
-        let v = view_with(10, &[1, 2]);
-        let mut rng = SimRng::new(7);
-        let mut strat = LocalityBiasedSelect { bias: 0.5 };
-        let picked = strat.select(Some(PeerId(0)), &v, 20, &mut rng);
-        assert_eq!(picked.len(), 8);
-        let mut s = picked.clone();
-        s.sort();
-        s.dedup();
-        assert_eq!(s.len(), 8);
-        assert!(picked.iter().all(|p| !v.contains(*p)));
     }
 }

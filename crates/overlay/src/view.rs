@@ -386,18 +386,6 @@ impl View {
         self.len - before
     }
 
-    /// Member ids of `self` that are absent from `base`, ascending —
-    /// the additions a delta-coded piggyback ships (see
-    /// [`crate::wire`]). Views only ever grow, so against an earlier
-    /// snapshot of the same peer's view this *is* the symmetric
-    /// difference.
-    pub fn diff_ids(&self, base: &View) -> Vec<u32> {
-        self.iter()
-            .filter(|p| !base.contains(*p))
-            .map(|p| p.0)
-            .collect()
-    }
-
     /// Iterate over members in ascending id order.
     pub fn iter(&self) -> ViewIter<'_> {
         ViewIter {
@@ -954,18 +942,6 @@ mod tests {
     #[should_panic(expected = "sorted and distinct")]
     fn from_unsorted_ids_panics() {
         View::from_sorted_ids(10, vec![3, 1]);
-    }
-
-    #[test]
-    fn diff_ids_is_the_growth() {
-        let mut base = View::empty(50);
-        base.insert(PeerId(1));
-        base.insert(PeerId(9));
-        let mut grown = base.clone();
-        grown.insert(PeerId(4));
-        grown.insert(PeerId(30));
-        assert_eq!(grown.diff_ids(&base), vec![4, 30]);
-        assert_eq!(base.diff_ids(&base), Vec::<u32>::new());
     }
 
     #[test]

@@ -18,26 +18,19 @@
 //!            id_0 = gap_0, id_i = id_{i-1} + 1 + gap_i
 //! tag 2   := runs   — [runs: varint] ([gap: varint][len1: varint])×runs
 //!            start = prev_end + gap, end = start + len1 + 1
-//! tag 3   := delta  — [base_count: varint] [adds: varint]
-//!            [gap: varint]×adds   (gap scheme as sparse)
 //! ```
 //!
 //! Varints are LEB128 (7 bits per byte, little-endian groups). The
 //! version nibble rejects frames from incompatible peers outright.
 //!
-//! Tags 0–2 are interchangeable *set* encodings: decoding any of them
-//! yields the same [`View`], and re-encoding is deterministic (smallest
-//! form, lowest tag on ties), so encode → decode → encode is
-//! byte-stable. Tag 3 carries only the ids a peer's view gained since a
-//! snapshot the receiver already holds (`base_count` names the snapshot's size as a
-//! cheap consistency check); views are grow-only, so the additions are
-//! the full symmetric difference. Epochs that pair full frames with
-//! deltas live one layer up, next to the frame (see `mss-net`'s codec
-//! and the probe round in `mss-core`'s `tcop`).
+//! The three tags are interchangeable *set* encodings: decoding any of
+//! them yields the same [`View`], and re-encoding is deterministic
+//! (smallest form, lowest tag on ties), so encode → decode → encode is
+//! byte-stable. Every frame is self-contained: a receiver needs no
+//! state of its own to decode one.
 
 use bytes::BufMut;
 
-use crate::peer::PeerId;
 use crate::view::View;
 
 /// Version of the view frame format, carried in the header's high
@@ -50,8 +43,6 @@ pub const TAG_DENSE: u8 = 0;
 pub const TAG_SPARSE: u8 = 1;
 /// Run-length ranges tag.
 pub const TAG_RUNS: u8 = 2;
-/// Delta (additions against a per-edge snapshot) tag.
-pub const TAG_DELTA: u8 = 3;
 
 /// Decoding failure. Mirrors the codec's discipline: corrupt input is
 /// an error, never a panic.
@@ -81,25 +72,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// A decoded view frame: either a complete set or a delta to apply
-/// against a previously received set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ViewFrame {
-    /// Tags 0–2: the full member set.
-    Set(View),
-    /// Tag 3: ids added since the sender's per-edge snapshot.
-    Delta {
-        /// Population size the delta ranges over.
-        n: usize,
-        /// `|snapshot|` at the sender — receivers reject the delta (and
-        /// fall back to additions-only merge) if their cached base
-        /// doesn't match.
-        base_count: usize,
-        /// Newly added member ids, ascending.
-        additions: Vec<u32>,
-    },
-}
 
 /// LEB128 length of `x`.
 pub fn varint_len(x: u64) -> usize {
@@ -134,8 +106,8 @@ fn get_varint(buf: &[u8], at: &mut usize) -> Result<u64, WireError> {
     }
 }
 
-/// Sum of the gap varints for a sorted id sequence (sparse/delta body
-/// minus its count field).
+/// Sum of the gap varints for a sorted id sequence (sparse body minus
+/// its count field).
 fn gaps_len(ids: impl Iterator<Item = u32>) -> usize {
     let mut prev: Option<u32> = None;
     let mut total = 0;
@@ -225,14 +197,6 @@ pub fn encoded_len(v: &View) -> usize {
     cached_best_tag(v).1
 }
 
-/// Exact encoded size of a delta frame carrying `additions`.
-pub fn delta_encoded_len(n: usize, base_count: usize, additions: &[u32]) -> usize {
-    header_len(n)
-        + varint_len(base_count as u64)
-        + varint_len(additions.len() as u64)
-        + gaps_len(additions.iter().copied())
-}
-
 /// Encode `v` in its smallest form. Exactly [`encoded_len`] bytes.
 pub fn encode_view(v: &View, out: &mut impl BufMut) {
     match cached_best_tag(v).0 {
@@ -278,20 +242,10 @@ pub fn encode_runs(v: &View, out: &mut impl BufMut) {
     }
 }
 
-/// Encode a delta frame: the ids (`additions`, ascending and distinct)
-/// a view gained since the snapshot of size `base_count`.
-pub fn encode_delta(n: usize, base_count: usize, additions: &[u32], out: &mut impl BufMut) {
-    debug_assert!(additions.windows(2).all(|w| w[0] < w[1]));
-    put_header(out, TAG_DELTA, n);
-    put_varint(out, base_count as u64);
-    put_varint(out, additions.len() as u64);
-    put_gaps(out, additions.iter().copied());
-}
-
-/// Decode one view frame from the front of `buf`. Returns the frame and
+/// Decode one view frame from the front of `buf`. Returns the view and
 /// the number of bytes consumed. `max_n` bounds the population a frame
 /// may claim (allocation guard against corrupt input).
-pub fn decode_view(buf: &[u8], max_n: usize) -> Result<(ViewFrame, usize), WireError> {
+pub fn decode_view(buf: &[u8], max_n: usize) -> Result<(View, usize), WireError> {
     let mut at = 0usize;
     let hdr = *buf.first().ok_or(WireError::Truncated)?;
     at += 1;
@@ -303,7 +257,7 @@ pub fn decode_view(buf: &[u8], max_n: usize) -> Result<(ViewFrame, usize), WireE
     if n > max_n {
         return Err(WireError::BadEncoding);
     }
-    let frame = match tag {
+    let view = match tag {
         TAG_DENSE => {
             let nbytes = n.div_ceil(8);
             let body = buf.get(at..at + nbytes).ok_or(WireError::Truncated)?;
@@ -321,12 +275,12 @@ pub fn decode_view(buf: &[u8], max_n: usize) -> Result<(ViewFrame, usize), WireE
                     ids.push(id);
                 }
             }
-            ViewFrame::Set(View::from_sorted_ids(n, ids))
+            View::from_sorted_ids(n, ids)
         }
         TAG_SPARSE => {
             let count = get_varint(buf, &mut at)? as usize;
             let ids = get_ids(buf, &mut at, count, n)?;
-            ViewFrame::Set(View::from_sorted_ids(n, ids))
+            View::from_sorted_ids(n, ids)
         }
         TAG_RUNS => {
             let runs = get_varint(buf, &mut at)? as usize;
@@ -344,24 +298,11 @@ pub fn decode_view(buf: &[u8], max_n: usize) -> Result<(ViewFrame, usize), WireE
                 v.insert_run(start as u32, end as u32);
                 prev_end = end;
             }
-            ViewFrame::Set(v)
-        }
-        TAG_DELTA => {
-            let base_count = get_varint(buf, &mut at)? as usize;
-            if base_count > n {
-                return Err(WireError::BadEncoding);
-            }
-            let adds = get_varint(buf, &mut at)? as usize;
-            let additions = get_ids(buf, &mut at, adds, n)?;
-            ViewFrame::Delta {
-                n,
-                base_count,
-                additions,
-            }
+            v
         }
         t => return Err(WireError::BadTag(t)),
     };
-    Ok((frame, at))
+    Ok((view, at))
 }
 
 /// Read `count` gap-coded ascending ids bounded by population `n`.
@@ -386,18 +327,10 @@ fn get_ids(buf: &[u8], at: &mut usize, count: usize, n: usize) -> Result<Vec<u32
     Ok(ids)
 }
 
-/// Apply a decoded delta against the cached per-edge base view.
-pub fn apply_delta(base: &View, additions: &[u32]) -> View {
-    let mut v = base.clone();
-    for &id in additions {
-        v.insert(PeerId(id));
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::peer::PeerId;
 
     fn view_of(n: usize, ids: &[u32]) -> View {
         let mut v = View::empty(n);
@@ -407,7 +340,7 @@ mod tests {
         v
     }
 
-    fn decode_ok(buf: &[u8]) -> (ViewFrame, usize) {
+    fn decode_ok(buf: &[u8]) -> (View, usize) {
         decode_view(buf, 2_000_000).expect("decodes")
     }
 
@@ -441,12 +374,9 @@ mod tests {
             ] {
                 let mut out = Vec::new();
                 enc(v, &mut out);
-                let (frame, used) = decode_ok(&out);
+                let (got, used) = decode_ok(&out);
                 assert_eq!(used, out.len());
-                match frame {
-                    ViewFrame::Set(got) => assert_eq!(&got, v),
-                    other => panic!("expected set, got {other:?}"),
-                }
+                assert_eq!(&got, v);
             }
         }
     }
@@ -485,33 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_round_trips_and_applies() {
-        let base = view_of(10_000, &[1, 40, 40, 900]);
-        let additions = [0u32, 41, 9_999];
-        let mut out = Vec::new();
-        encode_delta(10_000, base.count(), &additions, &mut out);
-        assert_eq!(
-            out.len(),
-            delta_encoded_len(10_000, base.count(), &additions)
-        );
-        let (frame, used) = decode_ok(&out);
-        assert_eq!(used, out.len());
-        let ViewFrame::Delta {
-            n,
-            base_count,
-            additions: got,
-        } = frame
-        else {
-            panic!("expected delta");
-        };
-        assert_eq!(n, 10_000);
-        assert_eq!(base_count, base.count());
-        assert_eq!(got, additions);
-        let rebuilt = apply_delta(&base, &got);
-        assert_eq!(rebuilt, view_of(10_000, &[0, 1, 40, 41, 900, 9_999]));
-    }
-
-    #[test]
     fn version_and_tag_are_enforced() {
         let mut out = Vec::new();
         encode_sparse(&view_of(10, &[2]), &mut out);
@@ -521,12 +424,14 @@ mod tests {
             decode_view(&wrong_ver, 100).unwrap_err(),
             WireError::BadVersion(2)
         );
-        let mut wrong_tag = out.clone();
-        wrong_tag[0] = (WIRE_VERSION << 4) | 9;
-        assert_eq!(
-            decode_view(&wrong_tag, 100).unwrap_err(),
-            WireError::BadTag(9)
-        );
+        for tag in [3, 9] {
+            let mut wrong_tag = out.clone();
+            wrong_tag[0] = (WIRE_VERSION << 4) | tag;
+            assert_eq!(
+                decode_view(&wrong_tag, 100).unwrap_err(),
+                WireError::BadTag(tag)
+            );
+        }
     }
 
     #[test]
@@ -541,9 +446,6 @@ mod tests {
             enc(&view_of(300, &[0, 5, 6, 7, 250]), &mut out);
             frames.push(out);
         }
-        let mut d = Vec::new();
-        encode_delta(300, 4, &[9, 10, 299], &mut d);
-        frames.push(d);
         for frame in &frames {
             for cut in 0..frame.len() {
                 let _ = decode_view(&frame[..cut], 1_000);

@@ -85,18 +85,16 @@ fn main() {
     println!("stream complete     : {}", outcome.complete);
     println!("sync rounds         : {}", outcome.rounds);
     println!("events dispatched   : {events}");
-    // Three byte views of the same control traffic: the paper-model
-    // cost (fixed bitmap formulas, keeps figures comparable), the
-    // codec-exact bytes actually framed (adaptive views + deltas), and
-    // the counterfactual where every delta shipped its full view.
+    // Two byte views of the same control traffic: the paper-model cost
+    // (fixed bitmap formulas, keeps figures comparable) and the
+    // codec-exact bytes actually framed (adaptive views).
     println!(
         "coord bytes (model) : {:.1} MiB",
         outcome.coord_bytes as f64 / (1 << 20) as f64
     );
     println!(
-        "coord bytes (wire)  : {:.1} MiB ({:.1}% of full-view wire)",
-        outcome.coord_bytes_tx as f64 / (1 << 20) as f64,
-        100.0 * outcome.coord_bytes_tx as f64 / outcome.coord_bytes_full.max(1) as f64
+        "coord bytes (wire)  : {:.1} MiB",
+        outcome.coord_bytes_tx as f64 / (1 << 20) as f64
     );
     for (kind, bytes) in &kind_bytes {
         println!(

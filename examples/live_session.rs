@@ -116,7 +116,7 @@ fn population(n: usize) {
         println!(
             "{:<5} on {workers} worker(s): activated {}/{n}, complete={}, done in {:.0} ms, \
              {} coordination msgs\n       \
-             {}\n       rx_dropped {}, rx_decode_err {}, view_resync_fallbacks {}, \
+             {}\n       rx_dropped {}, rx_decode_err {}, \
              net.sent = tx_frames + tx_dropped: {crossed}\n       {}",
             protocol.name(),
             out.activated,
@@ -126,7 +126,6 @@ fn population(n: usize) {
             bundle_fill(&out),
             m.counter(names::RX_DROPPED),
             m.counter(names::RX_DECODE_ERR),
-            m.counter(names::VIEW_RESYNC_FALLBACKS),
             host_load(&out),
         );
         assert!(out.complete, "live session failed to stream");

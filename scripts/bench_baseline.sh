@@ -65,10 +65,10 @@ record_live_scale() {
 
 record_view_bytes() {
     # Control-plane byte curve: per-peer-per-round bytes of the same
-    # session under the fixed-bitmap model, the adaptive codec with
-    # full views, and the delta piggybacks actually framed. Seconds of
-    # wall clock (three deterministic sessions per protocol). Opt out
-    # with MSS_SKIP_VIEW_BYTES=1.
+    # session under the fixed-bitmap model and the adaptive codec
+    # actually framed on the wire. Seconds of wall clock (three
+    # deterministic sessions per protocol). Opt out with
+    # MSS_SKIP_VIEW_BYTES=1.
     if [ "${MSS_SKIP_VIEW_BYTES:-0}" = "1" ]; then
         echo "bench_baseline.sh: view-bytes sweep skipped (MSS_SKIP_VIEW_BYTES=1)"
         return 0
@@ -85,11 +85,11 @@ record_view_bytes() {
     {
         printf '{"commit": "%s", "recorded": "%s", "bench": "view_bytes", "cores": %s, "cpu": "%s", "bytes_per_peer_round": {' \
             "$commit" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$cores" "$cpu"
-        # protocol,n,rounds,model_B,full_B,delta_B,model_B_ppr,full_B_ppr,delta_B_ppr,...
+        # protocol,n,rounds,model_B,wire_B,model_B_ppr,wire_B_ppr,adaptive_cut
         awk -F, 'NR > 1 {
             key = sprintf("%s/n%s", $1, $2)
-            printf "%s\"%s/model\": %s, \"%s/full\": %s, \"%s/delta\": %s", \
-                (n++ ? ", " : ""), key, $7, key, $8, key, $9
+            printf "%s\"%s/model\": %s, \"%s/wire\": %s", \
+                (n++ ? ", " : ""), key, $6, key, $7
         }' "$csv"
         printf '}}\n'
     } >>"$history"

@@ -69,15 +69,13 @@ echo "==> live-plane smoke (loopback UDP, time-bounded, mmsg + fallback)"
 # The live workers' own tests (`live.rs`: a worker is a simulator world
 # on a wall clock) host real loopback sessions (DCoP, TCoP, a baseline,
 # 3 % injected send loss closed by parity + NACK repair, the forced
-# single-syscall fallback, TCoP on two workers — per-edge order across
-# workers' bundles, and every send crossing the wire — and the ignored
-# n=5000 beyond-the-old-bitmap-cap smoke that only the adaptive view
-# codec makes hostable); `timeout` bounds the step so a wedged worker
-# loop fails the gate instead of hanging it. The same tests assert the
-# receive-side view lifetime (`net.view_edges_tracked` 0 for DCoP, <= n
-# for TCoP; `net.view_resync_fallbacks` and `net.rx_decode_err` 0), so
-# a snapshot or frame that outlives its reader fails this step on both
-# paths. `--test bundle` is the datagram format under hostile input
+# single-syscall fallback, TCoP on two workers — bundled datagrams and
+# every send crossing the wire — and the ignored n=5000
+# beyond-the-old-bitmap-cap smoke that only the adaptive view codec
+# makes hostable); `timeout` bounds the step so a wedged worker loop
+# fails the gate instead of hanging it. The same tests assert
+# `net.rx_decode_err` 0, so an undecodable frame fails this step on
+# both paths. `--test bundle` is the datagram format under hostile input
 # (round trip, every truncation point, malformed records, golden
 # bytes). The MSS_NO_MMSG=1 pass proves the sendmmsg/recvmmsg fallback
 # stays live on kernels without the batched syscalls.
@@ -92,9 +90,8 @@ echo "==> large-world smoke (n=10^4, 2 shards, time-bounded)"
 # Exercises the compact memory plane end to end: the example asserts
 # >=99.5% peer activation and prints peak RSS, so a queue-layout or
 # payload-sharing bug that only shows at scale fails here rather than
-# in the (slow) n=10^6 profiling run. Both protocols: TCoP's
-# probe-round snapshot and one-delta-per-round commits otherwise first
-# meet n > 10^3 in the benchmark.
+# in the (slow) n=10^6 profiling run. Both protocols: TCoP's probe
+# and commit rounds otherwise first meet n > 10^3 in the benchmark.
 cargo build --release -q --example large_world
 timeout 120 sh -c 'for p in dcop tcop; do
     ./target/release/examples/large_world 10000 2 "$p" >/dev/null || exit 1

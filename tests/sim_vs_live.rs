@@ -127,13 +127,11 @@ fn live_host_matches_simulator_at_scale() {
     }
 }
 
-/// Receive-side view lifetime under TCoP's probe → reply → commit
-/// deltas at n = 600: every delta resolves against its snapshot, a
-/// commit consumes it and a refusal drops it, so what is left at
-/// shutdown is at most one snapshot per peer (an accepted probe whose
-/// commit never came) — not one per probe ever received.
+/// TCoP's probe → reply → commit traffic at n = 600 on the live host:
+/// every frame decodes, the probes cross the wire bundled, many frames
+/// to a datagram, and fan-outs are written and parsed once.
 #[test]
-fn live_tcop_snapshots_die_with_their_readers() {
+fn live_tcop_fanouts_are_bundled_and_shared_at_600() {
     let n = 600;
     let mut cfg = SessionConfig::live(n, 8, 4244);
     cfg.content = ContentDesc::small(33, 100);
@@ -143,19 +141,12 @@ fn live_tcop_snapshots_die_with_their_readers() {
     assert!(live.complete, "leaf missing {} packets", live.missing);
     let m = &live.metrics;
     assert_eq!(m.counter("net.rx_decode_err"), 0);
-    assert_eq!(m.counter("net.view_resync_fallbacks"), 0);
     let probes = m.counter("coord.bytes_tx.probe");
-    let tracked = m.counter("net.view_edges_tracked");
     assert!(probes > 0, "the session must have probed");
-    // Those deltas crossed the wire bundled, many frames to a datagram.
     let (frames, datagrams) = (m.counter("net.tx_frames"), m.counter("net.tx_datagrams"));
     assert!(
         frames > datagrams,
         "{frames} frames in {datagrams} datagrams"
-    );
-    assert!(
-        tracked <= n as u64,
-        "{tracked} snapshots outlived their readers (n = {n})"
     );
     assert_fanouts_written_once_and_parsed_once(&live);
 }
