@@ -143,10 +143,15 @@ pub struct SessionConfig {
     /// cheap. Receipt rate is still available analytically from the
     /// converged schedules.
     pub data_plane: bool,
-    /// Whether an already-active DCoP peer re-selects children every time
-    /// another control packet reaches it (the literal pseudocode) or only
-    /// upon first activation.
-    pub reselect_on_every_control: bool,
+    /// The guaranteed-coverage extensions, one switch for both
+    /// protocols. DCoP: an already-active peer re-selects children every
+    /// time another control packet reaches it (the literal pseudocode)
+    /// instead of only upon first activation. TCoP: a parent keeps
+    /// probing fresh candidates after a round that found no child,
+    /// where the paper stops ("if C = φ, CP_j stops selecting") and can
+    /// strand peers dormant at small `H`. On in `paper_eval` and
+    /// `small`; off in `large` and `live`, where both are quadratic in n.
+    pub guaranteed_coverage: bool,
     /// TCoP: how long a parent waits for probe replies before treating
     /// missing ones as rejections (matters only under faults/loss).
     pub reply_timeout: SimDuration,
@@ -162,11 +167,6 @@ pub struct SessionConfig {
     /// (`|[pkt]^h| = |pkt|(h+1)/h` exactly) — `false` reproduces its
     /// Figure 12 overhead; `true` trades extra parity for tail protection.
     pub tail_parity: bool,
-    /// TCoP: whether a parent keeps probing fresh candidates after a
-    /// round that found no child. The paper stops ("if C = φ, CP_j stops
-    /// selecting"), but stopping can strand peers dormant at small `H`;
-    /// persistent probing guarantees coverage and is the default.
-    pub tcop_persistent_probing: bool,
     /// Leaf-driven NACK repair; `None` (the default and the paper's
     /// model) relies on parity alone.
     pub repair: Option<RepairConfig>,
@@ -195,12 +195,11 @@ impl SessionConfig {
             delta: SimDuration::from_millis(20),
             piggyback: Piggyback::FullView,
             data_plane: false,
-            reselect_on_every_control: true,
+            guaranteed_coverage: true,
             reply_timeout: SimDuration::from_millis(100),
             reenhance: Reenhance::DataOnly,
             coding: Coding::Xor,
             tail_parity: false,
-            tcop_persistent_probing: true,
             repair: None,
             bandwidths: None,
             seed,
@@ -217,22 +216,22 @@ impl SessionConfig {
             delta: SimDuration::from_millis(20),
             piggyback: Piggyback::FullView,
             data_plane: true,
-            reselect_on_every_control: true,
+            guaranteed_coverage: true,
             reply_timeout: SimDuration::from_millis(100),
             reenhance: Reenhance::DataOnly,
             coding: Coding::Xor,
             tail_parity: true,
-            tcop_persistent_probing: true,
             repair: None,
             bandwidths: None,
             seed,
         }
     }
 
-    /// A large-population session for the scaling experiments
-    /// (n = 10⁴–10⁶): streaming enabled with the small test content,
-    /// and both guaranteed-coverage extensions turned off, because each
-    /// is quadratic in n at population scale:
+    /// A large-population session (n = 10⁴–10⁶, as `large_world` and
+    /// `shardcheck` run it): streaming enabled with the small test
+    /// content, and [`guaranteed_coverage`](Self::guaranteed_coverage)
+    /// off, because both of its extensions are quadratic in n at
+    /// population scale:
     ///
     /// - DCoP re-selection happens only on first activation — the
     ///   literal-pseudocode re-selection re-scans the whole population
@@ -247,8 +246,7 @@ impl SessionConfig {
     /// `shardcheck` gate pins coverage ≥ 99.5%.
     pub fn large(n: usize, fanout: usize, seed: u64) -> SessionConfig {
         SessionConfig {
-            reselect_on_every_control: false,
-            tcop_persistent_probing: false,
+            guaranteed_coverage: false,
             ..SessionConfig::small(n, fanout, seed)
         }
     }

@@ -72,7 +72,7 @@ impl DcopPeer {
         let was_active = self.core.active;
         self.core.adopt(ctx, assignment);
         self.core.record_activation(ctx, b.wave);
-        if !was_active || self.core.cfg.reselect_on_every_control {
+        if !was_active || self.core.cfg.guaranteed_coverage {
             self.select_and_spawn(ctx, shared, b.wave + 1);
         }
     }
@@ -88,7 +88,7 @@ impl DcopPeer {
         wave: u32,
     ) {
         self.spawn_children(ctx, shared, wave);
-        if !self.core.cfg.reselect_on_every_control {
+        if !self.core.cfg.guaranteed_coverage {
             self.core.close_view();
         }
     }

@@ -135,7 +135,7 @@ pub struct SessionOutcome {
     /// Fan-out `H`.
     pub fanout: usize,
     /// Synchronization rounds, per the paper's counting (see
-    /// `session::rounds_of`).
+    /// `session::rounds_of_metrics`).
     pub rounds: u32,
     /// Coordination messages until every peer had started transmitting.
     pub coord_msgs_until_active: u64,

@@ -395,15 +395,10 @@ fn reports_via<'w>(
 }
 
 /// The paper's round counting per protocol (see crate docs for the
-/// interpretation): activation waves for the flooding protocols, three
+/// interpretation), read off a session's metrics (the single or the
+/// sharded world's): activation waves for the flooding protocols, three
 /// rounds per probe wave for TCoP, the fixed 2PC count for the
 /// centralized baseline.
-pub fn rounds_of(world: &World<Msg>, protocol: Protocol) -> u32 {
-    rounds_of_metrics(world.metrics(), protocol)
-}
-
-/// [`rounds_of`] over a bare metrics sink (shared by the single and the
-/// sharded world).
 pub fn rounds_of_metrics(m: &Metrics, protocol: Protocol) -> u32 {
     match protocol {
         Protocol::Tcop => {

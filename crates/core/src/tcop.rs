@@ -184,7 +184,7 @@ impl TcopPeer {
             // The paper stops here ("if C = φ"); with persistent probing
             // the parent tries the next candidate batch, which guarantees
             // every peer is eventually probed.
-            if self.core.cfg.tcop_persistent_probing {
+            if self.core.cfg.guaranteed_coverage {
                 self.start_probe(ctx, shared, round.child_wave + 1);
             } else {
                 self.core.close_view();

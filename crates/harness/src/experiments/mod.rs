@@ -15,9 +15,7 @@
 //! | [`coding`] | XOR parity vs Reed–Solomon under peer crashes |
 //! | [`membership`] | gossip bootstrap of the CP set (O(log n) rounds) |
 //! | [`ablation`] | design-choice ablations (piggybacking, re-enhancement) |
-//! | [`scaling`] | events/sec at n=10²–10⁵ on the sharded kernel |
 //! | [`shardcheck`] | sharded-kernel determinism gate (n=10⁴) |
-//! | [`live_scale`] | live UDP loopback: the live host across populations |
 //! | [`view_bytes`] | control bytes/peer/round: fixed bitmap vs adaptive |
 
 pub mod ablation;
@@ -28,12 +26,10 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod hetero;
-pub mod live_scale;
 pub mod loss;
 pub mod membership;
 pub mod multileaf;
 pub mod overrun;
-pub mod scaling;
 pub mod shardcheck;
 pub mod startup;
 pub mod view_bytes;
@@ -47,8 +43,8 @@ pub struct RunOpts {
     pub seeds: u64,
     /// Worker threads (0 = all cores).
     pub threads: usize,
-    /// Simulation shards per session for the sharded-kernel experiments
-    /// (0 = sweep a default grid; other experiments run single-world).
+    /// Simulation shards per session for `shardcheck` (0 = its default
+    /// grid; every other experiment runs single-world).
     pub shards: usize,
     /// Sweep the full `H = 2..=100` grid instead of the default subset.
     pub full: bool,

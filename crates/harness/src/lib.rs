@@ -13,8 +13,7 @@
 //!
 //! or a single experiment (`fig10`, `fig11`, `fig12`, `compare`,
 //! `faults`, `loss`, `overrun`, `hetero`, `multileaf`, `startup`,
-//! `coding`, `membership`, `ablation`, `scaling`, `shardcheck`,
-//! `live_scale`, `view_bytes`) with
+//! `coding`, `membership`, `ablation`, `shardcheck`, `view_bytes`) with
 //! options `--seeds N`, `--threads N`, `--shards N`, `--full`. Tables
 //! print to stdout and CSVs land under `results/`.
 
@@ -46,9 +45,7 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("coding", experiments::coding::run),
     ("membership", experiments::membership::run),
     ("ablation", experiments::ablation::run),
-    ("scaling", experiments::scaling::run),
     ("shardcheck", experiments::shardcheck::run),
-    ("live_scale", experiments::live_scale::run),
     ("view_bytes", experiments::view_bytes::run),
 ];
 

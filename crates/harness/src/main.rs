@@ -44,9 +44,12 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--seeds" => {
+                // Zero seeds would overwrite every committed CSV with
+                // rows of zeros.
                 opts.seeds = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&s| s > 0)
                     .unwrap_or_else(|| usage())
             }
             "--threads" => {

@@ -2,7 +2,7 @@
 //!
 //! The I/O loops record through the `*_id()` accessors (no string
 //! hashing per batch or datagram); readers — the benchmark, the
-//! `live_scale` experiment, tests — look the same counters up by name
+//! `live_session` example, tests — look the same counters up by name
 //! through `Metrics::counter`.
 //!
 //! Two units appear below. A *datagram* is what one `sendmsg`/`recvmsg`

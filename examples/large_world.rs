@@ -10,7 +10,9 @@
 //! dcop`. `shards = 1` runs the classic single-threaded kernel for an
 //! honest baseline. The run is deterministic for a fixed `(seed,
 //! shards)` pair; the event-stream digest printed at the end is the
-//! reproducibility fingerprint.
+//! reproducibility fingerprint. This is the simulated substrate's
+//! per-point measuring tool; `scripts/mem_profile.sh` records a run in
+//! `results/bench_history.jsonl`.
 
 use mss::core::prelude::*;
 use std::time::Instant;

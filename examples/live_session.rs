@@ -8,9 +8,12 @@
 //! session per coordination protocol on one and on two workers, to
 //! read the wire off — how many frames each datagram carried (bundle
 //! fill), drops, decode errors, whether every send crossed the wire —
-//! and the host: how many frames were copied from a fan-out's record
-//! instead of encoded (tx) or answered from a body a worker had
-//! already decoded (rx), and how busy each worker was.
+//! and the host: hosted wall time (setup included, the settle grace
+//! excluded), `net.sent` per hosted second, the leaf's receipt rate,
+//! the largest receive and send batches, how many frames were copied
+//! from a fan-out's record instead of encoded (tx) or answered from a
+//! body a worker had already decoded (rx), and how busy each worker
+//! was. This is the live plane's per-population measuring tool.
 //!
 //! ```text
 //! cargo run --release --example live_session [-- n]
@@ -19,6 +22,7 @@
 use std::time::{Duration, Instant};
 
 use mss::core::prelude::*;
+use mss::net::runtime::SETTLE;
 use mss::net::{names, LiveOutcome, LiveSession};
 
 /// Frames ÷ datagrams on each side of the wire.
@@ -105,17 +109,30 @@ fn population(n: usize) {
         .flat_map(|p| [(p, 1), (p, 2)])
     {
         let cfg = SessionConfig::live(n, 8, 7);
+        let packets = cfg.content.packets;
         let budget = Duration::from_millis(8_000 + 40 * n as u64);
+        let start = Instant::now();
         let out = LiveSession::new(cfg, protocol, budget)
             .workers(workers)
             .run()
             .expect("live session");
+        // Hosted time: setup and teardown included, the fixed settle
+        // grace after a completion signal excluded.
+        let settle = if out.time_to_done.is_some() {
+            SETTLE
+        } else {
+            Duration::ZERO
+        };
+        let hosted = start.elapsed().saturating_sub(settle).as_secs_f64();
         let m = &out.metrics;
-        let crossed = m.counter(mss::sim::metrics::NET_SENT)
-            == m.counter(names::TX_FRAMES) + m.counter(names::TX_DROPPED);
+        let sent = m.counter(mss::sim::metrics::NET_SENT);
+        let crossed = sent == m.counter(names::TX_FRAMES) + m.counter(names::TX_DROPPED);
+        let receipt = packets.saturating_sub(out.missing as u64) as f64 / packets.max(1) as f64;
         println!(
             "{:<5} on {workers} worker(s): activated {}/{n}, complete={}, done in {:.0} ms, \
              {} coordination msgs\n       \
+             hosted {:.0} ms, {:.0} net.sent/s, receipt rate {receipt:.4}, \
+             batch max rx {} tx {}\n       \
              {}\n       rx_dropped {}, rx_decode_err {}, \
              net.sent = tx_frames + tx_dropped: {crossed}\n       {}",
             protocol.name(),
@@ -123,6 +140,10 @@ fn population(n: usize) {
             out.complete,
             out.time_to_done.map_or(f64::NAN, |d| d.as_secs_f64() * 1e3),
             out.coord_msgs,
+            hosted * 1e3,
+            sent as f64 / hosted.max(1e-9),
+            m.counter(names::RX_BATCH_MAX),
+            m.counter(names::TX_BATCH_MAX),
             bundle_fill(&out),
             m.counter(names::RX_DROPPED),
             m.counter(names::RX_DECODE_ERR),

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Memory trajectory profiling: run `examples/large_world.rs` at a
-# configurable population and record peak RSS alongside events/sec into
-# the bench history (`mem_scale` entry), so the memory plane is tracked
-# across PRs the same way throughput is.
+# Population-scale recorder: run `examples/large_world.rs` (the sim
+# substrate's per-point measuring tool) at a configurable population
+# and record peak RSS, events/sec and the event digest into the bench
+# history (`mem_scale` entry). It records what is; regressions are
+# judged by scripts/bench_pairs.sh.
 #
 # The example itself reports peak RSS (`VmHWM` from procfs) and
 # events/sec on stdout; this script parses those lines and appends one

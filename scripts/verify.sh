@@ -45,8 +45,8 @@ for t in 1 2 8; do
 done
 
 echo "==> every cheap results CSV must be byte-identical (fig11 and the extensions), flash_crowd"
-# shardcheck.csv and live_scale.csv hold wall-clock timings and are
-# left out; each of these experiments takes well under a second.
+# Each of these experiments takes well under a second; shardcheck.csv
+# is diffed after its own step below.
 for e in fig11 compare multileaf overrun hetero startup faults loss coding ablation \
     membership view_bytes; do
     cargo run --release -q -p mss-harness -- "$e" --seeds 16 >/dev/null
@@ -63,7 +63,12 @@ cargo run --release -q --example flash_crowd >/dev/null \
     || { echo "verify.sh: flash_crowd example failed" >&2; exit 1; }
 
 echo "==> sharded-kernel determinism gate (n=10^4 smoke, shards {1,2,4})"
+# Within a run, each cell panics unless two identical runs agree; the
+# CSV (digests, event counts, coverage; no timings) then pins the cells
+# across commits.
 cargo run --release -q -p mss-harness -- shardcheck >/dev/null
+git diff --exit-code -- results/shardcheck.csv \
+    || { echo "verify.sh: sharded-kernel digests changed" >&2; exit 1; }
 
 echo "==> live-plane smoke (loopback UDP, time-bounded, mmsg + fallback)"
 # The live workers' own tests (`live.rs`: a worker is a simulator world
