@@ -16,10 +16,9 @@ use std::sync::Arc;
 use mss_sim::prelude::*;
 
 use crate::config::SessionConfig;
-use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg};
+use crate::msg::{ContentRequest, ControlKind, ControlPacket, Msg};
 use crate::peer_core::{Core, PeerReport};
 use crate::plane::{PlanePeer, RoundShared};
-use crate::schedule::DivisionBasis;
 use mss_overlay::{Directory, PeerId};
 
 /// A contents peer running DCoP.
@@ -104,56 +103,14 @@ impl DcopPeer {
             return; // C = φ: stop selecting.
         }
         let h = self.core.cfg.parity_interval;
-        let parts = children.len() + 1; // children plus this parent
-        let view = self.core.piggyback_view(&children);
-        // Divide the *effective* schedule: re-selecting before an earlier
-        // division has switched must divide that division's own part,
-        // never hand the same packets out twice.
-        let (sched, pos, mark_delta, interval, basis_is_live) = {
-            let was_pending = self.core.pending_switch.is_some();
-            let (b, p, d) = self.core.effective_basis();
-            (b.seq.clone(), p as u32, d, b.interval_nanos, !was_pending)
-        };
-        // One derivation and one body for the whole fan-out: each child
-        // gets a handle on it and deals out its own part, instead of all
-        // `parts` peers repeating the mark/re-enhance computation.
-        let basis = DivisionBasis::derive(
-            &sched,
-            pos as usize,
-            interval,
-            mark_delta,
-            h,
-            self.core.cfg.reenhance,
-            self.core.cfg.tail_parity,
-            self.core.cfg.coding,
-        );
-        // The parent keeps part 0 of the same division, switching at δ.
-        let own = basis.assign(parts, 0);
-        let body = Arc::new(ControlBody {
-            kind: ControlKind::Activate,
-            from: self.core.me,
+        self.core.fan_out(
+            ctx,
+            &mut shared.outbox,
+            ControlKind::Activate,
             wave,
-            view,
-            sched,
-            pos,
-            interval_nanos: interval,
-            mark_delta_nanos: mark_delta,
-            parts: parts as u32,
-            h: h as u32,
-            fanout: fanout as u32,
-            basis: Some(basis),
-        });
-        debug_assert!(shared.outbox.is_empty());
-        for (j, child) in children.iter().enumerate() {
-            let to = self.core.dir.actor_of(*child);
-            shared
-                .outbox
-                .push((to, Msg::control(&body, (j + 1) as u32)));
-        }
-        self.core.send_coord_batch(ctx, &mut shared.outbox);
-        let live_mark = basis_is_live
-            .then(|| crate::schedule::mark_position(pos as usize, interval, mark_delta));
-        self.core.arm_switch(ctx, own, live_mark);
+            &children,
+            h,
+        );
     }
 }
 

@@ -14,9 +14,9 @@ use mss_sim::prelude::*;
 
 use crate::config::{Piggyback, SessionConfig};
 use crate::metrics as mnames;
-use crate::msg::{ContentRequest, ControlBody, ControlPacket, Msg};
+use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg};
 use crate::plane::RoundShared;
-use crate::schedule::{derived_assignment_opts, merge_assignment, TxSchedule};
+use crate::schedule::{derived_assignment_opts, merge_assignment, DivisionBasis, TxSchedule};
 
 /// Timer tag: transmit the next scheduled packet.
 pub const TAG_SEND: u64 = 1;
@@ -291,6 +291,66 @@ impl Core {
             Some(p) => (p, 0, 0),
             None => (&self.sched, self.sched.pos, self.cfg.delta.as_nanos()),
         }
+    }
+
+    /// Divide this peer's schedule among `children` and itself: DCoP's
+    /// `Select` fan-out and TCoP's commit round. One derivation and one
+    /// `kind` body, piggybacking this peer's view, serve the whole
+    /// fan-out — child `j` gets a handle on it for part `j + 1` and
+    /// deals out its own part — and this peer keeps part 0, switching
+    /// at δ. The *effective* schedule is divided: re-dividing before an
+    /// earlier division has switched must divide that division's own
+    /// part, never hand the same packets out twice.
+    pub fn fan_out(
+        &mut self,
+        ctx: &mut dyn Runtime<Msg>,
+        outbox: &mut Vec<(ActorId, Msg)>,
+        kind: ControlKind,
+        wave: u32,
+        children: &[PeerId],
+        h: usize,
+    ) {
+        let parts = children.len() + 1;
+        let view = self.piggyback_view(children);
+        let (sched, pos, mark_delta, interval, basis_is_live) = {
+            let was_pending = self.pending_switch.is_some();
+            let (b, p, d) = self.effective_basis();
+            (b.seq.clone(), p as u32, d, b.interval_nanos, !was_pending)
+        };
+        let basis = DivisionBasis::derive(
+            &sched,
+            pos as usize,
+            interval,
+            mark_delta,
+            h,
+            self.cfg.reenhance,
+            self.cfg.tail_parity,
+            self.cfg.coding,
+        );
+        let own = basis.assign(parts, 0);
+        let body = Arc::new(ControlBody {
+            kind,
+            from: self.me,
+            wave,
+            view,
+            sched,
+            pos,
+            interval_nanos: interval,
+            mark_delta_nanos: mark_delta,
+            parts: parts as u32,
+            h: h as u32,
+            fanout: self.cfg.fanout as u32,
+            basis: Some(basis),
+        });
+        debug_assert!(outbox.is_empty());
+        for (j, child) in children.iter().enumerate() {
+            let to = self.dir.actor_of(*child);
+            outbox.push((to, Msg::control(&body, (j + 1) as u32)));
+        }
+        self.send_coord_batch(ctx, outbox);
+        let live_mark = basis_is_live
+            .then(|| crate::schedule::mark_position(pos as usize, interval, mark_delta));
+        self.arm_switch(ctx, own, live_mark);
     }
 
     /// Arm a re-divided schedule to replace the live one at the switch

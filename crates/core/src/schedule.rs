@@ -744,8 +744,7 @@ mod tests {
         cur.pos = 5;
         let incoming = initial_assignment(20, 2, 2, 1, 1_000);
         let merged = merge_assignment(&cur, &incoming);
-        let mut reference = cur.remaining();
-        reference.merge_into(&incoming.seq.to_seq());
+        let reference = cur.remaining().union(&incoming.seq.to_seq());
         assert_eq!(merged.seq.to_seq(), reference);
         // Membership queries must work on the merged seq.
         for id in reference.ids() {
@@ -757,7 +756,7 @@ mod tests {
     fn merge_of_strided_views_matches_materialized_union() {
         // Both operands strided (the protocol's common case: two parts of
         // different fan-outs), partially sent — the iterator union must
-        // equal the slice union over the materialized sequences.
+        // equal the union of the materialized sequences.
         let basis_a = DivisionBasis::new(
             Arc::new(enhance(&PacketSeq::data_range(23), 2, true, Coding::Xor)),
             700,
@@ -771,10 +770,7 @@ mod tests {
             cur.pos = 2;
             let inc = basis_b.assign(3, pb);
             let merged = merge_assignment(&cur, &inc);
-            let expect = PacketSeq::union_slices(
-                cur.seq.to_seq().ids().get(2..).unwrap_or(&[]),
-                inc.seq.to_seq().ids(),
-            );
+            let expect = cur.seq.to_seq().postfix_at(2).union(&inc.seq.to_seq());
             assert_eq!(merged.seq.to_seq(), expect, "parts {pa}/{pb}");
         }
     }

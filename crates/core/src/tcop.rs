@@ -21,7 +21,6 @@ use crate::metrics as mnames;
 use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, ProbeReply};
 use crate::peer_core::{Core, PeerReport, TAG_REPLY_TIMEOUT};
 use crate::plane::{PlanePeer, RoundShared};
-use crate::schedule::DivisionBasis;
 use mss_overlay::{Directory, PeerId, View};
 
 /// In-flight probe round state on the parent side.
@@ -200,52 +199,17 @@ impl TcopPeer {
         } else {
             self.core.cfg.parity_interval
         };
-        let (sched, pos, mark_delta, interval, basis_is_live) = {
-            let was_pending = self.core.pending_switch.is_some();
-            let (b, p, d) = self.core.effective_basis();
-            (b.seq.clone(), p as u32, d, b.interval_nanos, !was_pending)
-        };
-        // One derivation and one body shared by the parent and all
-        // committed children.
-        let basis = DivisionBasis::derive(
-            &sched,
-            pos as usize,
-            interval,
-            mark_delta,
+        self.core.fan_out(
+            ctx,
+            &mut shared.outbox,
+            ControlKind::Commit,
+            round.child_wave,
+            &round.accepted,
             h_eff,
-            self.core.cfg.reenhance,
-            self.core.cfg.tail_parity,
-            self.core.cfg.coding,
         );
-        let own = basis.assign(parts, 0);
-        let body = Arc::new(ControlBody {
-            kind: ControlKind::Commit,
-            from: self.core.me,
-            wave: round.child_wave,
-            view: self.core.piggyback_view(&round.accepted),
-            sched,
-            pos,
-            interval_nanos: interval,
-            mark_delta_nanos: mark_delta,
-            parts: parts as u32,
-            h: h_eff as u32,
-            fanout: self.core.cfg.fanout as u32,
-            basis: Some(basis),
-        });
-        debug_assert!(shared.outbox.is_empty());
-        for (j, child) in round.accepted.iter().enumerate() {
-            let to = self.core.dir.actor_of(*child);
-            shared
-                .outbox
-                .push((to, Msg::control(&body, (j + 1) as u32)));
-        }
-        self.core.send_coord_batch(ctx, &mut shared.outbox);
         // A committed parent never probes again: the commits' piggyback
         // was the view's last read.
         self.core.close_view();
-        let live_mark = basis_is_live
-            .then(|| crate::schedule::mark_position(pos as usize, interval, mark_delta));
-        self.core.arm_switch(ctx, own, live_mark);
     }
 
     /// §3.5 step 5: the commit activates this peer.

@@ -75,6 +75,10 @@ fn main() {
         run_timeline(extra);
         return;
     }
+    // Only `timeline` takes a second positional argument.
+    if extra.is_some() {
+        usage();
+    }
 
     let started = std::time::Instant::now();
     if which == "all" {

@@ -33,6 +33,8 @@ fn bad_invocations_are_usage_errors_and_write_nothing() {
     for (tag, args) in [
         ("seeds0", &["fig11", "--seeds", "0"][..]),
         ("unknown", &["nope"][..]),
+        ("two", &["fig11", "fig12"][..]),
+        ("junk", &["fig10", "junk"][..]),
     ] {
         assert_eq!(run_in_empty_dir(tag, args), (Some(2), false), "{args:?}");
     }

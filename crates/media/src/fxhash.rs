@@ -1,8 +1,8 @@
 //! Fast deterministic hashing for packet-id keyed maps.
 //!
-//! The packet-sequence index and the schedule re-division dedup are on
-//! the coordination hot path: every control packet triggers O(|sched|)
-//! hash operations. `SipHash` (the std default) costs more than the
+//! The schedule re-division dedup and the decoder's maps are on the
+//! coordination and data hot paths: every control packet triggers
+//! O(|sched|) hash operations. `SipHash` (the std default) costs more than the
 //! rest of those loops combined, and its DoS resistance buys nothing
 //! here — keys are simulator-internal packet ids, not attacker input.
 //! This is the well-known multiply-rotate "Fx" construction; it is

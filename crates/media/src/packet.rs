@@ -123,11 +123,6 @@ impl PacketId {
         !self.is_data()
     }
 
-    /// Smallest covered data sequence number.
-    pub fn min_seq(&self) -> Seq {
-        *self.coverage_slice().first().expect("nonempty coverage")
-    }
-
     /// Largest covered data sequence number. Used as the packet's
     /// *readiness index*: a parity packet becomes useful only once the
     /// stream has progressed past everything it covers, so merged
@@ -242,14 +237,6 @@ pub fn synth_payload(content_key: u64, seq: Seq, len: usize) -> Bytes {
     Bytes::from(out)
 }
 
-/// XOR two equal-length payloads.
-pub fn xor_payload(a: &[u8], b: &[u8]) -> Bytes {
-    assert_eq!(a.len(), b.len(), "payload length mismatch in XOR");
-    let mut out = vec![0u8; a.len()];
-    crate::kernels::xor3(&mut out, a, b);
-    Bytes::from(out)
-}
-
 /// Build a parity packet from concrete `parts` (panics if coverage cancels
 /// to nothing, which never happens for well-formed recovery segments).
 pub fn make_parity(parts: &[&Packet]) -> Packet {
@@ -315,7 +302,6 @@ mod tests {
         let nested =
             PacketId::parity_of(&[p12, PacketId::Data(Seq(3)), PacketId::Data(Seq(5))]).unwrap();
         assert_eq!(nested.coverage_slice(), &[Seq(1), Seq(2), Seq(3), Seq(5)]);
-        assert_eq!(nested.min_seq(), Seq(1));
         assert_eq!(nested.max_seq(), Seq(5));
     }
 
@@ -330,16 +316,6 @@ mod tests {
         let left = PacketId::parity_of(&[p12, PacketId::Data(Seq(1))]).unwrap();
         assert_eq!(left.coverage_slice(), &[Seq(2)]);
         assert!(left.is_parity());
-    }
-
-    #[test]
-    fn xor_payload_recovers_lost_packet() {
-        let a = data(1, 9);
-        let b = data(2, 9);
-        let parity = make_parity(&[&a, &b]);
-        // Lose `a`; recover it from parity ^ b.
-        let recovered = xor_payload(&parity.payload, &b.payload);
-        assert_eq!(recovered, a.payload);
     }
 
     #[test]

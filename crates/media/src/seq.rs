@@ -12,27 +12,20 @@
 //! reproduces the paper's §3.6 merge example
 //! `pkt_6 = ⟨t_1, t_5, t_11, t⟨7,⟨9,11⟩,12⟩⟩`.
 //!
-//! Performance: alongside the ordered items, a [`PacketSeq`] carries a
-//! lazily-built hash index from packet id to first position, so
-//! [`PacketSeq::contains`] and [`PacketSeq::index_of`] are O(1) after a
-//! one-time O(n) build instead of an O(n) scan per query. The index is
-//! built on first query, kept incrementally correct across
-//! [`PacketSeq::push`], and never consulted stale; the set operations
-//! (`union`, `intersection`, in-place [`PacketSeq::merge_into`]) reuse
-//! it instead of materializing a fresh hash set per call.
+//! A [`PacketSeq`] is a plain ordered `Vec`: membership, position,
+//! intersection and the affixes are scans. The protocols' hot path is
+//! [`PacketSeq::union_iters`], a sorted run-merge over borrowed
+//! operands.
 
 use std::fmt;
-use std::sync::OnceLock;
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHashSet;
 use crate::packet::{PacketId, Seq};
 
 /// An ordered sequence of distinct packets (a transmission schedule).
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct PacketSeq {
     items: Vec<PacketId>,
-    /// Packet id → first position in `items`, built on first query.
-    /// Always either unset or exactly consistent with `items`.
-    index: OnceLock<FxHashMap<PacketId, u32>>,
 }
 
 /// Sort key used when merging schedules: readiness index first, data
@@ -93,10 +86,7 @@ fn union_sorted<'a>(
 impl PacketSeq {
     /// Empty sequence.
     pub fn new() -> Self {
-        PacketSeq {
-            items: Vec::new(),
-            index: OnceLock::new(),
-        }
+        PacketSeq::default()
     }
 
     /// The pure data sequence `⟨t_1, …, t_l⟩`.
@@ -109,27 +99,13 @@ impl PacketSeq {
     /// full-duplication mode); the set operations treat repeats as one
     /// element.
     pub fn from_ids(ids: Vec<PacketId>) -> Self {
-        PacketSeq {
-            items: ids,
-            index: OnceLock::new(),
-        }
-    }
-
-    /// The id → first-position index, building it on first use.
-    fn index(&self) -> &FxHashMap<PacketId, u32> {
-        self.index.get_or_init(|| {
-            debug_assert!(self.items.len() <= u32::MAX as usize);
-            let mut m = FxHashMap::with_capacity_and_hasher(self.items.len(), Default::default());
-            for (i, p) in self.items.iter().enumerate() {
-                m.entry(p.clone()).or_insert(i as u32);
-            }
-            m
-        })
+        PacketSeq { items: ids }
     }
 
     /// True when no packet occurs twice.
     pub fn is_distinct(&self) -> bool {
-        self.index().len() == self.items.len()
+        let mut seen = FxHashSet::default();
+        self.items.iter().all(|p| seen.insert(p))
     }
 
     /// Number of packets, `|pkt|`.
@@ -157,100 +133,26 @@ impl PacketSeq {
         self.items.get(i)
     }
 
-    /// Position of the first occurrence of `id`, if present. O(1) after
-    /// the index is built.
+    /// Position of the first occurrence of `id`, if present.
     pub fn index_of(&self, id: &PacketId) -> Option<usize> {
-        self.index().get(id).map(|&i| i as usize)
+        self.items.iter().position(|p| p == id)
     }
 
-    /// Membership test. O(1) after the index is built.
+    /// Membership test.
     pub fn contains(&self, id: &PacketId) -> bool {
-        self.index().contains_key(id)
+        self.items.contains(id)
     }
 
     /// `pkt_1 ∪ pkt_2`: every packet of either sequence, merged by
     /// readiness index (see module docs), duplicates removed.
     pub fn union(&self, other: &PacketSeq) -> PacketSeq {
-        let mine = self.index();
-        let mut merged: Vec<PacketId> = Vec::with_capacity(self.len() + other.len());
-        let mut a = self.items.iter().peekable();
-        let mut b = other
-            .items
-            .iter()
-            .filter(|p| !mine.contains_key(*p))
-            .peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if merge_key(x) <= merge_key(y) {
-                        merged.push((*x).clone());
-                        a.next();
-                    } else {
-                        merged.push((*y).clone());
-                        b.next();
-                    }
-                }
-                (Some(_), None) => {
-                    merged.extend(a.by_ref().cloned());
-                    break;
-                }
-                (None, Some(_)) => {
-                    merged.extend(b.by_ref().cloned());
-                    break;
-                }
-                (None, None) => break,
-            }
-        }
-        PacketSeq::from_ids(merged)
+        PacketSeq::union_iters(self.items.iter(), other.items.iter())
     }
 
-    /// In-place `self = self ∪ other`, bit-for-bit the same result as
-    /// [`PacketSeq::union`] without cloning `self`'s packets. The common
-    /// case where `other` adds nothing is detected up front and costs no
-    /// allocation at all.
-    pub fn merge_into(&mut self, other: &PacketSeq) {
-        let fresh: Vec<&PacketId> = {
-            let mine = self.index();
-            other
-                .items
-                .iter()
-                .filter(|p| !mine.contains_key(*p))
-                .collect()
-        };
-        if fresh.is_empty() {
-            return;
-        }
-        let mut merged: Vec<PacketId> = Vec::with_capacity(self.items.len() + fresh.len());
-        let mut b = fresh.into_iter().peekable();
-        for x in self.items.drain(..) {
-            while let Some(y) = b.peek() {
-                if merge_key(&x) <= merge_key(y) {
-                    break;
-                }
-                merged.push((*y).clone());
-                b.next();
-            }
-            merged.push(x);
-        }
-        merged.extend(b.cloned());
-        self.items = merged;
-        self.index = OnceLock::new();
-    }
-
-    /// `union` over borrowed slices: bit-for-bit the same sequence as
-    /// `PacketSeq::from_ids(a.to_vec()).union(&from_ids(b.to_vec()))`
-    /// without materializing either operand. This is the multi-parent
-    /// merge hot path (`schedule::merge_assignment`): the unsent tail of
-    /// a live schedule merges with an incoming assignment straight into
-    /// the one output vector — no intermediate copies, no index build on
-    /// a throwaway sequence.
-    pub fn union_slices(a: &[PacketId], b: &[PacketId]) -> PacketSeq {
-        PacketSeq::union_iters(a.iter(), b.iter())
-    }
-
-    /// [`PacketSeq::union_slices`] generalized to cloneable iterators, so
+    /// [`PacketSeq::union`] over cloneable iterators, so slices and
     /// strided views ([`crate::view::SeqView`]) merge without
-    /// materializing either operand — same sequence, bit for bit.
+    /// materializing either operand — same sequence, bit for bit. This
+    /// is the multi-parent merge hot path (`schedule::merge_assignment`).
     ///
     /// When both operands are ascending by merge key — true of every
     /// schedule the protocols produce: enhanced streams are ascending,
@@ -277,7 +179,7 @@ impl PacketSeq {
         if let Some(seq) = union_sorted(a.clone(), b.clone(), a_hint + b_hint) {
             return seq;
         }
-        let mine: crate::fxhash::FxHashSet<&PacketId> = a.clone().collect();
+        let mine: FxHashSet<&PacketId> = a.clone().collect();
         let mut merged: Vec<PacketId> = Vec::with_capacity(a_hint + b_hint);
         let mut fresh = b.filter(|p| !mine.contains(*p)).peekable();
         for x in a {
@@ -296,14 +198,11 @@ impl PacketSeq {
 
     /// `pkt_1 ∩ pkt_2`: packets present in both, in `self`'s order.
     pub fn intersection(&self, other: &PacketSeq) -> PacketSeq {
-        let theirs = other.index();
-        PacketSeq::from_ids(
-            self.items
-                .iter()
-                .filter(|p| theirs.contains_key(*p))
-                .cloned()
-                .collect(),
-        )
+        self.items
+            .iter()
+            .filter(|p| other.contains(p))
+            .cloned()
+            .collect()
     }
 
     /// Prefix `pkt⟨t]`: everything up to and including `t`.
@@ -329,54 +228,9 @@ impl PacketSeq {
         PacketSeq::from_ids(self.items.get(i..).unwrap_or(&[]).to_vec())
     }
 
-    /// Append a packet. If the index is already built it is updated in
-    /// place, so interleaved push/query loops stay O(1) per operation.
+    /// Append a packet.
     pub fn push(&mut self, id: PacketId) {
-        let pos = self.items.len() as u32;
-        if let Some(m) = self.index.get_mut() {
-            m.entry(id.clone()).or_insert(pos);
-        }
         self.items.push(id);
-    }
-
-    /// Number of data (non-parity) packets.
-    pub fn data_count(&self) -> usize {
-        self.items.iter().filter(|p| p.is_data()).count()
-    }
-
-    /// Number of parity packets.
-    pub fn parity_count(&self) -> usize {
-        self.items.iter().filter(|p| p.is_parity()).count()
-    }
-}
-
-impl Default for PacketSeq {
-    fn default() -> Self {
-        PacketSeq::new()
-    }
-}
-
-impl Clone for PacketSeq {
-    fn clone(&self) -> Self {
-        // The clone starts with an unbuilt index: rebuilding on demand is
-        // cheaper than deep-copying a HashMap the clone may never query.
-        PacketSeq::from_ids(self.items.clone())
-    }
-}
-
-impl PartialEq for PacketSeq {
-    fn eq(&self, other: &Self) -> bool {
-        self.items == other.items
-    }
-}
-
-impl Eq for PacketSeq {}
-
-impl fmt::Debug for PacketSeq {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PacketSeq")
-            .field("items", &self.items)
-            .finish()
     }
 }
 
@@ -469,47 +323,6 @@ mod tests {
         sa.sort_by(|x, y| merge_key(x).cmp(&merge_key(y)));
         sb.sort_by(|x, y| merge_key(x).cmp(&merge_key(y)));
         assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn merge_into_matches_union() {
-        let cases: &[(Vec<PacketId>, Vec<PacketId>)] = &[
-            (vec![d(1), d(3), d(5)], vec![d(2), d(3), d(6)]),
-            (vec![], vec![d(1)]),
-            (vec![d(1)], vec![]),
-            (vec![d(5), d(11)], vec![d(1), par(&[7, 9, 11, 12])]),
-            (vec![d(1), d(1), d(2)], vec![d(1), d(7), d(7)]),
-        ];
-        for (a, b) in cases {
-            let a = PacketSeq::from_ids(a.clone());
-            let b = PacketSeq::from_ids(b.clone());
-            let by_union = a.union(&b);
-            let mut in_place = a.clone();
-            in_place.merge_into(&b);
-            assert_eq!(in_place, by_union, "{a} ∪ {b}");
-            // The index survives invalidation: queries still agree.
-            for id in by_union.iter() {
-                assert!(in_place.contains(id));
-            }
-        }
-    }
-
-    #[test]
-    fn union_slices_matches_union() {
-        let cases: &[(Vec<PacketId>, Vec<PacketId>)] = &[
-            (vec![d(1), d(3), d(5)], vec![d(2), d(3), d(6)]),
-            (vec![], vec![d(1)]),
-            (vec![d(1)], vec![]),
-            (vec![], vec![]),
-            (vec![d(5), d(11)], vec![d(1), par(&[7, 9, 11, 12])]),
-            (vec![d(1), d(1), d(2)], vec![d(1), d(7), d(7)]),
-            (vec![par(&[1, 2]), d(2)], vec![d(2), par(&[1, 2]), d(9)]),
-        ];
-        for (a, b) in cases {
-            let sa = PacketSeq::from_ids(a.clone());
-            let sb = PacketSeq::from_ids(b.clone());
-            assert_eq!(PacketSeq::union_slices(a, b), sa.union(&sb), "{sa} ∪ {sb}");
-        }
     }
 
     /// The original hash-set union, kept verbatim as the oracle for the
@@ -649,23 +462,14 @@ mod tests {
     #[test]
     fn index_tracks_push_and_first_occurrence() {
         let mut s = PacketSeq::from_ids(vec![d(2), d(4), d(2)]);
-        // Build the index, then push through it.
         assert_eq!(s.index_of(&d(2)), Some(0), "first occurrence wins");
         assert!(!s.contains(&d(9)));
         s.push(d(9));
         s.push(d(2));
         assert_eq!(s.index_of(&d(9)), Some(3));
         assert_eq!(s.index_of(&d(2)), Some(0), "push keeps first occurrence");
-        // Push before any query also works.
         let mut t = PacketSeq::new();
         t.push(d(1));
         assert!(t.contains(&d(1)));
-    }
-
-    #[test]
-    fn counts_split_data_and_parity() {
-        let s = PacketSeq::from_ids(vec![par(&[1, 2]), d(1), d(2), d(3)]);
-        assert_eq!(s.data_count(), 3);
-        assert_eq!(s.parity_count(), 1);
     }
 }

@@ -136,12 +136,8 @@ impl SeqView {
             .take((self.len as usize) - skip)
     }
 
-    /// Membership test over the *selected* elements. O(1) for a full
-    /// view (delegates to the base's index), O(len) for a strided one.
+    /// Membership test over the *selected* elements.
     pub fn contains(&self, id: &PacketId) -> bool {
-        if self.start == 0 && self.stride == 1 && self.len as usize == self.base.len() {
-            return self.base.contains(id);
-        }
         self.iter().any(|p| p == id)
     }
 

@@ -1,9 +1,8 @@
-//! Property tests for the indexed `PacketSeq`: the lazily-built
-//! position index must be invisible — every operation behaves exactly
-//! like the original scan-based implementation. `reference_union` below
-//! is a line-for-line copy of the seed algorithm (per-call hash set,
+//! Property tests for `PacketSeq`: every operation behaves exactly like
+//! the original implementation. `reference_union` below is a
+//! line-for-line copy of the seed algorithm (per-call hash set,
 //! two-pointer merge by readiness key) and every randomized case checks
-//! the production `union`/`merge_into` against it bit-for-bit.
+//! the production `union` against it bit-for-bit.
 
 use proptest::prelude::*;
 
@@ -87,14 +86,6 @@ proptest! {
         prop_assert_eq!(a.union(&b), reference_union(&a, &b), "a={} b={}", a, b);
     }
 
-    /// In-place `merge_into` is the same operation as `union`.
-    #[test]
-    fn merge_into_matches_union(a in arb_schedule(), b in arb_schedule()) {
-        let mut m = a.clone();
-        m.merge_into(&b);
-        prop_assert_eq!(m, a.union(&b), "a={} b={}", a, b);
-    }
-
     /// The union of distinct operands is readiness-ordered and distinct.
     #[test]
     fn union_is_readiness_ordered_and_distinct(a in arb_schedule(), b in arb_schedule()) {
@@ -135,8 +126,8 @@ proptest! {
         }
     }
 
-    /// The index agrees with a linear scan for both hits and misses,
-    /// before and after pushes.
+    /// `index_of` and `contains` agree with a linear scan for both hits
+    /// and misses, before and after pushes.
     #[test]
     fn index_agrees_with_linear_scan(s in arb_schedule(), probe in 1u64..50, push in 1u64..50) {
         let mut s = s;
@@ -147,7 +138,7 @@ proptest! {
         let push_id = PacketId::Data(Seq(push));
         s.push(push_id.clone());
         let scan = s.ids().iter().position(|p| p == &push_id);
-        prop_assert_eq!(s.index_of(&push_id), scan, "index stale after push");
+        prop_assert_eq!(s.index_of(&push_id), scan, "position wrong after push");
     }
 
     /// Intersection, prefix and postfix behave like the scan-based

@@ -13,15 +13,21 @@
 //! O(1) instead of O(log n):
 //!
 //! * **Near horizon** — `nb` circularly-indexed time buckets, each
-//!   covering a `2^w_shift`-nanosecond slice of the sliding window
-//!   `[base, base + nb·2^w_shift)`; an in-window time `t` lives in
-//!   bucket `(t >> w_shift) & (nb - 1)`. The window's start tracks the
-//!   dispatch cursor, so its far end advances continuously and pushes a
-//!   link-latency ahead of *now* stay in-window — the steady-state hold
-//!   pattern never touches the heap.
+//!   covering one fixed `2^SHIFT`-nanosecond (≈ 131 µs) slice of the
+//!   sliding window `[base, base + nb·2^SHIFT)`; an in-window time `t`
+//!   lives in bucket `(t >> SHIFT) & (nb - 1)`. The window's start
+//!   tracks the dispatch cursor, so its far end advances continuously
+//!   and pushes a link-latency ahead of *now* stay in-window — the
+//!   steady-state hold pattern never touches the heap.
 //! * **Overflow** — events beyond the window (far timers) sit in a
 //!   binary heap and migrate into buckets — once, a few at a time — as
 //!   the window slides over them.
+//!
+//! The width never changes and the bucket count only grows: `reserve`,
+//! and a push that leaves more than two keys per bucket, set it to the
+//! pending population rounded up to a power of two, within
+//! [64, 65 536]. A burst of same-time pushes therefore rebuilds
+//! O(log n) times, and a session pre-sized by `reserve` never does.
 //!
 //! Storage is a pair of parallel slabs indexed by `u32` slots — a hot
 //! slab of 24-byte scheduling keys (`time`, `seq`, intrusive `next`
@@ -42,40 +48,28 @@
 //! (one bit per bucket), and the list is sorted once, when the cursor
 //! arrives on it: the keys are streamed into a contiguous scratch
 //! buffer, sorted there, and relinked. That is O(log k) amortised per
-//! event for a k-key bucket however badly the width fits the workload
-//! — a burst of 10⁴ random-order arrivals into one bucket would
-//! otherwise cost a pointer-chasing O(k) walk each. Pushes into the
-//! cursor bucket itself (the slice being dispatched, and stale pushes
-//! clamped into it) keep a sorted insert, so it stays sorted while it
-//! drains; and while a sorted bucket's insertion point is within a
-//! few cells of its head the key is linked in place rather than
-//! marked, which keeps the short lists of a small, well-tuned
-//! calendar away from the sort altogether.
-//!
-//! The bucket width is auto-tuned (power-of-two widths, so indexing is
-//! a shift) from the observed inter-pop gap and the density of the
-//! pending set, and the bucket count from the pending span, with
-//! hysteresis (`rebuild`). Both re-tunes depend only on the operation
-//! sequence — never on wall time or addresses — and neither changes
-//! which `(time, seq)` entries are pending, so tuning affects speed,
-//! never pop order.
+//! event for a k-key bucket — a burst of 10⁴ random-order arrivals
+//! into one bucket would otherwise cost a pointer-chasing O(k) walk
+//! each. Pushes into the cursor bucket itself (the slice being
+//! dispatched, and stale pushes clamped into it) keep a sorted insert,
+//! so it stays sorted while it drains.
 //!
 //! ## Determinism argument
 //!
 //! Pop always returns the globally least `(time, seq)` entry. The
-//! window spans at most `nb` consecutive slices, so each bucket holds
-//! at most one slice's worth of in-window events and the circular scan
-//! from the cursor visits slices in increasing time order, whatever
-//! the order inside a bucket; the cursor bucket is sorted before its
-//! first key is popped and kept sorted while it drains, and since
-//! `seq` is unique the sort has a single outcome — which for equal
-//! times is exactly FIFO insertion order; entries that land behind the
-//! window's start are clamped into the cursor bucket, where the sorted
-//! insert ranks them first; and the overflow heap holds only times at
-//! or beyond the window end. The total order is therefore identical to
-//! the reference heap's, bit for bit (property-tested in
-//! `tests/properties.rs`). Slot numbers index storage only and never
-//! participate in ordering.
+//! window spans at most `nb` consecutive `2^SHIFT`-ns slices, so each
+//! bucket holds at most one slice's worth of in-window events and the
+//! circular scan from the cursor visits slices in increasing time
+//! order, whatever the order inside a bucket; the cursor bucket is
+//! sorted before its first key is popped and kept sorted while it
+//! drains, and since `seq` is unique the sort has a single outcome —
+//! which for equal times is exactly FIFO insertion order; entries that
+//! land behind the window's start are clamped into the cursor bucket,
+//! where the sorted insert ranks them first; the overflow heap holds
+//! only times at or beyond the window end; and a rebuild re-files the
+//! same keys. The total order is therefore identical to the reference
+//! heap's, bit for bit (property-tested in `tests/properties.rs`). Slot
+//! numbers index storage only and never participate in ordering.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -189,23 +183,8 @@ impl Ord for Key {
 const MIN_BUCKETS: usize = 64;
 /// Most buckets the calendar will grow to.
 const MAX_BUCKETS: usize = 1 << 16;
-/// Narrowest bucket: 1 ns. Narrow is the safe failure mode — an
-/// under-wide calendar degrades to overflow-heap behaviour (O(log n)),
-/// while an over-wide one pays a sort per fat bucket and an O(n) list
-/// walk for every push into the bucket being drained.
-const MIN_SHIFT: u32 = 0;
-/// Widest bucket: 2^30 ns ≈ 1.07 s.
-const MAX_SHIFT: u32 = 30;
-/// Width before any gap has been observed: 2^17 ns ≈ 131 µs.
-const DEFAULT_SHIFT: u32 = 17;
-
-/// An out-of-order push into a sorted bucket the cursor is not on still
-/// takes its sorted place when that is within this many cells of the
-/// head, so the short lists of a small pending population (a few keys
-/// per bucket) never pay for the mark-and-sort machinery; past it the
-/// key is appended and the bucket marked. Bounds the walk, so the push
-/// stays O(1).
-const SHORT_WALK: usize = 8;
+/// Bucket width is `1 << SHIFT` nanoseconds: 2^17 ns ≈ 131 µs.
+const SHIFT: u32 = 17;
 
 /// Priority queue of future events ordered by `(time, insertion sequence)`.
 ///
@@ -235,11 +214,9 @@ pub struct EventQueue<M> {
     unsorted: Vec<u64>,
     /// Reused key buffer for the sort-on-arrival pass.
     sort_scratch: Vec<Key>,
-    /// Keys beyond the window `[base, base + nb·2^w_shift)`.
+    /// Keys beyond the window `[base, base + nb·2^SHIFT)`.
     overflow: BinaryHeap<Key>,
     nb: usize,
-    /// Bucket width is `1 << w_shift` nanoseconds.
-    w_shift: u32,
     /// Inclusive start of the bucketed window — the aligned start of
     /// the cursor bucket's time slice. Advances with the cursor, which
     /// slides the window end forward and lets overflow keys migrate in
@@ -257,20 +234,15 @@ pub struct EventQueue<M> {
     bucketed: usize,
     len: usize,
     next_seq: u64,
-    /// Inter-pop gap statistics driving the width auto-tune.
-    last_pop: Option<u64>,
-    gap_sum: u64,
-    gap_cnt: u64,
-    /// Population at the last rebuild; growth re-triggers only after it
-    /// doubles, so workloads a resize cannot help (e.g. massive ties)
-    /// rebuild O(log n) times, not per push.
-    rebuilt_len: usize,
     /// Most events ever pending at once (sizing diagnostics).
     high_water: usize,
     /// Key cells read by sorted-insert walks and bucket sorts — the
     /// complexity pin's wall-clock-free cost measure.
     #[cfg(test)]
     cells_visited: u64,
+    /// Calendar rebuilds so far — the sizing rule's pin.
+    #[cfg(test)]
+    rebuilds: u32,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -286,20 +258,17 @@ impl<M> Default for EventQueue<M> {
             sort_scratch: Vec::new(),
             overflow: BinaryHeap::new(),
             nb: MIN_BUCKETS,
-            w_shift: DEFAULT_SHIFT,
             base: 0,
             cursor: 0,
             cursor_hint: NIL,
             bucketed: 0,
             len: 0,
             next_seq: 0,
-            last_pop: None,
-            gap_sum: 0,
-            gap_cnt: 0,
-            rebuilt_len: 0,
             high_water: 0,
             #[cfg(test)]
             cells_visited: 0,
+            #[cfg(test)]
+            rebuilds: 0,
         }
     }
 }
@@ -323,9 +292,7 @@ impl<M> EventQueue<M> {
     /// unaffected.
     pub fn reserve(&mut self, additional: usize) {
         let target = self.len.saturating_add(additional);
-        if target > self.nb * 2 && self.nb < MAX_BUCKETS {
-            self.rebuild(target);
-        }
+        self.grow(target);
         let grow = target.saturating_sub(self.keys.len());
         self.keys.reserve(grow);
         self.vals.reserve(grow);
@@ -356,7 +323,7 @@ impl<M> EventQueue<M> {
             }
         };
         if self.len == 0 {
-            self.init_window(at.0);
+            self.aim_at(at.0);
         }
         self.place(Key {
             time: at,
@@ -367,9 +334,7 @@ impl<M> EventQueue<M> {
         if self.len > self.high_water {
             self.high_water = self.len;
         }
-        if self.len > self.nb * 2 && self.len > self.rebuilt_len * 2 && self.nb < MAX_BUCKETS {
-            self.rebuild(self.len);
-        }
+        self.grow(self.len);
     }
 
     /// Timestamp of the earliest pending event, if any.
@@ -413,10 +378,6 @@ impl<M> EventQueue<M> {
         self.free.push(slot);
         self.bucketed -= 1;
         self.len -= 1;
-        self.observe_gap(t.0);
-        if self.nb > MIN_BUCKETS && self.len * 32 < self.nb {
-            self.rebuild(self.len);
-        }
         Some((t, event))
     }
 
@@ -468,11 +429,11 @@ impl<M> EventQueue<M> {
     }
 
     /// True when `t` falls inside the bucketed window
-    /// `[base, base + nb·2^w_shift)`. Times behind `base` are handled
+    /// `[base, base + nb·2^SHIFT)`. Times behind `base` are handled
     /// by the stale clamp in [`Self::place`].
     #[inline]
     fn in_window(&self, t: u64) -> bool {
-        t >= self.base && (t - self.base) >> self.w_shift < self.nb as u64
+        t >= self.base && (t - self.base) >> SHIFT < self.nb as u64
     }
 
     /// File a key into its bucket or the overflow heap. Window must be
@@ -483,8 +444,8 @@ impl<M> EventQueue<M> {
             // Stale push, behind the cursor's slice: clamp into the
             // cursor bucket, where the sorted order ranks it first.
             self.cursor
-        } else if (t - self.base) >> self.w_shift < self.nb as u64 {
-            ((t >> self.w_shift) & (self.nb as u64 - 1)) as usize
+        } else if (t - self.base) >> SHIFT < self.nb as u64 {
+            self.bucket_of(t)
         } else {
             self.overflow.push(k);
             return;
@@ -492,15 +453,19 @@ impl<M> EventQueue<M> {
         self.link(i, k);
     }
 
+    /// Bucket of in-window time `t`.
+    #[inline]
+    fn bucket_of(&self, t: u64) -> usize {
+        ((t >> SHIFT) & (self.nb as u64 - 1)) as usize
+    }
+
     /// File `k` into bucket `i`'s intrusive list. Any bucket other than
-    /// the cursor's takes the key in O(1): in order, or already marked,
-    /// it goes on the tail; out of order it takes its place if that is
-    /// within [`SHORT_WALK`] cells of the head, else goes on the tail
-    /// and marks the bucket unsorted, to be sorted once, when the
-    /// cursor arrives ([`Self::settle`]). The cursor bucket is being
+    /// the cursor's takes the key in O(1) on its tail; one that lands
+    /// out of order marks the bucket unsorted, to be sorted once, when
+    /// the cursor arrives ([`Self::settle`]). The cursor bucket is being
     /// drained from its head, so it stays sorted: an out-of-order
     /// arrival there (a push into the slice being dispatched, or a
-    /// stale-clamped one) walks to its place however far that is.
+    /// stale-clamped one) walks to its place.
     fn link(&mut self, i: usize, k: Key) {
         // Re-filed keys (rebuild, overflow migration) carry a stale
         // link from their previous list.
@@ -516,12 +481,8 @@ impl<M> EventQueue<M> {
         if !self.is_unsorted(i) {
             let tn = self.keys[tail as usize];
             if (tn.time, tn.seq) > k.order() {
-                let limit = if i == self.cursor {
-                    usize::MAX
-                } else {
-                    SHORT_WALK
-                };
-                if self.insert_sorted(i, k, limit) {
+                if i == self.cursor {
+                    self.insert_sorted(k);
                     return;
                 }
                 self.unsorted[i >> 6] |= 1u64 << (i & 63);
@@ -531,43 +492,39 @@ impl<M> EventQueue<M> {
         self.tails[i] = k.slot;
     }
 
-    /// Walk sorted bucket `i` to the first key ranking after `k` and
-    /// link `k` before it; false (list untouched) if that key is not
-    /// among the first `limit` cells. The caller has checked that the
-    /// tail is such a key, so an unlimited walk ends inside the list,
-    /// and the tail is unmoved either way.
-    fn insert_sorted(&mut self, i: usize, k: Key, limit: usize) -> bool {
+    /// Walk the cursor bucket to the first key ranking after `k` and
+    /// link `k` before it — from `cursor_hint` when `k` ranks after
+    /// that key. The caller has checked that the tail is such a key, so
+    /// the walk ends inside the list and the tail is unmoved.
+    fn insert_sorted(&mut self, k: Key) {
         let ord = k.order();
-        let (mut prev, mut cur) = (NIL, self.heads[i]);
+        let (mut prev, mut cur) = (NIL, self.heads[self.cursor]);
         let hint = self.cursor_hint;
-        if i == self.cursor && hint != NIL {
+        if hint != NIL {
             let h = self.keys[hint as usize];
             if (h.time, h.seq) < ord {
                 (prev, cur) = (hint, h.next);
             }
         }
-        for _ in 0..limit {
+        loop {
             let c = self.keys[cur as usize];
             #[cfg(test)]
             {
                 self.cells_visited += 1;
             }
             if (c.time, c.seq) > ord {
-                self.keys[k.slot as usize].next = cur;
-                if prev == NIL {
-                    self.heads[i] = k.slot;
-                } else {
-                    self.keys[prev as usize].next = k.slot;
-                }
-                if i == self.cursor {
-                    self.cursor_hint = k.slot;
-                }
-                return true;
+                break;
             }
             prev = cur;
             cur = c.next;
         }
-        false
+        self.keys[k.slot as usize].next = cur;
+        if prev == NIL {
+            self.heads[self.cursor] = k.slot;
+        } else {
+            self.keys[prev as usize].next = k.slot;
+        }
+        self.cursor_hint = k.slot;
     }
 
     #[inline]
@@ -601,7 +558,7 @@ impl<M> EventQueue<M> {
         {
             self.cells_visited += scratch.len() as u64;
         }
-        scratch.sort_unstable_by_key(|k| k.order());
+        scratch.sort_unstable_by_key(Key::order);
         let mut next = NIL;
         for k in scratch.iter().rev() {
             self.keys[k.slot as usize].next = next;
@@ -621,61 +578,18 @@ impl<M> EventQueue<M> {
                 break;
             }
             let k = self.overflow.pop().expect("peeked");
-            self.link(
-                ((k.time.0 >> self.w_shift) & (self.nb as u64 - 1)) as usize,
-                k,
-            );
+            self.link(self.bucket_of(k.time.0), k);
         }
     }
 
-    /// Average observed inter-pop gap, as a clamped power-of-two shift.
-    fn ideal_shift(&self) -> u32 {
-        if self.gap_cnt == 0 {
-            return DEFAULT_SHIFT;
-        }
-        let avg = (self.gap_sum / self.gap_cnt).max(1);
-        // Bucket width in [avg/2, avg): floor(log2) - 1. Narrow is the
-        // right bias: skipping an empty bucket costs almost nothing
-        // (one occupancy-bitmap scan covers 64 buckets), while an
-        // over-wide bucket turns clustered arrivals into long in-bucket
-        // list walks.
-        (63 - avg.leading_zeros())
-            .saturating_sub(1)
-            .clamp(MIN_SHIFT, MAX_SHIFT)
-    }
-
-    /// Record the gap between consecutive pops, with periodic decay so
-    /// the average tracks the recent workload.
-    fn observe_gap(&mut self, t: u64) {
-        if let Some(last) = self.last_pop {
-            let d = t.saturating_sub(last);
-            if d > 0 {
-                self.gap_sum += d;
-                self.gap_cnt += 1;
-                if self.gap_cnt >= 1024 {
-                    self.gap_sum >>= 1;
-                    self.gap_cnt >>= 1;
-                }
-            }
-        }
-        self.last_pop = Some(self.last_pop.map_or(t, |l| l.max(t)));
-    }
-
-    /// Point the window at (the aligned slice of) time `t`, re-tuning
-    /// the width from the gap statistics. Buckets must be empty.
-    fn init_window(&mut self, t: u64) {
-        self.w_shift = self.ideal_shift();
-        self.aim_at(t);
-    }
-
-    /// Move `base`/`cursor` to the slice containing `t` without
-    /// changing the width. Only valid when `t` is at or past every
-    /// bucketed key (the window never moves backwards over content).
+    /// Move `base`/`cursor` to the slice containing `t`. Only valid
+    /// when `t` is at or past every bucketed key (the window never
+    /// moves backwards over content).
     #[inline]
     fn aim_at(&mut self, t: u64) {
         self.cursor_hint = NIL;
-        self.base = (t >> self.w_shift) << self.w_shift;
-        self.cursor = ((t >> self.w_shift) & (self.nb as u64 - 1)) as usize;
+        self.base = (t >> SHIFT) << SHIFT;
+        self.cursor = self.bucket_of(t);
     }
 
     /// Ensure the cursor sits on the non-empty bucket holding the
@@ -704,9 +618,9 @@ impl<M> EventQueue<M> {
             }
         } else {
             // Buckets drained: jump the window to the earliest overflow
-            // key (possibly re-tuning the width — order-neutral).
+            // key.
             let t0 = self.overflow.peek().expect("len > 0").time.0;
-            self.init_window(t0);
+            self.aim_at(t0);
         }
         // Either jump advanced the window end: let overflow catch up.
         self.drain_overflow();
@@ -714,95 +628,41 @@ impl<M> EventQueue<M> {
         true
     }
 
-    /// Resize the calendar to suit `target` pending events and re-file
-    /// every key. Re-tunes the bucket width (the narrower of the gap
-    /// estimate and the pending-set density) and the bucket count (the
-    /// pending span with headroom at that width, capped at 8× the
-    /// population). Membership is preserved exactly, so pop order
-    /// cannot change.
-    fn rebuild(&mut self, target: usize) {
-        self.cursor_hint = NIL;
-        let mut scratch: Vec<Key> = Vec::with_capacity(self.len);
-        let mut w = 0;
-        while let Some(i) = self.occ_word_next(&mut w) {
-            self.bucket_keys_into(i, &mut scratch);
-            self.heads[i] = NIL;
-            self.tails[i] = NIL;
-            // Clear as we go so the word scan advances past this bucket.
-            self.occ[i >> 6] &= !(1u64 << (i & 63));
-        }
-        scratch.extend(std::mem::take(&mut self.overflow));
-        self.rebuilt_len = target.max(scratch.len());
-        if scratch.is_empty() {
-            // Reserve path: pre-size the calendar for the hint alone.
-            self.resize_to(target.next_power_of_two());
+    /// The one sizing rule: once `target` pending events exceed two per
+    /// bucket, grow the calendar to `max(target, len)` buckets (a power
+    /// of two, at most [`MAX_BUCKETS`]) and re-file every key in
+    /// `(time, seq)` order, so each link is a tail append. Never
+    /// shrinks. Membership is preserved exactly, so pop order cannot
+    /// change.
+    fn grow(&mut self, target: usize) {
+        if target <= self.nb * 2 || self.nb == MAX_BUCKETS {
             return;
         }
-        // Sorted re-filing makes every link below a tail append.
-        scratch.sort_unstable_by_key(|k| k.order());
-        let min_t = scratch.first().expect("non-empty").time.0;
-        let max_t = scratch.last().expect("non-empty").time.0;
-        let span = max_t - min_t;
-        // Width that spreads the pending set at ~1 key per bucket. With
-        // no pop history yet (bulk prefill), it is the only density
-        // signal; combined with the gap estimate, the narrower wins —
-        // a dense cluster must not collapse into a few fat buckets.
-        let span_w = (span / scratch.len() as u64).max(1);
-        let span_shift = (63 - span_w.leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT);
-        let shift = if self.gap_cnt == 0 {
-            span_shift
-        } else {
-            self.ideal_shift().min(span_shift)
+        let nb = target.max(self.len).min(MAX_BUCKETS).next_power_of_two();
+        let mut keys: Vec<Key> = Vec::with_capacity(self.len);
+        for i in 0..self.nb {
+            self.bucket_keys_into(i, &mut keys);
+        }
+        keys.extend(std::mem::take(&mut self.overflow));
+        keys.sort_unstable_by_key(Key::order);
+        self.nb = nb;
+        self.heads = vec![NIL; nb];
+        self.tails = vec![NIL; nb];
+        self.occ = vec![0; nb.div_ceil(64)];
+        self.unsorted = vec![0; nb.div_ceil(64)];
+        self.bucketed = 0;
+        self.cursor_hint = NIL;
+        #[cfg(test)]
+        {
+            self.rebuilds += 1;
+        }
+        let Some(first) = keys.first() else {
+            return;
         };
-        // Enough buckets that the window covers the whole pending span
-        // with 4× headroom — an in-window push skips the overflow heap
-        // entirely, and in a rolling workload new pushes land past the
-        // span observed here — capped so a far-future outlier cannot
-        // demand a huge calendar.
-        let want = (span >> shift).saturating_add(1).saturating_mul(4);
-        let cap = (self.rebuilt_len as u64).saturating_mul(8);
-        self.resize_to(want.min(cap).max(1) as usize);
-        self.w_shift = shift;
-        self.aim_at(min_t);
-        for k in scratch {
+        self.aim_at(first.time.0);
+        for k in keys {
             self.place(k);
         }
-    }
-
-    /// Next occupied bucket scanning words from `*w` forward (linear,
-    /// not circular) — rebuild's traversal order, which need not be
-    /// time order.
-    fn occ_word_next(&self, w: &mut usize) -> Option<usize> {
-        while *w < self.occ.len() {
-            let word = self.occ[*w];
-            if word != 0 {
-                let i = (*w << 6) + word.trailing_zeros() as usize;
-                return Some(i);
-            }
-            *w += 1;
-        }
-        None
-    }
-
-    /// Set the bucket count to `want` (clamped, power of two), clearing
-    /// all buckets and the occupancy bitmap. Callers re-file keys.
-    fn resize_to(&mut self, want: usize) {
-        let new_nb = want.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if new_nb != self.nb {
-            self.heads.clear();
-            self.heads.resize(new_nb, NIL);
-            self.tails.clear();
-            self.tails.resize(new_nb, NIL);
-            self.nb = new_nb;
-            self.occ = vec![0; new_nb.div_ceil(64)];
-            self.unsorted = vec![0; new_nb.div_ceil(64)];
-        } else {
-            self.heads.fill(NIL);
-            self.tails.fill(NIL);
-            self.occ.fill(0);
-            self.unsorted.fill(0);
-        }
-        self.bucketed = 0;
     }
 }
 
@@ -935,7 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn grows_and_shrinks_without_losing_order() {
+    fn grows_without_losing_order() {
         let mut q = EventQueue::new();
         let n = 10_000u64;
         for i in 0..n {
@@ -957,7 +817,7 @@ mod tests {
 
     /// Complexity pin without a wall clock: one coordination wave of a
     /// population-scale session — the calendar pre-sized by `reserve`
-    /// (maximum bucket count, default width), the event being handled
+    /// (maximum bucket count of the fixed width), the event being handled
     /// at the cursor, 10⁵ deliveries pushed in random time order into
     /// the eight buckets a link latency ahead — then the full drain.
     /// Appending and sorting on arrival reads each key cell about
@@ -1015,6 +875,32 @@ mod tests {
             "{} key cells read",
             q.cells_visited
         );
+    }
+
+    /// The sizing rule: a burst of 10⁵ same-time pushes into a fresh
+    /// queue grows the calendar O(log n) times — each growth at least
+    /// doubles the bucket count, so from 64 buckets it is at most
+    /// ⌈log₂(10⁵/64)⌉ + 1 — and still pops FIFO; pre-sized for the
+    /// burst, it never rebuilds.
+    #[test]
+    fn same_time_burst_rebuilds_logarithmically_or_not_at_all() {
+        const N: u64 = 100_000;
+        let bound = (N as f64 / MIN_BUCKETS as f64).log2().ceil() as u32 + 1;
+        for (mut q, most) in [
+            (EventQueue::new(), bound),
+            (EventQueue::with_capacity(N as usize), 0),
+        ] {
+            let before = q.rebuilds;
+            for tag in 0..N {
+                q.push(SimTime(7), timer_ev(tag));
+            }
+            let rebuilds = q.rebuilds - before;
+            assert!(rebuilds <= most, "{rebuilds} rebuilds, bound {most}");
+            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+                .map(|(_, e)| tag_of(e))
+                .collect();
+            assert_eq!(order, (0..N).collect::<Vec<_>>());
+        }
     }
 
     #[test]

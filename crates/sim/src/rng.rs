@@ -118,14 +118,6 @@ impl SimRng {
         }
     }
 
-    /// Exponentially distributed value with the given mean.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        debug_assert!(mean >= 0.0);
-        // Avoid ln(0).
-        let u = 1.0 - self.gen_f64();
-        -mean * u.ln()
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -146,12 +138,6 @@ impl SimRng {
         }
         scratch.truncate(k);
         scratch
-    }
-
-    /// Pick one element of a nonempty slice uniformly.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "choose from empty slice");
-        &items[self.gen_index(items.len())]
     }
 }
 
@@ -268,15 +254,6 @@ mod tests {
         let mut s = v.clone();
         s.sort_unstable();
         assert_eq!(s, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn exp_mean_is_close() {
-        let mut rng = SimRng::new(10);
-        let n = 200_000;
-        let sum: f64 = (0..n).map(|_| rng.gen_exp(2.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 2.0).abs() < 0.05, "mean={mean}");
     }
 
     #[test]

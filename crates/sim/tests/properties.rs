@@ -99,9 +99,9 @@ fn check_against_reference(ops: &[(u8, u64)], mut time_of: impl FnMut(u64, u64) 
 /// The population-scale session's queue shape, against a binary heap
 /// on `(time, seq)`: the calendar is pre-sized the way `Session` sizes
 /// it (`reserve` on the empty queue pins it at the maximum bucket count
-/// and the default ~131 µs width), a far-future ballast keeps the
-/// population above the shrink threshold so no pop rebuilds it, and
-/// every coordination wave is a burst of pushes in random time order
+/// of the fixed ~131 µs width, so no push rebuilds it), a far-future
+/// ballast keeps the overflow heap occupied throughout, and every
+/// coordination wave is a burst of pushes in random time order
 /// confined to three or four buckets a link latency ahead — the case
 /// that appends and sorts on arrival. Mixed in: timers scattered around
 /// the window's far edge (some file into far buckets out of order,
@@ -112,7 +112,7 @@ fn check_session_shape(ops: &[(u8, u64)]) {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    const WINDOW: u64 = (1 << 16) << 17; // MAX_BUCKETS × default width
+    const WINDOW: u64 = (1 << 16) << 17; // MAX_BUCKETS × bucket width
     const BALLAST: u64 = 1 << 50;
 
     let mut q: EventQueue<()> = EventQueue::new();
@@ -232,8 +232,8 @@ proptest! {
     }
 
     /// Same pin with sim-like clustering: every push lands a link
-    /// latency (~1–2 ms) after the last popped time, the regime the
-    /// bucket auto-tuner targets.
+    /// latency (~1–2 ms) after the last popped time, as in a
+    /// simulated session.
     #[test]
     fn calendar_matches_reference_clustered(
         ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400),
