@@ -251,7 +251,7 @@ impl LeafActor {
         }
     }
 
-    fn on_data(&mut self, ctx: &mut dyn Runtime<Msg>, id: &PacketId, payload: &bytes::Bytes) {
+    fn on_data(&mut self, ctx: &mut dyn Runtime<Msg>, id: &PacketId, payload: &Arc<[u8]>) {
         let now = ctx.now().as_nanos();
         self.arm_repair(ctx);
         if let Some(gate) = self.gate.as_mut() {

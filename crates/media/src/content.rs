@@ -7,9 +7,9 @@
 //! synthesized deterministically from a key so end-to-end reconstruction
 //! is byte-checkable.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
-use crate::packet::{synth_payload, Packet, PacketId, Seq};
+use crate::packet::{synth_payload, synth_xor_arc, Packet, PacketId, Seq};
 
 /// Description of one multimedia content.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -69,7 +69,7 @@ impl ContentDesc {
     }
 
     /// The payload of data packet `seq`.
-    pub fn payload(&self, seq: Seq) -> Bytes {
+    pub fn payload(&self, seq: Seq) -> Arc<[u8]> {
         self.check_seq(seq);
         synth_payload(self.key, seq, self.packet_bytes)
     }
@@ -78,32 +78,38 @@ impl ContentDesc {
     /// content.
     ///
     /// This is the sender hot path (every transmission and NACK
-    /// retransmission materializes), so it performs exactly one
-    /// allocation — the payload itself. Source payloads are synthesized
-    /// word-wise straight into the accumulator (XOR) or into a pooled
-    /// scratch buffer (RS rows).
+    /// retransmission materializes). A data packet or XOR parity costs
+    /// exactly one allocation, the payload's `Arc<[u8]>`, and no zeroing
+    /// or copy: the first covered seq is synthesized straight into the
+    /// uninitialized buffer and every further one XORed into it, one
+    /// vectorized pass each. An RS row accumulates `mul_acc` products in
+    /// a pooled scratch buffer (its sources are synthesized into a second
+    /// one) and ends in one `Arc::from` copy.
     pub fn materialize(&self, id: &PacketId) -> Packet {
-        let mut buf = vec![0u8; self.packet_bytes];
-        match id {
+        let payload = match id {
             PacketId::RsParity { seqs, row } => {
-                crate::kernels::with_scratch(self.packet_bytes, |src| {
-                    for (j, s) in seqs.iter().enumerate() {
-                        self.check_seq(*s);
-                        crate::packet::synth_fill(self.key, *s, src);
-                        crate::gf256::mul_acc(&mut buf, src, crate::gf256::exp(*row as usize * j));
-                    }
-                });
+                crate::kernels::with_scratch(self.packet_bytes, |acc| {
+                    crate::kernels::with_scratch(self.packet_bytes, |src| {
+                        for (j, s) in seqs.iter().enumerate() {
+                            self.check_seq(*s);
+                            crate::packet::synth_fill(self.key, *s, src);
+                            crate::gf256::mul_acc(acc, src, crate::gf256::exp(*row as usize * j));
+                        }
+                    });
+                    Arc::from(&*acc)
+                })
             }
             _ => {
-                for s in id.coverage_slice() {
+                let cover = id.coverage_slice();
+                for s in cover {
                     self.check_seq(*s);
-                    crate::packet::synth_xor_into(self.key, *s, &mut buf);
                 }
+                synth_xor_arc(self.key, cover, self.packet_bytes)
             }
-        }
+        };
         Packet {
             id: id.clone(),
-            payload: Bytes::from(buf),
+            payload,
         }
     }
 
@@ -157,6 +163,50 @@ mod tests {
             .map(|(a, b)| a ^ b)
             .collect();
         assert_eq!(p.payload.as_ref(), expect.as_slice());
+    }
+
+    /// The scalar combination of the coverage's `payload()`s: XOR for
+    /// data and XOR parity, `Σ α^(row·j)·payload(seqs[j])` for an RS row.
+    fn combine_payloads(c: &ContentDesc, id: &PacketId) -> Vec<u8> {
+        let mut want = vec![0u8; c.packet_bytes];
+        for (j, s) in id.coverage_slice().iter().enumerate() {
+            let coef = match id {
+                PacketId::RsParity { row, .. } => crate::gf256::exp(*row as usize * j),
+                _ => 1,
+            };
+            for (w, b) in want.iter_mut().zip(c.payload(*s).iter()) {
+                *w ^= crate::gf256::mul(coef, *b);
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn materialize_matches_coverage_at_video_sizes() {
+        let d = |s: u64| PacketId::Data(Seq(s));
+        let seven: Vec<PacketId> = (1..=7).map(d).collect();
+        let h7 = PacketId::parity_of(&seven).unwrap();
+        let p12 = PacketId::parity_of(&[d(1), d(2)]).unwrap();
+        let nested = PacketId::parity_of(&[p12, d(3), d(5)]).unwrap();
+        let rs = PacketId::RsParity {
+            seqs: (8..=14).map(Seq).collect(),
+            row: 2,
+        };
+        for bytes in [1350, 1351] {
+            let c = ContentDesc {
+                packet_bytes: bytes,
+                ..ContentDesc::video_30mbps(0x0123_4567_89ab_cdef, 1)
+            };
+            for id in [d(1), h7.clone(), nested.clone(), rs.clone()] {
+                let p = c.materialize(&id);
+                assert_eq!(p.payload.len(), bytes);
+                assert_eq!(
+                    &p.payload[..],
+                    &combine_payloads(&c, &id)[..],
+                    "{id} at {bytes} B"
+                );
+            }
+        }
     }
 
     #[test]

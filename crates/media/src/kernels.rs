@@ -127,24 +127,6 @@ pub fn xor_fold(dst: &mut [u8], srcs: &[&[u8]]) {
     }
 }
 
-/// `dst[i] = a[i] ^ b[i]` over the common length of all three slices.
-pub fn xor3(dst: &mut [u8], a: &[u8], b: &[u8]) {
-    let n = dst.len().min(a.len()).min(b.len());
-    let split = n - n % 8;
-    for ((dc, ac), bc) in dst[..split]
-        .chunks_exact_mut(8)
-        .zip(a[..split].chunks_exact(8))
-        .zip(b[..split].chunks_exact(8))
-    {
-        let x = u64::from_ne_bytes(ac[..8].try_into().expect("8-byte chunk"));
-        let y = u64::from_ne_bytes(bc[..8].try_into().expect("8-byte chunk"));
-        dc.copy_from_slice(&(x ^ y).to_ne_bytes());
-    }
-    for i in split..n {
-        dst[i] = a[i] ^ b[i];
-    }
-}
-
 /// `dst[i] ^= c · src[i]` in GF(2⁸) over the common length — the
 /// nibble-table kernel behind [`crate::gf256::mul_acc`].
 ///
@@ -525,18 +507,6 @@ mod tests {
         xor_into(&mut d, &[1u8; 9]);
         assert_eq!(&d[..9], &[0u8; 9]);
         assert_eq!(&d[9..], &[1u8; 11]);
-    }
-
-    #[test]
-    fn xor3_matches_pairwise() {
-        for len in [0usize, 1, 7, 8, 9, 31, 63] {
-            let a: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
-            let b: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
-            let mut d = vec![0xAAu8; len];
-            xor3(&mut d, &a, &b);
-            let want: Vec<u8> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
-            assert_eq!(d, want, "len {len}");
-        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! fully described by the *set of data sequence numbers whose payloads are
 //! XORed together*, with nesting flattened via symmetric difference.
 
-use bytes::Bytes;
 use std::fmt;
 use std::sync::Arc;
 
@@ -171,7 +170,7 @@ pub struct Packet {
     pub id: PacketId,
     /// Payload bytes; for parity packets, the XOR of the covered data
     /// payloads.
-    pub payload: Bytes,
+    pub payload: Arc<[u8]>,
 }
 
 impl Packet {
@@ -181,60 +180,168 @@ impl Packet {
     }
 }
 
+/// splitmix64's increment: word `i` (0-based) of a payload mixes
+/// `state + (i + 1)·GAMMA`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// splitmix64 state seed for `(content_key, seq)`.
 #[inline]
 fn synth_state(content_key: u64, seq: Seq) -> u64 {
     content_key
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_mul(GAMMA)
         .wrapping_add(seq.0.wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
-/// Fold the next synthesized word into `out` via `combine` — one
-/// splitmix64 step per 8 output bytes, word-at-a-time with a byte tail,
-/// byte-identical to [`synth_payload`].
+/// splitmix64's output mix of one state word.
 #[inline]
-fn synth_words(content_key: u64, seq: Seq, out: &mut [u8], combine: impl Fn(u64, u64) -> u64) {
-    let mut state = synth_state(content_key, seq);
-    let mut step = || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut chunks = out.chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        let cur = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte chunk"));
-        chunk.copy_from_slice(&combine(cur, step()).to_le_bytes());
+fn mix(state: u64) -> u64 {
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Write (`XOR = false`) or XOR in (`XOR = true`) the synthetic stream
+/// seeded by `state` over `len` bytes at `dst`: word `i` is
+/// `mix(state + (i + 1)·GAMMA)` in little-endian order, the last word
+/// truncated. Whole 64-byte blocks go through the AVX-512 body where the
+/// CPU has it; the scalar loop takes the rest.
+///
+/// # Safety
+/// `dst` must be valid for `len` byte writes, and for `len` byte reads
+/// when `XOR`. Fill mode never reads `dst`, so it may be uninitialized.
+#[inline]
+unsafe fn synth_words<const XOR: bool>(state: u64, dst: *mut u8, len: usize) {
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+    {
+        done = x86::synth_avx512::<XOR>(state, dst, len);
     }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        let z = step().to_le_bytes();
-        let mut cur = [0u8; 8];
-        cur[..rem.len()].copy_from_slice(rem);
-        let folded = combine(u64::from_le_bytes(cur), u64::from_le_bytes(z)).to_le_bytes();
-        rem.copy_from_slice(&folded[..rem.len()]);
+    synth_scalar::<XOR>(state, done / 8, dst.add(done), len - done);
+}
+
+/// The scalar splitmix64 loop from word `first_word` of the stream on:
+/// the whole payload where AVX-512 is absent, and the tail after the
+/// last full vector block where it is present.
+///
+/// # Safety
+/// As [`synth_words`].
+unsafe fn synth_scalar<const XOR: bool>(state: u64, first_word: usize, dst: *mut u8, len: usize) {
+    let mut state = state.wrapping_add((first_word as u64).wrapping_mul(GAMMA));
+    let words = len / 8;
+    for i in 0..words {
+        state = state.wrapping_add(GAMMA);
+        // `[u8; 8]` has alignment 1, so any byte address is a valid one.
+        let p = dst.add(i * 8).cast::<[u8; 8]>();
+        let mut z = mix(state);
+        if XOR {
+            z ^= u64::from_le_bytes(p.read());
+        }
+        p.write(z.to_le_bytes());
+    }
+    let rem = len % 8;
+    if rem > 0 {
+        state = state.wrapping_add(GAMMA);
+        let z = mix(state).to_le_bytes();
+        let p = dst.add(words * 8);
+        for (k, &b) in z[..rem].iter().enumerate() {
+            p.add(k).write(if XOR { *p.add(k) ^ b } else { b });
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    //! The AVX-512 synthesis body: eight splitmix64 lanes, one 64-byte
+    //! block (eight output words) per iteration.
+
+    use std::arch::x86_64::*;
+
+    use super::GAMMA;
+
+    /// Synthesize the whole 64-byte blocks of `len` bytes at `dst`;
+    /// returns the bytes written (the caller finishes the tail). Lane `j`
+    /// of block `b` holds `state + (8b + j + 1)·GAMMA`, i.e. word
+    /// `8b + j` of the scalar stream, so the output is byte-identical.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F and AVX-512DQ; `dst` as for
+    /// [`super::synth_words`].
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub unsafe fn synth_avx512<const XOR: bool>(state: u64, dst: *mut u8, len: usize) -> usize {
+        let blocks = len / 64;
+        let lane = |j: u64| state.wrapping_add(j.wrapping_mul(GAMMA)) as i64;
+        let mut s = _mm512_setr_epi64(
+            lane(1),
+            lane(2),
+            lane(3),
+            lane(4),
+            lane(5),
+            lane(6),
+            lane(7),
+            lane(8),
+        );
+        let step = _mm512_set1_epi64(GAMMA.wrapping_mul(8) as i64);
+        let m1 = _mm512_set1_epi64(0xBF58_476D_1CE4_E5B9_u64 as i64);
+        let m2 = _mm512_set1_epi64(0x94D0_49BB_1331_11EB_u64 as i64);
+        for b in 0..blocks {
+            let mut z = _mm512_mullo_epi64(_mm512_xor_si512(s, _mm512_srli_epi64::<30>(s)), m1);
+            z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), m2);
+            z = _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z));
+            let p = dst.add(b * 64);
+            if XOR {
+                z = _mm512_xor_si512(z, _mm512_loadu_si512(p.cast()));
+            }
+            _mm512_storeu_si512(p.cast(), z);
+            s = _mm512_add_epi64(s, step);
+        }
+        blocks * 64
     }
 }
 
 /// Write the synthetic payload of `(content_key, seq)` into `out`
 /// (overwriting it) — the allocation-free form of [`synth_payload`].
 pub fn synth_fill(content_key: u64, seq: Seq, out: &mut [u8]) {
-    synth_words(content_key, seq, out, |_, z| z);
+    // SAFETY: `out` is valid for `out.len()` reads and writes.
+    unsafe { synth_words::<false>(synth_state(content_key, seq), out.as_mut_ptr(), out.len()) }
 }
 
 /// XOR the synthetic payload of `(content_key, seq)` into `out` — lets
 /// parity accumulation run word-wide with no per-seq allocation.
 pub fn synth_xor_into(content_key: u64, seq: Seq, out: &mut [u8]) {
-    synth_words(content_key, seq, out, |cur, z| cur ^ z);
+    // SAFETY: `out` is valid for `out.len()` reads and writes.
+    unsafe { synth_words::<true>(synth_state(content_key, seq), out.as_mut_ptr(), out.len()) }
+}
+
+/// The XOR of the synthetic payloads of every seq in `seqs` (nonempty),
+/// `len` bytes, built in place in one fresh `Arc<[u8]>`: the first seq
+/// fills the uninitialized buffer, the rest XOR into it. One allocation,
+/// no zeroing, no copy.
+pub(crate) fn synth_xor_arc(content_key: u64, seqs: &[Seq], len: usize) -> Arc<[u8]> {
+    let (first, rest) = seqs.split_first().expect("nonempty coverage");
+    let mut buf = Arc::<[u8]>::new_uninit_slice(len);
+    let dst = Arc::get_mut(&mut buf)
+        .expect("a fresh Arc is unique")
+        .as_mut_ptr()
+        .cast::<u8>();
+    // SAFETY: `dst` addresses the `len` bytes `buf` owns. Fill mode
+    // writes every one of them without reading, so the XOR passes read
+    // initialized bytes, and `assume_init` holds once the fill is done.
+    unsafe {
+        synth_words::<false>(synth_state(content_key, *first), dst, len);
+        for s in rest {
+            synth_words::<true>(synth_state(content_key, *s), dst, len);
+        }
+        buf.assume_init()
+    }
 }
 
 /// Deterministic synthetic payload for data packet `seq`: a keyed
 /// byte stream so tests can verify end-to-end reconstruction bit-exactly.
-pub fn synth_payload(content_key: u64, seq: Seq, len: usize) -> Bytes {
-    let mut out = vec![0u8; len];
-    synth_fill(content_key, seq, &mut out);
-    Bytes::from(out)
+pub fn synth_payload(content_key: u64, seq: Seq, len: usize) -> Arc<[u8]> {
+    synth_xor_arc(content_key, &[seq], len)
 }
 
 /// Build a parity packet from concrete `parts` (panics if coverage cancels
@@ -252,7 +359,7 @@ pub fn make_parity(parts: &[&Packet]) -> Packet {
     crate::kernels::xor_fold(&mut payload, &srcs);
     Packet {
         id,
-        payload: Bytes::from(payload),
+        payload: payload.into(),
     }
 }
 
@@ -277,6 +384,74 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(a, d);
         assert_eq!(a.len(), 100);
+    }
+
+    /// FNV-1a-64 of `bytes`, the digest the golden pins use.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// `(key, seq, len, FNV-1a-64 of synth_payload)`, computed from the
+    /// word-at-a-time scalar generator and from an independent Python
+    /// splitmix64.
+    const PINS: [(u64, u64, usize, u64); 3] = [
+        (1, 1, 1350, 0xe13c_c894_b67d_91f1),
+        (0x0123_4567_89ab_cdef, 22216, 1350, 0xa250_ef78_bbcb_00f9),
+        (7, 3, 1351, 0x6fde_e44b_5ad0_42a1),
+    ];
+
+    #[test]
+    fn scalar_body_holds_the_golden_pins() {
+        for (key, seq, len, want) in PINS {
+            let mut out = vec![0u8; len];
+            // SAFETY: `out` holds `len` bytes.
+            unsafe { synth_scalar::<false>(synth_state(key, Seq(seq)), 0, out.as_mut_ptr(), len) };
+            assert_eq!(fnv1a(&out), want, "scalar body, pin {key:#x}/{seq}/{len}");
+            assert_eq!(fnv1a(&synth_payload(key, Seq(seq), len)), want);
+        }
+    }
+
+    /// `len` bytes of `state`'s stream written over (or XORed into) a
+    /// fixed pattern twice: by the AVX-512 body plus the scalar tail, and
+    /// by the scalar body alone.
+    #[cfg(target_arch = "x86_64")]
+    fn both_bodies<const XOR: bool>(state: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
+        let pattern: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        let (mut simd, mut scalar) = (pattern.clone(), pattern);
+        // SAFETY: the caller checked for AVX-512F/DQ; both buffers hold
+        // `len` bytes.
+        unsafe {
+            let done = x86::synth_avx512::<XOR>(state, simd.as_mut_ptr(), len);
+            assert_eq!(done, len - len % 64);
+            synth_scalar::<XOR>(state, done / 8, simd.as_mut_ptr().add(done), len - done);
+            synth_scalar::<XOR>(state, 0, scalar.as_mut_ptr(), len);
+        }
+        (simd, scalar)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_body_matches_scalar_body() {
+        if !(std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq"))
+        {
+            return;
+        }
+        for (key, seq, len, want) in PINS {
+            let (simd, _) = both_bodies::<false>(synth_state(key, Seq(seq)), len);
+            assert_eq!(fnv1a(&simd), want, "AVX-512 body, pin {key:#x}/{seq}/{len}");
+        }
+        for len in (0..=200).chain([1349, 1350, 1351, 4096]) {
+            for (key, seq) in [(1, 1), (0x0123_4567_89ab_cdef, 22216), (u64::MAX, u64::MAX)] {
+                let state = synth_state(key, Seq(seq));
+                let (simd, scalar) = both_bodies::<false>(state, len);
+                assert_eq!(simd, scalar, "fill, len {len}");
+                let (simd, scalar) = both_bodies::<true>(state, len);
+                assert_eq!(simd, scalar, "xor, len {len}");
+            }
+        }
     }
 
     #[test]

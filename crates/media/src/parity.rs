@@ -20,9 +20,9 @@
 //! is the stated purpose of the rotation. This reproduces Figure 6(b) and
 //! every sequence in §3.6 symbol-for-symbol (see tests).
 
-use crate::fxhash::FxHashMap;
+use std::sync::Arc;
 
-use bytes::Bytes;
+use crate::fxhash::FxHashMap;
 
 use crate::packet::{PacketId, Seq};
 use crate::seq::PacketSeq;
@@ -218,7 +218,7 @@ type RsRow = (Box<[Seq]>, u8, Vec<u8>);
 /// segment).
 #[derive(Default)]
 pub struct Decoder {
-    known: FxHashMap<Seq, Bytes>,
+    known: FxHashMap<Seq, Arc<[u8]>>,
     /// Word bitmap mirroring `known`'s keys (bit `s` ⇔ `Seq(s)` known):
     /// `missing_count` is a popcount and `missing_iter` walks zero bits,
     /// so repair ticks allocate nothing unless they actually NACK.
@@ -259,7 +259,7 @@ impl Decoder {
     }
 
     /// The recovered payload of `seq`, if known.
-    pub fn payload(&self, seq: Seq) -> Option<&Bytes> {
+    pub fn payload(&self, seq: Seq) -> Option<&Arc<[u8]>> {
         self.known.get(&seq)
     }
 
@@ -307,7 +307,7 @@ impl Decoder {
     /// packet is adopted by reference-count bump instead of copying its
     /// bytes — the zero-copy leaf receive path. Outcomes are identical
     /// to `insert` byte-for-byte.
-    pub fn insert_bytes(&mut self, id: &PacketId, payload: &Bytes) -> InsertOutcome {
+    pub fn insert_bytes(&mut self, id: &PacketId, payload: &Arc<[u8]>) -> InsertOutcome {
         self.insert_impl(id, payload, Some(payload))
     }
 
@@ -315,7 +315,7 @@ impl Decoder {
         &mut self,
         id: &PacketId,
         payload: &[u8],
-        shared: Option<&Bytes>,
+        shared: Option<&Arc<[u8]>>,
     ) -> InsertOutcome {
         if let PacketId::RsParity { seqs, row } = id {
             return self.insert_rs(seqs, *row, payload);
@@ -334,8 +334,8 @@ impl Decoder {
                 return InsertOutcome::Redundant;
             }
             let bytes = match shared {
-                Some(b) => b.clone(),
-                None => payload.to_vec().into(),
+                Some(b) => Arc::clone(b),
+                None => Arc::from(payload),
             };
             let mut learned = Vec::new();
             self.learn(*s, bytes, &mut learned);
@@ -354,7 +354,7 @@ impl Decoder {
             }
             1 => {
                 let seq = cover[0];
-                let bytes = Bytes::copy_from_slice(&buf);
+                let bytes = Arc::from(&buf[..]);
                 self.recycle(buf);
                 let mut learned = Vec::new();
                 self.learn(seq, bytes, &mut learned);
@@ -400,7 +400,7 @@ impl Decoder {
     }
 
     /// Record a recovered payload in `known` and its bitmap mirror.
-    fn record_known(&mut self, seq: Seq, payload: Bytes) {
+    fn record_known(&mut self, seq: Seq, payload: Arc<[u8]>) {
         self.known_bits.set(seq.0 as usize);
         self.known.insert(seq, payload);
     }
@@ -472,7 +472,7 @@ impl Decoder {
         };
         for (j, s) in key.iter().enumerate() {
             if !self.known.contains_key(s) {
-                self.record_known(*s, Bytes::from(datas[j].clone()));
+                self.record_known(*s, Arc::from(&datas[j][..]));
                 learned.push(*s);
                 frontier.push(*s);
             }
@@ -511,7 +511,7 @@ impl Decoder {
                         1 => {
                             let ns = cover[0];
                             if !self.known.contains_key(&ns) {
-                                let bytes = Bytes::copy_from_slice(&buf);
+                                let bytes = Arc::from(&buf[..]);
                                 self.record_known(ns, bytes);
                                 learned.push(ns);
                                 frontier.push(ns);
@@ -538,7 +538,7 @@ impl Decoder {
     /// Equations are indexed exactly once per covered seq at insertion;
     /// peeling reduces them in place and never re-files, so index memory
     /// stays linear in the total coverage of buffered equations.
-    fn learn(&mut self, seq: Seq, payload: Bytes, learned: &mut Vec<Seq>) {
+    fn learn(&mut self, seq: Seq, payload: Arc<[u8]>, learned: &mut Vec<Seq>) {
         if self.known.contains_key(&seq) {
             return;
         }

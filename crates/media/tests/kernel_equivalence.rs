@@ -1,7 +1,8 @@
 //! Equivalence suite for the vectorized coding plane: every word-wide
 //! kernel must be bit-for-bit equal to the scalar byte loop it replaced,
-//! and the bitmap-backed decoder bookkeeping must agree with a naive
-//! Vec-scan reference over the same packet stream.
+//! payload synthesis must match a test-side splitmix64 reference and
+//! three golden digests, and the bitmap-backed decoder bookkeeping must
+//! agree with a naive Vec-scan reference over the same packet stream.
 
 use mss_media::buffer::PlayoutClock;
 use mss_media::kernels::{self, Bitmap};
@@ -52,19 +53,6 @@ proptest! {
         prop_assert_eq!(kernel, scalar);
     }
 
-    /// `xor3` (dst = a ^ b over the common prefix) matches byte XOR.
-    #[test]
-    fn xor3_matches_byte_loop(
-        a in proptest::collection::vec(any::<u8>(), 0..64),
-        b in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let n = a.len().min(b.len());
-        let mut kernel = vec![0u8; n];
-        kernels::xor3(&mut kernel, &a, &b);
-        let scalar: Vec<u8> = a.iter().zip(b.iter()).map(|(x, y)| x ^ y).collect();
-        prop_assert_eq!(kernel, scalar);
-    }
-
     /// The nibble-table `mul_acc` agrees with `EXP[LOG[..]]` multiplies
     /// for random payloads and multipliers (all 256 constants are also
     /// covered exhaustively below).
@@ -83,8 +71,8 @@ proptest! {
         prop_assert_eq!(kernel, scalar);
     }
 
-    /// Word-at-a-time payload synthesis is byte-identical to the
-    /// allocating generator for any key/seq/length.
+    /// The synthesis entry points agree with each other and with the
+    /// test-side splitmix64 reference for any key/seq/length.
     #[test]
     fn synth_fill_matches_synth_payload(
         key in any::<u64>(),
@@ -92,6 +80,7 @@ proptest! {
         len in 0usize..200,
     ) {
         let reference = synth_payload(key, Seq(seq), len);
+        prop_assert_eq!(reference.as_ref(), splitmix_reference(key, seq, len).as_slice());
         let mut filled = vec![0xAAu8; len];
         synth_fill(key, Seq(seq), &mut filled);
         prop_assert_eq!(&filled[..], reference.as_ref());
@@ -123,6 +112,73 @@ proptest! {
         let ones: Vec<usize> = bm.ones(start, end).collect();
         let ones_scan_v: Vec<usize> = (start..end).filter(|&i| bm.get(i)).collect();
         prop_assert_eq!(ones, ones_scan_v);
+    }
+}
+
+/// The synthetic payload of `(key, seq)`, written out from the splitmix64
+/// definition one byte at a time: seed `key·γ + seq·0xD1B54A32D192ED03`,
+/// word `i` mixes `seed + (i + 1)·γ`, bytes little-endian, the last word
+/// truncated. Shares no code with `mss_media::packet`.
+fn splitmix_reference(key: u64, seq: u64, len: usize) -> Vec<u8> {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    let seed = key
+        .wrapping_mul(GAMMA)
+        .wrapping_add(seq.wrapping_mul(0xD1B5_4A32_D192_ED03));
+    (0..len)
+        .map(|i| {
+            let mut z = seed.wrapping_add(((i / 8) as u64 + 1).wrapping_mul(GAMMA));
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> (8 * (i % 8))) as u8
+        })
+        .collect()
+}
+
+/// `synth_fill` into a 0xAA-prefilled buffer and `synth_xor_into` over a
+/// patterned one match the reference at every length around the vector
+/// block and tail boundaries, the video packet size and a page.
+#[test]
+fn synthesis_matches_splitmix_reference() {
+    let lens = (0..=200).chain([1349, 1350, 1351, 4096]);
+    for len in lens {
+        for (key, seq) in [
+            (1u64, 1u64),
+            (0x0123_4567_89ab_cdef, 22216),
+            (u64::MAX, 999_999),
+        ] {
+            let want = splitmix_reference(key, seq, len);
+            let mut filled = vec![0xAAu8; len];
+            synth_fill(key, Seq(seq), &mut filled);
+            assert_eq!(filled, want, "fill, key {key:#x} seq {seq} len {len}");
+
+            let pattern: Vec<u8> = (0..len).map(|i| (i * 131 + 17) as u8).collect();
+            let mut xored = pattern.clone();
+            synth_xor_into(key, Seq(seq), &mut xored);
+            let want_xor: Vec<u8> = pattern.iter().zip(&want).map(|(p, w)| p ^ w).collect();
+            assert_eq!(xored, want_xor, "xor, key {key:#x} seq {seq} len {len}");
+        }
+    }
+}
+
+/// Golden FNV-1a-64 digests of `synth_payload`, computed from the scalar
+/// generator and from an independent Python splitmix64: a change to the
+/// synthetic content shows here even if every entry point changed alike.
+#[test]
+fn synth_payload_golden_pins() {
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    };
+    for (key, seq, len, want) in [
+        (1u64, 1u64, 1350usize, 0xe13c_c894_b67d_91f1u64),
+        (0x0123_4567_89ab_cdef, 22216, 1350, 0xa250_ef78_bbcb_00f9),
+        (7, 3, 1351, 0x6fde_e44b_5ad0_42a1),
+    ] {
+        let payload = synth_payload(key, Seq(seq), len);
+        assert_eq!(fnv1a(&payload), want, "key {key:#x} seq {seq} len {len}");
+        assert_eq!(fnv1a(&splitmix_reference(key, seq, len)), want);
     }
 }
 

@@ -440,7 +440,7 @@ fn decode_with_rest(frame: &[u8]) -> Result<(ActorId, Msg, usize), CodecError> {
             let id = get_packet_id(&mut buf)?;
             let len = get_len(&mut buf)?;
             need(&buf, len)?;
-            let payload = Bytes::copy_from_slice(&buf.chunk()[..len]);
+            let payload = Arc::from(&buf.chunk()[..len]);
             buf.advance(len);
             Msg::data(from_peer, Packet { id, payload })
         }

@@ -11,8 +11,9 @@
 #     and mss-sim::event re-measure `Msg` / `Event` / `NodeKey` at
 #     runtime behind the compile-time asserts;
 #   - calendar queue vs reference model: mss-sim's `properties` test;
-#   - word-wide coding kernels vs scalar loops: mss-media's
-#     `kernel_equivalence` test.
+#   - word-wide coding kernels vs scalar loops, and payload synthesis
+#     vs a test-side splitmix64 reference and three golden FNV-1a
+#     digests: mss-media's `kernel_equivalence` test.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
