@@ -16,7 +16,7 @@ use crate::config::{Piggyback, SessionConfig};
 use crate::metrics as mnames;
 use crate::msg::{ContentRequest, ControlBody, ControlKind, ControlPacket, Msg};
 use crate::plane::RoundShared;
-use crate::schedule::{derived_assignment_opts, merge_assignment, DivisionBasis, TxSchedule};
+use crate::schedule::{derived_assignment_opts, DivisionBasis, TxSchedule};
 
 /// Timer tag: transmit the next scheduled packet.
 pub const TAG_SEND: u64 = 1;
@@ -269,11 +269,10 @@ impl Core {
         if self.active {
             // Multi-parent: merge into whichever schedule is current —
             // the pending re-division if one is armed, else the live one.
-            if let Some(pending) = self.pending_switch.as_mut() {
-                *pending = merge_assignment(pending, &assignment);
-            } else {
-                self.sched = merge_assignment(&self.sched, &assignment);
-            }
+            self.pending_switch
+                .as_mut()
+                .unwrap_or(&mut self.sched)
+                .merge(&assignment);
         } else {
             self.sched = assignment;
         }

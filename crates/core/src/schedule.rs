@@ -28,10 +28,10 @@ use crate::config::Reenhance;
 #[derive(Clone, Debug, PartialEq)]
 pub struct TxSchedule {
     /// Packets to send, in order — a strided view into the refcounted
-    /// division basis. A schedule, once derived, is immutable (updates
-    /// replace the whole view), so cloning a schedule or dealing out a
-    /// round-robin part is O(1): an `Arc` bump plus stride arithmetic,
-    /// never an element copy (see [`mss_media::SeqView`]).
+    /// division basis, so cloning a schedule or dealing out a round-robin
+    /// part is O(1): an `Arc` bump plus stride arithmetic, never an
+    /// element copy (see [`mss_media::SeqView`]). A shared base is never
+    /// written: [`TxSchedule::merge`] writes only a base it holds alone.
     pub seq: SeqView,
     /// Index of the next packet to send.
     pub pos: usize,
@@ -75,6 +75,33 @@ impl TxSchedule {
     /// Packets not yet sent, materialized.
     pub fn remaining(&self) -> PacketSeq {
         PacketSeq::from_ids(self.seq.iter_from(self.pos).cloned().collect())
+    }
+
+    /// Merge a new assignment into this running schedule — the DCoP
+    /// multi-parent rule `pkt_i := pkt_i ∪ pkt_ji` (§3.3): the unsent
+    /// remainder is unioned with it ([`SeqView::union_from`], in place
+    /// when this schedule holds its base alone) and the rates add
+    /// (harmonic interval), since the child must deliver both parents'
+    /// shares on time. Single-sided unions are just a reference to the
+    /// surviving side: an O(1) suffix view when the incoming part is
+    /// empty (deep divisions hand out many), the incoming view when
+    /// nothing is left unsent.
+    pub fn merge(&mut self, incoming: &TxSchedule) {
+        let interval = harmonic_interval(self.interval_nanos, incoming.interval_nanos);
+        let first_delay = self
+            .delay_for_next()
+            .min(incoming.first_delay_nanos)
+            .min(interval);
+        if incoming.seq.is_empty() {
+            self.seq = self.seq.suffix(self.pos);
+        } else if self.exhausted() {
+            self.seq = incoming.seq.clone();
+        } else {
+            self.seq.union_from(self.pos, &incoming.seq);
+        }
+        self.pos = 0;
+        self.interval_nanos = interval;
+        self.first_delay_nanos = first_delay;
     }
 
     /// Sending rate in packets/second (0 when idle).
@@ -463,40 +490,12 @@ impl DivisionBasis {
     }
 }
 
-/// Merge a new assignment into an already-running schedule — the DCoP
-/// multi-parent rule `pkt_i := pkt_i ∪ pkt_ji` (§3.3). The unsent
-/// remainder of the current schedule is unioned with the new assignment
-/// (readiness order); the rates add (harmonic interval), since the child
-/// must deliver both parents' shares on time.
-///
-/// Both operands stay borrowed: the unsent tail and the incoming
-/// assignment are iterated straight off their strided views and the
-/// union merges directly into the output sequence
-/// ([`PacketSeq::union_iters`]), with no intermediate postfix copy or
-/// throwaway index build.
+/// [`TxSchedule::merge`] into a copy of `current`, which shares its base,
+/// so `current` is left as it was.
 pub fn merge_assignment(current: &TxSchedule, incoming: &TxSchedule) -> TxSchedule {
-    // Single-sided unions need no union at all, just a reference to the
-    // surviving side — and both shapes are common: deep divisions hand
-    // out many empty parts (the union is the unsent tail, an O(1) suffix
-    // view), and a freshly-activated or exhausted child has no tail (the
-    // union is the incoming view verbatim).
-    let seq = if incoming.seq.is_empty() {
-        current.seq.suffix(current.pos)
-    } else if current.pos >= current.seq.len() {
-        incoming.seq.clone()
-    } else {
-        PacketSeq::union_iters(current.seq.iter_from(current.pos), incoming.seq.iter()).into()
-    };
-    let interval = harmonic_interval(current.interval_nanos, incoming.interval_nanos);
-    TxSchedule {
-        seq,
-        pos: 0,
-        interval_nanos: interval,
-        first_delay_nanos: current
-            .delay_for_next()
-            .min(incoming.first_delay_nanos)
-            .min(interval),
-    }
+    let mut merged = current.clone();
+    merged.merge(incoming);
+    merged
 }
 
 /// Interval of the combined stream of two senders merged into one: rates
@@ -749,6 +748,35 @@ mod tests {
         // Membership queries must work on the merged seq.
         for id in reference.ids() {
             assert!(merged.seq.contains(id));
+        }
+    }
+
+    #[test]
+    fn merge_into_a_unique_base_equals_merge_into_a_shared_one() {
+        let basis = DivisionBasis::new(
+            Arc::new(enhance(&PacketSeq::data_range(40), 3, true, Coding::Xor)),
+            700,
+        );
+        let other = DivisionBasis::new(
+            Arc::new(enhance(&PacketSeq::data_range(40), 2, true, Coding::Xor)),
+            900,
+        );
+        // A merge's output holds its base alone.
+        let running = || merge_assignment(&basis.assign(3, 0), &basis.assign(3, 1));
+        for (pos, part) in [(0, 0), (3, 1), (9, 2), (60, 1)] {
+            let incoming = other.assign(3, part);
+            let mut unique = running();
+            unique.pos = pos;
+            let mut shared = running();
+            shared.pos = pos;
+            let sibling = shared.seq.clone();
+            let before = sibling.to_seq();
+            let expect = unique.remaining().union(&incoming.seq.to_seq());
+            unique.merge(&incoming);
+            shared.merge(&incoming);
+            assert_eq!(unique.seq.to_seq(), expect, "pos {pos} part {part}");
+            assert_eq!(unique, shared, "pos {pos} part {part}");
+            assert_eq!(sibling.to_seq(), before, "the shared base was written");
         }
     }
 

@@ -70,35 +70,30 @@ impl PacketId {
             return None;
         }
         // Fast path: a segment of strictly ascending data packets (the
-        // shape every `Esq` segment has) IS its own sorted coverage —
-        // no symmetric-difference bookkeeping needed.
-        let mut cover: Vec<Seq> = Vec::with_capacity(parts.len());
+        // shape every `Esq` segment has) IS its own sorted coverage — no
+        // symmetric-difference bookkeeping, and the shared slice is
+        // allocated once, at its exact length.
+        let mut last = None;
         let ascending_data = parts.iter().all(|p| match p {
-            PacketId::Data(s) => {
-                let ok = cover.last().is_none_or(|last| last < s);
-                cover.push(*s);
-                ok
-            }
+            PacketId::Data(s) => last.replace(*s).is_none_or(|prev| prev < *s),
             _ => false,
         });
-        if !ascending_data {
-            cover.clear();
-            for p in parts {
-                for &s in p.coverage_slice() {
-                    match cover.binary_search(&s) {
-                        Ok(i) => {
-                            cover.remove(i);
-                        }
-                        Err(i) => cover.insert(i, s),
+        if ascending_data {
+            return (!parts.is_empty())
+                .then(|| PacketId::Parity(parts.iter().map(PacketId::max_seq).collect()));
+        }
+        let mut cover: Vec<Seq> = Vec::with_capacity(parts.len());
+        for p in parts {
+            for &s in p.coverage_slice() {
+                match cover.binary_search(&s) {
+                    Ok(i) => {
+                        cover.remove(i);
                     }
+                    Err(i) => cover.insert(i, s),
                 }
             }
         }
-        if cover.is_empty() {
-            None
-        } else {
-            Some(PacketId::Parity(cover.into()))
-        }
+        (!cover.is_empty()).then(|| PacketId::Parity(cover.into()))
     }
 
     /// The data sequence numbers this packet's payload is derived from
@@ -344,35 +339,9 @@ pub fn synth_payload(content_key: u64, seq: Seq, len: usize) -> Arc<[u8]> {
     synth_xor_arc(content_key, &[seq], len)
 }
 
-/// Build a parity packet from concrete `parts` (panics if coverage cancels
-/// to nothing, which never happens for well-formed recovery segments).
-pub fn make_parity(parts: &[&Packet]) -> Packet {
-    assert!(!parts.is_empty(), "parity over empty segment");
-    let ids: Vec<PacketId> = parts.iter().map(|p| p.id.clone()).collect();
-    let id = PacketId::parity_of(&ids).expect("parity coverage cancelled to empty");
-    let len = parts[0].payload.len();
-    for p in &parts[1..] {
-        assert_eq!(p.payload.len(), len, "parity over unequal sizes");
-    }
-    let srcs: Vec<&[u8]> = parts.iter().map(|p| p.payload.as_ref()).collect();
-    let mut payload = vec![0u8; len];
-    crate::kernels::xor_fold(&mut payload, &srcs);
-    Packet {
-        id,
-        payload: payload.into(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn data(seq: u64, key: u64) -> Packet {
-        Packet {
-            id: PacketId::Data(Seq(seq)),
-            payload: synth_payload(key, Seq(seq), 32),
-        }
-    }
 
     #[test]
     fn synth_payload_is_deterministic_and_distinct() {
@@ -494,32 +463,11 @@ mod tests {
     }
 
     #[test]
-    fn nested_parity_payload_matches_flat_xor() {
-        let a = data(1, 9);
-        let b = data(2, 9);
-        let c = data(3, 9);
-        let e = data(5, 9);
-        let p12 = make_parity(&[&a, &b]);
-        let nested = make_parity(&[&p12, &c, &e]);
-        // Should equal a ^ b ^ c ^ e.
-        let mut manual = a.payload.to_vec();
-        for p in [&b, &c, &e] {
-            for (d, s) in manual.iter_mut().zip(p.payload.iter()) {
-                *d ^= s;
-            }
-        }
-        assert_eq!(nested.payload.as_ref(), manual.as_slice());
-        assert_eq!(
-            nested.id.coverage_slice(),
-            &[Seq(1), Seq(2), Seq(3), Seq(5)]
-        );
-    }
-
-    #[test]
     fn wire_size_scales_with_coverage() {
-        let a = data(1, 0);
-        let b = data(2, 0);
-        let p = make_parity(&[&a, &b]);
+        let c = crate::ContentDesc::small(0, 10);
+        let a = c.materialize(&PacketId::Data(Seq(1)));
+        let ids = [PacketId::Data(Seq(1)), PacketId::Data(Seq(2))];
+        let p = c.materialize(&PacketId::parity_of(&ids).unwrap());
         assert!(p.wire_size() > a.wire_size());
     }
 

@@ -7,15 +7,22 @@
 //!
 //! Ordering convention: every packet has a *readiness index* — the largest
 //! data sequence number it covers ([`PacketId::max_seq`]) — which is the
-//! point in the stream where the packet becomes useful. `union` merges two
-//! schedules by readiness index (stable, duplicates removed), which
-//! reproduces the paper's §3.6 merge example
+//! point in the stream where the packet becomes useful. `union` keeps the
+//! left operand's order and inserts each new packet of the right operand
+//! before the first later left packet that becomes ready after it
+//! (duplicates removed), which reproduces the paper's §3.6 merge example
 //! `pkt_6 = ⟨t_1, t_5, t_11, t⟨7,⟨9,11⟩,12⟩⟩`.
+//!
+//! Schedules are *not* ascending by readiness in general: an enhanced
+//! stream puts segment `d`'s parity at offset `d mod (h+1)`, ahead of the
+//! segment's later data, so a round-robin part with stride `≤ h+1`
+//! regresses. The union rule needs no order of either operand.
 //!
 //! A [`PacketSeq`] is a plain ordered `Vec`: membership, position,
 //! intersection and the affixes are scans. The protocols' hot path is
-//! [`PacketSeq::union_iters`], a sorted run-merge over borrowed
-//! operands.
+//! [`PacketSeq::union_in_place`], the union rule run on an owned
+//! sequence; [`PacketSeq::union_iters`] runs it on a copy of a borrowed
+//! operand.
 
 use std::fmt;
 
@@ -32,55 +39,6 @@ pub struct PacketSeq {
 /// before parity at equal readiness, then coverage for determinism.
 fn merge_key(p: &PacketId) -> (u64, usize, &[Seq]) {
     (p.max_seq().0, p.coverage_len(), p.coverage_slice())
-}
-
-/// Sorted-merge union for operands ascending by [`merge_key`]: emits,
-/// per key, every `a` element then every `b` element not present in `a`.
-/// Because the key is a pure function of the id, any `b` element that
-/// also occurs in `a` shares its equal-key run, so membership reduces to
-/// a scan of that (almost always length-1) run. Returns `None` the
-/// moment either operand regresses, leaving the caller to take the
-/// order-insensitive hash-set path instead.
-fn union_sorted<'a>(
-    a: impl Iterator<Item = &'a PacketId>,
-    b: impl Iterator<Item = &'a PacketId>,
-    cap: usize,
-) -> Option<PacketSeq> {
-    let mut ap = a.peekable();
-    let mut bp = b.peekable();
-    let mut out: Vec<PacketId> = Vec::with_capacity(cap);
-    let mut last_key: Option<(u64, usize, &'a [Seq])> = None;
-    while ap.peek().is_some() || bp.peek().is_some() {
-        let k = match (ap.peek(), bp.peek()) {
-            (Some(x), Some(y)) => merge_key(x).min(merge_key(y)),
-            (Some(x), None) => merge_key(x),
-            (None, Some(y)) => merge_key(y),
-            (None, None) => unreachable!(),
-        };
-        if last_key.is_some_and(|prev| k < prev) {
-            return None; // an operand is not ascending — bail out
-        }
-        last_key = Some(k);
-        let run_start = out.len();
-        while let Some(x) = ap.peek() {
-            if merge_key(x) != k {
-                break;
-            }
-            out.push((*x).clone());
-            ap.next();
-        }
-        let run_end = out.len();
-        while let Some(&y) = bp.peek() {
-            if merge_key(y) != k {
-                break;
-            }
-            if !out[run_start..run_end].iter().any(|x| x == y) {
-                out.push(y.clone());
-            }
-            bp.next();
-        }
-    }
-    Some(PacketSeq::from_ids(out))
 }
 
 impl PacketSeq {
@@ -149,51 +107,80 @@ impl PacketSeq {
         PacketSeq::union_iters(self.items.iter(), other.items.iter())
     }
 
-    /// [`PacketSeq::union`] over cloneable iterators, so slices and
-    /// strided views ([`crate::view::SeqView`]) merge without
-    /// materializing either operand — same sequence, bit for bit. This
-    /// is the multi-parent merge hot path (`schedule::merge_assignment`).
-    ///
-    /// When both operands are ascending by merge key — true of every
-    /// schedule the protocols produce: enhanced streams are ascending,
-    /// round-robin parts of ascending sequences are ascending, and
-    /// unions of ascending sequences are ascending — the union is a
-    /// sorted run-merge with no hash set at all. The merge key is a pure
-    /// function of the packet id, so an id duplicated across operands
-    /// necessarily sits in the same equal-key run, and membership tests
-    /// reduce to comparisons within that run. Inputs that turn out not
-    /// to be ascending are detected mid-merge and rerun through the
-    /// hash-set path.
+    /// [`PacketSeq::union`] over borrowed operands, so slices and strided
+    /// views ([`crate::view::SeqView`]) merge without materializing
+    /// either one first: `a` is cloned into a sequence sized for both and
+    /// [`PacketSeq::union_in_place`] merges `b` into it.
     pub fn union_iters<'a>(
-        a: impl Iterator<Item = &'a PacketId> + Clone,
-        b: impl Iterator<Item = &'a PacketId> + Clone,
+        a: impl Iterator<Item = &'a PacketId>,
+        b: impl Iterator<Item = &'a PacketId>,
     ) -> PacketSeq {
-        let (a_hint, _) = a.size_hint();
-        let (b_hint, _) = b.size_hint();
-        if b_hint == 0 && b.clone().next().is_none() {
-            return a.cloned().collect();
+        let mut items = Vec::with_capacity(a.size_hint().0 + b.size_hint().0);
+        items.extend(a.cloned());
+        let mut seq = PacketSeq::from_ids(items);
+        seq.union_in_place(0, b);
+        seq
+    }
+
+    /// Drop the first `sent` packets, then merge `incoming` into the rest
+    /// (the *tail*) by the union rule, in place:
+    ///
+    /// 1. every tail packet stays, in order (repeats included);
+    /// 2. an incoming packet already in the tail is dropped (repeats
+    ///    within `incoming` are kept);
+    /// 3. each remaining incoming packet goes before the first later tail
+    ///    packet with a larger merge key — later than where the previous
+    ///    one went — or at the end if there is none.
+    ///
+    /// No tail packet is cloned or dropped. The new packets are appended
+    /// and then carried forward as one block past the tail packets that
+    /// precede each of them: the walk keys the tail only up to the last
+    /// insertion point, and a tail packet moves at most twice.
+    /// Capacity grows by exactly the incoming length when it runs short,
+    /// and a sequence left holding less than half its capacity is shrunk.
+    pub fn union_in_place<'a>(
+        &mut self,
+        sent: usize,
+        incoming: impl Iterator<Item = &'a PacketId>,
+    ) {
+        let items = &mut self.items;
+        items.drain(..sent.min(items.len()));
+        let tail = items.len();
+        items.reserve_exact(incoming.size_hint().0);
+        for y in incoming {
+            if !items[..tail].contains(y) {
+                items.push(y.clone());
+            }
         }
-        if a_hint == 0 && a.clone().next().is_none() {
-            return b.cloned().collect();
-        }
-        if let Some(seq) = union_sorted(a.clone(), b.clone(), a_hint + b_hint) {
-            return seq;
-        }
-        let mine: FxHashSet<&PacketId> = a.clone().collect();
-        let mut merged: Vec<PacketId> = Vec::with_capacity(a_hint + b_hint);
-        let mut fresh = b.filter(|p| !mine.contains(*p)).peekable();
-        for x in a {
-            while let Some(y) = fresh.peek() {
-                if merge_key(x) <= merge_key(y) {
+        let mut fresh = items.len() - tail;
+        if fresh > 0 {
+            // Tail packets before the first insertion point stay put; the
+            // block of new packets moves there: `[final | block | rest]`.
+            let key = merge_key(&items[tail]);
+            let mut done = items[..tail]
+                .iter()
+                .take_while(|x| merge_key(x) <= key)
+                .count();
+            items[done..].rotate_right(fresh);
+            loop {
+                // The block's first packet is in place.
+                done += 1;
+                fresh -= 1;
+                if fresh == 0 || done + fresh == items.len() {
                     break;
                 }
-                merged.push((*y).clone());
-                fresh.next();
+                let key = merge_key(&items[done]);
+                let passed = items[done + fresh..]
+                    .iter()
+                    .take_while(|x| merge_key(x) <= key)
+                    .count();
+                items[done..done + fresh + passed].rotate_left(fresh);
+                done += passed;
             }
-            merged.push(x.clone());
         }
-        merged.extend(fresh.cloned());
-        PacketSeq::from_ids(merged)
+        if items.capacity() > 2 * items.len() {
+            items.shrink_to_fit();
+        }
     }
 
     /// `pkt_1 ∩ pkt_2`: packets present in both, in `self`'s order.
@@ -326,7 +313,7 @@ mod tests {
     }
 
     /// The original hash-set union, kept verbatim as the oracle for the
-    /// sorted-merge fast path.
+    /// in-place union rule.
     fn union_reference(a: &[PacketId], b: &[PacketId]) -> PacketSeq {
         let mine: crate::fxhash::FxHashSet<&PacketId> = a.iter().collect();
         let mut merged: Vec<PacketId> = Vec::with_capacity(a.len() + b.len());
@@ -381,8 +368,8 @@ mod tests {
                 }
                 v
             };
-            // Odd trials draw unsorted operands to exercise the
-            // hash-path fallback; even trials stay on the fast path.
+            // Odd trials draw unsorted operands, even trials operands
+            // ascending by merge key.
             let sorted = trial % 2 == 0;
             let a = draw(sorted);
             let b = draw(sorted);
@@ -392,19 +379,6 @@ mod tests {
                 "trial {trial}: {a:?} ∪ {b:?}"
             );
         }
-    }
-
-    #[test]
-    fn union_sorted_rejects_regressing_operands() {
-        // A regresses after its first element — the fast path must bail
-        // rather than mis-merge.
-        let a = vec![d(5), d(2)];
-        let b = vec![d(3)];
-        assert_eq!(union_sorted(a.iter(), b.iter(), 3), None);
-        assert_eq!(
-            PacketSeq::union_iters(a.iter(), b.iter()),
-            union_reference(&a, &b)
-        );
     }
 
     #[test]

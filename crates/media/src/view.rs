@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 use crate::packet::PacketId;
 use crate::seq::PacketSeq;
 
-/// An immutable strided view into a shared [`PacketSeq`]: the elements at
+/// A strided view into a shared [`PacketSeq`]: the elements at
 /// `start, start+stride, …` (exactly `len` of them).
 #[derive(Clone)]
 pub struct SeqView {
@@ -139,6 +139,24 @@ impl SeqView {
     /// Membership test over the *selected* elements.
     pub fn contains(&self, id: &PacketId) -> bool {
         self.iter().any(|p| p == id)
+    }
+
+    /// Replace this view by its selection from view position `pos` on,
+    /// unioned with `incoming` ([`PacketSeq::union_in_place`]). A base
+    /// this view holds alone and selects from `start` to the end is
+    /// merged in place, no selected packet cloned; otherwise (shared with
+    /// a control body or a sibling part) a new base is built.
+    pub fn union_from(&mut self, pos: usize, incoming: &SeqView) {
+        let pos = pos.min(self.len as usize);
+        let to_end = self.stride == 1 && (self.start + self.len) as usize == self.base.len();
+        if let Some(seq) = Arc::get_mut(&mut self.base).filter(|_| to_end) {
+            seq.union_in_place(self.start as usize + pos, incoming.iter());
+            debug_assert!(seq.len() <= u32::MAX as usize);
+            self.len = seq.len() as u32;
+            self.start = 0;
+            return;
+        }
+        *self = PacketSeq::union_iters(self.iter_from(pos), incoming.iter()).into();
     }
 
     /// Materialize the selected elements as an owned [`PacketSeq`].

@@ -2,11 +2,14 @@
 //! the original implementation. `reference_union` below is a
 //! line-for-line copy of the seed algorithm (per-call hash set,
 //! two-pointer merge by readiness key) and every randomized case checks
-//! the production `union` against it bit-for-bit.
+//! the production `union` — borrowed and in place — against it
+//! bit-for-bit, on operands in readiness order and on enhanced-stream
+//! parts, which are not.
 
 use proptest::prelude::*;
 
 use mss_media::packet::{PacketId, Seq};
+use mss_media::parity::{div, esq_opts};
 use mss_media::PacketSeq;
 
 /// The seed implementation's merge key: readiness index, data before
@@ -76,14 +79,55 @@ fn arb_schedule() -> impl Strategy<Value = PacketSeq> {
     })
 }
 
+/// A round-robin part of an enhanced stream, as a division deals it:
+/// `Esq` puts segment `d`'s parity at offset `d mod (h+1)`, ahead of the
+/// segment's later data, so a part with stride `≤ h+1` is *not* in
+/// readiness order.
+fn arb_esq_part() -> impl Strategy<Value = PacketSeq> {
+    (
+        1u64..30,
+        0u64..24,
+        1usize..8,
+        1usize..10,
+        0usize..10,
+        any::<bool>(),
+    )
+        .prop_map(|(first, len, h, parts, part, tail_parity)| {
+            let data: PacketSeq = (first..first + len)
+                .map(|s| PacketId::Data(Seq(s)))
+                .collect();
+            div(&esq_opts(&data, h, tail_parity), parts, part % parts)
+        })
+}
+
+/// Either shape of schedule: readiness-ordered or an enhanced part.
+fn arb_any_schedule() -> impl Strategy<Value = PacketSeq> {
+    (any::<bool>(), arb_schedule(), arb_esq_part())
+        .prop_map(|(ordered, a, b)| if ordered { a } else { b })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `union` equals the seed implementation exactly, element for
-    /// element, on arbitrary schedule pairs.
+    /// element, on arbitrary schedule pairs, ordered or not.
     #[test]
-    fn union_matches_seed_implementation(a in arb_schedule(), b in arb_schedule()) {
+    fn union_matches_seed_implementation(a in arb_any_schedule(), b in arb_any_schedule()) {
         prop_assert_eq!(a.union(&b), reference_union(&a, &b), "a={} b={}", a, b);
+    }
+
+    /// The in-place union of an owned schedule with a sent prefix equals
+    /// the seed union of its unsent tail: what a multi-parent merge
+    /// computes when the schedule holds its base alone.
+    #[test]
+    fn in_place_union_matches_seed_implementation(
+        a in arb_any_schedule(),
+        b in arb_any_schedule(),
+        sent in 0usize..40,
+    ) {
+        let mut merged = a.clone();
+        merged.union_in_place(sent, b.iter());
+        prop_assert_eq!(&merged, &reference_union(&a.postfix_at(sent), &b), "a={} b={} sent={}", a, b, sent);
     }
 
     /// The union of distinct operands is readiness-ordered and distinct.

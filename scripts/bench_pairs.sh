@@ -17,7 +17,9 @@
 #               of its median) and not every change run beats every base run;
 #   same        otherwise.
 # Exits 1 on any `worse` or failed run (non-zero exit, or `failed` > 0).
-# Appends a "benchmark_pairs" line to results/bench_history.jsonl.
+# Appends a "benchmark_pairs" line to results/bench_history.jsonl; its
+# "commit" is HEAD, or `<HEAD>+dirty-<hash>` when the working tree differs
+# from HEAD (the hash is of `git diff HEAD` and `git status --porcelain`).
 #
 # Usage: scripts/bench_pairs.sh <base-rev> [workload...]
 set -euo pipefail
@@ -27,6 +29,10 @@ usage="usage: scripts/bench_pairs.sh <base-rev> [workload...]"
 [ $# -ge 1 ] || { echo "$usage" >&2; exit 2; }
 base=$(git rev-parse --short "$1^{commit}")
 shift
+change=$(git rev-parse --short HEAD)
+if [ -n "$(git status --porcelain)" ]; then
+    change="$change+dirty-$({ git diff HEAD; git status --porcelain; } | git hash-object --stdin | cut -c1-7)"
+fi
 pairs=10
 
 # BENCHMARK.json holds one key per line: "seconds S", "workload W" and
@@ -147,7 +153,7 @@ awk -v pairs="$pairs" -v medians="$tmp/medians" '
     }' <(printf '%s\n' "$spec") "$tmp/runs" || status=1
 
 printf '{"commit": "%s", "recorded": "%s", "bench": "benchmark_pairs", "base": "%s", "cores": %s, "cpu": "%s", "pairs": %s, "seconds": %s, "medians": {%s}}\n' \
-    "$(git rev-parse --short HEAD)" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$base" "$cores" "$cpu" \
+    "$change" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$base" "$cores" "$cpu" \
     "$pairs" "$seconds" "$(<"$tmp/medians")" >>results/bench_history.jsonl
 
 if [ "$fail" -ne 0 ] || [ "$status" -ne 0 ]; then
