@@ -282,7 +282,8 @@ impl LeafActor {
                     && self.decoder.known_count() as u64 >= self.cfg.content.packets
                 {
                     self.complete_nanos = Some(now);
-                    ctx.metrics().set_id(mnames::leaf_complete_nanos_id(), now);
+                    ctx.metrics()
+                        .set_max_id(mnames::leaf_complete_nanos_id(), now);
                 }
             }
             InsertOutcome::Redundant => self.duplicates += 1,

@@ -25,6 +25,8 @@ pub const COORD_BYTES_TX: &str = "coord.bytes_tx";
 pub const COORD_BYTES_FULL: &str = "coord.bytes_full";
 /// Snapshot of [`COORD_MSGS`] taken at each first-activation; its final
 /// value is the message count *until all peers started transmitting*.
+/// A world advances it by what it sent since its previous snapshot, so
+/// merged over a run's worlds it reads the sum of their snapshots.
 pub const COORD_MSGS_AT_ACTIVATION: &str = "coord.msgs_at_activation";
 /// Number of contents peers that activated.
 pub const COORD_ACTIVATIONS: &str = "coord.activations";

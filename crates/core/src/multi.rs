@@ -21,7 +21,7 @@ use crate::config::{Protocol, SessionConfig};
 use crate::leaf::LeafActor;
 use crate::metrics as mnames;
 use crate::msg::Msg;
-use crate::session::{default_link, plane, report_from_any};
+use crate::session::{collect_reports, default_link, plane};
 
 /// A leaf that sends its request `delay` into the run (staggered
 /// arrivals rather than a flash crowd).
@@ -171,12 +171,12 @@ impl MultiSession {
         }
         // The leaves go after every plane, so the actor layout is the
         // module doc's.
-        for (s, dir) in dirs.into_iter().enumerate() {
+        for (s, dir) in dirs.iter().enumerate() {
             let mut leaf_cfg = cfg.clone();
             leaf_cfg.seed = cfg.seed.wrapping_add(0xF00 + s as u64 * 104_729);
             world.add_actor(Box::new(LateLeaf {
                 delay: stagger.saturating_mul(s as u64),
-                leaf: LeafActor::new(leaf_cfg, protocol, dir, None),
+                leaf: LeafActor::new(leaf_cfg, protocol, dir.clone(), None),
             }));
         }
         world.run_until(limit);
@@ -195,16 +195,13 @@ impl MultiSession {
                 }
             })
             .collect();
-        let per_peer_sent = (0..n)
-            .map(|i| {
-                (0..leaves)
-                    .map(|s| {
-                        let any = world.actor_any(actor(s * n + i)).expect("peer actor");
-                        report_from_any(any, protocol).expect("peer type").sent
-                    })
-                    .sum()
-            })
-            .collect();
+        let mut per_peer_sent = vec![0; n];
+        for dir in &dirs {
+            let reports = collect_reports(|id| world.actor_any(id), protocol, dir);
+            for (sent, report) in per_peer_sent.iter_mut().zip(reports) {
+                *sent += report.sent;
+            }
+        }
         MultiOutcome {
             per_leaf,
             per_peer_sent,

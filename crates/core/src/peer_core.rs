@@ -257,11 +257,14 @@ impl Core {
         let m = ctx.metrics();
         let msgs = m.counter_id(mnames::coord_msgs_id());
         let probe_waves = m.counter_id(mnames::coord_probe_waves_id());
+        // The snapshot advances by what this world sent since its last
+        // one, so worlds' snapshots add up when they merge.
+        let snapshot = m.counter_id(mnames::coord_msgs_at_activation_id());
         m.incr_id(mnames::coord_activations_id());
         m.set_max_id(mnames::coord_max_wave_id(), u64::from(wave));
-        m.set_id(mnames::coord_msgs_at_activation_id(), msgs);
-        m.set_id(mnames::coord_probe_waves_at_activation_id(), probe_waves);
-        m.set_id(mnames::coord_last_activation_nanos_id(), now);
+        m.add_id(mnames::coord_msgs_at_activation_id(), msgs - snapshot);
+        m.set_max_id(mnames::coord_probe_waves_at_activation_id(), probe_waves);
+        m.set_max_id(mnames::coord_last_activation_nanos_id(), now);
     }
 
     /// Install (or DCoP-merge) an assignment and start streaming.

@@ -174,7 +174,7 @@ impl Session {
 
         let reports = peer_reports(&world, p.protocol, &p.dir);
         let leaf: &LeafActor = world.actor_as(p.dir.leaf()).expect("leaf actor");
-        let outcome = summarize_parts(world.metrics(), leaf, p.protocol, &p.cfg, &reports);
+        let outcome = summarize(world.metrics(), leaf, p.protocol, &p.cfg, &reports);
         (outcome, world, reports)
     }
 
@@ -203,7 +203,7 @@ impl Session {
 
         let reports = sharded_peer_reports(&world, p.protocol, &p.dir);
         let leaf: &LeafActor = world.actor_as(p.dir.leaf()).expect("leaf actor");
-        let outcome = summarize_parts(world.metrics(), leaf, p.protocol, &p.cfg, &reports);
+        let outcome = summarize(world.metrics(), leaf, p.protocol, &p.cfg, &reports);
         (outcome, world, reports)
     }
 
@@ -356,7 +356,7 @@ pub fn shard_blocks(n: usize, shards: usize) -> Vec<usize> {
 
 /// Downcast a hosted contents peer (behind its [`std::any::Any`] face,
 /// a [`Plane`] member) to its report.
-pub fn report_from_any(any: &dyn std::any::Any, protocol: Protocol) -> Option<PeerReport> {
+fn report_from_any(any: &dyn std::any::Any, protocol: Protocol) -> Option<PeerReport> {
     match protocol {
         Protocol::Dcop | Protocol::Unicast => any.downcast_ref::<DcopPeer>().map(|p| p.report()),
         Protocol::Tcop => any.downcast_ref::<TcopPeer>().map(|p| p.report()),
@@ -368,7 +368,7 @@ pub fn report_from_any(any: &dyn std::any::Any, protocol: Protocol) -> Option<Pe
 
 /// Extract every contents peer's report from a finished world.
 pub fn peer_reports(world: &World<Msg>, protocol: Protocol, dir: &Directory) -> Vec<PeerReport> {
-    reports_via(|id| world.actor_any(id), protocol, dir)
+    collect_reports(|id| world.actor_any(id), protocol, dir)
 }
 
 /// Extract every contents peer's report from a finished sharded world.
@@ -377,10 +377,16 @@ pub fn sharded_peer_reports(
     protocol: Protocol,
     dir: &Directory,
 ) -> Vec<PeerReport> {
-    reports_via(|id| world.actor_any(id), protocol, dir)
+    collect_reports(|id| world.actor_any(id), protocol, dir)
 }
 
-fn reports_via<'w>(
+/// Every contents peer's report, in peer order, from any host:
+/// `actor_any` resolves an actor id on whichever world holds it (one
+/// world, a shard, a live worker, one of a multi-leaf run's sessions).
+///
+/// # Panics
+/// If a peer of `dir` is not found, or is not a `protocol` peer.
+pub fn collect_reports<'w>(
     actor_any: impl Fn(ActorId) -> Option<&'w dyn std::any::Any>,
     protocol: Protocol,
     dir: &Directory,
@@ -414,9 +420,11 @@ pub fn rounds_of_metrics(m: &Metrics, protocol: Protocol) -> u32 {
     }
 }
 
-/// Distill the outcome from the pieces both kernels produce: the merged
-/// metrics, the finished leaf, and the peer reports.
-fn summarize_parts(
+/// Distill the outcome from the pieces every host produces: the metrics
+/// merged over its worlds, the finished leaf, and the peer reports
+/// ([`collect_reports`]). The single world, the sharded world and the
+/// live host all summarise here.
+pub fn summarize(
     m: &Metrics,
     leaf: &LeafActor,
     protocol: Protocol,

@@ -222,3 +222,48 @@ fn builder_wires_every_protocol_identically_on_both_kernels() {
         assert_eq!(reports.len(), 24);
     }
 }
+
+/// The outcome's rounds and synchronization time against what the peers
+/// themselves report: DCoP's rounds are the deepest activation wave,
+/// TCoP's three per probe wave and probing no deeper than its tree, and
+/// `sync_nanos` is the last activation.
+fn assert_outcome_agrees_with_reports(
+    protocol: Protocol,
+    outcome: &SessionOutcome,
+    reports: &[PeerReport],
+    shape: &str,
+) {
+    let deepest = reports.iter().filter_map(|r| r.wave).max().unwrap_or(0);
+    match protocol {
+        Protocol::Tcop => assert!(
+            outcome.rounds / 3 <= deepest,
+            "{shape}: {} rounds for a deepest wave of {deepest}",
+            outcome.rounds
+        ),
+        _ => assert_eq!(outcome.rounds, deepest, "{shape}: rounds"),
+    }
+    let active = reports.iter().filter(|r| r.active);
+    let last = active.clone().map(|r| r.activated_nanos).max();
+    assert_eq!(Some(outcome.sync_nanos), last, "{shape}: sync_nanos");
+    assert_eq!(
+        outcome.activated,
+        active.count() as u64,
+        "{shape}: activated"
+    );
+}
+
+/// Splitting a run over worlds must not multiply its rounds: the merged
+/// metrics keep each world's deepest wave and last activation a
+/// maximum, so 1, 2 and 4 shards read what their peers report.
+#[test]
+fn rounds_and_sync_time_read_the_reports_on_every_shard_count() {
+    for protocol in [Protocol::Dcop, Protocol::Tcop] {
+        for shards in [1usize, 2, 4] {
+            let (outcome, _, reports) = Session::new(SessionConfig::large(600, 8, 4242), protocol)
+                .shards(shards)
+                .run_with_sharded_world();
+            let shape = format!("{protocol:?} on {shards} shard(s)");
+            assert_outcome_agrees_with_reports(protocol, &outcome, &reports, &shape);
+        }
+    }
+}

@@ -84,49 +84,6 @@ pub fn xor_into(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// `dst[i] = srcs[0][i] ^ srcs[1][i] ^ …` over the common length of
-/// `dst` and every source — the whole fold in one pass.
-///
-/// Pairwise folding reads and rewrites the accumulator once per source
-/// (`3·h·len` bytes of traffic for `h` sources); this tiled fold keeps a
-/// 64-byte accumulator block in registers across all sources, touching
-/// each source once and the destination once (`(h+1)·len`). With no
-/// sources, `dst` is zeroed.
-pub fn xor_fold(dst: &mut [u8], srcs: &[&[u8]]) {
-    let n = srcs.iter().fold(dst.len(), |n, s| n.min(s.len()));
-    let blocks = n - n % 64;
-    let mut folded = false;
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified at runtime, and every
-        // source is at least `blocks` long by construction of `n`.
-        unsafe { x86::xor_fold_avx2(&mut dst[..blocks], srcs) };
-        folded = true;
-    }
-    if !folded {
-        for base in (0..blocks).step_by(64) {
-            let mut acc = [0u64; 8];
-            for s in srcs {
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let o = base + j * 8;
-                    *a ^= u64::from_ne_bytes(s[o..o + 8].try_into().expect("8-byte lane"));
-                }
-            }
-            for (j, a) in acc.iter().enumerate() {
-                let o = base + j * 8;
-                dst[o..o + 8].copy_from_slice(&a.to_ne_bytes());
-            }
-        }
-    }
-    // Sub-block tail: zero, then fold pairwise (at most 63 bytes).
-    dst[blocks..n].fill(0);
-    for s in srcs {
-        for (d, x) in dst[blocks..n].iter_mut().zip(&s[blocks..n]) {
-            *d ^= x;
-        }
-    }
-}
-
 /// `dst[i] ^= c · src[i]` in GF(2⁸) over the common length — the
 /// nibble-table kernel behind [`crate::gf256::mul_acc`].
 ///
@@ -221,31 +178,6 @@ mod x86 {
             _mm256_storeu_si256(dp, _mm256_xor_si256(_mm256_loadu_si256(dp), prod));
         }
         steps * 32
-    }
-
-    /// One-pass multi-source XOR fold over `dst` (whose length must be a
-    /// multiple of 64): two 32-byte accumulators stay in registers while
-    /// every source streams through once.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and that every source is
-    /// at least `dst.len()` bytes long.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn xor_fold_avx2(dst: &mut [u8], srcs: &[&[u8]]) {
-        debug_assert_eq!(dst.len() % 64, 0);
-        for base in (0..dst.len()).step_by(64) {
-            let mut a0 = _mm256_setzero_si256();
-            let mut a1 = _mm256_setzero_si256();
-            for s in srcs {
-                debug_assert!(s.len() >= base + 64);
-                let p = s.as_ptr().add(base);
-                a0 = _mm256_xor_si256(a0, _mm256_loadu_si256(p.cast()));
-                a1 = _mm256_xor_si256(a1, _mm256_loadu_si256(p.add(32).cast()));
-            }
-            let d = dst.as_mut_ptr().add(base);
-            _mm256_storeu_si256(d.cast(), a0);
-            _mm256_storeu_si256(d.add(32).cast(), a1);
-        }
     }
 
     /// In-place nibble-table scale of whole 32-byte blocks; returns the

@@ -30,29 +30,6 @@ proptest! {
         prop_assert_eq!(kernel, scalar);
     }
 
-    /// Single-pass `xor_fold` over any source count/lengths (covering
-    /// the 64-byte block path, the sub-block tail, and empty sources)
-    /// matches the pairwise byte fold.
-    #[test]
-    fn xor_fold_matches_pairwise(
-        dst_len in 0usize..200,
-        srcs in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..200), 0..8),
-    ) {
-        let refs: Vec<&[u8]> = srcs.iter().map(|s| s.as_slice()).collect();
-        let mut kernel = vec![0xC3u8; dst_len];
-        kernels::xor_fold(&mut kernel, &refs);
-        let n = refs.iter().fold(dst_len, |n, s| n.min(s.len()));
-        let mut scalar = vec![0xC3u8; dst_len];
-        scalar[..n].fill(0);
-        for s in &refs {
-            for (d, x) in scalar[..n].iter_mut().zip(s.iter()) {
-                *d ^= *x;
-            }
-        }
-        prop_assert_eq!(kernel, scalar);
-    }
-
     /// The nibble-table `mul_acc` agrees with `EXP[LOG[..]]` multiplies
     /// for random payloads and multipliers (all 256 constants are also
     /// covered exhaustively below).

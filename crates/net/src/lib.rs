@@ -21,7 +21,7 @@
 //! let out = LiveSession::new(cfg, Protocol::Dcop, Duration::from_secs(2))
 //!     .run()
 //!     .expect("loopback sockets");
-//! assert!(out.complete);
+//! assert!(out.outcome.complete);
 //! ```
 
 #![warn(missing_docs)]

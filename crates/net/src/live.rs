@@ -48,9 +48,11 @@ use std::time::{Duration, Instant};
 
 use mss_core::config::{Protocol, SessionConfig};
 use mss_core::leaf::LeafActor;
+use mss_core::metrics::SessionOutcome;
 use mss_core::msg::Msg;
 use mss_core::peer_core::PeerReport;
-use mss_core::session::{report_from_any, shard_blocks, Session};
+use mss_core::session::{collect_reports, shard_blocks, summarize, Session};
+use mss_overlay::Directory;
 use mss_sim::event::ActorId;
 use mss_sim::metrics::Metrics;
 use mss_sim::rng::SimRng;
@@ -86,13 +88,19 @@ const MAX_STEP: SimDuration = SimDuration::from_millis(5);
 /// Result of a live session run.
 #[derive(Debug)]
 pub struct LiveOutcome {
-    /// Contents peers that activated.
+    /// The session's outcome, summarised as the simulator summarises
+    /// its worlds: rounds, receipt rate, completion time and the rest,
+    /// over the metrics merged from every worker.
+    pub outcome: SessionOutcome,
+    /// A copy of [`SessionOutcome::activated`], held for
+    /// `benchmark/src/workloads.rs`, its only reader, until a benchmark
+    /// PR reads `outcome` instead.
     pub activated: usize,
-    /// True when the leaf reconstructed the whole content byte-exactly.
+    /// A copy of [`SessionOutcome::complete`], held likewise.
     pub complete: bool,
-    /// Data packets the leaf never reconstructed.
+    /// A copy of [`SessionOutcome::leaf_missing`], held likewise.
     pub missing: usize,
-    /// Coordination messages across all workers.
+    /// A copy of [`SessionOutcome::coord_msgs_total`], held likewise.
     pub coord_msgs: u64,
     /// Per-peer reports.
     pub reports: Vec<PeerReport>,
@@ -153,7 +161,7 @@ impl LiveSession {
     }
 
     /// Bind the sockets, run one thread per worker, stream the session,
-    /// and collect the outcome.
+    /// and summarise it with the simulator's `session::summarize`.
     pub fn run(self) -> std::io::Result<LiveOutcome> {
         let LiveSession {
             cfg,
@@ -177,11 +185,11 @@ impl LiveSession {
             let (granted, _) = sys::set_socket_bufs(&rx, RX_RCVBUF, WORKER_SNDBUF)?;
             ovfl_counted &= sys::enable_rxq_ovfl(&rx);
             rx.set_nonblocking(true)?;
-            metrics.set_id(names::rcvbuf_bytes_id(), granted as u64);
+            metrics.set_max_id(names::rcvbuf_bytes_id(), granted as u64);
             socks.push(rx);
         }
-        metrics.set_id(names::mmsg_active_id(), u64::from(use_mmsg));
-        metrics.set_id(names::rxq_ovfl_counted_id(), u64::from(ovfl_counted));
+        metrics.set_max_id(names::mmsg_active_id(), u64::from(use_mmsg));
+        metrics.set_max_id(names::rxq_ovfl_counted_id(), u64::from(ovfl_counted));
         let addrs = socks
             .iter()
             .map(UdpSocket::local_addr)
@@ -242,19 +250,19 @@ impl LiveSession {
             worlds.push(world);
         }
 
-        let reports: Vec<PeerReport> = (0..n as u32)
-            .map(|i| {
-                let any = worlds.iter().find_map(|w| w.actor_any(ActorId(i)));
-                any.and_then(|a| report_from_any(a, protocol))
-                    .expect("peer report")
-            })
-            .collect();
+        let reports = collect_reports(
+            |id| worlds.iter().find_map(|w| w.actor_any(id)),
+            protocol,
+            &Directory::dense(n),
+        );
         let leaf: &LeafActor = worlds[0].actor_as(leaf).expect("leaf actor");
+        let outcome = summarize(&metrics, leaf, protocol, &cfg, &reports);
         Ok(LiveOutcome {
-            activated: reports.iter().filter(|r| r.active).count(),
-            complete: leaf.is_complete(),
-            missing: leaf.missing_count(),
-            coord_msgs: metrics.counter(mss_core::metrics::COORD_MSGS),
+            activated: outcome.activated as usize,
+            complete: outcome.complete,
+            missing: outcome.leaf_missing as usize,
+            coord_msgs: outcome.coord_msgs_total,
+            outcome,
             reports,
             metrics,
             time_to_done,
@@ -580,6 +588,29 @@ mod tests {
         assert_eq!(m.counter(names::RX_FRAMES), tx);
     }
 
+    /// The outcome, summarised over every worker's merged metrics,
+    /// against the peers' own reports: DCoP's rounds are the deepest
+    /// activation wave, TCoP's three per probe wave and probing no
+    /// deeper than its tree, `sync_nanos` is the last activation, and
+    /// `activated` counts the active reports.
+    fn assert_outcome_reads_the_reports(out: &LiveOutcome, protocol: Protocol) {
+        let (o, reports) = (&out.outcome, &out.reports);
+        let deepest = reports.iter().filter_map(|r| r.wave).max().unwrap_or(0);
+        match protocol {
+            Protocol::Tcop => assert!(
+                o.rounds / 3 <= deepest,
+                "{} rounds, wave {deepest}",
+                o.rounds
+            ),
+            _ => assert_eq!(o.rounds, deepest, "rounds against the deepest wave"),
+        }
+        let active = reports.iter().filter(|r| r.active);
+        let last = active.clone().map(|r| r.activated_nanos).max();
+        assert_eq!(Some(o.sync_nanos), last, "sync_nanos");
+        assert_eq!(o.activated, active.count() as u64, "activated");
+        assert_eq!(out.activated as u64, o.activated);
+    }
+
     /// An accepting probe reply of the given wave.
     fn reply(wave: u32) -> Msg {
         Msg::Reply(ProbeReply {
@@ -823,9 +854,13 @@ mod tests {
         let out = LiveSession::new(cfg, Protocol::Dcop, Duration::from_millis(2500))
             .run()
             .expect("live session");
-        assert_eq!(out.activated, 6, "all peers must activate");
-        assert!(out.complete, "leaf missing {} packets", out.missing);
-        assert!(out.coord_msgs >= 6);
+        assert_eq!(out.outcome.activated, 6, "all peers must activate");
+        assert!(
+            out.outcome.complete,
+            "leaf missing {} packets",
+            out.outcome.leaf_missing
+        );
+        assert!(out.outcome.coord_msgs_total >= 6);
         // Batching stats must be observable.
         assert!(out.metrics.counter("net.rx_batches") > 0);
         assert!(out.metrics.counter("net.tx_datagrams") > 0);
@@ -845,8 +880,16 @@ mod tests {
             .workers(1)
             .run()
             .expect("live session");
-        assert!(out.activated >= n - n / 100, "{} activated", out.activated);
-        assert!(out.complete, "leaf missing {} packets", out.missing);
+        assert!(
+            out.outcome.activated >= (n - n / 100) as u64,
+            "{} activated",
+            out.outcome.activated
+        );
+        assert!(
+            out.outcome.complete,
+            "leaf missing {} packets",
+            out.outcome.leaf_missing
+        );
         let m = &out.metrics;
         assert!(m.counter(names::TX_BODIES_SHARED) > 0, "no record copied");
         assert!(m.counter(names::RX_BODIES_SHARED) > 0, "no body shared");
@@ -862,8 +905,12 @@ mod tests {
         let out = LiveSession::new(cfg, Protocol::Tcop, Duration::from_millis(2500))
             .run()
             .expect("live session");
-        assert_eq!(out.activated, 6);
-        assert!(out.complete, "leaf missing {} packets", out.missing);
+        assert_eq!(out.outcome.activated, 6);
+        assert!(
+            out.outcome.complete,
+            "leaf missing {} packets",
+            out.outcome.leaf_missing
+        );
         assert_no_decode_errors(&out);
     }
 
@@ -883,8 +930,16 @@ mod tests {
         // Which probes win their races is timing; now and then one peer
         // is claimed by nobody (with one worker and before bundling
         // too), so activation gets a floor and completion stays strict.
-        assert!(out.activated >= n - n / 100, "{} activated", out.activated);
-        assert!(out.complete, "leaf missing {} packets", out.missing);
+        assert!(
+            out.outcome.activated >= (n - n / 100) as u64,
+            "{} activated",
+            out.outcome.activated
+        );
+        assert!(
+            out.outcome.complete,
+            "leaf missing {} packets",
+            out.outcome.leaf_missing
+        );
         assert_no_decode_errors(&out);
         assert_eq!(out.worker_busy.len(), 2);
         let m = &out.metrics;
@@ -895,6 +950,29 @@ mod tests {
             "{frames} frames in {datagrams} datagrams"
         );
         assert_every_send_crossed_the_wire(&out);
+        assert_outcome_reads_the_reports(&out, Protocol::Tcop);
+    }
+
+    /// DCoP on two workers: each worker's deepest wave and last
+    /// activation merge as maxima, so the outcome reads what one world
+    /// would, and the peers' reports say so.
+    #[test]
+    fn live_dcop_on_two_workers_reads_rounds_off_the_reports() {
+        let n = 300;
+        let mut cfg = SessionConfig::live(n, 8, 4247);
+        cfg.content = ContentDesc::small(19, 80);
+        let out = LiveSession::new(cfg, Protocol::Dcop, Duration::from_secs(30))
+            .workers(2)
+            .run()
+            .expect("live session");
+        assert!(
+            out.outcome.complete,
+            "leaf missing {}",
+            out.outcome.leaf_missing
+        );
+        assert_no_decode_errors(&out);
+        assert_every_send_crossed_the_wire(&out);
+        assert_outcome_reads_the_reports(&out, Protocol::Dcop);
     }
 
     /// Parity + NACK repair over injected loss on the real wire.
@@ -912,11 +990,11 @@ mod tests {
             .loss(0.03)
             .run()
             .expect("live session");
-        assert_eq!(out.activated, 8);
+        assert_eq!(out.outcome.activated, 8);
         assert!(
-            out.complete,
+            out.outcome.complete,
             "repair failed over lossy links: missing {}",
-            out.missing
+            out.outcome.leaf_missing
         );
         assert!(
             out.metrics.counter(names::TX_DROPPED) > 0,
@@ -933,8 +1011,12 @@ mod tests {
         let out = LiveSession::new(cfg, Protocol::LeafSchedule, Duration::from_millis(1200))
             .run()
             .expect("live session");
-        assert_eq!(out.activated, 4);
-        assert!(out.complete, "leaf missing {} packets", out.missing);
+        assert_eq!(out.outcome.activated, 4);
+        assert!(
+            out.outcome.complete,
+            "leaf missing {} packets",
+            out.outcome.leaf_missing
+        );
     }
 
     /// Beyond the old fixed-bitmap frame bound (n ≈ 4·10³): this
@@ -956,12 +1038,16 @@ mod tests {
         // the kernel dropped under burst load, so assert a floor
         // rather than unanimity (completion stays strict).
         assert!(
-            out.activated >= n - n / 200,
+            out.outcome.activated >= (n - n / 200) as u64,
             "only {} of {} peers activated",
-            out.activated,
+            out.outcome.activated,
             n
         );
-        assert!(out.complete, "leaf missing {} packets", out.missing);
+        assert!(
+            out.outcome.complete,
+            "leaf missing {} packets",
+            out.outcome.leaf_missing
+        );
         // The adaptive codec must actually be earning the headroom:
         // every frame stayed under the datagram cap (oversized sends
         // are dropped silently, which would show up as misses above).
@@ -982,7 +1068,11 @@ mod tests {
             .workers(1)
             .run()
             .expect("live session");
-        assert_eq!(out.activated, 4);
-        assert!(out.complete, "leaf missing {} packets", out.missing);
+        assert_eq!(out.outcome.activated, 4);
+        assert!(
+            out.outcome.complete,
+            "leaf missing {} packets",
+            out.outcome.leaf_missing
+        );
     }
 }

@@ -19,7 +19,8 @@ pub const RX_DATAGRAMS: &str = "net.rx_datagrams";
 /// Frames (bundle records) addressed to a receiver the receiving worker
 /// hosts, decodable or not.
 pub const RX_FRAMES: &str = "net.rx_frames";
-/// Largest receive batch, in datagrams.
+/// Largest receive batch, in datagrams: the maximum over workers (the
+/// merge keeps a maximum a maximum; it used to read their sum).
 pub const RX_BATCH_MAX: &str = "net.rx_batch_max";
 /// Datagrams (bundles — each may carry many frames) the kernel dropped
 /// at a full receive queue (`SO_RXQ_OVFL`).
@@ -34,7 +35,8 @@ pub const RX_UNROUTABLE: &str = "net.rx_unroutable";
 /// `run_until`: its receive pass plus the passes it makes between
 /// bursts of its own sends. A per-layer metric of how much work one
 /// loop turn takes on, not an end-to-end one (the name outlived the
-/// per-peer mailboxes it once measured).
+/// per-peer mailboxes it once measured). The maximum over workers; it
+/// used to read their sum.
 pub const MAILBOX_HWM: &str = "net.mailbox_hwm";
 /// `sendmmsg` (or fallback) calls made.
 pub const TX_BATCHES: &str = "net.tx_batches";
@@ -42,13 +44,14 @@ pub const TX_BATCHES: &str = "net.tx_batches";
 pub const TX_DATAGRAMS: &str = "net.tx_datagrams";
 /// Frames (bundle records) written into datagrams.
 pub const TX_FRAMES: &str = "net.tx_frames";
-/// Largest send burst, in datagrams.
+/// Largest send burst, in datagrams: the maximum over workers; it used
+/// to read their sum.
 pub const TX_BATCH_MAX: &str = "net.tx_batch_max";
 /// Sends that never reached the kernel: datagrams (bundles) it refused,
 /// plus — one count per frame — messages `LiveSession::loss` dropped
 /// before bundling and frames too large for any datagram.
 pub const TX_DROPPED: &str = "net.tx_dropped";
-/// Receive buffer the kernel granted per worker socket.
+/// Receive buffer the kernel granted per worker socket (the largest).
 pub const RCVBUF_BYTES: &str = "net.rcvbuf_bytes";
 /// 1 when the batched syscalls are in use, 0 on the fallback path.
 pub const MMSG_ACTIVE: &str = "net.mmsg_active";

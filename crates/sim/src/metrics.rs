@@ -15,8 +15,13 @@
 //! unchanged.
 //!
 //! Because the intern table is global, the same name maps to the same
-//! slot in every sink, which makes [`Metrics::merge`] a plain slot-wise
-//! addition — including across threads.
+//! slot in every sink, so [`Metrics::merge`] is slot-wise — including
+//! across threads — and merges each slot the way it was written: a
+//! count ([`Metrics::add_id`], [`Metrics::incr_id`]) adds, a running
+//! maximum ([`Metrics::set_max_id`]) takes the larger. A run split over
+//! several worlds (shards, live workers) thus reads its counts as totals
+//! and its maxima — the deepest activation wave, the last activation's
+//! time — as the largest any world saw, not their sum.
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
@@ -147,13 +152,16 @@ fn lookup(name: &str) -> Option<MetricId> {
 #[derive(Default)]
 pub struct Metrics {
     counters: Vec<Option<u64>>,
+    /// Per slot, whether [`Metrics::set_max_id`] wrote it: such a slot
+    /// merges by maximum, every other by sum.
+    maxima: Vec<bool>,
 }
 
 #[inline]
-fn slot(v: &mut Vec<Option<u64>>, id: MetricId) -> &mut Option<u64> {
+fn slot<T: Copy + Default>(v: &mut Vec<T>, id: MetricId) -> &mut T {
     let i = id.index();
     if i >= v.len() {
-        v.resize(i + 1, None);
+        v.resize(i + 1, T::default());
     }
     &mut v[i]
 }
@@ -179,17 +187,13 @@ impl Metrics {
         self.add_id(id, 1);
     }
 
-    /// Overwrite the counter in slot `id` with `v`.
-    #[inline]
-    pub fn set_id(&mut self, id: MetricId, v: u64) {
-        *slot(&mut self.counters, id) = Some(v);
-    }
-
-    /// Raise the counter in slot `id` to `v` if larger (running maximum).
+    /// Raise the counter in slot `id` to `v` if larger (running
+    /// maximum). The slot then merges by maximum (see [`Metrics::merge`]).
     #[inline]
     pub fn set_max_id(&mut self, id: MetricId, v: u64) {
         let s = slot(&mut self.counters, id);
         *s = Some(s.map_or(v, |c| c.max(v)));
+        *slot(&mut self.maxima, id) = true;
     }
 
     /// Current value of the counter in slot `id` (0 if never written).
@@ -223,16 +227,24 @@ impl Metrics {
         out.into_iter()
     }
 
-    /// Fold another sink into this one (counters add).
-    /// Pure slot-wise addition — ids are process-global, so no name
-    /// lookups or allocations happen here.
+    /// Fold another sink into this one, slot by slot: a slot that
+    /// [`Metrics::set_max_id`] wrote in either sink takes the larger
+    /// value, every other slot adds. Ids are process-global, so no name
+    /// lookups happen here.
     pub fn merge(&mut self, other: &Metrics) {
         if self.counters.len() < other.counters.len() {
-            self.counters.resize_with(other.counters.len(), || None);
+            self.counters.resize(other.counters.len(), None);
         }
-        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
-            if let Some(v) = theirs {
-                *mine = Some(mine.unwrap_or(0) + v);
+        if self.maxima.len() < other.maxima.len() {
+            self.maxima.resize(other.maxima.len(), false);
+        }
+        for (mine, theirs) in self.maxima.iter_mut().zip(&other.maxima) {
+            *mine |= theirs;
+        }
+        for (i, (mine, theirs)) in self.counters.iter_mut().zip(&other.counters).enumerate() {
+            if let Some(v) = *theirs {
+                let max = self.maxima.get(i).copied().unwrap_or(false);
+                *mine = Some(mine.map_or(v, |c| if max { c.max(v) } else { c + v }));
             }
         }
     }
@@ -240,6 +252,7 @@ impl Metrics {
     /// Drop all recorded data.
     pub fn clear(&mut self) {
         self.counters.clear();
+        self.maxima.clear();
     }
 }
 
@@ -256,6 +269,7 @@ impl std::fmt::Debug for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{ActorId, TimerId};
 
     #[test]
     fn counters_accumulate() {
@@ -270,12 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn set_and_set_max() {
-        let (a, b) = (register("a"), register("b"));
+    fn set_max_keeps_the_largest() {
+        let b = register("b");
         let mut m = Metrics::new();
-        m.set_id(a, 10);
-        m.set_id(a, 3);
-        assert_eq!(m.counter("a"), 3);
         m.set_max_id(b, 5);
         m.set_max_id(b, 2);
         m.set_max_id(b, 9);
@@ -294,6 +305,84 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.counter("y"), 3);
+    }
+
+    /// Two worlds that each saw a deepest wave of 7 saw a deepest wave
+    /// of 7, and their counts still add.
+    #[test]
+    fn merge_sums_counts_and_keeps_maxima_maxima() {
+        let (count, max) = (register("test.merge.count"), register("test.merge.max"));
+        let mut a = Metrics::new();
+        let mut b = Metrics::new();
+        a.add_id(count, 4);
+        b.incr_id(count);
+        a.set_max_id(max, 7);
+        b.set_max_id(max, 7);
+        b.set_max_id(max, 3);
+        a.merge(&b);
+        assert_eq!(a.counter_id(count), 5);
+        assert_eq!(a.counter_id(max), 7);
+        let mut c = Metrics::new();
+        c.set_max_id(max, 9);
+        a.merge(&c);
+        assert_eq!(a.counter_id(max), 9);
+    }
+
+    /// A maximum only the merged-in sink holds keeps its kind: merging
+    /// it into an empty sink twice reads the maximum, not twice it.
+    #[test]
+    fn a_maximum_only_the_merged_sink_holds_stays_a_maximum() {
+        let max = register("test.merge.only_theirs");
+        let mut shard = Metrics::new();
+        shard.set_max_id(max, 14);
+        let mut merged = Metrics::new();
+        merged.merge(&shard);
+        assert_eq!(merged.counter_id(max), 14);
+        merged.merge(&shard);
+        assert_eq!(merged.counter_id(max), 14);
+        // Cleared, the sink forgets the kind with the value.
+        merged.clear();
+        merged.add_id(max, 1);
+        merged.add_id(max, 1);
+        assert_eq!(merged.counter_id(max), 2);
+    }
+
+    /// Every timer `k` counts one tick and raises the deepest tick to `k`.
+    struct Ticker(u64);
+    impl crate::world::Actor<u32> for Ticker {
+        fn on_start(&mut self, ctx: &mut dyn crate::world::Runtime<u32>) {
+            for k in 1..=self.0 {
+                ctx.set_timer(crate::time::SimDuration::from_millis(k), k);
+            }
+        }
+        fn on_message(&mut self, _: &mut dyn crate::world::Runtime<u32>, _: ActorId, _: u32) {}
+        fn on_timer(&mut self, ctx: &mut dyn crate::world::Runtime<u32>, _: TimerId, k: u64) {
+            let m = ctx.metrics();
+            m.incr_id(register("test.shard.ticks"));
+            m.set_max_id(register("test.shard.deepest"), k);
+        }
+        crate::impl_as_any!();
+    }
+
+    /// A sharded world re-merges its shards after every run: after the
+    /// second `run_until` its maximum is still the deepest any shard
+    /// reached, and its count the total.
+    #[test]
+    fn sharded_world_remerges_maxima_as_maxima_after_each_run() {
+        use crate::link::FixedLatency;
+        use crate::shard::ShardedWorld;
+        use crate::time::{SimDuration, SimTime};
+        let lat = SimDuration::from_millis(1);
+        let mut world: ShardedWorld<u32> =
+            ShardedWorld::new(2, lat, 3, |_| Box::new(FixedLatency::new(lat)));
+        world.add_actor(0, Box::new(Ticker(4)));
+        world.add_actor(1, Box::new(Ticker(6)));
+        world.run_until(SimTime::ZERO + SimDuration::from_micros(3_500));
+        assert_eq!(world.metrics().counter("test.shard.ticks"), 6);
+        assert_eq!(world.metrics().counter("test.shard.deepest"), 3);
+        world.run_until(SimTime::MAX);
+        assert_eq!(world.metrics().counter("test.shard.ticks"), 10);
+        assert_eq!(world.metrics().counter("test.shard.deepest"), 6);
     }
 
     #[test]
@@ -340,7 +429,7 @@ mod tests {
         m.set_max_id(again, 40);
         assert_eq!(m.counter_id(first), 45);
         assert_eq!(m.counter("test.oneslot"), 45);
-        m.set_id(first, 123);
+        m.set_max_id(first, 123);
         assert_eq!(m.counter("test.oneslot"), 123);
         let listed: Vec<_> = m
             .counters()

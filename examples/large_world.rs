@@ -10,7 +10,9 @@
 //! dcop`. `shards = 1` runs the classic single-threaded kernel for an
 //! honest baseline. The run is deterministic for a fixed `(seed,
 //! shards)` pair; the event-stream digest printed at the end is the
-//! reproducibility fingerprint. This is the simulated substrate's
+//! reproducibility fingerprint. The outcome's rounds must agree with
+//! the peers' own reports on every shard count (see
+//! [`assert_rounds_agree`]). This is the simulated substrate's
 //! per-point measuring tool; `scripts/mem_profile.sh` records a run in
 //! `results/bench_history.jsonl`.
 
@@ -26,6 +28,21 @@ fn kind_bytes_of(m: &mss::sim::metrics::Metrics) -> Vec<(&'static str, u64)> {
             (v > 0).then_some((name.rsplit('.').next().unwrap_or(name), v))
         })
         .collect()
+}
+
+/// The rounds the merged metrics report against the deepest wave the
+/// peers report: DCoP's rounds are that wave, TCoP counts three rounds
+/// per probe wave and probes no deeper than its tree. A merge that adds
+/// the shards' maxima instead of taking the largest fails here.
+fn assert_rounds_agree(protocol: Protocol, rounds: u32, reports: &[PeerReport]) {
+    let deepest = reports.iter().filter_map(|r| r.wave).max().unwrap_or(0);
+    match protocol {
+        Protocol::Tcop => assert!(
+            rounds / 3 <= deepest,
+            "{rounds} rounds for a deepest wave of {deepest}"
+        ),
+        _ => assert_eq!(rounds, deepest, "rounds against the deepest wave"),
+    }
 }
 
 /// Peak resident set (`VmHWM`) in bytes, from procfs; `None` off Linux.
@@ -59,12 +76,19 @@ fn main() {
         cfg.fanout
     );
     let start = Instant::now();
-    let (outcome, events, digest, stats, kind_bytes) = if shards <= 1 {
-        let (outcome, world, _) = Session::new(cfg, protocol).run_with_world();
+    let (outcome, events, digest, stats, kind_bytes, reports) = if shards <= 1 {
+        let (outcome, world, reports) = Session::new(cfg, protocol).run_with_world();
         let kinds = kind_bytes_of(world.metrics());
-        (outcome, world.events_dispatched(), None, Vec::new(), kinds)
+        (
+            outcome,
+            world.events_dispatched(),
+            None,
+            Vec::new(),
+            kinds,
+            reports,
+        )
     } else {
-        let (outcome, world, _) = Session::new(cfg, protocol)
+        let (outcome, world, reports) = Session::new(cfg, protocol)
             .shards(shards)
             .run_with_sharded_world();
         let kinds = kind_bytes_of(world.metrics());
@@ -74,6 +98,7 @@ fn main() {
             Some(world.event_digest()),
             world.shard_stats(),
             kinds,
+            reports,
         )
     };
     let wall = start.elapsed().as_secs_f64();
@@ -145,4 +170,5 @@ fn main() {
         "coverage collapsed at scale: {}/{n}",
         outcome.activated
     );
+    assert_rounds_agree(protocol, outcome.rounds, &reports);
 }

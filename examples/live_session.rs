@@ -9,11 +9,13 @@
 //! read the wire off — how many frames each datagram carried (bundle
 //! fill), drops, decode errors, whether every send crossed the wire —
 //! and the host: hosted wall time (setup included, the settle grace
-//! excluded), `net.sent` per hosted second, the leaf's receipt rate,
-//! the largest receive and send batches, how many frames were copied
-//! from a fan-out's record instead of encoded (tx) or answered from a
-//! body a worker had already decoded (rx), and how busy each worker
-//! was. This is the live plane's per-population measuring tool.
+//! excluded), `net.sent` per hosted second, the paper's rounds and
+//! Figure 12's receipt rate (the received volume over the content) as
+//! the simulator summarises them, the share of packets the leaf
+//! completed, the largest receive and send batches, how many frames
+//! were copied from a fan-out's record instead of encoded (tx) or
+//! answered from a body a worker had already decoded (rx), and how busy
+//! each worker was. This is the live plane's per-population measuring tool.
 //!
 //! ```text
 //! cargo run --release --example live_session [-- n]
@@ -88,16 +90,16 @@ fn small_demo() {
         println!(
             "{label}: activated {}/{} peers, complete={}, missing={}, \
              {} coordination msgs, {} sends dropped ({:.0} ms wall)\n               {}",
-            out.activated,
+            out.outcome.activated,
             cfg.n,
-            out.complete,
-            out.missing,
-            out.coord_msgs,
+            out.outcome.complete,
+            out.outcome.leaf_missing,
+            out.outcome.coord_msgs_total,
             out.metrics.counter(names::TX_DROPPED),
             t0.elapsed().as_secs_f64() * 1e3,
             bundle_fill(&out)
         );
-        assert!(out.complete, "live session failed to stream");
+        assert!(out.outcome.complete, "live session failed to stream");
     }
     println!("\nsame protocol code as the simulator — swap the Runtime, keep the state machines.");
 }
@@ -127,21 +129,24 @@ fn population(n: usize) {
         let m = &out.metrics;
         let sent = m.counter(mss::sim::metrics::NET_SENT);
         let crossed = sent == m.counter(names::TX_FRAMES) + m.counter(names::TX_DROPPED);
-        let receipt = packets.saturating_sub(out.missing as u64) as f64 / packets.max(1) as f64;
+        let completed =
+            packets.saturating_sub(out.outcome.leaf_missing) as f64 / packets.max(1) as f64;
         println!(
             "{:<5} on {workers} worker(s): activated {}/{n}, complete={}, done in {:.0} ms, \
-             {} coordination msgs\n       \
-             hosted {:.0} ms, {:.0} net.sent/s, receipt rate {receipt:.4}, \
-             batch max rx {} tx {}\n       \
+             {} coordination msgs, {} rounds\n       \
+             hosted {:.0} ms, {:.0} net.sent/s, receipt rate {:.4}, \
+             completed share {completed:.4}, batch max rx {} tx {}\n       \
              {}\n       rx_dropped {}, rx_decode_err {}, \
              net.sent = tx_frames + tx_dropped: {crossed}\n       {}",
             protocol.name(),
-            out.activated,
-            out.complete,
+            out.outcome.activated,
+            out.outcome.complete,
             out.time_to_done.map_or(f64::NAN, |d| d.as_secs_f64() * 1e3),
-            out.coord_msgs,
+            out.outcome.coord_msgs_total,
+            out.outcome.rounds,
             hosted * 1e3,
             sent as f64 / hosted.max(1e-9),
+            out.outcome.receipt_volume_ratio,
             m.counter(names::RX_BATCH_MAX),
             m.counter(names::TX_BATCH_MAX),
             bundle_fill(&out),
@@ -149,7 +154,7 @@ fn population(n: usize) {
             m.counter(names::RX_DECODE_ERR),
             host_load(&out),
         );
-        assert!(out.complete, "live session failed to stream");
+        assert!(out.outcome.complete, "live session failed to stream");
     }
 }
 
