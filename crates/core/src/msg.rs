@@ -305,6 +305,23 @@ impl Msg {
     pub fn is_coordination(&self) -> bool {
         !matches!(self, Msg::Data(_))
     }
+
+    /// Whether a session of `n` contents peers can take this message:
+    /// every view it carries ranges over `n` peers and every peer it
+    /// names is below `n`. A frame from another population decodes
+    /// fine but fails this, and a handler would panic on it.
+    pub fn fits(&self, n: usize) -> bool {
+        let peer = |p: PeerId| p.index() < n;
+        let view = |v: &View| v.population() == n;
+        match self {
+            Msg::Request(r) => r.view.as_deref().is_none_or(view),
+            Msg::Control(c) => peer(c.body.from) && view(&c.body.view),
+            Msg::Reply(r) => peer(r.from),
+            Msg::Data(d) => peer(d.from),
+            Msg::TwoPhase(TwoPhase::Vote { from, .. }) => peer(*from),
+            Msg::TwoPhase(_) | Msg::Assign(_) | Msg::Nack(_) => true,
+        }
+    }
 }
 
 thread_local! {

@@ -153,8 +153,8 @@ impl LiveSession {
         self
     }
 
-    /// Override the worker count (default: cores − 1, min 1; never more
-    /// than one per peer).
+    /// Override the worker count (default: cores − 1, at least 1 and at
+    /// most 8; never more than one per peer).
     pub fn workers(mut self, w: usize) -> LiveSession {
         self.workers = w.max(1);
         self
@@ -199,7 +199,7 @@ impl LiveSession {
             let inbox = Inbox::new(
                 blocks[k] as u32..blocks[k + 1] as u32,
                 (k == 0).then_some(leaf),
-                n + 1,
+                n,
             );
             let drops = InjectedLoss {
                 p: loss,
@@ -287,16 +287,20 @@ struct Inbox {
     peers: Range<u32>,
     /// The leaf, on the worker that hosts it.
     leaf: Option<ActorId>,
+    /// The session's population: what every message must fit.
+    n: usize,
     decoder: FanoutDecoder,
 }
 
 impl Inbox {
-    /// Receivers `peers` (and `leaf`), decoding from senders `0..senders`.
-    fn new(peers: Range<u32>, leaf: Option<ActorId>, senders: usize) -> Inbox {
+    /// Receivers `peers` (and `leaf`) of a session of `n` contents
+    /// peers, decoding from its senders `0..=n` (the peers and the leaf).
+    fn new(peers: Range<u32>, leaf: Option<ActorId>, n: usize) -> Inbox {
         Inbox {
             peers,
             leaf,
-            decoder: FanoutDecoder::new(senders),
+            n,
+            decoder: FanoutDecoder::new(n + 1),
         }
     }
 
@@ -307,10 +311,11 @@ impl Inbox {
 
     /// Queue every record of one datagram for delivery at `now`; returns
     /// the frames queued. A record for a receiver hosted elsewhere is
-    /// counted in `net.rx_unroutable`, an undecodable frame in
-    /// `net.rx_decode_err`; both are skipped. A malformed record counts
-    /// one `net.rx_decode_err` and ends the datagram; the records before
-    /// it are already queued.
+    /// counted in `net.rx_unroutable`; a frame that does not decode, or
+    /// decodes to a message that does not fit the session
+    /// ([`Msg::fits`]), in `net.rx_decode_err`. Both are skipped. A
+    /// malformed record counts one `net.rx_decode_err` and ends the
+    /// datagram; the records before it are already queued.
     fn accept(
         &mut self,
         datagram: &[u8],
@@ -329,7 +334,12 @@ impl Inbox {
                 continue;
             }
             frames += 1;
-            let Ok((from, msg)) = self.decoder.decode(frame) else {
+            let Some((from, msg)) = self
+                .decoder
+                .decode(frame)
+                .ok()
+                .filter(|(_, m)| m.fits(self.n))
+            else {
                 metrics.incr_id(names::rx_decode_err_id());
                 continue;
             };
@@ -563,9 +573,9 @@ impl Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mss_core::msg::ProbeReply;
+    use mss_core::msg::{ControlBody, ControlKind, ProbeReply};
     use mss_media::ContentDesc;
-    use mss_overlay::PeerId;
+    use mss_overlay::{PeerId, View};
     use mss_sim::shard::ShardedWorld;
     use mss_sim::world::{Actor, Runtime};
 
@@ -665,15 +675,15 @@ mod tests {
         rx
     }
 
-    /// The wire of a worker hosting `peers` out of `senders` actors,
+    /// The wire of a worker hosting `peers` of a session of `n`,
     /// receiving on `rx` and sending to `addrs`, without injected loss.
-    fn wire(rx: UdpSocket, addrs: &[SocketAddr], peers: Range<u32>, senders: usize) -> Wire {
+    fn wire(rx: UdpSocket, addrs: &[SocketAddr], peers: Range<u32>, n: usize) -> Wire {
         let no_loss = InjectedLoss {
             p: 0.0,
             rng: SimRng::new(1),
             leaf: ActorId(u32::MAX),
         };
-        let inbox = Inbox::new(peers, None, senders);
+        let inbox = Inbox::new(peers, None, n);
         Wire::new(rx, addrs, inbox, no_loss, sys::mmsg_enabled()).unwrap()
     }
 
@@ -720,6 +730,47 @@ mod tests {
         world.run_until(SimTime(1));
         assert_eq!(recorded(&world, 0), [1, 5]);
         assert_eq!(recorded(&world, 1), [2]);
+    }
+
+    /// Well-formed frames for another session: a control packet whose
+    /// view ranges over 50 peers, and one from peer 12, reach a real
+    /// 10-peer DCoP worker. Both count one `net.rx_decode_err` and are
+    /// skipped; delivered, the first would panic the peer's view union
+    /// and the second its view insert.
+    #[test]
+    fn frames_that_do_not_fit_the_session_are_counted_and_skipped() {
+        let n = 10;
+        let mut world = Session::new(SessionConfig::live(n, 2, 7), Protocol::Dcop)
+            .into_live_worlds(1)
+            .remove(0);
+        let mut inbox = Inbox::new(0..n as u32, Some(ActorId(n as u32)), n);
+        let activate = |from: u32, population: usize| {
+            let body = ControlBody {
+                kind: ControlKind::Activate,
+                from: PeerId(from),
+                wave: 1,
+                view: View::empty(population),
+                sched: mss_media::SeqView::empty(),
+                pos: 0,
+                interval_nanos: 1_000,
+                mark_delta_nanos: 0,
+                parts: 2,
+                h: 2,
+                fanout: 2,
+                basis: None,
+            };
+            Msg::control(&std::sync::Arc::new(body), 1)
+        };
+        let mut w = BundleWriter::new(1);
+        assert!(w.push(ActorId(3), ActorId(0), &activate(0, 50)));
+        assert!(w.push(ActorId(4), ActorId(12), &activate(12, n)));
+        w.seal();
+
+        let mut m = Metrics::new();
+        let frames = inbox.accept(&w.sealed()[0], SimTime(1), &mut world, &mut m);
+        world.run_until(SimTime(1));
+        assert_eq!(frames, 2);
+        assert_eq!(m.counter(names::RX_DECODE_ERR), 2);
     }
 
     /// Through the real sockets: small frames share a datagram, a frame

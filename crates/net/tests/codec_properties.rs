@@ -16,7 +16,7 @@ use mss_core::msg::{
 use mss_net::codec::{
     decode, encode_into, encode_routed_into, CodecError, FanoutDecoder, PART_FROM_END,
 };
-use mss_overlay::{PeerId, View};
+use mss_overlay::{wire, PeerId, View};
 use mss_sim::event::ActorId;
 use mss_sim::rng::SimRng;
 use mss_sim::world::SimMessage;
@@ -144,8 +144,8 @@ fn encode_frame(from: ActorId, msg: &Msg) -> Vec<u8> {
     out.to_vec()
 }
 
-/// Views engineered to land in each adaptive representation: a handful
-/// of scattered ids (sparse varint list), long contiguous bands (runs),
+/// Views engineered to frame in each wire encoding: a handful of
+/// scattered ids (sparse varint list), long contiguous bands (runs),
 /// and near-full membership (dense bitmap). `shape` selects one.
 fn shaped_view(shape: u64, seed: u64) -> View {
     let mut rng = SimRng::new(seed).fork(0x5AE);
@@ -196,6 +196,49 @@ fn control_with(view: View) -> Msg {
         basis: None,
     };
     Msg::control(&Arc::new(body), 0)
+}
+
+/// View frames over n = 100 whose gap or length varints overflow `u64`
+/// when summed, spliced into a control frame in place of its view: the
+/// codec reports a bad view instead of panicking.
+#[test]
+fn overflowing_view_gaps_are_bad_views() {
+    let view = |tag: u8, fields: &[u64]| {
+        let mut out = vec![(wire::WIRE_VERSION << 4) | tag, 100];
+        for &f in fields {
+            let mut x = f;
+            while x >= 0x80 {
+                out.push(x as u8 | 0x80);
+                x >>= 7;
+            }
+            out.push(x as u8);
+        }
+        out
+    };
+    let empty = View::empty(100);
+    let frame = encode_frame(ActorId(3), &control_with(empty.clone()));
+    // `[from: u32][kind: u8][control kind: u8][from: u32][wave: u32]`,
+    // then the view.
+    let at = 4 + 1 + 1 + 4 + 4;
+    let mut empty_view = Vec::new();
+    wire::encode_view(&empty, &mut empty_view);
+    assert_eq!(frame[at..at + empty_view.len()], empty_view[..]);
+    let (head, tail) = (&frame[..at], &frame[at + empty_view.len()..]);
+    for bad in [
+        // Sparse, ids 5 then 5 + 1 + (2⁶⁴ − 4).
+        view(wire::TAG_SPARSE, &[2, 5, u64::MAX - 3]),
+        // Runs, [5, 6) then a start of 6 + (2⁶⁴ − 4).
+        view(wire::TAG_RUNS, &[2, 5, 0, u64::MAX - 3, 0]),
+        // Runs, start 5 and an end of 5 + (2⁶⁴ − 3) + 1.
+        view(wire::TAG_RUNS, &[1, 5, u64::MAX - 2]),
+    ] {
+        let hostile = [head, &bad, tail].concat();
+        assert_eq!(
+            decode(&hostile).unwrap_err(),
+            CodecError::BadView(wire::WireError::BadEncoding),
+            "{bad:x?}"
+        );
+    }
 }
 
 fn view_of(n: usize, ids: impl IntoIterator<Item = u32>) -> View {
@@ -521,8 +564,8 @@ proptest! {
         let _ = decode(&junk);
     }
 
-    /// Every adaptive view representation — sparse list, run-length,
-    /// dense bitmap — survives a full codec frame: the roundtrip is
+    /// Every view encoding — sparse list, run-length, dense bitmap —
+    /// survives a full codec frame: the roundtrip is
     /// byte-stable and the decoded view is set-equal to the original
     /// regardless of which encoding the codec selected.
     #[test]

@@ -11,18 +11,15 @@
 //! The seed stored every view as a fixed `n`-bit bitmap, which makes a
 //! single peer's state O(n) bytes and a population of `n` peers O(n²) —
 //! the reason n = 10⁶ worlds did not fit in memory. A [`View`] now
-//! self-selects among three representations as it grows:
+//! self-selects between two representations as it grows:
 //!
 //! - **Sparse** — sorted member ids; O(4·|set|) bytes. Coordination
-//!   views are almost always here: a DCoP/TCoP view contains the
-//!   activation path plus one fan-out, ~`depth · H` members regardless
-//!   of `n`.
-//! - **Runs** — sorted disjoint `[start, end)` ranges; O(8·runs) bytes.
-//!   Chosen when the member set is contiguous (e.g. [`View::full`], or
-//!   range-shaped unions from the membership layer).
-//! - **Dense** — the seed's `n`-bit bitmap, O(n/8) bytes. The terminal
-//!   representation once a view holds a constant fraction of the
-//!   population (small-n sessions approaching termination).
+//!   views above 4096 peers are almost always here: a DCoP/TCoP view
+//!   contains the activation path plus one fan-out, ~`depth · H`
+//!   members regardless of `n`.
+//! - **Dense** — the seed's `n`-bit bitmap, O(n/8) bytes. Where
+//!   populations of at most 4096 peers start, and where a sparse view
+//!   goes once its id list would outweigh the bitmap.
 //!
 //! Every operation is observably identical across representations —
 //! same membership, same ascending iteration and complement order, same
@@ -46,12 +43,6 @@ fn sparse_cap(n: usize) -> usize {
     (n / 32).max(16)
 }
 
-/// Runs convert to the bitmap once `8·runs > n/8` — the range form has
-/// lost to fragmentation.
-fn runs_cap(n: usize) -> usize {
-    (n / 64).max(4)
-}
-
 /// Populations this small start dense and never leave: the bitmap is at
 /// most 512 bytes, and small-world sessions push every view toward full
 /// within a few rounds, so the sorted-insert churn and promotion copies
@@ -64,8 +55,6 @@ const DENSE_START_MAX_N: usize = 4096;
 enum Repr {
     /// Sorted, distinct member ids.
     Sparse(Vec<u32>),
-    /// Sorted, disjoint, non-adjacent `[start, end)` ranges.
-    Runs(Vec<Run>),
     /// Bit per id, LSB-first within each word.
     Dense(Vec<u64>),
 }
@@ -117,15 +106,14 @@ impl View {
         }
     }
 
-    /// The full view (every peer perceived active) — a single run, not
-    /// an `n`-bit bitmap.
+    /// The full view (every peer perceived active), as a bitmap.
     pub fn full(n: usize) -> View {
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= (64 - n % 64) % 64;
+        }
         View {
-            repr: if n == 0 {
-                Repr::Runs(Vec::new())
-            } else {
-                Repr::Runs(vec![(0, n as u32)])
-            },
+            repr: Repr::Dense(words),
             len: n,
             n,
             wire_cache: AtomicU64::new(0),
@@ -150,7 +138,7 @@ impl View {
             n,
             wire_cache: AtomicU64::new(0),
         };
-        v.maybe_promote_sparse();
+        v.after_growth();
         v
     }
 
@@ -192,7 +180,6 @@ impl View {
                     true
                 }
             },
-            Repr::Runs(runs) => insert_into_runs(runs, i, i + 1) == 1,
             Repr::Dense(words) => {
                 let (w, b) = (i as usize / 64, i % 64);
                 let newly = words[w] & (1 << b) == 0;
@@ -207,108 +194,22 @@ impl View {
         newly
     }
 
-    /// Insert the whole range `start..end`, returning how many ids were
-    /// new. Ranges outside the population panic like [`View::insert`].
-    pub(crate) fn insert_run(&mut self, start: u32, end: u32) -> usize {
-        if start >= end {
-            return 0;
-        }
-        assert!(
-            end as usize <= self.n,
-            "peer CP{} out of view range {}",
-            end - 1,
-            self.n
-        );
-        let added = match &mut self.repr {
-            Repr::Sparse(_) if (end - start) <= 32 => {
-                let mut added = 0;
-                for i in start..end {
-                    if self.insert_id(i) {
-                        added += 1;
-                    }
-                }
-                // insert_id already maintained len + promotion.
-                return added;
-            }
-            Repr::Sparse(_) => {
-                self.make_runs();
-                return self.insert_run(start, end);
-            }
-            Repr::Runs(runs) => insert_into_runs(runs, start, end),
-            Repr::Dense(words) => {
-                let mut added = 0;
-                for i in start..end {
-                    let (w, b) = (i as usize / 64, i % 64);
-                    if words[w] & (1 << b) == 0 {
-                        words[w] |= 1 << b;
-                        added += 1;
-                    }
-                }
-                added
-            }
-        };
-        self.len += added;
-        self.after_growth();
-        added
-    }
-
-    /// Repr policy after an insertion made the view bigger.
+    /// Repr policy after an insertion made the view bigger: a sparse
+    /// view over the cap becomes the bitmap.
     fn after_growth(&mut self) {
-        match &self.repr {
-            Repr::Sparse(ids) if ids.len() > sparse_cap(self.n) => self.maybe_promote_sparse(),
-            Repr::Runs(runs) if runs.len() > runs_cap(self.n) => self.make_dense(),
-            _ => {}
-        }
-    }
-
-    /// An over-cap sparse view becomes runs when contiguous enough,
-    /// otherwise the bitmap.
-    fn maybe_promote_sparse(&mut self) {
-        let Repr::Sparse(ids) = &self.repr else {
-            return;
-        };
-        if ids.len() <= sparse_cap(self.n) {
-            return;
-        }
-        let runs = count_runs(ids);
-        if 8 * runs <= self.n / 16 {
-            self.make_runs();
-        } else {
+        if matches!(&self.repr, Repr::Sparse(ids) if ids.len() > sparse_cap(self.n)) {
             self.make_dense();
         }
     }
 
-    fn make_runs(&mut self) {
-        if let Repr::Sparse(ids) = &self.repr {
-            let mut runs: Vec<Run> = Vec::with_capacity(count_runs(ids));
-            for &i in ids {
-                match runs.last_mut() {
-                    Some((_, e)) if *e == i => *e = i + 1,
-                    _ => runs.push((i, i + 1)),
-                }
-            }
-            self.repr = Repr::Runs(runs);
-        }
-    }
-
     fn make_dense(&mut self) {
-        let mut words = vec![0u64; self.n.div_ceil(64)];
-        match &self.repr {
-            Repr::Sparse(ids) => {
-                for &i in ids {
-                    words[i as usize / 64] |= 1 << (i % 64);
-                }
+        if let Repr::Sparse(ids) = &self.repr {
+            let mut words = vec![0u64; self.n.div_ceil(64)];
+            for &i in ids {
+                words[i as usize / 64] |= 1 << (i % 64);
             }
-            Repr::Runs(runs) => {
-                for &(s, e) in runs {
-                    for i in s..e {
-                        words[i as usize / 64] |= 1 << (i % 64);
-                    }
-                }
-            }
-            Repr::Dense(_) => return,
+            self.repr = Repr::Dense(words);
         }
-        self.repr = Repr::Dense(words);
     }
 
     /// True if `peer` is in the view.
@@ -320,10 +221,6 @@ impl View {
         let i = i as u32;
         match &self.repr {
             Repr::Sparse(ids) => ids.binary_search(&i).is_ok(),
-            Repr::Runs(runs) => {
-                let at = runs.partition_point(|&(s, _)| s <= i);
-                at > 0 && i < runs[at - 1].1
-            }
             Repr::Dense(words) => words[i as usize / 64] & (1 << (i % 64)) != 0,
         }
     }
@@ -363,11 +260,6 @@ impl View {
                     self.insert_id(i);
                 }
             }
-            Repr::Runs(runs) => {
-                for &(s, e) in runs {
-                    self.insert_run(s, e);
-                }
-            }
             Repr::Dense(ow) => {
                 // A dense peer holds a constant fraction of the
                 // population; the union will too.
@@ -391,10 +283,6 @@ impl View {
         ViewIter {
             inner: match &self.repr {
                 Repr::Sparse(ids) => IterInner::Sparse(ids.iter()),
-                Repr::Runs(runs) => IterInner::Runs {
-                    runs: runs.iter(),
-                    cur: 0..0,
-                },
                 Repr::Dense(words) => IterInner::Dense {
                     words,
                     word_idx: 0,
@@ -411,7 +299,6 @@ impl View {
         RunsIter {
             inner: match &self.repr {
                 Repr::Sparse(ids) => RunsInner::Sparse(ids),
-                Repr::Runs(runs) => RunsInner::Runs(runs.iter()),
                 Repr::Dense(_) => RunsInner::Iter {
                     it: self.iter(),
                     pending: None,
@@ -444,14 +331,6 @@ impl View {
                 }
                 out.extend((next..self.n as u32).map(PeerId));
             }
-            Repr::Runs(runs) => {
-                let mut next = 0u32;
-                for &(s, e) in runs {
-                    out.extend((next..s).map(PeerId));
-                    next = e;
-                }
-                out.extend((next..self.n as u32).map(PeerId));
-            }
             Repr::Dense(words) => {
                 for (w, &word) in words.iter().enumerate() {
                     let base = (w * 64) as u32;
@@ -472,7 +351,7 @@ impl View {
 
     /// The `k`-th (0-based) peer **not** in the view, in ascending id
     /// order — `complement()[k]` without materializing the complement.
-    /// O(log |set|) for sparse/runs views, O(n/64) for dense ones; lets
+    /// O(log |set|) for sparse views, O(n/64) for dense ones; lets
     /// `Select` draw from a 10⁶-peer population without an O(n) pool
     /// walk per selection (see [`crate::select`]).
     ///
@@ -496,16 +375,6 @@ impl View {
                     }
                 }
                 PeerId((k + lo) as u32)
-            }
-            Repr::Runs(runs) => {
-                let mut members_before = 0usize;
-                for &(s, e) in runs {
-                    if (s as usize) - members_before > k {
-                        break;
-                    }
-                    members_before += (e - s) as usize;
-                }
-                PeerId((k + members_before) as u32)
             }
             Repr::Dense(words) => {
                 let mut remaining = k;
@@ -553,37 +422,6 @@ fn merge_sorted_ids(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// `start..end` interval insertion into a sorted disjoint run list,
-/// merging neighbors; returns how many ids were new.
-fn insert_into_runs(runs: &mut Vec<Run>, start: u32, end: u32) -> usize {
-    // First run that could overlap or touch [start, end).
-    let lo = runs.partition_point(|&(_, e)| e < start);
-    // One past the last run that could overlap or touch.
-    let hi = runs.partition_point(|&(s, _)| s <= end);
-    if lo == hi {
-        runs.insert(lo, (start, end));
-        return (end - start) as usize;
-    }
-    let new_s = runs[lo].0.min(start);
-    let new_e = runs[hi - 1].1.max(end);
-    let absorbed: usize = runs[lo..hi].iter().map(|&(s, e)| (e - s) as usize).sum();
-    runs.splice(lo..hi, std::iter::once((new_s, new_e)));
-    (new_e - new_s) as usize - absorbed
-}
-
-/// Maximal runs in a sorted distinct id list.
-fn count_runs(ids: &[u32]) -> usize {
-    let mut runs = 0;
-    let mut prev = u32::MAX;
-    for &i in ids {
-        if prev == u32::MAX || i != prev + 1 {
-            runs += 1;
-        }
-        prev = i;
-    }
-    runs
-}
-
 /// Ascending member iterator over any representation.
 pub struct ViewIter<'a> {
     inner: IterInner<'a>,
@@ -591,10 +429,6 @@ pub struct ViewIter<'a> {
 
 enum IterInner<'a> {
     Sparse(std::slice::Iter<'a, u32>),
-    Runs {
-        runs: std::slice::Iter<'a, Run>,
-        cur: std::ops::Range<u32>,
-    },
     Dense {
         words: &'a [u64],
         word_idx: usize,
@@ -608,13 +442,6 @@ impl Iterator for ViewIter<'_> {
     fn next(&mut self) -> Option<PeerId> {
         match &mut self.inner {
             IterInner::Sparse(it) => it.next().map(|&i| PeerId(i)),
-            IterInner::Runs { runs, cur } => loop {
-                if let Some(i) = cur.next() {
-                    return Some(PeerId(i));
-                }
-                let &(s, e) = runs.next()?;
-                *cur = s..e;
-            },
             IterInner::Dense {
                 words,
                 word_idx,
@@ -639,7 +466,6 @@ pub struct RunsIter<'a> {
 
 enum RunsInner<'a> {
     Sparse(&'a [u32]),
-    Runs(std::slice::Iter<'a, Run>),
     Iter {
         it: ViewIter<'a>,
         pending: Option<Run>,
@@ -665,7 +491,6 @@ impl Iterator for RunsIter<'_> {
                 *ids = &rest[used..];
                 Some((first, end))
             }
-            RunsInner::Runs(it) => it.next().copied(),
             RunsInner::Iter { it, pending } => {
                 for p in it.by_ref() {
                     match pending {
@@ -791,109 +616,12 @@ mod tests {
         }
     }
 
-    /// The seed's fixed-bitmap behavior, as a reference model.
-    struct BitModel {
-        bits: Vec<bool>,
-    }
-
-    impl BitModel {
-        fn new(n: usize) -> BitModel {
-            BitModel {
-                bits: vec![false; n],
-            }
-        }
-        fn insert(&mut self, i: u32) -> bool {
-            let newly = !self.bits[i as usize];
-            self.bits[i as usize] = true;
-            newly
-        }
-        fn members(&self) -> Vec<u32> {
-            (0..self.bits.len() as u32)
-                .filter(|&i| self.bits[i as usize])
-                .collect()
-        }
-    }
-
-    fn assert_matches_model(v: &View, m: &BitModel) {
-        let members = m.members();
-        assert_eq!(v.count(), members.len());
-        assert_eq!(
-            v.iter().map(|p| p.0).collect::<Vec<_>>(),
-            members,
-            "iteration order/content"
-        );
-        let complement: Vec<u32> = (0..m.bits.len() as u32)
-            .filter(|&i| !m.bits[i as usize])
-            .collect();
-        assert_eq!(
-            v.complement().iter().map(|p| p.0).collect::<Vec<_>>(),
-            complement
-        );
-        for (k, &c) in complement.iter().enumerate() {
-            assert_eq!(v.nth_absent(k), PeerId(c), "nth_absent({k})");
-        }
-        for i in 0..m.bits.len() as u32 {
-            assert_eq!(v.contains(PeerId(i)), m.bits[i as usize], "contains({i})");
-        }
-        // Runs round-trip the member set.
-        let from_runs: Vec<u32> = v.runs().flat_map(|(s, e)| s..e).collect();
-        assert_eq!(from_runs, members);
-    }
-
-    /// Drive a view across every representation boundary and compare
-    /// against the reference bitmap after each step.
-    #[test]
-    fn growth_through_all_representations_matches_bitmap_model() {
-        let n = 4096;
-        let mut v = View::empty(n);
-        let mut m = BitModel::new(n);
-        // A deterministic scatter that first stays sparse, then gets
-        // contiguous (runs), then fragments (dense).
-        let mut ids: Vec<u32> = (0..n as u32).step_by(97).collect(); // sparse
-        ids.extend(500..900); // a big run
-        ids.extend((0..n as u32).step_by(3)); // fragmentation
-        for i in ids {
-            assert_eq!(v.insert(PeerId(i)), m.insert(i), "insert({i}) novelty");
-        }
-        assert_matches_model(&v, &m);
-    }
-
-    #[test]
-    fn union_across_representations_matches_bitmap_model() {
-        let n = 512;
-        for (a_ids, b_ids) in [
-            // sparse ∪ sparse
-            (vec![1u32, 5, 9], vec![5u32, 6, 300]),
-            // sparse ∪ runs(full-ish)
-            (vec![3u32, 400], (0..256u32).collect::<Vec<_>>()),
-            // runs ∪ dense-shaped scatter
-            (
-                (100..400u32).collect::<Vec<_>>(),
-                (0..512u32).step_by(2).collect::<Vec<_>>(),
-            ),
-        ] {
-            let mut a = View::empty(n);
-            let mut m = BitModel::new(n);
-            for &i in &a_ids {
-                a.insert(PeerId(i));
-                m.insert(i);
-            }
-            let mut b = View::empty(n);
-            for &i in &b_ids {
-                b.insert(PeerId(i));
-            }
-            let expected_new = b_ids.iter().filter(|&&i| m.insert(i)).count();
-            assert_eq!(a.union_with(&b), expected_new);
-            assert_matches_model(&a, &m);
-        }
-    }
-
     #[test]
     fn equality_and_hash_are_representation_independent() {
         use std::collections::hash_map::DefaultHasher;
         let n = 256;
-        // Same set, three ways: inserted ascending (promotes to runs),
-        // via full(), and forced dense by fragmentation then filling.
+        // Same set, three ways: inserted ascending, via full(), and
+        // inserted evens first, then odds.
         let mut a = View::empty(n);
         for i in 0..n as u32 {
             a.insert(PeerId(i));

@@ -4,8 +4,8 @@
 //! frame — O(n/8) bytes per control message, which caps a live
 //! `Control` datagram near n ≈ 4·10³ (64 KiB UDP limit) and dominates
 //! simulated control-byte accounting. This module defines a
-//! self-describing frame that mirrors the adaptive in-memory
-//! representation: the encoder measures all three set encodings and
+//! self-describing frame with three set encodings — the two in-memory
+//! forms plus run-length ranges: the encoder measures all three and
 //! emits the smallest, so a frame costs O(min(n/8, 5·|set|)) bytes.
 //!
 //! # Frame format
@@ -31,6 +31,7 @@
 
 use bytes::BufMut;
 
+use crate::peer::PeerId;
 use crate::view::View;
 
 /// Version of the view frame format, carried in the header's high
@@ -287,15 +288,22 @@ pub fn decode_view(buf: &[u8], max_n: usize) -> Result<(View, usize), WireError>
             if runs > n {
                 return Err(WireError::BadEncoding);
             }
+            // Inserted id by id, so a short frame claiming a long run
+            // costs the view it builds, never an id list beside it.
             let mut v = View::empty(n);
             let mut prev_end = 0u64;
             for _ in 0..runs {
-                let start = prev_end + get_varint(buf, &mut at)?;
-                let end = start + 1 + get_varint(buf, &mut at)?;
-                if end > n as u64 {
+                let start = prev_end.checked_add(get_varint(buf, &mut at)?);
+                let len = get_varint(buf, &mut at)?;
+                let end = start
+                    .and_then(|s| s.checked_add(len)?.checked_add(1))
+                    .filter(|&e| e <= n as u64);
+                let (Some(start), Some(end)) = (start, end) else {
                     return Err(WireError::BadEncoding);
+                };
+                for id in start as u32..end as u32 {
+                    v.insert(PeerId(id));
                 }
-                v.insert_run(start as u32, end as u32);
                 prev_end = end;
             }
             v
@@ -310,17 +318,19 @@ fn get_ids(buf: &[u8], at: &mut usize, count: usize, n: usize) -> Result<Vec<u32
     if count > n {
         return Err(WireError::BadEncoding);
     }
-    let mut ids = Vec::with_capacity(count);
+    // Every id takes at least one byte: a count beyond the bytes left
+    // reserves no more than they can hold.
+    let mut ids = Vec::with_capacity(count.min(buf.len().saturating_sub(*at)));
     let mut prev: Option<u64> = None;
     for _ in 0..count {
         let gap = get_varint(buf, at)?;
         let id = match prev {
-            None => gap,
-            Some(p) => p + 1 + gap,
+            None => Some(gap),
+            Some(p) => p.checked_add(gap).and_then(|x| x.checked_add(1)),
         };
-        if id >= n as u64 {
+        let Some(id) = id.filter(|&id| id < n as u64) else {
             return Err(WireError::BadEncoding);
-        }
+        };
         ids.push(id as u32);
         prev = Some(id);
     }
@@ -330,7 +340,6 @@ fn get_ids(buf: &[u8], at: &mut usize, count: usize, n: usize) -> Result<Vec<u32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peer::PeerId;
 
     fn view_of(n: usize, ids: &[u32]) -> View {
         let mut v = View::empty(n);
@@ -467,23 +476,34 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_are_rejected() {
-        // Sparse frame claiming n=4 but carrying id 7.
-        let mut out = Vec::new();
-        put_header(&mut out, TAG_SPARSE, 4);
-        put_varint(&mut out, 1);
-        put_varint(&mut out, 7);
-        assert_eq!(decode_view(&out, 100).unwrap_err(), WireError::BadEncoding);
-        // Runs frame whose run overflows n.
-        let mut out = Vec::new();
-        put_header(&mut out, TAG_RUNS, 4);
-        put_varint(&mut out, 1);
-        put_varint(&mut out, 2); // start = 2
-        put_varint(&mut out, 5); // end = 8 > n
-        assert_eq!(decode_view(&out, 100).unwrap_err(), WireError::BadEncoding);
-        // Dense frame with a stray bit beyond n.
-        let mut out = Vec::new();
-        put_header(&mut out, TAG_DENSE, 4);
-        out.push(0b0001_0000); // bit 4 set, n = 4
-        assert_eq!(decode_view(&out, 100).unwrap_err(), WireError::BadEncoding);
+        let frame = |tag: u8, n: usize, fields: &[u64]| {
+            let mut out = Vec::new();
+            put_header(&mut out, tag, n);
+            for &f in fields {
+                put_varint(&mut out, f);
+            }
+            out
+        };
+        for bad in [
+            // Sparse, n = 4, id 7.
+            frame(TAG_SPARSE, 4, &[1, 7]),
+            // Runs, n = 4, the run [2, 8).
+            frame(TAG_RUNS, 4, &[1, 2, 5]),
+            // Dense, n = 4, bit 4 set.
+            frame(TAG_DENSE, 4, &[0b0001_0000]),
+            // Sums that overflow `u64`, not just n. Sparse: ids 5, then
+            // 5 + 1 + (2⁶⁴ − 4).
+            frame(TAG_SPARSE, 100, &[2, 5, u64::MAX - 3]),
+            // Runs: [5, 6), then a start of 6 + (2⁶⁴ − 4).
+            frame(TAG_RUNS, 100, &[2, 5, 0, u64::MAX - 3, 0]),
+            // Runs: start 5 and an end of 5 + (2⁶⁴ − 3) + 1.
+            frame(TAG_RUNS, 100, &[1, 5, u64::MAX - 2]),
+        ] {
+            assert_eq!(
+                decode_view(&bad, 1_000).unwrap_err(),
+                WireError::BadEncoding,
+                "{bad:x?}"
+            );
+        }
     }
 }

@@ -8,8 +8,9 @@ use mss_overlay::{PeerId, View};
 use mss_sim::rng::SimRng;
 
 /// The seed's fixed n-bit bitmap, kept as the reference model the
-/// adaptive representation is pinned against.
-#[derive(Clone)]
+/// adaptive representation is pinned against. Populations above 4096
+/// start sparse and go dense past `n/32` members, so a model check
+/// reaches both forms only with `n` above that bound.
 struct SeedBitmap {
     words: Vec<u64>,
     n: usize,
@@ -48,6 +49,43 @@ impl SeedBitmap {
             .filter(|&i| self.words[i as usize / 64] & (1 << (i % 64)) == 0)
             .collect()
     }
+}
+
+/// Everything a caller can observe of `v` equals the model: count,
+/// ascending members and runs, the complement, `nth_absent` at every
+/// index, and membership of every id.
+fn assert_matches_model(v: &View, m: &SeedBitmap) {
+    let members = m.members();
+    assert_eq!(v.count(), members.len(), "count");
+    assert!(v.iter().map(|p| p.0).eq(members.iter().copied()), "members");
+    assert!(
+        v.runs().flat_map(|(s, e)| s..e).eq(members.iter().copied()),
+        "runs"
+    );
+    let complement = m.complement();
+    assert!(
+        v.complement()
+            .iter()
+            .map(|p| p.0)
+            .eq(complement.iter().copied()),
+        "complement"
+    );
+    for (k, &c) in complement.iter().enumerate() {
+        assert_eq!(v.nth_absent(k), PeerId(c), "nth_absent({k})");
+    }
+    for i in 0..m.n as u32 {
+        let bit = m.words[i as usize / 64] & (1 << (i % 64)) != 0;
+        assert_eq!(v.contains(PeerId(i)), bit, "contains({i})");
+    }
+}
+
+/// LEB128, as view frames write their varints.
+fn put_varint(out: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        out.push(x as u8 | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
 }
 
 fn view_and_model(n: usize, ids: &[u32]) -> (View, SeedBitmap) {
@@ -103,7 +141,7 @@ fn assert_union_matches_inserts(n: usize, a_ids: &[u32], b_ids: &[u32]) {
 }
 
 /// Sparse ∪ sparse at n = 10⁵ (sparse cap 3125 ids), including single
-/// unions that carry the view over the cap into each promoted form.
+/// unions that carry the view over the cap into the bitmap.
 #[test]
 fn sparse_union_equals_per_id_inserts() {
     let n = 100_000;
@@ -117,13 +155,13 @@ fn sparse_union_equals_per_id_inserts() {
         ("incoming all below", step(50_000, 9, 500), step(0, 2, 500)),
         ("into the empty view", vec![], step(10, 11, 300)),
         ("of the empty view", step(10, 11, 300), vec![]),
-        // 3000 + 200 ids in one run: over the cap, contiguous → runs.
+        // 3000 + 200 ids in one run: over the cap → bitmap.
         (
             "over the cap, one run",
             step(0, 1, 3000),
             step(3000, 1, 200),
         ),
-        // 3000 + 400 isolated ids: over the cap, fragmented → bitmap.
+        // 3000 + 400 isolated ids: over the cap → bitmap.
         (
             "over the cap, fragmented",
             step(0, 4, 3000),
@@ -136,16 +174,65 @@ fn sparse_union_equals_per_id_inserts() {
     }
 }
 
+/// Per-id inserts drive a sparse view over its cap into the bitmap; the
+/// model agrees after every phase (n = 10⁴: sparse cap 312 ids).
+#[test]
+fn growth_through_both_representations_matches_bitmap_model() {
+    let n = 10_000;
+    let (mut v, mut m) = view_and_model(n, &[]);
+    let phases: [Vec<u32>; 3] = [
+        (0..n as u32).step_by(97).collect(), // 104 scattered ids: sparse
+        (500..900).collect(),                // a band over the cap: dense
+        (0..n as u32).step_by(3).collect(),  // fragmentation
+    ];
+    for ids in phases {
+        for i in ids {
+            assert_eq!(v.insert(PeerId(i)), m.insert(i), "insert({i}) novelty");
+        }
+        assert_matches_model(&v, &m);
+    }
+}
+
+/// Every pairing of the two forms under `union_with`, including sparse
+/// unions that cross the cap (n = 10⁴: sparse cap 312 ids).
+#[test]
+fn union_across_representations_matches_bitmap_model() {
+    let n = 10_000;
+    let scattered = |from: u32, len: u32| (0..len).map(|i| from + 31 * i).collect::<Vec<_>>();
+    let cases: [(&str, Vec<u32>, Vec<u32>); 5] = [
+        ("sparse ∪ sparse", vec![1, 5, 9], vec![5, 6, 9_999]),
+        (
+            "sparse ∪ sparse, over the cap",
+            scattered(0, 200),
+            scattered(7, 200),
+        ),
+        ("sparse ∪ dense", vec![3, 4_000], (0..5_000).collect()),
+        ("dense ∪ sparse", (100..4_000).collect(), scattered(2, 300)),
+        (
+            "dense ∪ dense",
+            (0..n as u32).step_by(2).collect(),
+            (0..n as u32).step_by(3).collect(),
+        ),
+    ];
+    for (name, a_ids, b_ids) in cases {
+        let (mut a, mut m) = view_and_model(n, &a_ids);
+        let (b, mb) = view_and_model(n, &b_ids);
+        assert_eq!(a.union_with(&b), m.union_with(&mb), "{name}: union growth");
+        assert_matches_model(&a, &m);
+    }
+}
+
 proptest! {
     /// The adaptive view is observably identical to the seed bitmap:
     /// same insert novelty, count, membership, ascending iteration and
-    /// complement, union growth — across representation promotions
-    /// (large id ranges force sparse → runs/dense transitions).
+    /// complement, union growth — in both representations and across
+    /// the sparse → dense promotion (populations above 4096 start
+    /// sparse; more than `n/32` ids promote them).
     #[test]
     fn adaptive_view_equals_seed_bitmap(
-        n in 1usize..3000,
-        xs in proptest::collection::vec(0u32..3000, 0..300),
-        ys in proptest::collection::vec(0u32..3000, 0..300),
+        n in 1usize..12_000,
+        xs in proptest::collection::vec(0u32..12_000, 0..600),
+        ys in proptest::collection::vec(0u32..12_000, 0..600),
     ) {
         let mut v = View::empty(n);
         let mut m = SeedBitmap::new(n);
@@ -153,21 +240,10 @@ proptest! {
             let x = x % n as u32;
             prop_assert_eq!(v.insert(PeerId(x)), m.insert(x), "insert novelty");
         }
-        prop_assert_eq!(v.count(), m.count());
-        prop_assert_eq!(v.iter().map(|p| p.0).collect::<Vec<_>>(), m.members());
-        prop_assert_eq!(
-            v.complement().iter().map(|p| p.0).collect::<Vec<_>>(),
-            m.complement()
-        );
+        assert_matches_model(&v, &m);
         let (w, mw) = view_and_model(n, &ys);
-        let mut vu = v.clone();
-        let mut mu = m.clone();
-        prop_assert_eq!(vu.union_with(&w), mu.union_with(&mw), "union growth");
-        prop_assert_eq!(vu.iter().map(|p| p.0).collect::<Vec<_>>(), mu.members());
-        // nth_absent agrees with the materialized complement.
-        for (k, &c) in mu.complement().iter().enumerate() {
-            prop_assert_eq!(vu.nth_absent(k).0, c);
-        }
+        prop_assert_eq!(v.union_with(&w), m.union_with(&mw), "union growth");
+        assert_matches_model(&v, &m);
     }
 
     /// The merged sparse union is the per-id insert result for random
@@ -218,7 +294,9 @@ proptest! {
         prop_assert!(frames[..3].iter().all(|f| chosen.len() <= f.len()), "minimality");
     }
 
-    /// Truncating or corrupting any view frame errors, never panics.
+    /// Truncating or corrupting any view frame errors, never panics —
+    /// nor does a valid header over an arbitrary body, whose varint
+    /// fields take small, huge and near-`u64::MAX` values.
     #[test]
     fn view_frames_reject_damage_gracefully(
         n in 1usize..500,
@@ -238,14 +316,32 @@ proptest! {
             bad[at] ^= (1 + rng.gen_below(255)) as u8;
             let _ = wire::decode_view(&bad, n);
         }
+        let mut header = Vec::new();
+        wire::encode_sparse(&View::empty(n), &mut header);
+        header.pop(); // the zero count: the body starts here
+        let near = 2 * n as u64;
+        for _ in 0..64 {
+            let mut frame = header.clone();
+            frame[0] = (wire::WIRE_VERSION << 4) | rng.gen_below(3) as u8;
+            for _ in 0..1 + rng.gen_below(8) {
+                let field = match rng.gen_below(3) {
+                    0 => rng.gen_below(near),
+                    1 => u64::MAX - rng.gen_below(near),
+                    _ => rng.next_u64() >> rng.gen_below(64),
+                };
+                put_varint(&mut frame, field);
+            }
+            let _ = wire::decode_view(&frame, n);
+        }
     }
 
     /// The indexed draw matches the materializing draw pick-for-pick on
-    /// arbitrary views, and leaves the RNG stream in the same state.
+    /// arbitrary views, sparse and dense, and leaves the RNG stream in
+    /// the same state.
     #[test]
     fn indexed_selection_matches_materialized(
-        n in 1usize..400,
-        xs in proptest::collection::vec(0u32..400, 0..200),
+        n in 1usize..12_000,
+        xs in proptest::collection::vec(0u32..12_000, 0..600),
         m in 0usize..32,
         seed in any::<u64>(),
     ) {

@@ -11,6 +11,9 @@
 #     and mss-sim::event re-measure `Msg` / `Event` / `NodeKey` at
 #     runtime behind the compile-time asserts;
 #   - calendar queue vs reference model: mss-sim's `properties` test;
+#   - view forms (sparse ids, dense bitmap) vs the seed bitmap, and view
+#     frames under hostile input (truncated, flipped, arbitrary varint
+#     bodies): mss-overlay's `properties` test;
 #   - word-wide coding kernels vs scalar loops, and payload synthesis
 #     vs a test-side splitmix64 reference and three golden FNV-1a
 #     digests: mss-media's `kernel_equivalence` test.
