@@ -54,7 +54,7 @@ impl CentralizedPeer {
             return;
         }
         ctx.metrics()
-            .set_max_id(mnames::coord_fixed_rounds_id(), TWO_PC_ROUNDS);
+            .set_max_id(mnames::COORD_FIXED_ROUNDS_ID, TWO_PC_ROUNDS);
         let n = self.core.cfg.n;
         let h = self.core.cfg.parity_interval;
         let interval = self.core.content().packet_interval_nanos();

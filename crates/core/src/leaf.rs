@@ -116,7 +116,7 @@ impl LeafActor {
         }
         let missing: Arc<[mss_media::Seq]> = self.missing_seqs(REPAIR_BATCH).into();
         self.repair_rounds += 1;
-        ctx.metrics().incr_id(mnames::repair_rounds_id());
+        ctx.metrics().incr_id(mnames::REPAIR_ROUNDS_ID);
         let pool: Vec<PeerId> = self.dir.peers().collect();
         let targets = self.rng.sample(&pool, repair.fanout.max(1));
         for peer in targets {
@@ -144,12 +144,12 @@ impl LeafActor {
 
     fn send_coord(&mut self, ctx: &mut dyn Runtime<Msg>, to: mss_sim::event::ActorId, msg: Msg) {
         let m = ctx.metrics();
-        m.incr_id(mnames::coord_msgs_id());
-        m.add_id(mnames::coord_bytes_id(), msg.model_size() as u64);
+        m.incr_id(mnames::COORD_MSGS_ID);
+        m.add_id(mnames::COORD_BYTES_ID, msg.model_size() as u64);
         let tx = msg.wire_size() as u64;
-        m.add_id(mnames::coord_bytes_tx_id(), tx);
+        m.add_id(mnames::COORD_BYTES_TX_ID, tx);
         m.add_id(mnames::coord_bytes_tx_kind_id(&msg), tx);
-        m.add_id(mnames::coord_bytes_full_id(), tx);
+        m.add_id(mnames::COORD_BYTES_FULL_ID, tx);
         ctx.send(to, msg);
     }
 
@@ -283,7 +283,7 @@ impl LeafActor {
                 {
                     self.complete_nanos = Some(now);
                     ctx.metrics()
-                        .set_max_id(mnames::leaf_complete_nanos_id(), now);
+                        .set_max_id(mnames::LEAF_COMPLETE_NANOS_ID, now);
                 }
             }
             InsertOutcome::Redundant => self.duplicates += 1,

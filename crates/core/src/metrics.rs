@@ -1,130 +1,52 @@
 //! Metric names recorded during a session and the consolidated
 //! [`SessionOutcome`] the harness consumes.
+//!
+//! The names and their `const` slot ids are declared, with their merge
+//! kind, in `mss_sim::metrics`' one table (its `session` group) and
+//! re-exported here.
 
-use std::sync::OnceLock;
-
+pub use mss_sim::metrics::session::*;
 use mss_sim::metrics::MetricId;
 
 use crate::config::Protocol;
-
-/// Every coordination message sent (requests, controls, probes, replies,
-/// commits) — the quantity on Figures 10/11's dotted lines.
-pub const COORD_MSGS: &str = "coord.msgs";
-/// Bytes of coordination messages under the *paper model* (fixed
-/// `n/8`-byte view bitmaps, field-count estimates — `Msg::model_size`).
-/// Kept as the historical accounting so the Figure 10/11 series stay
-/// comparable across revisions; [`COORD_BYTES_TX`] carries the bytes a
-/// codec actually puts on the wire.
-pub const COORD_BYTES: &str = "coord.bytes";
-/// Bytes of coordination traffic as actually transmitted: exact codec
-/// frame lengths with adaptive view encodings (`Msg::wire_size`).
-pub const COORD_BYTES_TX: &str = "coord.bytes_tx";
-/// Written with the [`COORD_BYTES_TX`] value: every view travels as a
-/// full frame, so "priced as full" is what was transmitted. Kept for
-/// readers that compare both series.
-pub const COORD_BYTES_FULL: &str = "coord.bytes_full";
-/// Snapshot of [`COORD_MSGS`] taken at each first-activation; its final
-/// value is the message count *until all peers started transmitting*.
-/// A world advances it by what it sent since its previous snapshot, so
-/// merged over a run's worlds it reads the sum of their snapshots.
-pub const COORD_MSGS_AT_ACTIVATION: &str = "coord.msgs_at_activation";
-/// Number of contents peers that activated.
-pub const COORD_ACTIVATIONS: &str = "coord.activations";
-/// Maximum activation wave (DCoP/broadcast/unicast rounds).
-pub const COORD_MAX_WAVE: &str = "coord.max_wave";
-/// Maximum probe wave executed (TCoP; one wave = 3 protocol rounds).
-pub const COORD_PROBE_WAVES: &str = "coord.probe_waves";
-/// Snapshot of [`COORD_PROBE_WAVES`] at each first-activation: probe
-/// waves needed *to synchronize*, excluding post-activation retries.
-pub const COORD_PROBE_WAVES_AT_ACTIVATION: &str = "coord.probe_waves_at_activation";
-/// Virtual time (nanos) of the last first-activation.
-pub const COORD_LAST_ACTIVATION_NANOS: &str = "coord.last_activation_nanos";
-/// Fixed round count for protocols with a constant-round structure
-/// (centralized 2PC = 3).
-pub const COORD_FIXED_ROUNDS: &str = "coord.fixed_rounds";
-
-/// Data packets sent by contents peers.
-pub const DATA_MSGS: &str = "data.msgs";
-
-/// NACK rounds the leaf sent.
-pub const REPAIR_ROUNDS: &str = "repair.rounds";
-/// NACKs served by contents peers.
-pub const REPAIR_REQUESTS: &str = "repair.requests";
-/// Data packets retransmitted in answer to NACKs.
-pub const REPAIR_PACKETS: &str = "repair.packets";
-
-/// Virtual time (nanos) at which the leaf held every data packet.
-pub const LEAF_COMPLETE_NANOS: &str = "leaf.complete_nanos";
-
-/// Control packets whose kind the receiving protocol does not handle
-/// (e.g. an `Announce` reaching a DCoP peer). Such packets are dropped —
-/// this counter makes the drop observable instead of silently treating
-/// the packet as whatever kind the handler expected.
-pub const COORD_UNEXPECTED_KIND: &str = "coord.unexpected_kind";
-
-mss_sim::metric_ids! {
-    coord_msgs_id => COORD_MSGS;
-    coord_bytes_id => COORD_BYTES;
-    coord_bytes_tx_id => COORD_BYTES_TX;
-    coord_bytes_full_id => COORD_BYTES_FULL;
-    coord_msgs_at_activation_id => COORD_MSGS_AT_ACTIVATION;
-    coord_activations_id => COORD_ACTIVATIONS;
-    coord_max_wave_id => COORD_MAX_WAVE;
-    coord_probe_waves_id => COORD_PROBE_WAVES;
-    coord_probe_waves_at_activation_id => COORD_PROBE_WAVES_AT_ACTIVATION;
-    coord_last_activation_nanos_id => COORD_LAST_ACTIVATION_NANOS;
-    coord_fixed_rounds_id => COORD_FIXED_ROUNDS;
-    coord_unexpected_kind_id => COORD_UNEXPECTED_KIND;
-    data_msgs_id => DATA_MSGS;
-    repair_rounds_id => REPAIR_ROUNDS;
-    repair_requests_id => REPAIR_REQUESTS;
-    repair_packets_id => REPAIR_PACKETS;
-    leaf_complete_nanos_id => LEAF_COMPLETE_NANOS;
-}
+use crate::msg::{ControlKind, Msg};
 
 /// Per-kind breakdown of [`COORD_BYTES_TX`]: which message kinds carry
-/// the control bytes. Indexed by [`coord_kind_index`].
-pub const COORD_BYTES_TX_KINDS: [&str; 9] = [
-    "coord.bytes_tx.request",
-    "coord.bytes_tx.activate",
-    "coord.bytes_tx.probe",
-    "coord.bytes_tx.commit",
-    "coord.bytes_tx.announce",
-    "coord.bytes_tx.reply",
-    "coord.bytes_tx.twophase",
-    "coord.bytes_tx.assign",
-    "coord.bytes_tx.nack",
+/// the control bytes.
+pub const COORD_BYTES_TX_KINDS: [MetricId; 9] = [
+    COORD_BYTES_TX_REQUEST_ID,
+    COORD_BYTES_TX_ACTIVATE_ID,
+    COORD_BYTES_TX_PROBE_ID,
+    COORD_BYTES_TX_COMMIT_ID,
+    COORD_BYTES_TX_ANNOUNCE_ID,
+    COORD_BYTES_TX_REPLY_ID,
+    COORD_BYTES_TX_TWOPHASE_ID,
+    COORD_BYTES_TX_ASSIGN_ID,
+    COORD_BYTES_TX_NACK_ID,
 ];
 
-/// Index of a coordination message into [`COORD_BYTES_TX_KINDS`].
+/// Slot of a coordination message's per-kind byte counter, one of
+/// [`COORD_BYTES_TX_KINDS`].
 ///
 /// # Panics
 ///
-/// On [`crate::msg::Msg::Data`] — data packets are not coordination
-/// traffic and never reach the coordination send paths.
-pub fn coord_kind_index(msg: &crate::msg::Msg) -> usize {
-    use crate::msg::{ControlKind, Msg};
+/// On [`Msg::Data`] — data packets are not coordination traffic and
+/// never reach the coordination send paths.
+pub fn coord_bytes_tx_kind_id(msg: &Msg) -> MetricId {
     match msg {
-        Msg::Request(_) => 0,
+        Msg::Request(_) => COORD_BYTES_TX_REQUEST_ID,
         Msg::Control(c) => match c.body.kind {
-            ControlKind::Activate => 1,
-            ControlKind::Probe => 2,
-            ControlKind::Commit => 3,
-            ControlKind::Announce => 4,
+            ControlKind::Activate => COORD_BYTES_TX_ACTIVATE_ID,
+            ControlKind::Probe => COORD_BYTES_TX_PROBE_ID,
+            ControlKind::Commit => COORD_BYTES_TX_COMMIT_ID,
+            ControlKind::Announce => COORD_BYTES_TX_ANNOUNCE_ID,
         },
-        Msg::Reply(_) => 5,
-        Msg::TwoPhase(_) => 6,
-        Msg::Assign(_) => 7,
-        Msg::Nack(_) => 8,
+        Msg::Reply(_) => COORD_BYTES_TX_REPLY_ID,
+        Msg::TwoPhase(_) => COORD_BYTES_TX_TWOPHASE_ID,
+        Msg::Assign(_) => COORD_BYTES_TX_ASSIGN_ID,
+        Msg::Nack(_) => COORD_BYTES_TX_NACK_ID,
         Msg::Data(_) => unreachable!("data packets are not coordination traffic"),
     }
-}
-
-/// Interned slot id for a coordination message's per-kind byte counter.
-pub fn coord_bytes_tx_kind_id(msg: &crate::msg::Msg) -> MetricId {
-    static IDS: OnceLock<[MetricId; 9]> = OnceLock::new();
-    let ids = IDS.get_or_init(|| COORD_BYTES_TX_KINDS.map(mss_sim::metrics::register));
-    ids[coord_kind_index(msg)]
 }
 
 /// Consolidated result of one session run.

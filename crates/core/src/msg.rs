@@ -307,15 +307,22 @@ impl Msg {
     }
 
     /// Whether a session of `n` contents peers can take this message:
-    /// every view it carries ranges over `n` peers and every peer it
-    /// names is below `n`. A frame from another population decodes
-    /// fine but fails this, and a handler would panic on it.
+    /// every view it carries ranges over `n` peers, every peer it names
+    /// is below `n`, a request or control packet carries a parity
+    /// interval `h ≥ 1`, and a request's `weights` has no zero and an
+    /// entry for its `part`. A frame that breaks one of these decodes
+    /// fine, and a handler would panic on it.
     pub fn fits(&self, n: usize) -> bool {
         let peer = |p: PeerId| p.index() < n;
         let view = |v: &View| v.population() == n;
         match self {
-            Msg::Request(r) => r.view.as_deref().is_none_or(view),
-            Msg::Control(c) => peer(c.body.from) && view(&c.body.view),
+            Msg::Request(r) => {
+                let weights = |w: &[u64]| w.len() > r.part as usize && !w.contains(&0);
+                r.h > 0
+                    && r.view.as_deref().is_none_or(view)
+                    && r.weights.as_deref().is_none_or(weights)
+            }
+            Msg::Control(c) => c.body.h > 0 && peer(c.body.from) && view(&c.body.view),
             Msg::Reply(r) => peer(r.from),
             Msg::Data(d) => peer(d.from),
             Msg::TwoPhase(TwoPhase::Vote { from, .. }) => peer(*from),

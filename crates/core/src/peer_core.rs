@@ -135,12 +135,12 @@ impl Core {
     pub fn send_coord(&mut self, ctx: &mut dyn Runtime<Msg>, to: ActorId, msg: Msg) {
         debug_assert!(msg.is_coordination());
         let m = ctx.metrics();
-        m.incr_id(mnames::coord_msgs_id());
-        m.add_id(mnames::coord_bytes_id(), msg.model_size() as u64);
+        m.incr_id(mnames::COORD_MSGS_ID);
+        m.add_id(mnames::COORD_BYTES_ID, msg.model_size() as u64);
         let tx = msg.wire_size() as u64;
-        m.add_id(mnames::coord_bytes_tx_id(), tx);
+        m.add_id(mnames::COORD_BYTES_TX_ID, tx);
         m.add_id(mnames::coord_bytes_tx_kind_id(&msg), tx);
-        m.add_id(mnames::coord_bytes_full_id(), tx);
+        m.add_id(mnames::COORD_BYTES_FULL_ID, tx);
         ctx.send(to, msg);
     }
 
@@ -169,18 +169,18 @@ impl Core {
             tx += msg.wire_size() as u64;
         }
         let m = ctx.metrics();
-        m.add_id(mnames::coord_msgs_id(), batch.len() as u64);
-        m.add_id(mnames::coord_bytes_id(), model);
-        m.add_id(mnames::coord_bytes_tx_id(), tx);
+        m.add_id(mnames::COORD_MSGS_ID, batch.len() as u64);
+        m.add_id(mnames::COORD_BYTES_ID, model);
+        m.add_id(mnames::COORD_BYTES_TX_ID, tx);
         m.add_id(kind_id, tx);
-        m.add_id(mnames::coord_bytes_full_id(), tx);
+        m.add_id(mnames::COORD_BYTES_FULL_ID, tx);
         ctx.send_batch(batch);
     }
 
     /// Count (and thereby observably drop) a control packet whose kind
     /// this protocol has no handler for.
     pub fn count_unexpected_control(&mut self, ctx: &mut dyn Runtime<Msg>) {
-        ctx.metrics().incr_id(mnames::coord_unexpected_kind_id());
+        ctx.metrics().incr_id(mnames::COORD_UNEXPECTED_KIND_ID);
     }
 
     /// The initial assignment a leaf content request confers on this
@@ -255,16 +255,16 @@ impl Core {
         self.activated_nanos = ctx.now().as_nanos();
         let now = ctx.now().as_nanos();
         let m = ctx.metrics();
-        let msgs = m.counter_id(mnames::coord_msgs_id());
-        let probe_waves = m.counter_id(mnames::coord_probe_waves_id());
+        let msgs = m.counter_id(mnames::COORD_MSGS_ID);
+        let probe_waves = m.counter_id(mnames::COORD_PROBE_WAVES_ID);
         // The snapshot advances by what this world sent since its last
         // one, so worlds' snapshots add up when they merge.
-        let snapshot = m.counter_id(mnames::coord_msgs_at_activation_id());
-        m.incr_id(mnames::coord_activations_id());
-        m.set_max_id(mnames::coord_max_wave_id(), u64::from(wave));
-        m.add_id(mnames::coord_msgs_at_activation_id(), msgs - snapshot);
-        m.set_max_id(mnames::coord_probe_waves_at_activation_id(), probe_waves);
-        m.set_max_id(mnames::coord_last_activation_nanos_id(), now);
+        let snapshot = m.counter_id(mnames::COORD_MSGS_AT_ACTIVATION_ID);
+        m.incr_id(mnames::COORD_ACTIVATIONS_ID);
+        m.set_max_id(mnames::COORD_MAX_WAVE_ID, u64::from(wave));
+        m.add_id(mnames::COORD_MSGS_AT_ACTIVATION_ID, msgs - snapshot);
+        m.set_max_id(mnames::COORD_PROBE_WAVES_AT_ACTIVATION_ID, probe_waves);
+        m.set_max_id(mnames::COORD_LAST_ACTIVATION_NANOS_ID, now);
     }
 
     /// Install (or DCoP-merge) an assignment and start streaming.
@@ -452,7 +452,7 @@ impl Core {
         self.sched.pos += 1;
         self.sent += 1;
         let packet = self.cfg.content.materialize(&id);
-        ctx.metrics().incr_id(mnames::data_msgs_id());
+        ctx.metrics().incr_id(mnames::DATA_MSGS_ID);
         let leaf = self.dir.leaf();
         ctx.send(leaf, Msg::data(self.me, packet));
         self.arm_send(ctx);
@@ -464,7 +464,7 @@ impl Core {
         if !self.cfg.data_plane {
             return;
         }
-        ctx.metrics().incr_id(mnames::repair_requests_id());
+        ctx.metrics().incr_id(mnames::REPAIR_REQUESTS_ID);
         let leaf = self.dir.leaf();
         for &seq in nack.seqs.iter() {
             if seq.0 == 0 || seq.0 > self.cfg.content.packets {
@@ -474,8 +474,8 @@ impl Core {
                 .cfg
                 .content
                 .materialize(&mss_media::PacketId::Data(seq));
-            ctx.metrics().incr_id(mnames::repair_packets_id());
-            ctx.metrics().incr_id(mnames::data_msgs_id());
+            ctx.metrics().incr_id(mnames::REPAIR_PACKETS_ID);
+            ctx.metrics().incr_id(mnames::DATA_MSGS_ID);
             self.sent += 1;
             ctx.send(leaf, Msg::data(self.me, packet));
         }

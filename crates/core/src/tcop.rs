@@ -95,7 +95,7 @@ impl TcopPeer {
         }
         // One probe round = 3 protocol rounds; track the deepest round.
         ctx.metrics()
-            .set_max_id(mnames::coord_probe_waves_id(), u64::from(child_wave - 1));
+            .set_max_id(mnames::COORD_PROBE_WAVES_ID, u64::from(child_wave - 1));
         let body = Arc::new(ControlBody {
             kind: ControlKind::Probe,
             from: self.core.me,

@@ -3,7 +3,7 @@
 
 use mss_core::config::SessionConfig;
 use mss_core::dcop::DcopPeer;
-use mss_core::metrics::COORD_UNEXPECTED_KIND;
+use mss_core::metrics::{COORD_UNEXPECTED_KIND, REPAIR_PACKETS};
 use mss_core::msg::{
     ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, Nack, ProbeReply,
 };
@@ -178,7 +178,7 @@ fn nack_retransmits_exactly_the_asked_packets() {
             other => panic!("unexpected {other:?}"),
         }
     }
-    assert_eq!(rt.metrics.counter("repair.packets"), 2);
+    assert_eq!(rt.metrics.counter(REPAIR_PACKETS), 2);
 }
 
 #[test]
@@ -270,8 +270,8 @@ fn peer_cfg() -> (Arc<Directory>, SessionConfig) {
     (Arc::new(Directory::dense(8)), cfg)
 }
 
-fn leaf_request() -> Msg {
-    Msg::request(ContentRequest {
+fn leaf_content_request() -> ContentRequest {
+    ContentRequest {
         wave: 1,
         interval_nanos: 1000,
         h: 2,
@@ -280,7 +280,11 @@ fn leaf_request() -> Msg {
         parts: 1,
         view: None,
         weights: None,
-    })
+    }
+}
+
+fn leaf_request() -> Msg {
+    Msg::request(leaf_content_request())
 }
 
 /// Drain the runtime's sends, which must all be control packets of
@@ -475,4 +479,70 @@ fn tcop_counts_each_probed_candidate_once() {
     assert_eq!(to, [probed[0], probed[1]], "one commit per accepted child");
     assert_one_body(&commits, 1..=2);
     assert_eq!(commits[0].1.body.parts, 3, "parts == accepted + 1");
+}
+
+/// A request or control packet that breaks the session's contract:
+/// `h = 0`, a zero weight, or no weight for the recipient's part. The
+/// control packet is a real DCoP fan-out's, relabelled `control`, with
+/// its mark at the parent's position so the recipient divides the
+/// whole schedule.
+fn contract_breaking_frames(control: ControlKind) -> [(&'static str, Msg); 4] {
+    let request = |h: u32, part: u32, weights: &[u64]| {
+        Msg::request(ContentRequest {
+            h,
+            part,
+            parts: 2,
+            weights: Some(weights.into()),
+            ..leaf_content_request()
+        })
+    };
+    let (dir, cfg) = peer_cfg();
+    let mut rt = MockRt::new();
+    deliver(
+        &mut DcopPeer::new(PeerId(5), dir, cfg),
+        &mut rt,
+        leaf_request(),
+    );
+    let sent = drain_controls(&mut rt, ControlKind::Activate);
+    let body = ControlBody {
+        kind: control,
+        h: 0,
+        mark_delta_nanos: 0,
+        basis: None,
+        ..(*sent[0].1.body).clone()
+    };
+    [
+        ("request h = 0", request(0, 0, &[1, 1])),
+        ("control h = 0", Msg::control(&Arc::new(body), 1)),
+        ("zero weight", request(2, 0, &[1, 0])),
+        ("no weight for the part", request(2, 1, &[1])),
+    ]
+}
+
+/// The frames `Msg::fits` rejects since it checks `h` and `weights`.
+/// Before, they passed it, so a live worker's `Inbox::accept` handed
+/// them to a peer, and delivered straight to a DCoP or TCoP peer every
+/// one of them panics: `h = 0` in the parity layer, a zero weight in the
+/// slot allocator (an `assert!`), and a missing weight in the weighted
+/// division (a `debug_assert!`; a release build idles the peer).
+#[test]
+fn contract_breaking_frames_do_not_fit_and_panic_a_peer() {
+    let (dir, cfg) = peer_cfg();
+    for kind in [ControlKind::Activate, ControlKind::Commit] {
+        for (what, msg) in contract_breaking_frames(kind) {
+            assert!(!msg.fits(8), "{what} fits");
+            let (dir, cfg) = (dir.clone(), cfg.clone());
+            let delivered = std::panic::catch_unwind(move || {
+                let mut rt = MockRt::new();
+                match kind {
+                    ControlKind::Activate => {
+                        deliver(&mut DcopPeer::new(PeerId(0), dir, cfg), &mut rt, msg)
+                    }
+                    _ => deliver(&mut TcopPeer::new(PeerId(0), dir, cfg), &mut rt, msg),
+                }
+            });
+            let panics = what != "no weight for the part" || cfg!(debug_assertions);
+            assert_eq!(delivered.is_err(), panics, "{what} to the {kind:?} peer");
+        }
+    }
 }

@@ -2,6 +2,7 @@
 //! residue that parity alone cannot recover.
 
 use mss_core::config::RepairConfig;
+use mss_core::metrics::REPAIR_ROUNDS;
 use mss_core::prelude::*;
 use mss_core::session::Session;
 use mss_sim::link::{FixedLatency, IidLoss};
@@ -90,7 +91,7 @@ fn repair_gives_up_after_max_rounds() {
     let (o, world, _) = session.run_with_world();
     assert!(!o.complete);
     assert!(
-        world.metrics().counter("repair.rounds") <= 3,
+        world.metrics().counter(REPAIR_ROUNDS) <= 3,
         "repair kept trying past max_rounds"
     );
 }

@@ -185,11 +185,11 @@ impl LiveSession {
             let (granted, _) = sys::set_socket_bufs(&rx, RX_RCVBUF, WORKER_SNDBUF)?;
             ovfl_counted &= sys::enable_rxq_ovfl(&rx);
             rx.set_nonblocking(true)?;
-            metrics.set_max_id(names::rcvbuf_bytes_id(), granted as u64);
+            metrics.set_max_id(names::RCVBUF_BYTES_ID, granted as u64);
             socks.push(rx);
         }
-        metrics.set_max_id(names::mmsg_active_id(), u64::from(use_mmsg));
-        metrics.set_max_id(names::rxq_ovfl_counted_id(), u64::from(ovfl_counted));
+        metrics.set_max_id(names::MMSG_ACTIVE_ID, u64::from(use_mmsg));
+        metrics.set_max_id(names::RXQ_OVFL_COUNTED_ID, u64::from(ovfl_counted));
         let addrs = socks
             .iter()
             .map(UdpSocket::local_addr)
@@ -326,11 +326,11 @@ impl Inbox {
         let mut frames = 0;
         for record in split_bundle(datagram) {
             let Ok((to, frame)) = record else {
-                metrics.incr_id(names::rx_decode_err_id());
+                metrics.incr_id(names::RX_DECODE_ERR_ID);
                 continue;
             };
             if !self.hosts(to) {
-                metrics.incr_id(names::rx_unroutable_id());
+                metrics.incr_id(names::RX_UNROUTABLE_ID);
                 continue;
             }
             frames += 1;
@@ -340,19 +340,19 @@ impl Inbox {
                 .ok()
                 .filter(|(_, m)| m.fits(self.n))
             else {
-                metrics.incr_id(names::rx_decode_err_id());
+                metrics.incr_id(names::RX_DECODE_ERR_ID);
                 continue;
             };
             world.arrive(now, from, ActorId(to), msg);
         }
-        metrics.add_id(names::rx_frames_id(), frames);
+        metrics.add_id(names::RX_FRAMES_ID, frames);
         frames
     }
 
     /// Record the decoder's end-of-run counts.
     fn report(&self, metrics: &mut Metrics) {
-        metrics.add_id(names::rx_bodies_shared_id(), self.decoder.shared());
-        metrics.add_id(names::rx_bodies_held_id(), self.decoder.held() as u64);
+        metrics.add_id(names::RX_BODIES_SHARED_ID, self.decoder.shared());
+        metrics.add_id(names::RX_BODIES_HELD_ID, self.decoder.held() as u64);
     }
 }
 
@@ -447,7 +447,7 @@ impl Wire {
             let now = wall.min(world.now() + MAX_STEP);
             self.receive(world, now)?;
             self.metrics
-                .set_max_id(names::mailbox_hwm_id(), std::mem::take(&mut self.queued));
+                .set_max_id(names::MAILBOX_HWM_ID, std::mem::take(&mut self.queued));
             world.run_until(now);
             self.post(world, now)?;
             if let Some(leaf) = self.inbox.leaf.filter(|_| !done) {
@@ -471,7 +471,7 @@ impl Wire {
             epoll.wait(&mut tokens, until.min(MAX_SLEEP_MS) as i32)?;
         }
         self.metrics
-            .add_id(names::worker_busy_ns_id(), self.busy.as_nanos() as u64);
+            .add_id(names::WORKER_BUSY_NS_ID, self.busy.as_nanos() as u64);
         self.inbox.report(&mut self.metrics);
         Ok(())
     }
@@ -487,17 +487,17 @@ impl Wire {
                 break;
             }
             let m = &mut self.metrics;
-            m.incr_id(names::rx_batches_id());
-            m.set_max_id(names::rx_batch_max_id(), got as u64);
+            m.incr_id(names::RX_BATCHES_ID);
+            m.set_max_id(names::RX_BATCH_MAX_ID, got as u64);
             let mut ovfl_max = self.last_ovfl;
             for (buf, meta) in self.bufs.iter().zip(&self.meta).take(got) {
                 ovfl_max = ovfl_max.max(meta.rxq_ovfl);
                 if meta.len > 0 {
-                    m.incr_id(names::rx_datagrams_id());
+                    m.incr_id(names::RX_DATAGRAMS_ID);
                     self.queued += self.inbox.accept(&buf[..meta.len], now, world, m);
                 }
             }
-            m.add_id(names::rx_dropped_id(), u64::from(ovfl_max - self.last_ovfl));
+            m.add_id(names::RX_DROPPED_ID, u64::from(ovfl_max - self.last_ovfl));
             self.last_ovfl = ovfl_max;
             if got < self.bufs.len() {
                 break;
@@ -522,7 +522,7 @@ impl Wire {
         self.staged = staged;
         for dst in 0..self.bundles.len() {
             let copied = self.bundles[dst].forget_body();
-            self.metrics.add_id(names::tx_bodies_shared_id(), copied);
+            self.metrics.add_id(names::TX_BODIES_SHARED_ID, copied);
             self.bundles[dst].seal();
             self.send_sealed(dst);
         }
@@ -535,13 +535,13 @@ impl Wire {
     fn push(&mut self, dst: usize, from: ActorId, to: ActorId, msg: &Msg) -> bool {
         let drops = &mut self.drops;
         if drops.p > 0.0 && from != drops.leaf && drops.rng.gen_bool(drops.p) {
-            self.metrics.incr_id(names::tx_dropped_id());
+            self.metrics.incr_id(names::TX_DROPPED_ID);
             return false;
         }
         if self.bundles[dst].push(to, from, msg) {
-            self.metrics.incr_id(names::tx_frames_id());
+            self.metrics.incr_id(names::TX_FRAMES_ID);
         } else {
-            self.metrics.incr_id(names::tx_dropped_id()); // larger than any datagram
+            self.metrics.incr_id(names::TX_DROPPED_ID); // larger than any datagram
         }
         let full = self.bundles[dst].sealed().len() >= TX_BATCH;
         if full {
@@ -562,10 +562,10 @@ impl Wire {
             .send_batch(&self.tx, &self.dests[dst], bundles.sealed());
         let (sent, calls) = sent.unwrap_or((0, 1));
         let m = &mut self.metrics;
-        m.add_id(names::tx_batches_id(), calls as u64);
-        m.add_id(names::tx_datagrams_id(), sent as u64);
-        m.set_max_id(names::tx_batch_max_id(), sent as u64);
-        m.add_id(names::tx_dropped_id(), (burst - sent) as u64);
+        m.add_id(names::TX_BATCHES_ID, calls as u64);
+        m.add_id(names::TX_DATAGRAMS_ID, sent as u64);
+        m.set_max_id(names::TX_BATCH_MAX_ID, sent as u64);
+        m.add_id(names::TX_DROPPED_ID, (burst - sent) as u64);
         bundles.recycle_sealed();
     }
 }
@@ -573,7 +573,7 @@ impl Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mss_core::msg::{ControlBody, ControlKind, ProbeReply};
+    use mss_core::msg::{ContentRequest, ControlBody, ControlKind, ProbeReply};
     use mss_media::ContentDesc;
     use mss_overlay::{PeerId, View};
     use mss_sim::shard::ShardedWorld;
@@ -732,11 +732,14 @@ mod tests {
         assert_eq!(recorded(&world, 1), [2]);
     }
 
-    /// Well-formed frames for another session: a control packet whose
-    /// view ranges over 50 peers, and one from peer 12, reach a real
-    /// 10-peer DCoP worker. Both count one `net.rx_decode_err` and are
-    /// skipped; delivered, the first would panic the peer's view union
-    /// and the second its view insert.
+    /// Well-formed frames that break the session's contract reach a
+    /// real 10-peer DCoP worker: a control packet whose view ranges over
+    /// 50 peers, one from peer 12, one with `h = 0`, and leaf requests
+    /// with `h = 0`, with a zero weight, and with no weight for their
+    /// part. Each counts one `net.rx_decode_err` and is skipped;
+    /// delivered, they would panic the peer's view union, its view
+    /// insert, the parity layer (both `h = 0`), the slot allocator and,
+    /// in debug builds, the weighted division.
     #[test]
     fn frames_that_do_not_fit_the_session_are_counted_and_skipped() {
         let n = 10;
@@ -744,33 +747,56 @@ mod tests {
             .into_live_worlds(1)
             .remove(0);
         let mut inbox = Inbox::new(0..n as u32, Some(ActorId(n as u32)), n);
-        let activate = |from: u32, population: usize| {
+        let activate = |from: u32, population: usize, h: u32| {
+            let data = (1..=8).map(|s| mss_media::PacketId::Data(mss_media::Seq(s)));
             let body = ControlBody {
                 kind: ControlKind::Activate,
                 from: PeerId(from),
                 wave: 1,
                 view: View::empty(population),
-                sched: mss_media::SeqView::empty(),
+                sched: mss_media::PacketSeq::from_ids(data.collect()).into(),
                 pos: 0,
                 interval_nanos: 1_000,
                 mark_delta_nanos: 0,
                 parts: 2,
-                h: 2,
+                h,
                 fanout: 2,
                 basis: None,
             };
             Msg::control(&std::sync::Arc::new(body), 1)
         };
+        let request = |h: u32, part: u32, weights: &[u64]| {
+            Msg::request(ContentRequest {
+                wave: 1,
+                interval_nanos: 1_000,
+                h,
+                fanout: 2,
+                part,
+                parts: 2,
+                view: None,
+                weights: Some(weights.into()),
+            })
+        };
+        let leaf = ActorId(n as u32);
+        let frames = [
+            (ActorId(3), ActorId(0), activate(0, 50, 2)),
+            (ActorId(4), ActorId(12), activate(12, n, 2)),
+            (ActorId(5), ActorId(1), activate(1, n, 0)),
+            (ActorId(6), leaf, request(0, 0, &[1, 1])),
+            (ActorId(7), leaf, request(2, 0, &[1, 0])),
+            (ActorId(8), leaf, request(2, 1, &[1])),
+        ];
         let mut w = BundleWriter::new(1);
-        assert!(w.push(ActorId(3), ActorId(0), &activate(0, 50)));
-        assert!(w.push(ActorId(4), ActorId(12), &activate(12, n)));
+        for (to, from, msg) in &frames {
+            assert!(w.push(*to, *from, msg));
+        }
         w.seal();
 
         let mut m = Metrics::new();
-        let frames = inbox.accept(&w.sealed()[0], SimTime(1), &mut world, &mut m);
+        let accepted = inbox.accept(&w.sealed()[0], SimTime(1), &mut world, &mut m);
         world.run_until(SimTime(1));
-        assert_eq!(frames, 2);
-        assert_eq!(m.counter(names::RX_DECODE_ERR), 2);
+        assert_eq!(accepted, frames.len() as u64);
+        assert_eq!(m.counter(names::RX_DECODE_ERR), accepted);
     }
 
     /// Through the real sockets: small frames share a datagram, a frame
@@ -913,8 +939,8 @@ mod tests {
         );
         assert!(out.outcome.coord_msgs_total >= 6);
         // Batching stats must be observable.
-        assert!(out.metrics.counter("net.rx_batches") > 0);
-        assert!(out.metrics.counter("net.tx_datagrams") > 0);
+        assert!(out.metrics.counter(names::RX_BATCHES) > 0);
+        assert!(out.metrics.counter(names::TX_DATAGRAMS) > 0);
         assert_no_decode_errors(&out);
     }
 
@@ -994,7 +1020,10 @@ mod tests {
         assert_no_decode_errors(&out);
         assert_eq!(out.worker_busy.len(), 2);
         let m = &out.metrics;
-        assert!(m.counter("coord.bytes_tx.commit") > 0, "no commit sent");
+        assert!(
+            m.counter(mss_core::metrics::COORD_BYTES_TX_COMMIT) > 0,
+            "no commit sent"
+        );
         let (frames, datagrams) = (m.counter(names::TX_FRAMES), m.counter(names::TX_DATAGRAMS));
         assert!(
             frames > datagrams,
@@ -1102,7 +1131,7 @@ mod tests {
         // The adaptive codec must actually be earning the headroom:
         // every frame stayed under the datagram cap (oversized sends
         // are dropped silently, which would show up as misses above).
-        assert!(out.metrics.counter("net.tx_datagrams") > 0);
+        assert!(out.metrics.counter(names::TX_DATAGRAMS) > 0);
         assert_no_decode_errors(&out);
     }
 

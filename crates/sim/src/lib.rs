@@ -16,7 +16,7 @@
 //! - [`link`]: pluggable network models (fixed latency, jitter,
 //!   i.i.d. and Gilbert–Elliott bursty loss, bandwidth queueing),
 //! - [`rng`]: a splittable PCG generator so runs are bit-reproducible,
-//! - [`metrics`]: named counters, interned to dense slot ids,
+//! - [`metrics`]: named counters, declared in one table with a merge kind each,
 //! - [`pool`]: bounded byte-buffer freelists so live transports frame
 //!   deliveries into recycled scratch instead of fresh allocations.
 //!

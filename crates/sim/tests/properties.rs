@@ -5,7 +5,11 @@ use proptest::prelude::*;
 
 use mss_sim::event::{ActorId, Event, EventQueue, TimerId};
 use mss_sim::link::{Bandwidth, FixedLatency, GilbertElliott, IidLoss, LinkModel, LinkVerdict};
-use mss_sim::metrics::{register, Metrics};
+use mss_sim::metrics::live::{MAILBOX_HWM_ID, RX_FRAMES_ID};
+use mss_sim::metrics::session::{
+    COORD_LAST_ACTIVATION_NANOS_ID, COORD_MAX_WAVE_ID, COORD_MSGS_ID, LEAF_COMPLETE_NANOS_ID,
+};
+use mss_sim::metrics::{Kind, MetricId, Metrics, NET_SENT_ID};
 use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
 
@@ -177,15 +181,26 @@ fn check_session_shape(ops: &[(u8, u64)]) {
     prop_assert!(q.pop().is_none());
 }
 
-/// Build a sink from generated (counter-index, value) pairs, drawn from
-/// a small shared name pool so sinks overlap on some slots and miss on
-/// others.
-fn sink_of(counters: &[(u8, u64)]) -> Metrics {
-    let mut m = Metrics::new();
-    for &(k, v) in counters {
-        m.add_id(register(&format!("prop.merge.c{}", k % 8)), v);
+/// Declared slots the merge property writes: counts of the kernel, the
+/// session and the live plane, and maxima of the last two.
+const MERGE_SLOTS: [MetricId; 7] = [
+    NET_SENT_ID,
+    COORD_MSGS_ID,
+    RX_FRAMES_ID,
+    COORD_MAX_WAVE_ID,
+    COORD_LAST_ACTIVATION_NANOS_ID,
+    LEAF_COMPLETE_NANOS_ID,
+    MAILBOX_HWM_ID,
+];
+
+/// Apply one generated write `(slot, value)` the way its declared kind
+/// is written.
+fn write(m: &mut Metrics, (slot, v): (u8, u64)) {
+    let id = MERGE_SLOTS[slot as usize % MERGE_SLOTS.len()];
+    match id.kind() {
+        Kind::Count => m.add_id(id, v),
+        Kind::Max => m.set_max_id(id, v),
     }
-    m
 }
 
 /// Observable state of a sink: every counter, in name order.
@@ -315,33 +330,37 @@ proptest! {
         }
     }
 
-    /// `Metrics::merge` is commutative and associative on random sinks:
-    /// the merged counters do not depend on merge order or grouping.
+    /// Writes to declared counts and maxima, split across 1–4 sinks and
+    /// merged in any order, read what one sink that saw every write reads.
     #[test]
-    fn metrics_merge_is_commutative_and_associative(
-        ca in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..20),
-        cb in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..20),
-        cc in proptest::collection::vec((any::<u8>(), 0u64..1_000_000), 0..20),
+    fn merged_sinks_read_like_one_sink_that_saw_every_write(
+        writes in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u64..1_000_000), 0..40),
+        sinks in 1usize..5,
+        keys in proptest::collection::vec(any::<u32>(), 4),
     ) {
-        let a = sink_of(&ca);
-        let b = sink_of(&cb);
-        let c = sink_of(&cc);
+        let mut whole = Metrics::new();
+        let mut parts: Vec<Metrics> = (0..sinks).map(|_| Metrics::new()).collect();
+        for &(slot, sink, v) in &writes {
+            write(&mut whole, (slot, v));
+            write(&mut parts[sink as usize % sinks], (slot, v));
+        }
+        let mut order: Vec<usize> = (0..sinks).collect();
+        order.sort_by_key(|&k| keys[k]);
 
-        // Commutativity: a ⊕ b == b ⊕ a.
-        let mut ab = sink_of(&ca);
-        ab.merge(&b);
-        let mut ba = sink_of(&cb);
-        ba.merge(&a);
-        prop_assert_eq!(snapshot(&ab), snapshot(&ba));
+        // Into an empty sink, in the drawn order.
+        let mut merged = Metrics::new();
+        for &k in &order {
+            merged.merge(&parts[k]);
+        }
+        prop_assert_eq!(snapshot(&merged), snapshot(&whole));
 
-        // Associativity: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c).
-        let mut ab_c = ab;
-        ab_c.merge(&c);
-        let mut bc = sink_of(&cb);
-        bc.merge(&c);
-        let mut a_bc = sink_of(&ca);
-        a_bc.merge(&bc);
-        prop_assert_eq!(snapshot(&ab_c), snapshot(&a_bc));
+        // Into the first sink of that order, the rest in reverse.
+        let (first, rest) = order.split_first().expect("at least one sink");
+        let mut into_first = std::mem::take(&mut parts[*first]);
+        for &k in rest.iter().rev() {
+            into_first.merge(&parts[k]);
+        }
+        prop_assert_eq!(snapshot(&into_first), snapshot(&whole));
     }
 
     /// Gilbert–Elliott marginal loss stays within [loss_good, loss_bad].

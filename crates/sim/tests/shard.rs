@@ -132,7 +132,7 @@ fn ping_pong_across_shards_terminates_with_exact_times() {
     // Tag k crosses shards and arrives at (k+1)·5 ms; tag 6 arrives
     // last (35 ms) and is not returned: 7 deliveries total.
     assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(35));
-    assert_eq!(sw.metrics().counter("net.delivered"), 7);
+    assert_eq!(sw.metrics().counter(metrics::NET_DELIVERED), 7);
 }
 
 #[test]
@@ -218,7 +218,7 @@ fn killed_remote_actor_stops_receiving_at_the_next_window() {
     // least the first five pings but nowhere near all 40.
     assert!((5..=20).contains(&got), "saw {got} pings");
     assert!(!sw.is_alive(sink));
-    assert!(sw.metrics().counter("net.to_dead") > 0);
+    assert!(sw.metrics().counter(metrics::NET_TO_DEAD) > 0);
 }
 
 #[test]
@@ -429,5 +429,5 @@ fn group_members_dispatch_on_their_shard() {
         let seen = sw.actor_as::<u32>(ActorId(id)).unwrap();
         assert!(*seen >= 1, "member {id} never dispatched");
     }
-    assert_eq!(sw.metrics().counter("net.delivered"), 9);
+    assert_eq!(sw.metrics().counter(metrics::NET_DELIVERED), 9);
 }

@@ -23,8 +23,8 @@ use std::time::Instant;
 fn kind_bytes_of(m: &mss::sim::metrics::Metrics) -> Vec<(&'static str, u64)> {
     mss::core::metrics::COORD_BYTES_TX_KINDS
         .iter()
-        .filter_map(|name| {
-            let v = m.counter(name);
+        .filter_map(|&id| {
+            let (name, v) = (id.name(), m.counter_id(id));
             (v > 0).then_some((name.rsplit('.').next().unwrap_or(name), v))
         })
         .collect()

@@ -16,7 +16,13 @@
 #     bodies): mss-overlay's `properties` test;
 #   - word-wide coding kernels vs scalar loops, and payload synthesis
 #     vs a test-side splitmix64 reference and three golden FNV-1a
-#     digests: mss-media's `kernel_equivalence` test.
+#     digests: mss-media's `kernel_equivalence` test;
+#   - the metric declaration table (unique names, every id its own
+#     row, name-ordered iteration): mss-sim's
+#     `the_declaration_table_is_one_row_per_name_in_id_order`, and,
+#     since this step is a debug build, the `debug_assertions` in
+#     `Metrics` that fail a write of the wrong kind or a read by an
+#     undeclared name on every path a test reaches.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail

@@ -8,9 +8,11 @@
 
 use std::time::Duration;
 
+use mss::core::metrics as mnames;
 use mss::core::prelude::*;
 use mss::core::session::Session;
-use mss::net::{LiveOutcome, LiveSession};
+use mss::net::{names, LiveOutcome, LiveSession};
+use mss::sim::metrics::NET_SENT;
 
 fn shared_cfg() -> SessionConfig {
     let mut cfg = SessionConfig::small(8, 3, 1234);
@@ -120,18 +122,18 @@ fn live_host_matches_simulator_at_scale() {
         assert_eq!(sim.activated, 200, "{protocol:?} sim activation");
         assert!(sim.complete, "{protocol:?} sim completion");
         let m = &live.metrics;
-        assert_eq!(m.counter("net.rx_dropped"), 0, "{protocol:?}");
+        assert_eq!(m.counter(names::RX_DROPPED), 0, "{protocol:?}");
         assert_agrees(&sim, &live.outcome, "live");
         // The batched syscall plane must actually be exercised.
-        assert!(m.counter("net.rx_batches") > 0);
-        assert!(m.counter("net.tx_datagrams") > 0);
-        let tx = m.counter("net.tx_frames");
+        assert!(m.counter(names::RX_BATCHES) > 0);
+        assert!(m.counter(names::TX_DATAGRAMS) > 0);
+        let tx = m.counter(names::TX_FRAMES);
         assert_eq!(
-            m.counter("net.sent"),
-            tx + m.counter("net.tx_dropped"),
+            m.counter(NET_SENT),
+            tx + m.counter(names::TX_DROPPED),
             "{protocol:?}: a send skipped the wire"
         );
-        assert_eq!(m.counter("net.rx_frames"), tx, "{protocol:?}");
+        assert_eq!(m.counter(names::RX_FRAMES), tx, "{protocol:?}");
     }
 }
 
@@ -149,10 +151,10 @@ fn live_tcop_fanouts_are_bundled_and_shared_at_600() {
     let o = &live.outcome;
     assert!(o.complete, "leaf missing {} packets", o.leaf_missing);
     let m = &live.metrics;
-    assert_eq!(m.counter("net.rx_decode_err"), 0);
-    let probes = m.counter("coord.bytes_tx.probe");
+    assert_eq!(m.counter(names::RX_DECODE_ERR), 0);
+    let probes = m.counter(mnames::COORD_BYTES_TX_PROBE);
     assert!(probes > 0, "the session must have probed");
-    let (frames, datagrams) = (m.counter("net.tx_frames"), m.counter("net.tx_datagrams"));
+    let (frames, datagrams) = (m.counter(names::TX_FRAMES), m.counter(names::TX_DATAGRAMS));
     assert!(
         frames > datagrams,
         "{frames} frames in {datagrams} datagrams"
@@ -164,7 +166,7 @@ fn live_tcop_fanouts_are_bundled_and_shared_at_600() {
 /// decoded once for several recipients.
 fn assert_fanouts_written_once_and_parsed_once(live: &LiveOutcome) {
     let m = &live.metrics;
-    for side in ["net.tx_bodies_shared", "net.rx_bodies_shared"] {
+    for side in [names::TX_BODIES_SHARED, names::RX_BODIES_SHARED] {
         assert!(m.counter(side) > 0, "{side} = 0");
     }
 }
@@ -181,7 +183,7 @@ fn live_dcop_fanouts_are_shared_at_600() {
         .expect("live session");
     let o = &live.outcome;
     assert!(o.complete, "leaf missing {} packets", o.leaf_missing);
-    assert_eq!(live.metrics.counter("net.rx_decode_err"), 0);
+    assert_eq!(live.metrics.counter(names::RX_DECODE_ERR), 0);
     assert_fanouts_written_once_and_parsed_once(&live);
 }
 
