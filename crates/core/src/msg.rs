@@ -309,9 +309,11 @@ impl Msg {
     /// Whether a session of `n` contents peers can take this message:
     /// every view it carries ranges over `n` peers, every peer it names
     /// is below `n`, a request or control packet carries a parity
-    /// interval `h ≥ 1`, and a request's `weights` has no zero and an
-    /// entry for its `part`. A frame that breaks one of these decodes
-    /// fine, and a handler would panic on it.
+    /// interval `h ≥ 1`, a request's `weights` has no zero and an entry
+    /// for its `part`, and an `Activate` or `Commit` hands out a `part`
+    /// below its `parts ≥ 1` (a probe divides nothing and carries
+    /// `parts = 0`). A frame that breaks one of these decodes fine, and a
+    /// handler would panic on it or take an empty part.
     pub fn fits(&self, n: usize) -> bool {
         let peer = |p: PeerId| p.index() < n;
         let view = |v: &View| v.population() == n;
@@ -322,7 +324,14 @@ impl Msg {
                     && r.view.as_deref().is_none_or(view)
                     && r.weights.as_deref().is_none_or(weights)
             }
-            Msg::Control(c) => c.body.h > 0 && peer(c.body.from) && view(&c.body.view),
+            Msg::Control(c) => {
+                let b = &c.body;
+                let divides = match b.kind {
+                    ControlKind::Activate | ControlKind::Commit => c.part < b.parts,
+                    ControlKind::Probe | ControlKind::Announce => true,
+                };
+                b.h > 0 && divides && peer(b.from) && view(&b.view)
+            }
             Msg::Reply(r) => peer(r.from),
             Msg::Data(d) => peer(d.from),
             Msg::TwoPhase(TwoPhase::Vote { from, .. }) => peer(*from),

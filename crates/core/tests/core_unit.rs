@@ -482,11 +482,12 @@ fn tcop_counts_each_probed_candidate_once() {
 }
 
 /// A request or control packet that breaks the session's contract:
-/// `h = 0`, a zero weight, or no weight for the recipient's part. The
-/// control packet is a real DCoP fan-out's, relabelled `control`, with
-/// its mark at the parent's position so the recipient divides the
-/// whole schedule.
-fn contract_breaking_frames(control: ControlKind) -> [(&'static str, Msg); 4] {
+/// `h = 0`, a zero weight, no weight for the recipient's part, a
+/// division into no parts, or a part past the division. The control
+/// packets are a real DCoP fan-out's, relabelled `control`, with the
+/// mark at the parent's position so the recipient divides the whole
+/// schedule.
+fn contract_breaking_frames(control: ControlKind) -> [(&'static str, Msg); 6] {
     let request = |h: u32, part: u32, weights: &[u64]| {
         Msg::request(ContentRequest {
             h,
@@ -504,27 +505,36 @@ fn contract_breaking_frames(control: ControlKind) -> [(&'static str, Msg); 4] {
         leaf_request(),
     );
     let sent = drain_controls(&mut rt, ControlKind::Activate);
-    let body = ControlBody {
-        kind: control,
-        h: 0,
-        mark_delta_nanos: 0,
-        basis: None,
-        ..(*sent[0].1.body).clone()
+    let control = |h: u32, parts: u32, part: u32| {
+        let body = ControlBody {
+            kind: control,
+            h,
+            parts,
+            mark_delta_nanos: 0,
+            basis: None,
+            ..(*sent[0].1.body).clone()
+        };
+        Msg::control(&Arc::new(body), part)
     };
+    let parts = sent[0].1.body.parts;
     [
         ("request h = 0", request(0, 0, &[1, 1])),
-        ("control h = 0", Msg::control(&Arc::new(body), 1)),
+        ("control h = 0", control(0, parts, 1)),
         ("zero weight", request(2, 0, &[1, 0])),
         ("no weight for the part", request(2, 1, &[1])),
+        ("control parts = 0", control(2, 0, 0)),
+        ("control part = parts", control(2, parts, parts)),
     ]
 }
 
-/// The frames `Msg::fits` rejects since it checks `h` and `weights`.
-/// Before, they passed it, so a live worker's `Inbox::accept` handed
-/// them to a peer, and delivered straight to a DCoP or TCoP peer every
-/// one of them panics: `h = 0` in the parity layer, a zero weight in the
-/// slot allocator (an `assert!`), and a missing weight in the weighted
-/// division (a `debug_assert!`; a release build idles the peer).
+/// The frames `Msg::fits` rejects since it checks `h`, `weights` and
+/// the part of an `Activate` or `Commit`. Before, they passed it, so a
+/// live worker's `Inbox::accept` handed them to a peer. Delivered
+/// straight to a DCoP or TCoP peer, the first four panic it: `h = 0` in
+/// the parity layer, a zero weight in the slot allocator (an `assert!`),
+/// and a missing weight in the weighted division (a `debug_assert!`; a
+/// release build idles the peer). The last two activate it with an
+/// empty part: a peer that counts as active and sends nothing.
 #[test]
 fn contract_breaking_frames_do_not_fit_and_panic_a_peer() {
     let (dir, cfg) = peer_cfg();
@@ -536,13 +546,41 @@ fn contract_breaking_frames_do_not_fit_and_panic_a_peer() {
                 let mut rt = MockRt::new();
                 match kind {
                     ControlKind::Activate => {
-                        deliver(&mut DcopPeer::new(PeerId(0), dir, cfg), &mut rt, msg)
+                        let mut peer = DcopPeer::new(PeerId(0), dir, cfg);
+                        deliver(&mut peer, &mut rt, msg);
+                        peer.report()
                     }
-                    _ => deliver(&mut TcopPeer::new(PeerId(0), dir, cfg), &mut rt, msg),
+                    _ => {
+                        let mut peer = TcopPeer::new(PeerId(0), dir, cfg);
+                        deliver(&mut peer, &mut rt, msg);
+                        peer.report()
+                    }
                 }
             });
-            let panics = what != "no weight for the part" || cfg!(debug_assertions);
-            assert_eq!(delivered.is_err(), panics, "{what} to the {kind:?} peer");
+            match what {
+                "control parts = 0" | "control part = parts" => {
+                    let report = delivered.expect("an empty part does not panic");
+                    assert!(report.active, "{what} to the {kind:?} peer");
+                    assert_eq!(report.sched_len, 0, "{what} to the {kind:?} peer");
+                }
+                _ => {
+                    let panics = what != "no weight for the part" || cfg!(debug_assertions);
+                    assert_eq!(delivered.is_err(), panics, "{what} to the {kind:?} peer");
+                }
+            }
         }
+    }
+}
+
+/// A real TCoP probe divides nothing and says so with `parts = 0`; the
+/// part rule covers only the packets that hand out a part, so the probe
+/// still fits.
+#[test]
+fn a_real_tcop_probe_fits() {
+    let mut rt = MockRt::new();
+    let (_, probes) = probing_tcop_peer(&mut rt);
+    for (_, probe) in probes {
+        assert_eq!(probe.body.parts, 0);
+        assert!(Msg::Control(probe).fits(8));
     }
 }

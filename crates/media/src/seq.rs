@@ -16,12 +16,15 @@
 //! Schedules are *not* ascending by readiness in general: an enhanced
 //! stream puts segment `d`'s parity at offset `d mod (h+1)`, ahead of the
 //! segment's later data, so a round-robin part with stride `≤ h+1`
-//! regresses. The union rule needs no order of either operand.
+//! regresses. The union rule needs no order of either operand, but a
+//! sequence remembers whether it is in merge-key order
+//! ([`PacketSeq::is_ordered`]), and an ordered one merges by binary
+//! search instead of scans.
 //!
-//! A [`PacketSeq`] is a plain ordered `Vec`: membership, position,
-//! intersection and the affixes are scans. The protocols' hot path is
-//! [`PacketSeq::union_in_place`], the union rule run on an owned
-//! sequence; [`PacketSeq::union_iters`] runs it on a copy of a borrowed
+//! A [`PacketSeq`] is a plain ordered `Vec` plus that flag: membership,
+//! position, intersection and the affixes are scans. The protocols' hot
+//! path is [`PacketSeq::union_in_place`], the union rule run on an owned
+//! sequence; [`PacketSeq::union`] runs it on a copy of a borrowed
 //! operand.
 
 use std::fmt;
@@ -30,9 +33,15 @@ use crate::fxhash::FxHashSet;
 use crate::packet::{PacketId, Seq};
 
 /// An ordered sequence of distinct packets (a transmission schedule).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// Equality compares the packets only, never the order flag.
+#[derive(Clone, Debug)]
 pub struct PacketSeq {
     items: Vec<PacketId>,
+    /// True only if `items` is non-decreasing by [`merge_key`]. False is
+    /// always sound; it only costs [`PacketSeq::union_in_place`] its
+    /// binary search.
+    ordered: bool,
 }
 
 /// Sort key used when merging schedules: readiness index first, data
@@ -40,6 +49,28 @@ pub struct PacketSeq {
 fn merge_key(p: &PacketId) -> (u64, usize, &[Seq]) {
     (p.max_seq().0, p.coverage_len(), p.coverage_slice())
 }
+
+/// True when `ids` is non-decreasing by [`merge_key`].
+fn in_merge_order(ids: &[PacketId]) -> bool {
+    ids.is_sorted_by_key(merge_key)
+}
+
+impl Default for PacketSeq {
+    fn default() -> Self {
+        PacketSeq {
+            items: Vec::new(),
+            ordered: true,
+        }
+    }
+}
+
+impl PartialEq for PacketSeq {
+    fn eq(&self, other: &PacketSeq) -> bool {
+        self.items == other.items
+    }
+}
+
+impl Eq for PacketSeq {}
 
 impl PacketSeq {
     /// Empty sequence.
@@ -49,15 +80,39 @@ impl PacketSeq {
 
     /// The pure data sequence `⟨t_1, …, t_l⟩`.
     pub fn data_range(l: u64) -> Self {
-        PacketSeq::from_ids((1..=l).map(|s| PacketId::Data(Seq(s))).collect())
+        PacketSeq {
+            items: (1..=l).map(|s| PacketId::Data(Seq(s))).collect(),
+            ordered: true,
+        }
     }
 
     /// Build from explicit packets. Repeats are allowed — a schedule may
     /// legitimately send the same packet twice (e.g. the paper's `h = 1`
     /// full-duplication mode); the set operations treat repeats as one
-    /// element.
+    /// element. One pass of merge-key comparisons sets the order flag.
     pub fn from_ids(ids: Vec<PacketId>) -> Self {
-        PacketSeq { items: ids }
+        let ordered = in_merge_order(&ids);
+        PacketSeq {
+            items: ids,
+            ordered,
+        }
+    }
+
+    /// `items`, picked from `self` in order: any subsequence of an
+    /// ordered sequence is ordered, so the flag carries over unchecked.
+    pub(crate) fn subsequence(&self, items: Vec<PacketId>) -> PacketSeq {
+        PacketSeq {
+            items,
+            ordered: self.ordered,
+        }
+    }
+
+    /// True if the packets are known to be non-decreasing by merge key
+    /// (readiness index, then coverage). Conservative: a sequence whose
+    /// out-of-order packets were all dropped as a sent prefix, or a
+    /// stride of such a sequence, may still read false.
+    pub fn is_ordered(&self) -> bool {
+        self.ordered
     }
 
     /// True when no packet occurs twice.
@@ -104,21 +159,24 @@ impl PacketSeq {
     /// `pkt_1 ∪ pkt_2`: every packet of either sequence, merged by
     /// readiness index (see module docs), duplicates removed.
     pub fn union(&self, other: &PacketSeq) -> PacketSeq {
-        PacketSeq::union_iters(self.items.iter(), other.items.iter())
+        self.union_subsequence(self.iter(), other.iter())
     }
 
-    /// [`PacketSeq::union`] over borrowed operands, so slices and strided
-    /// views ([`crate::view::SeqView`]) merge without materializing
-    /// either one first: `a` is cloned into a sequence sized for both and
-    /// [`PacketSeq::union_in_place`] merges `b` into it.
-    pub fn union_iters<'a>(
-        a: impl Iterator<Item = &'a PacketId>,
-        b: impl Iterator<Item = &'a PacketId>,
+    /// `picked ∪ incoming` for a `picked` taken from `self` in order (a
+    /// suffix or a stride of it), so strided views
+    /// ([`crate::view::SeqView`]) merge without materializing either
+    /// operand first: `picked` is cloned into a sequence sized for both,
+    /// which keeps `self`'s order flag, and
+    /// [`PacketSeq::union_in_place`] merges `incoming` into it.
+    pub(crate) fn union_subsequence<'a>(
+        &self,
+        picked: impl Iterator<Item = &'a PacketId>,
+        incoming: impl Iterator<Item = &'a PacketId>,
     ) -> PacketSeq {
-        let mut items = Vec::with_capacity(a.size_hint().0 + b.size_hint().0);
-        items.extend(a.cloned());
-        let mut seq = PacketSeq::from_ids(items);
-        seq.union_in_place(0, b);
+        let mut items = Vec::with_capacity(picked.size_hint().0 + incoming.size_hint().0);
+        items.extend(picked.cloned());
+        let mut seq = self.subsequence(items);
+        seq.union_in_place(0, incoming);
         seq
     }
 
@@ -132,49 +190,72 @@ impl PacketSeq {
     ///    packet with a larger merge key — later than where the previous
     ///    one went — or at the end if there is none.
     ///
-    /// No tail packet is cloned or dropped. The new packets are appended
-    /// and then carried forward as one block past the tail packets that
-    /// precede each of them: the walk keys the tail only up to the last
-    /// insertion point, and a tail packet moves at most twice.
-    /// Capacity grows by exactly the incoming length when it runs short,
-    /// and a sequence left holding less than half its capacity is shrunk.
+    /// On an ordered tail ([`PacketSeq::is_ordered`]) each incoming
+    /// packet costs one binary search: the equal-key run just below the
+    /// search point answers rule 2, and the point itself, or the previous
+    /// packet's if that is later, is where rule 3 puts it. An unordered
+    /// tail is scanned for rule 2 and walked from the previous insertion
+    /// point for rule 3. No tail packet is cloned or dropped: the new
+    /// packets are appended and then carried forward as one block past
+    /// the tail packets that precede each of them, so a tail packet moves
+    /// at most twice. Capacity grows by exactly the number of new packets
+    /// when it runs short, and a sequence left holding less than half its
+    /// capacity is shrunk. The result is ordered when the tail was and
+    /// the new packets came in merge-key order.
     pub fn union_in_place<'a>(
         &mut self,
         sent: usize,
         incoming: impl Iterator<Item = &'a PacketId>,
     ) {
-        let items = &mut self.items;
-        items.drain(..sent.min(items.len()));
-        let tail = items.len();
-        items.reserve_exact(incoming.size_hint().0);
+        self.items.drain(..sent.min(self.items.len()));
+        let tail = &self.items[..];
+        debug_assert!(
+            !self.ordered || in_merge_order(tail),
+            "a tail flagged ordered is out of merge-key order"
+        );
+        let mut in_order = self.ordered;
+        // Each new packet with its insertion point, a tail index.
+        let mut fresh: Vec<(usize, &PacketId)> = Vec::with_capacity(incoming.size_hint().0);
         for y in incoming {
-            if !items[..tail].contains(y) {
-                items.push(y.clone());
+            let key = merge_key(y);
+            let after = fresh.last().map_or(0, |&(at, _)| at);
+            let at = if self.ordered {
+                let at = tail.partition_point(|x| merge_key(x) <= key);
+                let equal = tail[..at].iter().rev();
+                if equal.take_while(|x| merge_key(x) == key).any(|x| x == y) {
+                    continue;
+                }
+                at.max(after)
+            } else {
+                if tail.contains(y) {
+                    continue;
+                }
+                let passed = tail[after..].iter().take_while(|x| merge_key(x) <= key);
+                after + passed.count()
+            };
+            if let Some(&(_, last)) = fresh.last() {
+                in_order &= merge_key(last) <= key;
             }
+            fresh.push((at, y));
         }
-        let mut fresh = items.len() - tail;
-        if fresh > 0 {
+        self.ordered = in_order;
+        let items = &mut self.items;
+        if let Some(&(first, _)) = fresh.first() {
+            let count = fresh.len();
+            items.reserve_exact(count);
+            items.extend(fresh.iter().map(|&(_, y)| y.clone()));
             // Tail packets before the first insertion point stay put; the
             // block of new packets moves there: `[final | block | rest]`.
-            let key = merge_key(&items[tail]);
-            let mut done = items[..tail]
-                .iter()
-                .take_while(|x| merge_key(x) <= key)
-                .count();
-            items[done..].rotate_right(fresh);
-            loop {
-                // The block's first packet is in place.
+            items[first..].rotate_right(count);
+            let mut done = first;
+            for (i, w) in fresh.windows(2).enumerate() {
+                // The block's first packet is in place; the rest of the
+                // block passes the tail packets up to the next one's
+                // insertion point.
                 done += 1;
-                fresh -= 1;
-                if fresh == 0 || done + fresh == items.len() {
-                    break;
-                }
-                let key = merge_key(&items[done]);
-                let passed = items[done + fresh..]
-                    .iter()
-                    .take_while(|x| merge_key(x) <= key)
-                    .count();
-                items[done..done + fresh + passed].rotate_left(fresh);
+                let block = count - 1 - i;
+                let passed = w[1].0 - w[0].0;
+                items[done..done + block + passed].rotate_left(block);
                 done += passed;
             }
         }
@@ -185,18 +266,15 @@ impl PacketSeq {
 
     /// `pkt_1 ∩ pkt_2`: packets present in both, in `self`'s order.
     pub fn intersection(&self, other: &PacketSeq) -> PacketSeq {
-        self.items
-            .iter()
-            .filter(|p| other.contains(p))
-            .cloned()
-            .collect()
+        let common = self.items.iter().filter(|p| other.contains(p));
+        self.subsequence(common.cloned().collect())
     }
 
     /// Prefix `pkt⟨t]`: everything up to and including `t`.
     /// Returns the whole sequence if `t` is absent.
     pub fn prefix_through(&self, t: &PacketId) -> PacketSeq {
         match self.index_of(t) {
-            Some(i) => PacketSeq::from_ids(self.items[..=i].to_vec()),
+            Some(i) => self.subsequence(self.items[..=i].to_vec()),
             None => self.clone(),
         }
     }
@@ -205,18 +283,23 @@ impl PacketSeq {
     /// Returns an empty sequence if `t` is absent.
     pub fn postfix_from(&self, t: &PacketId) -> PacketSeq {
         match self.index_of(t) {
-            Some(i) => PacketSeq::from_ids(self.items[i..].to_vec()),
+            Some(i) => self.subsequence(self.items[i..].to_vec()),
             None => PacketSeq::new(),
         }
     }
 
     /// Postfix starting at position `i` (0-based); empty if out of range.
     pub fn postfix_at(&self, i: usize) -> PacketSeq {
-        PacketSeq::from_ids(self.items.get(i..).unwrap_or(&[]).to_vec())
+        self.subsequence(self.items.get(i..).unwrap_or(&[]).to_vec())
     }
 
-    /// Append a packet.
+    /// Append a packet; the sequence stays ordered if `id` sorts at or
+    /// after the last packet.
     pub fn push(&mut self, id: PacketId) {
+        self.ordered &= self
+            .items
+            .last()
+            .is_none_or(|last| merge_key(last) <= merge_key(&id));
         self.items.push(id);
     }
 }
@@ -333,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn union_iters_matches_reference_on_randomized_operands() {
+    fn union_matches_reference_on_randomized_operands() {
         // Deterministic xorshift so the test needs no RNG dependency.
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
@@ -373,8 +456,12 @@ mod tests {
             let sorted = trial % 2 == 0;
             let a = draw(sorted);
             let b = draw(sorted);
+            let (sa, sb) = (
+                PacketSeq::from_ids(a.clone()),
+                PacketSeq::from_ids(b.clone()),
+            );
             assert_eq!(
-                PacketSeq::union_iters(a.iter(), b.iter()),
+                sa.union(&sb),
                 union_reference(&a, &b),
                 "trial {trial}: {a:?} ∪ {b:?}"
             );

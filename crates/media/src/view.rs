@@ -145,7 +145,8 @@ impl SeqView {
     /// unioned with `incoming` ([`PacketSeq::union_in_place`]). A base
     /// this view holds alone and selects from `start` to the end is
     /// merged in place, no selected packet cloned; otherwise (shared with
-    /// a control body or a sibling part) a new base is built.
+    /// a control body or a sibling part) a new base is built from the
+    /// selection, which keeps the old base's order flag.
     pub fn union_from(&mut self, pos: usize, incoming: &SeqView) {
         let pos = pos.min(self.len as usize);
         let to_end = self.stride == 1 && (self.start + self.len) as usize == self.base.len();
@@ -156,12 +157,16 @@ impl SeqView {
             self.start = 0;
             return;
         }
-        *self = PacketSeq::union_iters(self.iter_from(pos), incoming.iter()).into();
+        *self = self
+            .base
+            .union_subsequence(self.iter_from(pos), incoming.iter())
+            .into();
     }
 
-    /// Materialize the selected elements as an owned [`PacketSeq`].
+    /// Materialize the selected elements as an owned [`PacketSeq`]; a
+    /// selection from an ordered base is ordered.
     pub fn to_seq(&self) -> PacketSeq {
-        PacketSeq::from_ids(self.iter().cloned().collect())
+        self.base.subsequence(self.iter().cloned().collect())
     }
 }
 

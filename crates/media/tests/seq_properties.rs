@@ -4,7 +4,10 @@
 //! two-pointer merge by readiness key) and every randomized case checks
 //! the production `union` — borrowed and in place — against it
 //! bit-for-bit, on operands in readiness order and on enhanced-stream
-//! parts, which are not.
+//! parts, which are not. An ordered tail takes the binary-search merge,
+//! so it is also pinned on incoming lists in any order, on incoming
+//! lists that repeat tail members, and on ids whose merge keys tie; and
+//! the order flag is checked sound after any sequence of operations.
 
 use proptest::prelude::*;
 
@@ -100,6 +103,78 @@ fn arb_esq_part() -> impl Strategy<Value = PacketSeq> {
         })
 }
 
+/// `ids` in an order drawn from `seed` (Fisher–Yates on a splitmix64
+/// stream).
+fn shuffled(mut ids: Vec<PacketId>, mut seed: u64) -> Vec<PacketId> {
+    let mut next = move || {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    ids
+}
+
+/// Ids over data packets 1–8 whose merge keys tie in groups: `Data(s)`
+/// with the single-coverage `Parity([s])`, and a segment's XOR parity
+/// with its three RS rows.
+fn tie_pool() -> Vec<PacketId> {
+    let mut pool = Vec::new();
+    for s in 1..=6u64 {
+        pool.push(PacketId::Data(Seq(s)));
+        pool.push(PacketId::Parity(vec![Seq(s)].into()));
+        let segment: Vec<Seq> = (s..s + 3).map(Seq).collect();
+        pool.push(PacketId::Parity(segment.clone().into()));
+        for row in 0..3 {
+            pool.push(PacketId::RsParity {
+                seqs: segment.clone().into(),
+                row,
+            });
+        }
+    }
+    pool
+}
+
+/// Up to 24 draws from [`tie_pool`], repeats possible, in merge-key
+/// order when `sorted` (a stable sort, so tied ids keep draw order).
+fn arb_ties(sorted: bool) -> impl Strategy<Value = Vec<PacketId>> {
+    proptest::collection::vec(0usize..36, 0..24).prop_map(move |picks| {
+        let pool = tie_pool();
+        let mut ids: Vec<PacketId> = picks.into_iter().map(|i| pool[i].clone()).collect();
+        if sorted {
+            ids.sort_by(|x, y| merge_key(x).cmp(&merge_key(y)));
+        }
+        ids
+    })
+}
+
+/// True when `s` really is in merge-key order.
+fn really_ordered(s: &PacketSeq) -> bool {
+    s.ids()
+        .windows(2)
+        .all(|w| merge_key(&w[0]) <= merge_key(&w[1]))
+}
+
+/// One step of a schedule's life, for the order-flag property.
+#[derive(Clone, Debug)]
+enum Op {
+    Push(PacketId),
+    Union { sent: usize, incoming: PacketSeq },
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    (any::<bool>(), arb_any_schedule(), 0usize..12).prop_map(|(push, s, sent)| {
+        match s.get(sent % s.len().max(1)).cloned() {
+            Some(id) if push => Op::Push(id),
+            _ => Op::Union { sent, incoming: s },
+        }
+    })
+}
+
 /// Either shape of schedule: readiness-ordered or an enhanced part.
 fn arb_any_schedule() -> impl Strategy<Value = PacketSeq> {
     (any::<bool>(), arb_schedule(), arb_esq_part())
@@ -128,6 +203,86 @@ proptest! {
         let mut merged = a.clone();
         merged.union_in_place(sent, b.iter());
         prop_assert_eq!(&merged, &reference_union(&a.postfix_at(sent), &b), "a={} b={} sent={}", a, b, sent);
+    }
+
+    /// An ordered tail merges by binary search; whatever order the
+    /// incoming ids come in — an enhanced part, or a readiness-ordered
+    /// schedule shuffled — the result is the seed union's.
+    #[test]
+    fn ordered_tail_merges_incoming_in_any_order_like_the_seed(
+        a in arb_schedule(),
+        b in arb_any_schedule(),
+        seed in any::<u64>(),
+        sent in 0usize..40,
+    ) {
+        prop_assert!(a.is_ordered());
+        let b = PacketSeq::from_ids(shuffled(b.ids().to_vec(), seed));
+        let mut merged = a.clone();
+        merged.union_in_place(sent, b.iter());
+        prop_assert_eq!(&merged, &reference_union(&a.postfix_at(sent), &b), "a={} b={} sent={}", a, b, sent);
+    }
+
+    /// Incoming ids that are already in an ordered tail are dropped, and
+    /// only those: the incoming list mixes a shuffled pick of the tail's
+    /// own members (sent ones too) with other ids.
+    #[test]
+    fn ordered_tail_drops_incoming_tail_members_like_the_seed(
+        a in arb_schedule(),
+        other in arb_any_schedule(),
+        keep in any::<u64>(),
+        seed in any::<u64>(),
+        sent in 0usize..40,
+    ) {
+        let picked = a.iter().enumerate().filter(|(i, _)| keep >> (i % 64) & 1 == 1);
+        let mut ids: Vec<PacketId> = picked.map(|(_, p)| p.clone()).collect();
+        ids.extend(other.iter().cloned());
+        let b = PacketSeq::from_ids(shuffled(ids, seed));
+        let mut merged = a.clone();
+        merged.union_in_place(sent, b.iter());
+        prop_assert_eq!(&merged, &reference_union(&a.postfix_at(sent), &b), "a={} b={} sent={}", a, b, sent);
+    }
+
+    /// Ids with equal merge keys but different identities (`Data(s)`
+    /// and `Parity([s])`; a segment's RS rows and XOR parity): the
+    /// equal-key run answers membership, ties keep the tail's packets
+    /// first, on ordered and unordered tails and incoming lists.
+    #[test]
+    fn equal_key_ties_merge_like_the_seed(
+        a_sorted in any::<bool>(),
+        a in arb_ties(true),
+        a_mixed in arb_ties(false),
+        b_sorted in any::<bool>(),
+        b in arb_ties(true),
+        b_mixed in arb_ties(false),
+        sent in 0usize..24,
+    ) {
+        let a = PacketSeq::from_ids(if a_sorted { a } else { a_mixed });
+        let b = PacketSeq::from_ids(if b_sorted { b } else { b_mixed });
+        prop_assert_eq!(a.is_ordered(), really_ordered(&a));
+        prop_assert_eq!(a.union(&b), reference_union(&a, &b), "a={} b={}", a, b);
+        let mut merged = a.clone();
+        merged.union_in_place(sent, b.iter());
+        prop_assert_eq!(&merged, &reference_union(&a.postfix_at(sent), &b), "a={} b={} sent={}", a, b, sent);
+    }
+
+    /// The order flag is sound whatever a schedule went through: built
+    /// by `from_ids` (where it is exact), then pushed to, merged into
+    /// and stripped of sent prefixes in any mix, it never says ordered
+    /// of a sequence that is not.
+    #[test]
+    fn order_flag_stays_sound(start in arb_any_schedule(), ops in proptest::collection::vec(arb_op(), 0..8)) {
+        let mut s = PacketSeq::from_ids(start.ids().to_vec());
+        prop_assert_eq!(s.is_ordered(), really_ordered(&s));
+        for op in ops {
+            match op {
+                Op::Push(id) => s.push(id),
+                Op::Union { sent, incoming } => s.union_in_place(sent, incoming.iter()),
+            }
+            prop_assert!(!s.is_ordered() || really_ordered(&s), "flagged ordered: {}", s);
+        }
+        for part in [s.postfix_at(3), s.intersection(&start)] {
+            prop_assert!(!part.is_ordered() || really_ordered(&part), "flagged ordered: {}", part);
+        }
     }
 
     /// The union of distinct operands is readiness-ordered and distinct.

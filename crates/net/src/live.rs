@@ -734,12 +734,14 @@ mod tests {
 
     /// Well-formed frames that break the session's contract reach a
     /// real 10-peer DCoP worker: a control packet whose view ranges over
-    /// 50 peers, one from peer 12, one with `h = 0`, and leaf requests
-    /// with `h = 0`, with a zero weight, and with no weight for their
-    /// part. Each counts one `net.rx_decode_err` and is skipped;
-    /// delivered, they would panic the peer's view union, its view
-    /// insert, the parity layer (both `h = 0`), the slot allocator and,
-    /// in debug builds, the weighted division.
+    /// 50 peers, one from peer 12, one with `h = 0`, one dividing into
+    /// no parts, one handing out part 2 of 2, and leaf requests with
+    /// `h = 0`, with a zero weight, and with no weight for their part.
+    /// Each counts one `net.rx_decode_err` and is skipped; delivered,
+    /// they would panic the peer's view union, its view insert, the
+    /// parity layer (both `h = 0`), the slot allocator and, in debug
+    /// builds, the weighted division, and the two bad parts would
+    /// activate a peer with nothing to send.
     #[test]
     fn frames_that_do_not_fit_the_session_are_counted_and_skipped() {
         let n = 10;
@@ -747,7 +749,7 @@ mod tests {
             .into_live_worlds(1)
             .remove(0);
         let mut inbox = Inbox::new(0..n as u32, Some(ActorId(n as u32)), n);
-        let activate = |from: u32, population: usize, h: u32| {
+        let activate = |from: u32, population: usize, h: u32, parts: u32, part: u32| {
             let data = (1..=8).map(|s| mss_media::PacketId::Data(mss_media::Seq(s)));
             let body = ControlBody {
                 kind: ControlKind::Activate,
@@ -758,12 +760,12 @@ mod tests {
                 pos: 0,
                 interval_nanos: 1_000,
                 mark_delta_nanos: 0,
-                parts: 2,
+                parts,
                 h,
                 fanout: 2,
                 basis: None,
             };
-            Msg::control(&std::sync::Arc::new(body), 1)
+            Msg::control(&std::sync::Arc::new(body), part)
         };
         let request = |h: u32, part: u32, weights: &[u64]| {
             Msg::request(ContentRequest {
@@ -779,12 +781,14 @@ mod tests {
         };
         let leaf = ActorId(n as u32);
         let frames = [
-            (ActorId(3), ActorId(0), activate(0, 50, 2)),
-            (ActorId(4), ActorId(12), activate(12, n, 2)),
-            (ActorId(5), ActorId(1), activate(1, n, 0)),
-            (ActorId(6), leaf, request(0, 0, &[1, 1])),
-            (ActorId(7), leaf, request(2, 0, &[1, 0])),
-            (ActorId(8), leaf, request(2, 1, &[1])),
+            (ActorId(3), ActorId(0), activate(0, 50, 2, 2, 1)),
+            (ActorId(4), ActorId(12), activate(12, n, 2, 2, 1)),
+            (ActorId(5), ActorId(1), activate(1, n, 0, 2, 1)),
+            (ActorId(6), ActorId(1), activate(1, n, 2, 0, 0)),
+            (ActorId(7), ActorId(1), activate(1, n, 2, 2, 2)),
+            (ActorId(8), leaf, request(0, 0, &[1, 1])),
+            (ActorId(9), leaf, request(2, 0, &[1, 0])),
+            (ActorId(2), leaf, request(2, 1, &[1])),
         ];
         let mut w = BundleWriter::new(1);
         for (to, from, msg) in &frames {

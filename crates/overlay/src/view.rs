@@ -294,16 +294,34 @@ impl View {
 
     /// Iterate over maximal member runs (`[start, end)`), ascending,
     /// independent of representation — the wire encoders size the
-    /// run-length form with this.
+    /// run-length form with this. A bitmap is walked a word at a time:
+    /// O(n/64 + runs), not O(|view|).
     pub fn runs(&self) -> RunsIter<'_> {
         RunsIter {
             inner: match &self.repr {
                 Repr::Sparse(ids) => RunsInner::Sparse(ids),
-                Repr::Dense(_) => RunsInner::Iter {
-                    it: self.iter(),
-                    pending: None,
-                },
+                Repr::Dense(words) => RunsInner::Dense { words, at: 0 },
             },
+        }
+    }
+
+    /// Number of maximal member runs, `runs().count()`. A bitmap counts
+    /// the members whose lower neighbour is absent, by popcount: O(n/64).
+    pub fn run_count(&self) -> usize {
+        match &self.repr {
+            Repr::Sparse(ids) => {
+                let breaks = ids.windows(2).filter(|w| w[1] != w[0] + 1).count();
+                breaks + usize::from(!ids.is_empty())
+            }
+            Repr::Dense(words) => {
+                let mut carry = 0u64;
+                let mut runs = 0;
+                for &w in words {
+                    runs += (w & !(w << 1 | carry)).count_ones() as usize;
+                    carry = w >> 63;
+                }
+                runs
+            }
         }
     }
 
@@ -466,9 +484,10 @@ pub struct RunsIter<'a> {
 
 enum RunsInner<'a> {
     Sparse(&'a [u32]),
-    Iter {
-        it: ViewIter<'a>,
-        pending: Option<Run>,
+    /// Bitmap words; `at` is the first bit not yet looked at.
+    Dense {
+        words: &'a [u64],
+        at: usize,
     },
 }
 
@@ -491,19 +510,31 @@ impl Iterator for RunsIter<'_> {
                 *ids = &rest[used..];
                 Some((first, end))
             }
-            RunsInner::Iter { it, pending } => {
-                for p in it.by_ref() {
-                    match pending {
-                        Some((_, e)) if *e == p.0 => *e = p.0 + 1,
-                        Some(run) => {
-                            let done = *run;
-                            *pending = Some((p.0, p.0 + 1));
-                            return Some(done);
-                        }
-                        None => *pending = Some((p.0, p.0 + 1)),
+            RunsInner::Dense { words, at } => {
+                // The run starts at the first member at or after `at`…
+                let mut w = *at / 64;
+                let mut bits = words.get(w)? & (u64::MAX << (*at % 64));
+                while bits == 0 {
+                    w += 1;
+                    bits = *words.get(w)?;
+                }
+                let start = w * 64 + bits.trailing_zeros() as usize;
+                // …and ends at the first absent id after that (bits past
+                // `n` are clear, so a run never ends beyond it).
+                let mut gaps = !words[w] & (u64::MAX << (start % 64));
+                while gaps == 0 {
+                    w += 1;
+                    match words.get(w) {
+                        Some(&word) => gaps = !word,
+                        None => break,
                     }
                 }
-                pending.take()
+                *at = if gaps == 0 {
+                    words.len() * 64
+                } else {
+                    w * 64 + gaps.trailing_zeros() as usize
+                };
+                Some((start as u32, *at as u32))
             }
         }
     }

@@ -5,8 +5,10 @@
 //! `Control` datagram near n ≈ 4·10³ (64 KiB UDP limit) and dominates
 //! simulated control-byte accounting. This module defines a
 //! self-describing frame with three set encodings — the two in-memory
-//! forms plus run-length ranges: the encoder measures all three and
-//! emits the smallest, so a frame costs O(min(n/8, 5·|set|)) bytes.
+//! forms plus run-length ranges: the encoder emits the smallest, so a
+//! frame costs O(min(n/8, 5·|set|)) bytes, and it walks a form's
+//! members only when a lower bound on that form's length leaves it a
+//! chance to win.
 //!
 //! # Frame format
 //!
@@ -163,26 +165,34 @@ fn header_len(n: usize) -> usize {
 }
 
 /// Smallest body tag for `v` and its body length: the encoder's choice
-/// (ties go to the lowest tag).
+/// (ties go to the lowest tag). Every sparse gap and every run field
+/// takes at least one byte, so a form whose floor (`count` or
+/// `2·runs`, plus its count varint) already reaches the best length so
+/// far cannot win and is not walked. The floors cost O(1) and one
+/// [`View::run_count`], O(n/64) on a bitmap.
 fn best_tag(v: &View) -> (u8, usize) {
-    let mut tag = TAG_DENSE;
-    let mut len = dense_body_len(v);
-    let sparse = sparse_body_len(v);
-    if sparse < len {
-        tag = TAG_SPARSE;
-        len = sparse;
+    let mut best = (TAG_DENSE, dense_body_len(v));
+    let count = v.count();
+    if varint_len(count as u64) + count < best.1 {
+        let sparse = sparse_body_len(v);
+        if sparse < best.1 {
+            best = (TAG_SPARSE, sparse);
+        }
     }
-    let runs = runs_body_len(v);
-    if runs < len {
-        tag = TAG_RUNS;
-        len = runs;
+    let runs = v.run_count();
+    if varint_len(runs as u64) + 2 * runs < best.1 {
+        let len = runs_body_len(v);
+        if len < best.1 {
+            best = (TAG_RUNS, len);
+        }
     }
-    (tag, len)
+    best
 }
 
-/// [`best_tag`] plus the header, through the view's one-slot cache:
-/// the O(|view|) walk over the members runs once per snapshot, not once
-/// per message that carries (or accounts for) it.
+/// [`best_tag`] plus the header, through the view's one-slot cache: a
+/// view is sized once per snapshot, not once per message that carries
+/// (or accounts for) it, and a sizing is the O(n/64) run count plus
+/// the walks of only those forms whose floor could still win.
 fn cached_best_tag(v: &View) -> (u8, usize) {
     if let Some(hit) = v.cached_wire() {
         return hit;

@@ -222,6 +222,88 @@ fn union_across_representations_matches_bitmap_model() {
     }
 }
 
+/// The populations view sizing is pinned at: word edges, the
+/// dense-start bound on either side, and a sparse-start population.
+const SIZING_POPULATIONS: [usize; 8] = [1, 63, 64, 65, 100, 4096, 4097, 10_000];
+
+/// Maximal runs of ascending `ids`, the reference `View::runs` and
+/// `View::run_count` are checked against.
+fn reference_runs(ids: &[u32]) -> Vec<(u32, u32)> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for &i in ids {
+        match runs.last_mut() {
+            Some((_, end)) if *end == i => *end = i + 1,
+            _ => runs.push((i, i + 1)),
+        }
+    }
+    runs
+}
+
+/// `v`'s size as the encoder picks it, against its three forced
+/// encodings: `encoded_len` is the shortest of them, the frame
+/// `encode_view` writes is that long and carries the lowest tag among
+/// the shortest, and the run count is the reference's.
+fn assert_sized_by_the_smallest_encoding(v: &View, what: &str) {
+    let mut lens = Vec::new();
+    for enc in [
+        wire::encode_dense as fn(&View, &mut Vec<u8>),
+        wire::encode_sparse,
+        wire::encode_runs,
+    ] {
+        let mut out = Vec::new();
+        enc(v, &mut out);
+        lens.push(out.len());
+    }
+    let best = *lens.iter().min().unwrap();
+    let tag = lens.iter().position(|&l| l == best).unwrap() as u8;
+    let mut chosen = Vec::new();
+    wire::encode_view(v, &mut chosen);
+    assert_eq!(
+        wire::encoded_len(v),
+        best,
+        "{what}: encoded_len of {lens:?}"
+    );
+    assert_eq!(chosen.len(), best, "{what}: encode_view length");
+    assert_eq!(chosen[0] & 0x0f, tag, "{what}: lowest tag among {lens:?}");
+    let ids: Vec<u32> = v.iter().map(|p| p.0).collect();
+    let runs = reference_runs(&ids);
+    assert!(v.runs().eq(runs.iter().copied()), "{what}: runs");
+    assert_eq!(v.run_count(), runs.len(), "{what}: run_count");
+    assert_eq!(v.run_count(), v.runs().count(), "{what}: run_count");
+}
+
+/// Every sizing population, each member set built both as a sorted-id
+/// view (sparse up to the cap) and by per-id inserts (a bitmap up to
+/// 4096 peers, sparse above until the cap): empty, one member at either
+/// edge, runs across word edges, scattered ids, alternation, and full.
+#[test]
+fn views_are_sized_by_their_smallest_encoding_in_both_forms() {
+    for n in SIZING_POPULATIONS {
+        let top = n as u32;
+        let shapes: [(&str, Vec<u32>); 9] = [
+            ("empty", vec![]),
+            ("first", vec![0]),
+            ("last", vec![top - 1]),
+            ("word edge run", (62..67).filter(|&i| i < top).collect()),
+            ("scattered", (0..top).step_by(37).collect()),
+            ("alternating", (0..top).step_by(2).collect()),
+            ("two bands", (0..top).filter(|i| i % 200 < 70).collect()),
+            ("all but one", (0..top).filter(|&i| i != top / 2).collect()),
+            ("full", (0..top).collect()),
+        ];
+        for (shape, ids) in shapes {
+            let sorted = View::from_sorted_ids(n, ids.clone());
+            let mut inserted = View::empty(n);
+            for &i in &ids {
+                inserted.insert(PeerId(i));
+            }
+            assert_sized_by_the_smallest_encoding(&sorted, &format!("n={n} {shape} sorted"));
+            assert_sized_by_the_smallest_encoding(&inserted, &format!("n={n} {shape} inserted"));
+        }
+        assert_sized_by_the_smallest_encoding(&View::full(n), &format!("n={n} View::full"));
+    }
+}
+
 proptest! {
     /// The adaptive view is observably identical to the seed bitmap:
     /// same insert novelty, count, membership, ascending iteration and
@@ -292,6 +374,32 @@ proptest! {
         let chosen = &frames[3];
         prop_assert_eq!(chosen.len(), wire::encoded_len(&v), "encoded_len exact");
         prop_assert!(frames[..3].iter().all(|f| chosen.len() <= f.len()), "minimality");
+    }
+
+    /// Random bands and scattered ids at every sizing population, as a
+    /// sorted-id view and by per-id inserts: the size is the smallest
+    /// forced encoding's, lowest tag on ties, and the run count is the
+    /// runs walked.
+    #[test]
+    fn random_views_are_sized_by_their_smallest_encoding(
+        at in 0usize..8,
+        bands in proptest::collection::vec((any::<u32>(), 0u32..300), 0..12),
+        scattered in proptest::collection::vec(any::<u32>(), 0..40),
+    ) {
+        let n = SIZING_POPULATIONS[at];
+        let mut ids: Vec<u32> = scattered.iter().map(|&i| i % n as u32).collect();
+        for (start, len) in bands {
+            let start = start % n as u32;
+            ids.extend(start..(start + len).min(n as u32));
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        let mut inserted = View::empty(n);
+        for &i in &ids {
+            inserted.insert(PeerId(i));
+        }
+        assert_sized_by_the_smallest_encoding(&inserted, &format!("n={n} inserted"));
+        assert_sized_by_the_smallest_encoding(&View::from_sorted_ids(n, ids), &format!("n={n} sorted"));
     }
 
     /// Truncating or corrupting any view frame errors, never panics —

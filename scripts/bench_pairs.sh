@@ -20,6 +20,11 @@
 # Appends a "benchmark_pairs" line to results/bench_history.jsonl; its
 # "commit" is HEAD, or `<HEAD>+dirty-<hash>` when the working tree differs
 # from HEAD (the hash is of `git diff HEAD` and `git status --porcelain`).
+# The line also records how busy the host was over the runs, so noisy
+# pairs can be told apart from the code: "steal_share", the share of all
+# CPU time the hypervisor stole (the `/proc/stat` steal delta over the
+# total delta), and "loadavg1_start"/"loadavg1_end", the 1-minute load
+# average before the first run and after the last.
 #
 # Usage: scripts/bench_pairs.sh <base-rev> [workload...]
 set -euo pipefail
@@ -63,6 +68,14 @@ mkdir "$tmp/base"
 git archive "$base" | tar -x -C "$tmp/base"
 declare -A dir=([base]="$tmp/base" [change]="$(pwd)")
 
+# "<steal> <total>" CPU ticks of the host, and its 1-minute load average.
+cpu_ticks() {
+    awk '$1 == "cpu" { for (i = 2; i <= 9; i++) t += $i; print $9 + 0, t + 0; exit }' /proc/stat
+}
+loadavg1() { awk '{ print $1 }' /proc/loadavg; }
+read -r steal_start ticks_start < <(cpu_ticks)
+load_start=$(loadavg1)
+
 fail=0
 for w in "${workloads[@]}"; do
     for ((seed = 1; seed <= pairs; seed++)); do
@@ -97,6 +110,12 @@ for w in "${workloads[@]}"; do
         done
     done
 done
+
+read -r steal_end ticks_end < <(cpu_ticks)
+load_end=$(loadavg1)
+steal_share=$(awk -v s=$((steal_end - steal_start)) -v t=$((ticks_end - ticks_start)) \
+    'BEGIN { printf "%.4f", (t > 0 ? s / t : 0) }')
+echo "host: steal share $steal_share, loadavg1 $load_start at start, $load_end at end"
 
 cores=$(nproc 2>/dev/null || echo 0)
 cpu=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || echo unknown)
@@ -152,9 +171,10 @@ awk -v pairs="$pairs" -v medians="$tmp/medians" '
         exit worse
     }' <(printf '%s\n' "$spec") "$tmp/runs" || status=1
 
-printf '{"commit": "%s", "recorded": "%s", "bench": "benchmark_pairs", "base": "%s", "cores": %s, "cpu": "%s", "pairs": %s, "seconds": %s, "medians": {%s}}\n' \
+printf '{"commit": "%s", "recorded": "%s", "bench": "benchmark_pairs", "base": "%s", "cores": %s, "cpu": "%s", "pairs": %s, "seconds": %s, "steal_share": %s, "loadavg1_start": %s, "loadavg1_end": %s, "medians": {%s}}\n' \
     "$change" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$base" "$cores" "$cpu" \
-    "$pairs" "$seconds" "$(<"$tmp/medians")" >>results/bench_history.jsonl
+    "$pairs" "$seconds" "$steal_share" "$load_start" "$load_end" \
+    "$(<"$tmp/medians")" >>results/bench_history.jsonl
 
 if [ "$fail" -ne 0 ] || [ "$status" -ne 0 ]; then
     echo "bench_pairs.sh: a run failed or a metric is worse than its bound" >&2

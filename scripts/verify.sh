@@ -11,9 +11,14 @@
 #     and mss-sim::event re-measure `Msg` / `Event` / `NodeKey` at
 #     runtime behind the compile-time asserts;
 #   - calendar queue vs reference model: mss-sim's `properties` test;
-#   - view forms (sparse ids, dense bitmap) vs the seed bitmap, and view
+#   - view forms (sparse ids, dense bitmap) vs the seed bitmap, view
 #     frames under hostile input (truncated, flipped, arbitrary varint
-#     bodies): mss-overlay's `properties` test;
+#     bodies), and each view's size vs its three forced encodings:
+#     mss-overlay's `properties` test;
+#   - the schedule merge vs the seed union, on ordered tails (binary
+#     search) and unordered ones, and the soundness of the order flag:
+#     mss-media's `seq_properties` test, with `union_in_place`'s
+#     `debug_assert` that a tail flagged ordered is ordered;
 #   - word-wide coding kernels vs scalar loops, and payload synthesis
 #     vs a test-side splitmix64 reference and three golden FNV-1a
 #     digests: mss-media's `kernel_equivalence` test;
