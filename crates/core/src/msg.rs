@@ -310,10 +310,10 @@ impl Msg {
     /// every view it carries ranges over `n` peers, every peer it names
     /// is below `n`, a request or control packet carries a parity
     /// interval `h ≥ 1`, a request's `weights` has no zero and an entry
-    /// for its `part`, and an `Activate` or `Commit` hands out a `part`
-    /// below its `parts ≥ 1` (a probe divides nothing and carries
-    /// `parts = 0`). A frame that breaks one of these decodes fine, and a
-    /// handler would panic on it or take an empty part.
+    /// for its `part`, and a request, an `Activate` or a `Commit` hands
+    /// out a `part` below its `parts ≥ 1` (a probe divides nothing and
+    /// carries `parts = 0`). A frame that breaks one of these decodes
+    /// fine, and a handler would panic on it or take an empty part.
     pub fn fits(&self, n: usize) -> bool {
         let peer = |p: PeerId| p.index() < n;
         let view = |v: &View| v.population() == n;
@@ -321,6 +321,7 @@ impl Msg {
             Msg::Request(r) => {
                 let weights = |w: &[u64]| w.len() > r.part as usize && !w.contains(&0);
                 r.h > 0
+                    && r.part < r.parts
                     && r.view.as_deref().is_none_or(view)
                     && r.weights.as_deref().is_none_or(weights)
             }
@@ -506,6 +507,7 @@ mod tests {
         );
         assert_eq!(size_of::<DataMsg>(), 16, "data fast path grew");
         assert_eq!(size_of::<ControlPacket>(), 16, "control handle grew");
+        assert_eq!(size_of::<PacketId>(), 24, "packet id grew");
     }
 
     #[test]

@@ -373,9 +373,10 @@ pub fn derived_assignment_opts(
 /// recipe — bit-identical, per this type's contract).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DivisionBasis {
-    /// The re-protected postfix the division deals out round-robin.
-    /// Empty ⇔ every part of this division is [`TxSchedule::idle`].
-    pub enhanced: Arc<PacketSeq>,
+    /// The re-protected postfix the division deals out round-robin,
+    /// never empty; `None` ⇔ every part of this division is
+    /// [`TxSchedule::idle`], and an idle division allocates nothing.
+    pub enhanced: Option<Arc<PacketSeq>>,
     /// Pacing of one enhanced-stream slot in nanoseconds: part `i` of
     /// `parts` sends every `slot · parts` ns starting at `slot · (i+1)`.
     pub slot_nanos: u64,
@@ -387,14 +388,19 @@ impl DivisionBasis {
     /// content and the slot is one content-rate packet interval.
     pub fn new(enhanced: Arc<PacketSeq>, slot_nanos: u64) -> DivisionBasis {
         DivisionBasis {
-            enhanced,
+            enhanced: (!enhanced.is_empty()).then_some(enhanced),
             slot_nanos,
         }
     }
 
-    /// A basis whose every assignment is idle.
+    /// A basis whose every assignment is idle. It holds no sequence:
+    /// nearly every division at population scale is idle (99.4 % of
+    /// them at n = 10⁵, where the parent's postfix is empty).
     fn idle() -> DivisionBasis {
-        DivisionBasis::new(Arc::new(PacketSeq::new()), u64::MAX)
+        DivisionBasis {
+            enhanced: None,
+            slot_nanos: u64::MAX,
+        }
     }
 
     /// Compute the shared basis of a division of `parent_sched` (see
@@ -478,11 +484,11 @@ impl DivisionBasis {
     /// (an `Arc` bump plus stride arithmetic) — every receiver of one
     /// fan-out reads its share out of the same underlying sequence.
     pub fn assign(&self, parts: usize, part: usize) -> TxSchedule {
-        if self.enhanced.is_empty() {
+        let Some(enhanced) = &self.enhanced else {
             return TxSchedule::idle();
-        }
+        };
         TxSchedule {
-            seq: SeqView::part(self.enhanced.clone(), parts, part),
+            seq: SeqView::part(enhanced.clone(), parts, part),
             pos: 0,
             interval_nanos: self.slot_nanos.saturating_mul(parts as u64),
             first_delay_nanos: self.slot_nanos.saturating_mul(part as u64 + 1),

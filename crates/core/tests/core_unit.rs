@@ -487,13 +487,20 @@ fn tcop_counts_each_probed_candidate_once() {
 /// packets are a real DCoP fan-out's, relabelled `control`, with the
 /// mark at the parent's position so the recipient divides the whole
 /// schedule.
-fn contract_breaking_frames(control: ControlKind) -> [(&'static str, Msg); 6] {
+fn contract_breaking_frames(control: ControlKind) -> [(&'static str, Msg); 9] {
     let request = |h: u32, part: u32, weights: &[u64]| {
         Msg::request(ContentRequest {
             h,
             part,
             parts: 2,
             weights: Some(weights.into()),
+            ..leaf_content_request()
+        })
+    };
+    let uniform_request = |parts: u32, part: u32| {
+        Msg::request(ContentRequest {
+            parts,
+            part,
             ..leaf_content_request()
         })
     };
@@ -524,6 +531,9 @@ fn contract_breaking_frames(control: ControlKind) -> [(&'static str, Msg); 6] {
         ("no weight for the part", request(2, 1, &[1])),
         ("control parts = 0", control(2, 0, 0)),
         ("control part = parts", control(2, parts, parts)),
+        ("request part past parts", uniform_request(2, 5)),
+        ("request parts = 0", uniform_request(0, 0)),
+        ("request part = parts", uniform_request(2, 2)),
     ]
 }
 
@@ -533,8 +543,10 @@ fn contract_breaking_frames(control: ControlKind) -> [(&'static str, Msg); 6] {
 /// straight to a DCoP or TCoP peer, the first four panic it: `h = 0` in
 /// the parity layer, a zero weight in the slot allocator (an `assert!`),
 /// and a missing weight in the weighted division (a `debug_assert!`; a
-/// release build idles the peer). The last two activate it with an
-/// empty part: a peer that counts as active and sends nothing.
+/// release build idles the peer). The rest hand out no part: a control
+/// packet or a uniform request (no `weights`) whose `part` is not below
+/// its `parts` activates the peer with an empty schedule: it counts as
+/// active and sends nothing.
 #[test]
 fn contract_breaking_frames_do_not_fit_and_panic_a_peer() {
     let (dir, cfg) = peer_cfg();
@@ -558,7 +570,11 @@ fn contract_breaking_frames_do_not_fit_and_panic_a_peer() {
                 }
             });
             match what {
-                "control parts = 0" | "control part = parts" => {
+                "control parts = 0"
+                | "control part = parts"
+                | "request part past parts"
+                | "request parts = 0"
+                | "request part = parts" => {
                     let report = delivered.expect("an empty part does not panic");
                     assert!(report.active, "{what} to the {kind:?} peer");
                     assert_eq!(report.sched_len, 0, "{what} to the {kind:?} peer");

@@ -65,6 +65,6 @@ pub mod slots;
 pub mod view;
 
 pub use content::ContentDesc;
-pub use packet::{Packet, PacketId, Seq};
+pub use packet::{Cover, Packet, PacketId, Seq};
 pub use seq::PacketSeq;
 pub use view::SeqView;

@@ -10,6 +10,8 @@
 //! XORed together*, with nesting flattened via symmetric difference.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Sequence number of a data packet within one content (1-based, as in the
@@ -36,17 +38,18 @@ impl fmt::Display for Seq {
 /// distinct `Parity` identity: re-division must be able to tell
 /// redundancy apart from original data to avoid multiplying it.
 ///
-/// Coverage sets are shared `Arc<[Seq]>` slices: packet ids are cloned
-/// pervasively (schedule unions, division, re-enhancement down the
-/// coordination tree), and sharing makes every such clone O(1) instead
-/// of copying the coverage.
+/// An XOR coverage is a [`Cover`]: the one seq of an `h = 1` parity
+/// packet inline, a longer coverage as a shared `Arc<[Seq]>`. Packet ids
+/// are cloned pervasively (schedule unions, division, re-enhancement
+/// down the coordination tree), so either way a clone is O(1), and the
+/// one-seq parity of the paper's `h = 1` figures costs no allocation.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum PacketId {
     /// An original content packet `t_seq`.
     Data(Seq),
     /// XOR of the data packets with the given (sorted, nonempty)
     /// coverage.
-    Parity(Arc<[Seq]>),
+    Parity(Cover),
     /// Reed–Solomon parity row `row` over the given (sorted, nonempty)
     /// data coverage: payload = `Σ_j α^(row·j) · payload(seqs[j])` in
     /// GF(256). Row 0 coincides with XOR parity; higher rows make
@@ -57,6 +60,87 @@ pub enum PacketId {
         /// Vandermonde row index (`0..r`).
         row: u8,
     },
+}
+
+/// `PacketId` stays two words plus a tag: a [`Cover`] fits in the two
+/// words of its `Arc<[Seq]>` form.
+const _: () = assert!(std::mem::size_of::<PacketId>() == 24);
+
+/// The coverage of an XOR parity packet: its sorted, nonempty data
+/// seqs. One seq — every parity packet of an `h = 1` enhancement, or a
+/// nested XOR that cancels down to one packet — is held inline; a longer
+/// coverage is a shared `Arc<[Seq]>`. Every constructor picks the form by
+/// length, so a coverage has exactly one form; equality, hashing and
+/// `Debug` are those of the seq slice.
+#[derive(Clone)]
+pub struct Cover(CoverRepr);
+
+#[derive(Clone)]
+enum CoverRepr {
+    One(Seq),
+    Many(Arc<[Seq]>),
+}
+
+impl Cover {
+    /// True when the coverage is held inline, i.e. it is one seq.
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, CoverRepr::One(_))
+    }
+}
+
+impl Deref for Cover {
+    type Target = [Seq];
+
+    fn deref(&self) -> &[Seq] {
+        match &self.0 {
+            CoverRepr::One(s) => std::slice::from_ref(s),
+            CoverRepr::Many(c) => c,
+        }
+    }
+}
+
+impl PartialEq for Cover {
+    fn eq(&self, other: &Cover) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Cover {}
+
+impl Hash for Cover {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl fmt::Debug for Cover {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl From<Seq> for Cover {
+    fn from(s: Seq) -> Cover {
+        Cover(CoverRepr::One(s))
+    }
+}
+
+impl From<Arc<[Seq]>> for Cover {
+    fn from(seqs: Arc<[Seq]>) -> Cover {
+        match *seqs {
+            [s] => Cover::from(s),
+            _ => Cover(CoverRepr::Many(seqs)),
+        }
+    }
+}
+
+impl From<Vec<Seq>> for Cover {
+    fn from(seqs: Vec<Seq>) -> Cover {
+        match *seqs {
+            [s] => Cover::from(s),
+            _ => Cover(CoverRepr::Many(seqs.into())),
+        }
+    }
 }
 
 impl PacketId {
@@ -71,16 +155,20 @@ impl PacketId {
         }
         // Fast path: a segment of strictly ascending data packets (the
         // shape every `Esq` segment has) IS its own sorted coverage — no
-        // symmetric-difference bookkeeping, and the shared slice is
-        // allocated once, at its exact length.
+        // symmetric-difference bookkeeping; one seq is held inline, and a
+        // longer shared slice is allocated once, at its exact length.
         let mut last = None;
         let ascending_data = parts.iter().all(|p| match p {
             PacketId::Data(s) => last.replace(*s).is_none_or(|prev| prev < *s),
             _ => false,
         });
         if ascending_data {
-            return (!parts.is_empty())
-                .then(|| PacketId::Parity(parts.iter().map(PacketId::max_seq).collect()));
+            let cover = match parts {
+                [] => return None,
+                [one] => Cover::from(one.max_seq()),
+                _ => Cover::from(parts.iter().map(PacketId::max_seq).collect::<Arc<[Seq]>>()),
+            };
+            return Some(PacketId::Parity(cover));
         }
         let mut cover: Vec<Seq> = Vec::with_capacity(parts.len());
         for p in parts {

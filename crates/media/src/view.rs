@@ -8,6 +8,7 @@
 //! *constructing* a part is four integer stores and an `Arc` bump instead
 //! of cloning every element ([`crate::parity::div`] materializes the same
 //! selection; [`SeqView::part`] is pinned element-for-element against it).
+//! An empty view holds no base at all.
 //!
 //! Views are logically a packet sequence: equality, iteration and
 //! indexing all see the selected elements only. Materialize with
@@ -15,32 +16,29 @@
 //! (set algebra, codecs).
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::packet::PacketId;
 use crate::seq::PacketSeq;
 
 /// A strided view into a shared [`PacketSeq`]: the elements at
-/// `start, start+stride, …` (exactly `len` of them).
+/// `start, start+stride, …` (exactly `len` of them). An empty view has
+/// no base (`None`).
 #[derive(Clone)]
 pub struct SeqView {
-    base: Arc<PacketSeq>,
+    base: Option<Arc<PacketSeq>>,
     start: u32,
     stride: u32,
     len: u32,
 }
 
-/// The one empty base every idle schedule shares.
-fn empty_base() -> Arc<PacketSeq> {
-    static EMPTY: OnceLock<Arc<PacketSeq>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(PacketSeq::new())).clone()
-}
-
 impl SeqView {
-    /// The empty view.
+    /// The empty view. It holds no base, so making, cloning and dropping
+    /// one — every idle schedule on every shard is one — touches no heap
+    /// and no shared refcount.
     pub fn empty() -> SeqView {
         SeqView {
-            base: empty_base(),
+            base: None,
             start: 0,
             stride: 1,
             len: 0,
@@ -52,7 +50,7 @@ impl SeqView {
         debug_assert!(base.len() <= u32::MAX as usize);
         let len = base.len() as u32;
         SeqView {
-            base,
+            base: Some(base),
             start: 0,
             stride: 1,
             len,
@@ -69,16 +67,11 @@ impl SeqView {
         debug_assert!(base.len() <= u32::MAX as usize);
         let n = base.len();
         if parts == 0 || part >= parts || part >= n {
-            return SeqView {
-                base,
-                start: 0,
-                stride: 1,
-                len: 0,
-            };
+            return SeqView::empty();
         }
         let len = (n - part).div_ceil(parts);
         SeqView {
-            base,
+            base: Some(base),
             start: part as u32,
             stride: parts as u32,
             len: len as u32,
@@ -88,9 +81,12 @@ impl SeqView {
     /// The view starting at view position `pos` — the same selection
     /// with the first `pos` elements dropped. O(1): a suffix of a
     /// strided selection is itself a strided selection over the same
-    /// base.
+    /// base, and an empty suffix is the empty view.
     pub fn suffix(&self, pos: usize) -> SeqView {
         let skip = pos.min(self.len as usize) as u32;
+        if skip == self.len {
+            return SeqView::empty();
+        }
         SeqView {
             base: self.base.clone(),
             start: self.start + skip * self.stride,
@@ -115,6 +111,7 @@ impl SeqView {
             return None;
         }
         self.base
+            .as_ref()?
             .get(self.start as usize + i * self.stride as usize)
     }
 
@@ -128,7 +125,8 @@ impl SeqView {
         let skip = pos.min(self.len as usize);
         let first = self.start as usize + skip * self.stride as usize;
         self.base
-            .ids()
+            .as_deref()
+            .map_or(&[][..], PacketSeq::ids)
             .get(first..)
             .unwrap_or(&[])
             .iter()
@@ -146,27 +144,37 @@ impl SeqView {
     /// this view holds alone and selects from `start` to the end is
     /// merged in place, no selected packet cloned; otherwise (shared with
     /// a control body or a sibling part) a new base is built from the
-    /// selection, which keeps the old base's order flag.
+    /// selection, which keeps the old base's order flag. An empty view
+    /// becomes `incoming`.
     pub fn union_from(&mut self, pos: usize, incoming: &SeqView) {
         let pos = pos.min(self.len as usize);
-        let to_end = self.stride == 1 && (self.start + self.len) as usize == self.base.len();
-        if let Some(seq) = Arc::get_mut(&mut self.base).filter(|_| to_end) {
+        let to_end = self.stride == 1
+            && self
+                .base
+                .as_ref()
+                .is_some_and(|b| b.len() == (self.start + self.len) as usize);
+        if let Some(seq) = self.base.as_mut().filter(|_| to_end).and_then(Arc::get_mut) {
             seq.union_in_place(self.start as usize + pos, incoming.iter());
             debug_assert!(seq.len() <= u32::MAX as usize);
             self.len = seq.len() as u32;
             self.start = 0;
             return;
         }
-        *self = self
-            .base
-            .union_subsequence(self.iter_from(pos), incoming.iter())
-            .into();
+        *self = match &self.base {
+            Some(base) => base
+                .union_subsequence(self.iter_from(pos), incoming.iter())
+                .into(),
+            None => incoming.clone(),
+        };
     }
 
     /// Materialize the selected elements as an owned [`PacketSeq`]; a
     /// selection from an ordered base is ordered.
     pub fn to_seq(&self) -> PacketSeq {
-        self.base.subsequence(self.iter().cloned().collect())
+        match &self.base {
+            Some(base) => base.subsequence(self.iter().cloned().collect()),
+            None => PacketSeq::new(),
+        }
     }
 }
 
@@ -178,10 +186,9 @@ impl PartialEq for SeqView {
         if self.len != other.len {
             return false;
         }
-        if Arc::ptr_eq(&self.base, &other.base)
-            && self.start == other.start
-            && self.stride == other.stride
-        {
+        let same_base =
+            matches!((&self.base, &other.base), (Some(a), Some(b)) if Arc::ptr_eq(a, b));
+        if same_base && self.start == other.start && self.stride == other.stride {
             return true;
         }
         self.iter().eq(other.iter())

@@ -48,7 +48,7 @@ use mss_core::msg::{
     ContentRequest, ControlBody, ControlKind, ControlPacket, Msg, Nack, ProbeReply,
     ScheduleAssignment, TwoPhase,
 };
-use mss_media::{Packet, PacketId, PacketSeq, Seq, SeqView};
+use mss_media::{Cover, Packet, PacketId, PacketSeq, Seq, SeqView};
 use mss_overlay::wire::{self, WireError};
 use mss_overlay::{PeerId, View};
 use mss_sim::event::ActorId;
@@ -106,6 +106,16 @@ fn get_len(buf: &mut impl Buf) -> Result<usize, CodecError> {
     Ok(l as usize)
 }
 
+/// A coverage's length: like [`get_len`], but a coverage is nonempty.
+/// An empty one would be the XOR of nothing, and every id's last seq is
+/// read as soon as a schedule is built.
+fn get_cover_len(buf: &mut impl Buf) -> Result<usize, CodecError> {
+    match get_len(buf)? {
+        0 => Err(CodecError::BadLength(0)),
+        len => Ok(len),
+    }
+}
+
 /// Write a view in its smallest set encoding.
 fn put_view(out: &mut impl BufMut, v: &View) {
     wire::encode_view(v, out);
@@ -153,15 +163,22 @@ fn get_packet_id(buf: &mut impl Buf) -> Result<PacketId, CodecError> {
             Ok(PacketId::Data(Seq(buf.get_u64_le())))
         }
         1 => {
-            let len = get_len(buf)?;
+            let len = get_cover_len(buf)?;
             need(buf, len * 8)?;
-            let cover: Vec<Seq> = (0..len).map(|_| Seq(buf.get_u64_le())).collect();
-            Ok(PacketId::Parity(cover.into()))
+            let cover = match len {
+                1 => Cover::from(Seq(buf.get_u64_le())),
+                _ => Cover::from(
+                    (0..len)
+                        .map(|_| Seq(buf.get_u64_le()))
+                        .collect::<Arc<[Seq]>>(),
+                ),
+            };
+            Ok(PacketId::Parity(cover))
         }
         2 => {
             need(buf, 1)?;
             let row = buf.get_u8();
-            let len = get_len(buf)?;
+            let len = get_cover_len(buf)?;
             need(buf, len * 8)?;
             let seqs: Vec<Seq> = (0..len).map(|_| Seq(buf.get_u64_le())).collect();
             Ok(PacketId::RsParity {
@@ -1001,6 +1018,52 @@ mod tests {
                 assert_eq!(*d.packet, pkt);
             }
             other => panic!("wrong variant {other:?}"),
+        }
+    }
+
+    /// A coverage of no seqs, XOR or RS, in a data packet or in a control
+    /// packet's schedule, is a bad length, not a panic (the schedule's
+    /// order check reads every id's last seq).
+    #[test]
+    fn an_empty_coverage_is_rejected() {
+        let content = ContentDesc::small(9, 20);
+        let xor = PacketId::parity_of(&[PacketId::Data(Seq(3)), PacketId::Data(Seq(4))]).unwrap();
+        let rs = PacketId::RsParity {
+            seqs: vec![Seq(3), Seq(4)].into(),
+            row: 1,
+        };
+        for id in [xor, rs] {
+            let body = ControlBody {
+                kind: ControlKind::Activate,
+                from: PeerId(0),
+                wave: 1,
+                view: view_of(8, &[]),
+                sched: PacketSeq::from_ids(vec![PacketId::Data(Seq(1)), id.clone()]).into(),
+                pos: 0,
+                interval_nanos: 1_000,
+                mark_delta_nanos: 0,
+                parts: 2,
+                h: 1,
+                fanout: 2,
+                basis: None,
+            };
+            let control = Msg::control(&Arc::new(body), 1);
+            let data = Msg::data(PeerId(2), content.materialize(&id));
+            for msg in [control, data] {
+                let frame = encode(ActorId(1), &msg).to_vec();
+                let mut cover = vec![];
+                put_packet_id(&mut cover, &id);
+                let at = frame
+                    .windows(cover.len())
+                    .position(|w| w == cover)
+                    .expect("the frame holds the id");
+                // The same id with its length field zeroed and no seqs.
+                let head = cover.len() - 4 - 16;
+                let mut empty = frame[..at + head].to_vec();
+                empty.extend_from_slice(&0u32.to_le_bytes());
+                empty.extend_from_slice(&frame[at + cover.len()..]);
+                assert_eq!(decode(&empty).err(), Some(CodecError::BadLength(0)));
+            }
         }
     }
 

@@ -735,13 +735,14 @@ mod tests {
     /// Well-formed frames that break the session's contract reach a
     /// real 10-peer DCoP worker: a control packet whose view ranges over
     /// 50 peers, one from peer 12, one with `h = 0`, one dividing into
-    /// no parts, one handing out part 2 of 2, and leaf requests with
-    /// `h = 0`, with a zero weight, and with no weight for their part.
-    /// Each counts one `net.rx_decode_err` and is skipped; delivered,
-    /// they would panic the peer's view union, its view insert, the
-    /// parity layer (both `h = 0`), the slot allocator and, in debug
-    /// builds, the weighted division, and the two bad parts would
-    /// activate a peer with nothing to send.
+    /// no parts, one handing out part 2 of 2, leaf requests with
+    /// `h = 0`, with a zero weight, and with no weight for their part,
+    /// and uniform leaf requests for part 5 of 2, part 0 of 0 and part 2
+    /// of 2. Each counts one `net.rx_decode_err` and is skipped;
+    /// delivered, they would panic the peer's view union, its view
+    /// insert, the parity layer (both `h = 0`), the slot allocator and,
+    /// in debug builds, the weighted division, and the five bad parts
+    /// would activate a peer with nothing to send.
     #[test]
     fn frames_that_do_not_fit_the_session_are_counted_and_skipped() {
         let n = 10;
@@ -779,6 +780,18 @@ mod tests {
                 weights: Some(weights.into()),
             })
         };
+        let uniform_request = |parts: u32, part: u32| {
+            Msg::request(ContentRequest {
+                wave: 1,
+                interval_nanos: 1_000,
+                h: 2,
+                fanout: 2,
+                part,
+                parts,
+                view: None,
+                weights: None,
+            })
+        };
         let leaf = ActorId(n as u32);
         let frames = [
             (ActorId(3), ActorId(0), activate(0, 50, 2, 2, 1)),
@@ -789,6 +802,9 @@ mod tests {
             (ActorId(8), leaf, request(0, 0, &[1, 1])),
             (ActorId(9), leaf, request(2, 0, &[1, 0])),
             (ActorId(2), leaf, request(2, 1, &[1])),
+            (ActorId(1), leaf, uniform_request(2, 5)),
+            (ActorId(0), leaf, uniform_request(0, 0)),
+            (ActorId(3), leaf, uniform_request(2, 2)),
         ];
         let mut w = BundleWriter::new(1);
         for (to, from, msg) in &frames {

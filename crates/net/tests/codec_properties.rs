@@ -22,7 +22,7 @@ use mss_sim::rng::SimRng;
 use mss_sim::world::SimMessage;
 use std::sync::Arc;
 
-use mss_media::packet::{PacketId, Seq};
+use mss_media::packet::{Cover, PacketId, Seq};
 use mss_media::{ContentDesc, PacketSeq};
 
 /// Deterministic arbitrary-message generator: the proptest shim drives
@@ -595,5 +595,136 @@ proptest! {
             damaged[at] ^= (1 + rng.gen_below(255)) as u8;
         }
         let _ = decode(&damaged);
+    }
+}
+
+/// The seed's packet id, with every coverage a plain `Vec<Seq>`: the
+/// reference model a [`Cover`] is checked against. Its variants are in
+/// `PacketId`'s order, so the derived `Hash` feeds a hasher the same
+/// words `PacketId`'s does when the two agree.
+#[derive(Hash)]
+enum RefId {
+    #[allow(dead_code)]
+    Data(Seq),
+    Parity(Vec<Seq>),
+}
+
+/// A sorted, duplicate-free set of 1 to 5 seqs from `1..=max`.
+fn arb_set(rng: &mut SimRng, max: u64) -> Vec<Seq> {
+    let mut set: Vec<Seq> = (0..1 + rng.gen_below(5))
+        .map(|_| Seq(1 + rng.gen_below(max)))
+        .collect();
+    set.sort();
+    set.dedup();
+    set
+}
+
+/// XOR of coverage sets: the seqs in an odd number of them, sorted.
+fn symmetric_difference(sets: &[Vec<Seq>]) -> Vec<Seq> {
+    let mut all: Vec<Seq> = sets.iter().flatten().copied().collect();
+    all.sort();
+    let mut odd = Vec::new();
+    for run in all.chunk_by(|a, b| a == b) {
+        if run.len() % 2 == 1 {
+            odd.push(run[0]);
+        }
+    }
+    odd
+}
+
+fn std_hash(x: &impl std::hash::Hash) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(x)
+}
+
+/// `cover` is canonical and reads exactly as `reference`: inline iff it
+/// is one seq, equal and hashed as the slice (also inside a packet id),
+/// displayed alike, framed to the reference's bytes, and decoded back
+/// to the same canonical form.
+fn assert_cover_is(cover: &Cover, reference: &[Seq], how: &str) {
+    assert_eq!(&**cover, reference, "{how}");
+    assert_eq!(
+        cover.is_inline(),
+        reference.len() == 1,
+        "{how}: {reference:?}"
+    );
+    assert_eq!(std_hash(cover), std_hash(&reference), "{how}");
+    let id = PacketId::Parity(cover.clone());
+    let ref_id = RefId::Parity(reference.to_vec());
+    assert_eq!(std_hash(&id), std_hash(&ref_id), "{how}");
+    assert_eq!(
+        id,
+        PacketId::Parity(Cover::from(reference.to_vec())),
+        "{how}"
+    );
+    let shown: Vec<String> = reference.iter().map(|s| s.0.to_string()).collect();
+    assert_eq!(id.to_string(), format!("t<{}>", shown.join(",")), "{how}");
+
+    // A data frame ends with the id, the payload length and the payload.
+    let payload: Arc<[u8]> = Arc::from(&[0xAB, 0xCD][..]);
+    let msg = Msg::data(PeerId(7), mss_media::Packet { id, payload });
+    let frame = encode_frame(ActorId(2), &msg);
+    let mut tail = vec![1u8];
+    tail.extend_from_slice(&(reference.len() as u32).to_le_bytes());
+    for s in reference {
+        tail.extend_from_slice(&s.0.to_le_bytes());
+    }
+    tail.extend_from_slice(&2u32.to_le_bytes());
+    tail.extend_from_slice(&[0xAB, 0xCD]);
+    assert!(frame.ends_with(&tail), "{how}: frame bytes");
+    let (_, back) = decode(&frame).expect("a data frame decodes");
+    let Msg::Data(d) = back else {
+        panic!("wrong variant")
+    };
+    let PacketId::Parity(decoded) = &d.packet.id else {
+        panic!("{how}: decoded {:?}", d.packet.id)
+    };
+    assert_eq!(&**decoded, reference, "{how}: decoded");
+    assert_eq!(decoded.is_inline(), reference.len() == 1, "{how}: decoded");
+}
+
+proptest! {
+    /// Every way to build an XOR coverage yields its one canonical form
+    /// and reads as the `Vec<Seq>` reference: each `From`, `parity_of`'s
+    /// ascending fast path, its nested path over data and parity parts,
+    /// a nested XOR that cancels down to one seq, and codec decode
+    /// (through [`assert_cover_is`]).
+    #[test]
+    fn a_cover_is_canonical_and_reads_as_its_seqs(seed in any::<u64>()) {
+        let mut rng = SimRng::new(seed).fork(0xC0BE);
+        let set = arb_set(&mut rng, 40);
+        assert_cover_is(&Cover::from(set[0]), &set[..1], "From<Seq>");
+        assert_cover_is(&Cover::from(set.clone()), &set, "From<Vec<Seq>>");
+        assert_cover_is(&Cover::from(Arc::<[Seq]>::from(&set[..])), &set, "From<Arc<[Seq]>>");
+
+        let cover_of = |id: Option<PacketId>| match id {
+            Some(PacketId::Parity(c)) => c,
+            other => panic!("not an XOR parity id: {other:?}"),
+        };
+        let ascending: Vec<PacketId> = set.iter().map(|&s| PacketId::Data(s)).collect();
+        assert_cover_is(&cover_of(PacketId::parity_of(&ascending)), &set, "ascending data");
+
+        // Nested: data and parity parts, in any order, with repeats.
+        let sets: Vec<Vec<Seq>> = (0..1 + rng.gen_below(4)).map(|_| arb_set(&mut rng, 12)).collect();
+        let parts: Vec<PacketId> = sets
+            .iter()
+            .map(|s| match s[..] {
+                [one] if rng.gen_bool(0.5) => PacketId::Data(one),
+                _ => PacketId::Parity(Cover::from(s.clone())),
+            })
+            .collect();
+        let xor = symmetric_difference(&sets);
+        match PacketId::parity_of(&parts) {
+            None => prop_assert!(xor.is_empty(), "{parts:?} cancelled, expected {xor:?}"),
+            id => assert_cover_is(&cover_of(id), &xor, "nested"),
+        }
+
+        // A parity over the whole set XORed with all data but one seq.
+        if set.len() >= 2 {
+            let keep = set[rng.gen_below(set.len() as u64) as usize];
+            let mut parts = vec![PacketId::Parity(Cover::from(set.clone()))];
+            parts.extend(set.iter().filter(|&&s| s != keep).map(|&s| PacketId::Data(s)));
+            assert_cover_is(&cover_of(PacketId::parity_of(&parts)), &[keep], "cancelled to one");
+        }
     }
 }

@@ -8,8 +8,14 @@
 # package, whose tests tier-1 just ran) already includes these
 # invariants, so they have no step of their own:
 #   - event memory plane: the `size_regression` tests of mss-core::msg
-#     and mss-sim::event re-measure `Msg` / `Event` / `NodeKey` at
-#     runtime behind the compile-time asserts;
+#     and mss-sim::event re-measure `Msg` / `Event` / `NodeKey` /
+#     `PacketId` at runtime behind the compile-time asserts;
+#   - the coordination path's allocation budget (blocks per coordination
+#     message of a Figure 10 DCoP and TCoP session, per activated peer
+#     of an n=10^4 DCoP session on 2 shards): mss-core's `alloc_budget`
+#     test, alone in its binary behind a counting global allocator;
+#   - a parity coverage's one canonical form (one seq inline) from every
+#     constructor and from codec decode: mss-net's `codec_properties`;
 #   - calendar queue vs reference model: mss-sim's `properties` test;
 #   - view forms (sparse ids, dense bitmap) vs the seed bitmap, view
 #     frames under hostile input (truncated, flipped, arbitrary varint
